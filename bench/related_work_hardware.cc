@@ -16,9 +16,7 @@
 #include <memory>
 
 #include "apps/app.h"
-#include "cpu/inorder_core.h"
 #include "cpu/load_accel.h"
-#include "cpu/ooo_core.h"
 #include "cpu/platforms.h"
 #include "harness.h"
 #include "util/table.h"
@@ -42,21 +40,14 @@ timeWith(const cpu::PlatformConfig &platform, apps::Variant variant,
                            ->make(variant, apps::Scale::Small, 42);
     mem::CacheHierarchy caches = platform.makeHierarchy();
     auto pred = platform.makePredictor();
+    const std::unique_ptr<cpu::TimingCore> core =
+        platform.makeCore(&caches, pred.get());
+    core->setLoadAccelerator(accel);
     vm::Interpreter interp(*run.prog);
+    interp.addSink(core.get());
+    run.driver(interp);
     RunOut out;
-    if (platform.core.outOfOrder) {
-        cpu::OooCore core(platform.core, &caches, pred.get());
-        core.setLoadAccelerator(accel);
-        interp.addSink(&core);
-        run.driver(interp);
-        out.cycles = core.cycles();
-    } else {
-        cpu::InorderCore core(platform.core, &caches, pred.get());
-        core.setLoadAccelerator(accel);
-        interp.addSink(&core);
-        run.driver(interp);
-        out.cycles = core.cycles();
-    }
+    out.cycles = core->cycles();
     if (!run.verify()) {
         std::printf("VERIFICATION FAILED\n");
         std::exit(1);

@@ -25,7 +25,7 @@
  * fails if not); only wall-clock changes. A further section times a
  * four-platform Simulator::sweep() over one workload with the trace
  * cache off versus on, and a final section compares full detailed
- * replay against sampled timing (Simulator::sampleTiming) per trace:
+ * replay against sampled timing (core::sampleTiming) per trace:
  * single-threaded and keyframe-sharded, checking the sampled CPI
  * projection lands within 2% of the full-replay CPI and that the
  * sharded run merges bit-identically to the single-threaded one.
@@ -335,23 +335,20 @@ main(int argc, char **argv)
         core::SampledTimingResult sampled, sharded;
         for (int rep = 0; rep < reps; rep++) {
             double t = now();
-            full = core::Simulator::timeReplay(*trace,
-                                               sample_platform);
+            full = core::Simulator::time(*trace, sample_platform);
             double dt = now() - t;
             if (rep == 0 || dt < best_full)
                 best_full = dt;
             core::SamplingOptions so;
             so.threads = 1;
             t = now();
-            sampled = core::Simulator::sampleTiming(
-                *trace, sample_platform, so);
+            sampled = core::sampleTiming(*trace, sample_platform, so);
             dt = now() - t;
             if (rep == 0 || dt < best_sampled)
                 best_sampled = dt;
             so.threads = 0;
             t = now();
-            sharded = core::Simulator::sampleTiming(
-                *trace, sample_platform, so);
+            sharded = core::sampleTiming(*trace, sample_platform, so);
             dt = now() - t;
             if (rep == 0 || dt < best_sharded)
                 best_sharded = dt;

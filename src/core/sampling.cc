@@ -4,8 +4,6 @@
 #include <functional>
 #include <future>
 
-#include "cpu/inorder_core.h"
-#include "cpu/ooo_core.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -22,45 +20,6 @@ enum WarmKind : uint8_t {
     kWarmRead = 1,   ///< loads and prefetches: read access
     kWarmWrite = 2,  ///< stores: write access
     kWarmBranch = 3, ///< conditional branches: train the predictor
-};
-
-/** Uniform counter access over the two core models. */
-struct CoreModel
-{
-    std::unique_ptr<cpu::OooCore> ooo;
-    std::unique_ptr<cpu::InorderCore> inorder;
-
-    CoreModel(const cpu::PlatformConfig &platform,
-              mem::CacheHierarchy *caches,
-              branch::BranchPredictor *predictor)
-    {
-        if (platform.core.outOfOrder)
-            ooo = std::make_unique<cpu::OooCore>(platform.core, caches,
-                                                 predictor);
-        else
-            inorder = std::make_unique<cpu::InorderCore>(
-                platform.core, caches, predictor);
-    }
-
-    vm::TraceSink *sink()
-    {
-        return ooo ? static_cast<vm::TraceSink *>(ooo.get())
-                   : inorder.get();
-    }
-    void reset() { ooo ? ooo->reset() : inorder->reset(); }
-    uint64_t cycles() const
-    {
-        return ooo ? ooo->cycles() : inorder->cycles();
-    }
-    uint64_t instructions() const
-    {
-        return ooo ? ooo->instructions() : inorder->instructions();
-    }
-    uint64_t mispredicts() const
-    {
-        return ooo ? ooo->branchMispredictions()
-                   : inorder->branchMispredictions();
-    }
 };
 
 /** Per-shard observations, merged in shard order on the main thread. */
@@ -86,7 +45,7 @@ struct ShardResult
 class SampleRouter : public vm::TraceSink
 {
   public:
-    SampleRouter(WarmupSink *warm, CoreModel *core)
+    SampleRouter(WarmupSink *warm, cpu::TimingCore *core)
         : warm_(warm), core_(core)
     {
     }
@@ -115,7 +74,7 @@ class SampleRouter : public vm::TraceSink
             if (phase_ == Phase::Gap)
                 warm_->onBatch(batch, m);
             else
-                core_->sink()->onBatch(batch, m);
+                core_->onBatch(batch, m);
             remaining_ -= m;
             batch += m;
             n -= m;
@@ -130,7 +89,7 @@ class SampleRouter : public vm::TraceSink
     {
         // The run boundary's scoreboard semantics apply to the core
         // whatever the phase; warming holds no per-run state.
-        core_->sink()->onRunEnd();
+        core_->onRunEnd();
     }
 
     void onGap() override
@@ -139,7 +98,7 @@ class SampleRouter : public vm::TraceSink
         // were lost with the gap, so the core drains. Warm state
         // (caches, predictor) is kept — stale but unbiased, same as
         // after any functional-warm stretch.
-        core_->sink()->onGap();
+        core_->onGap();
     }
 
   private:
@@ -157,7 +116,7 @@ class SampleRouter : public vm::TraceSink
             remaining_ = detail_len_;
             cycles0_ = core_->cycles();
             instr0_ = core_->instructions();
-            miss0_ = core_->mispredicts();
+            miss0_ = core_->branchMispredictions();
             break;
           case Phase::Measure: {
             const uint64_t d_cycles = core_->cycles() - cycles0_;
@@ -169,7 +128,7 @@ class SampleRouter : public vm::TraceSink
                 out_->measuredInstructions += d_instr;
                 out_->measuredCycles += d_cycles;
                 out_->measuredMispredicts +=
-                    core_->mispredicts() - miss0_;
+                    core_->branchMispredictions() - miss0_;
             }
             phase_ = Phase::Gap;
             remaining_ = warm_gap_;
@@ -179,7 +138,7 @@ class SampleRouter : public vm::TraceSink
     }
 
     WarmupSink *warm_;
-    CoreModel *core_;
+    cpu::TimingCore *core_;
     ShardResult *out_ = nullptr;
     uint64_t warmup_len_ = 0;
     uint64_t detail_len_ = 1;
@@ -272,7 +231,7 @@ struct WorkerStack
 {
     mem::CacheHierarchy caches;
     std::unique_ptr<branch::BranchPredictor> predictor;
-    CoreModel core;
+    std::unique_ptr<cpu::TimingCore> core;
     WarmupSink warm;
     SampleRouter router;
     vm::TraceReplayer replayer;
@@ -281,9 +240,9 @@ struct WorkerStack
                 const cpu::PlatformConfig &platform)
         : caches(platform.makeHierarchy()),
           predictor(platform.makePredictor()),
-          core(platform, &caches, predictor.get()),
+          core(platform.makeCore(&caches, predictor.get())),
           warm(prog, &caches, predictor.get()),
-          router(&warm, &core), replayer(prog)
+          router(&warm, core.get()), replayer(prog)
     {
         replayer.addSink(&router);
     }
@@ -406,9 +365,10 @@ runExhaustive(const ir::Program &prog,
 
     mem::CacheHierarchy caches = platform.makeHierarchy();
     auto predictor = platform.makePredictor();
-    CoreModel core(platform, &caches, predictor.get());
+    const std::unique_ptr<cpu::TimingCore> core =
+        platform.makeCore(&caches, predictor.get());
     vm::TraceReplayer rep(prog);
-    rep.addSink(core.sink());
+    rep.addSink(core.get());
     rep.beginStream(0);
     if (util::Status s = reader.readRange(0, num_chunks, rep);
         !s.ok()) {
@@ -417,16 +377,16 @@ runExhaustive(const ir::Program &prog,
     }
     rep.endStream();
 
-    out.measuredInstructions = core.instructions();
-    out.measuredCycles = core.cycles();
-    out.measuredMispredicts = core.mispredicts();
-    if (core.cycles() > 0 && core.instructions() > 0) {
-        out.cpi = static_cast<double>(core.cycles()) /
-                  static_cast<double>(core.instructions());
+    out.measuredInstructions = core->instructions();
+    out.measuredCycles = core->cycles();
+    out.measuredMispredicts = core->branchMispredictions();
+    if (core->cycles() > 0 && core->instructions() > 0) {
+        out.cpi = static_cast<double>(core->cycles()) /
+                  static_cast<double>(core->instructions());
         out.ipc = 1.0 / out.cpi;
     }
     out.coverage = 1.0;
-    out.projectedCycles = static_cast<double>(core.cycles());
+    out.projectedCycles = static_cast<double>(core->cycles());
     out.seconds = out.projectedCycles / (platform.core.clockGhz * 1e9);
     return out;
 }
@@ -485,7 +445,7 @@ runSampled(const ir::Program &prog, const cpu::PlatformConfig &platform,
             // and therefore mergeable in any execution order.
             ws.caches.reset();
             ws.predictor->reset();
-            ws.core.reset();
+            ws.core->reset();
             ws.router.beginShard(&results[s], plan.firstWarm,
                                  o.warmupLen, o.detailLen, warm_gap);
             ws.replayer.beginStream(reader.startSeq(plan.w0));

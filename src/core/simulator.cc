@@ -5,8 +5,6 @@
 #include <future>
 #include <unordered_map>
 
-#include "cpu/inorder_core.h"
-#include "cpu/ooo_core.h"
 #include "regalloc/linear_scan.h"
 #include "util/failpoint.h"
 #include "util/thread_pool.h"
@@ -15,8 +13,38 @@
 
 namespace bioperf::core {
 
+Source::Outcome
+Source::drive(const std::vector<vm::TraceSink *> &sinks) const
+{
+    Outcome out;
+    if (trace_) {
+        vm::TraceReplayer replayer(trace_->trace, *trace_->prog);
+        for (vm::TraceSink *s : sinks)
+            replayer.addSink(s);
+        util::StatusOr<uint64_t> delivered = replayer.replay();
+        if (delivered.ok()) {
+            out.instructions = delivered.value();
+            out.verified = trace_->verified;
+        } else {
+            out.status = delivered.status();
+        }
+        return out;
+    }
+    vm::Interpreter interp(*run_->prog);
+    for (vm::TraceSink *s : sinks)
+        interp.addSink(s);
+    try {
+        run_->driver(interp);
+        out.verified = run_->verify();
+    } catch (const util::StatusError &e) {
+        out.status = e.status();
+    }
+    out.instructions = interp.totalInstrs();
+    return out;
+}
+
 CharacterizationResult
-Simulator::characterize(apps::AppRun &run)
+Simulator::characterize(const Source &src)
 {
     CharacterizationResult res;
     res.mixProfiler =
@@ -27,18 +55,12 @@ Simulator::characterize(apps::AppRun &run)
     res.loadBranchProfiler =
         std::make_unique<profile::LoadBranchProfiler>();
 
-    vm::Interpreter interp(*run.prog);
-    interp.addSink(res.mixProfiler.get());
-    interp.addSink(res.coverageProfiler.get());
-    interp.addSink(res.cacheProfiler.get());
-    interp.addSink(res.loadBranchProfiler.get());
-    try {
-        run.driver(interp);
-        res.verified = run.verify();
-    } catch (const util::StatusError &e) {
-        res.status = e.status();
-    }
-    res.instructions = interp.totalInstrs();
+    const Source::Outcome out = src.drive(
+        { res.mixProfiler.get(), res.coverageProfiler.get(),
+          res.cacheProfiler.get(), res.loadBranchProfiler.get() });
+    res.status = out.status;
+    res.instructions = out.instructions;
+    res.verified = out.verified;
     res.mix = res.mixProfiler->summary();
     res.coverage = res.coverageProfiler->summary();
     res.cache = res.cacheProfiler->summary();
@@ -84,43 +106,47 @@ SpeedupResult::report() const
 }
 
 TimingResult
-Simulator::time(apps::AppRun &run, const cpu::PlatformConfig &platform)
+Simulator::time(const Source &src, const cpu::PlatformConfig &platform)
 {
-    TimingResult res;
-    mem::CacheHierarchy caches = platform.makeHierarchy();
-    auto predictor = platform.makePredictor();
+    return std::move(time(src, { &platform }).front());
+}
 
-    vm::Interpreter interp(*run.prog);
-    auto drive = [&run, &interp]() -> util::Status {
-        try {
-            run.driver(interp);
-            return {};
-        } catch (const util::StatusError &e) {
-            return e.status();
-        }
+std::vector<TimingResult>
+Simulator::time(const Source &src,
+                const std::vector<const cpu::PlatformConfig *> &platforms)
+{
+    // Per-platform stacks; heap-held because each core keeps pointers
+    // to its hierarchy and predictor across the run.
+    struct Stack
+    {
+        mem::CacheHierarchy caches;
+        std::unique_ptr<branch::BranchPredictor> predictor;
+        std::unique_ptr<cpu::TimingCore> core;
     };
-    if (platform.core.outOfOrder) {
-        cpu::OooCore core(platform.core, &caches, predictor.get());
-        interp.addSink(&core);
-        res.status = drive();
-        res.cycles = core.cycles();
-        res.instructions = core.instructions();
-        res.mispredicts = core.branchMispredictions();
-        res.ipc = core.ipc();
-        res.seconds = core.seconds();
-    } else {
-        cpu::InorderCore core(platform.core, &caches, predictor.get());
-        interp.addSink(&core);
-        res.status = drive();
-        res.cycles = core.cycles();
-        res.instructions = core.instructions();
-        res.mispredicts = core.branchMispredictions();
-        res.ipc = core.ipc();
-        res.seconds = core.seconds();
+    std::vector<std::unique_ptr<Stack>> stacks;
+    std::vector<vm::TraceSink *> sinks;
+    for (const cpu::PlatformConfig *p : platforms) {
+        stacks.push_back(std::make_unique<Stack>(
+            Stack{ p->makeHierarchy(), p->makePredictor(), nullptr }));
+        Stack &s = *stacks.back();
+        s.core = p->makeCore(&s.caches, s.predictor.get());
+        sinks.push_back(s.core.get());
     }
-    if (res.status.ok())
-        res.verified = run.verify();
-    return res;
+    const Source::Outcome out = src.drive(sinks);
+
+    std::vector<TimingResult> results(platforms.size());
+    for (size_t i = 0; i < platforms.size(); i++) {
+        const cpu::TimingCore &core = *stacks[i]->core;
+        TimingResult &res = results[i];
+        res.cycles = core.cycles();
+        res.instructions = core.instructions();
+        res.mispredicts = core.branchMispredictions();
+        res.ipc = core.ipc();
+        res.seconds = core.seconds();
+        res.status = out.status;
+        res.verified = out.verified;
+    }
+    return results;
 }
 
 uint32_t
@@ -144,136 +170,6 @@ Simulator::applyRegisterPressure(apps::AppRun &run, uint32_t int_regs,
     }
     run.prog->renumber();
     return spills;
-}
-
-CharacterizationResult
-Simulator::characterizeReplay(const CachedTrace &trace)
-{
-    CharacterizationResult res;
-    res.mixProfiler =
-        std::make_unique<profile::InstructionMixProfiler>();
-    res.coverageProfiler =
-        std::make_unique<profile::LoadCoverageProfiler>();
-    res.cacheProfiler = std::make_unique<profile::CacheProfiler>();
-    res.loadBranchProfiler =
-        std::make_unique<profile::LoadBranchProfiler>();
-
-    vm::TraceReplayer replayer(trace.trace, *trace.prog);
-    replayer.addSink(res.mixProfiler.get());
-    replayer.addSink(res.coverageProfiler.get());
-    replayer.addSink(res.cacheProfiler.get());
-    replayer.addSink(res.loadBranchProfiler.get());
-    util::StatusOr<uint64_t> delivered = replayer.replay();
-    if (delivered.ok()) {
-        res.instructions = delivered.value();
-        res.verified = trace.verified;
-    } else {
-        res.status = delivered.status();
-    }
-    res.mix = res.mixProfiler->summary();
-    res.coverage = res.coverageProfiler->summary();
-    res.cache = res.cacheProfiler->summary();
-    res.loadBranch = res.loadBranchProfiler->summary();
-    return res;
-}
-
-TimingResult
-Simulator::timeReplay(const CachedTrace &trace,
-                      const cpu::PlatformConfig &platform)
-{
-    TimingResult res;
-    mem::CacheHierarchy caches = platform.makeHierarchy();
-    auto predictor = platform.makePredictor();
-
-    vm::TraceReplayer replayer(trace.trace, *trace.prog);
-    if (platform.core.outOfOrder) {
-        cpu::OooCore core(platform.core, &caches, predictor.get());
-        replayer.addSink(&core);
-        res.status = replayer.replay().status();
-        res.cycles = core.cycles();
-        res.instructions = core.instructions();
-        res.mispredicts = core.branchMispredictions();
-        res.ipc = core.ipc();
-        res.seconds = core.seconds();
-    } else {
-        cpu::InorderCore core(platform.core, &caches, predictor.get());
-        replayer.addSink(&core);
-        res.status = replayer.replay().status();
-        res.cycles = core.cycles();
-        res.instructions = core.instructions();
-        res.mispredicts = core.branchMispredictions();
-        res.ipc = core.ipc();
-        res.seconds = core.seconds();
-    }
-    res.verified = res.status.ok() && trace.verified;
-    return res;
-}
-
-SampledTimingResult
-Simulator::sampleTiming(const CachedTrace &trace,
-                        const cpu::PlatformConfig &platform,
-                        const SamplingOptions &opts)
-{
-    return core::sampleTiming(trace, platform, opts);
-}
-
-std::vector<TimingResult>
-Simulator::timeReplayMany(
-    const CachedTrace &trace,
-    const std::vector<const cpu::PlatformConfig *> &platforms)
-{
-    // Per-platform sink state; heap-held because the cores keep
-    // pointers to their hierarchy/predictor across the replay.
-    struct PlatformSinks
-    {
-        std::unique_ptr<mem::CacheHierarchy> caches;
-        std::unique_ptr<branch::BranchPredictor> predictor;
-        std::unique_ptr<cpu::OooCore> ooo;
-        std::unique_ptr<cpu::InorderCore> inorder;
-    };
-    std::vector<PlatformSinks> sinks(platforms.size());
-
-    vm::TraceReplayer replayer(trace.trace, *trace.prog);
-    for (size_t i = 0; i < platforms.size(); i++) {
-        const cpu::PlatformConfig &p = *platforms[i];
-        PlatformSinks &s = sinks[i];
-        s.caches = std::make_unique<mem::CacheHierarchy>(
-            p.makeHierarchy());
-        s.predictor = p.makePredictor();
-        if (p.core.outOfOrder) {
-            s.ooo = std::make_unique<cpu::OooCore>(
-                p.core, s.caches.get(), s.predictor.get());
-            replayer.addSink(s.ooo.get());
-        } else {
-            s.inorder = std::make_unique<cpu::InorderCore>(
-                p.core, s.caches.get(), s.predictor.get());
-            replayer.addSink(s.inorder.get());
-        }
-    }
-    const util::Status replay_status = replayer.replay().status();
-
-    std::vector<TimingResult> results(platforms.size());
-    for (size_t i = 0; i < platforms.size(); i++) {
-        TimingResult &res = results[i];
-        if (sinks[i].ooo) {
-            const cpu::OooCore &core = *sinks[i].ooo;
-            res.cycles = core.cycles();
-            res.instructions = core.instructions();
-            res.mispredicts = core.branchMispredictions();
-            res.ipc = core.ipc();
-            res.seconds = core.seconds();
-        } else {
-            const cpu::InorderCore &core = *sinks[i].inorder;
-            res.cycles = core.cycles();
-            res.instructions = core.instructions();
-            res.mispredicts = core.branchMispredictions();
-            res.ipc = core.ipc();
-            res.seconds = core.seconds();
-        }
-        res.status = replay_status;
-        res.verified = replay_status.ok() && trace.verified;
-    }
-    return results;
 }
 
 namespace {
@@ -313,80 +209,71 @@ makeKey(const CharacterizeJob &job)
     return key;
 }
 
-TimingResult
-runSweepJob(const SweepJob &job)
-{
-    apps::AppRun run = job.app->make(job.variant, job.scale, job.seed);
-    if (job.registerPressure)
-        Simulator::applyRegisterPressure(run, job.platform);
-    return Simulator::time(run, job.platform);
-}
-
-TimingResult
-replaySweepJob(const CachedTrace &trace, const SweepJob &job)
-{
-    return Simulator::timeReplay(trace, job.platform);
-}
-
+/** A job group's results from one pass over @a src. */
 std::vector<TimingResult>
-replaySweepGroup(const CachedTrace &trace,
-                 const std::vector<const SweepJob *> &group)
+analyse(const Source &src, const std::vector<const SweepJob *> &group)
 {
     std::vector<const cpu::PlatformConfig *> platforms;
     platforms.reserve(group.size());
     for (const SweepJob *job : group)
         platforms.push_back(&job->platform);
-    return Simulator::timeReplayMany(trace, platforms);
-}
-
-CharacterizationResult
-runCharacterizeJob(const CharacterizeJob &job)
-{
-    apps::AppRun run = job.app->make(job.variant, job.scale, job.seed);
-    return Simulator::characterize(run);
-}
-
-CharacterizationResult
-replayCharacterizeJob(const CachedTrace &trace, const CharacterizeJob &)
-{
-    return Simulator::characterizeReplay(trace);
+    return Simulator::time(src, platforms);
 }
 
 /**
- * Fan @a jobs out over a pool and collect results in job order,
+ * Characterization results own their profilers, so each member of a
+ * group takes its own pass (groups of a live source are single jobs).
+ */
+std::vector<CharacterizationResult>
+analyse(const Source &src,
+        const std::vector<const CharacterizeJob *> &group)
+{
+    std::vector<CharacterizationResult> results;
+    for (size_t i = 0; i < group.size(); i++)
+        results.push_back(Simulator::characterize(src));
+    return results;
+}
+
+template <typename Result>
+util::Status
+firstError(const std::vector<Result> &results)
+{
+    for (const Result &r : results)
+        if (!r.status.ok())
+            return r.status;
+    return {};
+}
+
+/**
+ * Fan @a jobs out in groups and collect results in job order,
  * substituting trace replay for interpretation per the options'
  * trace policy. The app registry is touched once up front so the
  * workers never race on its lazy initialization.
  *
  * Trace scheduling: workload keys are counted over the whole job
- * list first. A job replays when the policy is Always, when its key
- * is shared by ≥2 jobs of this call, or when a supplied persistent
- * cache already holds the key; the first job to reach a key records
- * it (single-flight — concurrent jobs for the same workload block on
- * the one recording). With the ephemeral per-call cache, a remaining
- * -use counter drops each trace after its last consumer, so peak
- * memory tracks in-flight workloads rather than the job list.
+ * list first. A job replays when its key is shared by ≥2 jobs of
+ * this call or when the caller supplied a persistent cache; the
+ * first job to reach a key records it (single-flight — concurrent
+ * jobs for the same workload block on the one recording). With the
+ * ephemeral per-call cache, a remaining-use counter drops each trace
+ * after its last consumer, so peak memory tracks in-flight workloads
+ * rather than the job list.
  *
- * When the sweep runs on the calling thread and @a group_fn is
- * supplied, all replay jobs sharing a trace are handed to it in one
- * call, so the encoded stream is decoded once for the whole group
- * (every consumer's sink rides the same replayer). Worker-pool
- * sweeps keep per-job replay, which scales across threads; results
- * are bit-identical either way.
+ * Grouping: on the calling thread, all replay jobs of one key form
+ * one group that shares one obtained trace, and a timing group rides
+ * a single pass over it (every member's core on the same replayer).
+ * On the pool every group is one job, which scales across workers.
+ * Results are bit-identical either way.
  */
-template <typename Job, typename Result, typename LiveFn,
-          typename ReplayFn>
+template <typename Job, typename Result>
 std::vector<Result>
-runAll(const std::vector<Job> &jobs, const SweepOptions &opts,
-       LiveFn live_fn, ReplayFn replay_fn,
-       std::vector<Result> (*group_fn)(
-           const CachedTrace &,
-           const std::vector<const Job *> &) = nullptr)
+runAll(const std::vector<Job> &jobs, const SweepOptions &opts)
 {
     std::vector<Result> results(jobs.size());
-    unsigned threads = opts.threads;
-    if (threads == 0)
-        threads = util::ThreadPool::defaultThreads();
+    const unsigned threads = opts.threads == 0
+                                 ? util::ThreadPool::defaultThreads()
+                                 : opts.threads;
+    const bool inline_run = threads <= 1 || jobs.size() <= 1;
 
     // Decide per job whether it goes through the trace path.
     std::vector<std::string> key_str(jobs.size());
@@ -397,13 +284,21 @@ runAll(const std::vector<Job> &jobs, const SweepOptions &opts,
             key_str[i] = makeKey(jobs[i]).str();
             uses[key_str[i]]++;
         }
-        for (size_t i = 0; i < jobs.size(); i++) {
-            replay[i] =
-                opts.trace == SweepOptions::Trace::Always ||
-                uses[key_str[i]] >= 2 ||
-                (opts.cache &&
-                 opts.cache->lookup(makeKey(jobs[i])) != nullptr);
+        for (size_t i = 0; i < jobs.size(); i++)
+            replay[i] = opts.cache || uses[key_str[i]] >= 2;
+    }
+
+    std::vector<std::vector<size_t>> groups;
+    std::unordered_map<std::string, size_t> group_of;
+    for (size_t i = 0; i < jobs.size(); i++) {
+        if (inline_run && replay[i]) {
+            auto [it, fresh] = group_of.emplace(key_str[i], groups.size());
+            if (!fresh) {
+                groups[it->second].push_back(i);
+                continue;
+            }
         }
+        groups.push_back({ i });
     }
 
     TraceCache ephemeral;
@@ -418,6 +313,11 @@ runAll(const std::vector<Job> &jobs, const SweepOptions &opts,
             remaining[key_str[i]]++;
     }
 
+    auto live = [&](size_t i) {
+        apps::AppRun run = makeWorkload(makeKey(jobs[i]));
+        results[i] = std::move(analyse(Source(run), { &jobs[i] }).front());
+    };
+
     // Degradation ladder, in preference order: replay the cached
     // trace; if recording failed (after its retry), interpret live;
     // if a replay decoded corrupt data, quarantine the entry,
@@ -425,162 +325,90 @@ runAll(const std::vector<Job> &jobs, const SweepOptions &opts,
     // carries a failed Status when every rung failed — and even then
     // its slot is a well-formed Result, so the sweep always returns
     // jobs.size() entries.
-    auto run_one_impl = [&](size_t i) -> Result {
+    auto run_group_impl = [&](const std::vector<size_t> &group) {
         if (BIOPERF_FAILPOINT("pool.task.throw"))
             throw util::StatusError(util::Status::internal(
                 "fail point pool.task.throw fired"));
-        if (!replay[i])
-            return live_fn(jobs[i]);
-        const TraceKey key = makeKey(jobs[i]);
-        auto decrement = [&] {
+        if (!replay[group.front()])
+            return live(group.front());
+        const int n = static_cast<int>(group.size());
+        const TraceKey key = makeKey(jobs[group.front()]);
+        std::vector<const Job *> members;
+        for (size_t i : group)
+            members.push_back(&jobs[i]);
+        auto fall_back = [&](const util::Status &why) {
             if (evict)
-                remaining.find(key_str[i])->second.fetch_sub(1);
+                remaining.find(key_str[group.front()])
+                    ->second.fetch_sub(n);
+            for (size_t i : group) {
+                cache->noteLiveFallback(key, why);
+                live(i);
+            }
         };
+        // One obtain() per member keeps record/hit accounting
+        // independent of the grouping.
         util::StatusOr<TraceCache::Ptr> got = cache->obtain(key);
-        if (!got.ok()) {
-            cache->noteLiveFallback(key, got.status());
-            decrement();
-            return live_fn(jobs[i]);
-        }
+        for (int m = 1; m < n && got.ok(); m++)
+            got = cache->obtain(key);
+        if (!got.ok())
+            return fall_back(got.status());
         TraceCache::Ptr trace = got.value();
         const double t0 = wallNow();
-        Result r = replay_fn(*trace, jobs[i]);
-        if (!r.status.ok()) {
-            cache->quarantine(key, r.status);
+        std::vector<Result> rs = analyse(Source(*trace), members);
+        if (util::Status err = firstError(rs); !err.ok()) {
+            cache->quarantine(key, err);
             trace.reset();
             got = cache->obtain(key);
             if (got.ok()) {
                 trace = got.value();
-                r = replay_fn(*trace, jobs[i]);
+                rs = analyse(Source(*trace), members);
+                err = firstError(rs);
             }
-            if (!got.ok() || !r.status.ok()) {
-                cache->noteLiveFallback(
-                    key, got.ok() ? r.status : got.status());
-                decrement();
-                return live_fn(jobs[i]);
-            }
+            if (!got.ok() || !err.ok())
+                return fall_back(got.ok() ? err : got.status());
         }
-        cache->noteReplay(wallNow() - t0, trace->instructions);
-        if (evict &&
-            remaining.find(key_str[i])->second.fetch_sub(1) == 1) {
+        // One pass delivered the full stream to every member, so the
+        // effective replayed-instruction count is per consumer.
+        cache->noteReplay(wallNow() - t0,
+                          trace->instructions * static_cast<uint64_t>(n));
+        for (int m = 0; m < n; m++)
+            results[group[m]] = std::move(rs[m]);
+        if (evict && remaining.find(key_str[group.front()])
+                             ->second.fetch_sub(n) == n) {
             trace.reset();
             cache->erase(key);
         }
-        return r;
     };
-    auto run_one = [&](size_t i) -> Result {
+    auto run_group = [&](const std::vector<size_t> &group) {
+        util::Status failed;
         try {
-            return run_one_impl(i);
+            run_group_impl(group);
         } catch (const util::StatusError &e) {
-            Result r{};
-            r.status = e.status();
-            return r;
+            failed = e.status();
         } catch (const std::exception &e) {
-            Result r{};
-            r.status = util::Status::internal(
+            failed = util::Status::internal(
                 std::string("sweep worker: ") + e.what());
-            return r;
         }
+        if (!failed.ok())
+            for (size_t i : group) {
+                results[i] = Result{};
+                results[i].status = failed;
+            }
     };
 
-    if (threads <= 1 || jobs.size() <= 1) {
-        std::unordered_map<std::string, std::vector<size_t>> groups;
-        if (group_fn) {
-            for (size_t i = 0; i < jobs.size(); i++) {
-                if (replay[i])
-                    groups[key_str[i]].push_back(i);
-            }
-        }
-        std::vector<bool> done(jobs.size(), false);
-        for (size_t i = 0; i < jobs.size(); i++) {
-            if (done[i])
-                continue;
-            auto it = (group_fn && replay[i]) ? groups.find(key_str[i])
-                                              : groups.end();
-            if (it == groups.end() || it->second.size() < 2) {
-                results[i] = run_one(i);
-                continue;
-            }
-            // Shared-trace group: decode once, drive every member's
-            // sinks from the same replayer. obtain() still runs per
-            // member so record/hit accounting matches the per-job
-            // path exactly.
-            const std::vector<size_t> &members = it->second;
-            const TraceKey key = makeKey(jobs[i]);
-            TraceCache::Ptr trace;
-            util::Status obtain_err;
-            for (size_t m = 0; m < members.size() && obtain_err.ok();
-                 m++) {
-                util::StatusOr<TraceCache::Ptr> got =
-                    cache->obtain(key);
-                if (got.ok())
-                    trace = got.value();
-                else
-                    obtain_err = got.status();
-            }
-            if (!obtain_err.ok() || !trace) {
-                // The shared recording failed: degrade to per-member
-                // jobs, each walking the full fallback ladder (which
-                // does its own incident accounting).
-                for (size_t idx : members) {
-                    results[idx] = run_one(idx);
-                    done[idx] = true;
-                }
-                continue;
-            }
-            std::vector<const Job *> group_jobs;
-            group_jobs.reserve(members.size());
-            for (size_t idx : members)
-                group_jobs.push_back(&jobs[idx]);
-            const double t0 = wallNow();
-            std::vector<Result> rs = group_fn(*trace, group_jobs);
-            util::Status group_err;
-            for (const Result &r : rs)
-                if (!r.status.ok()) {
-                    group_err = r.status;
-                    break;
-                }
-            if (!group_err.ok()) {
-                // The one shared decode hit corrupt data; every
-                // member saw it. Quarantine so re-obtains re-record,
-                // then retry per member.
-                cache->quarantine(key, group_err);
-                trace.reset();
-                for (size_t idx : members) {
-                    results[idx] = run_one(idx);
-                    done[idx] = true;
-                }
-                continue;
-            }
-            // One wall-clock pass delivered the full stream to every
-            // member, so the effective replayed-instruction count is
-            // per consumer.
-            cache->noteReplay(
-                wallNow() - t0,
-                trace->instructions *
-                    static_cast<uint64_t>(members.size()));
-            for (size_t m = 0; m < members.size(); m++) {
-                results[members[m]] = std::move(rs[m]);
-                done[members[m]] = true;
-            }
-            if (evict) {
-                remaining.find(key_str[i])
-                    ->second.fetch_sub(
-                        static_cast<int>(members.size()));
-                trace.reset();
-                cache->erase(key);
-            }
-        }
+    if (inline_run) {
+        for (const std::vector<size_t> &group : groups)
+            run_group(group);
     } else {
         apps::bioperfApps();
         util::ThreadPool pool(threads);
-        std::vector<std::future<Result>> futures;
-        futures.reserve(jobs.size());
-        for (size_t i = 0; i < jobs.size(); i++)
-            futures.push_back(
-                pool.submit([&run_one, i] { return run_one(i); }));
-        for (size_t i = 0; i < jobs.size(); i++)
-            results[i] = futures[i].get();
+        std::vector<std::future<void>> done;
+        done.reserve(groups.size());
+        for (const std::vector<size_t> &group : groups)
+            done.push_back(
+                pool.submit([&run_group, &group] { run_group(group); }));
+        for (std::future<void> &f : done)
+            f.get();
     }
     if (opts.statsOut)
         *opts.statsOut = cache->stats();
@@ -601,9 +429,7 @@ std::vector<TimingResult>
 Simulator::sweep(const std::vector<SweepJob> &jobs,
                  const SweepOptions &opts)
 {
-    return runAll<SweepJob, TimingResult>(jobs, opts, runSweepJob,
-                                          replaySweepJob,
-                                          replaySweepGroup);
+    return runAll<SweepJob, TimingResult>(jobs, opts);
 }
 
 std::vector<CharacterizationResult>
@@ -619,8 +445,7 @@ std::vector<CharacterizationResult>
 Simulator::characterizeSweep(const std::vector<CharacterizeJob> &jobs,
                              const SweepOptions &opts)
 {
-    return runAll<CharacterizeJob, CharacterizationResult>(
-        jobs, opts, runCharacterizeJob, replayCharacterizeJob);
+    return runAll<CharacterizeJob, CharacterizationResult>(jobs, opts);
 }
 
 SpeedupResult
@@ -639,12 +464,10 @@ Simulator::speedup(const apps::AppInfo &app,
     jobs[1].variant = apps::Variant::Transformed;
     SweepOptions opts;
     opts.threads = threads;
-    opts.cache = cache;
-    // With a persistent cache, record both variants so later calls
-    // (other platforms, other predictors) replay instead of
+    // With a persistent cache both variants are recorded, so later
+    // calls (other platforms, other predictors) replay instead of
     // re-interpreting and re-rewriting the same workload pair.
-    if (cache)
-        opts.trace = SweepOptions::Trace::Always;
+    opts.cache = cache;
     std::vector<TimingResult> timed = sweep(jobs, opts);
 
     SpeedupResult res;

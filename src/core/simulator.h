@@ -13,6 +13,7 @@
 #include "profile/load_branch.h"
 #include "profile/load_coverage.h"
 #include "util/metrics.h"
+#include "vm/trace.h"
 
 namespace bioperf::core {
 
@@ -125,21 +126,21 @@ struct SweepOptions
 
     enum class Trace : uint8_t {
         /**
-         * Record a workload iff ≥2 jobs of this call share it (or a
-         * supplied cache already holds it); unique workloads run
-         * live. The default: replay pays only when a recording is
-         * consumed more than once.
+         * Record a workload iff ≥2 jobs of this call share it, or
+         * every workload when the caller supplies a persistent cache
+         * (later calls then replay it); unique workloads of a
+         * cache-less call run live. The default: replay pays only
+         * when a recording is consumed more than once.
          */
         Auto,
-        /** Record every workload (persistent caches, warm reuse). */
-        Always,
         /** Pure interpretation; the pre-trace-cache behaviour. */
         Off,
     };
     Trace trace = Trace::Auto;
 
     /**
-     * Persistent cache to record into / replay from. When null, the
+     * Persistent cache to record into / replay from; under Auto,
+     * every job of the call then goes through it. When null, the
      * sweep uses an ephemeral per-call cache whose entries are
      * dropped as soon as their last job completes (peak memory is
      * bounded by in-flight workloads, not by the whole job list).
@@ -154,68 +155,86 @@ struct SweepOptions
 };
 
 /**
- * One-stop driver tying applications to the analysis stack. All
- * methods run the application's full workload through the interpreter
- * with the requested sinks attached and check the outputs against the
- * application's golden model.
+ * Where a run's dynamic instruction stream comes from: a live workload
+ * (interpreted now) or a recorded trace (decoded). Both deliver the
+ * same stream to the same sinks through onBatch(), so the analyses
+ * take a Source and never branch on which one they were given. Holds
+ * a reference; the run or trace must outlive the Source.
+ */
+class Source
+{
+  public:
+    // Implicit, so characterize(run) and time(trace, platform) read
+    // the same whichever stream the caller holds.
+    Source(apps::AppRun &run) : run_(&run) {}
+    Source(const CachedTrace &trace) : trace_(&trace) {}
+
+    struct Outcome
+    {
+        util::Status status;
+        /** Instructions delivered to the sinks. */
+        uint64_t instructions = 0;
+        /**
+         * Golden-model verdict: run.verify() once a live driver
+         * completes without error; for a trace, the verdict captured
+         * at record time. False whenever status is not OK.
+         */
+        bool verified = false;
+    };
+
+    /**
+     * Delivers the whole stream to @a sinks once. A live run can be
+     * driven only once (the workload's state is consumed).
+     */
+    Outcome drive(const std::vector<vm::TraceSink *> &sinks) const;
+
+  private:
+    apps::AppRun *run_ = nullptr;
+    const CachedTrace *trace_ = nullptr;
+};
+
+/**
+ * One-stop driver tying applications to the analysis stack. Every
+ * analysis takes a Source, so live and replayed runs share one entry
+ * point; results are bit-identical between the two.
  */
 class Simulator
 {
   public:
-    /** Characterizes @a run under the Table 3 reference cache model. */
-    static CharacterizationResult characterize(apps::AppRun &run);
+    /**
+     * Characterizes @a src under the Table 3 reference cache model:
+     * the four profilers ride one pass over the stream.
+     */
+    static CharacterizationResult characterize(const Source &src);
 
     /**
-     * Characterization from a recorded trace instead of live
-     * interpretation: drives the same four profilers with the decoded
-     * DynInstr stream. Results are bit-identical to characterize() on
-     * the workload the trace was recorded from; the verified flag is
-     * the one captured at record time.
+     * Times @a src on @a platform (OoO or in-order per config). A
+     * trace must have been recorded with the platform's register file
+     * when register pressure matters (TraceKey::registerPressure).
      */
-    static CharacterizationResult characterizeReplay(
-        const CachedTrace &trace);
-
-    /** Times @a run on @a platform (OoO or in-order per config). */
-    static TimingResult time(apps::AppRun &run,
+    static TimingResult time(const Source &src,
                              const cpu::PlatformConfig &platform);
 
     /**
-     * Timing from a recorded trace: replays the stream into the
-     * platform's core model (caches + predictor built fresh), bit
-     * identical to time() on the recorded workload. The trace must
-     * have been recorded with the platform's register file when
-     * register pressure matters (TraceKey::registerPressure).
+     * Times @a src on several platforms in one pass: every platform's
+     * core (with its own caches and predictor) rides the same stream,
+     * so a trace is decoded — or a workload interpreted — once however
+     * many cores it feeds. Results, in @a platforms order, are
+     * bit-identical to one time() call per platform.
      */
-    static TimingResult timeReplay(const CachedTrace &trace,
-                                   const cpu::PlatformConfig &platform);
-
-    /**
-     * Times one recorded trace on several platforms in a single
-     * decode pass: every platform's core model is attached to one
-     * TraceReplayer, so the encoded stream is decoded once however
-     * many consumers it has. Results (in @a platforms order) are
-     * bit-identical to calling timeReplay() per platform — the cores
-     * are independent sinks and each sees the exact same stream.
-     * Sequential sweeps use this to cut the per-job decode cost;
-     * parallel sweeps prefer per-job replayers, which scale across
-     * workers.
-     */
-    static std::vector<TimingResult> timeReplayMany(
-        const CachedTrace &trace,
+    static std::vector<TimingResult> time(
+        const Source &src,
         const std::vector<const cpu::PlatformConfig *> &platforms);
 
     /**
-     * Sampled (approximate) timing from a recorded trace: alternates
-     * functional warming with detailed measurement intervals and
-     * reports mean CPI with a 95% confidence interval and projected
-     * full-run cycles, at a fraction of timeReplay()'s cost. With
-     * opts.threads != 1, keyframe-aligned shards of the single trace
-     * replay concurrently; results are bit-identical for any thread
-     * count at a fixed opts.seed. See core/sampling.h.
+     * time() on a recorded trace. Kept because the repository
+     * benchmark (perfbench/) calls it by this name.
      */
-    static SampledTimingResult sampleTiming(
-        const CachedTrace &trace, const cpu::PlatformConfig &platform,
-        const SamplingOptions &opts = {});
+    static TimingResult timeReplay(const CachedTrace &trace,
+                                   const cpu::PlatformConfig &platform)
+    {
+        return time(trace, platform);
+    }
 
     /**
      * Rewrites every function of the application for the platform's
@@ -227,7 +246,7 @@ class Simulator
     static uint32_t applyRegisterPressure(
         apps::AppRun &run, const cpu::PlatformConfig &platform);
 
-    /** As above, with explicit register counts (trace recording). */
+    /** As above, with explicit register counts (see makeWorkload()). */
     static uint32_t applyRegisterPressure(apps::AppRun &run,
                                           uint32_t int_regs,
                                           uint32_t fp_regs);
@@ -263,7 +282,8 @@ class Simulator
      * with registerPressure, the same architectural register file —
      * interpret and rewrite it once and replay the recorded trace
      * thereafter, including concurrently from one shared immutable
-     * trace across pool workers.
+     * trace across pool workers. On the calling thread, the jobs of
+     * one trace are timed in a single pass (see time()).
      *
      * @param threads 0 = ThreadPool::defaultThreads() (honours the
      *        BIOPERF_THREADS environment variable); 1 = run inline on

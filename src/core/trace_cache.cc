@@ -43,6 +43,20 @@ TraceKey::str() const
     return s;
 }
 
+apps::AppRun
+makeWorkload(const TraceKey &key, uint32_t *spills)
+{
+    apps::AppRun run = key.app->make(key.variant, key.scale, key.seed);
+    const uint32_t n =
+        key.registerPressure
+            ? Simulator::applyRegisterPressure(run, key.intRegs,
+                                               key.fpRegs)
+            : 0;
+    if (spills)
+        *spills = n;
+    return run;
+}
+
 void
 TraceCache::Stats::addStagesTo(util::RunManifest &manifest) const
 {
@@ -72,11 +86,7 @@ TraceCache::record(const TraceKey &key)
             "trace key has no application");
     try {
         auto ct = std::make_shared<CachedTrace>();
-        apps::AppRun run =
-            key.app->make(key.variant, key.scale, key.seed);
-        if (key.registerPressure)
-            ct->spills = Simulator::applyRegisterPressure(
-                run, key.intRegs, key.fpRegs);
+        apps::AppRun run = makeWorkload(key, &ct->spills);
         vm::TraceRecorder recorder(*run.prog);
         vm::Interpreter interp(*run.prog);
         interp.addSink(&recorder);
@@ -642,11 +652,7 @@ buildReplayProgram(const TraceKey &key, uint32_t sid_limit,
         return util::Status::invalidArgument(
             "trace has no application identity");
     try {
-        apps::AppRun run =
-            key.app->make(key.variant, key.scale, key.seed);
-        if (key.registerPressure)
-            Simulator::applyRegisterPressure(run, key.intRegs,
-                                             key.fpRegs);
+        apps::AppRun run = makeWorkload(key);
         if (run.prog->sidLimit() != sid_limit)
             return util::Status::failedPrecondition(
                 "rebuilt program has a different sid space than the "

@@ -47,6 +47,19 @@ struct TraceKey
 };
 
 /**
+ * The workload recipe behind @a key: builds the app run and, when the
+ * key asks for it, applies the register-pressure rewrite for its
+ * register file. Recording, replay-program rebuilding, sweep jobs and
+ * the CLI all build workloads through here, so a live run and a trace
+ * of the same key execute the same program. App factories and the
+ * rewrite report invariant failures by throwing util::StatusError.
+ *
+ * @param spills when non-null, receives the spill instructions the
+ *        rewrite inserted (0 without register pressure)
+ */
+apps::AppRun makeWorkload(const TraceKey &key, uint32_t *spills = nullptr);
+
+/**
  * One recorded workload: the encoded stream plus the program it was
  * recorded from (replayed DynInstr entries point into this program,
  * so it must outlive every replay) and the run's golden-model

@@ -7,8 +7,7 @@ namespace bioperf::cpu {
 InorderCore::InorderCore(const CoreConfig &config,
                          mem::CacheHierarchy *caches,
                          branch::BranchPredictor *predictor)
-    : config_(config), caches_(caches), predictor_(predictor),
-      decode_(config)
+    : TimingCore("in-order", config, caches, predictor)
 {
 }
 
@@ -73,7 +72,7 @@ InorderCore::step(const vm::DynInstr &di)
         }
     }
     const uint64_t complete = issue + latency;
-    last_complete_ = std::max(last_complete_, complete);
+    cycles_ = std::max(cycles_, complete);
 
     // Unconditional: dst-less instructions target the trash slot.
     ready_[d.dst] = complete;
@@ -101,57 +100,11 @@ InorderCore::step(const vm::DynInstr &di)
 }
 
 void
-InorderCore::onRunEnd()
-{
-    std::fill(ready_.begin(), ready_.end(), 0);
-}
-
-void
-InorderCore::onGap()
-{
-    // Salvage gap: producers of upcoming operands were lost with the
-    // corrupt region; drain dependences as at a run boundary.
-    std::fill(ready_.begin(), ready_.end(), 0);
-}
-
-void
 InorderCore::reset()
 {
+    TimingCore::reset();
     issue_cycle_ = 1;
     issued_this_cycle_ = 0;
-    std::fill(ready_.begin(), ready_.end(), 0);
-    last_complete_ = 0;
-    instructions_ = 0;
-    mispredicts_ = 0;
-}
-
-double
-InorderCore::ipc() const
-{
-    return last_complete_ == 0 ? 0.0
-                               : static_cast<double>(instructions_) /
-                                     static_cast<double>(last_complete_);
-}
-
-double
-InorderCore::seconds() const
-{
-    return static_cast<double>(last_complete_) / (config_.clockGhz * 1e9);
-}
-
-util::json::Value
-InorderCore::report() const
-{
-    util::json::Value v = util::json::Value::object();
-    v["model"] = "in-order";
-    v["core"] = config_.name;
-    v["cycles"] = last_complete_;
-    v["instructions"] = instructions_;
-    v["ipc"] = ipc();
-    v["seconds"] = seconds();
-    v["mispredicts"] = mispredicts_;
-    v["clock_ghz"] = config_.clockGhz;
-    return v;
 }
 
 } // namespace bioperf::cpu

@@ -4,13 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "branch/predictors.h"
-#include "cpu/core_config.h"
-#include "cpu/decoded_instr.h"
-#include "cpu/load_accel.h"
-#include "mem/hierarchy.h"
-#include "util/metrics.h"
-#include "vm/trace.h"
+#include "cpu/timing_core.h"
 
 namespace bioperf::cpu {
 
@@ -24,7 +18,7 @@ namespace bioperf::cpu {
  * loads from their uses lets independent work fill the load's latency
  * slots, with no speculative element involved (Section 5.1).
  */
-class InorderCore : public vm::TraceSink, public util::Reportable
+class InorderCore final : public TimingCore
 {
   public:
     InorderCore(const CoreConfig &config, mem::CacheHierarchy *caches,
@@ -32,50 +26,13 @@ class InorderCore : public vm::TraceSink, public util::Reportable
 
     void onInstr(const vm::DynInstr &di) override;
     void onBatch(const vm::DynInstr *batch, size_t n) override;
-    void onRunEnd() override;
-    void onGap() override;
-
-    /**
-     * Returns the core to its post-construction state while keeping
-     * the decode table (static facts survive across shards). Borrowed
-     * cache/predictor state is NOT touched; reset those separately.
-     */
-    void reset();
-
-    uint64_t cycles() const { return last_complete_; }
-    uint64_t instructions() const { return instructions_; }
-    double ipc() const;
-    double seconds() const;
-    uint64_t branchMispredictions() const { return mispredicts_; }
-
-    const CoreConfig &config() const { return config_; }
-
-    util::json::Value report() const override;
-
-    /** Installs a hardware load-latency-hiding unit (borrowed). */
-    void setLoadAccelerator(LoadAccelerator *accel) { accel_ = accel; }
+    void reset() override;
 
   private:
     void step(const vm::DynInstr &di);
 
-    CoreConfig config_;
-    mem::CacheHierarchy *caches_;
-    branch::BranchPredictor *predictor_;
-    LoadAccelerator *accel_ = nullptr;
-
     uint64_t issue_cycle_ = 1;   ///< cycle the next instruction may issue
     uint32_t issued_this_cycle_ = 0;
-
-    // Unified scoreboard over DecodeTable's dense slots (slot 0 reads
-    // as always ready, slot 1 absorbs dst-less writebacks).
-    std::vector<uint64_t> ready_;
-
-    uint64_t last_complete_ = 0;
-    uint64_t instructions_ = 0;
-    uint64_t mispredicts_ = 0;
-
-    /** Per-sid static facts, decoded once on first sight. */
-    DecodeTable decode_;
 };
 
 } // namespace bioperf::cpu

@@ -12,9 +12,9 @@ constexpr size_t kSlotBuckets = 1 << 15; // power of two, cycle-tagged
 
 OooCore::OooCore(const CoreConfig &config, mem::CacheHierarchy *caches,
                  branch::BranchPredictor *predictor)
-    : config_(config), caches_(caches), predictor_(predictor),
+    : TimingCore("out-of-order", config, caches, predictor),
       rob_(std::max<uint32_t>(config.windowSize, 1), 0),
-      issue_slots_(kSlotBuckets, 0), decode_(config)
+      issue_slots_(kSlotBuckets, 0)
 {
 }
 
@@ -39,7 +39,7 @@ OooCore::allocIssueSlot(uint64_t earliest)
 uint64_t
 OooCore::allocRetireSlot(uint64_t earliest)
 {
-    // step() clamps earliest to last_retire_, so requests are
+    // step() clamps earliest to cycles_, so requests are
     // monotone and two counters suffice: either the request moves to
     // a later (hence untouched) cycle, or it lands on the current one
     // and spills at most one cycle forward when the width is spent.
@@ -160,8 +160,8 @@ OooCore::step(const vm::DynInstr &di)
 
     // --- retire (in order, bandwidth-limited) -------------------------------
     const uint64_t retire =
-        allocRetireSlot(std::max(complete, last_retire_));
-    last_retire_ = retire;
+        allocRetireSlot(std::max(complete, cycles_));
+    cycles_ = retire;
     rob_[rob_pos_] = retire;
     if (++rob_pos_ == rob_.size())
         rob_pos_ = 0;
@@ -173,68 +173,16 @@ OooCore::step(const vm::DynInstr &di)
 }
 
 void
-OooCore::onRunEnd()
-{
-    // A new run starts with freshly zeroed registers whose values are
-    // immediately available.
-    std::fill(ready_.begin(), ready_.end(), 0);
-}
-
-void
-OooCore::onGap()
-{
-    // A salvage gap in the trace: the dependency producers for what
-    // follows were never replayed, so drain the scoreboard the same
-    // way a run boundary does. The cycle timeline keeps advancing —
-    // stale pipeline occupancy only makes the salvaged estimate a
-    // touch conservative for a few instructions after the gap.
-    std::fill(ready_.begin(), ready_.end(), 0);
-}
-
-void
 OooCore::reset()
 {
+    TimingCore::reset();
     fetch_cycle_ = 1;
     fetch_slots_used_ = 0;
-    std::fill(ready_.begin(), ready_.end(), 0);
     std::fill(rob_.begin(), rob_.end(), 0);
     rob_pos_ = 0;
-    last_retire_ = 0;
     std::fill(issue_slots_.begin(), issue_slots_.end(), 0);
     retire_cycle_ = 0;
     retire_used_ = 0;
-    instructions_ = 0;
-    mispredicts_ = 0;
-}
-
-double
-OooCore::ipc()
-const
-{
-    return last_retire_ == 0 ? 0.0
-                             : static_cast<double>(instructions_) /
-                                   static_cast<double>(last_retire_);
-}
-
-double
-OooCore::seconds() const
-{
-    return static_cast<double>(last_retire_) / (config_.clockGhz * 1e9);
-}
-
-util::json::Value
-OooCore::report() const
-{
-    util::json::Value v = util::json::Value::object();
-    v["model"] = "out-of-order";
-    v["core"] = config_.name;
-    v["cycles"] = last_retire_;
-    v["instructions"] = instructions_;
-    v["ipc"] = ipc();
-    v["seconds"] = seconds();
-    v["mispredicts"] = mispredicts_;
-    v["clock_ghz"] = config_.clockGhz;
-    return v;
 }
 
 } // namespace bioperf::cpu

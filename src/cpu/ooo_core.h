@@ -5,13 +5,7 @@
 #include <functional>
 #include <vector>
 
-#include "branch/predictors.h"
-#include "cpu/core_config.h"
-#include "cpu/decoded_instr.h"
-#include "cpu/load_accel.h"
-#include "mem/hierarchy.h"
-#include "util/metrics.h"
-#include "vm/trace.h"
+#include "cpu/timing_core.h"
 
 namespace bioperf::cpu {
 
@@ -54,7 +48,7 @@ struct PipelineTimes
  * instructions; their resource consumption is approximated by the
  * fixed redirect penalty (standard for trace-driven studies).
  */
-class OooCore : public vm::TraceSink, public util::Reportable
+class OooCore final : public TimingCore
 {
   public:
     using TraceLog = std::function<void(const vm::DynInstr &,
@@ -66,79 +60,35 @@ class OooCore : public vm::TraceSink, public util::Reportable
 
     void onInstr(const vm::DynInstr &di) override;
     void onBatch(const vm::DynInstr *batch, size_t n) override;
-    void onRunEnd() override;
-    void onGap() override;
-
-    /**
-     * Returns the core to its post-construction state (counters and
-     * pipeline occupancy zeroed) while keeping the decode table —
-     * static facts survive across shards. Borrowed cache/predictor
-     * state is NOT touched; reset those separately.
-     */
-    void reset();
-
-    /** Cycle at which the last instruction retired. */
-    uint64_t cycles() const { return last_retire_; }
-    uint64_t instructions() const { return instructions_; }
-    double ipc() const;
-    /** Simulated wall-clock seconds at the configured frequency. */
-    double seconds() const;
-
-    uint64_t branchMispredictions() const { return mispredicts_; }
-
-    const CoreConfig &config() const { return config_; }
-
-    util::json::Value report() const override;
+    void reset() override;
 
     /** Installs a per-instruction observer (Figure 4 walkthrough). */
     void setTraceLog(TraceLog log) { log_ = std::move(log); }
-
-    /**
-     * Installs a hardware load-latency-hiding unit (zero-cycle loads
-     * or value prediction; borrowed). Pass nullptr to remove.
-     */
-    void setLoadAccelerator(LoadAccelerator *accel) { accel_ = accel; }
 
   private:
     void step(const vm::DynInstr &di);
     uint64_t allocIssueSlot(uint64_t earliest);
     uint64_t allocRetireSlot(uint64_t earliest);
 
-    CoreConfig config_;
-    mem::CacheHierarchy *caches_;
-    branch::BranchPredictor *predictor_;
-    LoadAccelerator *accel_ = nullptr;
     TraceLog log_;
 
     // Fetch/dispatch state.
     uint64_t fetch_cycle_ = 1;
     uint32_t fetch_slots_used_ = 0;
 
-    // Scoreboard: completion cycle of each register's latest writer,
-    // indexed by DecodeTable's dense slots (slot 0 reads as always
-    // ready, slot 1 absorbs dst-less writebacks).
-    std::vector<uint64_t> ready_;
-
-    // Retirement and window state.
+    // Retirement and window state; cycles_ is the last retire cycle.
     std::vector<uint64_t> rob_; ///< retire cycles, ring of windowSize
     size_t rob_pos_ = 0;        ///< ring cursor (avoids a hot modulo)
-    uint64_t last_retire_ = 0;
 
     // Issue-bandwidth accounting: cycle-tagged slot counters, packed
     // as (cycle << 8) | used so one 8-byte load/store serves both.
     // Issue requests can reach back to an operand-ready cycle well
     // behind the fetch frontier, hence the persistent ring.
     std::vector<uint64_t> issue_slots_;
-    // Retire requests are monotone (earliest is clamped to
-    // last_retire_), so two counters replace a second ring.
+    // Retire requests are monotone (earliest is clamped to cycles_),
+    // so two counters replace a second ring.
     uint64_t retire_cycle_ = 0;
     uint32_t retire_used_ = 0;
-
-    uint64_t instructions_ = 0;
-    uint64_t mispredicts_ = 0;
-
-    /** Per-sid static facts, decoded once on first sight. */
-    DecodeTable decode_;
 };
 
 } // namespace bioperf::cpu

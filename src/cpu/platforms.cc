@@ -1,5 +1,8 @@
 #include "cpu/platforms.h"
 
+#include "cpu/inorder_core.h"
+#include "cpu/ooo_core.h"
+
 namespace bioperf::cpu {
 
 namespace {
@@ -17,6 +20,15 @@ cache(const std::string &name, uint64_t kb, uint32_t assoc,
 }
 
 } // namespace
+
+std::unique_ptr<TimingCore>
+PlatformConfig::makeCore(mem::CacheHierarchy *caches,
+                         branch::BranchPredictor *predictor) const
+{
+    if (core.outOfOrder)
+        return std::make_unique<OooCore>(core, caches, predictor);
+    return std::make_unique<InorderCore>(core, caches, predictor);
+}
 
 PlatformConfig
 alpha21264()

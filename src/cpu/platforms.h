@@ -7,6 +7,7 @@
 
 #include "branch/predictors.h"
 #include "cpu/core_config.h"
+#include "cpu/timing_core.h"
 #include "mem/hierarchy.h"
 
 namespace bioperf::cpu {
@@ -35,6 +36,13 @@ struct PlatformConfig
     {
         return branch::makePredictor(predictor);
     }
+    /**
+     * The platform's core model (out-of-order or in-order per
+     * core.outOfOrder) over @a caches and @a predictor, both borrowed.
+     */
+    std::unique_ptr<TimingCore> makeCore(
+        mem::CacheHierarchy *caches,
+        branch::BranchPredictor *predictor) const;
 };
 
 /** 833 MHz Alpha 21264: 4-wide OoO, 3-cycle L1 hit, 64 KB 2-way L1. */

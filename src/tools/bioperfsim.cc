@@ -22,18 +22,23 @@
  * This is the only layer that maps util::Status to exit codes; the
  * library never terminates the process. Exit codes:
  *   0  success
- *   1  usage error (unknown command, missing argument)
+ *   1  usage error (unknown command or option, missing or bad
+ *      option value)
  *   2  bad input (unknown app, mismatched trace identity/registers)
  *   3  trace load or integrity failure (corrupt/truncated .bptrace)
  *   4  golden-model verification failure
  *   5  simulation failure (recording failed, sweep entry failed)
  *   6  output write failure (JSON report, .bptrace save)
  */
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "apps/app.h"
@@ -133,7 +138,9 @@ usage()
         "options:\n"
         "  --scale s|m|l             workload size (default s)\n"
         "  --variant base|xform      kernel version (default base)\n"
-        "  --platform alpha|ppc|p4|itanium   (default alpha)\n"
+        "  --platform alpha|ppc|p4|itanium   (default alpha; the\n"
+        "                            core names alpha21264, ppc970,\n"
+        "                            pentium4, itanium2 also work)\n"
         "  --predictor NAME          perfect/static/bimodal/gshare/"
         "local/hybrid\n"
         "  --seed N                  workload seed (default 42)\n"
@@ -171,8 +178,8 @@ usage()
         "                            library default)\n"
         "  --sample-window-chunks N  decoded chunks per shard; the\n"
         "                            rest of each shard is skipped\n"
-        "                            without decoding (0 = half the\n"
-        "                            shard)\n"
+        "                            without decoding (0 = three\n"
+        "                            eighths of the shard)\n"
         "  --sample-min-warm N       functional-warm instructions\n"
         "                            before a window's first\n"
         "                            measurement (default 1000000)\n"
@@ -186,6 +193,24 @@ usage()
         "failure, 6 output write failure\n");
 }
 
+/** The --platform values: short name or the core's own name. */
+struct PlatformFlag
+{
+    const char *flag;
+    cpu::PlatformConfig (*make)();
+};
+constexpr PlatformFlag kPlatformFlags[] = {
+    { "alpha", cpu::alpha21264 },
+    { "ppc", cpu::powerpcG5 },
+    { "p4", cpu::pentium4 },
+    { "itanium", cpu::itanium2 },
+};
+
+/**
+ * Parses the command line. A missing, unknown or malformed value is a
+ * usage error naming the value: the command never runs on a default
+ * it silently substituted.
+ */
 bool
 parse(int argc, char **argv, Options &opt)
 {
@@ -208,32 +233,58 @@ parse(int argc, char **argv, Options &opt)
             }
             return argv[++i];
         };
+        auto reject = [&](const std::string &v, const char *expected) {
+            std::printf("bad value '%s' for %s (expected %s)\n",
+                        v.c_str(), a.c_str(), expected);
+            std::exit(kExitUsage);
+        };
+        // The whole value must be an unsigned decimal that fits.
+        auto number = [&](auto &field) {
+            const char *v = next();
+            char *end = nullptr;
+            errno = 0;
+            const unsigned long long n = std::strtoull(v, &end, 10);
+            using T = std::remove_reference_t<decltype(field)>;
+            if (!std::isdigit(static_cast<unsigned char>(*v)) ||
+                *end != '\0' || errno == ERANGE ||
+                n > std::numeric_limits<T>::max())
+                reject(v, "an unsigned integer");
+            field = static_cast<T>(n);
+        };
         if (a == "--scale") {
             const std::string v = next();
-            opt.scale = v == "l"   ? apps::Scale::Large
-                        : v == "m" ? apps::Scale::Medium
-                                   : apps::Scale::Small;
+            if (v == "s")
+                opt.scale = apps::Scale::Small;
+            else if (v == "m")
+                opt.scale = apps::Scale::Medium;
+            else if (v == "l")
+                opt.scale = apps::Scale::Large;
+            else
+                reject(v, "s|m|l");
         } else if (a == "--variant") {
-            opt.variant = std::string(next()) == "xform"
-                              ? apps::Variant::Transformed
-                              : apps::Variant::Baseline;
+            const std::string v = next();
+            if (v == "base")
+                opt.variant = apps::Variant::Baseline;
+            else if (v == "xform")
+                opt.variant = apps::Variant::Transformed;
+            else
+                reject(v, "base|xform");
         } else if (a == "--platform") {
             const std::string v = next();
-            if (v == "ppc")
-                opt.platform = cpu::powerpcG5();
-            else if (v == "p4")
-                opt.platform = cpu::pentium4();
-            else if (v == "itanium")
-                opt.platform = cpu::itanium2();
-            else
-                opt.platform = cpu::alpha21264();
+            bool found = false;
+            for (const PlatformFlag &f : kPlatformFlags)
+                if (v == f.flag || v == f.make().core.name) {
+                    opt.platform = f.make();
+                    found = true;
+                }
+            if (!found)
+                reject(v, "alpha|ppc|p4|itanium");
         } else if (a == "--predictor") {
             opt.platform.predictor = next();
         } else if (a == "--seed") {
-            opt.seed = std::strtoull(next(), nullptr, 10);
+            number(opt.seed);
         } else if (a == "--threads") {
-            opt.threads = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            number(opt.threads);
         } else if (a == "--json") {
             opt.jsonPath = next();
         } else if (a == "--trace-out") {
@@ -245,22 +296,17 @@ parse(int argc, char **argv, Options &opt)
         } else if (a == "--salvage") {
             opt.salvage = true;
         } else if (a == "--sample-interval") {
-            opt.sampling.interval = std::strtoull(next(), nullptr, 10);
+            number(opt.sampling.interval);
         } else if (a == "--sample-detail") {
-            opt.sampling.detailLen =
-                std::strtoull(next(), nullptr, 10);
+            number(opt.sampling.detailLen);
         } else if (a == "--sample-warmup") {
-            opt.sampling.warmupLen =
-                std::strtoull(next(), nullptr, 10);
+            number(opt.sampling.warmupLen);
         } else if (a == "--sample-shard-chunks") {
-            opt.sampling.shardChunks = static_cast<uint32_t>(
-                std::strtoul(next(), nullptr, 10));
+            number(opt.sampling.shardChunks);
         } else if (a == "--sample-window-chunks") {
-            opt.sampling.windowChunks = static_cast<uint32_t>(
-                std::strtoul(next(), nullptr, 10));
+            number(opt.sampling.windowChunks);
         } else if (a == "--sample-min-warm") {
-            opt.sampling.minWarm =
-                std::strtoull(next(), nullptr, 10);
+            number(opt.sampling.minWarm);
         } else {
             std::printf("unknown option %s\n", a.c_str());
             return false;
@@ -331,41 +377,64 @@ failCommand(const Options &opt, util::RunManifest &manifest,
 }
 
 /**
- * Loads opt.traceIn, checks it really holds @a app, and folds the
- * file's workload identity and load cost into @a manifest.
- *
- * @return the trace, or null with the failure in @a why (wrong app is
- *         kFailedPrecondition; load/integrity errors keep the codec's
- *         status)
+ * The workload a characterize or time command runs; time rewrites it
+ * for the platform's architectural register file.
  */
-core::TraceCache::Ptr
-loadTraceFor(const Options &opt, const apps::AppInfo &app,
-             util::RunManifest &manifest, core::TraceKey &key,
-             util::Status &why)
+core::TraceKey
+commandKey(const Options &opt, const apps::AppInfo &app)
 {
-    const double t0 = now();
-    core::TraceLoadResult loaded = core::loadTraceFile(opt.traceIn);
-    if (!loaded.status.ok()) {
-        why = loaded.status;
-        return nullptr;
+    core::TraceKey key;
+    key.app = &app;
+    key.variant = opt.variant;
+    key.scale = opt.scale;
+    key.seed = opt.seed;
+    key.registerPressure = opt.command == "time";
+    if (key.registerPressure) {
+        key.intRegs = opt.platform.core.numIntRegs;
+        key.fpRegs = opt.platform.core.numFpRegs;
     }
-    if (loaded.key.app != &app) {
-        why = util::Status::failedPrecondition(
-            opt.traceIn + " holds a trace of " +
-            loaded.key.app->name + ", not " + app.name);
-        return nullptr;
-    }
-    key = loaded.key;
-    manifest.traceMode = "replay";
-    manifest.variant = apps::toString(key.variant);
-    manifest.scale = apps::toString(key.scale);
-    manifest.seed = key.seed;
-    manifest.addStage("trace_load", now() - t0,
-                      loaded.trace->instructions);
-    return loaded.trace;
+    return key;
 }
 
-/** Exit code for a loadTraceFor() failure: bad input vs bad file. */
+/**
+ * Checks that a trace recorded under @a key can stand in for this
+ * command's workload: the right app and, for time, the platform's
+ * register file (characterize expects the unrewritten kernel).
+ * Variant, scale and seed come from the trace.
+ *
+ * @return OK, or kFailedPrecondition describing the mismatch
+ */
+util::Status
+checkTraceKey(const Options &opt, const apps::AppInfo &app,
+              const core::TraceKey &key)
+{
+    if (key.app != &app)
+        return util::Status::failedPrecondition(
+            opt.traceIn + " holds a trace of " + key.app->name +
+            ", not " + app.name);
+    const core::TraceKey want = commandKey(opt, app);
+    if (!want.registerPressure) {
+        if (key.registerPressure)
+            return util::Status::failedPrecondition(
+                opt.traceIn +
+                " was recorded with register pressure; "
+                "characterize expects the unrewritten kernel");
+        return util::Status();
+    }
+    if (!key.registerPressure || key.intRegs != want.intRegs ||
+        key.fpRegs != want.fpRegs)
+        return util::Status::failedPrecondition(
+            opt.traceIn + " was recorded " +
+            (key.registerPressure ? "for a different register file"
+                                  : "without register pressure") +
+            "; timing on " + opt.platform.name +
+            " needs a trace recorded with a matching --platform (" +
+            std::to_string(want.intRegs) + " int / " +
+            std::to_string(want.fpRegs) + " fp registers)");
+    return util::Status();
+}
+
+/** Exit code for a trace-load failure: bad input vs bad file. */
 int
 loadExitCode(const util::Status &why)
 {
@@ -375,51 +444,103 @@ loadExitCode(const util::Status &why)
 }
 
 /**
- * Records @a key once and saves it to opt.traceOut, staging both
- * costs into @a manifest.
+ * Records @a key once into @a trace and, when --trace-out was given,
+ * saves it there, staging both costs into @a manifest.
  *
- * @return the recording, or null with the failure in @a why and the
- *         matching exit status in @a code (recording failures map to
- *         kExitSimFailure, save failures to kExitWriteFailure)
+ * @return kExitOk, or the exit code of a failure already reported
+ *         through failCommand() (recording: kExitSimFailure; save:
+ *         kExitWriteFailure)
  */
-core::TraceCache::Ptr
-recordAndSave(const Options &opt, const core::TraceKey &key,
-              util::RunManifest &manifest, util::Status &why,
-              int &code)
+int
+recordTrace(const Options &opt, const core::TraceKey &key,
+            util::RunManifest &manifest, core::TraceCache::Ptr &trace)
 {
     const double t0 = now();
     util::StatusOr<core::TraceCache::Ptr> got =
         core::TraceCache::record(key);
-    if (!got.ok()) {
-        why = got.status();
-        code = kExitSimFailure;
-        return nullptr;
-    }
-    const core::TraceCache::Ptr trace = std::move(got).value();
+    if (!got.ok())
+        return failCommand(opt, manifest, "trace_record", got.status(),
+                           kExitSimFailure);
+    trace = std::move(got).value();
     manifest.traceMode = "replay";
     manifest.addStage("trace_record", now() - t0,
                       trace->instructions);
+    if (opt.traceOut.empty())
+        return kExitOk;
     const double t1 = now();
     const util::Status err =
         core::saveTraceFile(opt.traceOut, key, *trace);
-    if (!err.ok()) {
-        why = err;
-        code = kExitWriteFailure;
-        return nullptr;
-    }
+    if (!err.ok())
+        return failCommand(opt, manifest, "trace_save", err,
+                           kExitWriteFailure);
     manifest.addStage("trace_save", now() - t1);
     std::printf("wrote %s (%llu instructions, %.2f bytes/instr)\n",
                 opt.traceOut.c_str(),
                 static_cast<unsigned long long>(trace->instructions),
                 trace->trace.bytesPerInstr());
-    return trace;
+    return kExitOk;
 }
 
-/** Stage name for a recordAndSave() failure, from its exit code. */
-const char *
-recordFailStage(int code)
+/**
+ * The stream a characterize or time command analyses, with the storage
+ * its core::Source refers to: a replayed trace, or a live run.
+ */
+struct CommandInput
 {
-    return code == kExitWriteFailure ? "trace_save" : "trace_record";
+    core::TraceCache::Ptr trace;
+    apps::AppRun run;
+    /** Start of the analysis stage (live: includes building the run). */
+    double start = 0.0;
+
+    core::Source source()
+    {
+        return trace ? core::Source(*trace) : core::Source(run);
+    }
+};
+
+/**
+ * Opens the input of a characterize or time command: loads
+ * --trace-in (checking that it fits the command), records the
+ * workload and saves it to --trace-out, or builds it live.
+ *
+ * @return kExitOk, or the exit code of a failure already reported
+ *         through failCommand()
+ */
+int
+openInput(const Options &opt, const apps::AppInfo &app,
+          util::RunManifest &manifest, CommandInput &in)
+{
+    const core::TraceKey key = commandKey(opt, app);
+    if (!opt.traceIn.empty()) {
+        const double t0 = now();
+        const core::TraceLoadResult loaded =
+            core::loadTraceFile(opt.traceIn);
+        const util::Status fit = loaded.status.ok()
+                                     ? checkTraceKey(opt, app, loaded.key)
+                                     : loaded.status;
+        // A trace of this app describes the run even when it does not
+        // fit the command; one of another app leaves the manifest be.
+        if (!loaded.status.ok() || loaded.key.app != &app)
+            return failCommand(opt, manifest, "trace_load", fit,
+                               loadExitCode(fit));
+        manifest.traceMode = "replay";
+        manifest.variant = apps::toString(loaded.key.variant);
+        manifest.scale = apps::toString(loaded.key.scale);
+        manifest.seed = loaded.key.seed;
+        manifest.addStage("trace_load", now() - t0,
+                          loaded.trace->instructions);
+        if (!fit.ok())
+            return failCommand(opt, manifest, "trace_load", fit,
+                               kExitBadInput);
+        in.trace = loaded.trace;
+    } else if (!opt.traceOut.empty()) {
+        if (const int code = recordTrace(opt, key, manifest, in.trace))
+            return code;
+    }
+    in.start = now();
+    if (!in.trace)
+        in.run = core::makeWorkload(key);
+    return kExitOk;
 }
 
 int
@@ -441,51 +562,13 @@ int
 cmdCharacterize(const Options &opt, const apps::AppInfo &app)
 {
     util::RunManifest manifest = makeManifest(opt, app);
-    core::CharacterizationResult res;
-    if (!opt.traceIn.empty()) {
-        core::TraceKey key;
-        util::Status why;
-        const core::TraceCache::Ptr trace =
-            loadTraceFor(opt, app, manifest, key, why);
-        if (!trace)
-            return failCommand(opt, manifest, "trace_load", why,
-                               loadExitCode(why));
-        if (key.registerPressure)
-            return failCommand(
-                opt, manifest, "trace_load",
-                util::Status::failedPrecondition(
-                    opt.traceIn +
-                    " was recorded with register pressure; "
-                    "characterize expects the unrewritten kernel"),
-                kExitBadInput);
-        const double t0 = now();
-        res = core::Simulator::characterizeReplay(*trace);
-        manifest.addStage("characterize_replay", now() - t0,
-                          res.instructions);
-    } else if (!opt.traceOut.empty()) {
-        core::TraceKey key;
-        key.app = &app;
-        key.variant = opt.variant;
-        key.scale = opt.scale;
-        key.seed = opt.seed;
-        util::Status why;
-        int code = kExitSimFailure;
-        const core::TraceCache::Ptr trace =
-            recordAndSave(opt, key, manifest, why, code);
-        if (!trace)
-            return failCommand(opt, manifest, recordFailStage(code),
-                               why, code);
-        const double t0 = now();
-        res = core::Simulator::characterizeReplay(*trace);
-        manifest.addStage("characterize_replay", now() - t0,
-                          res.instructions);
-    } else {
-        const double t0 = now();
-        apps::AppRun run = app.make(opt.variant, opt.scale, opt.seed);
-        res = core::Simulator::characterize(run);
-        manifest.addStage("characterize", now() - t0,
-                          res.instructions);
-    }
+    CommandInput in;
+    if (const int code = openInput(opt, app, manifest, in))
+        return code;
+    const core::CharacterizationResult res =
+        core::Simulator::characterize(in.source());
+    manifest.addStage(in.trace ? "characterize_replay" : "characterize",
+                      now() - in.start, res.instructions);
     if (!res.status.ok())
         return failCommand(opt, manifest, "characterize", res.status,
                            kExitSimFailure);
@@ -526,35 +609,6 @@ cmdCharacterize(const Options &opt, const apps::AppInfo &app)
 }
 
 /**
- * Checks that a trace recorded under @a key can time @a app on the
- * chosen platform (right app, matching register file).
- *
- * @return OK, or kFailedPrecondition describing the mismatch
- */
-util::Status
-checkTimingTraceKey(const Options &opt, const apps::AppInfo &app,
-                    const core::TraceKey &key)
-{
-    if (key.app != &app)
-        return util::Status::failedPrecondition(
-            opt.traceIn + " holds a trace of " + key.app->name +
-            ", not " + app.name);
-    if (!key.registerPressure ||
-        key.intRegs != opt.platform.core.numIntRegs ||
-        key.fpRegs != opt.platform.core.numFpRegs)
-        return util::Status::failedPrecondition(
-            opt.traceIn + " was recorded " +
-            (key.registerPressure ? "for a different register file"
-                                  : "without register pressure") +
-            "; timing on " + opt.platform.name +
-            " needs a trace recorded with a matching --platform (" +
-            std::to_string(opt.platform.core.numIntRegs) + " int / " +
-            std::to_string(opt.platform.core.numFpRegs) +
-            " fp registers)");
-    return util::Status();
-}
-
-/**
  * `time --sample`: sampled (approximate) timing. With --trace-in the
  * .bptrace streams chunk-at-a-time — workers seek directly to their
  * shards' keyframes and the full trace is never materialized;
@@ -583,7 +637,7 @@ cmdTimeSampled(const Options &opt, const apps::AppInfo &app)
             return failCommand(opt, manifest, "trace_salvage",
                                sr.status, kExitTrace);
         const util::Status kerr =
-            checkTimingTraceKey(opt, app, sr.key);
+            checkTraceKey(opt, app, sr.key);
         if (!kerr.ok())
             return failCommand(opt, manifest, "trace_salvage", kerr,
                                kExitBadInput);
@@ -608,8 +662,7 @@ cmdTimeSampled(const Options &opt, const apps::AppInfo &app)
                     std::to_string(sr.lostInstructions) +
                     " instructions)");
         const double t1 = now();
-        res = core::Simulator::sampleTiming(*sr.trace, opt.platform,
-                                            sopts);
+        res = core::sampleTiming(*sr.trace, opt.platform, sopts);
         manifest.addStage("sample_replay", now() - t1,
                           res.instructions);
         salvaged = true;
@@ -621,7 +674,7 @@ cmdTimeSampled(const Options &opt, const apps::AppInfo &app)
             return failCommand(opt, manifest, "sample_stream",
                                fr.status, loadExitCode(fr.status));
         const util::Status kerr =
-            checkTimingTraceKey(opt, app, fr.key);
+            checkTraceKey(opt, app, fr.key);
         if (!kerr.ok())
             return failCommand(opt, manifest, "sample_stream", kerr,
                                kExitBadInput);
@@ -632,36 +685,12 @@ cmdTimeSampled(const Options &opt, const apps::AppInfo &app)
         manifest.addStage("sample_stream", now() - t0,
                           res.instructions);
     } else {
-        core::TraceKey key;
-        key.app = &app;
-        key.variant = opt.variant;
-        key.scale = opt.scale;
-        key.seed = opt.seed;
-        key.registerPressure = true;
-        key.intRegs = opt.platform.core.numIntRegs;
-        key.fpRegs = opt.platform.core.numFpRegs;
         core::TraceCache::Ptr trace;
-        if (!opt.traceOut.empty()) {
-            util::Status why;
-            int code = kExitSimFailure;
-            trace = recordAndSave(opt, key, manifest, why, code);
-            if (!trace)
-                return failCommand(opt, manifest,
-                                   recordFailStage(code), why, code);
-        } else {
-            const double t0 = now();
-            util::StatusOr<core::TraceCache::Ptr> got =
-                core::TraceCache::record(key);
-            if (!got.ok())
-                return failCommand(opt, manifest, "trace_record",
-                                   got.status(), kExitSimFailure);
-            trace = std::move(got).value();
-            manifest.addStage("trace_record", now() - t0,
-                              trace->instructions);
-        }
+        if (const int code =
+                recordTrace(opt, commandKey(opt, app), manifest, trace))
+            return code;
         const double t0 = now();
-        res = core::Simulator::sampleTiming(*trace, opt.platform,
-                                            sopts);
+        res = core::sampleTiming(*trace, opt.platform, sopts);
         manifest.addStage("sample_replay", now() - t0,
                           res.instructions);
     }
@@ -716,50 +745,13 @@ cmdTime(const Options &opt, const apps::AppInfo &app)
     if (opt.sample)
         return cmdTimeSampled(opt, app);
     util::RunManifest manifest = makeManifest(opt, app);
-    core::TimingResult res;
-    if (!opt.traceIn.empty()) {
-        core::TraceKey key;
-        util::Status why;
-        const core::TraceCache::Ptr trace =
-            loadTraceFor(opt, app, manifest, key, why);
-        if (!trace)
-            return failCommand(opt, manifest, "trace_load", why,
-                               loadExitCode(why));
-        const util::Status kerr = checkTimingTraceKey(opt, app, key);
-        if (!kerr.ok())
-            return failCommand(opt, manifest, "trace_load", kerr,
-                               kExitBadInput);
-        const double t0 = now();
-        res = core::Simulator::timeReplay(*trace, opt.platform);
-        manifest.addStage("time_replay", now() - t0,
-                          res.instructions);
-    } else if (!opt.traceOut.empty()) {
-        core::TraceKey key;
-        key.app = &app;
-        key.variant = opt.variant;
-        key.scale = opt.scale;
-        key.seed = opt.seed;
-        key.registerPressure = true;
-        key.intRegs = opt.platform.core.numIntRegs;
-        key.fpRegs = opt.platform.core.numFpRegs;
-        util::Status why;
-        int code = kExitSimFailure;
-        const core::TraceCache::Ptr trace =
-            recordAndSave(opt, key, manifest, why, code);
-        if (!trace)
-            return failCommand(opt, manifest, recordFailStage(code),
-                               why, code);
-        const double t0 = now();
-        res = core::Simulator::timeReplay(*trace, opt.platform);
-        manifest.addStage("time_replay", now() - t0,
-                          res.instructions);
-    } else {
-        const double t0 = now();
-        apps::AppRun run = app.make(opt.variant, opt.scale, opt.seed);
-        core::Simulator::applyRegisterPressure(run, opt.platform);
-        res = core::Simulator::time(run, opt.platform);
-        manifest.addStage("time", now() - t0, res.instructions);
-    }
+    CommandInput in;
+    if (const int code = openInput(opt, app, manifest, in))
+        return code;
+    const core::TimingResult res =
+        core::Simulator::time(in.source(), opt.platform);
+    manifest.addStage(in.trace ? "time_replay" : "time", now() - in.start,
+                      res.instructions);
     if (!res.status.ok())
         return failCommand(opt, manifest, "time", res.status,
                            kExitSimFailure);

@@ -68,12 +68,11 @@ TEST(SampledTiming, TracksFullReplayCpiOnSmallWorkloads)
             TraceCache::record(keyFor(app)).value();
 
         const cpu::PlatformConfig platform = cpu::alpha21264();
-        const TimingResult full =
-            Simulator::timeReplay(*trace, platform);
+        const TimingResult full = Simulator::time(*trace, platform);
         const double full_cpi =
             static_cast<double>(full.cycles) / full.instructions;
 
-        const SampledTimingResult sampled = Simulator::sampleTiming(
+        const SampledTimingResult sampled = sampleTiming(
             *trace, platform, smallScaleOptions());
 
         EXPECT_FALSE(sampled.exhaustive);
@@ -108,14 +107,14 @@ TEST(SampledTiming, ShortTraceFallsBackToExhaustiveReplay)
     // Library defaults want 1M warm instructions; promlk Small has
     // ~71k, far too short for even one interval.
     const SampledTimingResult sampled =
-        Simulator::sampleTiming(*trace, platform, SamplingOptions{});
+        sampleTiming(*trace, platform, SamplingOptions{});
 
     EXPECT_TRUE(sampled.exhaustive);
     EXPECT_DOUBLE_EQ(sampled.coverage, 1.0);
     EXPECT_EQ(sampled.ci95, 0.0);
 
     // Exhaustive fallback IS full detailed replay: CPI is exact.
-    const TimingResult full = Simulator::timeReplay(*trace, platform);
+    const TimingResult full = Simulator::time(*trace, platform);
     const double full_cpi =
         static_cast<double>(full.cycles) / full.instructions;
     EXPECT_DOUBLE_EQ(sampled.cpi, full_cpi);
@@ -238,7 +237,7 @@ TEST(SampledTiming, ShardedResultBitIdenticalToSequential)
     SamplingOptions seq = base;
     seq.threads = 1;
     const SampledTimingResult sequential =
-        Simulator::sampleTiming(cached, platform, seq);
+        sampleTiming(cached, platform, seq);
     EXPECT_GT(sequential.shards, 1u);
 
     for (unsigned threads : { 0u, 2u, 4u }) {
@@ -246,7 +245,7 @@ TEST(SampledTiming, ShardedResultBitIdenticalToSequential)
         SamplingOptions par = base;
         par.threads = threads;
         const SampledTimingResult sharded =
-            Simulator::sampleTiming(cached, platform, par);
+            sampleTiming(cached, platform, par);
         // report() serializes every number with exact typed
         // round-trip semantics, so string equality is bit equality.
         EXPECT_EQ(sequential.report().dump(), sharded.report().dump());
@@ -259,8 +258,7 @@ TEST(SampledTiming, SeedChangesPlacementNotValidity)
     const TraceCache::Ptr trace =
         TraceCache::record(keyFor(app)).value();
     const cpu::PlatformConfig platform = cpu::alpha21264();
-    const TimingResult full =
-        Simulator::timeReplay(*trace, platform);
+    const TimingResult full = Simulator::time(*trace, platform);
     const double full_cpi =
         static_cast<double>(full.cycles) / full.instructions;
 
@@ -269,7 +267,7 @@ TEST(SampledTiming, SeedChangesPlacementNotValidity)
         SamplingOptions o = smallScaleOptions();
         o.seed = seed;
         const SampledTimingResult sampled =
-            Simulator::sampleTiming(*trace, platform, o);
+            sampleTiming(*trace, platform, o);
         EXPECT_FALSE(sampled.exhaustive);
         const double tolerance =
             std::max(sampled.ci95, 0.02 * full_cpi);
@@ -290,7 +288,7 @@ TEST(SampledTiming, FileSamplingEqualsInMemorySampling)
 
     const SamplingOptions opts = smallScaleOptions();
     const SampledTimingResult mem =
-        Simulator::sampleTiming(*trace, platform, opts);
+        sampleTiming(*trace, platform, opts);
     const SampledFileResult file =
         sampleTimingFile(path, platform, opts);
 

@@ -320,8 +320,7 @@ TEST(TraceFault, SalvageRecoversIntactKeyframeRegions)
 
     // The gap-marked stream replays through the normal timing path.
     const cpu::PlatformConfig platform = cpu::alpha21264();
-    const TimingResult timed =
-        Simulator::timeReplay(*sr.trace, platform);
+    const TimingResult timed = Simulator::time(*sr.trace, platform);
     EXPECT_TRUE(timed.status.ok()) << timed.status.str();
     EXPECT_EQ(timed.instructions, sr.recoveredInstructions);
     EXPECT_GT(timed.cycles, 0u);
@@ -343,8 +342,7 @@ TEST(TraceFault, SampledTimingOnSalvagedTraceTracksCleanCpi)
     const cpu::PlatformConfig platform = cpu::alpha21264();
     // The estimator's target is the salvaged stream itself — a full
     // detailed replay of the same gap-marked trace.
-    const TimingResult salvaged_full =
-        Simulator::timeReplay(*sr.trace, platform);
+    const TimingResult salvaged_full = Simulator::time(*sr.trace, platform);
     ASSERT_TRUE(salvaged_full.status.ok());
     const double salvaged_cpi =
         static_cast<double>(salvaged_full.cycles) /
@@ -359,7 +357,7 @@ TEST(TraceFault, SampledTimingOnSalvagedTraceTracksCleanCpi)
     opts.detailLen = 7'000;
     opts.warmupLen = 2'000;
     const SampledTimingResult sampled =
-        Simulator::sampleTiming(*sr.trace, platform, opts);
+        sampleTiming(*sr.trace, platform, opts);
     EXPECT_TRUE(sampled.status.ok()) << sampled.status.str();
     EXPECT_EQ(sampled.failedShards, 0u);
     EXPECT_EQ(sampled.instructions, sr.recoveredInstructions);
@@ -374,7 +372,7 @@ TEST(TraceFault, SampledTimingOnSalvagedTraceTracksCleanCpi)
     // estimate far from the clean-trace CPI either (the CI fault job
     // enforces the tight 2% gate at Medium scale, where one group is
     // a far smaller fraction of the stream).
-    const TimingResult full = Simulator::timeReplay(cached, platform);
+    const TimingResult full = Simulator::time(cached, platform);
     const double full_cpi =
         static_cast<double>(full.cycles) / full.instructions;
     EXPECT_NEAR(sampled.cpi, full_cpi, 0.10 * full_cpi)

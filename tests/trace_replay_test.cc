@@ -123,7 +123,7 @@ TEST(TraceReplay, CharacterizeFromReplayEqualsLiveExactly)
                        42))
                 .value();
         const CharacterizationResult replayed =
-            Simulator::characterizeReplay(*trace);
+            Simulator::characterize(*trace);
 
         // report() serializes every summary number with exact typed
         // round-trip semantics, so string equality is bit equality.
@@ -151,18 +151,18 @@ TEST(TraceReplay, TimeFromReplayEqualsLiveExactly)
         key.intRegs = platform.core.numIntRegs;
         key.fpRegs = platform.core.numFpRegs;
         const TraceCache::Ptr trace = TraceCache::record(key).value();
-        const TimingResult replayed =
-            Simulator::timeReplay(*trace, platform);
+        const TimingResult replayed = Simulator::time(*trace, platform);
 
         EXPECT_TRUE(replayed.verified);
         EXPECT_EQ(live.report().dump(), replayed.report().dump());
     }
 }
 
-// One decode pass with every platform's core attached must give the
-// same results as a separate replay per platform (the sequential
-// sweep path relies on this to decode shared traces once).
-TEST(TraceReplay, TimeReplayManyMatchesPerPlatformReplay)
+// One pass with every platform's core attached must give the same
+// results as a separate pass per platform, from a trace (one decode;
+// the sequential sweep path relies on this) and from a live run (one
+// interpretation).
+TEST(TraceReplay, MultiPlatformTimeMatchesPerPlatformTime)
 {
     const apps::AppInfo &app = *apps::findApp("hmmsearch");
     const TraceCache::Ptr trace =
@@ -178,13 +178,25 @@ TEST(TraceReplay, TimeReplayManyMatchesPerPlatformReplay)
         ptrs.push_back(&p);
 
     const std::vector<TimingResult> grouped =
-        Simulator::timeReplayMany(*trace, ptrs);
+        Simulator::time(*trace, ptrs);
+    apps::AppRun run =
+        app.make(apps::Variant::Baseline, apps::Scale::Small, 42);
+    const std::vector<TimingResult> grouped_live =
+        Simulator::time(run, ptrs);
     ASSERT_EQ(grouped.size(), platforms.size());
+    ASSERT_EQ(grouped_live.size(), platforms.size());
     for (size_t i = 0; i < platforms.size(); i++) {
         SCOPED_TRACE(platforms[i].name);
-        const TimingResult solo =
-            Simulator::timeReplay(*trace, platforms[i]);
+        const TimingResult solo = Simulator::time(*trace, platforms[i]);
         EXPECT_EQ(solo.report().dump(), grouped[i].report().dump());
+
+        apps::AppRun solo_run =
+            app.make(apps::Variant::Baseline, apps::Scale::Small, 42);
+        const TimingResult solo_live =
+            Simulator::time(solo_run, platforms[i]);
+        EXPECT_TRUE(grouped_live[i].verified);
+        EXPECT_EQ(solo_live.report().dump(),
+                  grouped_live[i].report().dump());
     }
 }
 
@@ -245,9 +257,9 @@ TEST_F(BptraceFileTest, RoundTripsThroughDisk)
     // The loaded trace must drive analyses identically to the
     // in-memory recording.
     const CharacterizationResult a =
-        Simulator::characterizeReplay(*recorded);
+        Simulator::characterize(*recorded);
     const CharacterizationResult b =
-        Simulator::characterizeReplay(*loaded.trace);
+        Simulator::characterize(*loaded.trace);
     EXPECT_EQ(a.report().dump(), b.report().dump());
 }
 
