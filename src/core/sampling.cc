@@ -1,7 +1,6 @@
 #include "core/sampling.h"
 
 #include <algorithm>
-#include <functional>
 #include <future>
 
 #include "util/failpoint.h"
@@ -29,7 +28,6 @@ struct ShardResult
     uint64_t measuredInstructions = 0;
     uint64_t measuredCycles = 0;
     uint64_t measuredMispredicts = 0;
-    uint64_t delivered = 0;
     /** Failure that dropped this shard from the estimate. */
     util::Status status;
 };
@@ -151,80 +149,67 @@ class SampleRouter : public vm::TraceSink
 };
 
 /**
- * Chunk access abstraction over the two trace homes. Instances are
- * per-worker (the file reader owns a stream position); readRange()
- * feeds chunks [begin, end) through the replayer's streaming API.
+ * What runSampled() samples: a recorded trace in memory, or a .bptrace
+ * file that every worker streams through its own TraceFileStream.
  */
-class ChunkReader
+struct SampleInput
+{
+    const ir::Program *prog = nullptr;
+    const vm::EncodedTrace *trace = nullptr; ///< in memory, or null
+    const std::string *path = nullptr;       ///< the file otherwise
+    size_t numChunks = 0;
+    uint32_t keyframeInterval = 1;
+    uint64_t instructions = 0;
+    bool verified = false;
+};
+
+/**
+ * One worker's chunk feed: indexes the in-memory chunk vector, or
+ * seeks the worker's own stream (a stream owns a file position, so
+ * workers never share one).
+ */
+class ChunkFeed
 {
   public:
-    virtual ~ChunkReader() = default;
-    virtual uint64_t startSeq(size_t idx) = 0;
+    util::Status open(const SampleInput &in)
+    {
+        trace_ = in.trace;
+        return trace_ ? util::Status() : stream_.open(*in.path);
+    }
+
+    uint64_t startSeq(size_t idx) const
+    {
+        return trace_ ? trace_->chunks()[idx].startSeq
+                      : stream_.chunkStartSeq(idx);
+    }
+
     /** Feeds chunks [begin, end) into @a rep; OK on success. */
-    virtual util::Status readRange(size_t begin, size_t end,
-                                   vm::TraceReplayer &rep) = 0;
-};
-
-class MemoryReader final : public ChunkReader
-{
-  public:
-    explicit MemoryReader(const vm::EncodedTrace &trace)
-        : trace_(&trace)
+    util::Status feed(size_t begin, size_t end, vm::TraceReplayer &rep)
     {
-    }
-    uint64_t startSeq(size_t idx) override
-    {
-        return trace_->chunks()[idx].startSeq;
-    }
-    util::Status readRange(size_t begin, size_t end,
-                           vm::TraceReplayer &rep) override
-    {
-        for (size_t i = begin; i < end; i++)
-            if (util::Status s = rep.streamChunk(trace_->chunks()[i]);
-                !s.ok())
+        if (!trace_) {
+            if (util::Status s = stream_.seekToChunk(begin); !s.ok())
                 return s;
-        return {};
-    }
-
-  private:
-    const vm::EncodedTrace *trace_;
-};
-
-class FileReader final : public ChunkReader
-{
-  public:
-    util::Status open(const std::string &path)
-    {
-        return stream_.open(path);
-    }
-    uint64_t startSeq(size_t idx) override
-    {
-        return stream_.chunkStartSeq(idx);
-    }
-    util::Status readRange(size_t begin, size_t end,
-                           vm::TraceReplayer &rep) override
-    {
-        if (util::Status s = stream_.seekToChunk(begin); !s.ok())
-            return s;
+        }
         for (size_t i = begin; i < end; i++) {
+            const vm::EncodedTrace::Chunk *chunk = &chunk_;
             util::Status io;
-            if (!stream_.next(chunk_, io))
+            if (trace_)
+                chunk = &trace_->chunks()[i];
+            else if (!stream_.next(chunk_, io))
                 return io.ok() ? util::Status::corruptData(
                                      "unexpected end of chunk stream")
                                : io;
-            if (util::Status s = rep.streamChunk(chunk_); !s.ok())
+            if (util::Status s = rep.streamChunk(*chunk); !s.ok())
                 return s;
         }
         return {};
     }
 
   private:
+    const vm::EncodedTrace *trace_ = nullptr;
     TraceFileStream stream_;
-    vm::EncodedTrace::Chunk chunk_; ///< reused scratch buffer
+    vm::EncodedTrace::Chunk chunk_; ///< reused file read buffer
 };
-
-using ReaderFactory =
-    std::function<std::unique_ptr<ChunkReader>(util::Status &)>;
 
 /** One worker's whole simulation stack, reused across its shards. */
 struct WorkerStack
@@ -352,26 +337,27 @@ mergeShards(const std::vector<ShardResult> &results,
 
 /** Full detailed replay, for traces too short to sample. */
 SampledTimingResult
-runExhaustive(const ir::Program &prog,
-              const cpu::PlatformConfig &platform, ChunkReader &reader,
-              size_t num_chunks, uint64_t total_instructions,
-              bool verified)
+runExhaustive(const SampleInput &in, const cpu::PlatformConfig &platform)
 {
     SampledTimingResult out;
+    ChunkFeed feed;
+    if (util::Status s = feed.open(in); !s.ok()) {
+        out.status = std::move(s);
+        return out;
+    }
     out.exhaustive = true;
     out.shards = 1;
-    out.instructions = total_instructions;
-    out.verified = verified;
+    out.instructions = in.instructions;
+    out.verified = in.verified;
 
     mem::CacheHierarchy caches = platform.makeHierarchy();
     auto predictor = platform.makePredictor();
     const std::unique_ptr<cpu::TimingCore> core =
         platform.makeCore(&caches, predictor.get());
-    vm::TraceReplayer rep(prog);
+    vm::TraceReplayer rep(*in.prog);
     rep.addSink(core.get());
     rep.beginStream(0);
-    if (util::Status s = reader.readRange(0, num_chunks, rep);
-        !s.ok()) {
+    if (util::Status s = feed.feed(0, in.numChunks, rep); !s.ok()) {
         out.status = s.withContext("exhaustive replay");
         return out;
     }
@@ -392,10 +378,8 @@ runExhaustive(const ir::Program &prog,
 }
 
 SampledTimingResult
-runSampled(const ir::Program &prog, const cpu::PlatformConfig &platform,
-           const SamplingOptions &opts, size_t num_chunks,
-           uint32_t keyframe_interval, uint64_t total_instructions,
-           bool verified, const ReaderFactory &make_reader)
+runSampled(const SampleInput &in, const cpu::PlatformConfig &platform,
+           const SamplingOptions &opts)
 {
     SampledTimingResult out;
     SamplingOptions o = opts;
@@ -404,12 +388,13 @@ runSampled(const ir::Program &prog, const cpu::PlatformConfig &platform,
     if (o.interval < o.warmupLen + o.detailLen)
         o.interval = o.warmupLen + o.detailLen;
     const uint64_t warm_gap = o.interval - o.warmupLen - o.detailLen;
+    const uint32_t keyframe_interval = in.keyframeInterval;
 
     const ShardGeometry geo =
-        shardGeometry(num_chunks, keyframe_interval, o.shardChunks);
+        shardGeometry(in.numChunks, keyframe_interval, o.shardChunks);
     if (geo.numShards == 0) {
-        out.verified = verified;
-        out.instructions = total_instructions;
+        out.verified = in.verified;
+        out.instructions = in.instructions;
         return out;
     }
     const size_t window_chunks = std::min<size_t>(
@@ -422,12 +407,16 @@ runSampled(const ir::Program &prog, const cpu::PlatformConfig &platform,
             keyframe_interval));
     std::vector<ShardResult> results(geo.numShards);
 
-    // A failing shard is dropped, not fatal: its observations never
-    // enter the estimator (per-shard state resets keep the survivors
-    // independent of it), so the merged CPI stays valid — just with
-    // fewer intervals behind it.
-    auto runRange = [&](WorkerStack &ws, ChunkReader &reader,
-                        size_t s0, size_t s1) -> util::Status {
+    // One worker: its own chunk feed and simulation stack, replaying
+    // shards [s0, s1). A failing shard is dropped, not fatal: its
+    // observations never enter the estimator (per-shard state resets
+    // keep the survivors independent of it), so the merged CPI stays
+    // valid — just with fewer intervals behind it.
+    auto work = [&](size_t s0, size_t s1) -> util::Status {
+        ChunkFeed feed;
+        if (util::Status s = feed.open(in); !s.ok())
+            return s;
+        WorkerStack ws(*in.prog, platform);
         for (size_t s = s0; s < s1; s++) {
             if (BIOPERF_FAILPOINT("sample.shard.fail")) {
                 results[s] = ShardResult{};
@@ -438,7 +427,7 @@ runSampled(const ir::Program &prog, const cpu::PlatformConfig &platform,
             }
             const size_t c0 = s * geo.chunksPerShard;
             const size_t c1 =
-                std::min(num_chunks, c0 + geo.chunksPerShard);
+                std::min(in.numChunks, c0 + geo.chunksPerShard);
             const ShardPlan plan = planShard(
                 o, s, c0, c1, window_chunks, keyframe_interval);
             // The per-shard reset is what makes shards independent —
@@ -448,9 +437,9 @@ runSampled(const ir::Program &prog, const cpu::PlatformConfig &platform,
             ws.core->reset();
             ws.router.beginShard(&results[s], plan.firstWarm,
                                  o.warmupLen, o.detailLen, warm_gap);
-            ws.replayer.beginStream(reader.startSeq(plan.w0));
+            ws.replayer.beginStream(feed.startSeq(plan.w0));
             if (util::Status st =
-                    reader.readRange(plan.w0, plan.w1, ws.replayer);
+                    feed.feed(plan.w0, plan.w1, ws.replayer);
                 !st.ok()) {
                 // Decode state is undefined after a failure; discard
                 // whatever the router observed mid-window.
@@ -460,7 +449,7 @@ runSampled(const ir::Program &prog, const cpu::PlatformConfig &platform,
                     "shard " + std::to_string(s));
                 continue;
             }
-            results[s].delivered = ws.replayer.endStream();
+            ws.replayer.endStream();
         }
         return {};
     };
@@ -471,52 +460,32 @@ runSampled(const ir::Program &prog, const cpu::PlatformConfig &platform,
     if (threads > geo.numShards)
         threads = static_cast<unsigned>(geo.numShards);
 
+    util::Status first;
     if (threads <= 1) {
-        util::Status err;
-        std::unique_ptr<ChunkReader> reader = make_reader(err);
-        if (!reader) {
-            out.status = std::move(err);
-            return out;
-        }
-        WorkerStack ws(prog, platform);
-        if (util::Status s = runRange(ws, *reader, 0, geo.numShards);
-            !s.ok()) {
-            out.status = std::move(s);
-            return out;
-        }
+        first = work(0, geo.numShards);
     } else {
         util::ThreadPool pool(threads);
         std::vector<std::future<util::Status>> futures;
         for (unsigned w = 0; w < threads; w++) {
             const size_t s0 = geo.numShards * w / threads;
             const size_t s1 = geo.numShards * (w + 1) / threads;
-            if (s0 == s1)
-                continue;
-            futures.push_back(
-                pool.submit([&, s0, s1]() -> util::Status {
-                    util::Status err;
-                    std::unique_ptr<ChunkReader> reader =
-                        make_reader(err);
-                    if (!reader)
-                        return err;
-                    WorkerStack ws(prog, platform);
-                    return runRange(ws, *reader, s0, s1);
-                }));
+            if (s0 != s1)
+                futures.push_back(
+                    pool.submit([&, s0, s1] { return work(s0, s1); }));
         }
-        util::Status first;
         for (auto &f : futures) {
             util::Status s = f.get();
             if (!s.ok() && first.ok())
                 first = std::move(s);
         }
-        if (!first.ok()) {
-            out.status = std::move(first);
-            return out;
-        }
+    }
+    if (!first.ok()) {
+        out.status = std::move(first);
+        return out;
     }
 
-    out = mergeShards(results, total_instructions,
-                      platform.core.clockGhz, verified);
+    out = mergeShards(results, in.instructions, platform.core.clockGhz,
+                      in.verified);
     if (out.failedShards == out.shards && out.shards > 0) {
         // Nothing survived; surface the first shard's failure rather
         // than an empty estimate (and don't mask it with the
@@ -532,15 +501,7 @@ runSampled(const ir::Program &prog, const cpu::PlatformConfig &platform,
     if (out.intervals == 0) {
         // Too short for even one completed interval anywhere: measure
         // the whole trace in detail instead of reporting nothing.
-        util::Status err;
-        std::unique_ptr<ChunkReader> reader = make_reader(err);
-        if (!reader) {
-            out.status = std::move(err);
-            return out;
-        }
-        SampledTimingResult ex =
-            runExhaustive(prog, platform, *reader, num_chunks,
-                          total_instructions, verified);
+        SampledTimingResult ex = runExhaustive(in, platform);
         // Keep the sampled attempt's shard incidents visible: the
         // fallback covers the whole trace, but the caller still wants
         // the degradation on record (manifest failures).
@@ -611,15 +572,13 @@ sampleTiming(const CachedTrace &trace,
              const cpu::PlatformConfig &platform,
              const SamplingOptions &opts)
 {
-    ReaderFactory make_reader =
-        [&trace](util::Status &) -> std::unique_ptr<ChunkReader> {
-        return std::make_unique<MemoryReader>(trace.trace);
-    };
-    return runSampled(*trace.prog, platform, opts,
-                      trace.trace.chunks().size(),
-                      trace.trace.keyframeInterval(),
-                      trace.trace.instructions(), trace.verified,
-                      make_reader);
+    return runSampled({ .prog = trace.prog.get(),
+                        .trace = &trace.trace,
+                        .numChunks = trace.trace.chunks().size(),
+                        .keyframeInterval = trace.trace.keyframeInterval(),
+                        .instructions = trace.trace.instructions(),
+                        .verified = trace.verified },
+                      platform, opts);
 }
 
 SampledFileResult
@@ -633,26 +592,21 @@ sampleTimingFile(const std::string &path,
         res.status = s.withContext("sampling '" + path + "'");
         return res;
     }
-    res.key = head.key();
+    const TraceFileHeader &h = head.header();
+    res.key = h.key;
     std::unique_ptr<ir::Program> prog;
-    if (util::Status s =
-            buildReplayProgram(head.key(), head.sidLimit(), prog);
+    if (util::Status s = buildReplayProgram(h.key, h.sidLimit, prog);
         !s.ok()) {
         res.status = std::move(s);
         return res;
     }
-    ReaderFactory make_reader =
-        [&path](util::Status &err) -> std::unique_ptr<ChunkReader> {
-        auto reader = std::make_unique<FileReader>();
-        err = reader->open(path);
-        if (!err.ok())
-            return nullptr;
-        return reader;
-    };
-    res.result = runSampled(*prog, platform, opts, head.numChunks(),
-                            head.keyframeInterval(),
-                            head.instructions(), head.verified(),
-                            make_reader);
+    res.result = runSampled({ .prog = prog.get(),
+                              .path = &path,
+                              .numChunks = h.numChunks,
+                              .keyframeInterval = h.keyframeInterval,
+                              .instructions = h.instructions,
+                              .verified = h.verified },
+                            platform, opts);
     res.status = res.result.status;
     return res;
 }

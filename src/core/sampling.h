@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "branch/predictors.h"
-#include "core/trace_cache.h"
+#include "core/trace_file.h"
 #include "cpu/platforms.h"
 #include "mem/hierarchy.h"
 #include "util/metrics.h"

@@ -2,7 +2,6 @@
 #define BIOPERF_CORE_TRACE_CACHE_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -187,172 +186,6 @@ class TraceCache
                        std::shared_future<util::StatusOr<Ptr>>>
         entries_;
     Stats stats_;
-};
-
-/**
- * On-disk .bptrace persistence. The file stores the *recipe* (app,
- * variant, scale, seed, register file) plus the encoded chunks — not
- * the program, which the loader rebuilds deterministically from the
- * registry and validates by sid-space fingerprint. Layout: versioned
- * header, identity block, per-chunk framing, trailer (see
- * trace_cache.cc for the field list). v3 adds a CRC32C per chunk
- * payload, per-chunk flags, and a whole-file metadata digest; v2
- * files are still readable (without integrity checks).
- */
-
-/**
- * Writes @a trace as a v3 .bptrace. kIoError on open/write failure
- * (including a short write forced by the trace.write.short fail
- * point); the file contents are unspecified after a failure.
- */
-util::Status saveTraceFile(const std::string &path, const TraceKey &key,
-                           const CachedTrace &trace);
-
-struct TraceLoadResult
-{
-    TraceKey key;
-    TraceCache::Ptr trace;
-    /** OK on success; on failure @a trace is null. */
-    util::Status status;
-};
-
-/**
- * Loads, validates (magic, version, chunk framing, checksums, trailer
- * count, full decode) and re-materializes the replay program for a
- * saved trace. Built on TraceFileStream, so validation decodes each
- * chunk as it streams off disk in a single pass.
- */
-TraceLoadResult loadTraceFile(const std::string &path);
-
-/**
- * Best-effort recovery from a truncated or bit-flipped .bptrace.
- * The header must be intact (it holds the recipe; without it there is
- * nothing to replay against). Chunks are re-scanned tolerantly, each
- * keyframe-aligned group whose chunks all pass checksum + decode
- * validation is kept, and everything else is dropped; the surviving
- * groups form a gap-marked in-memory trace that replays and samples
- * through the normal APIs (cores drain on each gap via
- * TraceSink::onGap()). The salvaged trace's verified flag is always
- * false — the golden-model verdict applied to the full stream, not
- * to a subset.
- */
-struct TraceSalvageResult
-{
-    TraceKey key;
-    /** Salvaged trace; null when nothing was recoverable. */
-    TraceCache::Ptr trace;
-    /** Instruction count the header claimed. */
-    uint64_t totalInstructions = 0;
-    uint64_t recoveredInstructions = 0;
-    uint64_t lostInstructions = 0;
-    size_t totalChunks = 0;
-    size_t recoveredChunks = 0;
-    size_t lostChunks = 0;
-    /** Discontinuities in the salvaged stream (onGap() sites). */
-    size_t gaps = 0;
-    /** OK when at least one keyframe region was recovered. */
-    util::Status status;
-};
-
-TraceSalvageResult salvageTraceFile(const std::string &path);
-
-/**
- * Rebuilds the replay program for @a key from the app registry and
- * checks its sid space against @a sid_limit, the recording's
- * fingerprint. Shared by loadTraceFile() and the streaming consumers
- * (bioperfsim --trace-in, file-based sampling).
- */
-util::Status buildReplayProgram(const TraceKey &key, uint32_t sid_limit,
-                                std::unique_ptr<ir::Program> &out);
-
-/**
- * Chunk-at-a-time .bptrace reader. open() validates the header,
- * scans the chunk framing into an in-memory index (payloads are
- * skipped, not read), and cross-checks the trailer — for v3 files
- * this includes the whole-file metadata digest — so a valid stream
- * never holds more than one chunk's bytes in memory, and
- * seekToChunk() gives random access at keyframe granularity for
- * sampled replay. next() verifies each v3 chunk's payload CRC32C as
- * it is read.
- *
- * Decode validation is NOT performed here; consumers decode through
- * TraceReplayer, which reports corrupt payloads as statuses.
- */
-class TraceFileStream
-{
-  public:
-    TraceFileStream() = default;
-    ~TraceFileStream();
-
-    TraceFileStream(const TraceFileStream &) = delete;
-    TraceFileStream &operator=(const TraceFileStream &) = delete;
-
-    /**
-     * Opens and validates @a path, leaving the reader positioned at
-     * chunk 0.
-     */
-    util::Status open(const std::string &path);
-
-    /** Workload identity (app resolved against the registry). */
-    const TraceKey &key() const { return key_; }
-    uint32_t sidLimit() const { return sid_limit_; }
-    uint64_t instructions() const { return instructions_; }
-    uint64_t runs() const { return runs_; }
-    uint32_t spills() const { return spills_; }
-    bool verified() const { return verified_; }
-    uint32_t keyframeInterval() const { return keyframe_interval_; }
-    /** True for v3 files (per-chunk CRCs + metadata digest). */
-    bool hasIntegrity() const { return has_integrity_; }
-
-    size_t numChunks() const { return index_.size(); }
-    uint64_t chunkStartSeq(size_t idx) const
-    {
-        return index_[idx].startSeq;
-    }
-    uint32_t chunkNumEvents(size_t idx) const
-    {
-        return index_[idx].numEvents;
-    }
-    bool isKeyframe(size_t idx) const
-    {
-        return idx % keyframe_interval_ == 0;
-    }
-
-    /** Positions the reader at chunk @a idx (must be < numChunks()). */
-    util::Status seekToChunk(size_t idx);
-
-    /**
-     * Reads the chunk at the current position into @a chunk (reusing
-     * its buffer), verifies its payload CRC on v3 files, and
-     * advances. @return false at end of the chunk list or on failure
-     * (@a error is set only for failures: kIoError for short reads,
-     * kCorruptData for checksum mismatches).
-     */
-    bool next(vm::EncodedTrace::Chunk &chunk, util::Status &error);
-
-  private:
-    struct ChunkInfo
-    {
-        uint64_t offset = 0; ///< file offset of the payload bytes
-        uint64_t startSeq = 0;
-        uint32_t numEvents = 0;
-        uint32_t bitmapOffset = 0;
-        uint32_t byteLen = 0;
-        uint32_t crc = 0; ///< payload CRC32C (v3)
-        bool gapBefore = false;
-    };
-
-    std::FILE *file_ = nullptr;
-    std::vector<ChunkInfo> index_;
-    size_t next_chunk_ = 0;
-    TraceKey key_;
-    uint32_t sid_limit_ = 0;
-    uint64_t instructions_ = 0;
-    uint64_t runs_ = 0;
-    uint32_t spills_ = 0;
-    bool verified_ = false;
-    uint32_t keyframe_interval_ = 1;
-    bool has_integrity_ = false;
 };
 
 } // namespace bioperf::core

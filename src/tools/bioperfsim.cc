@@ -44,6 +44,7 @@
 #include "apps/app.h"
 #include "core/candidate_finder.h"
 #include "core/simulator.h"
+#include "core/trace_file.h"
 #include "cpu/platforms.h"
 #include "ir/printer.h"
 #include "util/metrics.h"
@@ -149,10 +150,11 @@ usage()
         "                            default, honours BIOPERF_THREADS)\n"
         "  --json FILE               also write the result as a JSON\n"
         "                            report (manifest + metrics)\n"
-        "  --trace-out FILE          (characterize, time) record the\n"
-        "                            workload once, save it as a\n"
-        "                            .bptrace file, and analyse the\n"
-        "                            replayed stream\n"
+        "  --trace-out FILE          (characterize, time; not with\n"
+        "                            --trace-in) record the workload\n"
+        "                            once, save it as a .bptrace\n"
+        "                            file, and analyse the replayed\n"
+        "                            stream\n"
         "  --trace-in FILE           (characterize, time) replay a\n"
         "                            saved .bptrace instead of\n"
         "                            interpreting; results are bit-\n"
@@ -165,7 +167,8 @@ usage()
         "                            interval; with --trace-in the\n"
         "                            file streams chunk-at-a-time and\n"
         "                            workers seek straight to their\n"
-        "                            shards' keyframes\n"
+        "                            shards' keyframes; the\n"
+        "                            --sample-* knobs need it\n"
         "  --sample-interval N       instructions per sampling unit\n"
         "                            (default 200000)\n"
         "  --sample-detail N         measured instructions per unit\n"
@@ -207,9 +210,34 @@ constexpr PlatformFlag kPlatformFlags[] = {
 };
 
 /**
- * Parses the command line. A missing, unknown or malformed value is a
- * usage error naming the value: the command never runs on a default
- * it silently substituted.
+ * Why this command line leaves @a flag without effect, or null when
+ * the command uses it.
+ */
+const char *
+unusedBecause(const Options &opt, const std::string &flag)
+{
+    const bool traced =
+        opt.command == "characterize" || opt.command == "time";
+    if (flag == "--trace-in" && !traced)
+        return "only characterize and time replay a trace";
+    if (flag == "--trace-out" && !traced && opt.command != "salvage")
+        return "only characterize, time and salvage write a trace";
+    if (flag == "--trace-out" && !opt.traceIn.empty())
+        return "--trace-in replays a saved trace, nothing is recorded";
+    if (flag.starts_with("--sample") && opt.command != "time")
+        return "only time samples";
+    if (flag.starts_with("--sample-") && !opt.sample)
+        return "sampling knobs need --sample";
+    if (flag == "--salvage" && (!opt.sample || opt.traceIn.empty()))
+        return "it needs time --sample --trace-in";
+    return nullptr;
+}
+
+/**
+ * Parses the command line. A missing, unknown or malformed value, or
+ * an option the command would ignore, is a usage error naming it: the
+ * command never runs on a default it silently substituted or without
+ * an option it was given.
  */
 bool
 parse(int argc, char **argv, Options &opt)
@@ -224,8 +252,10 @@ parse(int argc, char **argv, Options &opt)
         opt.app = argv[2];
         i = 3;
     }
+    std::vector<std::string> given;
     for (; i < argc; i++) {
         const std::string a = argv[i];
+        given.push_back(a);
         auto next = [&]() -> const char * {
             if (i + 1 >= argc) {
                 std::printf("missing value for %s\n", a.c_str());
@@ -312,6 +342,12 @@ parse(int argc, char **argv, Options &opt)
             return false;
         }
     }
+    for (const std::string &flag : given)
+        if (const char *why = unusedBecause(opt, flag)) {
+            std::printf("%s has no effect here (%s)\n", flag.c_str(),
+                        why);
+            std::exit(kExitUsage);
+        }
     return true;
 }
 
@@ -434,6 +470,42 @@ checkTraceKey(const Options &opt, const apps::AppInfo &app,
     return util::Status();
 }
 
+/** Describes the run in @a manifest by the identity of its trace. */
+void
+describeTrace(util::RunManifest &manifest, const core::TraceKey &key)
+{
+    manifest.app = key.app->name;
+    manifest.variant = apps::toString(key.variant);
+    manifest.scale = apps::toString(key.scale);
+    manifest.seed = key.seed;
+}
+
+/**
+ * Reports a successful salvage of @a path, started at @a t0: describes
+ * the run by the trace, stages trace_salvage, records any lost chunks
+ * as a failure and prints the recovered/lost line.
+ */
+void
+reportSalvage(const std::string &path, const core::TraceSalvageResult &sr,
+              double t0, util::RunManifest &manifest)
+{
+    describeTrace(manifest, sr.key);
+    manifest.addStage("trace_salvage", now() - t0,
+                      sr.recoveredInstructions);
+    if (sr.lostChunks)
+        manifest.addFailure(
+            manifest.app, manifest.variant, "trace_salvage",
+            "lost " + std::to_string(sr.lostChunks) + " of " +
+                std::to_string(sr.totalChunks) + " chunks (" +
+                std::to_string(sr.lostInstructions) + " instructions)");
+    std::printf("%s: recovered %zu/%zu chunks, %llu/%llu "
+                "instructions, %zu gap%s\n",
+                path.c_str(), sr.recoveredChunks, sr.totalChunks,
+                static_cast<unsigned long long>(sr.recoveredInstructions),
+                static_cast<unsigned long long>(sr.totalInstructions),
+                sr.gaps, sr.gaps == 1 ? "" : "s");
+}
+
 /** Exit code for a trace-load failure: bad input vs bad file. */
 int
 loadExitCode(const util::Status &why)
@@ -524,9 +596,7 @@ openInput(const Options &opt, const apps::AppInfo &app,
             return failCommand(opt, manifest, "trace_load", fit,
                                loadExitCode(fit));
         manifest.traceMode = "replay";
-        manifest.variant = apps::toString(loaded.key.variant);
-        manifest.scale = apps::toString(loaded.key.scale);
-        manifest.seed = loaded.key.seed;
+        describeTrace(manifest, loaded.key);
         manifest.addStage("trace_load", now() - t0,
                           loaded.trace->instructions);
         if (!fit.ok())
@@ -624,8 +694,8 @@ cmdTimeSampled(const Options &opt, const apps::AppInfo &app)
     sopts.threads = opt.threads;
 
     core::SampledTimingResult res;
-    bool salvaged = false;
-    if (!opt.traceIn.empty() && opt.salvage) {
+    core::TraceCache::Ptr trace; // sampled in memory when set
+    if (opt.salvage) {
         // Recover whatever keyframe-aligned regions of the file still
         // pass their checksums, then sample the salvaged shards in
         // memory. The estimate is over the surviving instructions
@@ -641,31 +711,8 @@ cmdTimeSampled(const Options &opt, const apps::AppInfo &app)
         if (!kerr.ok())
             return failCommand(opt, manifest, "trace_salvage", kerr,
                                kExitBadInput);
-        manifest.variant = apps::toString(sr.key.variant);
-        manifest.scale = apps::toString(sr.key.scale);
-        manifest.seed = sr.key.seed;
-        manifest.addStage("trace_salvage", now() - t0,
-                          sr.recoveredInstructions);
-        std::printf(
-            "salvaged %s: %zu/%zu chunks (%llu/%llu instructions, "
-            "%zu gaps)\n",
-            opt.traceIn.c_str(), sr.recoveredChunks, sr.totalChunks,
-            static_cast<unsigned long long>(
-                sr.recoveredInstructions),
-            static_cast<unsigned long long>(sr.totalInstructions),
-            sr.gaps);
-        if (sr.lostChunks)
-            manifest.addFailure(
-                manifest.app, manifest.variant, "trace_salvage",
-                "lost " + std::to_string(sr.lostChunks) + " of " +
-                    std::to_string(sr.totalChunks) + " chunks (" +
-                    std::to_string(sr.lostInstructions) +
-                    " instructions)");
-        const double t1 = now();
-        res = core::sampleTiming(*sr.trace, opt.platform, sopts);
-        manifest.addStage("sample_replay", now() - t1,
-                          res.instructions);
-        salvaged = true;
+        reportSalvage(opt.traceIn, sr, t0, manifest);
+        trace = sr.trace;
     } else if (!opt.traceIn.empty()) {
         const double t0 = now();
         const core::SampledFileResult fr =
@@ -679,22 +726,20 @@ cmdTimeSampled(const Options &opt, const apps::AppInfo &app)
             return failCommand(opt, manifest, "sample_stream", kerr,
                                kExitBadInput);
         res = fr.result;
-        manifest.variant = apps::toString(fr.key.variant);
-        manifest.scale = apps::toString(fr.key.scale);
-        manifest.seed = fr.key.seed;
+        describeTrace(manifest, fr.key);
         manifest.addStage("sample_stream", now() - t0,
                           res.instructions);
-    } else {
-        core::TraceCache::Ptr trace;
-        if (const int code =
-                recordTrace(opt, commandKey(opt, app), manifest, trace))
-            return code;
+    } else if (const int code = recordTrace(opt, commandKey(opt, app),
+                                            manifest, trace)) {
+        return code;
+    }
+    if (trace) {
         const double t0 = now();
         res = core::sampleTiming(*trace, opt.platform, sopts);
         manifest.addStage("sample_replay", now() - t0,
                           res.instructions);
     }
-    manifest.traceMode = salvaged ? "salvage" : "sampled";
+    manifest.traceMode = opt.salvage ? "salvage" : "sampled";
     if (!res.status.ok())
         return failCommand(opt, manifest, "sample", res.status,
                            kExitSimFailure);
@@ -703,7 +748,7 @@ cmdTimeSampled(const Options &opt, const apps::AppInfo &app)
                             "sample_shard", e);
     // A salvaged trace can't verify (the stream has gaps); success on
     // this path means the recovered shards sampled cleanly.
-    const bool okRun = res.verified || salvaged;
+    const bool okRun = res.verified || opt.salvage;
     if (!okRun)
         manifest.addFailure(manifest.app, manifest.variant, "verify",
                             "output does not match the golden model");
@@ -878,33 +923,13 @@ cmdSalvage(const Options &opt)
 
     const double t0 = now();
     const core::TraceSalvageResult sr = core::salvageTraceFile(path);
-    if (sr.key.app) {
-        manifest.app = sr.key.app->name;
-        manifest.variant = apps::toString(sr.key.variant);
-        manifest.scale = apps::toString(sr.key.scale);
-        manifest.seed = sr.key.seed;
-    }
-    if (!sr.status.ok())
+    if (!sr.status.ok()) {
+        if (sr.key.app)
+            describeTrace(manifest, sr.key);
         return failCommand(opt, manifest, "trace_salvage", sr.status,
                            kExitTrace);
-    manifest.addStage("trace_salvage", now() - t0,
-                      sr.recoveredInstructions);
-    if (sr.lostChunks)
-        manifest.addFailure(
-            manifest.app, manifest.variant, "trace_salvage",
-            "lost " + std::to_string(sr.lostChunks) + " of " +
-                std::to_string(sr.totalChunks) + " chunks (" +
-                std::to_string(sr.lostInstructions) +
-                " instructions)");
-
-    std::printf("%s: recovered %zu/%zu chunks, %llu/%llu "
-                "instructions, %zu gap%s\n",
-                path.c_str(), sr.recoveredChunks, sr.totalChunks,
-                static_cast<unsigned long long>(
-                    sr.recoveredInstructions),
-                static_cast<unsigned long long>(
-                    sr.totalInstructions),
-                sr.gaps, sr.gaps == 1 ? "" : "s");
+    }
+    reportSalvage(path, sr, t0, manifest);
     if (!opt.traceOut.empty()) {
         const double t1 = now();
         const util::Status serr =

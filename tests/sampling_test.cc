@@ -21,6 +21,7 @@
 #include "core/sampling.h"
 #include "core/simulator.h"
 #include "core/trace_cache.h"
+#include "core/trace_file.h"
 #include "cpu/platforms.h"
 #include "vm/interpreter.h"
 #include "vm/trace_codec.h"

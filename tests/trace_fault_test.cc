@@ -20,6 +20,7 @@
 #include "core/sampling.h"
 #include "core/simulator.h"
 #include "core/trace_cache.h"
+#include "core/trace_file.h"
 #include "cpu/platforms.h"
 #include "util/failpoint.h"
 #include "vm/interpreter.h"
@@ -283,6 +284,30 @@ TEST(TraceFault, CorruptChunkFailPointIsCaughtOnRead)
     std::remove(path.c_str());
 }
 
+TEST(TraceFault, CorruptChunkCountIsRejectedBeforeSizingAnything)
+{
+    const apps::AppInfo &app = *apps::findApp("promlk");
+    const TraceKey key = keyFor(app);
+    const TraceCache::Ptr trace = TraceCache::record(key).value();
+    const std::string path = tempTrace("chunk_count");
+    ASSERT_TRUE(saveTraceFile(path, key, *trace).ok());
+
+    // The high byte of numChunks, which follows the 64-byte fixed
+    // identity fields and the app name: the count becomes ~2^30, far
+    // more 25-byte frames than the file holds.
+    flipByteAt(path, 64 + static_cast<long>(app.name.size()) + 3);
+    const TraceLoadResult loaded = loadTraceFile(path);
+    EXPECT_EQ(loaded.status.code(), util::StatusCode::kCorruptData)
+        << loaded.status.str();
+    EXPECT_EQ(loaded.trace, nullptr);
+    TraceFileStream stream;
+    EXPECT_EQ(stream.open(path).code(), util::StatusCode::kCorruptData);
+    const TraceSalvageResult sr = salvageTraceFile(path);
+    EXPECT_FALSE(sr.status.ok());
+    EXPECT_EQ(sr.trace, nullptr);
+    std::remove(path.c_str());
+}
+
 // --- salvage ----------------------------------------------------------
 
 TEST(TraceFault, SalvageRecoversIntactKeyframeRegions)
@@ -325,6 +350,55 @@ TEST(TraceFault, SalvageRecoversIntactKeyframeRegions)
     EXPECT_EQ(timed.instructions, sr.recoveredInstructions);
     EXPECT_GT(timed.cycles, 0u);
     std::remove(path.c_str());
+}
+
+TEST(TraceFault, GapMarkedTraceRoundTripsThroughAFile)
+{
+    const apps::AppInfo &app = *apps::findApp("hmmsearch");
+    CachedTrace cached = recordTightKeyframes(app);
+    const TraceKey key = keyFor(app);
+    const std::string path = tempTrace("gap_src");
+    ASSERT_TRUE(saveTraceFile(path, key, cached).ok());
+    flipByteAt(path, fileSize(path) / 2);
+    const TraceSalvageResult sr = salvageTraceFile(path);
+    ASSERT_TRUE(sr.status.ok()) << sr.status.str();
+    ASSERT_GT(sr.gaps, 0u);
+
+    const std::string saved = tempTrace("gap_saved");
+    ASSERT_TRUE(saveTraceFile(saved, key, *sr.trace).ok());
+    const TraceLoadResult loaded = loadTraceFile(saved);
+    ASSERT_TRUE(loaded.status.ok()) << loaded.status.str();
+    const auto &chunks = loaded.trace->trace.chunks();
+    EXPECT_EQ(static_cast<size_t>(std::count_if(
+                  chunks.begin(), chunks.end(),
+                  [](const auto &c) { return c.gapBefore; })),
+              sr.gaps);
+
+    const cpu::PlatformConfig platform = cpu::alpha21264();
+    const TimingResult direct = Simulator::time(*sr.trace, platform);
+    const TimingResult reloaded =
+        Simulator::time(*loaded.trace, platform);
+    ASSERT_TRUE(direct.status.ok()) << direct.status.str();
+    EXPECT_EQ(reloaded.report().dump(), direct.report().dump());
+    // Salvaging the intact gap-marked file keeps its gaps.
+    const TraceSalvageResult again = salvageTraceFile(saved);
+    ASSERT_TRUE(again.status.ok()) << again.status.str();
+    EXPECT_EQ(again.gaps, sr.gaps);
+    EXPECT_EQ(Simulator::time(*again.trace, platform).report().dump(),
+              direct.report().dump());
+
+    SamplingOptions opts;
+    opts.minWarm = 5'000;
+    opts.interval = 10'000;
+    opts.detailLen = 7'000;
+    opts.warmupLen = 2'000;
+    const SampledTimingResult mem = sampleTiming(*sr.trace, platform, opts);
+    const SampledFileResult file = sampleTimingFile(saved, platform, opts);
+    ASSERT_TRUE(file.status.ok()) << file.status.str();
+    EXPECT_GT(mem.intervals, 0u);
+    EXPECT_EQ(file.result.report().dump(), mem.report().dump());
+    std::remove(path.c_str());
+    std::remove(saved.c_str());
 }
 
 TEST(TraceFault, SampledTimingOnSalvagedTraceTracksCleanCpi)
