@@ -28,14 +28,14 @@ Harness::Harness(const std::string &name, int argc, char **argv)
 int
 Harness::finish(bool ok)
 {
-    util::MetricRegistry reg;
-    reg.set("schema", util::json::Value("bioperf.bench.v1"));
-    reg.set("bench", util::json::Value(name_));
-    reg.set("ok", util::json::Value(ok));
-    reg.set("manifest", manifest_.report());
-    reg.set("metrics", std::move(metrics_));
+    util::json::Value report = util::json::Value::object();
+    report["schema"] = "bioperf.bench.v1";
+    report["bench"] = name_;
+    report["ok"] = ok;
+    report["manifest"] = manifest_.report();
+    report["metrics"] = std::move(metrics_);
     metrics_ = util::json::Value::object();
-    const bool wrote = reg.writeFile(path_);
+    const bool wrote = util::json::writeFile(path_, report);
     if (wrote)
         std::printf("[report: %s]\n", path_.c_str());
     else

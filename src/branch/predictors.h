@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "util/metrics.h"
+#include "util/json.h"
 
 namespace bioperf::branch {
 
@@ -37,7 +37,7 @@ counterTrain(uint8_t c, bool taken)
  * accuracy statistics are collected in the base class so Table 4's
  * per-sequence misprediction rates can be derived.
  */
-class BranchPredictor : public util::Reportable
+class BranchPredictor
 {
   public:
     virtual ~BranchPredictor() = default;
@@ -81,7 +81,7 @@ class BranchPredictor : public util::Reportable
      */
     virtual void reset();
 
-    util::json::Value report() const override;
+    util::json::Value report() const;
 
     /**
      * Direct access to the prediction/training machinery without the

@@ -246,9 +246,9 @@ firstError(const std::vector<Result> &results)
 
 /**
  * Fan @a jobs out in groups and collect results in job order,
- * substituting trace replay for interpretation per the options'
- * trace policy. The app registry is touched once up front so the
- * workers never race on its lazy initialization.
+ * substituting trace replay for interpretation where a recording is
+ * consumed more than once. The app registry is touched once up front
+ * so the workers never race on its lazy initialization.
  *
  * Trace scheduling: workload keys are counted over the whole job
  * list first. A job replays when its key is shared by ≥2 jobs of
@@ -279,14 +279,12 @@ runAll(const std::vector<Job> &jobs, const SweepOptions &opts)
     std::vector<std::string> key_str(jobs.size());
     std::vector<bool> replay(jobs.size(), false);
     std::unordered_map<std::string, int> uses;
-    if (opts.trace != SweepOptions::Trace::Off) {
-        for (size_t i = 0; i < jobs.size(); i++) {
-            key_str[i] = makeKey(jobs[i]).str();
-            uses[key_str[i]]++;
-        }
-        for (size_t i = 0; i < jobs.size(); i++)
-            replay[i] = opts.cache || uses[key_str[i]] >= 2;
+    for (size_t i = 0; i < jobs.size(); i++) {
+        key_str[i] = makeKey(jobs[i]).str();
+        uses[key_str[i]]++;
     }
+    for (size_t i = 0; i < jobs.size(); i++)
+        replay[i] = opts.cache || uses[key_str[i]] >= 2;
 
     std::vector<std::vector<size_t>> groups;
     std::unordered_map<std::string, size_t> group_of;

@@ -112,38 +112,26 @@ struct CharacterizeJob
 };
 
 /**
- * How a sweep schedules its jobs and whether it may substitute
- * record-once/replay-many trace execution for repeated
- * interpretation. Replay is bit-identical to live interpretation (the
- * trace stream drives the same sinks through the same onBatch()
- * path), so the policy only changes wall time and memory, never
- * results.
+ * How a sweep schedules its jobs and where it keeps its recordings.
+ * A sweep records a workload iff ≥2 jobs of the call share it, or
+ * every workload when the caller supplies a persistent cache (later
+ * calls then replay it); unique workloads of a cache-less call run
+ * live, since replay pays only when a recording is consumed more than
+ * once. Replay is bit-identical to live interpretation (the trace
+ * stream drives the same sinks through the same onBatch() path), so
+ * these options only change wall time and memory, never results.
  */
 struct SweepOptions
 {
     /** As in sweep(): 0 = pool default, 1 = calling thread. */
     unsigned threads = 0;
 
-    enum class Trace : uint8_t {
-        /**
-         * Record a workload iff ≥2 jobs of this call share it, or
-         * every workload when the caller supplies a persistent cache
-         * (later calls then replay it); unique workloads of a
-         * cache-less call run live. The default: replay pays only
-         * when a recording is consumed more than once.
-         */
-        Auto,
-        /** Pure interpretation; the pre-trace-cache behaviour. */
-        Off,
-    };
-    Trace trace = Trace::Auto;
-
     /**
-     * Persistent cache to record into / replay from; under Auto,
-     * every job of the call then goes through it. When null, the
-     * sweep uses an ephemeral per-call cache whose entries are
-     * dropped as soon as their last job completes (peak memory is
-     * bounded by in-flight workloads, not by the whole job list).
+     * Persistent cache to record into / replay from; every job of the
+     * call then goes through it. When null, the sweep uses an
+     * ephemeral per-call cache whose entries are dropped as soon as
+     * their last job completes (peak memory is bounded by in-flight
+     * workloads, not by the whole job list).
      */
     TraceCache *cache = nullptr;
 
@@ -275,10 +263,9 @@ class Simulator
      * and returns results in job order. Each job owns its entire
      * simulation stack (program or shared immutable trace, caches,
      * predictor, core), so results are bit-identical for any thread
-     * count and any SweepOptions::Trace policy.
+     * count and whether or not jobs replay a recorded trace.
      *
-     * Under the default trace policy (SweepOptions::Trace::Auto),
-     * jobs sharing a workload — same (app, variant, scale, seed) and,
+     * Jobs sharing a workload — same (app, variant, scale, seed) and,
      * with registerPressure, the same architectural register file —
      * interpret and rewrite it once and replay the recorded trace
      * thereafter, including concurrently from one shared immutable

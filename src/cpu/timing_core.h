@@ -9,7 +9,7 @@
 #include "cpu/decoded_instr.h"
 #include "cpu/load_accel.h"
 #include "mem/hierarchy.h"
-#include "util/metrics.h"
+#include "util/json.h"
 #include "vm/trace.h"
 
 namespace bioperf::cpu {
@@ -22,7 +22,7 @@ namespace bioperf::cpu {
  * runs, sampling, benches) drives and reads either through this type
  * instead of switching on the core kind.
  */
-class TimingCore : public vm::TraceSink, public util::Reportable
+class TimingCore : public vm::TraceSink
 {
   public:
     /**
@@ -67,7 +67,7 @@ class TimingCore : public vm::TraceSink, public util::Reportable
      */
     virtual void reset();
 
-    util::json::Value report() const override;
+    util::json::Value report() const;
 
   protected:
     /** The hierarchy and predictor are borrowed, not owned. */

@@ -4,7 +4,7 @@
 #include <cstdint>
 
 #include "mem/cache.h"
-#include "util/metrics.h"
+#include "util/json.h"
 
 namespace bioperf::mem {
 
@@ -28,7 +28,7 @@ struct LatencyConfig
  * Two-level data cache hierarchy (L1D + unified L2) over an ideal
  * main memory, with write-back traffic propagated downstream.
  */
-class CacheHierarchy : public util::Reportable
+class CacheHierarchy
 {
   public:
     struct Access
@@ -78,7 +78,7 @@ class CacheHierarchy : public util::Reportable
     /** Average memory access time in cycles over all accesses so far. */
     double amat() const;
 
-    util::json::Value report() const override;
+    util::json::Value report() const;
 
   private:
     /** Completes an access after the L1 fast path missed. */

@@ -4,7 +4,7 @@
 #include <cstdint>
 
 #include "mem/hierarchy.h"
-#include "util/metrics.h"
+#include "util/json.h"
 #include "vm/trace.h"
 
 namespace bioperf::profile {
@@ -29,7 +29,7 @@ struct CacheSummary
  * paper does ("0.03% of the executed load instructions access main
  * memory").
  */
-class CacheProfiler : public vm::TraceSink, public util::Reportable
+class CacheProfiler : public vm::TraceSink
 {
   public:
     /** Defaults to the Table 3 reference hierarchy. */
@@ -40,7 +40,7 @@ class CacheProfiler : public vm::TraceSink, public util::Reportable
     void onBatch(const vm::DynInstr *batch, size_t n) override;
 
     CacheSummary summary() const;
-    util::json::Value report() const override;
+    util::json::Value report() const;
 
     uint64_t loads() const { return loads_; }
     uint64_t loadL1Misses() const { return load_l1_misses_; }

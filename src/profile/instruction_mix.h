@@ -4,7 +4,7 @@
 #include <array>
 #include <cstdint>
 
-#include "util/metrics.h"
+#include "util/json.h"
 #include "vm/trace.h"
 
 namespace bioperf::profile {
@@ -38,15 +38,14 @@ struct MixSummary
  * are Br, everything else (ALU, jumps) is "other". Floating-point
  * instructions are FP ALU ops plus FP loads and stores.
  */
-class InstructionMixProfiler : public vm::TraceSink,
-                              public util::Reportable
+class InstructionMixProfiler : public vm::TraceSink
 {
   public:
     void onInstr(const vm::DynInstr &di) override;
     void onBatch(const vm::DynInstr *batch, size_t n) override;
 
     MixSummary summary() const;
-    util::json::Value report() const override;
+    util::json::Value report() const;
 
     uint64_t total() const { return total_; }
     uint64_t loads() const;

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "branch/predictors.h"
-#include "util/metrics.h"
+#include "util/json.h"
 #include "vm/trace.h"
 
 namespace bioperf::profile {
@@ -40,8 +40,7 @@ struct LoadBranchSummary
  * Branch behaviour is judged by an embedded hybrid predictor with one
  * entry per static branch (no aliasing), matching the paper's setup.
  */
-class LoadBranchProfiler : public vm::TraceSink,
-                           public util::Reportable
+class LoadBranchProfiler : public vm::TraceSink
 {
   public:
     struct Params
@@ -63,7 +62,7 @@ class LoadBranchProfiler : public vm::TraceSink,
     uint64_t dynamicLoads() const { return total_loads_; }
 
     LoadBranchSummary summary() const;
-    util::json::Value report() const override;
+    util::json::Value report() const;
 
     /** Table 4(a), column 1: loads in load-to-branch sequences. */
     double loadToBranchFraction() const;

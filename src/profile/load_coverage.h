@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/metrics.h"
+#include "util/json.h"
 #include "vm/trace.h"
 
 namespace bioperf::profile {
@@ -32,15 +32,14 @@ struct CoverageSummary
  * static loads cover >90% of all executed loads, while in SPEC
  * CPU2000 integer codes the same count covers only 10-58%.
  */
-class LoadCoverageProfiler : public vm::TraceSink,
-                             public util::Reportable
+class LoadCoverageProfiler : public vm::TraceSink
 {
   public:
     void onInstr(const vm::DynInstr &di) override;
     void onBatch(const vm::DynInstr *batch, size_t n) override;
 
     CoverageSummary summary(size_t max_cdf_points = 200) const;
-    util::json::Value report() const override;
+    util::json::Value report() const;
 
     uint64_t dynamicLoads() const { return total_loads_; }
     /** Number of distinct static loads that executed at least once. */

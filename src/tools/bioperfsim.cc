@@ -8,6 +8,7 @@
  *                        [--variant base|xform] [--scale s|m|l]
  *                        [--predictor NAME] [--seed N]
  *   bioperfsim speedup <app> [--platform ...] [--scale ...] [--seed N]
+ *                           [--threads N]
  *   bioperfsim candidates <app> [--scale ...] [--seed N]
  *   bioperfsim dump <app> [--variant base|xform] [--seed N]
  *   bioperfsim salvage <file.bptrace> [--json FILE]
@@ -138,14 +139,16 @@ usage()
         "\n"
         "options:\n"
         "  --scale s|m|l             workload size (default s)\n"
-        "  --variant base|xform      kernel version (default base)\n"
-        "  --platform alpha|ppc|p4|itanium   (default alpha; the\n"
-        "                            core names alpha21264, ppc970,\n"
-        "                            pentium4, itanium2 also work)\n"
-        "  --predictor NAME          perfect/static/bimodal/gshare/"
-        "local/hybrid\n"
+        "  --variant base|xform      kernel version (default base;\n"
+        "                            not speedup or candidates)\n"
+        "  --platform alpha|ppc|p4|itanium   (time, speedup; default\n"
+        "                            alpha; the core names alpha21264,\n"
+        "                            ppc970, pentium4, itanium2 also\n"
+        "                            work)\n"
+        "  --predictor NAME          (time, speedup) perfect/static/\n"
+        "                            bimodal/gshare/local/hybrid\n"
         "  --seed N                  workload seed (default 42)\n"
-        "  --threads N               workers for the speedup sweep\n"
+        "  --threads N               (speedup, time --sample) workers\n"
         "                            (default 1 = inline; 0 = pool\n"
         "                            default, honours BIOPERF_THREADS)\n"
         "  --json FILE               also write the result as a JSON\n"
@@ -209,6 +212,13 @@ constexpr PlatformFlag kPlatformFlags[] = {
     { "itanium", cpu::itanium2 },
 };
 
+/** Whether the command runs a timing platform (and its predictor). */
+bool
+runsPlatform(const Options &opt)
+{
+    return opt.command == "time" || opt.command == "speedup";
+}
+
 /**
  * Why this command line leaves @a flag without effect, or null when
  * the command uses it.
@@ -218,6 +228,16 @@ unusedBecause(const Options &opt, const std::string &flag)
 {
     const bool traced =
         opt.command == "characterize" || opt.command == "time";
+    if ((flag == "--platform" || flag == "--predictor") &&
+        !runsPlatform(opt))
+        return "only time and speedup run a platform";
+    if (flag == "--threads" && opt.command != "speedup" &&
+        !(opt.command == "time" && opt.sample))
+        return "only speedup and time --sample run workers";
+    if (flag == "--variant" && opt.command == "speedup")
+        return "speedup runs both variants";
+    if (flag == "--variant" && opt.command == "candidates")
+        return "candidates analyses the baseline";
     if (flag == "--trace-in" && !traced)
         return "only characterize and time replay a trace";
     if (flag == "--trace-out" && !traced && opt.command != "salvage")
@@ -360,7 +380,8 @@ makeManifest(const Options &opt, const apps::AppInfo &app)
     m.variant = apps::toString(opt.variant);
     m.scale = apps::toString(opt.scale);
     m.seed = opt.seed;
-    m.platform = opt.platform.name;
+    if (runsPlatform(opt))
+        m.platform = opt.platform.name;
     m.threads = opt.threads;
     return m;
 }
@@ -378,13 +399,13 @@ writeJsonReport(const Options &opt, bool ok,
 {
     if (opt.jsonPath.empty())
         return true;
-    util::MetricRegistry reg;
-    reg.set("schema", util::json::Value("bioperf.run.v1"));
-    reg.set("command", util::json::Value(opt.command));
-    reg.set("ok", util::json::Value(ok));
-    reg.set("manifest", manifest.report());
-    reg.set("metrics", std::move(metrics));
-    if (!reg.writeFile(opt.jsonPath)) {
+    util::json::Value report = util::json::Value::object();
+    report["schema"] = "bioperf.run.v1";
+    report["command"] = opt.command;
+    report["ok"] = ok;
+    report["manifest"] = manifest.report();
+    report["metrics"] = std::move(metrics);
+    if (!util::json::writeFile(opt.jsonPath, report)) {
         std::printf("failed to write %s\n", opt.jsonPath.c_str());
         return false;
     }
@@ -918,7 +939,6 @@ cmdSalvage(const Options &opt)
     manifest.app = path;
     manifest.variant = "";
     manifest.scale = "";
-    manifest.threads = opt.threads;
     manifest.traceMode = "salvage";
 
     const double t0 = now();

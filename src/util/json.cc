@@ -581,4 +581,17 @@ parse(std::string_view text, Value *out, std::string *err)
     return Parser(text, err).run(out);
 }
 
+bool
+writeFile(const std::string &path, const Value &value, int indent)
+{
+    FILE *f = std::fopen(path.c_str(), "w");
+    if (!f)
+        return false;
+    const std::string text = value.dump(indent);
+    const bool wrote =
+        std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    const bool closed = std::fclose(f) == 0;
+    return wrote && closed;
+}
+
 } // namespace bioperf::util::json

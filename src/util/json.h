@@ -142,6 +142,15 @@ std::string escape(std::string_view s);
 bool parse(std::string_view text, Value *out,
            std::string *err = nullptr);
 
+/**
+ * Writes @a value, dumped with @a indent, to @a path: the one writer
+ * behind every BENCH_<name>.json and `bioperfsim --json` report.
+ *
+ * @return false on I/O failure
+ */
+bool writeFile(const std::string &path, const Value &value,
+               int indent = 2);
+
 } // namespace bioperf::util::json
 
 #endif // BIOPERF_UTIL_JSON_H_

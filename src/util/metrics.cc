@@ -1,21 +1,6 @@
 #include "util/metrics.h"
 
-#include <cstdio>
-
 namespace bioperf::util {
-
-bool
-MetricRegistry::writeFile(const std::string &path, int indent) const
-{
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    const std::string text = toJson(indent);
-    const bool wrote =
-        std::fwrite(text.data(), 1, text.size(), f) == text.size();
-    const bool closed = std::fclose(f) == 0;
-    return wrote && closed;
-}
 
 json::Value
 RunManifest::report() const

@@ -10,68 +10,6 @@
 namespace bioperf::util {
 
 /**
- * Report protocol: any metric-bearing component (profiler, cache
- * hierarchy, branch predictor, timing core, simulator result) exports
- * its counters as a JSON value tree. Consumers read the exported tree
- * or the component's typed summary struct instead of reaching into
- * component internals; the deep per-structure accessors stay available
- * for detailed analyses.
- */
-class Reportable
-{
-  public:
-    virtual ~Reportable() = default;
-
-    /** The component's metrics, as an object of named values. */
-    virtual json::Value report() const = 0;
-};
-
-/**
- * A named collection of metric trees: the single observability
- * surface every bench, the CLI and the tests share. Components
- * register under a name; the registry serializes to the
- * schema-consistent JSON that BENCH_<name>.json files and
- * `bioperfsim --json` emit.
- */
-class MetricRegistry
-{
-  public:
-    MetricRegistry() : root_(json::Value::object()) {}
-
-    /** Collects @a component's report() under @a name. */
-    void add(const std::string &name, const Reportable &component)
-    {
-        root_[name] = component.report();
-    }
-
-    /** Sets a named value or subtree directly. */
-    void set(const std::string &name, json::Value value)
-    {
-        root_[name] = std::move(value);
-    }
-
-    /** Named subtree access (created as Null when new). */
-    json::Value &operator[](const std::string &name)
-    {
-        return root_[name];
-    }
-
-    json::Value &root() { return root_; }
-    const json::Value &root() const { return root_; }
-
-    std::string toJson(int indent = 2) const
-    {
-        return root_.dump(indent);
-    }
-
-    /** Writes toJson() to @a path; false on I/O failure. */
-    bool writeFile(const std::string &path, int indent = 2) const;
-
-  private:
-    json::Value root_;
-};
-
-/**
  * Identity and cost of one run, attached to every emitted report so
  * results from different benches, scales and machines stay
  * comparable (the paper's methodology tables, made machine-readable).

@@ -56,8 +56,9 @@ class Interpreter
     /**
      * How trace events reach the sinks. Batched is the default;
      * PerInstr issues one onInstr() virtual call per sink per
-     * instruction (the pre-batching pipeline, kept for before/after
-     * throughput measurement and equivalence testing).
+     * instruction (the pre-batching pipeline, kept only as the
+     * reference the batched-delivery equivalence tests compare
+     * against).
      */
     enum class TraceMode : uint8_t { Batched, PerInstr };
 

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the unified metrics layer: the util::json value tree and
- * writer, the Reportable/MetricRegistry/RunManifest protocol, the
- * schema shape of every component's report(), exact equivalence
- * between JSON-exported numbers and the legacy accessors, and the
- * bench harness's file emission.
+ * file writer, the RunManifest protocol, the schema shape of every
+ * component's report(), exact equivalence between JSON-exported
+ * numbers and the legacy accessors, and the bench harness's file
+ * emission.
  */
 #include <cstdio>
 #include <fstream>
@@ -164,46 +164,33 @@ TEST(JsonValue, ObjectsKeepInsertionOrder)
 }
 
 // --------------------------------------------------------------------------
-// MetricRegistry and RunManifest
+// Report file writer and RunManifest
 // --------------------------------------------------------------------------
 
-namespace {
-
-struct FakeComponent : util::Reportable
+TEST(JsonWriteFile, WritesReportTreeThatParsesBackEqual)
 {
-    Value report() const override
-    {
-        Value v = Value::object();
-        v["count"] = static_cast<uint64_t>(7);
-        return v;
-    }
-};
+    Value component = Value::object();
+    component["count"] = static_cast<uint64_t>(7);
+    Value root = Value::object();
+    root["fake"] = std::move(component);
+    root["schema"] = Value(std::string("bioperf.test.v1"));
+    root["extra"] = Value(true);
 
-} // namespace
+    EXPECT_EQ(root["fake"]["count"].asUint(), 7u);
 
-TEST(MetricRegistry, CollectsReportablesAndWritesFile)
-{
-    util::MetricRegistry reg;
-    FakeComponent fake;
-    reg.add("fake", fake);
-    reg.set("schema", Value(std::string("bioperf.test.v1")));
-    reg["extra"] = Value(true);
-
-    EXPECT_EQ(reg.root()["fake"]["count"].asUint(), 7u);
-
-    const std::string path = "metrics_test_registry.json";
-    ASSERT_TRUE(reg.writeFile(path));
+    const std::string path = "metrics_test_writer.json";
+    ASSERT_TRUE(util::json::writeFile(path, root));
     Value back;
     std::string err;
     ASSERT_TRUE(util::json::parse(slurp(path), &back, &err)) << err;
-    EXPECT_EQ(back, reg.root());
+    EXPECT_EQ(back, root);
     std::remove(path.c_str());
 }
 
-TEST(MetricRegistry, WriteFileFailsOnBadPath)
+TEST(JsonWriteFile, FailsOnBadPath)
 {
-    util::MetricRegistry reg;
-    EXPECT_FALSE(reg.writeFile("no/such/dir/metrics_test.json"));
+    EXPECT_FALSE(util::json::writeFile("no/such/dir/metrics_test.json",
+                                       Value::object()));
 }
 
 TEST(RunManifest, ReportHasEveryKeyAndComputesMips)

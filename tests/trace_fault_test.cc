@@ -565,15 +565,18 @@ TEST(SweepFault, WorkerExceptionBecomesPerJobStatus)
     job.scale = apps::Scale::Small;
     job.registerPressure = false;
 
+    // Distinct seeds give each job its own workload, so both run live.
+    SweepJob other = job;
+    other.seed = job.seed + 1;
+
     // hit:1 kills exactly the first job; run sequentially so "first"
     // is deterministic.
     ASSERT_TRUE(
         util::FailPoints::armFromSpec("pool.task.throw=hit:1").ok());
     SweepOptions opts;
     opts.threads = 1;
-    opts.trace = SweepOptions::Trace::Off;
     const std::vector<TimingResult> results =
-        Simulator::sweep({ job, job }, opts);
+        Simulator::sweep({ job, other }, opts);
     ASSERT_EQ(results.size(), 2u);
     EXPECT_FALSE(results[0].status.ok());
     EXPECT_FALSE(results[0].verified);
@@ -592,13 +595,17 @@ TEST(SweepFault, AllWorkersThrowingStillReturnsInOrder)
     job.scale = apps::Scale::Small;
     job.registerPressure = false;
 
+    // Distinct seeds give each job its own workload, so all run live.
+    std::vector<SweepJob> jobs(3, job);
+    for (size_t i = 0; i < jobs.size(); i++)
+        jobs[i].seed = job.seed + i;
+
     ASSERT_TRUE(
         util::FailPoints::armFromSpec("pool.task.throw").ok());
     SweepOptions opts;
     opts.threads = 2;
-    opts.trace = SweepOptions::Trace::Off;
     const std::vector<TimingResult> results =
-        Simulator::sweep({ job, job, job }, opts);
+        Simulator::sweep(jobs, opts);
     ASSERT_EQ(results.size(), 3u);
     for (size_t i = 0; i < results.size(); i++) {
         SCOPED_TRACE("job " + std::to_string(i));

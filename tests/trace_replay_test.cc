@@ -328,10 +328,22 @@ TEST(TraceReplay, SweepWithTraceCacheBitIdenticalForAnyThreadCount)
         jobs.push_back(job);
     }
 
-    SweepOptions live;
-    live.threads = 1;
-    live.trace = SweepOptions::Trace::Off;
-    const auto reference = Simulator::sweep(jobs, live);
+    // Reference: each job run live, as the sweep's live path runs it.
+    std::vector<TimingResult> reference;
+    for (const SweepJob &job : jobs) {
+        TraceKey key;
+        key.app = job.app;
+        key.variant = job.variant;
+        key.scale = job.scale;
+        key.seed = job.seed;
+        key.registerPressure = job.registerPressure;
+        if (job.registerPressure) {
+            key.intRegs = job.platform.core.numIntRegs;
+            key.fpRegs = job.platform.core.numFpRegs;
+        }
+        apps::AppRun run = makeWorkload(key);
+        reference.push_back(Simulator::time(run, job.platform));
+    }
 
     for (const unsigned threads : { 1u, 0u }) {
         SCOPED_TRACE(threads);
