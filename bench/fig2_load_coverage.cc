@@ -8,6 +8,7 @@
  * loads of the bioinformatics codes, but only ~10% (gcc) to ~58%
  * (crafty) of the SPEC integer codes.
  */
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -39,7 +40,7 @@ main(int argc, char **argv)
         headers.push_back(p);
     util::TextTable t(headers);
 
-    std::vector<std::unique_ptr<profile::LoadCoverageProfiler>> covs;
+    std::vector<std::vector<double>> cdfs;
     util::TextTable summary(
         { "program", "dynamic loads", "static loads",
           "loads for 90%", "coverage @80" });
@@ -62,15 +63,18 @@ main(int argc, char **argv)
             .cell(res.coverage.staticLoads)
             .cell(static_cast<uint64_t>(res.coverage.loadsFor90))
             .cellPercent(100.0 * res.coverage.coverageAt80, 1);
-        covs.push_back(std::move(res.coverageProfiler));
+        cdfs.push_back(std::move(res.coverage.cdf));
     }
     h.manifest().addStage("characterize", bench::now() - t0,
                           total_instrs);
 
     for (size_t n : points) {
         t.row().cell(static_cast<uint64_t>(n));
-        for (auto &cov : covs)
-            t.cellPercent(100.0 * cov->coverageAt(n), 1);
+        // The cdf holds kCdfPoints (200) entries, the table's last
+        // point; a shorter one has covered every load by its end.
+        for (const auto &cdf : cdfs)
+            t.cellPercent(
+                100.0 * cdf[std::min(n, cdf.size()) - 1], 1);
     }
     std::printf("%s\n", t.str().c_str());
     std::printf("%s\n", summary.str().c_str());

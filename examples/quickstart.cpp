@@ -72,16 +72,18 @@ main()
     std::printf("positives found: %lld of 4096\n\n",
                 static_cast<long long>(out_view.get(0)));
 
+    // Each profiler reports through its value-type summary.
+    const profile::MixSummary m = mix.summary();
+    const profile::LoadBranchSummary lb = chains.summary();
     std::printf("--- what the analysis stack saw ---\n");
     std::printf("instructions: %llu (%.1f%% loads, %.1f%% branches)\n",
-                static_cast<unsigned long long>(mix.total()),
-                100.0 * mix.loadFraction(),
-                100.0 * mix.branchFraction());
+                static_cast<unsigned long long>(m.total),
+                100.0 * m.loadFraction, 100.0 * m.branchFraction);
     std::printf("loads feeding branches: %.1f%% "
                 "(the paper's load-to-branch pattern)\n",
-                100.0 * chains.loadToBranchFraction());
+                100.0 * lb.loadToBranchFraction);
     std::printf("those branches mispredict: %.1f%%\n",
-                100.0 * chains.ltbBranchMissRate());
+                100.0 * lb.ltbBranchMissRate);
     std::printf("simulated: %llu cycles, IPC %.2f, %llu mispredicts\n",
                 static_cast<unsigned long long>(core.cycles()),
                 core.ipc(),

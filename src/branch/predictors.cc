@@ -41,17 +41,6 @@ BranchPredictor::overallMissRate() const
                                   static_cast<double>(total_exec_);
 }
 
-util::json::Value
-BranchPredictor::report() const
-{
-    util::json::Value v = util::json::Value::object();
-    v["predictor"] = name();
-    v["executions"] = total_exec_;
-    v["mispredictions"] = total_miss_;
-    v["overall_miss_rate"] = overallMissRate();
-    return v;
-}
-
 // --------------------------------------------------------------------------
 // Bimodal
 // --------------------------------------------------------------------------

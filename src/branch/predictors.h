@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "util/json.h"
-
 namespace bioperf::branch {
 
 namespace detail {
@@ -80,8 +78,6 @@ class BranchPredictor
      * between shards instead of reconstructing the predictor.
      */
     virtual void reset();
-
-    util::json::Value report() const;
 
     /**
      * Direct access to the prediction/training machinery without the

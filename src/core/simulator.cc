@@ -46,25 +46,21 @@ Source::drive(const std::vector<vm::TraceSink *> &sinks) const
 CharacterizationResult
 Simulator::characterize(const Source &src)
 {
-    CharacterizationResult res;
-    res.mixProfiler =
-        std::make_unique<profile::InstructionMixProfiler>();
-    res.coverageProfiler =
-        std::make_unique<profile::LoadCoverageProfiler>();
-    res.cacheProfiler = std::make_unique<profile::CacheProfiler>();
-    res.loadBranchProfiler =
-        std::make_unique<profile::LoadBranchProfiler>();
+    profile::InstructionMixProfiler mix;
+    profile::LoadCoverageProfiler coverage;
+    profile::CacheProfiler cache;
+    profile::LoadBranchProfiler loadBranch;
+    const Source::Outcome out =
+        src.drive({ &mix, &coverage, &cache, &loadBranch });
 
-    const Source::Outcome out = src.drive(
-        { res.mixProfiler.get(), res.coverageProfiler.get(),
-          res.cacheProfiler.get(), res.loadBranchProfiler.get() });
+    CharacterizationResult res;
     res.status = out.status;
     res.instructions = out.instructions;
     res.verified = out.verified;
-    res.mix = res.mixProfiler->summary();
-    res.coverage = res.coverageProfiler->summary();
-    res.cache = res.cacheProfiler->summary();
-    res.loadBranch = res.loadBranchProfiler->summary();
+    res.mix = mix.summary();
+    res.coverage = coverage.summary();
+    res.cache = cache.summary();
+    res.loadBranch = loadBranch.summary();
     return res;
 }
 

@@ -1,7 +1,6 @@
 #ifndef BIOPERF_CORE_SIMULATOR_H_
 #define BIOPERF_CORE_SIMULATOR_H_
 
-#include <memory>
 #include <vector>
 
 #include "apps/app.h"
@@ -23,10 +22,8 @@ namespace bioperf::core {
  * behaviour and load/branch sequence analysis, all collected in a
  * single interpretation of the workload.
  *
- * Common reads go through the value-type summaries (filled by
- * characterize() from the profilers at run end); the profiler objects
- * stay attached for deep dives — per-sid counts, full CDFs, the
- * embedded predictor — without consumers rebuilding the run.
+ * Each analysis's numbers leave it only through its value-type
+ * summary, filled by characterize() from the profilers at run end.
  */
 struct CharacterizationResult
 {
@@ -44,12 +41,6 @@ struct CharacterizationResult
      * surfaced through the run manifest instead.
      */
     util::Status status;
-
-    /** Deep-dive access to the full profilers (null on failure). */
-    std::unique_ptr<profile::InstructionMixProfiler> mixProfiler;
-    std::unique_ptr<profile::LoadCoverageProfiler> coverageProfiler;
-    std::unique_ptr<profile::CacheProfiler> cacheProfiler;
-    std::unique_ptr<profile::LoadBranchProfiler> loadBranchProfiler;
 
     /** Full metric tree: summaries plus instruction count/verify. */
     util::json::Value report() const;

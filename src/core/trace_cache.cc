@@ -170,15 +170,6 @@ TraceCache::lookup(const TraceKey &key) const
 }
 
 void
-TraceCache::insert(const TraceKey &key, Ptr trace)
-{
-    std::promise<util::StatusOr<Ptr>> promise;
-    promise.set_value(util::StatusOr<Ptr>(std::move(trace)));
-    std::lock_guard<std::mutex> lock(mu_);
-    entries_[key.str()] = promise.get_future().share();
-}
-
-void
 TraceCache::quarantine(const TraceKey &key, const util::Status &why)
 {
     std::lock_guard<std::mutex> lock(mu_);
@@ -204,13 +195,6 @@ TraceCache::erase(const TraceKey &key)
 {
     std::lock_guard<std::mutex> lock(mu_);
     entries_.erase(key.str());
-}
-
-void
-TraceCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    entries_.clear();
 }
 
 size_t

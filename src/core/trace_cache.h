@@ -149,9 +149,6 @@ class TraceCache
     /** The cached trace, or null when absent, failed or recording. */
     Ptr lookup(const TraceKey &key) const;
 
-    /** Registers an externally produced trace (e.g. a loaded file). */
-    void insert(const TraceKey &key, Ptr trace);
-
     /**
      * Evicts @a key because its payload failed decode (@a why), so
      * the next obtain() re-records instead of replaying corrupt data.
@@ -162,7 +159,6 @@ class TraceCache
     void noteLiveFallback(const TraceKey &key, const util::Status &why);
 
     void erase(const TraceKey &key);
-    void clear();
 
     size_t size() const;
     /** Encoded bytes across all resident traces. */

@@ -587,7 +587,7 @@ salvageTraceFile(const std::string &path)
     // each kept group spans exactly keyframeInterval chunks (the
     // trailing group may be shorter — nothing follows it), so the
     // salvaged chunk vector preserves the modulo-K keyframe geometry
-    // that replayRange() and the sampling shard planner rely on.
+    // that keyframe entry and the sampling shard planner rely on.
     std::shared_ptr<CachedTrace> ct = emptyTrace(h, std::move(prog));
     ct->verified = false; // the golden verdict covered the full stream
 

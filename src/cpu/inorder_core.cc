@@ -7,7 +7,7 @@ namespace bioperf::cpu {
 InorderCore::InorderCore(const CoreConfig &config,
                          mem::CacheHierarchy *caches,
                          branch::BranchPredictor *predictor)
-    : TimingCore("in-order", config, caches, predictor)
+    : TimingCore(config, caches, predictor)
 {
 }
 

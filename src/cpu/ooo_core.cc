@@ -12,7 +12,7 @@ constexpr size_t kSlotBuckets = 1 << 15; // power of two, cycle-tagged
 
 OooCore::OooCore(const CoreConfig &config, mem::CacheHierarchy *caches,
                  branch::BranchPredictor *predictor)
-    : TimingCore("out-of-order", config, caches, predictor),
+    : TimingCore(config, caches, predictor),
       rob_(std::max<uint32_t>(config.windowSize, 1), 0),
       issue_slots_(kSlotBuckets, 0)
 {

@@ -4,10 +4,10 @@
 
 namespace bioperf::cpu {
 
-TimingCore::TimingCore(const char *model, const CoreConfig &config,
+TimingCore::TimingCore(const CoreConfig &config,
                        mem::CacheHierarchy *caches,
                        branch::BranchPredictor *predictor)
-    : model_(model), config_(config), caches_(caches),
+    : config_(config), caches_(caches),
       predictor_(predictor), decode_(config)
 {
 }
@@ -45,21 +45,6 @@ double
 TimingCore::seconds() const
 {
     return static_cast<double>(cycles_) / (config_.clockGhz * 1e9);
-}
-
-util::json::Value
-TimingCore::report() const
-{
-    util::json::Value v = util::json::Value::object();
-    v["model"] = model_;
-    v["core"] = config_.name;
-    v["cycles"] = cycles_;
-    v["instructions"] = instructions_;
-    v["ipc"] = ipc();
-    v["seconds"] = seconds();
-    v["mispredicts"] = mispredicts_;
-    v["clock_ghz"] = config_.clockGhz;
-    return v;
 }
 
 } // namespace bioperf::cpu

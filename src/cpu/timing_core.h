@@ -9,7 +9,6 @@
 #include "cpu/decoded_instr.h"
 #include "cpu/load_accel.h"
 #include "mem/hierarchy.h"
-#include "util/json.h"
 #include "vm/trace.h"
 
 namespace bioperf::cpu {
@@ -67,15 +66,12 @@ class TimingCore : public vm::TraceSink
      */
     virtual void reset();
 
-    util::json::Value report() const;
-
   protected:
     /** The hierarchy and predictor are borrowed, not owned. */
-    TimingCore(const char *model, const CoreConfig &config,
+    TimingCore(const CoreConfig &config,
                mem::CacheHierarchy *caches,
                branch::BranchPredictor *predictor);
 
-    const char *model_;
     CoreConfig config_;
     mem::CacheHierarchy *caches_;
     branch::BranchPredictor *predictor_;

@@ -29,7 +29,6 @@ CacheHierarchy::referenceConfig()
 CacheHierarchy::Access
 CacheHierarchy::accessMiss(uint64_t addr, bool is_write)
 {
-    demand_accesses_++;
     Access out;
     out.latency = lat_.l1HitLatency;
 
@@ -42,10 +41,7 @@ CacheHierarchy::accessMiss(uint64_t addr, bool is_write)
     }
 
     out.latency += lat_.l2Penalty;
-    l2_demand_accesses_++;
     const Cache::Result r2 = l2_.access(addr, is_write);
-    if (!r2.hit)
-        l2_demand_misses_++;
     if (r2.writeback)
         mem_accesses_++;
     if (r2.hit) {
@@ -65,61 +61,6 @@ CacheHierarchy::reset()
     l1_.reset();
     l2_.reset();
     mem_accesses_ = 0;
-    demand_accesses_ = 0;
-    l2_demand_accesses_ = 0;
-    l2_demand_misses_ = 0;
-}
-
-double
-CacheHierarchy::l2LocalMissRate() const
-{
-    if (l2_demand_accesses_ == 0)
-        return 0.0;
-    return static_cast<double>(l2_demand_misses_) /
-           static_cast<double>(l2_demand_accesses_);
-}
-
-double
-CacheHierarchy::overallMissRate() const
-{
-    // Fraction of demand accesses that had to go to main memory. Only
-    // demand-side L2 misses count, not write-back traffic, mirroring
-    // the paper's "percentage of loads accessing main memory".
-    if (demand_accesses_ == 0)
-        return 0.0;
-    const double l1_misses = static_cast<double>(l1_.misses());
-    return l1_misses * l2LocalMissRate() /
-           static_cast<double>(demand_accesses_);
-}
-
-double
-CacheHierarchy::amat() const
-{
-    return lat_.l1HitLatency +
-           l1LocalMissRate() * (lat_.l2Penalty +
-                                l2LocalMissRate() * lat_.memPenalty);
-}
-
-util::json::Value
-CacheHierarchy::report() const
-{
-    util::json::Value v = util::json::Value::object();
-    v["demand_accesses"] = demand_accesses_;
-    v["l1_hits"] = l1_.hits();
-    v["l1_misses"] = l1_.misses();
-    v["l2_demand_accesses"] = l2_demand_accesses_;
-    v["l2_demand_misses"] = l2_demand_misses_;
-    v["memory_accesses"] = mem_accesses_;
-    v["l1_local_miss_rate"] = l1LocalMissRate();
-    v["l2_local_miss_rate"] = l2LocalMissRate();
-    v["overall_miss_rate"] = overallMissRate();
-    v["amat"] = amat();
-    util::json::Value lat = util::json::Value::object();
-    lat["l1_hit_latency"] = lat_.l1HitLatency;
-    lat["l2_penalty"] = lat_.l2Penalty;
-    lat["mem_penalty"] = lat_.memPenalty;
-    v["latencies"] = std::move(lat);
-    return v;
 }
 
 } // namespace bioperf::mem

@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "mem/cache.h"
-#include "util/json.h"
 
 namespace bioperf::mem {
 
@@ -51,10 +50,8 @@ class CacheHierarchy
     Access
     access(uint64_t addr, bool is_write)
     {
-        if (l1_.accessFastHit(addr, is_write)) {
-            demand_accesses_++;
+        if (l1_.accessFastHit(addr, is_write))
             return Access{Level::L1, lat_.l1HitLatency};
-        }
         return accessMiss(addr, is_write);
     }
 
@@ -66,20 +63,6 @@ class CacheHierarchy
 
     uint64_t memoryAccesses() const { return mem_accesses_; }
 
-    /**
-     * Local miss rates and the overall (to-memory) rate. The L2 rate
-     * counts only demand accesses, not L1 write-back traffic, so it
-     * matches the paper's per-load accounting.
-     */
-    double l1LocalMissRate() const { return l1_.missRate(); }
-    double l2LocalMissRate() const;
-    double overallMissRate() const;
-
-    /** Average memory access time in cycles over all accesses so far. */
-    double amat() const;
-
-    util::json::Value report() const;
-
   private:
     /** Completes an access after the L1 fast path missed. */
     Access accessMiss(uint64_t addr, bool is_write);
@@ -88,9 +71,6 @@ class CacheHierarchy
     Cache l2_;
     LatencyConfig lat_;
     uint64_t mem_accesses_ = 0;
-    uint64_t demand_accesses_ = 0;
-    uint64_t l2_demand_accesses_ = 0;
-    uint64_t l2_demand_misses_ = 0;
 };
 
 } // namespace bioperf::mem

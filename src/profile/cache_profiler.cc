@@ -7,11 +7,6 @@ CacheProfiler::CacheProfiler()
 {
 }
 
-CacheProfiler::CacheProfiler(mem::CacheHierarchy hierarchy)
-    : caches_(std::move(hierarchy))
-{
-}
-
 void
 CacheProfiler::onInstr(const vm::DynInstr &di)
 {
@@ -38,58 +33,31 @@ CacheProfiler::onBatch(const vm::DynInstr *batch, size_t n)
         CacheProfiler::onInstr(batch[i]); // devirtualized tight loop
 }
 
-double
-CacheProfiler::l1LocalMissRate() const
-{
-    return loads_ == 0 ? 0.0
-                       : static_cast<double>(load_l1_misses_) /
-                             static_cast<double>(loads_);
-}
+namespace {
 
 double
-CacheProfiler::l2LocalMissRate() const
+frac(uint64_t a, uint64_t b)
 {
-    return load_l1_misses_ == 0
-               ? 0.0
-               : static_cast<double>(load_l2_misses_) /
-                     static_cast<double>(load_l1_misses_);
+    return b == 0 ? 0.0 : static_cast<double>(a) / static_cast<double>(b);
 }
 
-double
-CacheProfiler::overallMissRate() const
-{
-    return loads_ == 0 ? 0.0
-                       : static_cast<double>(load_l2_misses_) /
-                             static_cast<double>(loads_);
-}
-
-double
-CacheProfiler::amat() const
-{
-    const auto &lat = caches_.latencies();
-    return lat.l1HitLatency +
-           l1LocalMissRate() *
-               (lat.l2Penalty + l2LocalMissRate() * lat.memPenalty);
-}
+} // namespace
 
 CacheSummary
 CacheProfiler::summary() const
 {
+    const auto &lat = caches_.latencies();
     CacheSummary s;
     s.loads = loads_;
     s.loadL1Misses = load_l1_misses_;
     s.loadL2Misses = load_l2_misses_;
-    s.l1LocalMissRate = l1LocalMissRate();
-    s.l2LocalMissRate = l2LocalMissRate();
-    s.overallMissRate = overallMissRate();
-    s.amat = amat();
+    s.l1LocalMissRate = frac(load_l1_misses_, loads_);
+    s.l2LocalMissRate = frac(load_l2_misses_, load_l1_misses_);
+    s.overallMissRate = frac(load_l2_misses_, loads_);
+    s.amat = lat.l1HitLatency +
+             s.l1LocalMissRate *
+                 (lat.l2Penalty + s.l2LocalMissRate * lat.memPenalty);
     return s;
-}
-
-util::json::Value
-CacheProfiler::report() const
-{
-    return summary().report();
 }
 
 util::json::Value

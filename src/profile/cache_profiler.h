@@ -15,9 +15,16 @@ struct CacheSummary
     uint64_t loads = 0;
     uint64_t loadL1Misses = 0;
     uint64_t loadL2Misses = 0;
+    /** Local L1 miss rate over loads, in [0, 1]. */
     double l1LocalMissRate = 0.0;
+    /** Local L2 miss rate over loads that missed in L1. */
     double l2LocalMissRate = 0.0;
+    /** Fraction of loads that reach main memory. */
     double overallMissRate = 0.0;
+    /**
+     * Average memory access time for loads, per the paper's formula:
+     * l1HitLatency + m1 * (l2Penalty + m2 * memPenalty).
+     */
     double amat = 0.0;
 
     util::json::Value report() const;
@@ -32,33 +39,13 @@ struct CacheSummary
 class CacheProfiler : public vm::TraceSink
 {
   public:
-    /** Defaults to the Table 3 reference hierarchy. */
+    /** Drives the Table 3 reference hierarchy. */
     CacheProfiler();
-    explicit CacheProfiler(mem::CacheHierarchy hierarchy);
 
     void onInstr(const vm::DynInstr &di) override;
     void onBatch(const vm::DynInstr *batch, size_t n) override;
 
     CacheSummary summary() const;
-    util::json::Value report() const;
-
-    uint64_t loads() const { return loads_; }
-    uint64_t loadL1Misses() const { return load_l1_misses_; }
-    uint64_t loadL2Misses() const { return load_l2_misses_; }
-
-    /** Local L1 miss rate over loads, in [0, 1]. */
-    double l1LocalMissRate() const;
-    /** Local L2 miss rate over loads that missed in L1. */
-    double l2LocalMissRate() const;
-    /** Fraction of loads that reach main memory. */
-    double overallMissRate() const;
-    /**
-     * Average memory access time for loads, per the paper's formula:
-     * l1HitLatency + m1 * (l2Penalty + m2 * memPenalty).
-     */
-    double amat() const;
-
-    const mem::CacheHierarchy &hierarchy() const { return caches_; }
 
   private:
     mem::CacheHierarchy caches_;

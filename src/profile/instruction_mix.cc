@@ -19,43 +19,6 @@ InstructionMixProfiler::onBatch(const vm::DynInstr *batch, size_t n)
     total_ += n;
 }
 
-uint64_t
-InstructionMixProfiler::loads() const
-{
-    return countOf(InstrClass::Load) + countOf(InstrClass::FpLoad);
-}
-
-uint64_t
-InstructionMixProfiler::stores() const
-{
-    return countOf(InstrClass::Store) + countOf(InstrClass::FpStore);
-}
-
-uint64_t
-InstructionMixProfiler::condBranches() const
-{
-    return countOf(InstrClass::CondBranch);
-}
-
-uint64_t
-InstructionMixProfiler::other() const
-{
-    return total_ - loads() - stores() - condBranches();
-}
-
-uint64_t
-InstructionMixProfiler::fpInstrs() const
-{
-    return countOf(InstrClass::FpAlu) + countOf(InstrClass::FpLoad) +
-           countOf(InstrClass::FpStore);
-}
-
-uint64_t
-InstructionMixProfiler::fpLoads() const
-{
-    return countOf(InstrClass::FpLoad);
-}
-
 namespace {
 
 double
@@ -66,43 +29,28 @@ frac(uint64_t a, uint64_t b)
 
 } // namespace
 
-double InstructionMixProfiler::loadFraction() const
-{ return frac(loads(), total_); }
-double InstructionMixProfiler::storeFraction() const
-{ return frac(stores(), total_); }
-double InstructionMixProfiler::branchFraction() const
-{ return frac(condBranches(), total_); }
-double InstructionMixProfiler::otherFraction() const
-{ return frac(other(), total_); }
-double InstructionMixProfiler::fpFraction() const
-{ return frac(fpInstrs(), total_); }
-double InstructionMixProfiler::fpLoadFraction() const
-{ return frac(fpLoads(), total_); }
-
 MixSummary
 InstructionMixProfiler::summary() const
 {
+    auto count = [&](InstrClass c) {
+        return counts_[static_cast<size_t>(c)];
+    };
     MixSummary s;
     s.total = total_;
-    s.loads = loads();
-    s.stores = stores();
-    s.condBranches = condBranches();
-    s.other = other();
-    s.fpInstrs = fpInstrs();
-    s.fpLoads = fpLoads();
-    s.loadFraction = loadFraction();
-    s.storeFraction = storeFraction();
-    s.branchFraction = branchFraction();
-    s.otherFraction = otherFraction();
-    s.fpFraction = fpFraction();
-    s.fpLoadFraction = fpLoadFraction();
+    s.loads = count(InstrClass::Load) + count(InstrClass::FpLoad);
+    s.stores = count(InstrClass::Store) + count(InstrClass::FpStore);
+    s.condBranches = count(InstrClass::CondBranch);
+    s.other = total_ - s.loads - s.stores - s.condBranches;
+    s.fpInstrs = count(InstrClass::FpAlu) + count(InstrClass::FpLoad) +
+                 count(InstrClass::FpStore);
+    s.fpLoads = count(InstrClass::FpLoad);
+    s.loadFraction = frac(s.loads, total_);
+    s.storeFraction = frac(s.stores, total_);
+    s.branchFraction = frac(s.condBranches, total_);
+    s.otherFraction = frac(s.other, total_);
+    s.fpFraction = frac(s.fpInstrs, total_);
+    s.fpLoadFraction = frac(s.fpLoads, total_);
     return s;
-}
-
-util::json::Value
-InstructionMixProfiler::report() const
-{
-    return summary().report();
 }
 
 util::json::Value

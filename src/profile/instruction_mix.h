@@ -45,28 +45,6 @@ class InstructionMixProfiler : public vm::TraceSink
     void onBatch(const vm::DynInstr *batch, size_t n) override;
 
     MixSummary summary() const;
-    util::json::Value report() const;
-
-    uint64_t total() const { return total_; }
-    uint64_t loads() const;
-    uint64_t stores() const;
-    uint64_t condBranches() const;
-    uint64_t other() const;
-
-    uint64_t fpInstrs() const;
-    uint64_t fpLoads() const;
-
-    double loadFraction() const;
-    double storeFraction() const;
-    double branchFraction() const;
-    double otherFraction() const;
-    double fpFraction() const;
-    double fpLoadFraction() const;
-
-    uint64_t countOf(ir::InstrClass c) const
-    {
-        return counts_[static_cast<size_t>(c)];
-    }
 
   private:
     std::array<uint64_t, ir::kNumInstrClasses> counts_{};

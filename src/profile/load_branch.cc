@@ -5,17 +5,13 @@
 namespace bioperf::profile {
 
 LoadBranchProfiler::LoadBranchProfiler()
-    : LoadBranchProfiler(Params{})
 {
-}
-
-LoadBranchProfiler::LoadBranchProfiler(const Params &params)
-    : params_(params)
-{
-    // A window of W instructions holds at most W loads, and a tight
-    // candidate lives at most tightWindow instructions.
-    window_loads_.reset(params_.chainWindow + 1);
-    tight_pending_.reset(params_.tightWindow + 2);
+    // Live entries span at most one window of instructions, one load
+    // per instruction: the chain window's W + 1 instructions, and the
+    // tight window's (consumed entries are tombstoned in place and
+    // expire with it).
+    window_loads_.reset(kChainWindow + 1);
+    tight_pending_.reset(kTightWindow + 2);
 }
 
 void
@@ -115,13 +111,13 @@ LoadBranchProfiler::step(const vm::DynInstr &di)
     // Expire window entries (and tight candidates already consumed,
     // which are tombstoned rather than erased in place).
     while (!window_loads_.empty() &&
-           gseq_ - window_loads_.front().gseq > params_.chainWindow) {
+           gseq_ - window_loads_.front().gseq > kChainWindow) {
         window_loads_.pop_front();
     }
     while (!tight_pending_.empty() &&
            (tight_pending_.front().reg == ir::kNoReg ||
             gseq_ - tight_pending_.front().gseq >
-                params_.tightWindow)) {
+                kTightWindow)) {
         tight_pending_.pop_front();
     }
 
@@ -159,7 +155,7 @@ LoadBranchProfiler::step(const vm::DynInstr &di)
         // Branch-to-load detection (Table 4b): right after a branch
         // that has proven hard to predict.
         if (last_hard_branch_ != UINT64_MAX &&
-            gseq_ - last_hard_branch_ <= params_.afterWindow) {
+            gseq_ - last_hard_branch_ <= kAfterWindow) {
             tight_pending_.push_back({gseq_, si.dstFp, si.dst});
         }
         return;
@@ -171,7 +167,7 @@ LoadBranchProfiler::step(const vm::DynInstr &di)
         bool terminated_chain = false;
         for (uint8_t t = 0; t < taint.count; t++) {
             const Origin &o = taint.origins[t];
-            if (gseq_ - o.gseq > params_.chainWindow)
+            if (gseq_ - o.gseq > kChainWindow)
                 continue;
             terminated_chain = true;
             // Mark the originating load. An origin inside the chain
@@ -194,8 +190,8 @@ LoadBranchProfiler::step(const vm::DynInstr &di)
         }
 
         // Is this branch statically hard to predict so far?
-        if (pred_.executions(in.sid) >= params_.minBranchExecs &&
-            pred_.missRate(in.sid) >= params_.hardThreshold) {
+        if (pred_.executions(in.sid) >= kMinBranchExecs &&
+            pred_.missRate(in.sid) >= kHardThreshold) {
             last_hard_branch_ = gseq_;
         }
         return;
@@ -222,7 +218,7 @@ LoadBranchProfiler::step(const vm::DynInstr &di)
             taintOf(si.srcs[0].fp != 0, si.srcs[0].reg);
         uint8_t m = 0;
         for (uint8_t t = 0; t < src.count; t++)
-            if (gseq_ - src.origins[t].gseq <= params_.chainWindow)
+            if (gseq_ - src.origins[t].gseq <= kChainWindow)
                 dst.origins[m++] = src.origins[t];
         dst.count = m;
         return;
@@ -244,14 +240,14 @@ LoadBranchProfiler::step(const vm::DynInstr &di)
             for (uint8_t t = 0;
                  t < src.count && merged.count < TaintSet::kMaxOrigins;
                  t++) {
-                if (gseq_ - src.origins[t].gseq <= params_.chainWindow)
+                if (gseq_ - src.origins[t].gseq <= kChainWindow)
                     merged.origins[merged.count++] = src.origins[t];
             }
             continue;
         }
         for (uint8_t t = 0; t < src.count; t++) {
             const Origin &o = src.origins[t];
-            if (gseq_ - o.gseq > params_.chainWindow)
+            if (gseq_ - o.gseq > kChainWindow)
                 continue;
             bool dup = false;
             for (uint8_t m = 0; m < merged.count; m++)
@@ -284,48 +280,25 @@ LoadBranchProfiler::onRunEnd()
     last_hard_branch_ = UINT64_MAX;
 }
 
-double
-LoadBranchProfiler::loadToBranchFraction() const
-{
-    return total_loads_ == 0
-               ? 0.0
-               : static_cast<double>(ltb_loads_) /
-                     static_cast<double>(total_loads_);
-}
+namespace {
 
 double
-LoadBranchProfiler::ltbBranchMissRate() const
+frac(uint64_t a, uint64_t b)
 {
-    return ltb_branch_exec_ == 0
-               ? 0.0
-               : static_cast<double>(ltb_branch_miss_) /
-                     static_cast<double>(ltb_branch_exec_);
+    return b == 0 ? 0.0 : static_cast<double>(a) / static_cast<double>(b);
 }
 
-double
-LoadBranchProfiler::loadAfterHardBranchFraction() const
-{
-    return total_loads_ == 0
-               ? 0.0
-               : static_cast<double>(after_hard_loads_) /
-                     static_cast<double>(total_loads_);
-}
+} // namespace
 
 LoadBranchSummary
 LoadBranchProfiler::summary() const
 {
     LoadBranchSummary s;
     s.dynamicLoads = total_loads_;
-    s.loadToBranchFraction = loadToBranchFraction();
-    s.ltbBranchMissRate = ltbBranchMissRate();
-    s.loadAfterHardBranchFraction = loadAfterHardBranchFraction();
+    s.loadToBranchFraction = frac(ltb_loads_, total_loads_);
+    s.ltbBranchMissRate = frac(ltb_branch_miss_, ltb_branch_exec_);
+    s.loadAfterHardBranchFraction = frac(after_hard_loads_, total_loads_);
     return s;
-}
-
-util::json::Value
-LoadBranchProfiler::report() const
-{
-    return summary().report();
 }
 
 util::json::Value

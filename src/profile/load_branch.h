@@ -1,6 +1,7 @@
 #ifndef BIOPERF_PROFILE_LOAD_BRANCH_H_
 #define BIOPERF_PROFILE_LOAD_BRANCH_H_
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -27,15 +28,15 @@ struct LoadBranchSummary
  *
  *  (a) load-to-branch sequences — dynamic loads whose value reaches,
  *      through a register dependence chain of non-memory operations,
- *      the condition of a conditional branch within a bounded
- *      instruction window; plus the dynamic misprediction rate of
+ *      the condition of a conditional branch within kChainWindow
+ *      instructions; plus the dynamic misprediction rate of
  *      exactly those terminating branches;
  *
  *  (b) loads with tight dependence chains right after hard-to-predict
- *      branches — dynamic loads within `afterWindow` instructions of
+ *      branches — dynamic loads within kAfterWindow instructions of
  *      a conditional branch whose static misprediction rate is at
- *      least `hardThreshold`, whose first consumer follows within
- *      `tightWindow` instructions.
+ *      least kHardThreshold, whose first consumer follows within
+ *      kTightWindow instructions.
  *
  * Branch behaviour is judged by an embedded hybrid predictor with one
  * entry per static branch (no aliasing), matching the paper's setup.
@@ -43,33 +44,24 @@ struct LoadBranchSummary
 class LoadBranchProfiler : public vm::TraceSink
 {
   public:
-    struct Params
-    {
-        uint32_t chainWindow = 32; ///< load -> branch max distance
-        uint32_t afterWindow = 8;  ///< branch -> load max distance
-        uint32_t tightWindow = 2;  ///< load -> first-consumer distance
-        double hardThreshold = 0.05;
-        uint64_t minBranchExecs = 16; ///< before a branch can be "hard"
-    };
+    /** Load -> branch max distance, in instructions. */
+    static constexpr uint32_t kChainWindow = 32;
+    /** Hard branch -> load max distance. */
+    static constexpr uint32_t kAfterWindow = 8;
+    /** Load -> first-consumer max distance. */
+    static constexpr uint32_t kTightWindow = 2;
+    /** Static misprediction rate at which a branch counts as hard. */
+    static constexpr double kHardThreshold = 0.05;
+    /** Executions before a branch can count as hard. */
+    static constexpr uint64_t kMinBranchExecs = 16;
 
     LoadBranchProfiler();
-    explicit LoadBranchProfiler(const Params &params);
 
     void onInstr(const vm::DynInstr &di) override;
     void onBatch(const vm::DynInstr *batch, size_t n) override;
     void onRunEnd() override;
 
-    uint64_t dynamicLoads() const { return total_loads_; }
-
     LoadBranchSummary summary() const;
-    util::json::Value report() const;
-
-    /** Table 4(a), column 1: loads in load-to-branch sequences. */
-    double loadToBranchFraction() const;
-    /** Table 4(a), column 2: misprediction rate of those branches. */
-    double ltbBranchMissRate() const;
-    /** Table 4(b): tight-chain loads after hard-to-predict branches. */
-    double loadAfterHardBranchFraction() const;
 
     const branch::BranchPredictor &predictor() const { return pred_; }
 
@@ -152,8 +144,8 @@ class LoadBranchProfiler : public vm::TraceSink
      * Bounded FIFO over a power-of-two array. Entries live at most
      * one window, so the windows bound capacity and push/pop/expire
      * run without the deque's segment management on the trace hot
-     * path. Grows (rarely) if a window parameter outruns the initial
-     * capacity.
+     * path. reset() sizes the ring for its window, so a push never
+     * finds it full.
      */
     template <class T> struct Ring
     {
@@ -179,24 +171,9 @@ class LoadBranchProfiler : public vm::TraceSink
         void
         push_back(const T &v)
         {
-            if (size() == buf.size())
-                grow();
+            assert(size() < buf.size());
             buf[tail & mask] = v;
             tail++;
-        }
-        void
-        grow()
-        {
-            // Re-home entries at their absolute position modulo the
-            // new capacity, so buf[pos & mask] stays valid for any
-            // recorded push position (Origin::slot relies on this).
-            std::vector<T> wider(buf.size() * 2);
-            const uint32_t wider_mask =
-                static_cast<uint32_t>(wider.size() - 1);
-            for (uint32_t i = head; i != tail; i++)
-                wider[i & wider_mask] = buf[i & mask];
-            buf = std::move(wider);
-            mask = wider_mask;
         }
         void clear() { head = tail = 0; }
     };
@@ -228,7 +205,6 @@ class LoadBranchProfiler : public vm::TraceSink
     void decodeSid(const ir::Instr &in);
     void step(const vm::DynInstr &di);
 
-    Params params_;
     branch::HybridPredictor pred_;
     uint64_t gseq_ = 0;
 

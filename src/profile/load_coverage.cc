@@ -30,18 +30,8 @@ LoadCoverageProfiler::onBatch(const vm::DynInstr *batch, size_t n)
     }
 }
 
-uint64_t
-LoadCoverageProfiler::staticLoads() const
-{
-    uint64_t n = 0;
-    for (uint64_t c : per_sid_)
-        if (c > 0)
-            n++;
-    return n;
-}
-
-std::vector<uint64_t>
-LoadCoverageProfiler::sortedCounts() const
+CoverageSummary
+LoadCoverageProfiler::summary() const
 {
     std::vector<uint64_t> counts;
     counts.reserve(per_sid_.size());
@@ -49,53 +39,26 @@ LoadCoverageProfiler::sortedCounts() const
         if (c > 0)
             counts.push_back(c);
     std::sort(counts.rbegin(), counts.rend());
-    return counts;
-}
 
-std::vector<double>
-LoadCoverageProfiler::cdf(size_t max_points) const
-{
-    std::vector<double> out;
-    if (total_loads_ == 0)
-        return out;
-    const auto counts = sortedCounts();
-    uint64_t cum = 0;
-    for (size_t i = 0; i < counts.size() && i < max_points; i++) {
-        cum += counts[i];
-        out.push_back(static_cast<double>(cum) /
-                      static_cast<double>(total_loads_));
-    }
-    return out;
-}
-
-double
-LoadCoverageProfiler::coverageAt(size_t n) const
-{
-    if (total_loads_ == 0 || n == 0)
-        return 0.0;
-    const auto counts = sortedCounts();
-    uint64_t cum = 0;
-    for (size_t i = 0; i < counts.size() && i < n; i++)
-        cum += counts[i];
-    return static_cast<double>(cum) / static_cast<double>(total_loads_);
-}
-
-CoverageSummary
-LoadCoverageProfiler::summary(size_t max_cdf_points) const
-{
     CoverageSummary s;
     s.dynamicLoads = total_loads_;
-    s.staticLoads = staticLoads();
-    s.loadsFor90 = loadsForCoverage(0.9);
-    s.coverageAt80 = coverageAt(80);
-    s.cdf = cdf(max_cdf_points);
+    s.staticLoads = counts.size();
+    if (total_loads_ == 0)
+        return s;
+    const auto target90 = static_cast<uint64_t>(
+        0.9 * static_cast<double>(total_loads_));
+    uint64_t cum = 0;
+    for (size_t i = 0; i < counts.size(); i++) {
+        cum += counts[i];
+        if (s.loadsFor90 == 0 && cum >= target90)
+            s.loadsFor90 = i + 1;
+        if (i < CoverageSummary::kCdfPoints)
+            s.cdf.push_back(static_cast<double>(cum) /
+                            static_cast<double>(total_loads_));
+    }
+    static_assert(CoverageSummary::kCdfPoints >= 80);
+    s.coverageAt80 = s.cdf[std::min<size_t>(80, s.cdf.size()) - 1];
     return s;
-}
-
-util::json::Value
-LoadCoverageProfiler::report() const
-{
-    return summary().report();
 }
 
 util::json::Value
@@ -111,23 +74,6 @@ CoverageSummary::report() const
         curve.push(p);
     v["cdf"] = std::move(curve);
     return v;
-}
-
-size_t
-LoadCoverageProfiler::loadsForCoverage(double fraction) const
-{
-    if (total_loads_ == 0)
-        return 0;
-    const auto counts = sortedCounts();
-    uint64_t cum = 0;
-    const auto target = static_cast<uint64_t>(
-        fraction * static_cast<double>(total_loads_));
-    for (size_t i = 0; i < counts.size(); i++) {
-        cum += counts[i];
-        if (cum >= target)
-            return i + 1;
-    }
-    return counts.size();
 }
 
 } // namespace bioperf::profile

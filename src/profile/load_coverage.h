@@ -18,8 +18,14 @@ struct CoverageSummary
     size_t loadsFor90 = 0;
     /** Coverage of the 80 hottest static loads (paper headline). */
     double coverageAt80 = 0.0;
-    /** Cumulative coverage curve, clipped (see cdf()). */
+    /**
+     * Cumulative coverage curve: entry i is the fraction of dynamic
+     * loads covered by the (i+1) hottest static loads, clipped to
+     * kCdfPoints entries (fewer when fewer static loads executed).
+     */
     std::vector<double> cdf;
+
+    static constexpr size_t kCdfPoints = 200;
 
     util::json::Value report() const;
 };
@@ -38,29 +44,9 @@ class LoadCoverageProfiler : public vm::TraceSink
     void onInstr(const vm::DynInstr &di) override;
     void onBatch(const vm::DynInstr *batch, size_t n) override;
 
-    CoverageSummary summary(size_t max_cdf_points = 200) const;
-    util::json::Value report() const;
-
-    uint64_t dynamicLoads() const { return total_loads_; }
-    /** Number of distinct static loads that executed at least once. */
-    uint64_t staticLoads() const;
-
-    /**
-     * Cumulative coverage curve: entry i is the fraction of dynamic
-     * loads covered by the (i+1) hottest static loads, clipped to
-     * @a max_points entries.
-     */
-    std::vector<double> cdf(size_t max_points = 200) const;
-
-    /** Coverage achieved by the @a n hottest static loads. */
-    double coverageAt(size_t n) const;
-
-    /** Smallest number of static loads covering @a fraction. */
-    size_t loadsForCoverage(double fraction) const;
+    CoverageSummary summary() const;
 
   private:
-    std::vector<uint64_t> sortedCounts() const;
-
     std::vector<uint64_t> per_sid_;
     uint64_t total_loads_ = 0;
 };

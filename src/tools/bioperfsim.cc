@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "apps/app.h"
+#include "branch/predictors.h"
 #include "core/candidate_finder.h"
 #include "core/simulator.h"
 #include "core/trace_file.h"
@@ -330,7 +331,10 @@ parse(int argc, char **argv, Options &opt)
             if (!found)
                 reject(v, "alpha|ppc|p4|itanium");
         } else if (a == "--predictor") {
-            opt.platform.predictor = next();
+            const std::string v = next();
+            if (branch::makePredictor(v) == nullptr)
+                reject(v, "perfect|static|bimodal|gshare|local|hybrid");
+            opt.platform.predictor = v;
         } else if (a == "--seed") {
             number(opt.seed);
         } else if (a == "--threads") {

@@ -35,9 +35,8 @@ kindOf(ir::Opcode op)
 /**
  * Corrupt-trace escape hatch for the decode hot loop: returning a
  * Status per event would put a branch on every byte, so malformed
- * input throws and the streaming entry points (streamChunk,
- * replayRange) translate back to kCorruptData. Never escapes the
- * codec's public API.
+ * input throws and the entry points (streamChunk, replay) translate
+ * back to kCorruptData. Never escapes the codec's public API.
  */
 [[noreturn]] void
 corrupt(const char *what)
@@ -455,28 +454,13 @@ TraceReplayer::replay()
         return util::Status::failedPrecondition(
             "replay() needs an in-memory trace (use the streaming API "
             "for file-backed replay)");
-    return replayRange(0, trace_->chunks().size());
-}
-
-util::StatusOr<uint64_t>
-TraceReplayer::replayRange(size_t begin, size_t end)
-{
     if (!init_status_.ok())
         return init_status_;
-    if (!trace_)
-        return util::Status::failedPrecondition(
-            "replayRange() needs an in-memory trace");
     const std::vector<EncodedTrace::Chunk> &chunks = trace_->chunks();
-    if (begin > end || end > chunks.size())
-        return util::Status::invalidArgument(
-            "replay chunk range out of bounds");
-    if (begin < chunks.size() && !trace_->isKeyframe(begin))
-        return util::Status::invalidArgument(
-            "replay range must start at a keyframe chunk");
-    beginStream(begin < end ? chunks[begin].startSeq : 0);
+    beginStream(chunks.empty() ? 0 : chunks.front().startSeq);
     try {
-        for (size_t i = begin; i < end; i++)
-            decodeChunk(chunks[i]);
+        for (const EncodedTrace::Chunk &chunk : chunks)
+            decodeChunk(chunk);
     } catch (const util::StatusError &e) {
         return e.status();
     }

@@ -46,9 +46,9 @@ namespace bioperf::vm {
  * boundaries — except at **keyframes**: every Kth chunk opens with
  * the delta state (previous sid, per-sid addresses/values) reset to
  * zero, making it a self-contained random-access entry point. Replay
- * may start at any keyframe (TraceReplayer::replayRange), which is
- * what lets the sampled-timing controller shard one trace across
- * threads; non-keyframe chunks remain pure framing for the on-disk
+ * may start at any keyframe (TraceReplayer::beginStream with that
+ * chunk's startSeq), which is what lets the sampled-timing controller
+ * shard one trace across threads; non-keyframe chunks remain pure framing for the on-disk
  * format and for bounded-memory encoding.
  */
 
@@ -260,14 +260,6 @@ class TraceReplayer
      * hits malformed bytes (sinks may have seen a prefix).
      */
     util::StatusOr<uint64_t> replay();
-
-    /**
-     * Replays chunks [begin, end). @a begin must be a keyframe index
-     * (delta state is reset, seq resumes from the chunk's startSeq);
-     * this is the shard entry point for sampled timing. @return
-     * instructions delivered, or the decode/precondition failure.
-     */
-    util::StatusOr<uint64_t> replayRange(size_t begin, size_t end);
 
     /**
      * Streaming protocol: beginStream() resets decode state (seq

@@ -173,8 +173,8 @@ TEST(Mix, PromlkIsFloatingPointDominated)
     vm::Interpreter interp(*run.prog);
     interp.addSink(&mix);
     run.driver(interp);
-    EXPECT_GT(mix.fpFraction(), 0.4); // paper: 65.3%
-    EXPECT_GT(mix.fpLoadFraction(), 0.15); // paper: 30.9%
+    EXPECT_GT(mix.summary().fpFraction, 0.4); // paper: 65.3%
+    EXPECT_GT(mix.summary().fpLoadFraction, 0.15); // paper: 30.9%
 }
 
 TEST(Mix, IntegerAppsHaveNegligibleFp)
@@ -187,7 +187,8 @@ TEST(Mix, IntegerAppsHaveNegligibleFp)
         vm::Interpreter interp(*run.prog);
         interp.addSink(&mix);
         run.driver(interp);
-        EXPECT_LT(mix.fpFraction(), 0.02) << name; // paper: <= 0.63%
+        // paper: <= 0.63%
+        EXPECT_LT(mix.summary().fpFraction, 0.02) << name;
     }
 }
 
@@ -201,7 +202,7 @@ TEST(Mix, FpOrderingMatchesTable1)
         vm::Interpreter interp(*run.prog);
         interp.addSink(&mix);
         run.driver(interp);
-        return mix.fpFraction();
+        return mix.summary().fpFraction;
     };
     const double promlk = fp_of("promlk");
     const double predator = fp_of("predator");
@@ -248,7 +249,7 @@ TEST(SpecLike, FlatterLoadProfileThanBioperf)
         vm::Interpreter interp(*run.prog);
         interp.addSink(&cov);
         run.driver(interp);
-        return cov.coverageAt(80);
+        return cov.summary().coverageAt80;
     };
     EXPECT_GT(coverage80("hmmsearch"), 0.9);
     EXPECT_LT(coverage80("gcc-like"), 0.7);

@@ -170,32 +170,6 @@ TEST(Hierarchy, L2HitAfterL1Eviction)
     EXPECT_EQ(res.latency, 8u);
 }
 
-TEST(Hierarchy, AmatFormula)
-{
-    CacheConfig l1 = smallCache(128, 1);
-    CacheConfig l2 = smallCache(64 * 1024, 4);
-    CacheHierarchy h(l1, l2, LatencyConfig{ 3, 5, 72 });
-    util::Rng rng(2);
-    for (int i = 0; i < 5000; i++)
-        h.access(rng.nextBelow(32768), false);
-    const double amat_direct =
-        3.0 + h.l1LocalMissRate() *
-                  (5.0 + h.l2LocalMissRate() * 72.0);
-    EXPECT_NEAR(h.amat(), amat_direct, 1e-12);
-    EXPECT_GE(h.amat(), 3.0);
-}
-
-TEST(Hierarchy, OverallMissRateBounded)
-{
-    CacheHierarchy h = CacheHierarchy::referenceConfig();
-    util::Rng rng(3);
-    for (int i = 0; i < 2000; i++)
-        h.access(rng.nextBelow(1 << 20), rng.nextBool(0.2));
-    EXPECT_GE(h.overallMissRate(), 0.0);
-    EXPECT_LE(h.overallMissRate(), 1.0);
-    EXPECT_LE(h.overallMissRate(), h.l1LocalMissRate() + 1e-12);
-}
-
 TEST(Hierarchy, ResetRestoresColdState)
 {
     CacheHierarchy h = CacheHierarchy::referenceConfig();

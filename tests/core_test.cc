@@ -21,9 +21,6 @@ TEST(Simulator, CharacterizeRunsAllProfilersInOnePass)
     EXPECT_EQ(res.coverage.dynamicLoads, res.mix.loads);
     EXPECT_EQ(res.cache.loads, res.mix.loads);
     EXPECT_EQ(res.loadBranch.dynamicLoads, res.mix.loads);
-    // The deep-dive profilers stay attached and agree.
-    ASSERT_NE(res.mixProfiler, nullptr);
-    EXPECT_EQ(res.mixProfiler->total(), res.mix.total);
 }
 
 TEST(Simulator, TimeProducesConsistentResults)

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the unified metrics layer: the util::json value tree and
- * file writer, the RunManifest protocol, the schema shape of every
- * component's report(), exact equivalence between JSON-exported
- * numbers and the legacy accessors, and the bench harness's file
+ * file writer, the RunManifest protocol, the schema shape of the
+ * result reports, exact equivalence between JSON-exported numbers and
+ * the summary fields they come from, and the bench harness's file
  * emission.
  */
 #include <cstdio>
@@ -15,11 +15,8 @@
 
 #include "apps/app.h"
 #include "core/simulator.h"
-#include "cpu/inorder_core.h"
-#include "cpu/ooo_core.h"
 #include "cpu/platforms.h"
 #include "harness.h"
-#include "mem/hierarchy.h"
 #include "util/json.h"
 #include "util/metrics.h"
 
@@ -223,10 +220,10 @@ TEST(RunManifest, ReportHasEveryKeyAndComputesMips)
 }
 
 // --------------------------------------------------------------------------
-// Schema shape of every component's report()
+// Schema shape of the result reports
 // --------------------------------------------------------------------------
 
-TEST(ReportShape, CharacterizationResultAndProfilers)
+TEST(ReportShape, CharacterizationResult)
 {
     const auto &res = hmmsearchRun();
     ASSERT_TRUE(res.verified);
@@ -254,60 +251,13 @@ TEST(ReportShape, CharacterizationResultAndProfilers)
                          { "dynamic_loads", "load_to_branch_fraction",
                            "ltb_branch_miss_rate",
                            "load_after_hard_branch_fraction" });
-
-    // The deep profilers implement the same protocol.
-    ASSERT_NE(res.mixProfiler, nullptr);
-    EXPECT_EQ(res.mixProfiler->report(), v["mix"]);
-    ASSERT_NE(res.coverageProfiler, nullptr);
-    EXPECT_TRUE(res.coverageProfiler->report().isObject());
-    ASSERT_NE(res.cacheProfiler, nullptr);
-    EXPECT_EQ(res.cacheProfiler->report(), v["cache"]);
-    ASSERT_NE(res.loadBranchProfiler, nullptr);
-    EXPECT_EQ(res.loadBranchProfiler->report(), v["load_branch"]);
-}
-
-TEST(ReportShape, CacheHierarchyAndPredictorAndCores)
-{
-    const cpu::PlatformConfig platform = cpu::alpha21264();
-
-    mem::CacheHierarchy caches = platform.makeHierarchy();
-    expectObjectWithKeys(
-        caches.report(),
-        { "demand_accesses", "l1_hits", "l1_misses",
-          "l2_demand_accesses", "l2_demand_misses", "memory_accesses",
-          "l1_local_miss_rate", "l2_local_miss_rate",
-          "overall_miss_rate", "amat", "latencies" });
-    expectObjectWithKeys(caches.report()["latencies"],
-                         { "l1_hit_latency", "l2_penalty",
-                           "mem_penalty" });
-
-    auto predictor = platform.makePredictor();
-    ASSERT_NE(predictor, nullptr);
-    expectObjectWithKeys(predictor->report(),
-                         { "predictor", "executions", "mispredictions",
-                           "overall_miss_rate" });
-
-    const std::initializer_list<const char *> core_keys = {
-        "model", "core",    "cycles",     "instructions",
-        "ipc",   "seconds", "mispredicts", "clock_ghz"
-    };
-    cpu::OooCore ooo(platform.core, &caches, predictor.get());
-    expectObjectWithKeys(ooo.report(), core_keys);
-    EXPECT_EQ(ooo.report()["model"].asString(), "out-of-order");
-
-    cpu::PlatformConfig inorder = cpu::itanium2();
-    mem::CacheHierarchy icaches = inorder.makeHierarchy();
-    auto ipred = inorder.makePredictor();
-    cpu::InorderCore in(inorder.core, &icaches, ipred.get());
-    expectObjectWithKeys(in.report(), core_keys);
-    EXPECT_EQ(in.report()["model"].asString(), "in-order");
 }
 
 // --------------------------------------------------------------------------
-// Equivalence: exported numbers == legacy accessor values, exactly
+// Equivalence: every exported number == its summary field, exactly
 // --------------------------------------------------------------------------
 
-TEST(ReportEquivalence, CharacterizationMatchesLegacyAccessors)
+TEST(ReportEquivalence, CharacterizationMatchesSummaries)
 {
     const auto &res = hmmsearchRun();
     const Value v = res.report();
@@ -315,40 +265,55 @@ TEST(ReportEquivalence, CharacterizationMatchesLegacyAccessors)
     EXPECT_EQ(v["instructions"].asUint(), res.instructions);
     EXPECT_EQ(v["verified"].asBool(), res.verified);
 
-    const auto &mix = *res.mixProfiler;
-    EXPECT_EQ(v["mix"]["total"].asUint(), mix.total());
-    EXPECT_EQ(v["mix"]["loads"].asUint(), mix.loads());
-    EXPECT_EQ(v["mix"]["stores"].asUint(), mix.stores());
-    EXPECT_EQ(v["mix"]["cond_branches"].asUint(), mix.condBranches());
-    EXPECT_EQ(v["mix"]["load_fraction"].asDouble(),
-              mix.loadFraction());
-    EXPECT_EQ(v["mix"]["fp_fraction"].asDouble(), mix.fpFraction());
+    const profile::MixSummary &mix = res.mix;
+    const Value &m = v["mix"];
+    EXPECT_EQ(m.size(), 13u);
+    EXPECT_EQ(m["total"].asUint(), mix.total);
+    EXPECT_EQ(m["loads"].asUint(), mix.loads);
+    EXPECT_EQ(m["stores"].asUint(), mix.stores);
+    EXPECT_EQ(m["cond_branches"].asUint(), mix.condBranches);
+    EXPECT_EQ(m["other"].asUint(), mix.other);
+    EXPECT_EQ(m["fp_instrs"].asUint(), mix.fpInstrs);
+    EXPECT_EQ(m["fp_loads"].asUint(), mix.fpLoads);
+    EXPECT_EQ(m["load_fraction"].asDouble(), mix.loadFraction);
+    EXPECT_EQ(m["store_fraction"].asDouble(), mix.storeFraction);
+    EXPECT_EQ(m["branch_fraction"].asDouble(), mix.branchFraction);
+    EXPECT_EQ(m["other_fraction"].asDouble(), mix.otherFraction);
+    EXPECT_EQ(m["fp_fraction"].asDouble(), mix.fpFraction);
+    EXPECT_EQ(m["fp_load_fraction"].asDouble(), mix.fpLoadFraction);
 
-    const auto &cov = *res.coverageProfiler;
-    EXPECT_EQ(v["coverage"]["dynamic_loads"].asUint(),
-              cov.dynamicLoads());
-    EXPECT_EQ(v["coverage"]["static_loads"].asUint(),
-              cov.staticLoads());
-    EXPECT_EQ(v["coverage"]["loads_for_90pct"].asUint(),
-              static_cast<uint64_t>(cov.loadsForCoverage(0.90)));
-    EXPECT_EQ(v["coverage"]["coverage_at_80"].asDouble(),
-              cov.coverageAt(80));
+    const profile::CoverageSummary &cov = res.coverage;
+    const Value &c = v["coverage"];
+    EXPECT_EQ(c.size(), 5u);
+    EXPECT_EQ(c["dynamic_loads"].asUint(), cov.dynamicLoads);
+    EXPECT_EQ(c["static_loads"].asUint(), cov.staticLoads);
+    EXPECT_EQ(c["loads_for_90pct"].asUint(),
+              static_cast<uint64_t>(cov.loadsFor90));
+    EXPECT_EQ(c["coverage_at_80"].asDouble(), cov.coverageAt80);
+    ASSERT_EQ(c["cdf"].size(), cov.cdf.size());
+    for (size_t i = 0; i < cov.cdf.size(); i++)
+        EXPECT_EQ(c["cdf"].at(i).asDouble(), cov.cdf[i]) << i;
 
-    const auto &cache = *res.cacheProfiler;
-    EXPECT_EQ(v["cache"]["loads"].asUint(), cache.loads());
-    EXPECT_EQ(v["cache"]["load_l1_misses"].asUint(),
-              cache.loadL1Misses());
-    EXPECT_EQ(v["cache"]["l1_local_miss_rate"].asDouble(),
-              cache.l1LocalMissRate());
-    EXPECT_EQ(v["cache"]["amat"].asDouble(), cache.amat());
+    const profile::CacheSummary &cache = res.cache;
+    const Value &k = v["cache"];
+    EXPECT_EQ(k.size(), 7u);
+    EXPECT_EQ(k["loads"].asUint(), cache.loads);
+    EXPECT_EQ(k["load_l1_misses"].asUint(), cache.loadL1Misses);
+    EXPECT_EQ(k["load_l2_misses"].asUint(), cache.loadL2Misses);
+    EXPECT_EQ(k["l1_local_miss_rate"].asDouble(), cache.l1LocalMissRate);
+    EXPECT_EQ(k["l2_local_miss_rate"].asDouble(), cache.l2LocalMissRate);
+    EXPECT_EQ(k["overall_miss_rate"].asDouble(), cache.overallMissRate);
+    EXPECT_EQ(k["amat"].asDouble(), cache.amat);
 
-    const auto &lb = *res.loadBranchProfiler;
-    EXPECT_EQ(v["load_branch"]["dynamic_loads"].asUint(),
-              lb.dynamicLoads());
-    EXPECT_EQ(v["load_branch"]["load_to_branch_fraction"].asDouble(),
-              lb.loadToBranchFraction());
-    EXPECT_EQ(v["load_branch"]["ltb_branch_miss_rate"].asDouble(),
-              lb.ltbBranchMissRate());
+    const profile::LoadBranchSummary &lb = res.loadBranch;
+    const Value &l = v["load_branch"];
+    EXPECT_EQ(l.size(), 4u);
+    EXPECT_EQ(l["dynamic_loads"].asUint(), lb.dynamicLoads);
+    EXPECT_EQ(l["load_to_branch_fraction"].asDouble(),
+              lb.loadToBranchFraction);
+    EXPECT_EQ(l["ltb_branch_miss_rate"].asDouble(), lb.ltbBranchMissRate);
+    EXPECT_EQ(l["load_after_hard_branch_fraction"].asDouble(),
+              lb.loadAfterHardBranchFraction);
 
     // The serialized form preserves every number bit-for-bit.
     Value back;

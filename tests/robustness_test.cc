@@ -227,17 +227,19 @@ TEST(CpuEdge, InorderNeverFasterThanOooAcrossApps)
     }
 }
 
-// --- load/branch profiler parameter sweeps ----------------------------------
+// --- load/branch chain window -----------------------------------------------
 
 class ChainWindowTest : public ::testing::TestWithParam<uint32_t>
 {
 };
 
-TEST_P(ChainWindowTest, WiderWindowsCatchMoreChains)
+TEST_P(ChainWindowTest, ChainsLongerThanTheWindowAreNotCounted)
 {
-    // Build a program whose load-to-branch distance is ~12
-    // instructions; windows below that must report ~0, above ~1.
-    const uint32_t window = GetParam();
+    // The loaded value reaches the branch through GetParam() filler
+    // adds, then the compare: the branch sits filler + 2 instructions
+    // after the load. Chains within the window must report ~1, longer
+    // ones ~0.
+    const uint32_t filler = GetParam();
     ir::Program prog;
     FunctionBuilder b(prog, "f");
     ArrayRef arr = b.intArray("arr", 16);
@@ -247,27 +249,26 @@ TEST_P(ChainWindowTest, WiderWindowsCatchMoreChains)
     b.forLoop(i, b.constI(0), b.constI(199), [&] {
         auto v = b.var();
         b.assign(v, b.ld(arr, Value(i) & 15));
-        for (int k = 0; k < 10; k++)
+        for (uint32_t k = 0; k < filler; k++)
             b.assign(v, Value(v) + 1);
         b.ifThen(Value(v) > 5, [&] { b.assign(acc, Value(acc) + 1); });
     });
     ir::Function &fn = b.finish();
 
-    profile::LoadBranchProfiler::Params params;
-    params.chainWindow = window;
-    profile::LoadBranchProfiler prof(params);
+    profile::LoadBranchProfiler prof;
     vm::Interpreter interp(prog);
     interp.addSink(&prof);
     interp.run(fn);
-    if (window >= 16) {
-        EXPECT_GT(prof.loadToBranchFraction(), 0.9) << window;
-    } else if (window <= 8) {
-        EXPECT_LT(prof.loadToBranchFraction(), 0.1) << window;
-    }
+    const double frac = prof.summary().loadToBranchFraction;
+    if (filler + 2 <= profile::LoadBranchProfiler::kChainWindow)
+        EXPECT_GT(frac, 0.9) << filler;
+    else
+        EXPECT_LT(frac, 0.1) << filler;
 }
 
-INSTANTIATE_TEST_SUITE_P(Windows, ChainWindowTest,
-                         ::testing::Values(4u, 8u, 16u, 32u, 64u));
+// Both sides of the 32-instruction window, and its exact edge.
+INSTANTIATE_TEST_SUITE_P(Fillers, ChainWindowTest,
+                         ::testing::Values(8u, 20u, 30u, 31u, 40u));
 
 // --- application-level properties -------------------------------------------
 
@@ -310,7 +311,7 @@ TEST(AppEdge, SpecLikeSkewOrderingIsStable)
             vm::Interpreter interp(*run.prog);
             interp.addSink(&c);
             run.driver(interp);
-            return c.coverageAt(80);
+            return c.summary().coverageAt80;
         };
         const double crafty = cov("crafty-like");
         const double vortex = cov("vortex-like");
@@ -381,9 +382,10 @@ TEST(MemoryBoundContrast, MissesUnlikeBioperf)
     interp.addSink(&cache);
     run.driver(interp);
     EXPECT_TRUE(run.verify());
-    EXPECT_GT(cache.l1LocalMissRate(), 0.02);
-    EXPECT_GT(cache.amat(), 3.5);
-    EXPECT_GT(cache.overallMissRate(), 0.01);
+    const profile::CacheSummary s = cache.summary();
+    EXPECT_GT(s.l1LocalMissRate, 0.02);
+    EXPECT_GT(s.amat, 3.5);
+    EXPECT_GT(s.overallMissRate, 0.01);
 }
 
 TEST(MemoryBoundContrast, StillLoadToBranchHeavy)
@@ -397,7 +399,7 @@ TEST(MemoryBoundContrast, StillLoadToBranchHeavy)
     vm::Interpreter interp(*run.prog);
     interp.addSink(&chains);
     run.driver(interp);
-    EXPECT_GT(chains.loadToBranchFraction(), 0.6);
+    EXPECT_GT(chains.summary().loadToBranchFraction, 0.6);
 }
 
 } // namespace

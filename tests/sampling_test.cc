@@ -176,19 +176,30 @@ TEST(SampledTiming, KeyframeSuffixReplayIdenticalToSequential)
     interp.addSink(&recorder);
     run.driver(interp);
     const vm::EncodedTrace trace = recorder.finish();
-    ASSERT_GT(trace.chunks().size(), 4u);
+    const auto &chunks = trace.chunks();
+    ASSERT_GT(chunks.size(), 4u);
 
-    for (size_t k = 0; k < trace.chunks().size(); k += 2) {
+    // Streams chunks [begin, end) into @a sink the way a sampling
+    // shard enters its keyframe: seq resumes from the chunk's
+    // startSeq, with no prefix decoded.
+    auto stream = [&](size_t begin, size_t end, vm::TraceSink &sink) {
+        vm::TraceReplayer rep(*run.prog);
+        rep.addSink(&sink);
+        rep.beginStream(begin < end ? chunks[begin].startSeq : 0);
+        for (size_t i = begin; i < end; i++)
+            EXPECT_TRUE(rep.streamChunk(chunks[i]).ok()) << i;
+        return rep.endStream();
+    };
+
+    for (size_t k = 0; k < chunks.size(); k += 2) {
         SCOPED_TRACE("keyframe chunk " + std::to_string(k));
         ASSERT_TRUE(trace.isKeyframe(k));
 
         // Instructions in the prefix [0, k), counted via replay from
         // the top (chunk numEvents includes run-end markers, so it
         // cannot be summed directly).
-        vm::TraceReplayer prefix(trace, *run.prog);
         CountSink prefix_count;
-        prefix.addSink(&prefix_count);
-        ASSERT_TRUE(prefix.replayRange(0, k).ok());
+        stream(0, k, prefix_count);
 
         // Reference: sequential full replay, hashing the suffix only.
         vm::TraceReplayer sequential(trace, *run.prog);
@@ -198,11 +209,8 @@ TEST(SampledTiming, KeyframeSuffixReplayIdenticalToSequential)
         ASSERT_TRUE(sequential.replay().ok());
 
         // Entry straight at the keyframe, no prefix decoded.
-        vm::TraceReplayer suffix(trace, *run.prog);
         SuffixHashSink got;
-        suffix.addSink(&got);
-        const uint64_t n =
-            suffix.replayRange(k, trace.chunks().size()).value();
+        const uint64_t n = stream(k, chunks.size(), got);
 
         EXPECT_EQ(n, expect.instrs);
         EXPECT_EQ(got.instrs, expect.instrs);

@@ -139,16 +139,19 @@ TEST(TraceBatch, ProfilerCountersIdenticalAcrossDeliveryModes)
         interp.addSink(&cache);
         interp.addSink(&lb);
         run.driver(interp);
-        return Counters{ mix.total(),
-                         mix.loads(),
-                         mix.stores(),
-                         mix.condBranches(),
-                         coverage.staticLoads(),
-                         cache.loadL1Misses(),
-                         cache.loadL2Misses(),
-                         lb.dynamicLoads(),
+        const profile::MixSummary m = mix.summary();
+        const profile::CacheSummary c = cache.summary();
+        const profile::LoadBranchSummary l = lb.summary();
+        return Counters{ m.total,
+                         m.loads,
+                         m.stores,
+                         m.condBranches,
+                         coverage.summary().staticLoads,
+                         c.loadL1Misses,
+                         c.loadL2Misses,
+                         l.dynamicLoads,
                          static_cast<uint64_t>(
-                             1e9 * lb.loadToBranchFraction()) };
+                             1e9 * l.loadToBranchFraction) };
     };
 
     const Counters a = characterize(Interpreter::TraceMode::PerInstr);
