@@ -96,17 +96,23 @@ LocalPredictor::LocalPredictor(uint32_t history_bits)
 }
 
 void
-LocalPredictor::grow(uint32_t sid)
+LocalPredictor::addBranch(uint32_t sid)
 {
-    histories_.resize(sid + 1, 0);
-    patterns_.resize(size_t(sid + 1) << history_bits_, 2);
+    if (sid >= branches_.size())
+        branches_.resize(size_t(sid) + 1);
+    const size_t table = patterns_.size() >> history_bits_;
+    branches_[sid].tablePlus1 = static_cast<uint32_t>(table + 1);
+    patterns_.resize((table + 1) << history_bits_, 2);
 }
 
 void
 LocalPredictor::reset()
 {
+    // Branches keep their tables; every table and history returns to
+    // its initial state.
     BranchPredictor::reset();
-    std::fill(histories_.begin(), histories_.end(), 0);
+    for (Branch &b : branches_)
+        b.history = 0;
     std::fill(patterns_.begin(), patterns_.end(), 2);
 }
 

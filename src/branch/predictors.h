@@ -236,20 +236,23 @@ class LocalPredictor final : public BranchPredictor
     bool
     predictFast(uint32_t sid)
     {
-        ensure(sid);
-        return detail::counterTaken(
-            patterns_[(size_t(sid) << history_bits_) +
-                      histories_[sid]]);
+        return detail::counterTaken(counterOf(branchOf(sid)));
     }
-    void
-    trainFast(uint32_t sid, bool taken)
+    void trainFast(uint32_t sid, bool taken) { predictThenTrain(sid, taken); }
+    /**
+     * predictFast() then trainFast() on one table lookup: returns the
+     * prediction made before training on @a taken.
+     */
+    bool
+    predictThenTrain(uint32_t sid, bool taken)
     {
-        ensure(sid);
-        uint8_t &c =
-            patterns_[(size_t(sid) << history_bits_) + histories_[sid]];
+        Branch &b = branchOf(sid);
+        uint8_t &c = counterOf(b);
+        const bool p = detail::counterTaken(c);
         c = detail::counterTrain(c, taken);
-        histories_[sid] = ((histories_[sid] << 1) | (taken ? 1 : 0)) &
-                          ((1u << history_bits_) - 1);
+        b.history = ((b.history << 1) | (taken ? 1 : 0)) &
+                    ((1u << history_bits_) - 1);
+        return p;
     }
 
   protected:
@@ -260,21 +263,42 @@ class LocalPredictor final : public BranchPredictor
     }
 
   private:
-    void
-    ensure(uint32_t sid)
+    /**
+     * One static branch: the index + 1 of its pattern table (0 until
+     * the branch is first seen) and its local history, side by side
+     * so a lookup costs one load before the pattern table's.
+     */
+    struct Branch
     {
-        if (sid >= histories_.size()) [[unlikely]]
-            grow(sid);
+        uint32_t tablePlus1 = 0;
+        uint32_t history = 0;
+    };
+
+    Branch &
+    branchOf(uint32_t sid)
+    {
+        if (sid >= branches_.size() || branches_[sid].tablePlus1 == 0)
+            [[unlikely]]
+            addBranch(sid);
+        return branches_[sid];
     }
-    void grow(uint32_t sid);
+    void addBranch(uint32_t sid);
+    /** The pattern-table counter @a b's history selects. */
+    uint8_t &
+    counterOf(const Branch &b)
+    {
+        return patterns_[(size_t(b.tablePlus1 - 1) << history_bits_) +
+                         b.history];
+    }
 
     uint32_t history_bits_;
-    std::vector<uint32_t> histories_;
+    std::vector<Branch> branches_; ///< indexed by sid
     /**
-     * Per-branch pattern tables stored contiguously (branch @a sid's
-     * table spans [sid << history_bits_, (sid + 1) << history_bits_)),
-     * which keeps the per-prediction lookup to one indexed load
-     * instead of chasing a per-branch allocation.
+     * Per-branch pattern tables stored contiguously (table @a t spans
+     * [t << history_bits_, (t + 1) << history_bits_)). A table is
+     * added when its branch is first seen, so the tables grow with
+     * the branches seen rather than the largest sid, and a lookup is
+     * one indexed load instead of chasing a per-branch allocation.
      */
     std::vector<uint8_t> patterns_;
 };
@@ -304,7 +328,9 @@ class HybridPredictor final : public BranchPredictor
     {
         if (sid >= chooser_.size()) [[unlikely]]
             growChooser(sid);
-        last_local_pred_ = local_.predictFast(sid);
+        // The local component trains as it predicts; nothing below
+        // reads its state.
+        last_local_pred_ = local_.predictThenTrain(sid, taken);
         last_gshare_pred_ = gshare_.predictFast(sid);
         const bool p = detail::counterTaken(chooser_[sid])
                            ? last_local_pred_
@@ -315,7 +341,6 @@ class HybridPredictor final : public BranchPredictor
             uint8_t &c = chooser_[sid];
             c = detail::counterTrain(c, local_ok);
         }
-        local_.trainFast(sid, taken);
         gshare_.trainFast(sid, taken);
         const bool correct = p == taken;
         noteOutcome(sid, correct);

@@ -1,7 +1,6 @@
 #ifndef BIOPERF_PROFILE_LOAD_BRANCH_H_
 #define BIOPERF_PROFILE_LOAD_BRANCH_H_
 
-#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -66,163 +65,106 @@ class LoadBranchProfiler : public vm::TraceSink
     const branch::BranchPredictor &predictor() const { return pred_; }
 
   private:
-    /** A load this register's value (transitively) derives from. */
-    struct Origin
+    /**
+     * Taint-table index of register @a reg: integer and FP registers
+     * interleave in one table, so the hot path never selects a class.
+     */
+    static constexpr uint32_t
+    slotOf(uint32_t reg, bool fp)
     {
-        uint64_t gseq = 0;
-        uint32_t sid = 0;
-        /**
-         * Absolute push position of the load's window_loads_ entry.
-         * While the origin is inside the chain window the entry is
-         * still live (the ring expires on the same window), so the
-         * terminating branch can mark its load in O(1) instead of
-         * scanning the window.
-         */
-        uint32_t slot = 0;
-    };
+        return reg * 2 + (fp ? 1 : 0);
+    }
+    static constexpr uint32_t kNoSlot = UINT32_MAX;
 
     /**
-     * Bounded set of origins per register, stored inline so taint
-     * propagation on the trace hot path never touches the heap.
+     * Bounded set of loads (by gseq) this register's value
+     * (transitively) derives from, in merge order, stored inline so
+     * taint propagation on the trace hot path never touches the heap.
      */
     struct TaintSet
     {
         static constexpr size_t kMaxOrigins = 4;
-        Origin origins[kMaxOrigins];
-        uint8_t count = 0;
-    };
-
-    struct PendingLoad
-    {
-        uint64_t gseq = 0;
-        bool fed = false;
-    };
-
-    struct TightCandidate
-    {
-        uint64_t gseq = 0;
-        bool fp = false;
-        /** kNoReg marks a consumed (dead) entry awaiting expiry. */
-        uint32_t reg = 0;
+        uint64_t origins[kMaxOrigins] = {};
+        uint32_t count = 0;
     };
 
     /**
      * Per-static-instruction facts, decoded once per sid so the trace
      * hot path never re-derives operand shapes from the IR. Register
-     * operands are pre-filtered (no kNoReg entries) and classes are
-     * pre-resolved to a compact fp flag.
+     * operands are pre-filtered (no kNoReg entries) and pre-resolved
+     * to taint slots (slotOf()); decodeSid() grows the taint table to
+     * cover every slot a taint operand names.
      */
     struct SidInfo
     {
         enum Kind : uint8_t
         {
             kLoad,
-            kBranch,
-            kNoDst, ///< store/prefetch/jmp/halt: no register result
+            kBranch, ///< srcs[0] is the condition
+            kNoDst,  ///< store/prefetch/jmp/halt: no register result
             kMovImm,
             kAlu1, ///< one register source, register dst (mov, op-imm)
             kAlu
         };
-        struct Reg
-        {
-            uint8_t fp = 0;
-            uint32_t reg = 0;
-        };
         bool decoded = false;
         Kind kind = kNoDst;
-        bool dstFp = false;
-        bool dstNone = false;
         uint8_t numSrcs = 0;  ///< filtered sources, merge order
         uint8_t numReads = 0; ///< all reads incl. address registers
         uint32_t dst = 0;
-        uint32_t src0 = 0; ///< branch condition register
-        Reg srcs[3];
-        Reg reads[5];
+        uint32_t srcs[3] = {};
+        uint32_t reads[5] = {};
+    };
+
+    /** A load pushed right after a hard branch, awaiting a consumer. */
+    struct TightCandidate
+    {
+        uint64_t gseq = 0;
+        uint32_t slot = kNoSlot; ///< kNoSlot once consumed
     };
 
     /**
-     * Bounded FIFO over a power-of-two array. Entries live at most
-     * one window, so the windows bound capacity and push/pop/expire
-     * run without the deque's segment management on the trace hot
-     * path. reset() sizes the ring for its window, so a push never
-     * finds it full.
+     * The scalars every instruction reads or writes. onBatch() copies
+     * them into a local for the batch and writes them back at its end:
+     * as members they would be reloaded after every origin or fed_
+     * store, which the compiler must assume may alias them.
      */
-    template <class T> struct Ring
+    struct Hot
     {
-        std::vector<T> buf;
-        uint32_t mask = 0;
-        uint32_t head = 0; ///< index of the oldest entry
-        uint32_t tail = 0; ///< one past the newest entry
-
-        void
-        reset(size_t min_capacity)
-        {
-            size_t cap = 8;
-            while (cap < min_capacity)
-                cap *= 2;
-            buf.assign(cap, T{});
-            mask = static_cast<uint32_t>(cap - 1);
-            head = tail = 0;
-        }
-        bool empty() const { return head == tail; }
-        uint32_t size() const { return tail - head; }
-        T &front() { return buf[head & mask]; }
-        void pop_front() { head++; }
-        void
-        push_back(const T &v)
-        {
-            assert(size() < buf.size());
-            buf[tail & mask] = v;
-            tail++;
-        }
-        void clear() { head = tail = 0; }
+        uint64_t gseq = 0;
+        /**
+         * gseqs of the last hard branch and the last tight push;
+         * resetWindows() parks both just outside their windows.
+         */
+        uint64_t lastHardBranch = 0;
+        uint64_t lastTightPush = 0;
+        uint64_t totalLoads = 0;
+        uint64_t ltbLoads = 0;
+        uint64_t ltbBranchExec = 0;
+        uint64_t ltbBranchMiss = 0;
+        uint64_t afterHardLoads = 0;
     };
 
     /**
-     * Inline fast path: the grow branch is out of line so the common
-     * lookup inlines into the per-instruction step() without pulling
-     * the allocator in with it.
+     * Live origins are at most kChainWindow instructions old, so two
+     * loads sharing a fed_ index (64 apart) are never both live; the
+     * same holds for tight candidates and kTightSlots.
      */
-    TaintSet &
-    taintOf(bool fp, uint32_t reg)
-    {
-        auto &v = fp ? fp_taint_ : int_taint_;
-        if (reg >= v.size()) [[unlikely]]
-            growTaint(v, reg);
-        return v[reg];
-    }
-    static void growTaint(std::vector<TaintSet> &v, uint32_t reg);
+    static constexpr uint32_t kFedSlots = 64;
+    static constexpr uint32_t kTightSlots = 4;
+    static_assert(kFedSlots > kChainWindow);
+    static_assert(kTightSlots > kTightWindow);
 
-    /** Decoded-once lookup; the cold decode path is out of line. */
-    const SidInfo &
-    infoOf(const ir::Instr &in)
-    {
-        if (in.sid >= sid_info_.size() ||
-            !sid_info_[in.sid].decoded) [[unlikely]]
-            decodeSid(in);
-        return sid_info_[in.sid];
-    }
     void decodeSid(const ir::Instr &in);
-    void step(const vm::DynInstr &di);
+    /** Forgets hard branches and tight candidates (run start). */
+    void resetWindows();
 
     branch::HybridPredictor pred_;
-    uint64_t gseq_ = 0;
-
-    std::vector<TaintSet> int_taint_;
-    std::vector<TaintSet> fp_taint_;
-
-    Ring<PendingLoad> window_loads_;
-    Ring<TightCandidate> tight_pending_;
-
-    uint64_t last_hard_branch_ = UINT64_MAX; ///< gseq, or none yet
-
-    uint64_t total_loads_ = 0;
-    uint64_t ltb_loads_ = 0;
-    uint64_t ltb_branch_exec_ = 0;
-    uint64_t ltb_branch_miss_ = 0;
-    uint64_t after_hard_loads_ = 0;
-
+    Hot hot_;
+    std::vector<TaintSet> taint_; ///< indexed by slotOf()
     std::vector<SidInfo> sid_info_;
+    /** fed_[gseq % kFedSlots]: the load already fed a branch. */
+    uint8_t fed_[kFedSlots] = {};
+    TightCandidate tight_[kTightSlots];
 };
 
 } // namespace bioperf::profile

@@ -90,6 +90,37 @@ TEST(Local, SeparateHistoriesPerBranch)
     EXPECT_LT(p.missRate(1), 0.05);
 }
 
+TEST(LocalPredictor, SparseSidsPredictLikeDenseSids)
+{
+    // Tables are per branch and private, so which sids name the two
+    // branches cannot change a prediction or a statistic.
+    LocalPredictor dense(10);
+    LocalPredictor sparse(10);
+    const uint32_t dense_sids[2] = { 0, 1 };
+    const uint32_t sparse_sids[2] = { 3, 200000 };
+    util::Rng rng(17);
+    for (int i = 0; i < 4000; i++) {
+        const int b = rng.nextBool() ? 1 : 0;
+        // Branch 0: period-3 pattern; branch 1: biased random.
+        const bool taken = b == 0 ? i % 3 != 0 : rng.nextBool(0.8);
+        ASSERT_EQ(dense.rawPredict(dense_sids[b]),
+                  sparse.rawPredict(sparse_sids[b]))
+            << "step " << i;
+        ASSERT_EQ(dense.predictAndTrain(dense_sids[b], taken),
+                  sparse.predictAndTrain(sparse_sids[b], taken))
+            << "step " << i;
+    }
+    for (int b = 0; b < 2; b++) {
+        EXPECT_GT(dense.executions(dense_sids[b]), 0u);
+        EXPECT_EQ(dense.executions(dense_sids[b]),
+                  sparse.executions(sparse_sids[b]));
+        EXPECT_EQ(dense.mispredictions(dense_sids[b]),
+                  sparse.mispredictions(sparse_sids[b]));
+    }
+    EXPECT_EQ(dense.totalMispredictions(), sparse.totalMispredictions());
+    EXPECT_EQ(sparse.executions(4), 0u);
+}
+
 TEST(Gshare, LearnsGlobalCorrelation)
 {
     GsharePredictor p(12);

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
+#include <string>
 #include <vector>
 
+#include "apps/app.h"
+#include "core/simulator.h"
 #include "ir/builder.h"
 #include "profile/cache_profiler.h"
 #include "profile/instruction_mix.h"
@@ -244,6 +248,173 @@ TEST(CacheProfiler, OverallMissRateBounded)
                 s.l1LocalMissRate * s.l2LocalMissRate, 1e-12);
 }
 
+/**
+ * A hand-built instruction stream fed straight to a profiler, for
+ * tests that need exact instruction distances. Every instruction gets
+ * a sid no other stream uses (kHardSid aside); registers are integer.
+ */
+class HandStream
+{
+  public:
+    void
+    load(uint32_t dst)
+    {
+        ir::Instr &in = push(ir::Opcode::Load);
+        in.dst = dst;
+    }
+    void
+    add(uint32_t dst, uint32_t a, uint32_t b)
+    {
+        ir::Instr &in = push(ir::Opcode::Add);
+        in.dst = dst;
+        in.src[0] = a;
+        in.src[1] = b;
+    }
+    /** An instruction that reads no register and writes kFillerReg. */
+    void
+    filler(uint32_t n = 1)
+    {
+        for (uint32_t k = 0; k < n; k++)
+            push(ir::Opcode::MovImm).dst = kFillerReg;
+    }
+    void
+    branch(uint32_t cond, bool taken = true)
+    {
+        push(ir::Opcode::Br).src[0] = cond;
+        taken_.back() = taken;
+    }
+    /**
+     * 64 executions of branch kHardSid with random outcomes on an
+     * untainted condition: by the last one it has proven hard to
+     * predict (the tests assert so through predictor()).
+     */
+    void
+    hardBranch()
+    {
+        util::Rng rng(21);
+        for (int k = 0; k < 64; k++) {
+            branch(kFillerReg, rng.nextBool());
+            instrs_.back().sid = kHardSid;
+        }
+    }
+    void
+    feed(LoadBranchProfiler &prof) const
+    {
+        std::vector<vm::DynInstr> batch(instrs_.size());
+        for (size_t k = 0; k < instrs_.size(); k++) {
+            batch[k].instr = &instrs_[k];
+            batch[k].taken = taken_[k];
+        }
+        prof.onBatch(batch.data(), batch.size());
+    }
+
+    static constexpr uint32_t kFillerReg = 100;
+    static constexpr uint32_t kHardSid = 0;
+
+  private:
+    ir::Instr &
+    push(ir::Opcode op)
+    {
+        instrs_.emplace_back();
+        taken_.push_back(false);
+        instrs_.back().op = op;
+        static uint32_t next_sid = kHardSid + 1;
+        instrs_.back().sid = next_sid++;
+        return instrs_.back();
+    }
+
+    std::deque<ir::Instr> instrs_; ///< stable addresses
+    std::vector<bool> taken_;
+};
+
+TEST(LoadBranch, OriginCapKeepsFirstFourInMergeOrder)
+{
+    // Five loads merge into r13; the cap keeps the first four in
+    // merge order, so the branch on r13 counts exactly four loads and
+    // the dropped one is still unfed for a later branch.
+    for (const bool load5_first : { false, true }) {
+        HandStream s;
+        for (uint32_t r = 1; r <= 5; r++)
+            s.load(r);
+        s.add(10, 1, 2);
+        s.add(11, 3, 4);
+        s.add(12, 10, 11); // {1, 2, 3, 4}
+        if (load5_first)
+            s.add(13, 5, 12); // {5, 1, 2, 3}
+        else
+            s.add(13, 12, 5); // {1, 2, 3, 4}; 5 dropped
+        s.branch(13);
+        LoadBranchProfiler prof;
+        s.feed(prof);
+        EXPECT_EQ(prof.summary().dynamicLoads, 5u);
+        EXPECT_EQ(prof.summary().loadToBranchFraction, 4.0 / 5.0);
+
+        // The one load the cap dropped now feeds a branch of its own.
+        HandStream dropped;
+        dropped.branch(load5_first ? 4 : 5);
+        dropped.feed(prof);
+        EXPECT_EQ(prof.summary().loadToBranchFraction, 1.0)
+            << "load5_first=" << load5_first;
+    }
+
+    // An origin both sources carry takes one place under the cap.
+    HandStream s;
+    for (uint32_t r = 1; r <= 4; r++)
+        s.load(r);
+    s.add(10, 1, 2);
+    s.add(11, 10, 2);  // {1, 2}
+    s.add(12, 3, 4);   // {3, 4}
+    s.add(13, 11, 12); // {1, 2, 3, 4}
+    s.branch(13);
+    LoadBranchProfiler prof;
+    s.feed(prof);
+    EXPECT_EQ(prof.summary().loadToBranchFraction, 1.0);
+}
+
+TEST(LoadBranch, FedFlagResetWhenSlotReused)
+{
+    // Loads 64 instructions apart share a fed-flag index; the second
+    // must count although the first already fed a branch, and each
+    // counts once however many branches it reaches.
+    HandStream s;
+    s.load(1); // gseq 1
+    s.branch(1);
+    s.filler(62);
+    s.load(2); // gseq 65
+    s.branch(2);
+    s.branch(2);
+    LoadBranchProfiler prof;
+    s.feed(prof);
+    const LoadBranchSummary sum = prof.summary();
+    EXPECT_EQ(sum.dynamicLoads, 2u);
+    EXPECT_EQ(sum.loadToBranchFraction, 1.0);
+}
+
+TEST(LoadBranch, TightConsumerAtWindowEdge)
+{
+    // A load right after a hard branch whose first consumer is
+    // kTightWindow = 2 instructions later counts; 3 later does not.
+    // A second consumer inside the window does not count it again.
+    for (uint32_t distance = 1; distance <= 3; distance++) {
+        HandStream s;
+        s.hardBranch();
+        s.load(1);
+        s.filler(distance - 1);
+        s.add(2, 1, 3);
+        s.add(4, 1, 3);
+        LoadBranchProfiler prof;
+        s.feed(prof);
+        ASSERT_GE(prof.predictor().executions(HandStream::kHardSid),
+                  LoadBranchProfiler::kMinBranchExecs);
+        ASSERT_GE(prof.predictor().missRate(HandStream::kHardSid),
+                  LoadBranchProfiler::kHardThreshold);
+        EXPECT_EQ(prof.summary().loadAfterHardBranchFraction,
+                  distance <= LoadBranchProfiler::kTightWindow ? 1.0
+                                                               : 0.0)
+            << "distance " << distance;
+    }
+}
+
 TEST(LoadBranch, DirectLoadToBranchDetected)
 {
     // Every iteration: load -> compare -> branch. 100% of loads are
@@ -398,6 +569,105 @@ TEST(LoadBranch, RunEndFlushesState)
     const double frac1 = prof.summary().loadToBranchFraction;
     interp.run(fn); // chains must not leak across runs
     EXPECT_DOUBLE_EQ(prof.summary().loadToBranchFraction, frac1);
+
+    // A tight candidate pending at run end must not find its consumer
+    // in the next run.
+    HandStream s;
+    s.hardBranch();
+    s.load(1);
+    for (const bool end_run : { false, true }) {
+        LoadBranchProfiler p;
+        s.feed(p);
+        if (end_run)
+            p.onRunEnd();
+        HandStream next;
+        next.add(2, 1, 3);
+        next.feed(p);
+        EXPECT_EQ(p.summary().loadAfterHardBranchFraction,
+                  end_run ? 0.0 : 1.0);
+    }
+}
+
+TEST(LoadBranch, SummaryBitIdenticalToRecordedGolden)
+{
+    // Every Table 4 number of every registered app at Small, seed 1,
+    // recorded with %.17g before the profiler's fixed-array rewrite:
+    // any change in what it counts fails here, not only a change
+    // large enough to cross a threshold.
+    struct Golden
+    {
+        const char *app;
+        apps::Variant variant;
+        uint64_t dynamicLoads;
+        double loadToBranch;
+        double ltbMissRate;
+        double afterHard;
+    };
+    constexpr apps::Variant kBase = apps::Variant::Baseline;
+    constexpr apps::Variant kXform = apps::Variant::Transformed;
+    const Golden golden[] = {
+        { "blast", kBase, 4482u,
+          0.34136546184738958, 0.1288156288156288, 0.85095939312806779 },
+        { "blast", kXform, 4482u,
+          0.34136546184738958, 0.1288156288156288, 0.85095939312806779 },
+        { "clustalw", kBase, 61564u,
+          0.39776492755506465, 0.17869977131656323, 0.39727762978363979 },
+        { "clustalw", kXform, 49320u, 0, 0, 0 },
+        { "dnapenny", kBase, 8466u,
+          0.94117647058823528, 0.15261044176706828, 0 },
+        { "dnapenny", kXform, 8466u,
+          0.94117647058823528, 0.14382530120481929, 0 },
+        { "fasta", kBase, 2974u,
+          0.56254203093476796, 0.07830245068738792, 0.43712172158708812 },
+        { "fasta", kXform, 2974u,
+          0.56254203093476796, 0.07830245068738792, 0.43712172158708812 },
+        { "hmmcalibrate", kBase, 171324u,
+          0.88428941654409188, 0.096302521008403363, 0.24992412038009854 },
+        { "hmmcalibrate", kXform, 171324u, 0, 0, 0 },
+        { "hmmpfam", kBase, 120587u,
+          0.86825279673596656, 0.12940222897669706, 0.33566636536276712 },
+        { "hmmpfam", kXform, 120587u,
+          0.28941759891198887, 0.13617021276595745, 0.11875243600056391 },
+        { "hmmsearch", kBase, 185755u,
+          0.88500982476918522, 0.093119917387375753, 0.24580226642620656 },
+        { "hmmsearch", kXform, 185755u, 0, 0, 0 },
+        { "predator", kBase, 12276u,
+          0.85361681329423267, 0.11852275980532494, 0.84929944607363961 },
+        { "predator", kXform, 12537u,
+          0.78966259870782485, 0.095382439122966553, 0.73239211932679271 },
+        { "promlk", kBase, 15616u, 0, 0, 0.0057633196721311479 },
+        { "promlk", kXform, 15616u, 0, 0, 0.0057633196721311479 },
+        { "crafty-like", kBase, 27500u,
+          0.090909090909090912, 0.33932822004760643, 0.17392727272727274 },
+        { "crafty-like", kXform, 27500u,
+          0.090909090909090912, 0.33932822004760643, 0.17392727272727274 },
+        { "vortex-like", kBase, 27500u,
+          0.090909090909090912, 0.44570783786129675, 0.17414545454545455 },
+        { "vortex-like", kXform, 27500u,
+          0.090909090909090912, 0.44570783786129675, 0.17414545454545455 },
+        { "gcc-like", kBase, 27500u,
+          0.090909090909090912, 0.48847014283255896, 0.1744 },
+        { "gcc-like", kXform, 27500u,
+          0.090909090909090912, 0.48847014283255896, 0.1744 },
+        { "megamerger-like", kBase, 47981u,
+          0.99960400992059362, 0.43259246903798843, 0 },
+        { "megamerger-like", kXform, 47981u,
+          0.99960400992059362, 0.43259246903798843, 0 },
+    };
+    for (const Golden &g : golden) {
+        SCOPED_TRACE(std::string(g.app) + " " +
+                     apps::toString(g.variant));
+        const apps::AppInfo *app = apps::findApp(g.app);
+        ASSERT_NE(app, nullptr);
+        apps::AppRun run = app->make(g.variant, apps::Scale::Small, 1);
+        const LoadBranchSummary s =
+            core::Simulator::characterize(run).loadBranch;
+        EXPECT_EQ(s.dynamicLoads, g.dynamicLoads);
+        // EXPECT_EQ compares doubles with ==, bit for bit.
+        EXPECT_EQ(s.loadToBranchFraction, g.loadToBranch);
+        EXPECT_EQ(s.ltbBranchMissRate, g.ltbMissRate);
+        EXPECT_EQ(s.loadAfterHardBranchFraction, g.afterHard);
+    }
 }
 
 TEST(PerLoad, FrequencyAndBranchAttribution)
