@@ -1,44 +1,30 @@
 /**
  * @file
- * bioperfsim: command-line driver for the library.
- *
- *   bioperfsim list
- *   bioperfsim characterize <app> [--scale s|m|l] [--seed N]
- *   bioperfsim time <app> [--platform alpha|ppc|p4|itanium]
- *                        [--variant base|xform] [--scale s|m|l]
- *                        [--predictor NAME] [--seed N]
- *   bioperfsim speedup <app> [--platform ...] [--scale ...] [--seed N]
- *                           [--threads N]
- *   bioperfsim candidates <app> [--scale ...] [--seed N]
- *   bioperfsim dump <app> [--variant base|xform] [--seed N]
- *   bioperfsim salvage <file.bptrace> [--json FILE]
- *
- * Every metric-bearing command accepts --json <file> to additionally
- * emit its full result as a machine-readable report (schema
- * "bioperf.run.v1": run manifest plus the command's metric tree). The
- * report is written on failure paths too, with every incident listed
- * in the manifest's `failures` array — a partial run still produces a
- * parseable artifact.
+ * bioperfsim: command-line driver for the library. Run it without
+ * arguments for its commands and options. kOptions and kCommands below
+ * describe each option and each command once; the usage text, the
+ * parser, the "has no effect here" check and dispatch all read them.
  *
  * This is the only layer that maps util::Status to exit codes; the
  * library never terminates the process. Exit codes:
  *   0  success
- *   1  usage error (unknown command or option, missing or bad
- *      option value)
+ *   1  usage error (bad command, operand or option, or an option the
+ *      command would ignore)
  *   2  bad input (unknown app, mismatched trace identity/registers)
  *   3  trace load or integrity failure (corrupt/truncated .bptrace)
  *   4  golden-model verification failure
  *   5  simulation failure (recording failed, sweep entry failed)
  *   6  output write failure (JSON report, .bptrace save)
  */
-#include <cctype>
-#include <cerrno>
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
-#include <map>
+#include <cstring>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -57,31 +43,22 @@ using namespace bioperf;
 
 namespace {
 
+/** The command line; kOptions says what each option sets. */
 struct Options
 {
     std::string command;
-    std::string app;
+    std::string app; ///< the operand: an app, or salvage's trace file
     apps::Scale scale = apps::Scale::Small;
     apps::Variant variant = apps::Variant::Baseline;
     cpu::PlatformConfig platform = cpu::alpha21264();
     uint64_t seed = 42;
-    /** Worker threads for sweeps (1 = inline, 0 = pool default). */
     unsigned threads = 1;
-    /** When non-empty, also write the result as JSON to this path. */
     std::string jsonPath;
-    /** Record the workload and save it as a .bptrace file here. */
     std::string traceOut;
-    /** Replay a saved .bptrace file instead of interpreting. */
     std::string traceIn;
-    /** time: sampled (approximate) timing instead of full replay. */
     bool sample = false;
-    /**
-     * time --sample --trace-in: recover what a corrupt/truncated
-     * .bptrace still holds and sample the salvaged shards.
-     */
     bool salvage = false;
-    /** Sampling knobs (seed/threads are folded in from above). */
-    core::SamplingOptions sampling;
+    core::SamplingOptions sampling; ///< seed/threads folded in later
 };
 
 /** Exit codes (see the file comment). */
@@ -119,261 +96,132 @@ now()
         .count();
 }
 
-void
-usage()
-{
-    std::printf(
-        "usage: bioperfsim <command> [app] [options]\n"
-        "\n"
-        "commands:\n"
-        "  list                      all applications\n"
-        "  characterize <app>        instruction mix, coverage, cache,\n"
-        "                            load/branch sequences\n"
-        "  time <app>                cycle-level timing on a platform\n"
-        "  speedup <app>             baseline vs transformed\n"
-        "  candidates <app>          ranked load-scheduling candidates\n"
-        "  dump <app>                print the kernel IR\n"
-        "  salvage <file.bptrace>    recover the intact keyframe\n"
-        "                            regions of a damaged trace file\n"
-        "                            (--trace-out FILE rewrites the\n"
-        "                            recovered trace)\n"
-        "\n"
-        "options:\n"
-        "  --scale s|m|l             workload size (default s)\n"
-        "  --variant base|xform      kernel version (default base;\n"
-        "                            not speedup or candidates)\n"
-        "  --platform alpha|ppc|p4|itanium   (time, speedup; default\n"
-        "                            alpha; the core names alpha21264,\n"
-        "                            ppc970, pentium4, itanium2 also\n"
-        "                            work)\n"
-        "  --predictor NAME          (time, speedup) perfect/static/\n"
-        "                            bimodal/gshare/local/hybrid\n"
-        "  --seed N                  workload seed (default 42)\n"
-        "  --threads N               (speedup, time --sample) workers\n"
-        "                            (default 1 = inline; 0 = pool\n"
-        "                            default, honours BIOPERF_THREADS)\n"
-        "  --json FILE               also write the result as a JSON\n"
-        "                            report (manifest + metrics)\n"
-        "  --trace-out FILE          (characterize, time; not with\n"
-        "                            --trace-in) record the workload\n"
-        "                            once, save it as a .bptrace\n"
-        "                            file, and analyse the replayed\n"
-        "                            stream\n"
-        "  --trace-in FILE           (characterize, time) replay a\n"
-        "                            saved .bptrace instead of\n"
-        "                            interpreting; results are bit-\n"
-        "                            identical to the live run the\n"
-        "                            trace was recorded from\n"
-        "  --sample                  (time) sampled timing: alternate\n"
-        "                            functional warming with detailed\n"
-        "                            measurement intervals and report\n"
-        "                            mean CPI with a 95%% confidence\n"
-        "                            interval; with --trace-in the\n"
-        "                            file streams chunk-at-a-time and\n"
-        "                            workers seek straight to their\n"
-        "                            shards' keyframes; the\n"
-        "                            --sample-* knobs need it\n"
-        "  --sample-interval N       instructions per sampling unit\n"
-        "                            (default 200000)\n"
-        "  --sample-detail N         measured instructions per unit\n"
-        "                            (default 20000)\n"
-        "  --sample-warmup N         detailed-but-unmeasured warm-up\n"
-        "                            before each measurement\n"
-        "                            (default 5000)\n"
-        "  --sample-shard-chunks N   chunks per shard, rounded up to\n"
-        "                            a keyframe multiple (0 = the\n"
-        "                            library default)\n"
-        "  --sample-window-chunks N  decoded chunks per shard; the\n"
-        "                            rest of each shard is skipped\n"
-        "                            without decoding (0 = three\n"
-        "                            eighths of the shard)\n"
-        "  --sample-min-warm N       functional-warm instructions\n"
-        "                            before a window's first\n"
-        "                            measurement (default 1000000)\n"
-        "  --salvage                 (time --sample --trace-in)\n"
-        "                            recover what a damaged .bptrace\n"
-        "                            still holds and sample the\n"
-        "                            salvaged shards\n"
-        "\n"
-        "exit codes: 0 ok, 1 usage, 2 bad input, 3 trace load or\n"
-        "integrity failure, 4 verification failure, 5 simulation\n"
-        "failure, 6 output write failure\n");
-}
-
-/** The --platform values: short name or the core's own name. */
-struct PlatformFlag
-{
-    const char *flag;
-    cpu::PlatformConfig (*make)();
-};
-constexpr PlatformFlag kPlatformFlags[] = {
-    { "alpha", cpu::alpha21264 },
-    { "ppc", cpu::powerpcG5 },
-    { "p4", cpu::pentium4 },
-    { "itanium", cpu::itanium2 },
-};
-
-/** Whether the command runs a timing platform (and its predictor). */
-bool
-runsPlatform(const Options &opt)
-{
-    return opt.command == "time" || opt.command == "speedup";
-}
-
 /**
- * Why this command line leaves @a flag without effect, or null when
- * the command uses it.
+ * Option setters: each stores its value in the Options member @a Path
+ * leads to and returns null, or what was expected instead of @a v.
+ * A number must be all unsigned decimal digits and fit the member.
  */
+template <auto... Path>
 const char *
-unusedBecause(const Options &opt, const std::string &flag)
+number(Options &o, const char *v)
 {
-    const bool traced =
-        opt.command == "characterize" || opt.command == "time";
-    if ((flag == "--platform" || flag == "--predictor") &&
-        !runsPlatform(opt))
-        return "only time and speedup run a platform";
-    if (flag == "--threads" && opt.command != "speedup" &&
-        !(opt.command == "time" && opt.sample))
-        return "only speedup and time --sample run workers";
-    if (flag == "--variant" && opt.command == "speedup")
-        return "speedup runs both variants";
-    if (flag == "--variant" && opt.command == "candidates")
-        return "candidates analyses the baseline";
-    if (flag == "--trace-in" && !traced)
-        return "only characterize and time replay a trace";
-    if (flag == "--trace-out" && !traced && opt.command != "salvage")
-        return "only characterize, time and salvage write a trace";
-    if (flag == "--trace-out" && !opt.traceIn.empty())
-        return "--trace-in replays a saved trace, nothing is recorded";
-    if (flag.starts_with("--sample") && opt.command != "time")
-        return "only time samples";
-    if (flag.starts_with("--sample-") && !opt.sample)
-        return "sampling knobs need --sample";
-    if (flag == "--salvage" && (!opt.sample || opt.traceIn.empty()))
-        return "it needs time --sample --trace-in";
+    auto &field = (o .* ... .* Path);
+    const char *end = v + std::strlen(v);
+    const auto [stop, err] = std::from_chars(v, end, field);
+    return err == std::errc() && stop == end ? nullptr : "an unsigned integer";
+}
+
+template <auto F>
+const char *
+store(Options &o, const char *v)
+{
+    if constexpr (std::is_same_v<decltype(o.*F), bool &>)
+        o.*F = true; // a switch
+    else
+        o.*F = v;
     return nullptr;
 }
 
-/**
- * Parses the command line. A missing, unknown or malformed value, or
- * an option the command would ignore, is a usage error naming it: the
- * command never runs on a default it silently substituted or without
- * an option it was given.
- */
-bool
-parse(int argc, char **argv, Options &opt)
+/** When an option its command takes still has no effect. */
+struct OptionRule
 {
-    if (argc < 2)
-        return false;
-    opt.command = argv[1];
-    int i = 2;
-    if (opt.command != "list") {
-        if (argc < 3)
-            return false;
-        opt.app = argv[2];
-        i = 3;
-    }
-    std::vector<std::string> given;
-    for (; i < argc; i++) {
-        const std::string a = argv[i];
-        given.push_back(a);
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::printf("missing value for %s\n", a.c_str());
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        auto reject = [&](const std::string &v, const char *expected) {
-            std::printf("bad value '%s' for %s (expected %s)\n",
-                        v.c_str(), a.c_str(), expected);
-            std::exit(kExitUsage);
-        };
-        // The whole value must be an unsigned decimal that fits.
-        auto number = [&](auto &field) {
-            const char *v = next();
-            char *end = nullptr;
-            errno = 0;
-            const unsigned long long n = std::strtoull(v, &end, 10);
-            using T = std::remove_reference_t<decltype(field)>;
-            if (!std::isdigit(static_cast<unsigned char>(*v)) ||
-                *end != '\0' || errno == ERANGE ||
-                n > std::numeric_limits<T>::max())
-                reject(v, "an unsigned integer");
-            field = static_cast<T>(n);
-        };
-        if (a == "--scale") {
-            const std::string v = next();
-            if (v == "s")
-                opt.scale = apps::Scale::Small;
-            else if (v == "m")
-                opt.scale = apps::Scale::Medium;
-            else if (v == "l")
-                opt.scale = apps::Scale::Large;
-            else
-                reject(v, "s|m|l");
-        } else if (a == "--variant") {
-            const std::string v = next();
-            if (v == "base")
-                opt.variant = apps::Variant::Baseline;
-            else if (v == "xform")
-                opt.variant = apps::Variant::Transformed;
-            else
-                reject(v, "base|xform");
-        } else if (a == "--platform") {
-            const std::string v = next();
-            bool found = false;
-            for (const PlatformFlag &f : kPlatformFlags)
-                if (v == f.flag || v == f.make().core.name) {
-                    opt.platform = f.make();
-                    found = true;
-                }
-            if (!found)
-                reject(v, "alpha|ppc|p4|itanium");
-        } else if (a == "--predictor") {
-            const std::string v = next();
-            if (branch::makePredictor(v) == nullptr)
-                reject(v, "perfect|static|bimodal|gshare|local|hybrid");
-            opt.platform.predictor = v;
-        } else if (a == "--seed") {
-            number(opt.seed);
-        } else if (a == "--threads") {
-            number(opt.threads);
-        } else if (a == "--json") {
-            opt.jsonPath = next();
-        } else if (a == "--trace-out") {
-            opt.traceOut = next();
-        } else if (a == "--trace-in") {
-            opt.traceIn = next();
-        } else if (a == "--sample") {
-            opt.sample = true;
-        } else if (a == "--salvage") {
-            opt.salvage = true;
-        } else if (a == "--sample-interval") {
-            number(opt.sampling.interval);
-        } else if (a == "--sample-detail") {
-            number(opt.sampling.detailLen);
-        } else if (a == "--sample-warmup") {
-            number(opt.sampling.warmupLen);
-        } else if (a == "--sample-shard-chunks") {
-            number(opt.sampling.shardChunks);
-        } else if (a == "--sample-window-chunks") {
-            number(opt.sampling.windowChunks);
-        } else if (a == "--sample-min-warm") {
-            number(opt.sampling.minWarm);
-        } else {
-            std::printf("unknown option %s\n", a.c_str());
-            return false;
-        }
-    }
-    for (const std::string &flag : given)
-        if (const char *why = unusedBecause(opt, flag)) {
-            std::printf("%s has no effect here (%s)\n", flag.c_str(),
-                        why);
-            std::exit(kExitUsage);
-        }
-    return true;
-}
+    const char *command = nullptr; ///< the one command it holds on
+    std::vector<std::string_view> needs = {}; ///< options it needs
+    const char *excludes = nullptr; ///< an option it cannot go with
+};
+const OptionRule kNeedsSample = { .needs = { "--sample" } };
+
+struct OptionSpec
+{
+    const char *name;
+    const char *value; ///< its name in the usage text; null: a switch
+    const char *help;
+    const char *(*set)(Options &, const char *value);
+    OptionRule rule = {};
+};
+
+using Sampling = core::SamplingOptions;
+
+/** Every option, once. */
+const OptionSpec kOptions[] = {
+    { "--scale", "s|m|l", "workload size (default s)",
+      [](Options &o, const char *v) -> const char * {
+          const std::string_view s = v;
+          if (s != "s" && s != "m" && s != "l")
+              return "s|m|l";
+          o.scale = s == "s"   ? apps::Scale::Small
+                    : s == "m" ? apps::Scale::Medium
+                               : apps::Scale::Large;
+          return nullptr;
+      } },
+    { "--variant", "base|xform", "kernel version (default base)",
+      [](Options &o, const char *v) -> const char * {
+          const std::string_view s = v;
+          if (s != "base" && s != "xform")
+              return "base|xform";
+          o.variant = s == "base" ? apps::Variant::Baseline
+                                  : apps::Variant::Transformed;
+          return nullptr;
+      } },
+    { "--platform", "alpha|ppc|p4|itanium",
+      "timing platform (default alpha; the core names alpha21264, "
+      "ppc970, pentium4, itanium2 also work)",
+      [](Options &o, const char *v) -> const char * {
+          using Make = cpu::PlatformConfig (*)();
+          const std::pair<std::string_view, Make> platforms[] = {
+              { "alpha", cpu::alpha21264 }, { "ppc", cpu::powerpcG5 },
+              { "p4", cpu::pentium4 }, { "itanium", cpu::itanium2 } };
+          for (const auto &[flag, make] : platforms)
+              if (v == flag || v == make().core.name) {
+                  o.platform = make();
+                  return nullptr;
+              }
+          return "alpha|ppc|p4|itanium";
+      } },
+    { "--predictor", "NAME",
+      "branch predictor: perfect/static/bimodal/gshare/local/hybrid",
+      [](Options &o, const char *v) -> const char * {
+          if (branch::makePredictor(v) == nullptr)
+              return "perfect|static|bimodal|gshare|local|hybrid";
+          o.platform.predictor = v;
+          return nullptr;
+      } },
+    { "--seed", "N", "workload seed (default 42)", number<&Options::seed> },
+    { "--threads", "N", "workers (default 1 = inline; 0 = pool default, "
+      "honours BIOPERF_THREADS)", number<&Options::threads>,
+      { .command = "time", .needs = { "--sample" } } },
+    { "--json", "FILE", "also write the result as a JSON report "
+      "(manifest + metrics)", store<&Options::jsonPath> },
+    { "--trace-out", "FILE", "record the workload once, save it as a "
+      ".bptrace file, and analyse the replayed stream",
+      store<&Options::traceOut>, { .excludes = "--trace-in" } },
+    { "--trace-in", "FILE", "replay a saved .bptrace instead of "
+      "interpreting; results are bit-identical to the live run",
+      store<&Options::traceIn> },
+    { "--sample", nullptr, "sampled timing: mean CPI with a 95% confidence "
+      "interval over detailed intervals between functional warming; a "
+      "--trace-in file is streamed", store<&Options::sample> },
+    { "--sample-interval", "N", "instructions per unit (default 200000)",
+      number<&Options::sampling, &Sampling::interval>, kNeedsSample },
+    { "--sample-detail", "N", "measured instructions per unit (default 20000)",
+      number<&Options::sampling, &Sampling::detailLen>, kNeedsSample },
+    { "--sample-warmup", "N", "detailed warm-up per unit (default 5000)",
+      number<&Options::sampling, &Sampling::warmupLen>, kNeedsSample },
+    { "--sample-shard-chunks", "N", "chunks per shard (0 = library default)",
+      number<&Options::sampling, &Sampling::shardChunks>, kNeedsSample },
+    { "--sample-window-chunks", "N",
+      "decoded chunks per shard (0 = three eighths of it)",
+      number<&Options::sampling, &Sampling::windowChunks>, kNeedsSample },
+    { "--sample-min-warm", "N",
+      "functional warming before a window's first unit (default 1000000)",
+      number<&Options::sampling, &Sampling::minWarm>, kNeedsSample },
+    { "--salvage", nullptr, "recover what a damaged .bptrace still "
+      "holds and sample the salvaged shards", store<&Options::salvage>,
+      { .needs = { "--sample", "--trace-in" } } },
+};
+
+/** Whether the command times a platform: it takes --platform. */
+bool runsPlatform(const Options &opt);
 
 util::RunManifest
 makeManifest(const Options &opt, const apps::AppInfo &app)
@@ -391,8 +239,8 @@ makeManifest(const Options &opt, const apps::AppInfo &app)
 }
 
 /**
- * Assembles the "bioperf.run.v1" document and writes it to
- * opt.jsonPath (no-op when --json was not given).
+ * Writes the "bioperf.run.v1" document (run manifest plus the command's
+ * metric tree) to --json, when given.
  *
  * @return false only when the write itself failed
  */
@@ -418,9 +266,9 @@ writeJsonReport(const Options &opt, bool ok,
 }
 
 /**
- * Failure epilogue shared by every metric command: prints the reason,
- * records it in the manifest's failures array, and still writes the
- * JSON report (ok=false) so a failed run leaves a parseable artifact.
+ * Failure epilogue shared by every metric command: prints @a why,
+ * records it in the manifest's failures, and still writes the JSON
+ * report (ok=false) so a failed run leaves a parseable artifact.
  *
  * @return @a code, the command's exit status
  */
@@ -438,6 +286,23 @@ failCommand(const Options &opt, util::RunManifest &manifest,
 }
 
 /**
+ * Epilogue shared by every command that ran to the end: records a
+ * verify failure when the run did not verify, writes the JSON report
+ * and returns kExitOk, kExitVerify or kExitWriteFailure.
+ */
+int
+finishCommand(const Options &opt, util::RunManifest &manifest,
+              bool verified, util::json::Value metrics)
+{
+    if (!verified)
+        manifest.addFailure(manifest.app, manifest.variant, "verify",
+                            "output does not match the golden model");
+    if (!writeJsonReport(opt, verified, manifest, std::move(metrics)))
+        return kExitWriteFailure;
+    return verified ? kExitOk : kExitVerify;
+}
+
+/**
  * The workload a characterize or time command runs; time rewrites it
  * for the platform's architectural register file.
  */
@@ -449,7 +314,7 @@ commandKey(const Options &opt, const apps::AppInfo &app)
     key.variant = opt.variant;
     key.scale = opt.scale;
     key.seed = opt.seed;
-    key.registerPressure = opt.command == "time";
+    key.registerPressure = runsPlatform(opt);
     if (key.registerPressure) {
         key.intRegs = opt.platform.core.numIntRegs;
         key.fpRegs = opt.platform.core.numFpRegs;
@@ -545,8 +410,7 @@ loadExitCode(const util::Status &why)
  * saves it there, staging both costs into @a manifest.
  *
  * @return kExitOk, or the exit code of a failure already reported
- *         through failCommand() (recording: kExitSimFailure; save:
- *         kExitWriteFailure)
+ *         through failCommand()
  */
 int
 recordTrace(const Options &opt, const core::TraceKey &key,
@@ -639,7 +503,7 @@ openInput(const Options &opt, const apps::AppInfo &app,
 }
 
 int
-cmdList()
+cmdList(const Options &, const apps::AppInfo *)
 {
     util::TextTable t({ "name", "area", "transformable" });
     for (const auto &a : apps::bioperfApps())
@@ -654,11 +518,11 @@ cmdList()
 }
 
 int
-cmdCharacterize(const Options &opt, const apps::AppInfo &app)
+cmdCharacterize(const Options &opt, const apps::AppInfo *app)
 {
-    util::RunManifest manifest = makeManifest(opt, app);
+    util::RunManifest manifest = makeManifest(opt, *app);
     CommandInput in;
-    if (const int code = openInput(opt, app, manifest, in))
+    if (const int code = openInput(opt, *app, manifest, in))
         return code;
     const core::CharacterizationResult res =
         core::Simulator::characterize(in.source());
@@ -667,12 +531,9 @@ cmdCharacterize(const Options &opt, const apps::AppInfo &app)
     if (!res.status.ok())
         return failCommand(opt, manifest, "characterize", res.status,
                            kExitSimFailure);
-    if (!res.verified)
-        manifest.addFailure(manifest.app, manifest.variant, "verify",
-                            "output does not match the golden model");
 
-    std::printf("application      : %s (%s)\n", app.name.c_str(),
-                app.area.c_str());
+    std::printf("application      : %s (%s)\n", app->name.c_str(),
+                app->area.c_str());
     std::printf("verified         : %s\n",
                 res.verified ? "yes" : "NO");
     std::printf("instructions     : %llu\n",
@@ -698,17 +559,12 @@ cmdCharacterize(const Options &opt, const apps::AppInfo &app)
                 100.0 * res.loadBranch.ltbBranchMissRate);
     std::printf("after hard branch: %.1f%% of loads\n",
                 100.0 * res.loadBranch.loadAfterHardBranchFraction);
-    if (!writeJsonReport(opt, res.verified, manifest, res.report()))
-        return kExitWriteFailure;
-    return res.verified ? kExitOk : kExitVerify;
+    return finishCommand(opt, manifest, res.verified, res.report());
 }
 
 /**
- * `time --sample`: sampled (approximate) timing. With --trace-in the
- * .bptrace streams chunk-at-a-time — workers seek directly to their
- * shards' keyframes and the full trace is never materialized;
- * otherwise the workload is recorded once (and saved when --trace-out
- * was given) and sampled in memory.
+ * `time --sample`: streams a --trace-in file without materializing it;
+ * otherwise records the workload once and samples it in memory.
  */
 int
 cmdTimeSampled(const Options &opt, const apps::AppInfo &app)
@@ -731,8 +587,7 @@ cmdTimeSampled(const Options &opt, const apps::AppInfo &app)
         if (!sr.status.ok())
             return failCommand(opt, manifest, "trace_salvage",
                                sr.status, kExitTrace);
-        const util::Status kerr =
-            checkTraceKey(opt, app, sr.key);
+        const util::Status kerr = checkTraceKey(opt, app, sr.key);
         if (!kerr.ok())
             return failCommand(opt, manifest, "trace_salvage", kerr,
                                kExitBadInput);
@@ -745,8 +600,7 @@ cmdTimeSampled(const Options &opt, const apps::AppInfo &app)
         if (!fr.status.ok())
             return failCommand(opt, manifest, "sample_stream",
                                fr.status, loadExitCode(fr.status));
-        const util::Status kerr =
-            checkTraceKey(opt, app, fr.key);
+        const util::Status kerr = checkTraceKey(opt, app, fr.key);
         if (!kerr.ok())
             return failCommand(opt, manifest, "sample_stream", kerr,
                                kExitBadInput);
@@ -771,12 +625,6 @@ cmdTimeSampled(const Options &opt, const apps::AppInfo &app)
     for (const auto &e : res.shardErrors)
         manifest.addFailure(manifest.app, manifest.variant,
                             "sample_shard", e);
-    // A salvaged trace can't verify (the stream has gaps); success on
-    // this path means the recovered shards sampled cleanly.
-    const bool okRun = res.verified || opt.salvage;
-    if (!okRun)
-        manifest.addFailure(manifest.app, manifest.variant, "verify",
-                            "output does not match the golden model");
 
     std::printf("%s (%s) on %s, sampled%s:\n", app.name.c_str(),
                 manifest.variant.c_str(), opt.platform.name.c_str(),
@@ -804,19 +652,20 @@ cmdTimeSampled(const Options &opt, const apps::AppInfo &app)
                     static_cast<unsigned long long>(res.failedShards),
                     res.failedShards == 1 ? "" : "s",
                     res.failedShards == 1 ? "was" : "were");
-    if (!writeJsonReport(opt, okRun, manifest, res.report()))
-        return kExitWriteFailure;
-    return okRun ? kExitOk : kExitVerify;
+    // A salvaged trace can't verify (the stream has gaps); success on
+    // this path means the recovered shards sampled cleanly.
+    return finishCommand(opt, manifest, res.verified || opt.salvage,
+                         res.report());
 }
 
 int
-cmdTime(const Options &opt, const apps::AppInfo &app)
+cmdTime(const Options &opt, const apps::AppInfo *app)
 {
     if (opt.sample)
-        return cmdTimeSampled(opt, app);
-    util::RunManifest manifest = makeManifest(opt, app);
+        return cmdTimeSampled(opt, *app);
+    util::RunManifest manifest = makeManifest(opt, *app);
     CommandInput in;
-    if (const int code = openInput(opt, app, manifest, in))
+    if (const int code = openInput(opt, *app, manifest, in))
         return code;
     const core::TimingResult res =
         core::Simulator::time(in.source(), opt.platform);
@@ -825,11 +674,8 @@ cmdTime(const Options &opt, const apps::AppInfo &app)
     if (!res.status.ok())
         return failCommand(opt, manifest, "time", res.status,
                            kExitSimFailure);
-    if (!res.verified)
-        manifest.addFailure(manifest.app, manifest.variant, "verify",
-                            "output does not match the golden model");
 
-    std::printf("%s (%s) on %s:\n", app.name.c_str(),
+    std::printf("%s (%s) on %s:\n", app->name.c_str(),
                 manifest.variant.c_str(),
                 opt.platform.name.c_str());
     std::printf("  verified    : %s\n", res.verified ? "yes" : "NO");
@@ -841,23 +687,21 @@ cmdTime(const Options &opt, const apps::AppInfo &app)
                 static_cast<unsigned long long>(res.mispredicts));
     std::printf("  time        : %.6f s at %.3f GHz\n", res.seconds,
                 opt.platform.core.clockGhz);
-    if (!writeJsonReport(opt, res.verified, manifest, res.report()))
-        return kExitWriteFailure;
-    return res.verified ? kExitOk : kExitVerify;
+    return finishCommand(opt, manifest, res.verified, res.report());
 }
 
 int
-cmdSpeedup(const Options &opt, const apps::AppInfo &app)
+cmdSpeedup(const Options &opt, const apps::AppInfo *app)
 {
-    if (!app.transformable) {
+    if (!app->transformable) {
         std::printf("%s has no transformed variant (try: bioperfsim "
-                    "list)\n", app.name.c_str());
+                    "list)\n", app->name.c_str());
         return kExitBadInput;
     }
-    util::RunManifest manifest = makeManifest(opt, app);
+    util::RunManifest manifest = makeManifest(opt, *app);
     const double t0 = now();
     const core::SpeedupResult r = core::Simulator::speedup(
-        app, opt.platform, opt.scale, opt.seed, opt.threads);
+        *app, opt.platform, opt.scale, opt.seed, opt.threads);
     manifest.addStage("speedup", now() - t0,
                       r.baseline.instructions +
                           r.transformed.instructions);
@@ -867,34 +711,24 @@ cmdSpeedup(const Options &opt, const apps::AppInfo &app)
     if (!r.transformed.status.ok())
         manifest.addFailure(manifest.app, "transformed", "speedup",
                             r.transformed.status.str());
-    const bool failed =
-        !r.baseline.status.ok() || !r.transformed.status.ok();
-    if (failed) {
-        const util::Status &why = !r.baseline.status.ok()
-                                      ? r.baseline.status
-                                      : r.transformed.status;
-        std::printf("%s\n", why.str().c_str());
+    if (!manifest.failures.empty()) {
+        std::printf("%s\n", manifest.failures.front().error.c_str());
         writeJsonReport(opt, false, manifest, r.report());
         return kExitSimFailure;
     }
-    if (!r.verified())
-        manifest.addFailure(manifest.app, manifest.variant, "verify",
-                            "output does not match the golden model");
 
     std::printf("%s on %s: %llu -> %llu cycles, speedup %.1f%%\n",
-                app.name.c_str(), opt.platform.name.c_str(),
+                app->name.c_str(), opt.platform.name.c_str(),
                 static_cast<unsigned long long>(r.baseline.cycles),
                 static_cast<unsigned long long>(r.transformed.cycles),
                 100.0 * (r.speedup - 1.0));
-    if (!writeJsonReport(opt, r.verified(), manifest, r.report()))
-        return kExitWriteFailure;
-    return r.verified() ? kExitOk : kExitVerify;
+    return finishCommand(opt, manifest, r.verified(), r.report());
 }
 
 int
-cmdCandidates(const Options &opt, const apps::AppInfo &app)
+cmdCandidates(const Options &opt, const apps::AppInfo *app)
 {
-    apps::AppRun run = app.make(apps::Variant::Baseline, opt.scale,
+    apps::AppRun run = app->make(apps::Variant::Baseline, opt.scale,
                                 opt.seed);
     core::CandidateFinder finder;
     const auto cands = finder.findCandidates(run);
@@ -922,20 +756,13 @@ cmdCandidates(const Options &opt, const apps::AppInfo &app)
         std::printf("%s", t.str().c_str());
     util::json::Value metrics = util::json::Value::object();
     metrics["candidates"] = std::move(list);
-    if (!writeJsonReport(opt, true, makeManifest(opt, app),
-                         std::move(metrics)))
-        return kExitWriteFailure;
-    return kExitOk;
+    util::RunManifest manifest = makeManifest(opt, *app);
+    return finishCommand(opt, manifest, true, std::move(metrics));
 }
 
-/**
- * `salvage <file.bptrace>`: recover the intact keyframe-aligned
- * regions of a damaged trace file, report recovered/lost counts, and
- * optionally (--trace-out) rewrite the recovered trace as a clean,
- * fully-checksummed v3 file.
- */
+/** --trace-out saves what was recovered as a clean, checksummed file. */
 int
-cmdSalvage(const Options &opt)
+cmdSalvage(const Options &opt, const apps::AppInfo *)
 {
     const std::string &path = opt.app; // argv[2] is the file here
     util::RunManifest manifest;
@@ -980,15 +807,13 @@ cmdSalvage(const Options &opt)
         static_cast<int64_t>(sr.recoveredChunks);
     metrics["lost_chunks"] = static_cast<int64_t>(sr.lostChunks);
     metrics["gaps"] = static_cast<int64_t>(sr.gaps);
-    if (!writeJsonReport(opt, true, manifest, std::move(metrics)))
-        return kExitWriteFailure;
-    return kExitOk;
+    return finishCommand(opt, manifest, true, std::move(metrics));
 }
 
 int
-cmdDump(const Options &opt, const apps::AppInfo &app)
+cmdDump(const Options &opt, const apps::AppInfo *app)
 {
-    apps::AppRun run = app.make(opt.variant, opt.scale, opt.seed);
+    apps::AppRun run = app->make(opt.variant, opt.scale, opt.seed);
     for (size_t f = 0; f < run.prog->numFunctions(); f++) {
         std::printf("%s\n",
                     ir::toString(*run.prog, run.prog->function(f))
@@ -997,38 +822,213 @@ cmdDump(const Options &opt, const apps::AppInfo &app)
     return 0;
 }
 
+/** The operand main() resolves to an application. */
+constexpr const char *kApp = "<app>";
+
+struct Command
+{
+    const char *name;
+    const char *operand; ///< what follows the name: kApp, a file or null
+    std::vector<std::string_view> options; ///< any other: usage error
+    /** The handler; @a app is the <app> operand, null for the others. */
+    int (*run)(const Options &opt, const apps::AppInfo *app);
+    const char *help;
+};
+
+/** Every command, once. */
+const Command kCommands[] = {
+    { "list", nullptr, {}, cmdList, "all applications" },
+    { "characterize", kApp,
+      { "--scale", "--variant", "--seed", "--json", "--trace-out",
+        "--trace-in" },
+      cmdCharacterize, "instruction mix, coverage, cache, load/branch" },
+    { "time", kApp,
+      { "--scale", "--variant", "--platform", "--predictor", "--seed",
+        "--threads", "--json", "--trace-out", "--trace-in", "--sample",
+        "--sample-interval", "--sample-detail", "--sample-warmup",
+        "--sample-shard-chunks", "--sample-window-chunks",
+        "--sample-min-warm", "--salvage" },
+      cmdTime, "cycle-level timing on a platform" },
+    { "speedup", kApp,
+      { "--scale", "--platform", "--predictor", "--seed", "--threads",
+        "--json" },
+      cmdSpeedup, "baseline vs transformed" },
+    { "candidates", kApp, { "--scale", "--seed", "--json" },
+      cmdCandidates, "ranked load-scheduling candidates" },
+    { "dump", kApp, { "--scale", "--variant", "--seed" }, cmdDump,
+      "print the kernel IR" },
+    { "salvage", "<file.bptrace>", { "--json", "--trace-out" },
+      cmdSalvage, "recover the intact keyframe regions of a damaged "
+      "trace file (--trace-out FILE rewrites the recovered trace)" },
+};
+
+bool
+contains(const std::vector<std::string_view> &list, std::string_view item)
+{
+    return std::ranges::find(list, item) != list.end();
+}
+
+/** The row of @a table named @a name, or null. */
+template <typename Row, size_t N>
+const Row *
+findRow(const Row (&table)[N], std::string_view name)
+{
+    for (const Row &row : table)
+        if (name == row.name)
+            return &row;
+    return nullptr;
+}
+
+bool
+runsPlatform(const Options &opt)
+{
+    return contains(findRow(kCommands, opt.command)->options, "--platform");
+}
+
+/** @a r in words, for the usage text and the usage error. */
+std::string
+ruleText(const OptionRule &r)
+{
+    std::string s = r.command ? std::string("on ") + r.command + ", " : "";
+    for (size_t i = 0; i < r.needs.size(); i++)
+        s += (i ? " and " : "needs ") + std::string(r.needs[i]);
+    if (r.excludes)
+        s += std::string("not with ") + r.excludes;
+    return s;
+}
+
+/**
+ * Why @a o has no effect beside the @a given options: @a cmd does not
+ * take it, or its rule does not hold. Empty when it has an effect.
+ */
+std::string
+whyIgnored(const Command &cmd, const OptionSpec &o,
+           const std::vector<std::string_view> &given)
+{
+    if (!contains(cmd.options, o.name))
+        return std::string(cmd.name) + " does not take it";
+    const OptionRule &r = o.rule;
+    if (r.command && r.command != std::string_view(cmd.name))
+        return {};
+    for (std::string_view need : r.needs)
+        if (!contains(given, need))
+            return ruleText(r);
+    if (r.excludes && contains(given, r.excludes))
+        return ruleText(r);
+    return {};
+}
+
+/** Prints @a head, then @a text word-wrapped into the help column. */
+void
+printRow(const std::string &head, const std::string &text)
+{
+    std::string line = "  " + head;
+    std::istringstream words(text);
+    std::string word;
+    while (words >> word) {
+        if (line.size() + 1 + word.size() > 76) {
+            std::printf("%s\n", line.c_str());
+            line.clear();
+        }
+        line.resize(std::max<size_t>(line.size() + 1, 28), ' ');
+        line += word;
+    }
+    std::printf("%s\n", line.c_str());
+}
+
+void
+usage()
+{
+    std::printf("usage: bioperfsim <command> [operand] [options]\n\n"
+                "commands:\n");
+    for (const Command &c : kCommands) {
+        printRow(c.operand ? c.name + std::string(" ") + c.operand : c.name,
+                 c.help);
+        std::string takes = "options:";
+        for (std::string_view option : c.options)
+            takes += " " + std::string(option);
+        if (!c.options.empty())
+            printRow("", takes);
+    }
+    std::printf("\noptions:\n");
+    for (const OptionSpec &o : kOptions) {
+        const std::string rule = ruleText(o.rule);
+        printRow(o.value ? std::string(o.name) + " " + o.value : o.name,
+                 o.help + (rule.empty() ? "" : "; " + rule));
+    }
+    std::printf("\nexit codes: 0 ok, 1 usage, 2 bad input, 3 trace load "
+                "or\nintegrity failure, 4 verification failure, 5 "
+                "simulation\nfailure, 6 output write failure\n");
+}
+
+/** Prints @a why, and the usage when @a withUsage, then exits 1. */
+[[noreturn]] void
+usageError(const std::string &why, bool withUsage = false)
+{
+    if (!why.empty())
+        std::printf("%s\n", why.c_str());
+    if (withUsage)
+        usage();
+    std::exit(kExitUsage);
+}
+
+/**
+ * Parses the command line against the two tables. A line without a
+ * known command, its operand and known options, a missing or malformed
+ * value, or an option the command would ignore is a usage error.
+ */
+const Command &
+parse(int argc, char **argv, Options &opt)
+{
+    const Command *cmd = argc < 2 ? nullptr : findRow(kCommands, argv[1]);
+    if (!cmd)
+        usageError(argc < 2 ? "" : "unknown command " + std::string(argv[1]),
+                   true);
+    opt.command = cmd->name;
+    int i = 2;
+    if (cmd->operand) {
+        if (argc < 3)
+            usageError("", true);
+        opt.app = argv[i++];
+    }
+    std::vector<std::string_view> given;
+    for (; i < argc; i++) {
+        const OptionSpec *o = findRow(kOptions, argv[i]);
+        if (!o)
+            usageError("unknown option " + std::string(argv[i]), true);
+        given.push_back(o->name);
+        if (o->value && i + 1 >= argc)
+            usageError("missing value for " + std::string(o->name));
+        const char *v = o->value ? argv[++i] : nullptr;
+        if (const char *expected = o->set(opt, v))
+            usageError("bad value '" + std::string(v) + "' for " + o->name +
+                       " (expected " + expected + ")");
+    }
+    for (std::string_view option : given) {
+        const std::string why =
+            whyIgnored(*cmd, *findRow(kOptions, option), given);
+        if (!why.empty())
+            usageError(std::string(option) + " has no effect here (" +
+                       why + ")");
+    }
+    return *cmd;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     Options opt;
-    if (!parse(argc, argv, opt)) {
-        usage();
-        return 1;
-    }
-    if (opt.command == "list")
-        return cmdList();
-    if (opt.command == "salvage")
-        return cmdSalvage(opt);
-
-    const apps::AppInfo *app = apps::findApp(opt.app);
-    if (!app) {
-        std::printf("unknown application '%s' (try: bioperfsim "
-                    "list)\n", opt.app.c_str());
+    const Command &cmd = parse(argc, argv, opt);
+    const apps::AppInfo *app = nullptr;
+    if (cmd.operand == kApp && !(app = apps::findApp(opt.app))) {
+        std::printf("unknown application '%s' (try: bioperfsim list)\n",
+                    opt.app.c_str());
         return kExitBadInput;
     }
     try {
-        if (opt.command == "characterize")
-            return cmdCharacterize(opt, *app);
-        if (opt.command == "time")
-            return cmdTime(opt, *app);
-        if (opt.command == "speedup")
-            return cmdSpeedup(opt, *app);
-        if (opt.command == "candidates")
-            return cmdCandidates(opt, *app);
-        if (opt.command == "dump")
-            return cmdDump(opt, *app);
+        return cmd.run(opt, app);
     } catch (const util::StatusError &e) {
         // Last-resort mapping for statuses thrown through value()
         // deep in the library; commands handle their own failures
@@ -1037,6 +1037,4 @@ main(int argc, char **argv)
                     e.status().str().c_str());
         return exitCodeFor(e.status());
     }
-    usage();
-    return kExitUsage;
 }
