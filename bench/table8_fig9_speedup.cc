@@ -66,9 +66,10 @@ main(int argc, char **argv)
         }
     }
     // Baseline and transformed variants are distinct workloads, but
-    // the four platforms of each variant share recordings where their
-    // register files coincide; SweepOptions' default Auto policy
-    // records once per shared workload and replays the rest.
+    // the four platforms of each variant share one where their
+    // register files coincide: pool workers record it once and
+    // replay the rest, and a one-thread sweep times all its
+    // platforms in one live pass.
     core::SweepOptions opts;
     core::TraceCache::Stats trace_stats;
     opts.statsOut = &trace_stats;

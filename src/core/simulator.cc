@@ -217,17 +217,15 @@ analyse(const Source &src, const std::vector<const SweepJob *> &group)
 }
 
 /**
- * Characterization results own their profilers, so each member of a
- * group takes its own pass (groups of a live source are single jobs).
+ * The members of a group share a key, so their characterizations are
+ * equal: one pass serves them all.
  */
 std::vector<CharacterizationResult>
 analyse(const Source &src,
         const std::vector<const CharacterizeJob *> &group)
 {
-    std::vector<CharacterizationResult> results;
-    for (size_t i = 0; i < group.size(); i++)
-        results.push_back(Simulator::characterize(src));
-    return results;
+    return std::vector<CharacterizationResult>(
+        group.size(), Simulator::characterize(src));
 }
 
 template <typename Result>
@@ -246,20 +244,21 @@ firstError(const std::vector<Result> &results)
  * consumed more than once. The app registry is touched once up front
  * so the workers never race on its lazy initialization.
  *
- * Trace scheduling: workload keys are counted over the whole job
- * list first. A job replays when its key is shared by ≥2 jobs of
- * this call or when the caller supplied a persistent cache; the
- * first job to reach a key records it (single-flight — concurrent
- * jobs for the same workload block on the one recording). With the
- * ephemeral per-call cache, a remaining-use counter drops each trace
- * after its last consumer, so peak memory tracks in-flight workloads
- * rather than the job list.
+ * Trace scheduling: a workload is recorded only when its stream is
+ * consumed by more than one pass — every job when the caller supplied
+ * a persistent cache, and on the pool the jobs whose key is shared by
+ * ≥2 jobs of this call. The first job to reach a key records it
+ * (single-flight — concurrent jobs for the same workload block on the
+ * one recording). With the ephemeral per-call cache, a remaining-use
+ * counter drops each trace after its last consumer, so peak memory
+ * tracks in-flight workloads rather than the job list.
  *
- * Grouping: on the calling thread, all replay jobs of one key form
- * one group that shares one obtained trace, and a timing group rides
- * a single pass over it (every member's core on the same replayer).
- * On the pool every group is one job, which scales across workers.
- * Results are bit-identical either way.
+ * Grouping: on the calling thread, all jobs of one key form one group
+ * that rides a single pass — one live interpretation, or one replay
+ * of the cached trace — with every member's sinks on it, so a shared
+ * workload needs no recording at all. On the pool every group is one
+ * job, which scales across workers. Results are bit-identical either
+ * way.
  */
 template <typename Job, typename Result>
 std::vector<Result>
@@ -280,12 +279,12 @@ runAll(const std::vector<Job> &jobs, const SweepOptions &opts)
         uses[key_str[i]]++;
     }
     for (size_t i = 0; i < jobs.size(); i++)
-        replay[i] = opts.cache || uses[key_str[i]] >= 2;
+        replay[i] = opts.cache || (!inline_run && uses[key_str[i]] >= 2);
 
     std::vector<std::vector<size_t>> groups;
     std::unordered_map<std::string, size_t> group_of;
     for (size_t i = 0; i < jobs.size(); i++) {
-        if (inline_run && replay[i]) {
+        if (inline_run) {
             auto [it, fresh] = group_of.emplace(key_str[i], groups.size());
             if (!fresh) {
                 groups[it->second].push_back(i);
@@ -307,9 +306,17 @@ runAll(const std::vector<Job> &jobs, const SweepOptions &opts)
             remaining[key_str[i]]++;
     }
 
-    auto live = [&](size_t i) {
-        apps::AppRun run = makeWorkload(makeKey(jobs[i]));
-        results[i] = std::move(analyse(Source(run), { &jobs[i] }).front());
+    auto members_of = [&](const std::vector<size_t> &group) {
+        std::vector<const Job *> members;
+        for (size_t i : group)
+            members.push_back(&jobs[i]);
+        return members;
+    };
+    auto live = [&](const std::vector<size_t> &group) {
+        apps::AppRun run = makeWorkload(makeKey(jobs[group.front()]));
+        std::vector<Result> rs = analyse(Source(run), members_of(group));
+        for (size_t m = 0; m < group.size(); m++)
+            results[group[m]] = std::move(rs[m]);
     };
 
     // Degradation ladder, in preference order: replay the cached
@@ -324,19 +331,17 @@ runAll(const std::vector<Job> &jobs, const SweepOptions &opts)
             throw util::StatusError(util::Status::internal(
                 "fail point pool.task.throw fired"));
         if (!replay[group.front()])
-            return live(group.front());
+            return live(group);
         const int n = static_cast<int>(group.size());
         const TraceKey key = makeKey(jobs[group.front()]);
-        std::vector<const Job *> members;
-        for (size_t i : group)
-            members.push_back(&jobs[i]);
+        const std::vector<const Job *> members = members_of(group);
         auto fall_back = [&](const util::Status &why) {
             if (evict)
                 remaining.find(key_str[group.front()])
                     ->second.fetch_sub(n);
             for (size_t i : group) {
                 cache->noteLiveFallback(key, why);
-                live(i);
+                live({ i });
             }
         };
         // One obtain() per member keeps record/hit accounting

@@ -104,13 +104,15 @@ struct CharacterizeJob
 
 /**
  * How a sweep schedules its jobs and where it keeps its recordings.
- * A sweep records a workload iff ≥2 jobs of the call share it, or
- * every workload when the caller supplies a persistent cache (later
- * calls then replay it); unique workloads of a cache-less call run
- * live, since replay pays only when a recording is consumed more than
- * once. Replay is bit-identical to live interpretation (the trace
- * stream drives the same sinks through the same onBatch() path), so
- * these options only change wall time and memory, never results.
+ * A sweep records a workload only when its stream will be consumed by
+ * more than one pass: every workload when the caller supplies a
+ * persistent cache (later calls then replay it), and a workload that
+ * ≥2 jobs share when they run on pool workers. On the calling thread
+ * the jobs of one workload ride a single live pass, so a cache-less
+ * call there records nothing. Replay is bit-identical to live
+ * interpretation (the trace stream drives the same sinks through the
+ * same onBatch() path), so these options only change wall time and
+ * memory, never results.
  */
 struct SweepOptions
 {
@@ -258,10 +260,10 @@ class Simulator
      *
      * Jobs sharing a workload — same (app, variant, scale, seed) and,
      * with registerPressure, the same architectural register file —
-     * interpret and rewrite it once and replay the recorded trace
-     * thereafter, including concurrently from one shared immutable
-     * trace across pool workers. On the calling thread, the jobs of
-     * one trace are timed in a single pass (see time()).
+     * interpret and rewrite it once. On the calling thread they are
+     * timed in that one live pass (see time()); on pool workers the
+     * first records the trace and the rest replay it, concurrently
+     * from one shared immutable trace.
      *
      * @param threads 0 = ThreadPool::defaultThreads() (honours the
      *        BIOPERF_THREADS environment variable); 1 = run inline on

@@ -12,99 +12,69 @@ InorderCore::InorderCore(const CoreConfig &config,
 }
 
 void
-InorderCore::onInstr(const vm::DynInstr &di)
+InorderCore::schedule(const vm::DynInstr *batch, size_t n)
 {
-    step(di);
-}
+    // Width, penalty, the scoreboard base and the carried state live
+    // in locals for the chunk, so scoreboard stores cannot force them
+    // to be reloaded around every instruction.
+    const uint32_t issue_width = config_.issueWidth;
+    const uint64_t penalty = config_.mispredictPenalty;
+    const Resolved &r = resolved_;
+    uint64_t *const rv = ready_.data();
+    Hot h = hot_;
+    uint64_t cycles = cycles_;
 
-void
-InorderCore::onBatch(const vm::DynInstr *batch, size_t n)
-{
-    for (size_t i = 0; i < n; i++)
-        step(batch[i]);
-}
+    for (size_t i = 0; i < n; i++) {
+        const DecodedInstr &d = r.decoded[i];
 
-void
-InorderCore::step(const vm::DynInstr &di)
-{
-    const ir::Instr &in = *di.instr;
-    const DecodedInstr &d = decode_.lookup(in, ready_);
+        // DecodeTable pre-sized the scoreboard and padded reads[] with
+        // the always-zero sentinel, so this is four unchecked loads and
+        // branchless maxes (issueCycle >= 1 outranks the sentinel).
+        const uint64_t r01 = std::max(rv[d.reads[0]], rv[d.reads[1]]);
+        const uint64_t r23 = std::max(rv[d.reads[2]], rv[d.reads[3]]);
+        const uint64_t ready =
+            std::max(h.issueCycle, std::max(r01, r23));
 
-    // DecodeTable pre-sized the scoreboard and padded reads[] with the
-    // always-zero sentinel, so this is four unchecked loads and
-    // branchless maxes (issue_cycle_ >= 1 outranks the sentinel).
-    const uint64_t *rv = ready_.data();
-    const uint64_t r01 = std::max(rv[d.reads[0]], rv[d.reads[1]]);
-    const uint64_t r23 = std::max(rv[d.reads[2]], rv[d.reads[3]]);
-    const uint64_t ready =
-        std::max(issue_cycle_, std::max(r01, r23));
-
-    // In-order issue: a stalled instruction blocks younger ones.
-    if (ready > issue_cycle_) {
-        issue_cycle_ = ready;
-        issued_this_cycle_ = 0;
-    }
-    if (issued_this_cycle_ >= config_.issueWidth) {
-        issue_cycle_++;
-        issued_this_cycle_ = 0;
-    }
-    const uint64_t issue = issue_cycle_;
-    issued_this_cycle_++;
-
-    uint32_t latency = d.fixedLatency;
-    if (d.kind != DecodedInstr::kFixed) {
-        switch (d.kind) {
-          case DecodedInstr::kLoad:
-            latency = caches_->access(di.addr, false).latency;
-            if (accel_) {
-                latency = accel_->adjustLatency(
-                    in.sid, di.addr, di.loadValueBits, latency);
-            }
-            break;
-          case DecodedInstr::kStore:
-            caches_->access(di.addr, true);
-            latency = 1;
-            break;
-          default:
-            caches_->access(di.addr, false);
-            latency = 1;
-            break;
+        // In-order issue: a stalled instruction blocks younger ones.
+        if (ready > h.issueCycle) {
+            h.issueCycle = ready;
+            h.issuedThisCycle = 0;
         }
-    }
-    const uint64_t complete = issue + latency;
-    cycles_ = std::max(cycles_, complete);
+        if (h.issuedThisCycle >= issue_width) {
+            h.issueCycle++;
+            h.issuedThisCycle = 0;
+        }
+        const uint64_t issue = h.issueCycle;
+        h.issuedThisCycle++;
 
-    // Unconditional: dst-less instructions target the trash slot.
-    ready_[d.dst] = complete;
+        const uint64_t complete = issue + r.latency[i];
+        cycles = std::max(cycles, complete);
 
-    if (d.isBranch) {
-        const bool correct = predictor_->predictAndTrain(in.sid, di.taken);
-        if (!correct) {
-            mispredicts_++;
-            const uint64_t redirect = complete + config_.mispredictPenalty;
-            if (redirect > issue_cycle_) {
-                issue_cycle_ = redirect;
-                issued_this_cycle_ = 0;
+        // Unconditional: dst-less instructions target the trash slot.
+        rv[d.dst] = complete;
+
+        if (r.mispredicted[i]) {
+            const uint64_t redirect = complete + penalty;
+            if (redirect > h.issueCycle) {
+                h.issueCycle = redirect;
+                h.issuedThisCycle = 0;
             }
-        } else if (di.taken) {
+        } else if ((d.isBranch && batch[i].taken) || d.isJump) {
             // Issue groups do not continue past a taken branch.
-            issue_cycle_++;
-            issued_this_cycle_ = 0;
+            h.issueCycle++;
+            h.issuedThisCycle = 0;
         }
-    } else if (d.isJump) {
-        issue_cycle_++;
-        issued_this_cycle_ = 0;
     }
 
-    instructions_++;
+    hot_ = h;
+    cycles_ = cycles;
 }
 
 void
 InorderCore::reset()
 {
     TimingCore::reset();
-    issue_cycle_ = 1;
-    issued_this_cycle_ = 0;
+    hot_ = Hot{};
 }
 
 } // namespace bioperf::cpu

@@ -24,15 +24,19 @@ class InorderCore final : public TimingCore
     InorderCore(const CoreConfig &config, mem::CacheHierarchy *caches,
                 branch::BranchPredictor *predictor);
 
-    void onInstr(const vm::DynInstr &di) override;
-    void onBatch(const vm::DynInstr *batch, size_t n) override;
     void reset() override;
 
   private:
-    void step(const vm::DynInstr &di);
+    void schedule(const vm::DynInstr *batch, size_t n) override;
 
-    uint64_t issue_cycle_ = 1;   ///< cycle the next instruction may issue
-    uint32_t issued_this_cycle_ = 0;
+    /** Issue state carried from one instruction to the next. */
+    struct Hot
+    {
+        uint64_t issueCycle = 1; ///< cycle the next instruction may issue
+        uint32_t issuedThisCycle = 0;
+    };
+
+    Hot hot_;
 };
 
 } // namespace bioperf::cpu

@@ -58,37 +58,44 @@ class OooCore final : public TimingCore
     OooCore(const CoreConfig &config, mem::CacheHierarchy *caches,
             branch::BranchPredictor *predictor);
 
-    void onInstr(const vm::DynInstr &di) override;
-    void onBatch(const vm::DynInstr *batch, size_t n) override;
     void reset() override;
 
-    /** Installs a per-instruction observer (Figure 4 walkthrough). */
+    /**
+     * Installs a per-instruction observer (Figure 4 walkthrough). It
+     * runs inside the scheduling loop: cycles() catches up only at
+     * the end of each chunk, instructions() and
+     * branchMispredictions() are already counted for the whole chunk.
+     */
     void setTraceLog(TraceLog log) { log_ = std::move(log); }
 
   private:
-    void step(const vm::DynInstr &di);
-    uint64_t allocIssueSlot(uint64_t earliest);
-    uint64_t allocRetireSlot(uint64_t earliest);
+    void schedule(const vm::DynInstr *batch, size_t n) override;
+    template <bool kLogged>
+    void scheduleChunk(const vm::DynInstr *batch, size_t n);
+
+    /**
+     * Pipeline state carried from one instruction to the next; a
+     * chunk works on a local copy. cycles_, the last retire cycle, is
+     * also the cycle retirement is filling.
+     */
+    struct Hot
+    {
+        uint64_t fetchCycle = 1;
+        uint32_t fetchSlotsUsed = 0;
+        uint32_t retireUsed = 0; ///< retire slots used in cycles_
+        size_t robPos = 0;       ///< ring cursor (avoids a hot modulo)
+    };
 
     TraceLog log_;
+    Hot hot_;
 
-    // Fetch/dispatch state.
-    uint64_t fetch_cycle_ = 1;
-    uint32_t fetch_slots_used_ = 0;
-
-    // Retirement and window state; cycles_ is the last retire cycle.
     std::vector<uint64_t> rob_; ///< retire cycles, ring of windowSize
-    size_t rob_pos_ = 0;        ///< ring cursor (avoids a hot modulo)
 
     // Issue-bandwidth accounting: cycle-tagged slot counters, packed
     // as (cycle << 8) | used so one 8-byte load/store serves both.
     // Issue requests can reach back to an operand-ready cycle well
     // behind the fetch frontier, hence the persistent ring.
     std::vector<uint64_t> issue_slots_;
-    // Retire requests are monotone (earliest is clamped to cycles_),
-    // so two counters replace a second ring.
-    uint64_t retire_cycle_ = 0;
-    uint32_t retire_used_ = 0;
 };
 
 } // namespace bioperf::cpu

@@ -13,6 +13,69 @@ TimingCore::TimingCore(const CoreConfig &config,
 }
 
 void
+TimingCore::onBatch(const vm::DynInstr *batch, size_t n)
+{
+    while (n > 0) {
+        const size_t m = n < kChunk ? n : kChunk;
+        resolve(batch, m);
+        schedule(batch, m);
+        batch += m;
+        n -= m;
+    }
+}
+
+void
+TimingCore::resolve(const vm::DynInstr *batch, size_t n)
+{
+    uint64_t mispredicts = 0;
+    for (size_t i = 0; i < n; i++) {
+        const vm::DynInstr &di = batch[i];
+        const ir::Instr &in = *di.instr;
+        const DecodedInstr &d = decode_.lookup(in, ready_);
+
+        // The common fixed-latency case takes one predictable branch;
+        // only memory operations enter the switch.
+        uint32_t latency = d.fixedLatency;
+        if (d.kind != DecodedInstr::kFixed) {
+            switch (d.kind) {
+              case DecodedInstr::kLoad:
+                latency = caches_->access(di.addr, false).latency;
+                if (accel_) {
+                    latency = accel_->adjustLatency(
+                        in.sid, di.addr, di.loadValueBits, latency);
+                }
+                break;
+              case DecodedInstr::kStore:
+                // Stores commit through a write buffer: they update
+                // the cache but complete in one cycle from the
+                // pipeline's perspective.
+                caches_->access(di.addr, true);
+                latency = 1;
+                break;
+              default:
+                // Prefetch: fire-and-forget — warms the hierarchy,
+                // never stalls.
+                caches_->access(di.addr, false);
+                latency = 1;
+                break;
+            }
+        }
+
+        bool mispredicted = false;
+        if (d.isBranch) {
+            mispredicted = !predictor_->predictAndTrain(in.sid, di.taken);
+            mispredicts += mispredicted;
+        }
+
+        resolved_.decoded[i] = d;
+        resolved_.latency[i] = latency;
+        resolved_.mispredicted[i] = mispredicted;
+    }
+    mispredicts_ += mispredicts;
+    instructions_ += n;
+}
+
+void
 TimingCore::onRunEnd()
 {
     std::fill(ready_.begin(), ready_.end(), 0);

@@ -1,6 +1,7 @@
 #ifndef BIOPERF_CPU_TIMING_CORE_H_
 #define BIOPERF_CPU_TIMING_CORE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -15,15 +16,27 @@ namespace bioperf::cpu {
 
 /**
  * What the trace-driven timing cores share: the borrowed hierarchy and
- * predictor, the per-sid decode table and register scoreboard, and the
- * counters a timing result reads. OooCore and InorderCore differ only
- * in how step() schedules an instruction, so every consumer (timing
+ * predictor, the per-sid decode table and register scoreboard, the
+ * counters a timing result reads, and the resolution of every memory
+ * and branch outcome. OooCore and InorderCore differ only in how
+ * schedule() places instructions in time, so every consumer (timing
  * runs, sampling, benches) drives and reads either through this type
  * instead of switching on the core kind.
+ *
+ * Cache, accelerator and predictor outcomes depend only on the
+ * instruction stream, never on timing, and each core's hierarchy and
+ * predictor see only that core's stream. So onBatch() takes the
+ * stream in chunks of kChunk events: resolve() runs a chunk's decode,
+ * memory accesses and predictions in program order, then the core's
+ * schedule() loop reads the outcomes with no call out of the loop.
  */
 class TimingCore : public vm::TraceSink
 {
   public:
+    /** One event is a batch of one. */
+    void onInstr(const vm::DynInstr &di) final { onBatch(&di, 1); }
+    void onBatch(const vm::DynInstr *batch, size_t n) final;
+
     /**
      * Cycle at which the last instruction retired (out-of-order) or
      * completed (in-order).
@@ -72,6 +85,37 @@ class TimingCore : public vm::TraceSink
                mem::CacheHierarchy *caches,
                branch::BranchPredictor *predictor);
 
+    static constexpr size_t kChunk = 256;
+
+    /**
+     * One chunk's outcomes, indexed like the chunk's events. Entries
+     * are copies: decoding a new sid may reallocate the decode table.
+     */
+    struct Resolved
+    {
+        DecodedInstr decoded[kChunk];
+        /**
+         * Execution latency: fixedLatency, the hierarchy's (and
+         * accelerator's) latency for a load, 1 for a store or
+         * prefetch.
+         */
+        uint32_t latency[kChunk];
+        bool mispredicted[kChunk];
+    };
+
+    /**
+     * Fills resolved_ for @a n <= kChunk events, in program order:
+     * decode, cache access and accelerator, branch prediction. Counts
+     * instructions_ and mispredicts_; may grow ready_.
+     */
+    void resolve(const vm::DynInstr *batch, size_t n);
+
+    /**
+     * Places the @a n events resolve() just handled in time, advancing
+     * cycles_ and the core's pipeline state.
+     */
+    virtual void schedule(const vm::DynInstr *batch, size_t n) = 0;
+
     CoreConfig config_;
     mem::CacheHierarchy *caches_;
     branch::BranchPredictor *predictor_;
@@ -88,6 +132,8 @@ class TimingCore : public vm::TraceSink
 
     /** Per-sid static facts, decoded once on first sight. */
     DecodeTable decode_;
+
+    Resolved resolved_;
 };
 
 } // namespace bioperf::cpu

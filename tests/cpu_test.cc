@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/simulator.h"
 #include "cpu/inorder_core.h"
 #include "cpu/ooo_core.h"
 #include "cpu/platforms.h"
@@ -321,6 +322,44 @@ TEST(OooCore, SecondsFollowClock)
                 static_cast<double>(out.cycles) / 2.0e9, 1e-12);
 }
 
+TEST(OooCore, TraceLogLeavesTimingUnchanged)
+{
+    const PlatformConfig alpha = alpha21264();
+    auto time = [&](bool logged) {
+        apps::AppRun run = apps::findApp("predator")->make(
+            apps::Variant::Baseline, apps::Scale::Small, 42);
+        mem::CacheHierarchy caches = alpha.makeHierarchy();
+        auto pred = alpha.makePredictor();
+        OooCore core(alpha.core, &caches, pred.get());
+        uint64_t logged_instrs = 0;
+        uint64_t last_retire = 0;
+        bool retire_monotone = true;
+        if (logged)
+            core.setTraceLog([&](const vm::DynInstr &,
+                                 const PipelineTimes &t) {
+                logged_instrs++;
+                retire_monotone = retire_monotone && t.retire >= last_retire;
+                last_retire = t.retire;
+            });
+        vm::Interpreter interp(*run.prog);
+        interp.addSink(&core);
+        run.driver(interp);
+        if (logged) {
+            EXPECT_EQ(logged_instrs, core.instructions());
+            EXPECT_TRUE(retire_monotone);
+            EXPECT_EQ(last_retire, core.cycles());
+        }
+        return SimOut{ core.cycles(), core.instructions(),
+                       core.branchMispredictions(), core.ipc() };
+    };
+    const SimOut plain = time(false);
+    const SimOut logged = time(true);
+    EXPECT_GT(plain.cycles, 0u);
+    EXPECT_EQ(plain.cycles, logged.cycles);
+    EXPECT_EQ(plain.mispredicts, logged.mispredicts);
+    EXPECT_EQ(plain.instrs, logged.instrs);
+}
+
 TEST(InorderCore, StallOnUseSlowerThanOoo)
 {
     ir::Program prog;
@@ -381,6 +420,158 @@ TEST(InorderCore, TakenBranchEndsIssueGroup)
     cfg.issueWidth = 6;
     const SimOut out = simulateInorder(prog, fn, {}, cfg);
     EXPECT_LT(out.ipc, 5.0);
+}
+
+TEST(Timing, ResultsBitIdenticalToRecordedGolden)
+{
+    // Cycles, mispredicts and instructions of every registered app,
+    // Baseline and Transformed, at Small, seed 1, on each evaluation
+    // platform with the register-pressure rewrite, recorded before
+    // the cores split into resolve() and schedule(): a core change
+    // that moves one simulated cycle fails here.
+    struct Golden
+    {
+        const char *app;
+        apps::Variant variant;
+        size_t platform; ///< index into evaluationPlatforms()
+        uint64_t cycles;
+        uint64_t mispredicts;
+        uint64_t instructions;
+    };
+    constexpr apps::Variant kBase = apps::Variant::Baseline;
+    constexpr apps::Variant kXform = apps::Variant::Transformed;
+    const Golden golden[] = {
+        { "blast", kBase, 0, 15084u, 224u, 28577u },
+        { "blast", kBase, 1, 26641u, 224u, 28577u },
+        { "blast", kBase, 2, 30678u, 223u, 54431u },
+        { "blast", kBase, 3, 38000u, 224u, 28577u },
+        { "blast", kXform, 0, 15084u, 224u, 28577u },
+        { "blast", kXform, 1, 26641u, 224u, 28577u },
+        { "blast", kXform, 2, 30678u, 223u, 54431u },
+        { "blast", kXform, 3, 38000u, 224u, 28577u },
+        { "clustalw", kBase, 0, 223445u, 4631u, 592638u },
+        { "clustalw", kBase, 1, 251940u, 4631u, 592638u },
+        { "clustalw", kBase, 2, 632508u, 4621u, 1539634u },
+        { "clustalw", kBase, 3, 332182u, 4631u, 592638u },
+        { "clustalw", kXform, 0, 183785u, 2419u, 592638u },
+        { "clustalw", kXform, 1, 190039u, 2419u, 592638u },
+        { "clustalw", kXform, 2, 598708u, 2420u, 1588610u },
+        { "clustalw", kXform, 3, 287619u, 2419u, 592638u },
+        { "dnapenny", kBase, 0, 28760u, 821u, 60428u },
+        { "dnapenny", kBase, 1, 29748u, 821u, 60428u },
+        { "dnapenny", kBase, 2, 59796u, 817u, 115635u },
+        { "dnapenny", kBase, 3, 44113u, 821u, 60428u },
+        { "dnapenny", kXform, 0, 25252u, 709u, 55647u },
+        { "dnapenny", kXform, 1, 26321u, 709u, 55647u },
+        { "dnapenny", kXform, 2, 57170u, 705u, 114838u },
+        { "dnapenny", kXform, 3, 31679u, 709u, 55647u },
+        { "fasta", kBase, 0, 9375u, 155u, 20117u },
+        { "fasta", kBase, 1, 14432u, 155u, 20117u },
+        { "fasta", kBase, 2, 18377u, 155u, 34538u },
+        { "fasta", kBase, 3, 25178u, 155u, 20117u },
+        { "fasta", kXform, 0, 9375u, 155u, 20117u },
+        { "fasta", kXform, 1, 14432u, 155u, 20117u },
+        { "fasta", kXform, 2, 18377u, 155u, 34538u },
+        { "fasta", kXform, 3, 25178u, 155u, 20117u },
+        { "hmmcalibrate", kBase, 0, 284763u, 7510u, 664374u },
+        { "hmmcalibrate", kBase, 1, 287378u, 7510u, 664374u },
+        { "hmmcalibrate", kBase, 2, 624119u, 7786u, 1224218u },
+        { "hmmcalibrate", kBase, 3, 477022u, 7510u, 664374u },
+        { "hmmcalibrate", kXform, 0, 192142u, 611u, 726150u },
+        { "hmmcalibrate", kXform, 1, 202297u, 611u, 726150u },
+        { "hmmcalibrate", kXform, 2, 533093u, 611u, 1518204u },
+        { "hmmcalibrate", kXform, 3, 347391u, 611u, 726150u },
+        { "hmmpfam", kBase, 0, 240351u, 6963u, 477328u },
+        { "hmmpfam", kBase, 1, 246228u, 6963u, 477328u },
+        { "hmmpfam", kBase, 2, 497847u, 7096u, 865385u },
+        { "hmmpfam", kBase, 3, 369179u, 6963u, 477328u },
+        { "hmmpfam", kXform, 0, 182982u, 2741u, 505383u },
+        { "hmmpfam", kXform, 1, 193169u, 2741u, 505383u },
+        { "hmmpfam", kXform, 2, 428419u, 2703u, 1000080u },
+        { "hmmpfam", kXform, 3, 301614u, 2741u, 505383u },
+        { "hmmsearch", kBase, 0, 305158u, 7899u, 720723u },
+        { "hmmsearch", kBase, 1, 307950u, 7899u, 720723u },
+        { "hmmsearch", kBase, 2, 669501u, 8150u, 1328035u },
+        { "hmmsearch", kBase, 3, 516433u, 7899u, 720723u },
+        { "hmmsearch", kXform, 0, 207708u, 628u, 786970u },
+        { "hmmsearch", kXform, 1, 218656u, 628u, 786970u },
+        { "hmmsearch", kXform, 2, 576804u, 628u, 1645895u },
+        { "hmmsearch", kXform, 3, 376390u, 628u, 786970u },
+        { "predator", kBase, 0, 54872u, 1480u, 75402u },
+        { "predator", kBase, 1, 66952u, 1480u, 75402u },
+        { "predator", kBase, 2, 90557u, 1540u, 112866u },
+        { "predator", kBase, 3, 111666u, 1480u, 75402u },
+        { "predator", kXform, 0, 52084u, 1363u, 77364u },
+        { "predator", kXform, 1, 65272u, 1363u, 77364u },
+        { "predator", kXform, 2, 83004u, 1281u, 134862u },
+        { "predator", kXform, 3, 109992u, 1363u, 77364u },
+        { "promlk", kBase, 0, 22770u, 30u, 71112u },
+        { "promlk", kBase, 1, 36114u, 30u, 71112u },
+        { "promlk", kBase, 2, 58677u, 30u, 149096u },
+        { "promlk", kBase, 3, 51791u, 30u, 71112u },
+        { "promlk", kXform, 0, 22770u, 30u, 71112u },
+        { "promlk", kXform, 1, 36114u, 30u, 71112u },
+        { "promlk", kXform, 2, 58677u, 30u, 149096u },
+        { "promlk", kXform, 3, 51791u, 30u, 71112u },
+        { "crafty-like", kBase, 0, 188095u, 3850u, 151537u },
+        { "crafty-like", kBase, 1, 286785u, 3850u, 151537u },
+        { "crafty-like", kBase, 2, 355954u, 3850u, 151537u },
+        { "crafty-like", kBase, 3, 281409u, 3850u, 151537u },
+        { "crafty-like", kXform, 0, 188095u, 3850u, 151537u },
+        { "crafty-like", kXform, 1, 286785u, 3850u, 151537u },
+        { "crafty-like", kXform, 2, 355954u, 3850u, 151537u },
+        { "crafty-like", kXform, 3, 281409u, 3850u, 151537u },
+        { "vortex-like", kBase, 0, 189170u, 5136u, 152071u },
+        { "vortex-like", kBase, 1, 290145u, 5136u, 152071u },
+        { "vortex-like", kBase, 2, 415265u, 5136u, 152071u },
+        { "vortex-like", kBase, 3, 295455u, 5136u, 152071u },
+        { "vortex-like", kXform, 0, 189170u, 5136u, 152071u },
+        { "vortex-like", kXform, 1, 290145u, 5136u, 152071u },
+        { "vortex-like", kXform, 2, 415265u, 5136u, 152071u },
+        { "vortex-like", kXform, 3, 295455u, 5136u, 152071u },
+        { "gcc-like", kBase, 0, 189610u, 5678u, 152374u },
+        { "gcc-like", kBase, 1, 291621u, 5678u, 152374u },
+        { "gcc-like", kBase, 2, 435888u, 5678u, 152374u },
+        { "gcc-like", kBase, 3, 302811u, 5678u, 152374u },
+        { "gcc-like", kXform, 0, 189610u, 5678u, 152374u },
+        { "gcc-like", kXform, 1, 291621u, 5678u, 152374u },
+        { "gcc-like", kXform, 2, 435888u, 5678u, 152374u },
+        { "gcc-like", kXform, 3, 302811u, 5678u, 152374u },
+        { "megamerger-like", kBase, 0, 338818u, 10377u, 431884u },
+        { "megamerger-like", kBase, 1, 684556u, 10377u, 431884u },
+        { "megamerger-like", kBase, 2, 681473u, 10377u, 431884u },
+        { "megamerger-like", kBase, 3, 1204716u, 10377u, 431884u },
+        { "megamerger-like", kXform, 0, 338818u, 10377u, 431884u },
+        { "megamerger-like", kXform, 1, 684556u, 10377u, 431884u },
+        { "megamerger-like", kXform, 2, 681473u, 10377u, 431884u },
+        { "megamerger-like", kXform, 3, 1204716u, 10377u, 431884u },
+    };
+    const std::vector<PlatformConfig> platforms = evaluationPlatforms();
+    std::vector<core::SweepJob> jobs;
+    for (const Golden &g : golden) {
+        core::SweepJob job;
+        job.app = apps::findApp(g.app);
+        ASSERT_NE(job.app, nullptr) << g.app;
+        job.platform = platforms.at(g.platform);
+        job.variant = g.variant;
+        job.scale = apps::Scale::Small;
+        job.seed = 1;
+        job.registerPressure = true;
+        jobs.push_back(job);
+    }
+    const std::vector<core::TimingResult> results =
+        core::Simulator::sweep(jobs, 1);
+    ASSERT_EQ(results.size(), jobs.size());
+    for (size_t i = 0; i < jobs.size(); i++) {
+        const Golden &g = golden[i];
+        SCOPED_TRACE(std::string(g.app) + " " +
+                     apps::toString(g.variant) + " on " +
+                     platforms[g.platform].name);
+        EXPECT_TRUE(results[i].status.ok());
+        EXPECT_EQ(results[i].cycles, g.cycles);
+        EXPECT_EQ(results[i].mispredicts, g.mispredicts);
+        EXPECT_EQ(results[i].instructions, g.instructions);
+    }
 }
 
 TEST(Platforms, PresetsMatchTable7)

@@ -7,6 +7,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/app.h"
@@ -167,13 +169,53 @@ TEST(TraceBatch, ProfilerCountersIdenticalAcrossDeliveryModes)
     EXPECT_EQ(a.ltb_loads, b.ltb_loads);
 }
 
+/**
+ * Re-frames the stream it receives into batches of exactly @a size
+ * events for @a inner (the last one before a run end may be shorter),
+ * so a consumer sees batch boundaries the interpreter never makes.
+ */
+struct ReframeSink : TraceSink
+{
+    ReframeSink(TraceSink &inner, size_t size) : inner(inner), size(size)
+    {
+    }
+
+    void onInstr(const DynInstr &di) override
+    {
+        buf.push_back(di);
+        if (buf.size() == size)
+            flush();
+    }
+
+    void onRunEnd() override
+    {
+        flush();
+        inner.onRunEnd();
+    }
+
+    void flush()
+    {
+        if (!buf.empty())
+            inner.onBatch(buf.data(), buf.size());
+        buf.clear();
+    }
+
+    TraceSink &inner;
+    size_t size;
+    std::vector<DynInstr> buf;
+};
+
 TEST(TraceBatch, TimingCoresIdenticalAcrossDeliveryModes)
 {
+    // Delivery shapes: 0 is the interpreter's own batching; the rest
+    // re-frame it so the cores' 256-event chunks start and end
+    // mid-batch.
+    const size_t shapes[] = { 0, 1, 7, 255, 256, 257, 512 };
     const apps::AppInfo *app = apps::findApp("predator");
     for (const auto &platform :
          { cpu::alpha21264(), cpu::itanium2() }) {
         SCOPED_TRACE(platform.name);
-        auto time = [&](Interpreter::TraceMode mode) {
+        auto time = [&](Interpreter::TraceMode mode, size_t shape) {
             apps::AppRun run = app->make(apps::Variant::Baseline,
                                          apps::Scale::Small, 42);
             // Mode must be set before the run; Simulator::time()
@@ -182,26 +224,28 @@ TEST(TraceBatch, TimingCoresIdenticalAcrossDeliveryModes)
             auto predictor = platform.makePredictor();
             Interpreter interp(*run.prog);
             interp.setTraceMode(mode);
-            if (platform.core.outOfOrder) {
-                cpu::OooCore core(platform.core, &caches,
-                                  predictor.get());
-                interp.addSink(&core);
-                run.driver(interp);
-                return std::pair<uint64_t, uint64_t>(
-                    core.cycles(), core.branchMispredictions());
-            }
-            cpu::InorderCore core(platform.core, &caches,
-                                  predictor.get());
-            interp.addSink(&core);
+            std::unique_ptr<cpu::TimingCore> core;
+            if (platform.core.outOfOrder)
+                core = std::make_unique<cpu::OooCore>(
+                    platform.core, &caches, predictor.get());
+            else
+                core = std::make_unique<cpu::InorderCore>(
+                    platform.core, &caches, predictor.get());
+            ReframeSink reframe(*core, shape);
+            interp.addSink(shape == 0 ? static_cast<TraceSink *>(core.get())
+                                      : &reframe);
             run.driver(interp);
             return std::pair<uint64_t, uint64_t>(
-                core.cycles(), core.branchMispredictions());
+                core->cycles(), core->branchMispredictions());
         };
-        const auto a = time(Interpreter::TraceMode::PerInstr);
-        const auto b = time(Interpreter::TraceMode::Batched);
+        const auto a = time(Interpreter::TraceMode::PerInstr, 0);
         EXPECT_GT(a.first, 0u);
-        EXPECT_EQ(a.first, b.first);
-        EXPECT_EQ(a.second, b.second);
+        for (const size_t shape : shapes) {
+            SCOPED_TRACE("batches of " + std::to_string(shape));
+            const auto b = time(Interpreter::TraceMode::Batched, shape);
+            EXPECT_EQ(a.first, b.first);
+            EXPECT_EQ(a.second, b.second);
+        }
     }
 }
 

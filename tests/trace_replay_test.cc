@@ -208,16 +208,24 @@ class BptraceFileTest : public ::testing::Test
 
     void SetUp() override
     {
-        path_ = ::testing::TempDir() + "trace_replay_test.bptrace";
+        // One file per case: ctest runs the cases as concurrent
+        // processes, which must not share a path.
+        path_ = ::testing::TempDir() + "trace_replay_test_" +
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
+                ".bptrace";
     }
 
     void TearDown() override { std::remove(path_.c_str()); }
 
-    /** Reads the whole file. */
+    /** Reads the whole file; empty when it cannot be opened. */
     static std::string slurp(const std::string &path)
     {
         FILE *f = std::fopen(path.c_str(), "rb");
         EXPECT_NE(f, nullptr);
+        if (!f)
+            return {};
         std::string data;
         char buf[4096];
         size_t n;
@@ -345,7 +353,11 @@ TEST(TraceReplay, SweepWithTraceCacheBitIdenticalForAnyThreadCount)
         reference.push_back(Simulator::time(run, job.platform));
     }
 
-    for (const unsigned threads : { 1u, 0u }) {
+    // The calling thread times each workload's jobs in one live pass
+    // and records nothing; pool workers record the shared workloads.
+    // An explicit 2, not 0: the pool default is inline when
+    // BIOPERF_THREADS=1 or on a one-CPU host.
+    for (const unsigned threads : { 1u, 2u }) {
         SCOPED_TRACE(threads);
         SweepOptions opts;
         opts.threads = threads;
@@ -358,6 +370,12 @@ TEST(TraceReplay, SweepWithTraceCacheBitIdenticalForAnyThreadCount)
             EXPECT_TRUE(traced[i].verified);
             EXPECT_EQ(reference[i].report().dump(),
                       traced[i].report().dump());
+        }
+        if (threads == 1) {
+            EXPECT_EQ(stats.records, 0u);
+            EXPECT_EQ(stats.hits, 0u);
+            EXPECT_EQ(stats.replayedInstructions, 0u);
+            continue;
         }
         // 4 platforms share the pressure-free trace; alpha+ppc share
         // the 32-register one. p4/itanium pressure jobs run live.
@@ -379,16 +397,24 @@ TEST(TraceReplay, CharacterizeSweepSharesOneRecordingAcrossJobs)
                                          apps::Scale::Small, 42);
     const CharacterizationResult live = Simulator::characterize(run);
 
-    SweepOptions opts;
-    opts.threads = 0;
-    TraceCache::Stats stats;
-    opts.statsOut = &stats;
-    const auto swept = Simulator::characterizeSweep(jobs, opts);
-    ASSERT_EQ(swept.size(), jobs.size());
-    for (const auto &r : swept)
-        EXPECT_EQ(live.report().dump(), r.report().dump());
-    EXPECT_EQ(stats.records, 1u);
-    EXPECT_EQ(stats.hits, 2u);
+    // On the calling thread the three jobs share one live pass and
+    // nothing is recorded; pool workers share one recording (2, not
+    // the pool default, which is inline on a one-CPU host).
+    for (const unsigned threads : { 1u, 2u }) {
+        SCOPED_TRACE(threads);
+        SweepOptions opts;
+        opts.threads = threads;
+        TraceCache::Stats stats;
+        opts.statsOut = &stats;
+        const auto swept = Simulator::characterizeSweep(jobs, opts);
+        ASSERT_EQ(swept.size(), jobs.size());
+        for (const auto &r : swept) {
+            EXPECT_TRUE(r.verified);
+            EXPECT_EQ(live.report().dump(), r.report().dump());
+        }
+        EXPECT_EQ(stats.records, threads == 1 ? 0u : 1u);
+        EXPECT_EQ(stats.hits, threads == 1 ? 0u : 2u);
+    }
 }
 
 TEST(TraceReplay, PersistentCacheReusesRecordingsAcrossSpeedupCalls)
