@@ -1,6 +1,7 @@
 #include "branch/predictors.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace bioperf::branch {
 
@@ -72,10 +73,38 @@ BimodalPredictor::reset()
 // Gshare
 // --------------------------------------------------------------------------
 
+namespace {
+
+uint32_t
+gshareIndex(uint32_t sid, uint32_t history, uint32_t history_bits)
+{
+    const uint32_t mask = (1u << history_bits) - 1;
+    // Multiply by a large odd constant to spread consecutive static
+    // ids across the table before XORing with the history.
+    return ((sid * 2654435761u) ^ history) & mask;
+}
+
+} // namespace
+
 GsharePredictor::GsharePredictor(uint32_t history_bits)
     : history_bits_(history_bits),
       table_(size_t(1) << history_bits, 2)
 {
+}
+
+bool
+GsharePredictor::predict(uint32_t sid)
+{
+    return counterTaken(table_[gshareIndex(sid, history_, history_bits_)]);
+}
+
+void
+GsharePredictor::train(uint32_t sid, bool taken)
+{
+    uint8_t &c = table_[gshareIndex(sid, history_, history_bits_)];
+    c = counterTrain(c, taken);
+    history_ = ((history_ << 1) | (taken ? 1 : 0)) &
+               ((1u << history_bits_) - 1);
 }
 
 void
@@ -95,14 +124,34 @@ LocalPredictor::LocalPredictor(uint32_t history_bits)
 {
 }
 
-void
-LocalPredictor::addBranch(uint32_t sid)
+LocalPredictor::Branch &
+LocalPredictor::branchOf(uint32_t sid)
 {
     if (sid >= branches_.size())
         branches_.resize(size_t(sid) + 1);
-    const size_t table = patterns_.size() >> history_bits_;
-    branches_[sid].tablePlus1 = static_cast<uint32_t>(table + 1);
-    patterns_.resize((table + 1) << history_bits_, 2);
+    Branch &b = branches_[sid];
+    if (b.tablePlus1 == 0) {
+        const size_t table = patterns_.size() >> history_bits_;
+        b.tablePlus1 = static_cast<uint32_t>(table + 1);
+        patterns_.resize((table + 1) << history_bits_, 2);
+    }
+    return b;
+}
+
+bool
+LocalPredictor::predict(uint32_t sid)
+{
+    return counterTaken(counterOf(branchOf(sid)));
+}
+
+void
+LocalPredictor::train(uint32_t sid, bool taken)
+{
+    Branch &b = branchOf(sid);
+    uint8_t &c = counterOf(b);
+    c = counterTrain(c, taken);
+    b.history = ((b.history << 1) | (taken ? 1 : 0)) &
+                ((1u << history_bits_) - 1);
 }
 
 void
@@ -122,49 +171,56 @@ LocalPredictor::reset()
 
 HybridPredictor::HybridPredictor(uint32_t local_history_bits,
                                  uint32_t global_history_bits)
-    : local_(local_history_bits), gshare_(global_history_bits)
+    : local_history_bits_(local_history_bits),
+      local_mask_((1u << local_history_bits) - 1),
+      global_mask_((1u << global_history_bits) - 1),
+      global_(size_t(1) << global_history_bits, 2)
 {
+    assert(local_history_bits <= 16 && "Branch::history is 16 bits");
 }
 
 void
-HybridPredictor::growChooser(uint32_t sid)
+HybridPredictor::addBranch(uint32_t sid)
 {
-    chooser_.resize(sid + 1, 2);
+    if (sid >= branches_.size())
+        branches_.resize(size_t(sid) + 1);
+    Branch &b = branches_[sid];
+    b.patterns = static_cast<uint32_t>(patterns_.size());
+    b.seen = true;
+    patterns_.resize(patterns_.size() + (size_t(1) << local_history_bits_),
+                     2);
 }
 
 void
 HybridPredictor::reset()
 {
+    // Branches keep their pattern tables; all state and counts return
+    // to their initial values.
     BranchPredictor::reset();
-    local_.reset();
-    gshare_.reset();
-    std::fill(chooser_.begin(), chooser_.end(), 2);
-    last_local_pred_ = false;
-    last_gshare_pred_ = false;
+    for (Branch &b : branches_) {
+        b.history = 0;
+        b.chooser = 2;
+        b.executions = 0;
+        b.mispredictions = 0;
+    }
+    std::fill(patterns_.begin(), patterns_.end(), 2);
+    std::fill(global_.begin(), global_.end(), 2);
+    global_history_ = 0;
 }
 
 bool
 HybridPredictor::predict(uint32_t sid)
 {
-    if (sid >= chooser_.size())
-        chooser_.resize(sid + 1, 2);
-    last_local_pred_ = local_.predictFast(sid);
-    last_gshare_pred_ = gshare_.predictFast(sid);
-    return counterTaken(chooser_[sid]) ? last_local_pred_
-                                       : last_gshare_pred_;
+    const Branch &b = branchOf(sid);
+    const bool local = counterTaken(patterns_[b.patterns + b.history]);
+    const bool global = counterTaken(global_[globalIndex(sid)]);
+    return counterTaken(b.chooser) ? local : global;
 }
 
 void
 HybridPredictor::train(uint32_t sid, bool taken)
 {
-    const bool local_ok = last_local_pred_ == taken;
-    const bool gshare_ok = last_gshare_pred_ == taken;
-    if (local_ok != gshare_ok) {
-        uint8_t &c = chooser_[sid];
-        c = counterTrain(c, local_ok);
-    }
-    local_.trainFast(sid, taken);
-    gshare_.trainFast(sid, taken);
+    step(branchOf(sid), sid, taken);
 }
 
 // --------------------------------------------------------------------------

@@ -10,6 +10,13 @@ namespace bioperf::branch {
 
 namespace detail {
 
+/**
+ * Next state of a saturating 2-bit counter:
+ * kCounterNext[taken][counter].
+ */
+inline constexpr uint8_t kCounterNext[2][4] = { { 0, 0, 1, 2 },
+                                                { 1, 2, 3, 3 } };
+
 /** Saturating 2-bit counter helpers: >=2 means predict taken. */
 constexpr bool
 counterTaken(uint8_t c)
@@ -20,9 +27,7 @@ counterTaken(uint8_t c)
 constexpr uint8_t
 counterTrain(uint8_t c, bool taken)
 {
-    if (taken)
-        return c < 3 ? c + 1 : 3;
-    return c > 0 ? c - 1 : 0;
+    return kCounterNext[taken][c];
 }
 
 } // namespace detail
@@ -49,12 +54,12 @@ class BranchPredictor
     virtual bool predictAndTrain(uint32_t sid, bool taken);
 
     /** Dynamic executions observed for branch @a sid. */
-    uint64_t executions(uint32_t sid) const
+    virtual uint64_t executions(uint32_t sid) const
     {
         return sid < exec_.size() ? exec_[sid] : 0;
     }
     /** Mispredictions observed for branch @a sid. */
-    uint64_t mispredictions(uint32_t sid) const
+    virtual uint64_t mispredictions(uint32_t sid) const
     {
         return sid < miss_.size() ? miss_[sid] : 0;
     }
@@ -82,7 +87,7 @@ class BranchPredictor
     /**
      * Direct access to the prediction/training machinery without the
      * statistics bookkeeping, so predictors can be composed (the
-     * hybrid uses these on its components).
+     * tests compose a reference hybrid from these).
      */
     bool rawPredict(uint32_t sid) { return predict(sid); }
     void rawTrain(uint32_t sid, bool taken) { train(sid, taken); }
@@ -98,11 +103,17 @@ class BranchPredictor
         if (sid >= exec_.size()) [[unlikely]]
             growStats(sid);
         exec_[sid]++;
-        total_exec_++;
-        if (!correct) {
+        if (!correct)
             miss_[sid]++;
+        noteTotal(correct);
+    }
+    /** The totals part of noteOutcome(). */
+    void
+    noteTotal(bool correct)
+    {
+        total_exec_++;
+        if (!correct)
             total_miss_++;
-        }
     }
 
   private:
@@ -179,43 +190,11 @@ class GsharePredictor final : public BranchPredictor
     const char *name() const override { return "gshare"; }
     void reset() override;
 
-    /**
-     * Non-virtual inline prediction/training core, so composing
-     * predictors (the hybrid) reach the tables without virtual
-     * dispatch and per-branch callers fold the table arithmetic into
-     * their own loop. Same behaviour as predict()/train().
-     */
-    bool
-    predictFast(uint32_t sid)
-    {
-        return detail::counterTaken(table_[index(sid)]);
-    }
-    void
-    trainFast(uint32_t sid, bool taken)
-    {
-        uint8_t &c = table_[index(sid)];
-        c = detail::counterTrain(c, taken);
-        history_ = ((history_ << 1) | (taken ? 1 : 0)) &
-                   ((1u << history_bits_) - 1);
-    }
-
   protected:
-    bool predict(uint32_t sid) override { return predictFast(sid); }
-    void train(uint32_t sid, bool taken) override
-    {
-        trainFast(sid, taken);
-    }
+    bool predict(uint32_t sid) override;
+    void train(uint32_t sid, bool taken) override;
 
   private:
-    uint32_t
-    index(uint32_t sid) const
-    {
-        const uint32_t mask = (1u << history_bits_) - 1;
-        // Multiply by a large odd constant to spread consecutive
-        // static ids across the table before XORing with the history.
-        return ((sid * 2654435761u) ^ history_) & mask;
-    }
-
     uint32_t history_bits_;
     uint32_t history_ = 0;
     std::vector<uint8_t> table_;
@@ -232,41 +211,14 @@ class LocalPredictor final : public BranchPredictor
     const char *name() const override { return "local"; }
     void reset() override;
 
-    /** Non-virtual inline core; see GsharePredictor::predictFast(). */
-    bool
-    predictFast(uint32_t sid)
-    {
-        return detail::counterTaken(counterOf(branchOf(sid)));
-    }
-    void trainFast(uint32_t sid, bool taken) { predictThenTrain(sid, taken); }
-    /**
-     * predictFast() then trainFast() on one table lookup: returns the
-     * prediction made before training on @a taken.
-     */
-    bool
-    predictThenTrain(uint32_t sid, bool taken)
-    {
-        Branch &b = branchOf(sid);
-        uint8_t &c = counterOf(b);
-        const bool p = detail::counterTaken(c);
-        c = detail::counterTrain(c, taken);
-        b.history = ((b.history << 1) | (taken ? 1 : 0)) &
-                    ((1u << history_bits_) - 1);
-        return p;
-    }
-
   protected:
-    bool predict(uint32_t sid) override { return predictFast(sid); }
-    void train(uint32_t sid, bool taken) override
-    {
-        trainFast(sid, taken);
-    }
+    bool predict(uint32_t sid) override;
+    void train(uint32_t sid, bool taken) override;
 
   private:
     /**
      * One static branch: the index + 1 of its pattern table (0 until
-     * the branch is first seen) and its local history, side by side
-     * so a lookup costs one load before the pattern table's.
+     * the branch is first seen) and its local history.
      */
     struct Branch
     {
@@ -274,15 +226,7 @@ class LocalPredictor final : public BranchPredictor
         uint32_t history = 0;
     };
 
-    Branch &
-    branchOf(uint32_t sid)
-    {
-        if (sid >= branches_.size() || branches_[sid].tablePlus1 == 0)
-            [[unlikely]]
-            addBranch(sid);
-        return branches_[sid];
-    }
-    void addBranch(uint32_t sid);
+    Branch &branchOf(uint32_t sid);
     /** The pattern-table counter @a b's history selects. */
     uint8_t &
     counterOf(const Branch &b)
@@ -297,8 +241,7 @@ class LocalPredictor final : public BranchPredictor
      * Per-branch pattern tables stored contiguously (table @a t spans
      * [t << history_bits_, (t + 1) << history_bits_)). A table is
      * added when its branch is first seen, so the tables grow with
-     * the branches seen rather than the largest sid, and a lookup is
-     * one indexed load instead of chasing a per-branch allocation.
+     * the branches seen rather than the largest sid.
      */
     std::vector<uint8_t> patterns_;
 };
@@ -307,44 +250,73 @@ class LocalPredictor final : public BranchPredictor
  * McFarling-style hybrid: a local and a gshare component with a 2-bit
  * chooser per static branch. This is the configuration the paper uses
  * for its Table 4 misprediction rates.
+ *
+ * It runs once per dynamic conditional branch in every
+ * characterization, timing run and sampled warm-up, so it is one flat
+ * class rather than a composition of LocalPredictor and
+ * GsharePredictor (which it matches prediction for prediction): all
+ * of one branch's state is one Branch record, reached by one sid
+ * lookup, and the gshare table and history are its own members.
  */
 class HybridPredictor final : public BranchPredictor
 {
   public:
+    /** Everything the predictor keeps for one static branch. */
+    struct Branch
+    {
+        /** Offset of the branch's local pattern table in patterns_. */
+        uint32_t patterns = 0;
+        /** Local history, the last history bits outcomes. */
+        uint16_t history = 0;
+        /** 2-bit; >=2 prefers the local component. */
+        uint8_t chooser = 2;
+        /** The branch has a pattern table. */
+        bool seen = false;
+        uint64_t executions = 0;
+        uint64_t mispredictions = 0;
+    };
+
+    /** @a local_history_bits is at most 16. */
     HybridPredictor(uint32_t local_history_bits = 10,
                     uint32_t global_history_bits = 12);
     const char *name() const override { return "hybrid"; }
     void reset() override;
 
-    /**
-     * Flat inline override of the predict+train+record sequence: one
-     * chooser lookup and direct (non-virtual) component calls, with
-     * behaviour identical to the base-class implementation. This
-     * predictor runs once per dynamic conditional branch in every
-     * characterization, so the call layering matters.
-     */
     bool
     predictAndTrain(uint32_t sid, bool taken) override
     {
-        if (sid >= chooser_.size()) [[unlikely]]
-            growChooser(sid);
-        // The local component trains as it predicts; nothing below
-        // reads its state.
-        last_local_pred_ = local_.predictThenTrain(sid, taken);
-        last_gshare_pred_ = gshare_.predictFast(sid);
-        const bool p = detail::counterTaken(chooser_[sid])
-                           ? last_local_pred_
-                           : last_gshare_pred_;
-        const bool local_ok = last_local_pred_ == taken;
-        const bool gshare_ok = last_gshare_pred_ == taken;
-        if (local_ok != gshare_ok) {
-            uint8_t &c = chooser_[sid];
-            c = detail::counterTrain(c, local_ok);
-        }
-        gshare_.trainFast(sid, taken);
-        const bool correct = p == taken;
-        noteOutcome(sid, correct);
+        bool correct;
+        update(sid, taken, correct);
         return correct;
+    }
+
+    /**
+     * predictAndTrain() for a caller that also judges the branch:
+     * returns its record, whose counts already include this
+     * execution, and sets @a correct.
+     */
+    const Branch &
+    update(uint32_t sid, bool taken, bool &correct)
+    {
+        Branch &b = branchOf(sid);
+        correct = step(b, sid, taken) == taken;
+        b.executions++;
+        if (!correct)
+            b.mispredictions++;
+        noteTotal(correct);
+        return b;
+    }
+
+    uint64_t
+    executions(uint32_t sid) const override
+    {
+        return sid < branches_.size() ? branches_[sid].executions : 0;
+    }
+    uint64_t
+    mispredictions(uint32_t sid) const override
+    {
+        return sid < branches_.size() ? branches_[sid].mispredictions
+                                      : 0;
     }
 
   protected:
@@ -352,13 +324,70 @@ class HybridPredictor final : public BranchPredictor
     void train(uint32_t sid, bool taken) override;
 
   private:
-    void growChooser(uint32_t sid);
+    Branch &
+    branchOf(uint32_t sid)
+    {
+        if (sid >= branches_.size() || !branches_[sid].seen) [[unlikely]]
+            addBranch(sid);
+        return branches_[sid];
+    }
+    void addBranch(uint32_t sid);
 
-    LocalPredictor local_;
-    GsharePredictor gshare_;
-    std::vector<uint8_t> chooser_; ///< 2-bit; >=2 prefers local
-    bool last_local_pred_ = false;
-    bool last_gshare_pred_ = false;
+    uint32_t
+    globalIndex(uint32_t sid) const
+    {
+        // Multiply by a large odd constant to spread consecutive
+        // static ids across the table before XORing with the history.
+        return ((sid * 2654435761u) ^ global_history_) & global_mask_;
+    }
+
+    /**
+     * Trains both components and the chooser of branch @a b (static
+     * id @a sid) on @a taken; returns the prediction made before.
+     */
+    bool
+    step(Branch &b, uint32_t sid, bool taken)
+    {
+        using detail::counterTaken;
+        using detail::kCounterNext;
+        // Every load comes before the first store: the counters are
+        // bytes, and a byte store may alias anything, so a load after
+        // it could not be kept in a register.
+        uint8_t *const lc = patterns_.data() + b.patterns + b.history;
+        uint8_t *const gc = global_.data() + globalIndex(sid);
+        const uint8_t lv = *lc;
+        const uint8_t gv = *gc;
+        const uint8_t chooser = b.chooser;
+        const uint32_t history = b.history;
+        const uint32_t global_history = global_history_;
+        const bool local = counterTaken(lv);
+        const bool global = counterTaken(gv);
+        const uint32_t t = taken ? 1 : 0;
+
+        *lc = kCounterNext[t][lv];
+        *gc = kCounterNext[t][gv];
+        b.history = static_cast<uint16_t>(((history << 1) | t) &
+                                          local_mask_);
+        global_history_ = ((global_history << 1) | t) & global_mask_;
+        // The chooser moves only when the components disagree, toward
+        // the one that was right.
+        if (local != global)
+            b.chooser = kCounterNext[local == taken][chooser];
+        return counterTaken(chooser) ? local : global;
+    }
+
+    uint32_t local_history_bits_;
+    uint32_t local_mask_;
+    uint32_t global_mask_;
+    uint32_t global_history_ = 0;
+    std::vector<Branch> branches_; ///< indexed by sid
+    /**
+     * Per-branch local pattern tables, contiguous, one added when its
+     * branch is first seen (see LocalPredictor::patterns_).
+     */
+    std::vector<uint8_t> patterns_;
+    /** The gshare table. */
+    std::vector<uint8_t> global_;
 };
 
 /** Factory by name: perfect, static, bimodal, gshare, local, hybrid. */

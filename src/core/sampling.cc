@@ -1,6 +1,7 @@
 #include "core/sampling.h"
 
 #include <algorithm>
+#include <cassert>
 #include <future>
 
 #include "util/failpoint.h"
@@ -549,7 +550,8 @@ WarmupSink::onBatch(const vm::DynInstr *batch, size_t n)
     const uint8_t *kinds = kind_of_sid_.data();
     for (size_t i = 0; i < n; i++) {
         const vm::DynInstr &di = batch[i];
-        switch (kinds[di.instr->sid]) {
+        assert(di.matchesInstr());
+        switch (kinds[di.sid]) {
           case kWarmNone:
             break;
           case kWarmRead:
@@ -559,7 +561,7 @@ WarmupSink::onBatch(const vm::DynInstr *batch, size_t n)
             caches_->access(di.addr, true);
             break;
           case kWarmBranch:
-            predictor_->predictAndTrain(di.instr->sid, di.taken);
+            predictor_->predictAndTrain(di.sid, di.taken);
             break;
         }
     }

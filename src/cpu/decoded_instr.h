@@ -69,13 +69,17 @@ class DecodeTable
   public:
     explicit DecodeTable(const CoreConfig &config) : config_(config) {}
 
-    /** The decoded entry for @a in, decoding on first sight. */
-    const DecodedInstr &lookup(const ir::Instr &in,
+    /**
+     * The decoded entry for static instruction @a sid, decoding @a in
+     * (the instruction with that sid) on first sight. Keyed by the
+     * event's sid, so a hit never reads @a in.
+     */
+    const DecodedInstr &lookup(uint32_t sid, const ir::Instr &in,
                                std::vector<uint64_t> &ready)
     {
-        if (in.sid < entries_.size() &&
-            entries_[in.sid].kind != DecodedInstr::kUnknown)
-            return entries_[in.sid];
+        if (sid < entries_.size() &&
+            entries_[sid].kind != DecodedInstr::kUnknown)
+            return entries_[sid];
         return decode(in, ready);
     }
 

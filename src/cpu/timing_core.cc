@@ -1,6 +1,7 @@
 #include "cpu/timing_core.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace bioperf::cpu {
 
@@ -30,8 +31,8 @@ TimingCore::resolve(const vm::DynInstr *batch, size_t n)
     uint64_t mispredicts = 0;
     for (size_t i = 0; i < n; i++) {
         const vm::DynInstr &di = batch[i];
-        const ir::Instr &in = *di.instr;
-        const DecodedInstr &d = decode_.lookup(in, ready_);
+        assert(di.matchesInstr());
+        const DecodedInstr &d = decode_.lookup(di.sid, *di.instr, ready_);
 
         // The common fixed-latency case takes one predictable branch;
         // only memory operations enter the switch.
@@ -42,7 +43,7 @@ TimingCore::resolve(const vm::DynInstr *batch, size_t n)
                 latency = caches_->access(di.addr, false).latency;
                 if (accel_) {
                     latency = accel_->adjustLatency(
-                        in.sid, di.addr, di.loadValueBits, latency);
+                        di.sid, di.addr, di.loadValueBits, latency);
                 }
                 break;
               case DecodedInstr::kStore:
@@ -63,7 +64,7 @@ TimingCore::resolve(const vm::DynInstr *batch, size_t n)
 
         bool mispredicted = false;
         if (d.isBranch) {
-            mispredicted = !predictor_->predictAndTrain(in.sid, di.taken);
+            mispredicted = !predictor_->predictAndTrain(di.sid, di.taken);
             mispredicts += mispredicted;
         }
 

@@ -1,5 +1,7 @@
 #include "profile/cache_profiler.h"
 
+#include <cassert>
+
 namespace bioperf::profile {
 
 CacheProfiler::CacheProfiler()
@@ -10,7 +12,8 @@ CacheProfiler::CacheProfiler()
 void
 CacheProfiler::onInstr(const vm::DynInstr &di)
 {
-    const ir::Opcode op = di.instr->op;
+    assert(di.matchesInstr());
+    const ir::Opcode op = di.op;
     if (ir::isLoad(op)) {
         loads_++;
         const auto acc = caches_.access(di.addr, false);

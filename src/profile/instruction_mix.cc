@@ -1,5 +1,7 @@
 #include "profile/instruction_mix.h"
 
+#include <cassert>
+
 namespace bioperf::profile {
 
 using ir::InstrClass;
@@ -7,15 +9,18 @@ using ir::InstrClass;
 void
 InstructionMixProfiler::onInstr(const vm::DynInstr &di)
 {
-    counts_[static_cast<size_t>(ir::classOf(di.instr->op))]++;
+    assert(di.matchesInstr());
+    counts_[static_cast<size_t>(ir::classOf(di.op))]++;
     total_++;
 }
 
 void
 InstructionMixProfiler::onBatch(const vm::DynInstr *batch, size_t n)
 {
-    for (size_t i = 0; i < n; i++)
-        counts_[static_cast<size_t>(ir::classOf(batch[i].instr->op))]++;
+    for (size_t i = 0; i < n; i++) {
+        assert(batch[i].matchesInstr());
+        counts_[static_cast<size_t>(ir::classOf(batch[i].op))]++;
+    }
     total_ += n;
 }
 

@@ -1,6 +1,7 @@
 #include "profile/load_branch.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace bioperf::profile {
 
@@ -96,14 +97,14 @@ LoadBranchProfiler::onBatch(const vm::DynInstr *batch, size_t n)
     size_t num_info = sid_info_.size();
     for (size_t i = 0; i < n; i++) {
         const vm::DynInstr &di = batch[i];
-        const ir::Instr &in = *di.instr;
-        if (in.sid >= num_info || !info[in.sid].decoded) [[unlikely]] {
-            decodeSid(in);
+        assert(di.matchesInstr());
+        if (di.sid >= num_info || !info[di.sid].decoded) [[unlikely]] {
+            decodeSid(*di.instr);
             taint = taint_.data();
             info = sid_info_.data();
             num_info = sid_info_.size();
         }
-        const SidInfo &si = info[in.sid];
+        const SidInfo &si = info[di.sid];
         const uint64_t g = ++h.gseq;
 
         // Is this instruction the first consumer of a tight-chain
@@ -159,16 +160,22 @@ LoadBranchProfiler::onBatch(const vm::DynInstr *batch, size_t n)
                 }
             }
 
-            const bool correct = pred_.predictAndTrain(in.sid, di.taken);
+            bool correct;
+            const branch::HybridPredictor::Branch &b =
+                pred_.update(di.sid, di.taken, correct);
             if (terminated_chain) {
                 h.ltbBranchExec++;
                 if (!correct)
                     h.ltbBranchMiss++;
             }
 
-            // Is this branch statically hard to predict so far?
-            if (pred_.executions(in.sid) >= kMinBranchExecs &&
-                pred_.missRate(in.sid) >= kHardThreshold)
+            // Is this branch statically hard to predict so far? The
+            // record the update just touched holds its counts (the
+            // test is BranchPredictor::missRate()'s).
+            if (b.executions >= kMinBranchExecs &&
+                static_cast<double>(b.mispredictions) /
+                        static_cast<double>(b.executions) >=
+                    kHardThreshold)
                 h.lastHardBranch = g;
             break;
           }

@@ -1,15 +1,17 @@
 #include "profile/load_coverage.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace bioperf::profile {
 
 void
 LoadCoverageProfiler::onInstr(const vm::DynInstr &di)
 {
-    if (!ir::isLoad(di.instr->op))
+    assert(di.matchesInstr());
+    if (!ir::isLoad(di.op))
         return;
-    const uint32_t sid = di.instr->sid;
+    const uint32_t sid = di.sid;
     if (sid >= per_sid_.size())
         per_sid_.resize(sid + 1, 0);
     per_sid_[sid]++;
@@ -20,12 +22,13 @@ void
 LoadCoverageProfiler::onBatch(const vm::DynInstr *batch, size_t n)
 {
     for (size_t i = 0; i < n; i++) {
-        const ir::Instr &in = *batch[i].instr;
-        if (!ir::isLoad(in.op))
+        const vm::DynInstr &di = batch[i];
+        assert(di.matchesInstr());
+        if (!ir::isLoad(di.op))
             continue;
-        if (in.sid >= per_sid_.size())
-            per_sid_.resize(in.sid + 1, 0);
-        per_sid_[in.sid]++;
+        if (di.sid >= per_sid_.size())
+            per_sid_.resize(di.sid + 1, 0);
+        per_sid_[di.sid]++;
         total_loads_++;
     }
 }

@@ -1,6 +1,7 @@
 #include "profile/per_load.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace bioperf::profile {
 
@@ -29,26 +30,25 @@ PerLoadProfiler::PerLoadProfiler(const ir::Program &prog)
 void
 PerLoadProfiler::onInstr(const vm::DynInstr &di)
 {
-    const ir::Instr &in = *di.instr;
-
-    if (ir::isLoad(in.op)) {
-        if (in.sid >= per_sid_.size())
-            per_sid_.resize(in.sid + 1);
-        Counters &c = per_sid_[in.sid];
+    assert(di.matchesInstr());
+    if (ir::isLoad(di.op)) {
+        if (di.sid >= per_sid_.size())
+            per_sid_.resize(di.sid + 1);
+        Counters &c = per_sid_[di.sid];
         c.execs++;
-        c.instr = &in;
+        c.instr = di.instr;
         total_loads_++;
         if (caches_.access(di.addr, false).level != mem::Level::L1)
             c.l1Misses++;
-        pending_.push_back(in.sid);
+        pending_.push_back(di.sid);
         return;
     }
-    if (ir::isStore(in.op)) {
+    if (ir::isStore(di.op)) {
         caches_.access(di.addr, true);
         return;
     }
-    if (in.op == ir::Opcode::Br) {
-        const bool correct = pred_.predictAndTrain(in.sid, di.taken);
+    if (di.op == ir::Opcode::Br) {
+        const bool correct = pred_.predictAndTrain(di.sid, di.taken);
         // Attribute this branch's outcome to every load since the
         // previous branch: this branch is their "following branch".
         for (uint32_t sid : pending_) {

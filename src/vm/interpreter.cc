@@ -12,46 +12,10 @@ namespace bioperf::vm {
 
 using ir::Opcode;
 
-namespace {
-
-/**
- * True for the binary integer ALU opcodes whose second operand is
- * `imm` or an integer register (the `b` operand of the dispatch
- * loop). FP arithmetic, Select and the mov/convert forms read their
- * operands directly in their own cases.
- */
-bool
-usesIntSecondOperand(Opcode op)
+Interpreter::Interpreter(const ir::Program &prog, size_t batch_capacity)
+    : prog_(prog), mem_(prog.memoryBytes()),
+      batch_(batch_capacity > 0 ? batch_capacity : 1)
 {
-    switch (op) {
-      case Opcode::Add: case Opcode::Sub: case Opcode::Mul:
-      case Opcode::Div: case Opcode::Rem:
-      case Opcode::And: case Opcode::Or: case Opcode::Xor:
-      case Opcode::Shl: case Opcode::Shr:
-      case Opcode::CmpEq: case Opcode::CmpNe: case Opcode::CmpLt:
-      case Opcode::CmpLe: case Opcode::CmpGt: case Opcode::CmpGe:
-        return true;
-      default:
-        return false;
-    }
-}
-
-} // namespace
-
-Interpreter::Interpreter(const ir::Program &prog)
-    : prog_(prog), mem_(prog.memoryBytes()), batch_(kBatchCapacity)
-{
-}
-
-uint64_t
-Interpreter::effectiveAddress(const ir::Instr &in) const
-{
-    uint64_t addr = static_cast<uint64_t>(in.mem.offset);
-    if (in.mem.base != ir::kNoReg)
-        addr += static_cast<uint64_t>(iregs_[in.mem.base]);
-    if (in.mem.index != ir::kNoReg)
-        addr += static_cast<uint64_t>(iregs_[in.mem.index]) * in.mem.scale;
-    return addr;
 }
 
 const Interpreter::FlatFunction &
@@ -80,21 +44,108 @@ Interpreter::flatten(const ir::Function &fn)
         at += static_cast<uint32_t>(fn.blocks[b].instrs.size());
     }
 
+    static_assert(int(ExecOp::CmpGe) - int(ExecOp::Add) ==
+                  int(Opcode::CmpGe) - int(Opcode::Add));
+    static_assert(int(ExecOp::CvtFI) - int(ExecOp::FAdd) ==
+                  int(Opcode::CvtFI) - int(Opcode::FAdd));
+    static_assert(int(ExecOp::Load8) - int(ExecOp::Load1) == 3 &&
+                  int(ExecOp::Store8) - int(ExecOp::Store1) == 3);
+
+    // The zero register sits just past the function's own.
+    const uint32_t zero = fn.numIntRegs;
+    auto reg = [zero](uint32_t r) { return r == ir::kNoReg ? zero : r; };
+    auto sized = [](uint8_t size, ExecOp op1) {
+        const int step = size == 1 ? 0 : size == 2 ? 1 : size == 4 ? 2 : 3;
+        return static_cast<ExecOp>(static_cast<int>(op1) + step);
+    };
+
     flat.code.clear();
     flat.code.reserve(n_instrs);
     for (const auto &bb : fn.blocks) {
         for (const auto &in : bb.instrs) {
             Decoded d;
-            d.in = &in;
+            d.event.instr = &in;
+            d.event.op = in.op;
+            d.event.sid = in.sid;
             d.next = static_cast<uint32_t>(flat.code.size()) + 1;
-            if (in.op == Opcode::Jmp) {
-                d.next = block_start[in.taken];
-            } else if (in.op == Opcode::Br) {
+            d.dst = reg(in.dst);
+            d.a = reg(in.src[0]);
+            d.b = reg(in.src[1]);
+            d.c = reg(in.src[2]);
+            d.base = reg(in.mem.base);
+            d.index = reg(in.mem.index);
+            d.scale = in.mem.scale;
+            d.offset = in.mem.offset;
+            d.fimm = in.fimm;
+            switch (in.op) {
+              case Opcode::Add: case Opcode::Sub: case Opcode::Mul:
+              case Opcode::Div: case Opcode::Rem:
+              case Opcode::And: case Opcode::Or: case Opcode::Xor:
+              case Opcode::Shl: case Opcode::Shr:
+              case Opcode::CmpEq: case Opcode::CmpNe: case Opcode::CmpLt:
+              case Opcode::CmpLe: case Opcode::CmpGt: case Opcode::CmpGe:
+                // The ExecOps of these opcodes share their order.
+                d.exec = static_cast<ExecOp>(
+                    static_cast<int>(ExecOp::Add) +
+                    (static_cast<int>(in.op) -
+                     static_cast<int>(Opcode::Add)));
+                if (in.hasImm) {
+                    d.b = zero;
+                    d.imm = in.imm;
+                }
+                break;
+              case Opcode::Select:
+                d.exec = ExecOp::Select;
+                break;
+              case Opcode::MovImm:
+                d.exec = ExecOp::Add;
+                d.a = d.b = zero;
+                d.imm = in.imm;
+                break;
+              case Opcode::Mov:
+                d.exec = ExecOp::Add;
+                d.b = zero;
+                break;
+              case Opcode::FAdd: case Opcode::FSub: case Opcode::FMul:
+              case Opcode::FDiv:
+              case Opcode::FCmpEq: case Opcode::FCmpNe:
+              case Opcode::FCmpLt: case Opcode::FCmpLe:
+              case Opcode::FCmpGt: case Opcode::FCmpGe:
+              case Opcode::FSelect: case Opcode::FMovImm:
+              case Opcode::FMov: case Opcode::CvtIF: case Opcode::CvtFI:
+                d.exec = static_cast<ExecOp>(
+                    static_cast<int>(ExecOp::FAdd) +
+                    (static_cast<int>(in.op) -
+                     static_cast<int>(Opcode::FAdd)));
+                break;
+              case Opcode::Load:
+                d.exec = sized(in.mem.size, ExecOp::Load1);
+                break;
+              case Opcode::FLoad:
+                d.exec = ExecOp::FLoad;
+                break;
+              case Opcode::Store:
+                d.exec = sized(in.mem.size, ExecOp::Store1);
+                break;
+              case Opcode::FStore:
+                d.exec = ExecOp::FStore;
+                break;
+              case Opcode::Prefetch:
+                d.exec = ExecOp::Prefetch;
+                break;
+              case Opcode::Br:
+                d.exec = ExecOp::Br;
+                d.next = block_start[in.notTaken];
                 d.takenIdx = block_start[in.taken];
-                d.notTakenIdx = block_start[in.notTaken];
+                break;
+              case Opcode::Jmp:
+                d.exec = ExecOp::Jmp;
+                d.next = block_start[in.taken];
+                break;
+              case Opcode::Halt:
+                d.exec = ExecOp::Halt;
+                break;
             }
-            if (!in.hasImm && usesIntSecondOperand(in.op))
-                d.bReg = in.src[1];
             flat.code.push_back(d);
         }
     }
@@ -117,199 +168,230 @@ Interpreter::run(const ir::Function &fn,
                  const std::vector<int64_t> &params, uint64_t max_instrs)
 {
     const FlatFunction &flat = flatten(fn);
-    const Decoded *code = flat.code.data();
+    const Decoded *const code = flat.code.data();
 
-    iregs_.assign(fn.numIntRegs, 0);
+    iregs_.assign(size_t(fn.numIntRegs) + 1, 0);
     fregs_.assign(fn.numFpRegs, 0.0);
     assert(params.size() == fn.params.size() &&
            "parameter count mismatch");
     for (size_t i = 0; i < params.size(); i++)
         iregs_[fn.params[i].second] = params[i];
 
-    const bool batched = trace_mode_ == TraceMode::Batched;
+    // Locals for the whole run: nothing the loop stores (register
+    // values, simulated memory bytes, events) can then alias them.
+    int64_t *const R = iregs_.data();
+    double *const F = fregs_.data();
+    uint8_t *const mem = mem_.data();
+    DynInstr *const batch = batch_.data();
+    const size_t capacity = batch_.size();
+    auto host = [&](uint64_t addr, [[maybe_unused]] uint8_t size) {
+        assert(mem_.contains(addr, size));
+        return mem + (addr - ir::Program::kBaseAddress);
+    };
+
     uint64_t count = 0;
     uint32_t idx = 0;
     size_t bn = 0;
 
     for (;;) {
         const Decoded &d = code[idx];
-        const ir::Instr &in = *d.in;
-        DynInstr &di = batch_[bn];
-        di.instr = &in;
+        DynInstr &di = batch[bn];
+        di = d.event;
         di.seq = count;
-        di.addr = 0;
-        di.loadValueBits = 0;
-        di.taken = false;
 
         uint32_t next = d.next;
         bool halt = false;
+        // The second integer ALU operand: one of the two terms is
+        // always zero.
+        auto b = [&] { return R[d.b] + d.imm; };
+        auto address = [&] {
+            return static_cast<uint64_t>(d.offset) +
+                   static_cast<uint64_t>(R[d.base]) +
+                   static_cast<uint64_t>(R[d.index]) * d.scale;
+        };
+        // Integer accesses of sizeof(T) bytes: loads sign-extend,
+        // stores truncate.
+        auto load = [&](auto t) {
+            using T = decltype(t);
+            const uint64_t addr = address();
+            const int64_t v = loadAs<T>(host(addr, sizeof(T)));
+            R[d.dst] = v;
+            di.addr = addr;
+            di.loadValueBits = static_cast<uint64_t>(v);
+        };
+        auto store = [&](auto t) {
+            using T = decltype(t);
+            const uint64_t addr = address();
+            storeAs<T>(host(addr, sizeof(T)), R[d.a]);
+            di.addr = addr;
+        };
 
-        // Second integer operand for the int-ALU cases below; bReg
-        // was validated against the register file at flatten time.
-        const int64_t b = in.hasImm
-            ? in.imm
-            : (d.bReg != ir::kNoReg ? iregs_[d.bReg] : 0);
-
-        switch (in.op) {
-          case Opcode::Add:
-            iregs_[in.dst] = iregs_[in.src[0]] + b;
+        switch (d.exec) {
+          case ExecOp::Add:
+            R[d.dst] = R[d.a] + b();
             break;
-          case Opcode::Sub:
-            iregs_[in.dst] = iregs_[in.src[0]] - b;
+          case ExecOp::Sub:
+            R[d.dst] = R[d.a] - b();
             break;
-          case Opcode::Mul:
-            iregs_[in.dst] = iregs_[in.src[0]] * b;
+          case ExecOp::Mul:
+            R[d.dst] = R[d.a] * b();
             break;
-          case Opcode::Div:
+          case ExecOp::Div: {
             // Division by zero is defined as 0 (the IR has no traps).
-            iregs_[in.dst] = b == 0 ? 0 : iregs_[in.src[0]] / b;
+            const int64_t v = b();
+            R[d.dst] = v == 0 ? 0 : R[d.a] / v;
             break;
-          case Opcode::Rem:
-            iregs_[in.dst] = b == 0 ? 0 : iregs_[in.src[0]] % b;
+          }
+          case ExecOp::Rem: {
+            const int64_t v = b();
+            R[d.dst] = v == 0 ? 0 : R[d.a] % v;
             break;
-          case Opcode::And:
-            iregs_[in.dst] = iregs_[in.src[0]] & b;
+          }
+          case ExecOp::And:
+            R[d.dst] = R[d.a] & b();
             break;
-          case Opcode::Or:
-            iregs_[in.dst] = iregs_[in.src[0]] | b;
+          case ExecOp::Or:
+            R[d.dst] = R[d.a] | b();
             break;
-          case Opcode::Xor:
-            iregs_[in.dst] = iregs_[in.src[0]] ^ b;
+          case ExecOp::Xor:
+            R[d.dst] = R[d.a] ^ b();
             break;
-          case Opcode::Shl:
-            iregs_[in.dst] = static_cast<int64_t>(
-                static_cast<uint64_t>(iregs_[in.src[0]]) << (b & 63));
+          case ExecOp::Shl:
+            R[d.dst] = static_cast<int64_t>(
+                static_cast<uint64_t>(R[d.a]) << (b() & 63));
             break;
-          case Opcode::Shr:
-            iregs_[in.dst] = iregs_[in.src[0]] >> (b & 63);
+          case ExecOp::Shr:
+            R[d.dst] = R[d.a] >> (b() & 63);
             break;
-          case Opcode::CmpEq:
-            iregs_[in.dst] = iregs_[in.src[0]] == b;
+          case ExecOp::CmpEq:
+            R[d.dst] = R[d.a] == b();
             break;
-          case Opcode::CmpNe:
-            iregs_[in.dst] = iregs_[in.src[0]] != b;
+          case ExecOp::CmpNe:
+            R[d.dst] = R[d.a] != b();
             break;
-          case Opcode::CmpLt:
-            iregs_[in.dst] = iregs_[in.src[0]] < b;
+          case ExecOp::CmpLt:
+            R[d.dst] = R[d.a] < b();
             break;
-          case Opcode::CmpLe:
-            iregs_[in.dst] = iregs_[in.src[0]] <= b;
+          case ExecOp::CmpLe:
+            R[d.dst] = R[d.a] <= b();
             break;
-          case Opcode::CmpGt:
-            iregs_[in.dst] = iregs_[in.src[0]] > b;
+          case ExecOp::CmpGt:
+            R[d.dst] = R[d.a] > b();
             break;
-          case Opcode::CmpGe:
-            iregs_[in.dst] = iregs_[in.src[0]] >= b;
+          case ExecOp::CmpGe:
+            R[d.dst] = R[d.a] >= b();
             break;
-          case Opcode::Select:
-            iregs_[in.dst] = iregs_[in.src[0]] != 0 ? iregs_[in.src[1]]
-                                                    : iregs_[in.src[2]];
-            break;
-          case Opcode::MovImm:
-            iregs_[in.dst] = in.imm;
-            break;
-          case Opcode::Mov:
-            iregs_[in.dst] = iregs_[in.src[0]];
+          case ExecOp::Select:
+            R[d.dst] = R[d.a] != 0 ? R[d.b] : R[d.c];
             break;
 
-          case Opcode::FAdd:
-            fregs_[in.dst] = fregs_[in.src[0]] + fregs_[in.src[1]];
+          case ExecOp::FAdd:
+            F[d.dst] = F[d.a] + F[d.b];
             break;
-          case Opcode::FSub:
-            fregs_[in.dst] = fregs_[in.src[0]] - fregs_[in.src[1]];
+          case ExecOp::FSub:
+            F[d.dst] = F[d.a] - F[d.b];
             break;
-          case Opcode::FMul:
-            fregs_[in.dst] = fregs_[in.src[0]] * fregs_[in.src[1]];
+          case ExecOp::FMul:
+            F[d.dst] = F[d.a] * F[d.b];
             break;
-          case Opcode::FDiv:
-            fregs_[in.dst] = fregs_[in.src[0]] / fregs_[in.src[1]];
+          case ExecOp::FDiv:
+            F[d.dst] = F[d.a] / F[d.b];
             break;
-          case Opcode::FCmpEq:
-            iregs_[in.dst] = fregs_[in.src[0]] == fregs_[in.src[1]];
+          case ExecOp::FCmpEq:
+            R[d.dst] = F[d.a] == F[d.b];
             break;
-          case Opcode::FCmpNe:
-            iregs_[in.dst] = fregs_[in.src[0]] != fregs_[in.src[1]];
+          case ExecOp::FCmpNe:
+            R[d.dst] = F[d.a] != F[d.b];
             break;
-          case Opcode::FCmpLt:
-            iregs_[in.dst] = fregs_[in.src[0]] < fregs_[in.src[1]];
+          case ExecOp::FCmpLt:
+            R[d.dst] = F[d.a] < F[d.b];
             break;
-          case Opcode::FCmpLe:
-            iregs_[in.dst] = fregs_[in.src[0]] <= fregs_[in.src[1]];
+          case ExecOp::FCmpLe:
+            R[d.dst] = F[d.a] <= F[d.b];
             break;
-          case Opcode::FCmpGt:
-            iregs_[in.dst] = fregs_[in.src[0]] > fregs_[in.src[1]];
+          case ExecOp::FCmpGt:
+            R[d.dst] = F[d.a] > F[d.b];
             break;
-          case Opcode::FCmpGe:
-            iregs_[in.dst] = fregs_[in.src[0]] >= fregs_[in.src[1]];
+          case ExecOp::FCmpGe:
+            R[d.dst] = F[d.a] >= F[d.b];
             break;
-          case Opcode::FSelect:
-            fregs_[in.dst] = iregs_[in.src[0]] != 0 ? fregs_[in.src[1]]
-                                                    : fregs_[in.src[2]];
+          case ExecOp::FSelect:
+            F[d.dst] = R[d.a] != 0 ? F[d.b] : F[d.c];
             break;
-          case Opcode::FMovImm:
-            fregs_[in.dst] = in.fimm;
+          case ExecOp::FMovImm:
+            F[d.dst] = d.fimm;
             break;
-          case Opcode::FMov:
-            fregs_[in.dst] = fregs_[in.src[0]];
+          case ExecOp::FMov:
+            F[d.dst] = F[d.a];
             break;
-          case Opcode::CvtIF:
-            fregs_[in.dst] = static_cast<double>(iregs_[in.src[0]]);
+          case ExecOp::CvtIF:
+            F[d.dst] = static_cast<double>(R[d.a]);
             break;
-          case Opcode::CvtFI:
-            iregs_[in.dst] = static_cast<int64_t>(fregs_[in.src[0]]);
+          case ExecOp::CvtFI:
+            R[d.dst] = static_cast<int64_t>(F[d.a]);
             break;
 
-          case Opcode::Load: {
-            const uint64_t addr = effectiveAddress(in);
+          case ExecOp::Load1:
+            load(int8_t());
+            break;
+          case ExecOp::Load2:
+            load(int16_t());
+            break;
+          case ExecOp::Load4:
+            load(int32_t());
+            break;
+          case ExecOp::Load8:
+            load(int64_t());
+            break;
+          case ExecOp::FLoad: {
+            const uint64_t addr = address();
+            uint64_t bits;
+            std::memcpy(&bits, host(addr, 8), 8);
+            std::memcpy(&F[d.dst], &bits, 8);
             di.addr = addr;
-            iregs_[in.dst] = mem_.loadInt(addr, in.mem.size);
-            di.loadValueBits = static_cast<uint64_t>(iregs_[in.dst]);
+            di.loadValueBits = bits;
             break;
           }
-          case Opcode::FLoad: {
-            const uint64_t addr = effectiveAddress(in);
+          case ExecOp::Store1:
+            store(int8_t());
+            break;
+          case ExecOp::Store2:
+            store(int16_t());
+            break;
+          case ExecOp::Store4:
+            store(int32_t());
+            break;
+          case ExecOp::Store8:
+            store(int64_t());
+            break;
+          case ExecOp::FStore: {
+            const uint64_t addr = address();
+            std::memcpy(host(addr, 8), &F[d.a], 8);
             di.addr = addr;
-            fregs_[in.dst] = mem_.loadFp(addr);
-            std::memcpy(&di.loadValueBits, &fregs_[in.dst], 8);
             break;
           }
-          case Opcode::Store: {
-            const uint64_t addr = effectiveAddress(in);
-            di.addr = addr;
-            mem_.storeInt(addr, in.mem.size, iregs_[in.src[0]]);
-            break;
-          }
-          case Opcode::FStore: {
-            const uint64_t addr = effectiveAddress(in);
-            di.addr = addr;
-            mem_.storeFp(addr, fregs_[in.src[0]]);
-            break;
-          }
-          case Opcode::Prefetch:
+          case ExecOp::Prefetch:
             // Architecturally a no-op; sinks see the address.
-            di.addr = effectiveAddress(in);
+            di.addr = address();
             break;
 
-          case Opcode::Br:
-            di.taken = iregs_[in.src[0]] != 0;
-            next = di.taken ? d.takenIdx : d.notTakenIdx;
+          case ExecOp::Br: {
+            const bool taken = R[d.a] != 0;
+            di.taken = taken;
+            next = taken ? d.takenIdx : d.next;
             break;
-          case Opcode::Jmp:
+          }
+          case ExecOp::Jmp:
             break; // d.next already points at the target
-          case Opcode::Halt:
+          case ExecOp::Halt:
             halt = true;
             break;
         }
 
         count++;
-        if (batched) {
-            if (++bn == kBatchCapacity) {
-                flush(bn);
-                bn = 0;
-            }
-        } else {
-            for (TraceSink *s : sinks_)
-                s->onInstr(di);
+        if (++bn == capacity) {
+            flush(bn);
+            bn = 0;
         }
 
         if (halt)
@@ -318,7 +400,7 @@ Interpreter::run(const ir::Function &fn,
             // Flush what already retired so sinks are not left with a
             // partial batch, then surface the runaway as a status the
             // sweep boundary can record per app.
-            if (batched && bn > 0)
+            if (bn > 0)
                 flush(bn);
             total_instrs_ += count;
             throw util::StatusError(util::Status::resourceExhausted(
@@ -329,7 +411,7 @@ Interpreter::run(const ir::Function &fn,
         idx = next;
     }
 
-    if (batched && bn > 0)
+    if (bn > 0)
         flush(bn);
     total_instrs_ += count;
     for (TraceSink *s : sinks_)

@@ -22,48 +22,51 @@ namespace bioperf::vm {
  * Two hot-path mechanisms keep tracing overhead off the critical
  * path:
  *
- *  - *Predecoded dispatch*: on first execution of a function its
- *    blocks are flattened into one contiguous decoded-instruction
- *    array with precomputed fall-through and branch-target indices,
- *    so the main loop is a single indexed fetch with no nested
- *    blocks[bb].instrs[pc] lookups. Operand registers are validated
- *    once at flatten time (via ir::verify); the per-instruction
- *    bounds checks the old loop carried are gone. Callers must not
- *    mutate a Function between runs on the same Interpreter (the
- *    AppRun contract already requires transforms to happen before the
- *    Interpreter is constructed).
+ *  - *Register-resolved dispatch*: on first execution of a function
+ *    its blocks are flattened into one contiguous array with one
+ *    record per instruction. A record holds an execution opcode with
+ *    the access size folded in (Load1..Load8, Store1..Store8), every
+ *    register operand as an index, the immediate, the memory offset
+ *    and scale, the flat successor indices and the instruction's
+ *    event prototype. The main loop is a single indexed fetch and
+ *    never reads ir::Instr. One extra integer register, always zero,
+ *    stands in for an absent base or index register and for the
+ *    register slot of an immediate operand, so the second ALU operand
+ *    is always R[b] + imm and every address is
+ *    offset + R[base] + R[index] * scale, with no branch on the
+ *    operand form. Operand registers are validated once at flatten
+ *    time (via ir::verify). Callers must not mutate a Function
+ *    between runs on the same Interpreter (the AppRun contract
+ *    already requires transforms to happen before the Interpreter is
+ *    constructed).
  *
- *  - *Batched tracing*: retired instructions accumulate in a
- *    kBatchCapacity-entry buffer that is flushed to every sink with
- *    one TraceSink::onBatch() call, collapsing per-instruction
- *    virtual dispatch into one indirect call per batch per sink. The
- *    buffer is always flushed before run() returns (and thus before
- *    onRunEnd()), so sinks observe exactly the same stream as the
- *    per-instruction mode, in the same order.
+ *  - *Batched tracing*: retired instructions accumulate in a buffer
+ *    of batchCapacity() events that is flushed to every sink with one
+ *    TraceSink::onBatch() call, collapsing per-instruction virtual
+ *    dispatch into one indirect call per batch per sink. The buffer
+ *    is always flushed before run() returns (and thus before
+ *    onRunEnd()), so the stream a sink observes does not depend on
+ *    the capacity; capacity 1 is per-instruction delivery.
  */
 class Interpreter
 {
   public:
     /**
-     * Trace events buffered between sink flushes. Every attached sink
-     * streams the whole buffer per flush, so it is sized to keep the
-     * buffer (~20 KiB at 40 bytes/entry) plus the hot sink tables
-     * resident in a typical 32-48 KiB L1D across all passes; larger
-     * buffers push every sink pass out to L2.
+     * Default trace events buffered between sink flushes. Every
+     * attached sink streams the whole buffer per flush, so it is sized
+     * to keep the buffer (~20 KiB at 40 bytes/entry) plus the hot sink
+     * tables resident in a typical 32-48 KiB L1D across all passes;
+     * larger buffers push every sink pass out to L2.
      */
     static constexpr size_t kBatchCapacity = 512;
 
     /**
-     * How trace events reach the sinks. Batched is the default;
-     * PerInstr issues one onInstr() virtual call per sink per
-     * instruction (the pre-batching pipeline, kept only as the
-     * reference the batched-delivery equivalence tests compare
-     * against).
+     * Allocates memory sized for all of @a prog's regions. Events are
+     * flushed to the sinks every @a batch_capacity instructions (at
+     * least 1).
      */
-    enum class TraceMode : uint8_t { Batched, PerInstr };
-
-    /** Allocates memory sized for all of @a prog's regions. */
-    explicit Interpreter(const ir::Program &prog);
+    explicit Interpreter(const ir::Program &prog,
+                         size_t batch_capacity = kBatchCapacity);
 
     Memory &memory() { return mem_; }
     const ir::Program &program() const { return prog_; }
@@ -71,8 +74,7 @@ class Interpreter
     void addSink(TraceSink *sink) { sinks_.push_back(sink); }
     void clearSinks() { sinks_.clear(); }
 
-    void setTraceMode(TraceMode mode) { trace_mode_ = mode; }
-    TraceMode traceMode() const { return trace_mode_; }
+    size_t batchCapacity() const { return batch_.size(); }
 
     /**
      * Runs @a fn from its entry block until Halt.
@@ -95,25 +97,57 @@ class Interpreter
 
   private:
     /**
-     * One predecoded instruction: the static instruction plus the
-     * flat successor indices, so the dispatch loop never touches the
-     * block structure.
+     * What run() executes: the IR opcode with the access size folded
+     * into loads and stores. Mov and MovImm execute as Add (R[a] +
+     * R[b] + imm with the zero register in the unused slots).
+     */
+    enum class ExecOp : uint8_t {
+        Add, Sub, Mul, Div, Rem,
+        And, Or, Xor, Shl, Shr,
+        CmpEq, CmpNe, CmpLt, CmpLe, CmpGt, CmpGe,
+        Select,
+        FAdd, FSub, FMul, FDiv,
+        FCmpEq, FCmpNe, FCmpLt, FCmpLe, FCmpGt, FCmpGe,
+        FSelect, FMovImm, FMov, CvtIF, CvtFI,
+        Load1, Load2, Load4, Load8, FLoad,
+        Store1, Store2, Store4, Store8, FStore,
+        Prefetch,
+        Br, Jmp, Halt,
+    };
+
+    /**
+     * One flattened instruction. Register fields index the integer
+     * file (with the zero register for an absent operand) or the FP
+     * file, as the opcode reads them; all were validated at flatten
+     * time, so the dispatch loop indexes both files unchecked.
      */
     struct Decoded
     {
-        const ir::Instr *in = nullptr;
-        /** Successor index for straight-line flow and Jmp. */
-        uint32_t next = 0;
-        /** Flat indices of the Br targets. */
-        uint32_t takenIdx = 0;
-        uint32_t notTakenIdx = 0;
         /**
-         * Integer register of the second ALU operand, or kNoReg when
-         * the instruction has an immediate or no integer second
-         * operand. Validated at flatten time, so the dispatch loop
-         * indexes iregs_ without a bounds check.
+         * The instruction's event with its static fields (instr, sid,
+         * op) set and its dynamic fields zeroed; run() copies it into
+         * the batch in one go.
          */
-        uint32_t bReg = ir::kNoReg;
+        DynInstr event;
+        ExecOp exec = ExecOp::Halt;
+        uint8_t scale = 1;
+        uint32_t dst = 0;
+        /** Register operands: sources 0-2 (Store: a is the value). */
+        uint32_t a = 0;
+        uint32_t b = 0;
+        uint32_t c = 0;
+        /** Address registers. */
+        uint32_t base = 0;
+        uint32_t index = 0;
+        /** Successor for straight-line flow, Jmp and a not-taken Br. */
+        uint32_t next = 0;
+        /** Br's taken target. */
+        uint32_t takenIdx = 0;
+        /** ALU immediate (0 for a register operand). */
+        int64_t imm = 0;
+        /** Memory offset. */
+        int64_t offset = 0;
+        double fimm = 0.0;
     };
 
     /** A function flattened for execution. */
@@ -128,17 +162,16 @@ class Interpreter
     };
 
     const FlatFunction &flatten(const ir::Function &fn);
-    uint64_t effectiveAddress(const ir::Instr &in) const;
     void flush(size_t n);
 
     const ir::Program &prog_;
     Memory mem_;
     std::vector<TraceSink *> sinks_;
+    /** The function's integer registers, then the zero register. */
     std::vector<int64_t> iregs_;
     std::vector<double> fregs_;
     std::vector<DynInstr> batch_;
     std::unordered_map<const ir::Function *, FlatFunction> flat_cache_;
-    TraceMode trace_mode_ = TraceMode::Batched;
     uint64_t total_instrs_ = 0;
 };
 

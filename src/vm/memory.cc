@@ -14,26 +14,14 @@ Memory::loadInt(uint64_t addr, uint8_t access_size) const
     assert(contains(addr, access_size));
     const uint8_t *p = at(addr);
     switch (access_size) {
-      case 1: {
-        int8_t v;
-        std::memcpy(&v, p, 1);
-        return v;
-      }
-      case 2: {
-        int16_t v;
-        std::memcpy(&v, p, 2);
-        return v;
-      }
-      case 4: {
-        int32_t v;
-        std::memcpy(&v, p, 4);
-        return v;
-      }
-      default: {
-        int64_t v;
-        std::memcpy(&v, p, 8);
-        return v;
-      }
+      case 1:
+        return loadAs<int8_t>(p);
+      case 2:
+        return loadAs<int16_t>(p);
+      case 4:
+        return loadAs<int32_t>(p);
+      default:
+        return loadAs<int64_t>(p);
     }
 }
 
@@ -43,23 +31,17 @@ Memory::storeInt(uint64_t addr, uint8_t access_size, int64_t v)
     assert(contains(addr, access_size));
     uint8_t *p = at(addr);
     switch (access_size) {
-      case 1: {
-        const int8_t t = static_cast<int8_t>(v);
-        std::memcpy(p, &t, 1);
+      case 1:
+        storeAs<int8_t>(p, v);
         break;
-      }
-      case 2: {
-        const int16_t t = static_cast<int16_t>(v);
-        std::memcpy(p, &t, 2);
+      case 2:
+        storeAs<int16_t>(p, v);
         break;
-      }
-      case 4: {
-        const int32_t t = static_cast<int32_t>(v);
-        std::memcpy(p, &t, 4);
+      case 4:
+        storeAs<int32_t>(p, v);
         break;
-      }
       default:
-        std::memcpy(p, &v, 8);
+        storeAs<int64_t>(p, v);
         break;
     }
 }

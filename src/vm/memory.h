@@ -11,6 +11,25 @@
 
 namespace bioperf::vm {
 
+/** Little-endian load of a T at @a p, sign-extended to 64 bits. */
+template <typename T>
+inline int64_t
+loadAs(const uint8_t *p)
+{
+    T v;
+    std::memcpy(&v, p, sizeof(T));
+    return v;
+}
+
+/** Stores the low sizeof(T) bytes of @a v at @a p, little-endian. */
+template <typename T>
+inline void
+storeAs(uint8_t *p, int64_t v)
+{
+    const T t = static_cast<T>(v);
+    std::memcpy(p, &t, sizeof(T));
+}
+
 /**
  * Flat byte-addressable memory backing a Program's regions.
  *
@@ -42,6 +61,14 @@ class Memory
 
     /** Zeroes all bytes. */
     void clear();
+
+    /**
+     * Host storage of address Program::kBaseAddress onwards, for a
+     * hot loop that keeps it in a register and inlines its own
+     * accesses (the interpreter). Such a loop asserts contains()
+     * itself, as the accessors above do.
+     */
+    uint8_t *data() { return bytes_.data(); }
 
   private:
     const uint8_t *at(uint64_t addr) const

@@ -11,9 +11,13 @@ namespace bioperf::vm {
 /**
  * One dynamically executed instruction, as observed by trace sinks.
  *
- * The pointed-to static instruction stays valid for the lifetime of
- * the Program, so sinks may cache per-sid state keyed on
- * `instr->sid`. This event stream is the repository's equivalent of
+ * The event carries copies of its static instruction's `sid` and `op`,
+ * so a sink's per-event work (count by class, index a per-sid table,
+ * pick the memory or branch path) reads the event it already has in
+ * hand instead of chasing `instr`. `instr` stays for what the copies
+ * do not cover: decoding a static instruction the first time a sink
+ * sees it. The pointed-to instruction stays valid for the lifetime of
+ * the Program. This event stream is the repository's equivalent of
  * the paper's ATOM instrumentation output.
  */
 struct DynInstr
@@ -21,7 +25,7 @@ struct DynInstr
     const ir::Instr *instr = nullptr;
     /** Dynamic sequence number within the current run (from 0). */
     uint64_t seq = 0;
-    /** Effective address for loads/stores; 0 otherwise. */
+    /** Effective address for loads/stores/prefetches; 0 otherwise. */
     uint64_t addr = 0;
     /**
      * Raw bits of the loaded value (sign-extended integer or double
@@ -31,7 +35,25 @@ struct DynInstr
     uint64_t loadValueBits = 0;
     /** Branch direction for Br; false otherwise. */
     bool taken = false;
+    /** instr->op, copied by the producer. */
+    ir::Opcode op = ir::Opcode::Halt;
+    /** instr->sid, copied by the producer. */
+    uint32_t sid = 0;
+
+    /**
+     * True when the copied fields agree with the static instruction.
+     * Sinks assert it in Debug builds.
+     */
+    bool
+    matchesInstr() const
+    {
+        return sid == instr->sid && op == instr->op;
+    }
 };
+
+// sid and op sit in the padding after `taken`: batches stay 40 bytes
+// per event.
+static_assert(sizeof(DynInstr) == 40);
 
 /**
  * Observer of the dynamic instruction stream. Multiple sinks can be
@@ -39,12 +61,12 @@ struct DynInstr
  * order (the profilers, cache models and timing cores all implement
  * this interface).
  *
- * Delivery comes in two granularities. The interpreter's default path
- * buffers retired instructions and hands each sink a whole batch at
- * once via onBatch(), which costs one virtual call per batch instead
- * of one per instruction. Sinks that only implement onInstr() keep
- * working unchanged through the default onBatch() adapter; the hot
- * sinks override onBatch() with a tight native loop.
+ * Producers (the interpreter, the trace replayer) buffer retired
+ * instructions and hand each sink a whole batch at once via
+ * onBatch(), which costs one virtual call per batch instead of one
+ * per instruction. Sinks that only implement onInstr() keep working
+ * unchanged through the default onBatch() adapter; the hot sinks
+ * override onBatch() with a tight native loop.
  *
  * Batch entries arrive in program order and are only valid for the
  * duration of the onBatch() call (the interpreter reuses the buffer).

@@ -1,6 +1,7 @@
 #include "vm/trace_codec.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace bioperf::vm {
 
@@ -155,7 +156,8 @@ TraceRecorder::TraceRecorder(const ir::Program &prog,
 void
 TraceRecorder::encodeOne(const DynInstr &di)
 {
-    const uint32_t sid = di.instr->sid;
+    assert(di.matchesInstr());
+    const uint32_t sid = di.sid;
     uint8_t *const base = payload_.data();
     // Static instructions mostly execute in layout order, so the
     // zigzagged sid delta is usually 0..3 and fits one byte even in
@@ -278,8 +280,11 @@ TraceReplayer::TraceReplayer(const ir::Program &prog)
     sid_.resize(table.size());
     for (size_t s = 0; s < table.size(); s++) {
         sid_[s].proto.instr = table[s];
-        if (table[s])
+        if (table[s]) {
+            sid_[s].proto.op = table[s]->op;
+            sid_[s].proto.sid = table[s]->sid;
             sid_[s].kind = static_cast<uint8_t>(kindOf(table[s]->op));
+        }
     }
 }
 
@@ -403,7 +408,7 @@ TraceReplayer::decodeChunk(const EncodedTrace::Chunk &chunk)
         if (__builtin_expect(sd.proto.instr == nullptr, 0))
             corrupt("event references an unused sid");
         DynInstr &di = batch[bn];
-        di = sd.proto; // one copy: instr set, dynamic fields zeroed
+        di = sd.proto; // one copy: instr, op, sid set; dynamic fields 0
         di.seq = seq++;
         switch (sd.kind) {
           case kPlain:

@@ -284,8 +284,8 @@ class TraceReplayer
     const EncodedTrace *trace_;
     std::vector<TraceSink *> sinks_;
     /**
-     * Per-sid decode recipe: a prototype DynInstr (instr pointer set,
-     * dynamic fields zeroed) the hot loop copies in one go, plus the
+     * Per-sid decode recipe: a prototype DynInstr (instr, op and sid
+     * set, dynamic fields zeroed) the hot loop copies in one go, plus the
      * decode kind selecting which fields to overwrite. One indexed
      * load replaces separate instr/kind lookups and field-by-field
      * zeroing.

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "apps/app.h"
 #include "branch/predictors.h"
 #include "util/rng.h"
+#include "vm/interpreter.h"
 
 namespace bioperf::branch {
 namespace {
@@ -218,6 +222,173 @@ TEST(Hybrid, NoAliasingAcrossManyStaticBranches)
             late_miss++;
     }
     EXPECT_LT(late_miss, 40u);
+}
+
+/**
+ * The hybrid composed the way it was before it became one record per
+ * branch: a LocalPredictor and a GsharePredictor reached through
+ * rawPredict()/rawTrain(), a sid-indexed 2-bit chooser (>=2 prefers
+ * local) and per-branch counts of its own.
+ */
+class ReferenceHybrid
+{
+  public:
+    bool
+    predict(uint32_t sid)
+    {
+        grow(sid);
+        local_pred_ = local_.rawPredict(sid);
+        gshare_pred_ = gshare_.rawPredict(sid);
+        return detail::counterTaken(chooser_[sid]) ? local_pred_
+                                                   : gshare_pred_;
+    }
+
+    bool
+    predictAndTrain(uint32_t sid, bool taken)
+    {
+        const bool p = predict(sid);
+        const bool local_ok = local_pred_ == taken;
+        if (local_ok != (gshare_pred_ == taken)) {
+            uint8_t &c = chooser_[sid];
+            if (local_ok && c < 3)
+                c++;
+            else if (!local_ok && c > 0)
+                c--;
+        }
+        local_.rawTrain(sid, taken);
+        gshare_.rawTrain(sid, taken);
+        const bool correct = p == taken;
+        exec_[sid]++;
+        total_exec_++;
+        if (!correct) {
+            miss_[sid]++;
+            total_miss_++;
+        }
+        return correct;
+    }
+
+    void
+    reset()
+    {
+        local_.reset();
+        gshare_.reset();
+        std::fill(chooser_.begin(), chooser_.end(), 2);
+        std::fill(exec_.begin(), exec_.end(), 0);
+        std::fill(miss_.begin(), miss_.end(), 0);
+        total_exec_ = total_miss_ = 0;
+    }
+
+    /** Expects @a h to hold this reference's counts, branch by branch. */
+    void
+    expectSameCounts(const HybridPredictor &h) const
+    {
+        for (uint32_t sid = 0; sid < exec_.size(); sid++) {
+            ASSERT_EQ(h.executions(sid), exec_[sid]) << "sid " << sid;
+            ASSERT_EQ(h.mispredictions(sid), miss_[sid]) << "sid " << sid;
+        }
+        EXPECT_EQ(h.executions(uint32_t(exec_.size())), 0u);
+        EXPECT_EQ(h.totalExecutions(), total_exec_);
+        EXPECT_EQ(h.totalMispredictions(), total_miss_);
+    }
+
+  private:
+    void
+    grow(uint32_t sid)
+    {
+        if (sid >= chooser_.size()) {
+            chooser_.resize(sid + 1, 2);
+            exec_.resize(sid + 1, 0);
+            miss_.resize(sid + 1, 0);
+        }
+    }
+
+    LocalPredictor local_{ 10 };
+    GsharePredictor gshare_{ 12 };
+    std::vector<uint8_t> chooser_;
+    std::vector<uint64_t> exec_;
+    std::vector<uint64_t> miss_;
+    uint64_t total_exec_ = 0;
+    uint64_t total_miss_ = 0;
+    bool local_pred_ = false;
+    bool gshare_pred_ = false;
+};
+
+/**
+ * Feeds one branch to both predictors. @return false at the first
+ * disagreement in prediction, outcome or the updated record's counts.
+ */
+bool
+agree(HybridPredictor &h, ReferenceHybrid &ref, uint32_t sid, bool taken)
+{
+    if (h.rawPredict(sid) != ref.predict(sid))
+        return false;
+    bool correct;
+    const HybridPredictor::Branch &b = h.update(sid, taken, correct);
+    return correct == ref.predictAndTrain(sid, taken) &&
+           b.executions == h.executions(sid) &&
+           b.mispredictions == h.mispredictions(sid);
+}
+
+TEST(Hybrid, MatchesComposedReferenceOnEveryAppBranchStream)
+{
+    /** Drives both predictors from every conditional branch. */
+    struct Sink : vm::TraceSink
+    {
+        HybridPredictor hybrid;
+        ReferenceHybrid ref;
+        uint64_t branches = 0;
+        uint64_t disagreements = 0;
+        void
+        onInstr(const vm::DynInstr &di) override
+        {
+            if (di.op != ir::Opcode::Br)
+                return;
+            branches++;
+            disagreements += !agree(hybrid, ref, di.sid, di.taken);
+        }
+    };
+    for (const auto &app : apps::bioperfApps()) {
+        SCOPED_TRACE(app.name);
+        apps::AppRun run =
+            app.make(apps::Variant::Baseline, apps::Scale::Small, 42);
+        vm::Interpreter interp(*run.prog);
+        Sink sink;
+        interp.addSink(&sink);
+        run.driver(interp);
+        EXPECT_GT(sink.branches, 0u);
+        EXPECT_EQ(sink.disagreements, 0u);
+        EXPECT_GT(sink.hybrid.totalMispredictions(), 0u);
+        sink.ref.expectSameCounts(sink.hybrid);
+    }
+}
+
+TEST(Hybrid, MatchesComposedReferenceOnSparseSidsAcrossReset)
+{
+    // Sparse sids far apart; each branch has its own bias, and every
+    // fourth is periodic so the local component wins some of them.
+    const uint32_t sids[] = { 0, 3, 17, 1000, 4096, 65537, 200000 };
+    HybridPredictor hybrid;
+    ReferenceHybrid ref;
+    util::Rng rng(29);
+    for (int phase = 0; phase < 2; phase++) {
+        SCOPED_TRACE("phase " + std::to_string(phase));
+        for (int i = 0; i < 40000; i++) {
+            const size_t k = rng.nextBelow(std::size(sids));
+            const bool taken = k % 4 == 0
+                ? i % 5 != 0
+                : rng.nextBool(0.1 + 0.8 * double(k) / std::size(sids));
+            ASSERT_TRUE(agree(hybrid, ref, sids[k], taken))
+                << "step " << i << ", sid " << sids[k];
+        }
+        ref.expectSameCounts(hybrid);
+        EXPECT_GT(hybrid.totalMispredictions(), 0u);
+        // Reset keeps allocated branches but forgets everything they
+        // learned: the second phase replays from the initial state.
+        hybrid.reset();
+        ref.reset();
+        ref.expectSameCounts(hybrid);
+        EXPECT_EQ(hybrid.totalExecutions(), 0u);
+    }
 }
 
 } // namespace

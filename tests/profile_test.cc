@@ -131,6 +131,8 @@ TEST(LoadCoverage, CdfClippedAtKCdfPointsKeepsTopNCoverage)
         loads[sid].sid = sid;
         vm::DynInstr di;
         di.instr = &loads[sid];
+        di.op = ir::Opcode::Load;
+        di.sid = sid;
         for (uint32_t k = 0; k <= sid; k++)
             cov.onInstr(di);
     }
@@ -206,6 +208,8 @@ TEST(CacheProfiler, AmatFollowsFormulaWithPartialL2Hits)
     for (int i = 0; i < 50000; i++) {
         vm::DynInstr di;
         di.instr = &load;
+        di.op = load.op;
+        di.sid = load.sid;
         di.addr = rng.nextBelow(1 << 20);
         prof.onInstr(di);
     }
@@ -234,6 +238,8 @@ TEST(CacheProfiler, OverallMissRateBounded)
         vm::DynInstr di;
         const bool is_store = rng.nextBool(0.2);
         di.instr = is_store ? &store : &load;
+        di.op = di.instr->op;
+        di.sid = di.instr->sid;
         di.addr = rng.nextBelow(1 << 20);
         loads += is_store ? 0 : 1;
         prof.onInstr(di);
@@ -303,6 +309,8 @@ class HandStream
         std::vector<vm::DynInstr> batch(instrs_.size());
         for (size_t k = 0; k < instrs_.size(); k++) {
             batch[k].instr = &instrs_[k];
+            batch[k].op = instrs_[k].op;
+            batch[k].sid = instrs_[k].sid;
             batch[k].taken = taken_[k];
         }
         prof.onBatch(batch.data(), batch.size());

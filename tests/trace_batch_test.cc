@@ -1,9 +1,10 @@
 /**
  * @file
- * Golden-equivalence tests for the batched trace pipeline: batched and
- * per-instruction delivery must expose bit-identical DynInstr streams
- * to every sink, and Simulator::sweep() must return bit-identical
- * timing results for any worker count.
+ * Golden-equivalence tests for the batched trace pipeline: every batch
+ * capacity, per-instruction delivery (capacity 1) included, must
+ * expose bit-identical DynInstr streams to every sink, and
+ * Simulator::sweep() must return bit-identical timing results for any
+ * worker count.
  */
 #include <gtest/gtest.h>
 
@@ -25,16 +26,21 @@
 namespace bioperf::vm {
 namespace {
 
+/** Batch capacities the delivery tests compare; 1 is the reference. */
+constexpr size_t kCapacities[] = { 1, 7, Interpreter::kBatchCapacity };
+
 /**
- * Hashes the observed stream (FNV-1a over sid, seq, addr,
+ * Hashes the observed stream (FNV-1a over sid, op, seq, addr,
  * loadValueBits, taken) so whole-suite comparisons stay O(1) in
- * memory, and records the instruction count at every onRunEnd() to
- * check that batches are flushed before run boundaries.
+ * memory, counts events whose sid or op disagrees with their static
+ * instruction, and records the instruction count at every onRunEnd()
+ * to check that batches are flushed before run boundaries.
  */
 struct StreamHashSink : TraceSink
 {
     uint64_t hash = 1469598103934665603ull;
     uint64_t instrs = 0;
+    uint64_t mismatched = 0;
     std::vector<uint64_t> run_end_counts;
 
     void mix(uint64_t v)
@@ -48,6 +54,9 @@ struct StreamHashSink : TraceSink
     void onInstr(const DynInstr &di) override
     {
         mix(di.instr->sid);
+        mix(di.sid);
+        mix(static_cast<uint64_t>(di.op));
+        mismatched += !di.matchesInstr();
         mix(di.seq);
         mix(di.addr);
         mix(di.loadValueBits);
@@ -79,42 +88,46 @@ TEST(TraceBatch, AllAppsStreamIdenticalAcrossDeliveryModes)
     for (const auto &app : apps::bioperfApps()) {
         SCOPED_TRACE(app.name);
 
-        // Per-instruction delivery: the pre-batching reference.
+        // Per-instruction delivery (capacity 1): the reference.
         apps::AppRun ref_run =
             app.make(apps::Variant::Baseline, apps::Scale::Small, 42);
-        Interpreter ref_interp(*ref_run.prog);
-        ref_interp.setTraceMode(Interpreter::TraceMode::PerInstr);
+        Interpreter ref_interp(*ref_run.prog, 1);
         StreamHashSink ref;
         ref_interp.addSink(&ref);
         ref_run.driver(ref_interp);
-
-        // Batched delivery into a sink that only implements
-        // onInstr() (default onBatch adapter) and into one that
-        // consumes batches natively; both attach to one interpreter
-        // so they see the same run.
-        apps::AppRun run =
-            app.make(apps::Variant::Baseline, apps::Scale::Small, 42);
-        Interpreter interp(*run.prog);
-        ASSERT_EQ(interp.traceMode(), Interpreter::TraceMode::Batched);
-        StreamHashSink adapted;
-        BatchHashSink native;
-        interp.addSink(&adapted);
-        interp.addSink(&native);
-        run.driver(interp);
-
         EXPECT_GT(ref.instrs, 0u);
-        EXPECT_EQ(ref.instrs, adapted.instrs);
-        EXPECT_EQ(ref.instrs, native.instrs);
-        EXPECT_EQ(ref.hash, adapted.hash);
-        EXPECT_EQ(ref.hash, native.hash);
+        EXPECT_EQ(ref.mismatched, 0u);
 
-        // Flush-before-onRunEnd: each run boundary must observe the
-        // same cumulative count in both modes.
-        EXPECT_EQ(ref.run_end_counts, adapted.run_end_counts);
-        EXPECT_EQ(ref.run_end_counts, native.run_end_counts);
+        for (const size_t capacity : kCapacities) {
+            SCOPED_TRACE("capacity " + std::to_string(capacity));
+            // Delivery into a sink that only implements onInstr()
+            // (default onBatch adapter) and into one that consumes
+            // batches natively; both attach to one interpreter so
+            // they see the same run.
+            apps::AppRun run =
+                app.make(apps::Variant::Baseline, apps::Scale::Small, 42);
+            Interpreter interp(*run.prog, capacity);
+            ASSERT_EQ(interp.batchCapacity(), capacity);
+            StreamHashSink adapted;
+            BatchHashSink native;
+            interp.addSink(&adapted);
+            interp.addSink(&native);
+            run.driver(interp);
 
-        EXPECT_GT(native.batches, 0u);
-        EXPECT_LE(native.largest_batch, Interpreter::kBatchCapacity);
+            EXPECT_EQ(ref.instrs, adapted.instrs);
+            EXPECT_EQ(ref.instrs, native.instrs);
+            EXPECT_EQ(ref.hash, adapted.hash);
+            EXPECT_EQ(ref.hash, native.hash);
+            EXPECT_EQ(native.mismatched, 0u);
+
+            // Flush-before-onRunEnd: each run boundary must observe
+            // the same cumulative count at every capacity.
+            EXPECT_EQ(ref.run_end_counts, adapted.run_end_counts);
+            EXPECT_EQ(ref.run_end_counts, native.run_end_counts);
+
+            EXPECT_GT(native.batches, 0u);
+            EXPECT_LE(native.largest_batch, capacity);
+        }
     }
 }
 
@@ -127,11 +140,10 @@ TEST(TraceBatch, ProfilerCountersIdenticalAcrossDeliveryModes)
         uint64_t total, loads, stores, branches, covered, l1_miss,
             l2_miss, dyn_loads, ltb_loads;
     };
-    auto characterize = [&](Interpreter::TraceMode mode) {
+    auto characterize = [&](size_t capacity) {
         apps::AppRun run = app->make(apps::Variant::Baseline,
                                      apps::Scale::Small, 42);
-        Interpreter interp(*run.prog);
-        interp.setTraceMode(mode);
+        Interpreter interp(*run.prog, capacity);
         profile::InstructionMixProfiler mix;
         profile::LoadCoverageProfiler coverage;
         profile::CacheProfiler cache;
@@ -156,17 +168,20 @@ TEST(TraceBatch, ProfilerCountersIdenticalAcrossDeliveryModes)
                              1e9 * l.loadToBranchFraction) };
     };
 
-    const Counters a = characterize(Interpreter::TraceMode::PerInstr);
-    const Counters b = characterize(Interpreter::TraceMode::Batched);
-    EXPECT_EQ(a.total, b.total);
-    EXPECT_EQ(a.loads, b.loads);
-    EXPECT_EQ(a.stores, b.stores);
-    EXPECT_EQ(a.branches, b.branches);
-    EXPECT_EQ(a.covered, b.covered);
-    EXPECT_EQ(a.l1_miss, b.l1_miss);
-    EXPECT_EQ(a.l2_miss, b.l2_miss);
-    EXPECT_EQ(a.dyn_loads, b.dyn_loads);
-    EXPECT_EQ(a.ltb_loads, b.ltb_loads);
+    const Counters a = characterize(1);
+    for (const size_t capacity : kCapacities) {
+        SCOPED_TRACE("capacity " + std::to_string(capacity));
+        const Counters b = characterize(capacity);
+        EXPECT_EQ(a.total, b.total);
+        EXPECT_EQ(a.loads, b.loads);
+        EXPECT_EQ(a.stores, b.stores);
+        EXPECT_EQ(a.branches, b.branches);
+        EXPECT_EQ(a.covered, b.covered);
+        EXPECT_EQ(a.l1_miss, b.l1_miss);
+        EXPECT_EQ(a.l2_miss, b.l2_miss);
+        EXPECT_EQ(a.dyn_loads, b.dyn_loads);
+        EXPECT_EQ(a.ltb_loads, b.ltb_loads);
+    }
 }
 
 /**
@@ -215,15 +230,12 @@ TEST(TraceBatch, TimingCoresIdenticalAcrossDeliveryModes)
     for (const auto &platform :
          { cpu::alpha21264(), cpu::itanium2() }) {
         SCOPED_TRACE(platform.name);
-        auto time = [&](Interpreter::TraceMode mode, size_t shape) {
+        auto time = [&](size_t capacity, size_t shape) {
             apps::AppRun run = app->make(apps::Variant::Baseline,
                                          apps::Scale::Small, 42);
-            // Mode must be set before the run; Simulator::time()
-            // uses the interpreter default, so replicate it here.
             mem::CacheHierarchy caches = platform.makeHierarchy();
             auto predictor = platform.makePredictor();
-            Interpreter interp(*run.prog);
-            interp.setTraceMode(mode);
+            Interpreter interp(*run.prog, capacity);
             std::unique_ptr<cpu::TimingCore> core;
             if (platform.core.outOfOrder)
                 core = std::make_unique<cpu::OooCore>(
@@ -238,13 +250,16 @@ TEST(TraceBatch, TimingCoresIdenticalAcrossDeliveryModes)
             return std::pair<uint64_t, uint64_t>(
                 core->cycles(), core->branchMispredictions());
         };
-        const auto a = time(Interpreter::TraceMode::PerInstr, 0);
+        const auto a = time(1, 0);
         EXPECT_GT(a.first, 0u);
-        for (const size_t shape : shapes) {
-            SCOPED_TRACE("batches of " + std::to_string(shape));
-            const auto b = time(Interpreter::TraceMode::Batched, shape);
-            EXPECT_EQ(a.first, b.first);
-            EXPECT_EQ(a.second, b.second);
+        for (const size_t capacity : kCapacities) {
+            for (const size_t shape : shapes) {
+                SCOPED_TRACE("capacity " + std::to_string(capacity) +
+                             ", batches of " + std::to_string(shape));
+                const auto b = time(capacity, shape);
+                EXPECT_EQ(a.first, b.first);
+                EXPECT_EQ(a.second, b.second);
+            }
         }
     }
 }

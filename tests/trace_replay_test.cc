@@ -25,11 +25,15 @@
 namespace bioperf::core {
 namespace {
 
-/** FNV-1a over every DynInstr field plus run-boundary positions. */
+/**
+ * FNV-1a over every DynInstr field plus run-boundary positions, and a
+ * count of events whose sid or op disagrees with their instruction.
+ */
 struct StreamHashSink : vm::TraceSink
 {
     uint64_t hash = 1469598103934665603ull;
     uint64_t instrs = 0;
+    uint64_t mismatched = 0;
     std::vector<uint64_t> run_end_counts;
 
     void mix(uint64_t v)
@@ -43,6 +47,9 @@ struct StreamHashSink : vm::TraceSink
     void onInstr(const vm::DynInstr &di) override
     {
         mix(di.instr->sid);
+        mix(di.sid);
+        mix(static_cast<uint64_t>(di.op));
+        mismatched += !di.matchesInstr();
         mix(di.seq);
         mix(di.addr);
         mix(di.loadValueBits);
@@ -104,6 +111,8 @@ TEST(TraceReplay, ReplayedStreamIdenticalToLiveForEveryApp)
         EXPECT_EQ(replayed.instrs, live.instrs);
         EXPECT_EQ(replayed.hash, live.hash);
         EXPECT_EQ(replayed.run_end_counts, live.run_end_counts);
+        EXPECT_EQ(live.mismatched, 0u);
+        EXPECT_EQ(replayed.mismatched, 0u);
     }
 }
 

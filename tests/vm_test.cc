@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
 
 #include "ir/builder.h"
@@ -281,6 +282,197 @@ TEST(Trace, MultipleSinksSeeIdenticalStream)
         EXPECT_EQ(s1.recs[i2].op, s2.recs[i2].op);
         EXPECT_EQ(s1.recs[i2].addr, s2.recs[i2].addr);
     }
+}
+
+// --- the interpreter's own memory path ---------------------------------------
+
+/**
+ * One block of hand-written instructions over a 256-byte region, so a
+ * test sets every memory-operand field itself. Integer registers 0-7
+ * and FP registers 0-1 exist; the block ends in Halt when run.
+ */
+class RawFunction
+{
+  public:
+    RawFunction()
+        : region_(prog_.addRegion("buf", 1, 256)),
+          fn_(prog_.addFunction("f"))
+    {
+        fn_.blocks.emplace_back();
+        fn_.numIntRegs = 8;
+        fn_.numFpRegs = 2;
+    }
+
+    uint64_t base() const { return prog_.region(region_).base; }
+
+    ir::Instr &
+    add(Opcode op)
+    {
+        ir::Instr in;
+        in.op = op;
+        in.sid = prog_.nextSid();
+        fn_.blocks[0].instrs.push_back(in);
+        return fn_.blocks[0].instrs.back();
+    }
+    void
+    movImm(uint32_t dst, int64_t v)
+    {
+        ir::Instr &in = add(Opcode::MovImm);
+        in.dst = dst;
+        in.imm = v;
+    }
+    /** A memory instruction with every address field given. */
+    ir::Instr &
+    mem(Opcode op, uint8_t size, uint32_t base, uint32_t index,
+        uint8_t scale, int64_t offset)
+    {
+        ir::Instr &in = add(op);
+        in.mem.region = region_;
+        in.mem.size = size;
+        in.mem.base = base;
+        in.mem.index = index;
+        in.mem.scale = scale;
+        in.mem.offset = offset;
+        return in;
+    }
+
+    /** Appends Halt, runs the block once and returns its events. */
+    std::vector<DynInstr>
+    run(Interpreter &interp)
+    {
+        add(Opcode::Halt);
+        struct Sink : TraceSink
+        {
+            std::vector<DynInstr> events;
+            void onInstr(const DynInstr &di) override
+            {
+                events.push_back(di);
+            }
+        } sink;
+        interp.addSink(&sink);
+        interp.run(fn_);
+        interp.clearSinks();
+        return sink.events;
+    }
+
+    ir::Program &program() { return prog_; }
+
+  private:
+    ir::Program prog_;
+    int32_t region_;
+    ir::Function &fn_;
+};
+
+TEST(InterpreterMemory, LoadsSignExtendAndStoresTruncateAtEverySize)
+{
+    // Every byte of the value has its top bit set, so each size's load
+    // sign-extends a negative value.
+    const int64_t value = static_cast<int64_t>(0x8182838485868788ull);
+    const int64_t expect[4] = { static_cast<int8_t>(value),
+                                static_cast<int16_t>(value),
+                                static_cast<int32_t>(value), value };
+    const uint8_t sizes[4] = { 1, 2, 4, 8 };
+    for (int k = 0; k < 4; k++) {
+        const uint8_t size = sizes[k];
+        SCOPED_TRACE("size " + std::to_string(size));
+        RawFunction f;
+        const uint64_t at = f.base() + 16;
+        f.movImm(1, value);
+        f.mem(Opcode::Store, size, ir::kNoReg, ir::kNoReg, 1,
+              static_cast<int64_t>(at))
+            .src[0] = 1;
+        f.mem(Opcode::Load, size, ir::kNoReg, ir::kNoReg, 1,
+              static_cast<int64_t>(at))
+            .dst = 2;
+        Interpreter interp(f.program());
+        // Bytes around the store hold a marker it must not touch.
+        for (uint64_t a = f.base(); a < f.base() + 64; a++)
+            interp.memory().storeInt(a, 1, 0x5a);
+        const std::vector<DynInstr> ev = f.run(interp);
+
+        ASSERT_EQ(ev.size(), 4u);
+        EXPECT_EQ(interp.intReg(2), expect[k]);
+        EXPECT_EQ(interp.memory().loadInt(at, size), expect[k]);
+        EXPECT_EQ(interp.memory().loadInt(at + size, 1), 0x5a);
+        EXPECT_EQ(interp.memory().loadInt(at - 1, 1), 0x5a);
+        EXPECT_EQ(ev[1].addr, at);
+        EXPECT_EQ(ev[1].loadValueBits, 0u);
+        EXPECT_EQ(ev[2].addr, at);
+        EXPECT_EQ(ev[2].loadValueBits, static_cast<uint64_t>(expect[k]));
+        for (const DynInstr &di : ev)
+            EXPECT_TRUE(di.matchesInstr());
+    }
+}
+
+TEST(InterpreterMemory, EveryAddressForm)
+{
+    RawFunction f;
+    const uint64_t b = f.base();
+    f.movImm(3, static_cast<int64_t>(b + 16)); // base register
+    f.movImm(4, 5);                            // index register
+    // base only, index only, base + index * scale, register-free.
+    f.mem(Opcode::Load, 4, 3, ir::kNoReg, 1, 8).dst = 0;
+    f.mem(Opcode::Load, 8, ir::kNoReg, 4, 8, static_cast<int64_t>(b))
+        .dst = 1;
+    f.mem(Opcode::Load, 4, 3, 4, 4, -8).dst = 2;
+    f.mem(Opcode::Load, 2, ir::kNoReg, ir::kNoReg, 1,
+          static_cast<int64_t>(b + 48))
+        .dst = 5;
+    const uint64_t want[4] = { b + 24, b + 40, b + 28, b + 48 };
+
+    Interpreter interp(f.program());
+    for (uint64_t k = 0; k < 4; k++)
+        interp.memory().storeInt(want[k], 2, int64_t(100 + k));
+    const std::vector<DynInstr> ev = f.run(interp);
+
+    ASSERT_EQ(ev.size(), 7u);
+    const uint32_t dst[4] = { 0, 1, 2, 5 };
+    for (int k = 0; k < 4; k++) {
+        SCOPED_TRACE("form " + std::to_string(k));
+        EXPECT_EQ(ev[2 + k].op, Opcode::Load);
+        EXPECT_EQ(ev[2 + k].addr, want[k]);
+        EXPECT_EQ(interp.intReg(dst[k]), 100 + k);
+        EXPECT_EQ(ev[2 + k].loadValueBits, uint64_t(100 + k));
+    }
+    // The address registers are unchanged.
+    EXPECT_EQ(interp.intReg(3), static_cast<int64_t>(b + 16));
+    EXPECT_EQ(interp.intReg(4), 5);
+}
+
+TEST(InterpreterMemory, FpLoadStoreAndPrefetchEvents)
+{
+    RawFunction f;
+    const uint64_t b = f.base();
+    const double v = -3.75;
+    f.movImm(3, static_cast<int64_t>(b));
+    f.movImm(4, 6);
+    f.add(Opcode::FMovImm).dst = 0;
+    f.program().function(0).blocks[0].instrs.back().fimm = v;
+    f.mem(Opcode::FStore, 8, 3, 4, 8, 0).src[0] = 0; // b + 48
+    f.mem(Opcode::FLoad, 8, ir::kNoReg, 4, 8, static_cast<int64_t>(b))
+        .dst = 1;
+    f.mem(Opcode::Prefetch, 8, 3, 4, 2, 4); // b + 16
+    Interpreter interp(f.program());
+    const std::vector<DynInstr> ev = f.run(interp);
+
+    ASSERT_EQ(ev.size(), 7u);
+    uint64_t bits;
+    std::memcpy(&bits, &v, 8);
+    EXPECT_DOUBLE_EQ(interp.memory().loadFp(b + 48), v);
+    EXPECT_DOUBLE_EQ(interp.fpReg(1), v);
+    EXPECT_EQ(ev[3].op, Opcode::FStore);
+    EXPECT_EQ(ev[3].addr, b + 48);
+    EXPECT_EQ(ev[3].loadValueBits, 0u);
+    EXPECT_EQ(ev[4].op, Opcode::FLoad);
+    EXPECT_EQ(ev[4].addr, b + 48);
+    EXPECT_EQ(ev[4].loadValueBits, bits);
+    EXPECT_EQ(ev[5].op, Opcode::Prefetch);
+    EXPECT_EQ(ev[5].addr, b + 16);
+    EXPECT_EQ(ev[5].loadValueBits, 0u);
+    // A prefetch writes nothing.
+    EXPECT_EQ(interp.memory().loadInt(b + 16, 8), 0);
+    for (const DynInstr &di : ev)
+        EXPECT_TRUE(di.matchesInstr());
 }
 
 TEST(Interpreter, TotalInstrsAccumulates)
