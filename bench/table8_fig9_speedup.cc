@@ -11,9 +11,10 @@
  * who-wins/by-how-much shape is the reproduction target. Note the
  * paper could not compile dnapenny on Itanium (n.a. there).
  *
- * The (app x platform x variant) timing jobs are independent, so
- * they run concurrently through core::Simulator::sweep(); set
- * BIOPERF_THREADS to control the worker count.
+ * The (app x platform x variant) timing jobs run through
+ * core::Simulator::sweep(), one task per distinct workload spread
+ * over the thread pool; set BIOPERF_THREADS to control the worker
+ * count.
  */
 #include <cstdio>
 #include <map>
@@ -21,7 +22,6 @@
 
 #include "apps/app.h"
 #include "core/simulator.h"
-#include "core/trace_cache.h"
 #include "cpu/platforms.h"
 #include "harness.h"
 #include "util/stats.h"
@@ -67,20 +67,15 @@ main(int argc, char **argv)
     }
     // Baseline and transformed variants are distinct workloads, but
     // the four platforms of each variant share one where their
-    // register files coincide: pool workers record it once and
-    // replay the rest, and a one-thread sweep times all its
-    // platforms in one live pass.
-    core::SweepOptions opts;
-    core::TraceCache::Stats trace_stats;
-    opts.statsOut = &trace_stats;
+    // register files coincide: the sweep times those platforms in
+    // one live pass, on the calling thread or on one pool worker.
     const double t0 = bench::now();
-    const auto results = core::Simulator::sweep(jobs, opts);
+    const auto results = core::Simulator::sweep(jobs);
     uint64_t total_instrs = 0;
     for (const auto &r : results)
         total_instrs += r.instructions;
     h.manifest().addStage("timing_sweep", bench::now() - t0,
                           total_instrs);
-    trace_stats.addStagesTo(h.manifest());
 
     std::vector<std::string> time_headers = { "program", "version" };
     for (const auto &p : platforms)

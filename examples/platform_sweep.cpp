@@ -55,8 +55,9 @@ main(int argc, char **argv)
         { "in-order", 3, 1, 9, false },
     };
 
-    // All design points are independent, so both variants of every
-    // configuration run concurrently through Simulator::sweep().
+    // The design points of one variant share its workload, so
+    // Simulator::sweep() times them all in one pass; the two variants
+    // run concurrently.
     std::vector<core::SweepJob> jobs;
     for (const Config &c : configs) {
         cpu::PlatformConfig p = cpu::alpha21264();

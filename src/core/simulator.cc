@@ -1,6 +1,6 @@
 #include "core/simulator.h"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <unordered_map>
@@ -239,72 +239,35 @@ firstError(const std::vector<Result> &results)
 }
 
 /**
- * Fan @a jobs out in groups and collect results in job order,
- * substituting trace replay for interpretation where a recording is
- * consumed more than once. The app registry is touched once up front
- * so the workers never race on its lazy initialization.
+ * Fan @a jobs out in groups and collect results in job order. The app
+ * registry is touched once up front so the workers never race on its
+ * lazy initialization.
  *
- * Trace scheduling: a workload is recorded only when its stream is
- * consumed by more than one pass — every job when the caller supplied
- * a persistent cache, and on the pool the jobs whose key is shared by
- * ≥2 jobs of this call. The first job to reach a key records it
- * (single-flight — concurrent jobs for the same workload block on the
- * one recording). With the ephemeral per-call cache, a remaining-use
- * counter drops each trace after its last consumer, so peak memory
- * tracks in-flight workloads rather than the job list.
+ * Grouping: all jobs of one key form one group, and each group is one
+ * task, on the calling thread or on one pool worker. A group rides a
+ * single pass with every member's sinks on it: one live
+ * interpretation, or one replay of the caller's cached trace. Results
+ * are bit-identical either way and for any thread count.
  *
- * Grouping: on the calling thread, all jobs of one key form one group
- * that rides a single pass — one live interpretation, or one replay
- * of the cached trace — with every member's sinks on it, so a shared
- * workload needs no recording at all. On the pool every group is one
- * job, which scales across workers. Results are bit-identical either
- * way.
+ * Recording: only when the caller supplies SweepOptions::cache; a
+ * cache-less sweep runs every group live. Since one key is one task,
+ * a sweep never asks its cache for one key from two threads.
  */
 template <typename Job, typename Result>
 std::vector<Result>
 runAll(const std::vector<Job> &jobs, const SweepOptions &opts)
 {
     std::vector<Result> results(jobs.size());
-    const unsigned threads = opts.threads == 0
-                                 ? util::ThreadPool::defaultThreads()
-                                 : opts.threads;
-    const bool inline_run = threads <= 1 || jobs.size() <= 1;
-
-    // Decide per job whether it goes through the trace path.
-    std::vector<std::string> key_str(jobs.size());
-    std::vector<bool> replay(jobs.size(), false);
-    std::unordered_map<std::string, int> uses;
-    for (size_t i = 0; i < jobs.size(); i++) {
-        key_str[i] = makeKey(jobs[i]).str();
-        uses[key_str[i]]++;
-    }
-    for (size_t i = 0; i < jobs.size(); i++)
-        replay[i] = opts.cache || (!inline_run && uses[key_str[i]] >= 2);
-
     std::vector<std::vector<size_t>> groups;
     std::unordered_map<std::string, size_t> group_of;
     for (size_t i = 0; i < jobs.size(); i++) {
-        if (inline_run) {
-            auto [it, fresh] = group_of.emplace(key_str[i], groups.size());
-            if (!fresh) {
-                groups[it->second].push_back(i);
-                continue;
-            }
-        }
-        groups.push_back({ i });
+        auto [it, fresh] =
+            group_of.emplace(makeKey(jobs[i]).str(), groups.size());
+        if (fresh)
+            groups.emplace_back();
+        groups[it->second].push_back(i);
     }
-
-    TraceCache ephemeral;
-    TraceCache *cache = opts.cache ? opts.cache : &ephemeral;
-    const bool evict = opts.cache == nullptr;
-    // Fully populated before the workers start; workers only look up
-    // existing entries and atomically decrement, so the map structure
-    // itself is never mutated concurrently.
-    std::unordered_map<std::string, std::atomic<int>> remaining;
-    for (size_t i = 0; i < jobs.size(); i++) {
-        if (replay[i])
-            remaining[key_str[i]]++;
-    }
+    TraceCache *cache = opts.cache;
 
     auto members_of = [&](const std::vector<size_t> &group) {
         std::vector<const Job *> members;
@@ -319,10 +282,10 @@ runAll(const std::vector<Job> &jobs, const SweepOptions &opts)
             results[group[m]] = std::move(rs[m]);
     };
 
-    // Degradation ladder, in preference order: replay the cached
-    // trace; if recording failed (after its retry), interpret live;
-    // if a replay decoded corrupt data, quarantine the entry,
-    // re-record and retry once, then interpret live. A job only
+    // Degradation ladder of a cached group, in preference order:
+    // replay the cached trace; if recording failed (after its retry),
+    // interpret live; if a replay decoded corrupt data, quarantine the
+    // entry, re-record and retry once, then interpret live. A job only
     // carries a failed Status when every rung failed — and even then
     // its slot is a well-formed Result, so the sweep always returns
     // jobs.size() entries.
@@ -330,15 +293,12 @@ runAll(const std::vector<Job> &jobs, const SweepOptions &opts)
         if (BIOPERF_FAILPOINT("pool.task.throw"))
             throw util::StatusError(util::Status::internal(
                 "fail point pool.task.throw fired"));
-        if (!replay[group.front()])
+        if (!cache)
             return live(group);
         const int n = static_cast<int>(group.size());
         const TraceKey key = makeKey(jobs[group.front()]);
         const std::vector<const Job *> members = members_of(group);
         auto fall_back = [&](const util::Status &why) {
-            if (evict)
-                remaining.find(key_str[group.front()])
-                    ->second.fetch_sub(n);
             for (size_t i : group) {
                 cache->noteLiveFallback(key, why);
                 live({ i });
@@ -372,11 +332,6 @@ runAll(const std::vector<Job> &jobs, const SweepOptions &opts)
                           trace->instructions * static_cast<uint64_t>(n));
         for (int m = 0; m < n; m++)
             results[group[m]] = std::move(rs[m]);
-        if (evict && remaining.find(key_str[group.front()])
-                             ->second.fetch_sub(n) == n) {
-            trace.reset();
-            cache->erase(key);
-        }
     };
     auto run_group = [&](const std::vector<size_t> &group) {
         util::Status failed;
@@ -395,12 +350,16 @@ runAll(const std::vector<Job> &jobs, const SweepOptions &opts)
             }
     };
 
-    if (inline_run) {
+    const unsigned threads = opts.threads == 0
+                                 ? util::ThreadPool::defaultThreads()
+                                 : opts.threads;
+    if (threads <= 1 || groups.size() <= 1) {
         for (const std::vector<size_t> &group : groups)
             run_group(group);
     } else {
         apps::bioperfApps();
-        util::ThreadPool pool(threads);
+        util::ThreadPool pool(static_cast<unsigned>(
+            std::min<size_t>(threads, groups.size())));
         std::vector<std::future<void>> done;
         done.reserve(groups.size());
         for (const std::vector<size_t> &group : groups)
@@ -410,7 +369,7 @@ runAll(const std::vector<Job> &jobs, const SweepOptions &opts)
             f.get();
     }
     if (opts.statsOut)
-        *opts.statsOut = cache->stats();
+        *opts.statsOut = cache ? cache->stats() : TraceCache::Stats{};
     return results;
 }
 

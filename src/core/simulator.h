@@ -104,12 +104,10 @@ struct CharacterizeJob
 
 /**
  * How a sweep schedules its jobs and where it keeps its recordings.
- * A sweep records a workload only when its stream will be consumed by
- * more than one pass: every workload when the caller supplies a
- * persistent cache (later calls then replay it), and a workload that
- * ≥2 jobs share when they run on pool workers. On the calling thread
- * the jobs of one workload ride a single live pass, so a cache-less
- * call there records nothing. Replay is bit-identical to live
+ * The jobs of one workload always ride one pass, on the calling
+ * thread or on one pool worker. A sweep records only into a cache the
+ * caller supplies (later calls then replay from it); without one,
+ * every workload runs live. Replay is bit-identical to live
  * interpretation (the trace stream drives the same sinks through the
  * same onBatch() path), so these options only change wall time and
  * memory, never results.
@@ -121,16 +119,14 @@ struct SweepOptions
 
     /**
      * Persistent cache to record into / replay from; every job of the
-     * call then goes through it. When null, the sweep uses an
-     * ephemeral per-call cache whose entries are dropped as soon as
-     * their last job completes (peak memory is bounded by in-flight
-     * workloads, not by the whole job list).
+     * call then goes through it. When null, nothing is recorded.
      */
     TraceCache *cache = nullptr;
 
     /**
-     * When non-null, receives the call's record/replay cost (useful
-     * with the ephemeral cache, whose own stats die with the call).
+     * When non-null, receives the stats of @a cache after the call
+     * (all zero without one). Kept for the repository benchmark
+     * (perfbench/), which reads it.
      */
     TraceCache::Stats *statsOut = nullptr;
 };
@@ -260,10 +256,10 @@ class Simulator
      *
      * Jobs sharing a workload — same (app, variant, scale, seed) and,
      * with registerPressure, the same architectural register file —
-     * interpret and rewrite it once. On the calling thread they are
-     * timed in that one live pass (see time()); on pool workers the
-     * first records the trace and the rest replay it, concurrently
-     * from one shared immutable trace.
+     * form one task: one live pass (interpret and rewrite once) or,
+     * given SweepOptions::cache, one replay of its recording, with
+     * every member's core on it (see time()). Tasks run on the
+     * calling thread or on the pool's workers.
      *
      * @param threads 0 = ThreadPool::defaultThreads() (honours the
      *        BIOPERF_THREADS environment variable); 1 = run inline on

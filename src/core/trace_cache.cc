@@ -105,26 +105,14 @@ util::StatusOr<TraceCache::Ptr>
 TraceCache::obtain(const TraceKey &key)
 {
     const std::string k = key.str();
-    std::promise<util::StatusOr<Ptr>> promise;
-    std::shared_future<util::StatusOr<Ptr>> fut;
-    bool recording = false;
     {
         std::lock_guard<std::mutex> lock(mu_);
         auto it = entries_.find(k);
         if (it != entries_.end()) {
             stats_.hits++;
-            fut = it->second;
-        } else {
-            // Single-flight: publish the future before recording so
-            // concurrent workers for the same workload block on it
-            // instead of recording twice.
-            recording = true;
-            fut = promise.get_future().share();
-            entries_.emplace(k, fut);
+            return it->second;
         }
     }
-    if (!recording)
-        return fut.get();
     const double t0 = now();
     util::StatusOr<Ptr> got = record(key);
     if (!got.ok()) {
@@ -135,24 +123,19 @@ TraceCache::obtain(const TraceKey &key)
         got = record(key);
     }
     const double dt = now() - t0;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (got.ok()) {
-            stats_.records++;
-            stats_.recordSeconds += dt;
-            stats_.recordedInstructions += got.value()->instructions;
-        } else {
-            // Waiters blocked on the future still receive the
-            // failure; dropping the entry lets a later obtain()
-            // re-attempt instead of caching the error forever.
-            stats_.recordFailures++;
-            stats_.incidents.push_back(
-                Incident{ "trace_record", k, got.status().str() });
-            entries_.erase(k);
-        }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!got.ok()) {
+        // Nothing is cached, so a later obtain() re-attempts.
+        stats_.recordFailures++;
+        stats_.incidents.push_back(
+            Incident{ "trace_record", k, got.status().str() });
+        return got;
     }
-    promise.set_value(got);
-    return got;
+    stats_.records++;
+    stats_.recordSeconds += dt;
+    stats_.recordedInstructions += got.value()->instructions;
+    // A caller that raced this one to the same key shares its trace.
+    return entries_.emplace(k, got.value()).first->second;
 }
 
 TraceCache::Ptr
@@ -160,13 +143,7 @@ TraceCache::lookup(const TraceKey &key) const
 {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(key.str());
-    if (it == entries_.end())
-        return nullptr;
-    if (it->second.wait_for(std::chrono::seconds(0)) !=
-        std::future_status::ready)
-        return nullptr;
-    const util::StatusOr<Ptr> &got = it->second.get();
-    return got.ok() ? got.value() : nullptr;
+    return it == entries_.end() ? nullptr : it->second;
 }
 
 void
@@ -190,13 +167,6 @@ TraceCache::noteLiveFallback(const TraceKey &key,
         Incident{ "live_fallback", key.str(), why.str() });
 }
 
-void
-TraceCache::erase(const TraceKey &key)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    entries_.erase(key.str());
-}
-
 size_t
 TraceCache::size() const
 {
@@ -209,14 +179,8 @@ TraceCache::totalBytes() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     size_t n = 0;
-    for (const auto &[name, fut] : entries_) {
-        if (fut.wait_for(std::chrono::seconds(0)) ==
-            std::future_status::ready) {
-            const util::StatusOr<Ptr> &got = fut.get();
-            if (got.ok() && got.value())
-                n += got.value()->trace.totalBytes();
-        }
-    }
+    for (const auto &[name, trace] : entries_)
+        n += trace->trace.totalBytes();
     return n;
 }
 

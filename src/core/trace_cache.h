@@ -2,7 +2,6 @@
 #define BIOPERF_CORE_TRACE_CACHE_H_
 
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -77,21 +76,20 @@ struct CachedTrace
 };
 
 /**
- * Keyed store of recorded traces for record-once/replay-many sweeps.
+ * Keyed store of recorded traces for record-once/replay-many runs.
+ * Benches and callers of Simulator::speedup() or sweep() hold one to
+ * reuse recordings across calls; a sweep without one never records.
  *
- * Thread-safe and single-flight: concurrent obtain() calls for one
- * key block until the single recording finishes, then share the same
- * immutable CachedTrace. Simulator::sweep()/characterizeSweep() use
- * an ephemeral per-call cache by default (recording only workloads
- * shared by ≥2 jobs, evicted after their last use); benches hold a
- * persistent instance to reuse recordings across calls.
+ * Thread-safe: a mutex guards the map and the stats. obtain() records
+ * outside the lock, so two callers racing to one absent key both
+ * record and share the first trace inserted. A sweep runs each key as
+ * one task, so it never races itself this way.
  *
- * Failure semantics: a recording that fails is retried once inside
- * the same single-flight slot; if the retry also fails, every waiter
- * receives the Status and the entry is dropped so a later obtain()
- * re-attempts instead of replaying a poisoned future forever.
- * quarantine() evicts an entry whose payload failed decode so the
- * next lookup re-records rather than looping on corrupt data.
+ * Failure semantics: a recording that fails is retried once; if the
+ * retry also fails, the caller receives the Status and nothing is
+ * cached, so a later obtain() re-attempts. quarantine() evicts an
+ * entry whose payload failed decode so the next obtain() re-records
+ * rather than looping on corrupt data.
  */
 class TraceCache
 {
@@ -142,11 +140,11 @@ class TraceCache
      * key asks for it, interpret the full workload once with a
      * TraceRecorder attached, verify against the golden model). A
      * failed recording is retried once; a persistent failure is
-     * returned to every waiter and the entry is dropped.
+     * returned and nothing is cached.
      */
     util::StatusOr<Ptr> obtain(const TraceKey &key);
 
-    /** The cached trace, or null when absent, failed or recording. */
+    /** The cached trace, or null when absent. */
     Ptr lookup(const TraceKey &key) const;
 
     /**
@@ -157,8 +155,6 @@ class TraceCache
 
     /** Records that a sweep job degraded to live execution. */
     void noteLiveFallback(const TraceKey &key, const util::Status &why);
-
-    void erase(const TraceKey &key);
 
     size_t size() const;
     /** Encoded bytes across all resident traces. */
@@ -178,9 +174,7 @@ class TraceCache
 
   private:
     mutable std::mutex mu_;
-    std::unordered_map<std::string,
-                       std::shared_future<util::StatusOr<Ptr>>>
-        entries_;
+    std::unordered_map<std::string, Ptr> entries_;
     Stats stats_;
 };
 

@@ -5,9 +5,10 @@
  * payload bit-flip, a metadata bit-flip, a short write — must surface
  * as a Status, never a wrong result; salvage must recover exactly the
  * intact keyframe-aligned regions and the recovered stream must
- * replay and sample through the normal APIs; and the TraceCache must
+ * replay and sample through the normal APIs; the TraceCache must
  * retry a failed recording once, quarantine corrupt entries, and
- * re-record after either.
+ * re-record after either; and a sweep whose recording fails must
+ * still time every job live.
  */
 #include <gtest/gtest.h>
 
@@ -611,6 +612,54 @@ TEST(SweepFault, AllWorkersThrowingStillReturnsInOrder)
         SCOPED_TRACE("job " + std::to_string(i));
         EXPECT_FALSE(results[i].status.ok());
         EXPECT_FALSE(results[i].verified);
+    }
+}
+
+TEST(SweepFault, RecordFailureFallsBackToLivePerJob)
+{
+    FailPointGuard guard;
+    const apps::AppInfo &app = *apps::findApp("promlk");
+    // Two workloads (seeds), each shared by two platforms: two groups,
+    // so threads = 2 runs them on the pool.
+    std::vector<SweepJob> jobs;
+    for (const uint64_t seed : { 42u, 43u })
+        for (const cpu::PlatformConfig &platform :
+             { cpu::alpha21264(), cpu::itanium2() }) {
+            SweepJob job;
+            job.app = &app;
+            job.platform = platform;
+            job.scale = apps::Scale::Small;
+            job.seed = seed;
+            job.registerPressure = false;
+            jobs.push_back(job);
+        }
+    const std::vector<TimingResult> reference = Simulator::sweep(jobs, 1u);
+
+    ASSERT_TRUE(
+        util::FailPoints::armFromSpec("cache.record.fail").ok());
+    for (const unsigned threads : { 1u, 2u }) {
+        SCOPED_TRACE(threads);
+        TraceCache cache;
+        SweepOptions opts;
+        opts.threads = threads;
+        opts.cache = &cache;
+        const std::vector<TimingResult> results =
+            Simulator::sweep(jobs, opts);
+        ASSERT_EQ(results.size(), jobs.size());
+        for (size_t i = 0; i < results.size(); i++) {
+            SCOPED_TRACE(i);
+            EXPECT_TRUE(results[i].status.ok()) << results[i].status.str();
+            EXPECT_TRUE(results[i].verified);
+            EXPECT_EQ(reference[i].report().dump(),
+                      results[i].report().dump());
+        }
+        const TraceCache::Stats stats = cache.stats();
+        EXPECT_EQ(stats.liveFallbacks, jobs.size());
+        for (const TraceCache::Incident &inc : stats.incidents)
+            EXPECT_TRUE(inc.stage == "live_fallback" ||
+                        inc.stage == "trace_record")
+                << inc.stage;
+        EXPECT_EQ(cache.size(), 0u);
     }
 }
 

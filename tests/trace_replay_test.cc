@@ -326,11 +326,14 @@ TEST_F(BptraceFileTest, RejectsTruncationBadMagicAndVersionSkew)
     EXPECT_FALSE(loadTraceFile(path_).status.ok());
 }
 
-TEST(TraceReplay, SweepWithTraceCacheBitIdenticalForAnyThreadCount)
+/**
+ * One workload (no register pressure, so all four platforms share a
+ * single trace) plus a register-pressure set that shares only between
+ * the 32-register platforms: four distinct keys over eight jobs.
+ */
+std::vector<SweepJob>
+platformJobs()
 {
-    // One workload (no register pressure, so all four platforms share
-    // a single trace) plus a register-pressure pair that shares only
-    // between the 32-register platforms — both cache shapes covered.
     std::vector<SweepJob> jobs;
     for (const auto &platform : cpu::evaluationPlatforms()) {
         SweepJob job;
@@ -344,15 +347,16 @@ TEST(TraceReplay, SweepWithTraceCacheBitIdenticalForAnyThreadCount)
         job.registerPressure = true;
         jobs.push_back(job);
     }
+    return jobs;
+}
 
-    // Reference: each job run live, as the sweep's live path runs it.
+/** Each job run live on its own, as the sweep's live path runs it. */
+std::vector<TimingResult>
+liveReference(const std::vector<SweepJob> &jobs)
+{
     std::vector<TimingResult> reference;
     for (const SweepJob &job : jobs) {
-        TraceKey key;
-        key.app = job.app;
-        key.variant = job.variant;
-        key.scale = job.scale;
-        key.seed = job.seed;
+        TraceKey key = keyFor(*job.app, job.variant, job.scale, job.seed);
         key.registerPressure = job.registerPressure;
         if (job.registerPressure) {
             key.intRegs = job.platform.core.numIntRegs;
@@ -361,9 +365,16 @@ TEST(TraceReplay, SweepWithTraceCacheBitIdenticalForAnyThreadCount)
         apps::AppRun run = makeWorkload(key);
         reference.push_back(Simulator::time(run, job.platform));
     }
+    return reference;
+}
 
-    // The calling thread times each workload's jobs in one live pass
-    // and records nothing; pool workers record the shared workloads.
+TEST(TraceReplay, SweepWithTraceCacheBitIdenticalForAnyThreadCount)
+{
+    const std::vector<SweepJob> jobs = platformJobs();
+    const std::vector<TimingResult> reference = liveReference(jobs);
+
+    // Each workload's jobs ride one live pass, on the calling thread
+    // or on one pool worker, and nothing is recorded without a cache.
     // An explicit 2, not 0: the pool default is inline when
     // BIOPERF_THREADS=1 or on a one-CPU host.
     for (const unsigned threads : { 1u, 2u }) {
@@ -380,21 +391,42 @@ TEST(TraceReplay, SweepWithTraceCacheBitIdenticalForAnyThreadCount)
             EXPECT_EQ(reference[i].report().dump(),
                       traced[i].report().dump());
         }
-        if (threads == 1) {
-            EXPECT_EQ(stats.records, 0u);
-            EXPECT_EQ(stats.hits, 0u);
-            EXPECT_EQ(stats.replayedInstructions, 0u);
-            continue;
-        }
-        // 4 platforms share the pressure-free trace; alpha+ppc share
-        // the 32-register one. p4/itanium pressure jobs run live.
-        EXPECT_EQ(stats.records, 2u);
-        EXPECT_EQ(stats.hits, 4u);
-        EXPECT_GT(stats.replayedInstructions, 0u);
+        EXPECT_EQ(stats.records, 0u);
+        EXPECT_EQ(stats.hits, 0u);
+        EXPECT_EQ(stats.replayedInstructions, 0u);
     }
 }
 
-TEST(TraceReplay, CharacterizeSweepSharesOneRecordingAcrossJobs)
+TEST(TraceReplay, CachedSweepOnThePoolRecordsEachKeyOnce)
+{
+    const std::vector<SweepJob> jobs = platformJobs();
+    const std::vector<TimingResult> reference = liveReference(jobs);
+
+    // Pool workers record each distinct workload once: the
+    // pressure-free one, alpha+ppc at 32/32, p4 at 8/8 and itanium at
+    // 128/128. The second call replays all four.
+    TraceCache cache;
+    SweepOptions opts;
+    opts.threads = 2;
+    opts.cache = &cache;
+    for (const int call : { 1, 2 }) {
+        SCOPED_TRACE(call);
+        const auto cached = Simulator::sweep(jobs, opts);
+        ASSERT_EQ(cached.size(), reference.size());
+        for (size_t i = 0; i < cached.size(); i++) {
+            SCOPED_TRACE(i);
+            EXPECT_EQ(reference[i].report().dump(),
+                      cached[i].report().dump());
+        }
+        const TraceCache::Stats stats = cache.stats();
+        EXPECT_EQ(stats.records, 4u);
+        // One obtain() per job: the first call's 8 jobs miss 4 times.
+        EXPECT_EQ(stats.hits, call == 1 ? 4u : 4u + jobs.size());
+    }
+    EXPECT_EQ(cache.size(), 4u);
+}
+
+TEST(TraceReplay, CharacterizeSweepSharesOneLivePassAcrossJobs)
 {
     std::vector<CharacterizeJob> jobs(3);
     for (auto &job : jobs) {
@@ -406,9 +438,9 @@ TEST(TraceReplay, CharacterizeSweepSharesOneRecordingAcrossJobs)
                                          apps::Scale::Small, 42);
     const CharacterizationResult live = Simulator::characterize(run);
 
-    // On the calling thread the three jobs share one live pass and
-    // nothing is recorded; pool workers share one recording (2, not
-    // the pool default, which is inline on a one-CPU host).
+    // The three jobs share one live pass, on the calling thread or on
+    // one pool worker (2, not the pool default, which is inline on a
+    // one-CPU host), and nothing is recorded.
     for (const unsigned threads : { 1u, 2u }) {
         SCOPED_TRACE(threads);
         SweepOptions opts;
@@ -421,8 +453,9 @@ TEST(TraceReplay, CharacterizeSweepSharesOneRecordingAcrossJobs)
             EXPECT_TRUE(r.verified);
             EXPECT_EQ(live.report().dump(), r.report().dump());
         }
-        EXPECT_EQ(stats.records, threads == 1 ? 0u : 1u);
-        EXPECT_EQ(stats.hits, threads == 1 ? 0u : 2u);
+        EXPECT_EQ(stats.records, 0u);
+        EXPECT_EQ(stats.hits, 0u);
+        EXPECT_EQ(stats.replayedInstructions, 0u);
     }
 }
 
