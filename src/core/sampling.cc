@@ -597,7 +597,7 @@ sampleTimingFile(const std::string &path,
     const TraceFileHeader &h = head.header();
     res.key = h.key;
     std::unique_ptr<ir::Program> prog;
-    if (util::Status s = buildReplayProgram(h.key, h.sidLimit, prog);
+    if (util::Status s = buildReplayProgram(h.key, h.controlFlowDigest, prog);
         !s.ok()) {
         res.status = std::move(s);
         return res;

@@ -14,7 +14,8 @@ namespace bioperf::core {
 //   u8     variant, u8 scale, u8 registerPressure, u8 verified
 //   u32    intRegs, u32 fpRegs
 //   u64    seed
-//   u32    sidLimit          (fingerprint of the recording program)
+//   u64    cfgDigest         (vm::controlFlowDigest of the recording
+//                             program; the loader's rebuild must match)
 //   u64    runs
 //   u64    instructions      (up front, so streaming readers know
 //                             the expected count before the chunks)
@@ -42,7 +43,7 @@ namespace {
 
 constexpr char kTraceMagic[8] = { 'b', 'p', 't', 'r', 'a', 'c', 'e',
                                   '\0' };
-constexpr uint32_t kTraceFileVersion = 3;
+constexpr uint32_t kTraceFileVersion = 4;
 constexpr uint32_t kTraceEndMagic = 0x45545042; // "BPTE"
 constexpr uint8_t kChunkFlagGapBefore = 1u << 0;
 /** Bytes of framing in front of every chunk payload. */
@@ -138,7 +139,7 @@ readHeader(MetaReader &r, TraceFileHeader &h)
     if (!r.scalar(variant) || !r.scalar(scale) ||
         !r.scalar(reg_pressure) || !r.scalar(verified) ||
         !r.scalar(key.intRegs) || !r.scalar(key.fpRegs) ||
-        !r.scalar(key.seed) || !r.scalar(h.sidLimit) ||
+        !r.scalar(key.seed) || !r.scalar(h.controlFlowDigest) ||
         !r.scalar(h.runs) || !r.scalar(h.instructions) ||
         !r.scalar(h.spills) || !r.scalar(h.keyframeInterval) ||
         !r.scalar(name_len))
@@ -254,7 +255,7 @@ emptyTrace(const TraceFileHeader &h, std::unique_ptr<ir::Program> prog)
     ct->verified = h.verified;
     ct->spills = h.spills;
     ct->instructions = h.instructions;
-    ct->trace.setSidLimit(h.sidLimit);
+    ct->trace.setControlFlowDigest(h.controlFlowDigest);
     ct->trace.setKeyframeInterval(h.keyframeInterval);
     ct->trace.setCounts(h.instructions, h.runs);
     return ct;
@@ -281,7 +282,7 @@ saveTraceFile(const std::string &path, const TraceKey &key,
     w.scalar(key.intRegs);
     w.scalar(key.fpRegs);
     w.scalar(key.seed);
-    w.scalar(trace.trace.sidLimit());
+    w.scalar(trace.trace.controlFlowDigest());
     w.scalar(trace.trace.runs());
     w.scalar(trace.trace.instructions());
     w.scalar(trace.spills);
@@ -450,7 +451,7 @@ TraceFileStream::next(vm::EncodedTrace::Chunk &chunk,
 }
 
 util::Status
-buildReplayProgram(const TraceKey &key, uint32_t sid_limit,
+buildReplayProgram(const TraceKey &key, uint64_t cfg_digest,
                    std::unique_ptr<ir::Program> &out)
 {
     if (!key.app)
@@ -458,9 +459,9 @@ buildReplayProgram(const TraceKey &key, uint32_t sid_limit,
             "trace has no application identity");
     try {
         apps::AppRun run = makeWorkload(key);
-        if (run.prog->sidLimit() != sid_limit)
+        if (vm::controlFlowDigest(*run.prog) != cfg_digest)
             return util::Status::failedPrecondition(
-                "rebuilt program has a different sid space than the "
+                "rebuilt program has a different control flow than the "
                 "recording (version skew between the trace and this "
                 "build)");
         out = std::move(run.prog);
@@ -490,7 +491,7 @@ loadTraceFile(const std::string &path)
     res.key = h.key;
 
     std::unique_ptr<ir::Program> prog;
-    if (util::Status s = buildReplayProgram(h.key, h.sidLimit, prog);
+    if (util::Status s = buildReplayProgram(h.key, h.controlFlowDigest, prog);
         !s.ok())
         return fail(std::move(s));
     std::shared_ptr<CachedTrace> ct = emptyTrace(h, std::move(prog));
@@ -579,7 +580,7 @@ salvageTraceFile(const std::string &path)
     res.totalChunks = std::max<size_t>(h.numChunks, raw.size());
 
     std::unique_ptr<ir::Program> prog;
-    if (util::Status s = buildReplayProgram(res.key, h.sidLimit, prog);
+    if (util::Status s = buildReplayProgram(res.key, h.controlFlowDigest, prog);
         !s.ok())
         return fail(std::move(s));
 

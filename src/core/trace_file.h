@@ -17,14 +17,14 @@ namespace bioperf::core {
  * On-disk .bptrace persistence. The file stores the *recipe* (app,
  * variant, scale, seed, register file) plus the encoded chunks — not
  * the program, which the loader rebuilds deterministically from the
- * registry and validates by sid-space fingerprint. Layout: versioned
+ * registry and validates by its control-flow digest. Layout: versioned
  * header, identity block, per-chunk framing with a CRC32C per chunk
  * payload, trailer with a whole-file metadata digest (see
- * trace_file.cc for the field list). Only format version 3 is read.
+ * trace_file.cc for the field list). Only format version 4 is read.
  */
 
 /**
- * Writes @a trace as a v3 .bptrace. kIoError on open/write failure
+ * Writes @a trace as a v4 .bptrace. kIoError on open/write failure
  * (including a short write forced by the trace.write.short fail
  * point); the file contents are unspecified after a failure.
  */
@@ -81,11 +81,13 @@ TraceSalvageResult salvageTraceFile(const std::string &path);
 
 /**
  * Rebuilds the replay program for @a key from the app registry and
- * checks its sid space against @a sid_limit, the recording's
- * fingerprint. Shared by loadTraceFile() and the streaming consumers
- * (bioperfsim --trace-in, file-based sampling).
+ * checks its vm::controlFlowDigest() against @a cfg_digest, the
+ * recording's (kFailedPrecondition when they differ: a trace implies
+ * its sids from the program's control flow). Shared by
+ * loadTraceFile() and the streaming consumers (bioperfsim --trace-in,
+ * file-based sampling).
  */
-util::Status buildReplayProgram(const TraceKey &key, uint32_t sid_limit,
+util::Status buildReplayProgram(const TraceKey &key, uint64_t cfg_digest,
                                 std::unique_ptr<ir::Program> &out);
 
 /** The identity block of a .bptrace: everything before the chunks. */
@@ -93,7 +95,7 @@ struct TraceFileHeader
 {
     /** Workload identity (app resolved against the registry). */
     TraceKey key;
-    uint32_t sidLimit = 0;
+    uint64_t controlFlowDigest = 0;
     uint64_t runs = 0;
     uint64_t instructions = 0;
     uint32_t spills = 0;

@@ -8,7 +8,7 @@ namespace bioperf::util {
 
 /**
  * CRC-32C (Castagnoli, polynomial 0x1EDC6F41), the checksum used by
- * the .bptrace v3 container: one CRC per chunk payload plus a
+ * the .bptrace container: one CRC per chunk payload plus a
  * running CRC over all metadata bytes. Software slice-by-8; fast
  * enough that checksumming is invisible next to trace decode.
  *

@@ -8,7 +8,7 @@ namespace bioperf::vm {
 namespace {
 
 /**
- * Decode kinds, precomputed per sid so the replay loop is a dense
+ * Decode kinds, precomputed per sid so the codec loops are a dense
  * switch instead of opcode classification per event.
  */
 enum Kind : uint8_t {
@@ -16,7 +16,12 @@ enum Kind : uint8_t {
     kMem = 1,     ///< store/prefetch: address only
     kIntLoad = 2, ///< address + value delta
     kFpLoad = 3,  ///< address + value XOR
-    kBranch = 4,  ///< direction bit
+    kBranch = 4,  ///< direction bit; next[taken] follows
+    kJump = 5,    ///< Jmp/Halt: nothing stored; next[0] follows
+    // Replay walk positions that are no instruction (records 0-2).
+    kOpening = 6, ///< the next event is coded
+    kRunEnd = 7,  ///< an uncoded run-end marker (after Halt)
+    kOffProgram = 8, ///< no successor: the walk left the program
 };
 
 Kind
@@ -30,7 +35,98 @@ kindOf(ir::Opcode op)
         return kMem;
     if (op == ir::Opcode::Br)
         return kBranch;
+    if (op == ir::Opcode::Jmp || op == ir::Opcode::Halt)
+        return kJump;
     return kPlain;
+}
+
+/**
+ * Successor sentinels of the sid-level walk, above every sid
+ * (buildFlow() refuses a program whose sid space would reach them), so
+ * no event's sid ever equals one.
+ */
+constexpr uint32_t kCoded = 0xfffffffdu;    ///< next event is coded
+constexpr uint32_t kOffTable = 0xfffffffeu; ///< no successor exists
+constexpr uint32_t kAfterHalt = 0xffffffffu; ///< the run ends next
+
+/** One sid's static instruction and the sids that can follow it. */
+struct SidFlow
+{
+    const ir::Instr *instr = nullptr;
+    /** Successor when the instruction falls through or its Br is not
+     *  taken, and when its Br is taken. */
+    uint32_t next[2] = { kOffTable, kOffTable };
+};
+
+/**
+ * The successor table recorder and replayer walk, mirroring how the
+ * interpreter moves between instructions: the next instruction of the
+ * block; for Br the first instruction of notTaken or taken; for Jmp
+ * the first of taken; Halt ends the run. A successor the program
+ * does not define (a block without a terminator, a target out of
+ * range) is kOffTable; verified IR has none.
+ */
+std::vector<SidFlow>
+buildFlow(const ir::Program &prog)
+{
+    if (prog.sidLimit() >= kCoded)
+        throw util::StatusError(util::Status::internal(
+            "program sid space reaches the trace codec's sentinels"));
+    const std::vector<const ir::Instr *> table = buildSidTable(prog);
+    std::vector<SidFlow> flow(table.size());
+    for (size_t f = 0; f < prog.numFunctions(); f++) {
+        const ir::Function &fn = prog.function(f);
+        auto first = [&fn](uint32_t block) {
+            return block < fn.blocks.size() &&
+                           !fn.blocks[block].instrs.empty()
+                       ? fn.blocks[block].instrs.front().sid
+                       : kOffTable;
+        };
+        for (const auto &bb : fn.blocks) {
+            for (size_t i = 0; i < bb.instrs.size(); i++) {
+                const ir::Instr &in = bb.instrs[i];
+                uint32_t *next = flow[in.sid].next;
+                flow[in.sid].instr = &in;
+                switch (in.op) {
+                  case ir::Opcode::Br:
+                    next[0] = first(in.notTaken);
+                    next[1] = first(in.taken);
+                    break;
+                  case ir::Opcode::Jmp:
+                    next[0] = next[1] = first(in.taken);
+                    break;
+                  case ir::Opcode::Halt:
+                    next[0] = next[1] = kAfterHalt;
+                    break;
+                  default:
+                    if (i + 1 < bb.instrs.size())
+                        next[0] = next[1] = bb.instrs[i + 1].sid;
+                    break;
+                }
+            }
+        }
+    }
+    return flow;
+}
+
+/** FNV-1a over the sid space and every sid's opcode and successors. */
+uint64_t
+digestOf(const std::vector<SidFlow> &flow)
+{
+    uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](uint32_t v) {
+        for (int i = 0; i < 4; i++) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    };
+    mix(static_cast<uint32_t>(flow.size()));
+    for (const SidFlow &f : flow) {
+        mix(f.instr ? static_cast<uint32_t>(f.instr->op) : 0xffu);
+        mix(f.next[0]);
+        mix(f.next[1]);
+    }
+    return h;
 }
 
 /**
@@ -135,94 +231,155 @@ buildSidTable(const ir::Program &prog)
     return table;
 }
 
+uint64_t
+controlFlowDigest(const ir::Program &prog)
+{
+    return digestOf(buildFlow(prog));
+}
+
 // --- TraceRecorder ----------------------------------------------------
 
 TraceRecorder::TraceRecorder(const ir::Program &prog,
                              uint32_t keyframe_interval)
     : payload_(kChunkEvents * kMaxEventBytes),
-      branch_bits_(kChunkEvents / 8 + 1, 0),
-      last_addr_(prog.sidLimit(), 0), last_bits_(prog.sidLimit(), 0)
+      branch_bits_(kChunkEvents / 8 + 1, 0), expect_(kCoded),
+      implied_(kCoded), last_addr_(prog.sidLimit(), 0),
+      last_bits_(prog.sidLimit(), 0)
 {
-    trace_.setSidLimit(prog.sidLimit());
+    const std::vector<SidFlow> flow = buildFlow(prog);
+    trace_.setControlFlowDigest(digestOf(flow));
     trace_.setKeyframeInterval(keyframe_interval);
-    kind_of_sid_.assign(prog.sidLimit(), kPlain);
-    for (const ir::Instr *in : buildSidTable(prog)) {
-        if (in)
-            kind_of_sid_[in->sid] =
-                static_cast<uint8_t>(kindOf(in->op));
+    sid_.resize(flow.size());
+    for (size_t s = 0; s < flow.size(); s++) {
+        sid_[s].next[0] = flow[s].next[0];
+        sid_[s].next[1] = flow[s].next[1];
+        sid_[s].kind = static_cast<uint8_t>(
+            flow[s].instr ? kindOf(flow[s].instr->op) : kPlain);
     }
 }
 
 void
-TraceRecorder::encodeOne(const DynInstr &di)
+TraceRecorder::diverged(const char *what) const
 {
-    assert(di.matchesInstr());
-    const uint32_t sid = di.sid;
-    uint8_t *const base = payload_.data();
-    // Static instructions mostly execute in layout order, so the
-    // zigzagged sid delta is usually 0..3 and fits one byte even in
-    // programs with hundreds of sids. +1 keeps code 0 free for the
-    // run-boundary marker.
-    uint8_t *p = writeVarint(
-        base + payload_pos_,
-        zigzagEncode(static_cast<int64_t>(sid) -
-                     static_cast<int64_t>(prev_sid_)) + 1);
-    prev_sid_ = sid;
-    switch (kind_of_sid_[sid]) {
-      case kPlain:
-        break;
-      case kMem:
-        p = writeVarint(p, zigzagEncode(static_cast<int64_t>(
-                               di.addr - last_addr_[sid])));
-        last_addr_[sid] = di.addr;
-        break;
-      case kIntLoad:
-        p = writeVarint(p, zigzagEncode(static_cast<int64_t>(
-                               di.addr - last_addr_[sid])));
-        last_addr_[sid] = di.addr;
-        p = writeVarint(p, zigzagEncode(static_cast<int64_t>(
-                               di.loadValueBits - last_bits_[sid])));
-        last_bits_[sid] = di.loadValueBits;
-        break;
-      case kFpLoad:
-        p = writeVarint(p, zigzagEncode(static_cast<int64_t>(
-                               di.addr - last_addr_[sid])));
-        last_addr_[sid] = di.addr;
-        p = writeVarint(p, di.loadValueBits ^ last_bits_[sid]);
-        last_bits_[sid] = di.loadValueBits;
-        break;
-      case kBranch: {
-        const uint32_t bit = chunk_branches_++;
-        if (di.taken)
-            branch_bits_[bit >> 3] |=
-                static_cast<uint8_t>(1u << (bit & 7));
-        break;
-      }
-    }
-    payload_pos_ = static_cast<size_t>(p - base);
-    instructions_++;
-    seq_++;
-    if (++chunk_events_ == kChunkEvents)
-        sealChunk();
+    throw util::StatusError(util::Status::internal(
+        std::string("trace recorder: live stream left the program's "
+                    "control flow (") +
+        what + ")"));
+}
+
+uint8_t *
+TraceRecorder::codeEvent(uint8_t *p, uint32_t sid, uint32_t expect)
+{
+    // A coded event must still be what the walk implied before the
+    // chunk opened; only at a run entry may any sid come.
+    const uint32_t implied = expect == kCoded ? implied_ : expect;
+    if (implied != kCoded && implied != sid)
+        diverged(implied == kAfterHalt ? "an instruction followed Halt"
+                                       : "unexpected successor");
+    if (sid >= sid_.size())
+        diverged("sid beyond the program");
+    implied_ = kCoded;
+    return writeVarint(p, uint64_t(sid) + 1);
 }
 
 void
 TraceRecorder::onInstr(const DynInstr &di)
 {
-    encodeOne(di);
+    onBatch(&di, 1);
 }
 
 void
 TraceRecorder::onBatch(const DynInstr *batch, size_t n)
 {
-    for (size_t i = 0; i < n; i++)
-        encodeOne(batch[i]);
+    // Hot loop: state in locals, written back before a chunk seals
+    // and at the end of the batch.
+    const SidEncode *sids = sid_.data();
+    uint64_t *last_addr = last_addr_.data();
+    uint64_t *last_bits = last_bits_.data();
+    uint8_t *const base = payload_.data();
+    uint8_t *p = base + payload_pos_;
+    uint32_t expect = expect_;
+    uint32_t events = chunk_events_;
+    uint32_t branches = chunk_branches_;
+    uint64_t seq = seq_;
+    uint64_t instructions = instructions_;
+    auto store = [&] {
+        payload_pos_ = static_cast<size_t>(p - base);
+        expect_ = expect;
+        chunk_events_ = events;
+        chunk_branches_ = branches;
+        seq_ = seq;
+        instructions_ = instructions;
+    };
+
+    for (size_t i = 0; i < n; i++) {
+        const DynInstr &di = batch[i];
+        assert(di.matchesInstr());
+        const uint32_t sid = di.sid;
+        // The one check the walk costs: a coded event (chunk opening,
+        // run entry) or a divergence takes the slow path.
+        if (__builtin_expect(sid != expect, 0))
+            p = codeEvent(p, sid, expect);
+        const SidEncode &se = sids[sid];
+        bool taken = false;
+        switch (se.kind) {
+          case kPlain:
+          case kJump:
+            break;
+          case kMem:
+            p = writeVarint(p, zigzagEncode(static_cast<int64_t>(
+                                   di.addr - last_addr[sid])));
+            last_addr[sid] = di.addr;
+            break;
+          case kIntLoad:
+            p = writeVarint(p, zigzagEncode(static_cast<int64_t>(
+                                   di.addr - last_addr[sid])));
+            last_addr[sid] = di.addr;
+            p = writeVarint(p, zigzagEncode(static_cast<int64_t>(
+                                   di.loadValueBits - last_bits[sid])));
+            last_bits[sid] = di.loadValueBits;
+            break;
+          case kFpLoad:
+            p = writeVarint(p, zigzagEncode(static_cast<int64_t>(
+                                   di.addr - last_addr[sid])));
+            last_addr[sid] = di.addr;
+            p = writeVarint(p, di.loadValueBits ^ last_bits[sid]);
+            last_bits[sid] = di.loadValueBits;
+            break;
+          case kBranch: {
+            const uint32_t bit = branches++;
+            taken = di.taken;
+            branch_bits_[bit >> 3] |=
+                static_cast<uint8_t>(uint32_t(taken) << (bit & 7));
+            break;
+          }
+        }
+        expect = se.next[taken];
+        instructions++;
+        seq++;
+        if (__builtin_expect(++events == kChunkEvents, 0)) {
+            store();
+            sealChunk();
+            p = base + payload_pos_;
+            expect = expect_;
+            events = chunk_events_;
+            branches = chunk_branches_;
+        }
+    }
+    store();
 }
 
 void
 TraceRecorder::onRunEnd()
 {
-    payload_[payload_pos_++] = 0; // run-boundary marker (code 0)
+    const uint32_t implied = expect_ == kCoded ? implied_ : expect_;
+    if (implied != kCoded && implied != kAfterHalt)
+        diverged("a run ended before Halt");
+    // Coded at a chunk opening (or after an empty run), implied after
+    // a Halt inside the chunk.
+    if (expect_ == kCoded)
+        payload_[payload_pos_++] = 0;
+    expect_ = implied_ = kCoded; // the next run's entry sid is coded
     runs_++;
     seq_ = 0;
     if (++chunk_events_ == kChunkEvents)
@@ -252,11 +409,16 @@ TraceRecorder::sealChunk()
     chunk_events_ = 0;
     chunk_branches_ = 0;
     chunk_start_seq_ = seq_;
+    // Every chunk opens with a coded event, which must still be the
+    // one the walk implies.
+    if (expect_ != kCoded) {
+        implied_ = expect_;
+        expect_ = kCoded;
+    }
     // If the chunk now opening is a keyframe, reset the delta state
     // so decoding can enter the stream here without the prefix. The
     // decoder mirrors this via Chunk::keyframe.
     if (trace_.isKeyframe(trace_.chunks().size())) {
-        prev_sid_ = 0;
         std::fill(last_addr_.begin(), last_addr_.end(), 0);
         std::fill(last_bits_.begin(), last_bits_.end(), 0);
     }
@@ -276,14 +438,40 @@ TraceReplayer::TraceReplayer(const ir::Program &prog)
     : trace_(nullptr), batch_(kBatchCapacity),
       last_addr_(prog.sidLimit(), 0), last_bits_(prog.sidLimit(), 0)
 {
-    const std::vector<const ir::Instr *> table = buildSidTable(prog);
-    sid_.resize(table.size());
-    for (size_t s = 0; s < table.size(); s++) {
-        sid_[s].proto.instr = table[s];
-        if (table[s]) {
-            sid_[s].proto.op = table[s]->op;
-            sid_[s].proto.sid = table[s]->sid;
-            sid_[s].kind = static_cast<uint8_t>(kindOf(table[s]->op));
+    const std::vector<SidFlow> flow = buildFlow(prog);
+    step_of_sid_.assign(flow.size(), 0);
+    walk_.resize(3);
+    walk_[0].kind = kOpening;
+    walk_[1].kind = kRunEnd;
+    walk_[2].kind = kOffProgram;
+    for (size_t f = 0; f < prog.numFunctions(); f++) {
+        for (const auto &bb : prog.function(f).blocks) {
+            for (const auto &in : bb.instrs) {
+                step_of_sid_[in.sid] = static_cast<uint32_t>(walk_.size());
+                Step &st = walk_.emplace_back();
+                st.proto.instr = &in;
+                st.proto.op = in.op;
+                st.proto.sid = in.sid;
+                st.kind = static_cast<uint8_t>(kindOf(in.op));
+            }
+            // A block that falls off its end walks off the program
+            // (buildFlow() gives it no successor either).
+            if (!bb.instrs.empty() && !bb.hasTerminator())
+                walk_.emplace_back().kind = kOffProgram;
+        }
+    }
+    auto step = [this](uint32_t next) -> uint32_t {
+        if (next == kAfterHalt)
+            return 1;
+        if (next == kOffTable)
+            return 2;
+        return step_of_sid_[next];
+    };
+    for (const SidFlow &fl : flow) {
+        if (fl.instr) {
+            Step &st = walk_[step_of_sid_[fl.instr->sid]];
+            st.next[0] = step(fl.next[0]);
+            st.next[1] = step(fl.next[1]);
         }
     }
 }
@@ -292,9 +480,9 @@ TraceReplayer::TraceReplayer(const EncodedTrace &trace,
                              const ir::Program &prog)
     : TraceReplayer(prog)
 {
-    if (prog.sidLimit() != trace.sidLimit())
+    if (controlFlowDigest(prog) != trace.controlFlowDigest())
         init_status_ = util::Status::failedPrecondition(
-            "replay program sid space differs from the recording "
+            "replay program's control flow differs from the recording "
             "(trace was captured from a different program)");
     trace_ = &trace;
 }
@@ -310,7 +498,6 @@ void
 TraceReplayer::beginStream(uint64_t start_seq)
 {
     seq_ = start_seq;
-    prev_sid_ = 0;
     delivered_ = 0;
     batch_n_ = 0;
     std::fill(last_addr_.begin(), last_addr_.end(), 0);
@@ -343,6 +530,8 @@ TraceReplayer::streamChunk(const EncodedTrace::Chunk &chunk)
 void
 TraceReplayer::decodeChunk(const EncodedTrace::Chunk &chunk)
 {
+    if (chunk.bitmapOffset > chunk.bytes.size())
+        corrupt("branch bitmap offset beyond the chunk");
     // A salvage gap: the chunks that originally preceded this one are
     // gone, so drain the sinks' in-flight state (pipeline/scoreboard)
     // and resume per-run seq numbering where the chunk expects it.
@@ -358,20 +547,18 @@ TraceReplayer::decodeChunk(const EncodedTrace::Chunk &chunk)
     // Mirror the recorder's keyframe reset (idempotent when the
     // stream just began here — beginStream() resets the same state).
     if (chunk.keyframe) {
-        prev_sid_ = 0;
         std::fill(last_addr_.begin(), last_addr_.end(), 0);
         std::fill(last_bits_.begin(), last_bits_.end(), 0);
     }
     // Hot loop: hoist member state into locals for the duration of
     // the chunk, write back at the end.
-    const uint64_t sid_limit = last_addr_.size();
-    const SidDecode *sids = sid_.data();
+    const uint64_t sid_limit = step_of_sid_.size();
+    const Step *walk = walk_.data();
     uint64_t *last_addr = last_addr_.data();
     uint64_t *last_bits = last_bits_.data();
     DynInstr *batch = batch_.data();
     uint64_t instructions = delivered_;
     uint64_t seq = seq_;
-    uint64_t prev_sid = prev_sid_;
     size_t bn = batch_n_;
 
     const uint8_t *p = chunk.bytes.data();
@@ -379,38 +566,51 @@ TraceReplayer::decodeChunk(const EncodedTrace::Chunk &chunk)
     const uint8_t *bitmap = end;
     const uint8_t *bitmap_end = chunk.bytes.data() + chunk.bytes.size();
     uint32_t branch_idx = 0;
+    // Run boundary: flush, then onRunEnd, exactly as the interpreter
+    // orders them; seq restarts per run.
+    auto run_end = [&] {
+        if (bn > 0) {
+            flush(bn);
+            bn = 0;
+        }
+        for (TraceSink *s : sinks_)
+            s->onRunEnd();
+        seq = 0;
+    };
+    // Every chunk opens with a coded event.
+    const Step *at = &walk[0];
     for (uint32_t e = 0; e < chunk.numEvents; e++) {
         // Keep the streamed payload from evicting the sinks'
         // working sets: it is read once, so fetch ahead with
         // non-temporal locality.
         __builtin_prefetch(p + 512, 0, 0);
-        const uint64_t code = readVarint(p, end);
-        if (__builtin_expect(code == 0, 0)) {
-            // Run boundary: flush, then onRunEnd, exactly as the
-            // interpreter orders them; seq restarts per run.
-            if (bn > 0) {
-                flush(bn);
-                bn = 0;
+        if (__builtin_expect(at->kind >= kOpening, 0)) {
+            if (at->kind == kRunEnd) {
+                run_end();
+                at = &walk[0];
+                continue;
             }
-            for (TraceSink *s : sinks_)
-                s->onRunEnd();
-            seq = 0;
-            continue;
+            if (at->kind == kOffProgram)
+                corrupt("control flow walks off the program");
+            const uint64_t code = readVarint(p, end);
+            if (code == 0) {
+                run_end();
+                continue;
+            }
+            // A sid inside the limit can still be unused by the
+            // program (its record is the opening one); delivering a
+            // null instr pointer would crash the sinks.
+            if (code > sid_limit || step_of_sid_[code - 1] == 0)
+                corrupt("coded sid out of range");
+            at = &walk[step_of_sid_[code - 1]];
         }
-        const uint64_t sid =
-            prev_sid + static_cast<uint64_t>(zigzagDecode(code - 1));
-        prev_sid = sid;
-        if (__builtin_expect(sid >= sid_limit, 0))
-            corrupt("event sid out of range");
-        const SidDecode &sd = sids[sid];
-        // A sid inside the limit can still be unused by the program;
-        // delivering its null instr pointer would crash the sinks.
-        if (__builtin_expect(sd.proto.instr == nullptr, 0))
-            corrupt("event references an unused sid");
+        const Step &st = *at;
+        const uint32_t sid = st.proto.sid;
         DynInstr &di = batch[bn];
-        di = sd.proto; // one copy: instr, op, sid set; dynamic fields 0
+        di = st.proto; // one copy: instr, op, sid set; dynamic fields 0
         di.seq = seq++;
-        switch (sd.kind) {
+        at++; // block order: a non-terminator's successor
+        switch (st.kind) {
           case kPlain:
             break;
           case kMem:
@@ -433,9 +633,14 @@ TraceReplayer::decodeChunk(const EncodedTrace::Chunk &chunk)
             const uint32_t bit = branch_idx++;
             if (bitmap + (bit >> 3) >= bitmap_end)
                 corrupt("branch bitmap overrun");
-            di.taken = (bitmap[bit >> 3] >> (bit & 7)) & 1;
+            const bool taken = (bitmap[bit >> 3] >> (bit & 7)) & 1;
+            di.taken = taken;
+            at = &walk[st.next[taken]];
             break;
           }
+          case kJump:
+            at = &walk[st.next[0]];
+            break;
         }
         instructions++;
         if (++bn == kBatchCapacity) {
@@ -448,7 +653,6 @@ TraceReplayer::decodeChunk(const EncodedTrace::Chunk &chunk)
 
     delivered_ = instructions;
     seq_ = seq;
-    prev_sid_ = prev_sid;
     batch_n_ = bn;
 }
 

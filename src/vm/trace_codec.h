@@ -25,12 +25,19 @@ namespace bioperf::vm {
  * cache models, timing cores) through the unchanged onBatch() path,
  * bit-identical to the live stream.
  *
- * Encoding (per event, targeting ≤8 bytes/instr average):
- *  - varint(zigzag(sid - previous sid) + 1); static instructions
- *    mostly execute in layout order, so the delta is usually a single
- *    byte regardless of how many sids the program has. Code 0 marks
- *    an Interpreter::run() boundary so replay reproduces onRunEnd()
- *    calls and per-run seq numbering;
+ * Encoding. The program fixes most of the stream: the IR has no
+ * calls and every block ends in Br, Jmp or Halt, so after any event
+ * the next sid is implied by the event's static instruction (the next
+ * instruction of its block; a Br's taken or not-taken target, picked
+ * by its direction bit; a Jmp's target; after Halt, the end of the
+ * run). Recorder and replayer walk that successor table and store
+ * only what the program cannot tell:
+ *  - an opening code at the start of every chunk and after every
+ *    run-end marker: varint 0 for a run-end marker, sid + 1 for an
+ *    instruction (the entry sid of a run, or where a chunk resumes
+ *    mid-run). The run-end marker that follows a Halt inside a chunk
+ *    costs nothing; replay reproduces onRunEnd() calls and per-run seq
+ *    numbering from it;
  *  - memory ops append zigzag-varint of the effective-address delta
  *    against the *same static instruction's* previous address, so
  *    constant-stride loads cost one or two bytes;
@@ -38,18 +45,25 @@ namespace bioperf::vm {
  *    FP loads append varint of (bits XOR previous bits per sid),
  *    which exploits exponent/sign locality of successive values;
  *  - branch directions go into a per-chunk bitmap (one bit per Br,
- *    appended after the event payload).
+ *    appended after the event payload); they also steer the walk.
  *
- * Everything else in DynInstr (seq, zero addr/value for non-memory
- * ops, taken=false for non-branches) is reconstructed, not stored.
+ * Everything else in DynInstr (sid, seq, zero addr/value for
+ * non-memory ops, taken=false for non-branches) is reconstructed, not
+ * stored: 0.2-1.4 bytes/instr across the suite. The recorder checks
+ * every live event against the walk and fails the recording
+ * (util::StatusError, kInternal) on the first divergence, so a trace
+ * never encodes a stream its program does not imply; the trace keeps
+ * a digest of that control flow (controlFlowDigest()) and a replayer
+ * refuses a program with a different one.
+ *
  * Codec state (per-sid last address/value) runs across chunk
  * boundaries — except at **keyframes**: every Kth chunk opens with
- * the delta state (previous sid, per-sid addresses/values) reset to
- * zero, making it a self-contained random-access entry point. Replay
+ * the per-sid addresses/values reset to zero, making it (with its
+ * opening code) a self-contained random-access entry point. Replay
  * may start at any keyframe (TraceReplayer::beginStream with that
  * chunk's startSeq), which is what lets the sampled-timing controller
- * shard one trace across threads; non-keyframe chunks remain pure framing for the on-disk
- * format and for bounded-memory encoding.
+ * shard one trace across threads; non-keyframe chunks remain pure
+ * framing for the on-disk format and for bounded-memory encoding.
  */
 
 /** LEB128 unsigned varint append. */
@@ -114,8 +128,11 @@ class EncodedTrace
     uint64_t instructions() const { return instructions_; }
     /** Interpreter::run() invocations recorded. */
     uint64_t runs() const { return runs_; }
-    /** One past the largest sid the source program could emit. */
-    uint32_t sidLimit() const { return sid_limit_; }
+    /**
+     * vm::controlFlowDigest() of the recording program: replay needs
+     * a program with the same control flow.
+     */
+    uint64_t controlFlowDigest() const { return cfg_digest_; }
 
     /**
      * Every keyframeInterval()-th chunk is a self-contained decode
@@ -139,7 +156,7 @@ class EncodedTrace
      * Assembly interface for TraceRecorder and the .bptrace loader.
      * Not for general use: appended chunks must come from the codec.
      */
-    void setSidLimit(uint32_t limit) { sid_limit_ = limit; }
+    void setControlFlowDigest(uint64_t digest) { cfg_digest_ = digest; }
     void setKeyframeInterval(uint32_t interval)
     {
         keyframe_interval_ = interval == 0 ? 1 : interval;
@@ -155,7 +172,7 @@ class EncodedTrace
     std::vector<Chunk> chunks_;
     uint64_t instructions_ = 0;
     uint64_t runs_ = 0;
-    uint32_t sid_limit_ = 0;
+    uint64_t cfg_digest_ = 0;
     uint32_t keyframe_interval_ = 1;
 };
 
@@ -194,11 +211,17 @@ class TraceRecorder : public TraceSink
     EncodedTrace finish();
 
   private:
-    void encodeOne(const DynInstr &di);
     void sealChunk();
+    /**
+     * Writes the opening code of instruction @a sid at @a p when the
+     * walk expected a coded event, and fails the recording when the
+     * stream left the walk. @return the new write position.
+     */
+    uint8_t *codeEvent(uint8_t *p, uint32_t sid, uint32_t expect);
+    [[noreturn]] void diverged(const char *what) const;
 
-    /** Worst-case encoded bytes for one event (sid + two deltas). */
-    static constexpr size_t kMaxEventBytes = 26;
+    /** Worst-case encoded bytes for one event (code + two deltas). */
+    static constexpr size_t kMaxEventBytes = 25;
 
     EncodedTrace trace_;
     /**
@@ -217,10 +240,24 @@ class TraceRecorder : public TraceSink
     uint64_t seq_ = 0;
     /** seq_ captured when the current chunk opened. */
     uint64_t chunk_start_seq_ = 0;
-    /** Previous event's sid (delta encoding; spans chunks/runs). */
-    uint64_t prev_sid_ = 0;
-    /** sid -> decode kind (see trace_codec.cc). */
-    std::vector<uint8_t> kind_of_sid_;
+    /** Per-sid encode recipe: decode kind and successor sids. */
+    struct SidEncode
+    {
+        uint32_t next[2]; ///< successor when not taken / taken
+        uint8_t kind;     ///< decode kind (see trace_codec.cc)
+    };
+    std::vector<SidEncode> sid_;
+    /**
+     * The sid the walk implies for the next event, or a sentinel (see
+     * trace_codec.cc): the run ends next, or the next event is coded
+     * (chunk opening, run entry).
+     */
+    uint32_t expect_;
+    /**
+     * While the next event is coded: what the walk implied before the
+     * chunk opened, which the coded event must still match.
+     */
+    uint32_t implied_;
     /** Per-sid previous effective address / load value. */
     std::vector<uint64_t> last_addr_;
     std::vector<uint64_t> last_bits_;
@@ -233,10 +270,12 @@ class TraceRecorder : public TraceSink
  *
  * The replayer holds per-replay decode state only; many replayers may
  * consume one shared immutable EncodedTrace concurrently (each
- * ThreadPool sweep worker constructs its own). @a prog must be
- * structurally identical to the recording program (same sid space) —
- * in practice the recording program itself, or one rebuilt from the
- * same (app, variant, scale, seed[, register file]) recipe.
+ * ThreadPool sweep worker constructs its own). @a prog must have the
+ * recording program's control flow (same controlFlowDigest()) — in
+ * practice the recording program itself, or one rebuilt from the
+ * same (app, variant, scale, seed[, register file]) recipe. The
+ * two-argument constructor checks the digest; the streaming one
+ * leaves that to its caller (the .bptrace loader checks the file's).
  */
 class TraceReplayer
 {
@@ -284,18 +323,26 @@ class TraceReplayer
     const EncodedTrace *trace_;
     std::vector<TraceSink *> sinks_;
     /**
-     * Per-sid decode recipe: a prototype DynInstr (instr, op and sid
-     * set, dynamic fields zeroed) the hot loop copies in one go, plus the
-     * decode kind selecting which fields to overwrite. One indexed
-     * load replaces separate instr/kind lookups and field-by-field
-     * zeroing.
+     * One position of the decode walk. An instruction's record holds
+     * a prototype DynInstr (instr, op and sid set, dynamic fields
+     * zeroed) the hot loop copies in one go and the decode kind
+     * selecting which fields to overwrite. Records lie in block
+     * order, so a non-terminator's successor is the next record and
+     * only Br, Jmp and Halt read next[]: the walk's serial dependence
+     * from one event to the next is one load per basic block, not one
+     * per instruction. Positions that are not instructions (read an
+     * opening code, a run-end marker after Halt, off the program)
+     * are records 0-2, told apart by their kind.
      */
-    struct SidDecode
+    struct alignas(64) Step
     {
         DynInstr proto{};
-        uint8_t kind = 0; ///< decode kind (see trace_codec.cc)
+        uint32_t next[2] = {}; ///< record when not taken / taken
+        uint8_t kind = 0;      ///< decode kind (see trace_codec.cc)
     };
-    std::vector<SidDecode> sid_;
+    std::vector<Step> walk_;
+    /** sid -> its record in walk_ (0, an opening code, if unused). */
+    std::vector<uint32_t> step_of_sid_;
     std::vector<DynInstr> batch_;
     std::vector<uint64_t> last_addr_;
     std::vector<uint64_t> last_bits_;
@@ -303,18 +350,25 @@ class TraceReplayer
     util::Status init_status_;
     /** Streaming decode state, reset by beginStream(). */
     uint64_t seq_ = 0;
-    uint64_t prev_sid_ = 0;
     uint64_t delivered_ = 0;
     size_t batch_n_ = 0;
 };
 
 /**
  * sid -> instruction table for @a prog (nullptr for unused sids).
- * Shared helper for the replayer and trace validation. Throws
+ * Shared by the codec's successor table and the sampler's warm-up
+ * sink. Throws
  * util::StatusError (kInternal) if the program violates its own
  * sidLimit() — a builder bug, not an input problem.
  */
 std::vector<const ir::Instr *> buildSidTable(const ir::Program &prog);
+
+/**
+ * Digest of @a prog's control flow as the codec walks it: the sid
+ * space, and each sid's opcode and successor sids. Two programs with
+ * equal digests replay each other's traces identically.
+ */
+uint64_t controlFlowDigest(const ir::Program &prog);
 
 } // namespace bioperf::vm
 

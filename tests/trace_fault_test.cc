@@ -1,6 +1,6 @@
 /**
  * @file
- * Fault-injection suite: every byte of a v3 .bptrace is covered by a
+ * Fault-injection suite: every byte of a .bptrace is covered by a
  * checksum, so any single corruption — truncation at any depth, a
  * payload bit-flip, a metadata bit-flip, a short write — must surface
  * as a Status, never a wrong result; salvage must recover exactly the
@@ -293,10 +293,10 @@ TEST(TraceFault, CorruptChunkCountIsRejectedBeforeSizingAnything)
     const std::string path = tempTrace("chunk_count");
     ASSERT_TRUE(saveTraceFile(path, key, *trace).ok());
 
-    // The high byte of numChunks, which follows the 64-byte fixed
+    // The high byte of numChunks, which follows the 68-byte fixed
     // identity fields and the app name: the count becomes ~2^30, far
     // more 25-byte frames than the file holds.
-    flipByteAt(path, 64 + static_cast<long>(app.name.size()) + 3);
+    flipByteAt(path, 68 + static_cast<long>(app.name.size()) + 3);
     const TraceLoadResult loaded = loadTraceFile(path);
     EXPECT_EQ(loaded.status.code(), util::StatusCode::kCorruptData)
         << loaded.status.str();

@@ -19,6 +19,7 @@
 #include "core/trace_cache.h"
 #include "core/trace_file.h"
 #include "cpu/platforms.h"
+#include "ir/builder.h"
 #include "vm/interpreter.h"
 #include "vm/trace_codec.h"
 
@@ -90,9 +91,10 @@ TEST(TraceReplay, ReplayedStreamIdenticalToLiveForEveryApp)
 
         EXPECT_EQ(trace.instructions(), live.instrs);
         EXPECT_EQ(trace.runs(), live.run_end_counts.size());
-        // The tentpole compactness target: ≤8 bytes per instruction
-        // on average (typical apps are far below).
-        EXPECT_LE(trace.bytesPerInstr(), 8.0)
+        // The program implies every sid, so only addresses, load
+        // values, branch bits and run entries are stored: 0.2-1.4
+        // bytes per instruction across the suite (promlk the most).
+        EXPECT_LT(trace.bytesPerInstr(), 1.5)
             << "encoded " << trace.totalBytes() << " bytes for "
             << trace.instructions() << " instrs";
 
@@ -210,6 +212,326 @@ TEST(TraceReplay, MultiPlatformTimeMatchesPerPlatformTime)
     }
 }
 
+// --- codec framing and program identity ------------------------------
+
+/**
+ * StreamHashSink's hash, cut every kChunkEvents events (run-end
+ * markers count, as they do in the codec's chunk framing), so each
+ * chunk of a recording can be checked on its own.
+ */
+struct ChunkHashSink : vm::TraceSink
+{
+    std::vector<uint64_t> hashes;
+    StreamHashSink cur;
+    uint32_t events = 0;
+
+    void count()
+    {
+        if (++events == vm::TraceRecorder::kChunkEvents)
+            cut();
+    }
+    void cut()
+    {
+        hashes.push_back(cur.hash);
+        cur = StreamHashSink{};
+        events = 0;
+    }
+    void onInstr(const vm::DynInstr &di) override
+    {
+        cur.onInstr(di);
+        count();
+    }
+    void onRunEnd() override
+    {
+        cur.mix(~0ull);
+        count();
+    }
+    /** Hashes the trailing partial chunk. */
+    void finish()
+    {
+        if (events > 0)
+            cut();
+    }
+};
+
+/**
+ * A loop kernel: @a pad straight-line adds, then
+ * `for (i = 1; i <= n; i++) arr[i & 7] += i`, which is a load, a
+ * store and the loop's branch per iteration.
+ */
+ir::Function &
+loopKernel(ir::Program &prog, int pad)
+{
+    ir::FunctionBuilder b(prog, "loop");
+    const ir::ArrayRef arr = b.longArray("arr", 8);
+    const ir::Value n = b.param("n");
+    ir::FunctionBuilder::Var acc = b.var("acc");
+    b.assign(acc, 0);
+    for (int k = 0; k < pad; k++)
+        b.assign(acc, ir::Value(acc) + 1);
+    ir::FunctionBuilder::Var i = b.var("i");
+    b.forLoop(i, b.constI(1), n, [&] {
+        const ir::Value slot = ir::Value(i) & 7;
+        b.st(arr, slot, b.ld(arr, slot) + ir::Value(i));
+    });
+    return b.finish();
+}
+
+/** Runs @a fn once per entry of @a ns with @a sinks attached. */
+void
+runKernel(const ir::Program &prog, const ir::Function &fn,
+          const std::vector<int64_t> &ns,
+          const std::vector<vm::TraceSink *> &sinks)
+{
+    vm::Interpreter interp(prog);
+    for (vm::TraceSink *s : sinks)
+        interp.addSink(s);
+    for (const int64_t n : ns)
+        interp.run(fn, { n });
+}
+
+uint64_t
+kernelInstrs(int pad, int64_t n)
+{
+    ir::Program prog;
+    const ir::Function &fn = loopKernel(prog, pad);
+    vm::Interpreter interp(prog);
+    return interp.run(fn, { n });
+}
+
+TEST(TraceCodec, HaltClosingAChunkOpensTheNextWithARunEnd)
+{
+    // Pick the prologue padding and trip count that make one run
+    // exactly one chunk long, so its Halt is the chunk's last event.
+    const uint64_t per_iter = kernelInstrs(0, 2) - kernelInstrs(0, 1);
+    const uint64_t fixed = kernelInstrs(0, 1) - per_iter;
+    const uint64_t target = vm::TraceRecorder::kChunkEvents;
+    const int64_t trips = static_cast<int64_t>((target - fixed) / per_iter);
+    const int pad = static_cast<int>((target - fixed) % per_iter);
+    ir::Program prog;
+    const ir::Function &fn = loopKernel(prog, pad);
+    ASSERT_EQ(kernelInstrs(pad, trips), target);
+
+    vm::TraceRecorder recorder(prog);
+    StreamHashSink live;
+    runKernel(prog, fn, { trips, 5, 3 }, { &recorder, &live });
+    const vm::EncodedTrace trace = recorder.finish();
+
+    ASSERT_EQ(trace.chunks().size(), 2u);
+    EXPECT_EQ(trace.chunks()[0].numEvents, target);
+    // The run-end marker after a chunk-closing Halt is coded (0).
+    ASSERT_FALSE(trace.chunks()[1].bytes.empty());
+    EXPECT_EQ(trace.chunks()[1].bytes[0], 0);
+
+    vm::TraceReplayer replayer(trace, prog);
+    StreamHashSink replayed;
+    replayer.addSink(&replayed);
+    const util::StatusOr<uint64_t> n = replayer.replay();
+    ASSERT_TRUE(n.ok()) << n.status().str();
+    EXPECT_EQ(n.value(), live.instrs);
+    EXPECT_EQ(replayed.hash, live.hash);
+    EXPECT_EQ(replayed.run_end_counts, live.run_end_counts);
+}
+
+TEST(TraceCodec, EveryChunkDecodesAloneAtKeyframeIntervalOne)
+{
+    const apps::AppInfo &app = *apps::findApp("hmmsearch");
+    apps::AppRun run =
+        app.make(apps::Variant::Baseline, apps::Scale::Small, 42);
+    vm::Interpreter interp(*run.prog);
+    vm::TraceRecorder recorder(*run.prog, /*keyframe_interval=*/1);
+    ChunkHashSink live;
+    interp.addSink(&recorder);
+    interp.addSink(&live);
+    run.driver(interp);
+    live.finish();
+    const vm::EncodedTrace trace = recorder.finish();
+    const auto &chunks = trace.chunks();
+    ASSERT_EQ(chunks.size(), live.hashes.size());
+    ASSERT_GT(chunks.size(), 2u);
+
+    // Each chunk is entered on its own, as a sampling shard enters a
+    // keyframe; most resume a run that began in an earlier chunk.
+    size_t mid_run = 0;
+    for (size_t i = 0; i < chunks.size(); i++) {
+        SCOPED_TRACE(i);
+        mid_run += chunks[i].startSeq > 0;
+        vm::TraceReplayer replayer(*run.prog);
+        ChunkHashSink replayed;
+        replayer.addSink(&replayed);
+        replayer.beginStream(chunks[i].startSeq);
+        const util::Status s = replayer.streamChunk(chunks[i]);
+        ASSERT_TRUE(s.ok()) << s.str();
+        replayer.endStream();
+        replayed.finish();
+        ASSERT_EQ(replayed.hashes.size(), 1u);
+        EXPECT_EQ(replayed.hashes[0], live.hashes[i]);
+    }
+    EXPECT_GT(mid_run, 0u);
+}
+
+TEST(TraceCodec, MalformedChunksAreCorruptData)
+{
+    ir::Program prog;
+    const ir::Function &fn = loopKernel(prog, 0);
+    vm::TraceRecorder recorder(prog);
+    runKernel(prog, fn, { 40 }, { &recorder });
+    const vm::EncodedTrace trace = recorder.finish();
+    ASSERT_EQ(trace.chunks().size(), 1u);
+    const vm::EncodedTrace::Chunk &good = trace.chunks()[0];
+    ASSERT_GT(good.bitmapOffset, 4u);
+
+    auto decode = [](const ir::Program &p,
+                     const vm::EncodedTrace::Chunk &c) {
+        vm::TraceReplayer replayer(p);
+        replayer.beginStream(c.startSeq);
+        return replayer.streamChunk(c).code();
+    };
+    auto coded = [](std::vector<uint8_t> bytes, uint32_t events) {
+        vm::EncodedTrace::Chunk c;
+        c.bytes = std::move(bytes);
+        c.numEvents = events;
+        c.bitmapOffset = static_cast<uint32_t>(c.bytes.size());
+        c.keyframe = true;
+        return c;
+    };
+    ASSERT_EQ(decode(prog, good), util::StatusCode::kOk);
+
+    std::vector<uint8_t> beyond;
+    vm::appendVarint(beyond, uint64_t(prog.sidLimit()) + 1);
+    {
+        SCOPED_TRACE("opening sid out of range");
+        EXPECT_EQ(decode(prog, coded(beyond, 1)),
+                  util::StatusCode::kCorruptData);
+    }
+    {
+        SCOPED_TRACE("entry sid after a run-end marker out of range");
+        std::vector<uint8_t> bytes{ 0 };
+        bytes.insert(bytes.end(), beyond.begin(), beyond.end());
+        EXPECT_EQ(decode(prog, coded(bytes, 2)),
+                  util::StatusCode::kCorruptData);
+    }
+    {
+        SCOPED_TRACE("truncated payload");
+        vm::EncodedTrace::Chunk cut = good;
+        cut.bytes.resize(good.bitmapOffset / 2);
+        cut.bitmapOffset = static_cast<uint32_t>(cut.bytes.size());
+        EXPECT_EQ(decode(prog, cut), util::StatusCode::kCorruptData);
+    }
+    {
+        // Straight-line loads and stores, so the decoder reads payload
+        // well before its first branch bit; shrunk to fit, so a
+        // sanitized build would also catch a read past the bytes.
+        SCOPED_TRACE("bitmap offset beyond the payload");
+        ir::Program line;
+        ir::FunctionBuilder b(line, "line");
+        const ir::ArrayRef arr = b.longArray("arr", 8);
+        for (int64_t k = 0; k < 16; k++)
+            b.st(arr, k & 7, b.ld(arr, (k + 1) & 7));
+        const ir::Function &line_fn = b.finish();
+        vm::TraceRecorder line_rec(line);
+        vm::Interpreter interp(line);
+        interp.addSink(&line_rec);
+        interp.run(line_fn);
+        vm::EncodedTrace::Chunk cut = line_rec.finish().chunks()[0];
+        ASSERT_GT(cut.bitmapOffset, 16u);
+        cut.bytes.resize(cut.bitmapOffset / 2);
+        cut.bytes.shrink_to_fit();
+        EXPECT_EQ(decode(line, cut), util::StatusCode::kCorruptData);
+    }
+    {
+        // A block that falls off its end: no verified program has one,
+        // so the only way to reach it is a corrupt chunk.
+        SCOPED_TRACE("walk off the program");
+        ir::Program open_ended;
+        ir::Function &f = open_ended.addFunction("f");
+        f.blocks.emplace_back();
+        ir::Instr add;
+        add.op = ir::Opcode::Add;
+        add.sid = open_ended.nextSid();
+        f.blocks[0].instrs.push_back(add);
+        EXPECT_EQ(decode(open_ended, coded({ 1 }, 2)),
+                  util::StatusCode::kCorruptData);
+    }
+}
+
+TEST(TraceCodec, RecorderRefusesAStreamItsProgramDoesNotImply)
+{
+    ir::Program prog;
+    const ir::Function &fn = loopKernel(prog, 0);
+    auto event = [](const ir::Instr &in) {
+        vm::DynInstr di;
+        di.instr = &in;
+        di.op = in.op;
+        di.sid = in.sid;
+        return di;
+    };
+    const vm::DynInstr entry = event(fn.blocks[0].instrs[0]);
+    auto code_of = [](vm::TraceRecorder &rec, auto feed) {
+        try {
+            feed(rec);
+        } catch (const util::StatusError &e) {
+            return e.status().code();
+        }
+        return util::StatusCode::kOk;
+    };
+    {
+        SCOPED_TRACE("an instruction that is not the successor");
+        vm::TraceRecorder rec(prog);
+        EXPECT_EQ(code_of(rec,
+                          [&](vm::TraceRecorder &r) {
+                              r.onInstr(entry);
+                              r.onInstr(entry);
+                          }),
+                  util::StatusCode::kInternal);
+    }
+    {
+        SCOPED_TRACE("a run that ends before Halt");
+        vm::TraceRecorder rec(prog);
+        EXPECT_EQ(code_of(rec,
+                          [&](vm::TraceRecorder &r) {
+                              r.onInstr(entry);
+                              r.onRunEnd();
+                          }),
+                  util::StatusCode::kInternal);
+    }
+}
+
+TEST(TraceCodec, ReplayRefusesAProgramWithOtherControlFlow)
+{
+    const apps::AppInfo &app = *apps::findApp("fasta");
+    apps::AppRun run =
+        app.make(apps::Variant::Baseline, apps::Scale::Small, 42);
+    vm::Interpreter interp(*run.prog);
+    vm::TraceRecorder recorder(*run.prog);
+    interp.addSink(&recorder);
+    run.driver(interp);
+    const vm::EncodedTrace trace = recorder.finish();
+    EXPECT_EQ(trace.controlFlowDigest(),
+              vm::controlFlowDigest(*run.prog));
+
+    // Same recipe, same sid space, one branch target changed.
+    apps::AppRun other =
+        app.make(apps::Variant::Baseline, apps::Scale::Small, 42);
+    ir::Instr *br = nullptr;
+    for (auto &bb : other.prog->function(0).blocks) {
+        if (!br && bb.terminator().op == ir::Opcode::Br)
+            br = &bb.terminator();
+    }
+    ASSERT_NE(br, nullptr);
+    ASSERT_NE(br->taken, br->notTaken);
+    br->taken = br->notTaken;
+    ASSERT_EQ(other.prog->sidLimit(), run.prog->sidLimit());
+
+    vm::TraceReplayer replayer(trace, *other.prog);
+    StreamHashSink replayed;
+    replayer.addSink(&replayed);
+    const util::StatusOr<uint64_t> n = replayer.replay();
+    ASSERT_FALSE(n.ok());
+    EXPECT_EQ(n.status().code(), util::StatusCode::kFailedPrecondition);
+    EXPECT_EQ(replayed.instrs, 0u);
+}
+
 class BptraceFileTest : public ::testing::Test
 {
   protected:
@@ -310,9 +632,9 @@ TEST_F(BptraceFileTest, RejectsTruncationBadMagicAndVersionSkew)
               std::string::npos);
 
     // Version skew (version field follows the 8-byte magic); only
-    // the current version is read, so the retired v2 fails the same
-    // way as an unknown one.
-    for (const char version : { 99, 2 }) {
+    // the current version is read, so the retired v2 and v3 fail the
+    // same way as an unknown one.
+    for (const char version : { 99, 2, 3 }) {
         SCOPED_TRACE(static_cast<int>(version));
         bad = good;
         bad[8] = version;
@@ -324,6 +646,28 @@ TEST_F(BptraceFileTest, RejectsTruncationBadMagicAndVersionSkew)
     // Missing file.
     std::remove(path_.c_str());
     EXPECT_FALSE(loadTraceFile(path_).status.ok());
+}
+
+TEST_F(BptraceFileTest, RefusesATraceOfOtherControlFlow)
+{
+    const apps::AppInfo &app = *apps::findApp("fasta");
+    const TraceKey key = keyFor(app, apps::Variant::Baseline,
+                                apps::Scale::Small, 42);
+    const TraceCache::Ptr recorded = TraceCache::record(key).value();
+    // A file whose recording program differs from the one its recipe
+    // rebuilds (as after a change to the app's kernel).
+    CachedTrace skewed;
+    skewed.trace = recorded->trace;
+    skewed.trace.setControlFlowDigest(
+        recorded->trace.controlFlowDigest() ^ 1);
+    ASSERT_TRUE(saveTraceFile(path_, key, skewed).ok());
+
+    const TraceLoadResult loaded = loadTraceFile(path_);
+    EXPECT_EQ(loaded.status.code(), util::StatusCode::kFailedPrecondition)
+        << loaded.status.str();
+    EXPECT_EQ(loaded.trace, nullptr);
+    EXPECT_EQ(salvageTraceFile(path_).status.code(),
+              util::StatusCode::kFailedPrecondition);
 }
 
 /**
