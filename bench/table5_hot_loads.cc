@@ -15,6 +15,7 @@
 
 #include "apps/app.h"
 #include "core/candidate_finder.h"
+#include "core/simulator.h"
 #include "harness.h"
 #include "util/table.h"
 
@@ -23,7 +24,7 @@ using namespace bioperf;
 namespace {
 
 util::json::Value
-loadEntry(const profile::PerLoadProfiler::Entry &e)
+loadEntry(const core::LoadProfile &e)
 {
     util::json::Value v = util::json::Value::object();
     v["sid"] = static_cast<uint64_t>(e.sid);
@@ -50,16 +51,17 @@ main(int argc, char **argv)
     apps::AppRun run = apps::findApp("hmmsearch")
                            ->make(apps::Variant::Baseline,
                                   apps::Scale::Medium, 42);
-    core::CandidateFinder finder;
+    const core::CharacterizationResult res =
+        core::Simulator::characterize(run);
 
     std::printf("=== Table 5: profile of the most frequently executed "
                 "loads in hmmsearch ===\n\n");
     util::TextTable t({ "sid", "frequency", "L1 miss rate",
                         "branch mispredict", "array", "in function",
                         "line", "in file" });
-    const auto top = finder.profileLoads(run, 12);
     util::json::Value hot = util::json::Value::array();
-    for (const auto &e : top) {
+    for (size_t i = 0; i < res.loads.size() && i < 12; i++) {
+        const core::LoadProfile &e = res.loads[i];
         hot.push(loadEntry(e));
         t.row()
             .cell(static_cast<uint64_t>(e.sid))
@@ -78,7 +80,7 @@ main(int argc, char **argv)
     util::TextTable c({ "array", "line", "frequency",
                         "branch mispredict" });
     util::json::Value cands = util::json::Value::array();
-    for (const auto &e : finder.findCandidates(run)) {
+    for (const auto &e : core::findCandidates(res.loads)) {
         cands.push(loadEntry(e));
         c.row()
             .cell(e.region)
@@ -91,8 +93,9 @@ main(int argc, char **argv)
                 "the P7Viterbi loop (lines 132-136), rarely missing "
                 "in L1, guarding hard-to-predict IFs\n");
 
-    h.manifest().addStage("profile", bench::now() - t0);
+    h.manifest().addStage("profile", bench::now() - t0,
+                          res.instructions);
     h.metrics()["hot_loads"] = std::move(hot);
     h.metrics()["candidates"] = std::move(cands);
-    return h.finish(true);
+    return h.finish(res.verified);
 }

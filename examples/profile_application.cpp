@@ -1,8 +1,9 @@
 /**
  * @file
- * The Section 3 methodology end to end on a real application: profile
- * hmmsearch, print its Table 5-style hot-load profile, and let the
- * CandidateFinder point at the source lines worth transforming.
+ * The Section 3 methodology end to end on a real application: one
+ * characterization pass over hmmsearch gives its summary numbers and
+ * its Table 5-style hot-load profile, and findCandidates() points at
+ * the source lines worth transforming.
  *
  *   ./examples/profile_application [app-name]
  */
@@ -51,13 +52,11 @@ main(int argc, char **argv)
                 100.0 * res.loadBranch.loadToBranchFraction,
                 100.0 * res.loadBranch.ltbBranchMissRate);
 
-    // Step 2: per-load profile (the Table 5 view).
-    core::CandidateFinder finder;
-    apps::AppRun run2 =
-        app->make(apps::Variant::Baseline, apps::Scale::Small, 7);
+    // Step 2: the same pass's per-load profile (the Table 5 view).
     util::TextTable t({ "array", "function", "line", "frequency",
                         "L1 miss", "next-branch mispredict" });
-    for (const auto &e : finder.profileLoads(run2, 10)) {
+    for (size_t i = 0; i < res.loads.size() && i < 10; i++) {
+        const core::LoadProfile &e = res.loads[i];
         t.row()
             .cell(e.region)
             .cell(e.function)
@@ -69,9 +68,7 @@ main(int argc, char **argv)
     std::printf("hottest static loads:\n%s\n", t.str().c_str());
 
     // Step 3: the ranked optimization candidates.
-    apps::AppRun run3 =
-        app->make(apps::Variant::Baseline, apps::Scale::Small, 7);
-    const auto candidates = finder.findCandidates(run3);
+    const auto candidates = core::findCandidates(res.loads);
     if (candidates.empty()) {
         std::printf("no load-scheduling candidates found (frequent "
                     "loads with hard following branches)\n");

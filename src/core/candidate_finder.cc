@@ -2,38 +2,25 @@
 
 #include <algorithm>
 
-#include "vm/interpreter.h"
-
 namespace bioperf::core {
 
-std::vector<profile::PerLoadProfiler::Entry>
-CandidateFinder::profileLoads(apps::AppRun &run, size_t top_n)
+std::vector<LoadProfile>
+findCandidates(const std::vector<LoadProfile> &loads)
 {
-    profile::PerLoadProfiler profiler(*run.prog);
-    vm::Interpreter interp(*run.prog);
-    interp.addSink(&profiler);
-    run.driver(interp);
-    return profiler.topLoads(top_n);
-}
-
-std::vector<profile::PerLoadProfiler::Entry>
-CandidateFinder::findCandidates(apps::AppRun &run)
-{
-    auto entries = profileLoads(run, 512);
-    std::vector<profile::PerLoadProfiler::Entry> out;
-    for (const auto &e : entries) {
-        if (e.frequency >= params_.minFrequency &&
-            e.nextBranchMissRate() >= params_.minBranchMissRate) {
+    std::vector<LoadProfile> out;
+    for (size_t i = 0; i < loads.size() && i < kCandidatePool; i++) {
+        const LoadProfile &e = loads[i];
+        if (e.frequency >= kCandidateMinFrequency &&
+            e.nextBranchMissRate() >= kCandidateMinBranchMissRate)
             out.push_back(e);
-        }
     }
     std::sort(out.begin(), out.end(),
-              [](const auto &a, const auto &b) {
+              [](const LoadProfile &a, const LoadProfile &b) {
                   return a.frequency * a.nextBranchMissRate() >
                          b.frequency * b.nextBranchMissRate();
               });
-    if (out.size() > params_.maxCandidates)
-        out.resize(params_.maxCandidates);
+    if (out.size() > kMaxCandidates)
+        out.resize(kMaxCandidates);
     return out;
 }
 

@@ -1,56 +1,32 @@
 #ifndef BIOPERF_CORE_CANDIDATE_FINDER_H_
 #define BIOPERF_CORE_CANDIDATE_FINDER_H_
 
+#include <cstddef>
 #include <vector>
 
-#include "apps/app.h"
-#include "profile/per_load.h"
+#include "core/simulator.h"
 
 namespace bioperf::core {
 
+/** Minimum share of dynamic loads for a load to be "frequent". */
+constexpr double kCandidateMinFrequency = 0.005;
+/** Next-branch misprediction rate at which that branch is "hard". */
+constexpr double kCandidateMinBranchMissRate = 0.05;
+/** How many of the hottest loads are considered. */
+constexpr size_t kCandidatePool = 512;
+/** The most candidates returned. */
+constexpr size_t kMaxCandidates = 32;
+
 /**
- * The Section 3 candidate-identification methodology, operationalized:
- * profile every static load (frequency, L1 miss rate, misprediction
- * rate of the following branch, source mapping), then rank the
- * frequently executed loads that lead to or follow hard-to-predict
- * branches — those are the ones whose L1 hit latency is worth hiding
- * by source-level scheduling.
+ * The Section 3 candidate-identification methodology, operationalized
+ * over a characterization's per-load table (@a loads, most executed
+ * first): among the kCandidatePool hottest loads, the frequent ones
+ * whose next branch is hard to predict, ordered by frequency x
+ * misprediction product — the loads whose L1 hit latency is worth
+ * hiding by source-level scheduling.
  */
-class CandidateFinder
-{
-  public:
-    struct Params
-    {
-        /** Minimum share of dynamic loads to be "frequent". */
-        double minFrequency = 0.005;
-        /** Following-branch misprediction threshold ("hard"). */
-        double minBranchMissRate = 0.05;
-        size_t maxCandidates = 32;
-    };
-
-    CandidateFinder() = default;
-
-    explicit CandidateFinder(const Params &params) : params_(params) {}
-
-    /**
-     * Runs the application's workload with the per-load profiler and
-     * returns the full profile of the @a top_n hottest static loads
-     * (the Table 5 view).
-     */
-    std::vector<profile::PerLoadProfiler::Entry>
-    profileLoads(apps::AppRun &run, size_t top_n = 20);
-
-    /**
-     * The ranked optimization candidates: frequent loads whose
-     * following branch mispredicts at least minBranchMissRate,
-     * ordered by frequency x misprediction product.
-     */
-    std::vector<profile::PerLoadProfiler::Entry>
-    findCandidates(apps::AppRun &run);
-
-  private:
-    Params params_;
-};
+std::vector<LoadProfile>
+findCandidates(const std::vector<LoadProfile> &loads);
 
 } // namespace bioperf::core
 

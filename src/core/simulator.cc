@@ -43,6 +43,89 @@ Source::drive(const std::vector<vm::TraceSink *> &sinks) const
     return out;
 }
 
+namespace {
+
+double
+frac(uint64_t a, uint64_t b)
+{
+    return b == 0 ? 0.0 : static_cast<double>(a) / static_cast<double>(b);
+}
+
+/**
+ * The per-load table: execution counts from @a coverage, L1 misses
+ * from @a cache, next-branch outcomes from @a loadBranch, and source
+ * tags from one walk over @a prog.
+ */
+std::vector<LoadProfile>
+loadTable(const ir::Program &prog,
+          const profile::LoadCoverageProfiler &coverage,
+          const profile::CacheProfiler &cache,
+          const profile::LoadBranchProfiler &loadBranch)
+{
+    const std::vector<uint64_t> &execs = coverage.execsBySid();
+    const std::vector<uint64_t> &misses = cache.l1MissesBySid();
+    const auto &next = loadBranch.nextBranchBySid();
+    std::vector<uint32_t> sids;
+    uint64_t total = 0;
+    for (uint32_t sid = 0; sid < execs.size(); sid++) {
+        if (execs[sid] > 0)
+            sids.push_back(sid);
+        total += execs[sid];
+    }
+    // Not stable: ties take std::sort's order, which Table 5 prints
+    // (LoadTable.TopLoadsBitIdenticalToRecordedGolden pins it).
+    std::sort(sids.begin(), sids.end(), [&](uint32_t a, uint32_t b) {
+        return execs[a] > execs[b];
+    });
+
+    constexpr uint32_t kNoRow = UINT32_MAX;
+    std::vector<uint32_t> row_of(execs.size(), kNoRow);
+    std::vector<LoadProfile> table(sids.size());
+    for (uint32_t r = 0; r < sids.size(); r++) {
+        const uint32_t sid = sids[r];
+        LoadProfile &e = table[r];
+        e.sid = sid;
+        e.execs = execs[sid];
+        e.l1Misses = sid < misses.size() ? misses[sid] : 0;
+        e.nextBranchExecs = next[sid].execs;
+        e.nextBranchMisses = next[sid].misses;
+        e.frequency = frac(e.execs, total);
+        row_of[sid] = r;
+    }
+    for (size_t f = 0; f < prog.numFunctions(); f++) {
+        const ir::Function &fn = prog.function(f);
+        for (const ir::BasicBlock &bb : fn.blocks) {
+            for (const ir::Instr &in : bb.instrs) {
+                if (in.sid >= row_of.size() || row_of[in.sid] == kNoRow)
+                    continue;
+                LoadProfile &e = table[row_of[in.sid]];
+                e.line = in.line;
+                e.function = fn.name;
+                e.file = fn.sourceFile;
+                if (in.mem.region >= 0 &&
+                    in.mem.region <
+                        static_cast<int32_t>(prog.numRegions()))
+                    e.region = prog.region(in.mem.region).name;
+            }
+        }
+    }
+    return table;
+}
+
+} // namespace
+
+double
+LoadProfile::l1MissRate() const
+{
+    return frac(l1Misses, execs);
+}
+
+double
+LoadProfile::nextBranchMissRate() const
+{
+    return frac(nextBranchMisses, nextBranchExecs);
+}
+
 CharacterizationResult
 Simulator::characterize(const Source &src)
 {
@@ -61,6 +144,7 @@ Simulator::characterize(const Source &src)
     res.coverage = coverage.summary();
     res.cache = cache.summary();
     res.loadBranch = loadBranch.summary();
+    res.loads = loadTable(src.program(), coverage, cache, loadBranch);
     return res;
 }
 

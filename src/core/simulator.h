@@ -1,6 +1,7 @@
 #ifndef BIOPERF_CORE_SIMULATOR_H_
 #define BIOPERF_CORE_SIMULATOR_H_
 
+#include <string>
 #include <vector>
 
 #include "apps/app.h"
@@ -17,10 +18,36 @@
 namespace bioperf::core {
 
 /**
+ * One static load's row of the per-load table (Table 5): execution
+ * frequency, L1 misses, the behaviour of the branch that follows it,
+ * and the source mapping the Section 3 methodology points at.
+ */
+struct LoadProfile
+{
+    uint32_t sid = 0;
+    uint64_t execs = 0;
+    uint64_t l1Misses = 0;
+    /** Executions and mispredictions of the first branch after it. */
+    uint64_t nextBranchExecs = 0;
+    uint64_t nextBranchMisses = 0;
+    int32_t line = -1;
+    std::string function;
+    std::string file;
+    std::string region;
+
+    /** Fraction of all dynamic loads this static load accounts for. */
+    double frequency = 0.0;
+    double l1MissRate() const;
+    double nextBranchMissRate() const;
+
+    bool operator==(const LoadProfile &) const = default;
+};
+
+/**
  * Results of one full characterization pass (the repository's
  * ATOM-equivalent): instruction mix, static-load coverage, cache
- * behaviour and load/branch sequence analysis, all collected in a
- * single interpretation of the workload.
+ * behaviour, load/branch sequence analysis and the per-load table,
+ * all collected in a single interpretation of the workload.
  *
  * Each analysis's numbers leave it only through its value-type
  * summary, filled by characterize() from the profilers at run end.
@@ -31,6 +58,11 @@ struct CharacterizationResult
     profile::CoverageSummary coverage;
     profile::CacheSummary cache;
     profile::LoadBranchSummary loadBranch;
+    /**
+     * Every executed static load, most executed first (Table 5 and
+     * findCandidates() read it). Not part of report().
+     */
+    std::vector<LoadProfile> loads;
     uint64_t instructions = 0;
     bool verified = false;
     /**
@@ -165,6 +197,12 @@ class Source
      */
     Outcome drive(const std::vector<vm::TraceSink *> &sinks) const;
 
+    /** The program whose instructions the stream's events name. */
+    const ir::Program &program() const
+    {
+        return trace_ ? *trace_->prog : *run_->prog;
+    }
+
   private:
     apps::AppRun *run_ = nullptr;
     const CachedTrace *trace_ = nullptr;
@@ -180,7 +218,8 @@ class Simulator
   public:
     /**
      * Characterizes @a src under the Table 3 reference cache model:
-     * the four profilers ride one pass over the stream.
+     * the four profilers ride one pass over the stream, and the
+     * per-load table is assembled from their counters.
      */
     static CharacterizationResult characterize(const Source &src);
 

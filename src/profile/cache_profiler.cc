@@ -19,6 +19,9 @@ CacheProfiler::onInstr(const vm::DynInstr &di)
         const auto acc = caches_.access(di.addr, false);
         if (acc.level != mem::Level::L1) {
             load_l1_misses_++;
+            if (di.sid >= l1_misses_by_sid_.size())
+                l1_misses_by_sid_.resize(di.sid + 1, 0);
+            l1_misses_by_sid_[di.sid]++;
             if (acc.level == mem::Level::Memory)
                 load_l2_misses_++;
         }

@@ -2,6 +2,7 @@
 #define BIOPERF_PROFILE_CACHE_PROFILER_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "mem/hierarchy.h"
 #include "util/json.h"
@@ -47,8 +48,18 @@ class CacheProfiler : public vm::TraceSink
 
     CacheSummary summary() const;
 
+    /**
+     * L1 misses of each static load, indexed by sid (0 for other
+     * instructions; ends at the highest missing load's sid).
+     */
+    const std::vector<uint64_t> &l1MissesBySid() const
+    {
+        return l1_misses_by_sid_;
+    }
+
   private:
     mem::CacheHierarchy caches_;
+    std::vector<uint64_t> l1_misses_by_sid_;
     uint64_t loads_ = 0;
     uint64_t load_l1_misses_ = 0;
     uint64_t load_l2_misses_ = 0;

@@ -28,6 +28,7 @@ LoadBranchProfiler::decodeSid(const ir::Instr &in)
       case ir::InstrClass::Load:
       case ir::InstrClass::FpLoad:
         si.kind = SidInfo::kLoad;
+        next_branch_.resize(sid_info_.size());
         break;
       case ir::InstrClass::CondBranch:
         si.kind = SidInfo::kBranch;
@@ -134,6 +135,8 @@ LoadBranchProfiler::onBatch(const vm::DynInstr *batch, size_t n)
             TaintSet &dst = taint[si.dst];
             dst.origins[0] = g;
             dst.count = 1;
+            // Its next branch is charged to it (kBranch below).
+            pending_.push_back(di.sid);
 
             // Branch-to-load detection (Table 4b): right after a
             // branch that has proven hard to predict.
@@ -168,6 +171,12 @@ LoadBranchProfiler::onBatch(const vm::DynInstr *batch, size_t n)
                 if (!correct)
                     h.ltbBranchMiss++;
             }
+            // This is the next branch of every load since the last.
+            for (uint32_t sid : pending_) {
+                next_branch_[sid].execs++;
+                next_branch_[sid].misses += !correct;
+            }
+            pending_.clear();
 
             // Is this branch statically hard to predict so far? The
             // record the update just touched holds its counts (the
@@ -237,9 +246,11 @@ LoadBranchProfiler::onBatch(const vm::DynInstr *batch, size_t n)
 void
 LoadBranchProfiler::onRunEnd()
 {
-    // Register state does not survive a run; neither do chains.
+    // Register state does not survive a run; neither do chains, nor
+    // loads awaiting their next branch.
     for (TaintSet &t : taint_)
         t.count = 0;
+    pending_.clear();
     resetWindows();
 }
 

@@ -39,6 +39,10 @@ struct LoadBranchSummary
  *
  * Branch behaviour is judged by an embedded hybrid predictor with one
  * entry per static branch (no aliasing), matching the paper's setup.
+ *
+ * It also charges each branch's outcome to every load since the
+ * previous branch: per static load, the executions and mispredictions
+ * of its next branch (Table 5's last column).
  */
 class LoadBranchProfiler : public vm::TraceSink
 {
@@ -63,6 +67,19 @@ class LoadBranchProfiler : public vm::TraceSink
     LoadBranchSummary summary() const;
 
     const branch::BranchPredictor &predictor() const { return pred_; }
+
+    /** A static load's next branch: how often it ran and missed. */
+    struct NextBranch
+    {
+        uint64_t execs = 0;
+        uint64_t misses = 0;
+    };
+
+    /** Next-branch counts of each static load, indexed by sid. */
+    const std::vector<NextBranch> &nextBranchBySid() const
+    {
+        return next_branch_;
+    }
 
   private:
     /**
@@ -162,6 +179,8 @@ class LoadBranchProfiler : public vm::TraceSink
     Hot hot_;
     std::vector<TaintSet> taint_; ///< indexed by slotOf()
     std::vector<SidInfo> sid_info_;
+    std::vector<NextBranch> next_branch_; ///< grown by decodeSid()
+    std::vector<uint32_t> pending_; ///< load sids since the last branch
     /** fed_[gseq % kFedSlots]: the load already fed a branch. */
     uint8_t fed_[kFedSlots] = {};
     TightCandidate tight_[kTightSlots];

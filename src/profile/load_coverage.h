@@ -46,6 +46,12 @@ class LoadCoverageProfiler : public vm::TraceSink
 
     CoverageSummary summary() const;
 
+    /**
+     * Executions of each static load, indexed by sid (0 for other
+     * instructions; ends at the highest executed load's sid).
+     */
+    const std::vector<uint64_t> &execsBySid() const { return per_sid_; }
+
   private:
     std::vector<uint64_t> per_sid_;
     uint64_t total_loads_ = 0;

@@ -728,10 +728,17 @@ cmdSpeedup(const Options &opt, const apps::AppInfo *app)
 int
 cmdCandidates(const Options &opt, const apps::AppInfo *app)
 {
+    util::RunManifest manifest = makeManifest(opt, *app);
+    const double start = now();
     apps::AppRun run = app->make(apps::Variant::Baseline, opt.scale,
                                 opt.seed);
-    core::CandidateFinder finder;
-    const auto cands = finder.findCandidates(run);
+    const core::CharacterizationResult res =
+        core::Simulator::characterize(run);
+    manifest.addStage("characterize", now() - start, res.instructions);
+    if (!res.status.ok())
+        return failCommand(opt, manifest, "characterize", res.status,
+                           kExitSimFailure);
+    const auto cands = core::findCandidates(res.loads);
     util::json::Value list = util::json::Value::array();
     util::TextTable t({ "file", "line", "array", "frequency",
                         "branch mispredict" });
@@ -756,8 +763,7 @@ cmdCandidates(const Options &opt, const apps::AppInfo *app)
         std::printf("%s", t.str().c_str());
     util::json::Value metrics = util::json::Value::object();
     metrics["candidates"] = std::move(list);
-    util::RunManifest manifest = makeManifest(opt, *app);
-    return finishCommand(opt, manifest, true, std::move(metrics));
+    return finishCommand(opt, manifest, res.verified, std::move(metrics));
 }
 
 /** --trace-out saves what was recovered as a clean, checksummed file. */

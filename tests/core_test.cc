@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
+#include <vector>
+
 #include "apps/app.h"
 #include "core/candidate_finder.h"
 #include "core/simulator.h"
@@ -110,8 +114,8 @@ TEST(CandidateFinder, FindsTheP7ViterbiLoads)
     apps::AppRun run = apps::findApp("hmmsearch")
                            ->make(apps::Variant::Baseline,
                                   apps::Scale::Small, 17);
-    CandidateFinder finder;
-    const auto candidates = finder.findCandidates(run);
+    const auto candidates =
+        findCandidates(Simulator::characterize(run).loads);
     ASSERT_FALSE(candidates.empty());
     // The top candidates must point into the P7Viterbi box-1 code
     // with their Table 5 attributes populated.
@@ -127,27 +131,132 @@ TEST(CandidateFinder, FindsTheP7ViterbiLoads)
     EXPECT_TRUE(saw_box1);
 }
 
-TEST(CandidateFinder, ProfileLoadsSortedByFrequency)
+/** A hand-built table row with the two selection inputs set. */
+LoadProfile
+row(uint32_t sid, double frequency, uint64_t branch_misses,
+    uint64_t branch_execs)
 {
-    apps::AppRun run = apps::findApp("hmmsearch")
-                           ->make(apps::Variant::Baseline,
-                                  apps::Scale::Small, 17);
-    CandidateFinder finder;
-    const auto top = finder.profileLoads(run, 10);
-    ASSERT_GE(top.size(), 2u);
-    for (size_t i = 1; i < top.size(); i++)
-        EXPECT_GE(top[i - 1].execs, top[i].execs);
+    LoadProfile e;
+    e.sid = sid;
+    e.execs = 1000;
+    e.frequency = frequency;
+    e.nextBranchExecs = branch_execs;
+    e.nextBranchMisses = branch_misses;
+    return e;
 }
 
-TEST(CandidateFinder, RespectsThresholds)
+TEST(CandidateFinder, ThresholdsAreInclusive)
 {
+    const double just_below = std::nextafter(0.005, 0.0);
+    ASSERT_EQ(kCandidateMinFrequency, 0.005);
+    ASSERT_EQ(kCandidateMinBranchMissRate, 0.05);
+    const std::vector<LoadProfile> table = {
+        row(1, 0.5, 4999, 100000),   // miss rate just below 0.05
+        row(2, 0.5, 5, 100),         // miss rate exactly 0.05
+        row(3, just_below, 50, 100), // frequency just below 0.005
+        row(4, 0.005, 50, 100),      // frequency exactly 0.005
+        row(5, 0.5, 0, 0),           // next branch never ran
+    };
+    ASSERT_EQ(table[1].nextBranchMissRate(), 0.05);
+    ASSERT_LT(table[0].nextBranchMissRate(), 0.05);
+
+    const auto cands = findCandidates(table);
+    // Ranked by frequency x misprediction: 0.5 x 0.05 > 0.005 x 0.5.
+    ASSERT_EQ(cands.size(), 2u);
+    EXPECT_EQ(cands[0].sid, 2u);
+    EXPECT_EQ(cands[1].sid, 4u);
+}
+
+TEST(CandidateFinder, ConsidersOnlyTheHottestPoolAndCapsTheList)
+{
+    std::vector<LoadProfile> table;
+    for (uint32_t sid = 0; sid < kCandidatePool + 1; sid++)
+        table.push_back(row(sid, sid < kCandidatePool ? 0.001 : 0.9,
+                            50, 100));
+    // Below the frequency floor everywhere inside the pool; the one
+    // frequent load sits just past it.
+    EXPECT_TRUE(findCandidates(table).empty());
+
+    for (LoadProfile &e : table)
+        e.frequency = 0.01;
+    EXPECT_EQ(findCandidates(table).size(), kMaxCandidates);
+}
+
+TEST(LoadTable, TopLoadsBitIdenticalToRecordedGolden)
+{
+    // The Table 5 view of hmmsearch Small (seed 17), recorded from the
+    // separate per-load profiler the table replaced (its own Table 3
+    // hierarchy and hybrid predictor over a second interpretation).
+    // All twelve loads execute 3968 times, so this also pins the
+    // order of ties.
+    struct Golden
+    {
+        uint32_t sid;
+        uint64_t execs, l1Misses, nextBranchExecs, nextBranchMisses;
+        int32_t line;
+        const char *function, *file, *region;
+    };
+    const Golden golden[] = {
+        { 47, 3968, 2, 3968, 57, 133, "P7Viterbi", "fast_algorithms.c", "tpim" },
+        { 86, 3968, 2, 3968, 1139, 140, "P7Viterbi", "fast_algorithms.c", "tpmd" },
+        { 83, 3968, 0, 3968, 1139, 139, "P7Viterbi", "fast_algorithms.c", "drow1" },
+        { 82, 3968, 2, 3968, 1139, 139, "P7Viterbi", "fast_algorithms.c", "tpdd" },
+        { 74, 3968, 21, 3968, 1, 136, "P7Viterbi", "fast_algorithms.c", "msc" },
+        { 66, 3968, 3, 3968, 742, 135, "P7Viterbi", "fast_algorithms.c", "bp" },
+        { 59, 3968, 2, 3968, 184, 134, "P7Viterbi", "fast_algorithms.c", "drow0" },
+        { 58, 3968, 2, 3968, 184, 134, "P7Viterbi", "fast_algorithms.c", "tpdm" },
+        { 48, 3968, 1, 3968, 57, 133, "P7Viterbi", "fast_algorithms.c", "irow0" },
+        { 44, 3968, 1, 3968, 57, 132, "P7Viterbi", "fast_algorithms.c", "mrow0" },
+        { 43, 3968, 2, 3968, 57, 132, "P7Viterbi", "fast_algorithms.c", "tpmm" },
+        { 127, 3968, 3, 3968, 124, 152, "P7Viterbi", "fast_algorithms.c", "ep" },
+    };
     apps::AppRun run = apps::findApp("hmmsearch")
                            ->make(apps::Variant::Baseline,
                                   apps::Scale::Small, 17);
-    CandidateFinder::Params strict;
-    strict.minFrequency = 0.9; // nothing is that frequent
-    CandidateFinder finder(strict);
-    EXPECT_TRUE(finder.findCandidates(run).empty());
+    const CharacterizationResult res = Simulator::characterize(run);
+    ASSERT_GE(res.loads.size(), std::size(golden));
+    for (size_t i = 0; i < std::size(golden); i++) {
+        SCOPED_TRACE(i);
+        const Golden &g = golden[i];
+        const LoadProfile &e = res.loads[i];
+        EXPECT_EQ(e.sid, g.sid);
+        EXPECT_EQ(e.execs, g.execs);
+        EXPECT_EQ(e.l1Misses, g.l1Misses);
+        EXPECT_EQ(e.nextBranchExecs, g.nextBranchExecs);
+        EXPECT_EQ(e.nextBranchMisses, g.nextBranchMisses);
+        EXPECT_EQ(e.line, g.line);
+        EXPECT_EQ(e.function, g.function);
+        EXPECT_EQ(e.file, g.file);
+        EXPECT_EQ(e.region, g.region);
+        EXPECT_EQ(e.frequency,
+                  static_cast<double>(g.execs) /
+                      static_cast<double>(res.coverage.dynamicLoads));
+    }
+}
+
+TEST(LoadTable, SortedAndSumsToTheSummaries)
+{
+    for (const char *name : { "hmmsearch", "gcc-like" }) {
+        SCOPED_TRACE(name);
+        apps::AppRun run = apps::findApp(name)->make(
+            apps::Variant::Baseline, apps::Scale::Small, 17);
+        const CharacterizationResult res = Simulator::characterize(run);
+        ASSERT_EQ(res.loads.size(), res.coverage.staticLoads);
+        uint64_t execs = 0, misses = 0;
+        for (size_t i = 0; i < res.loads.size(); i++) {
+            const LoadProfile &e = res.loads[i];
+            if (i > 0) {
+                EXPECT_GE(res.loads[i - 1].execs, e.execs);
+            }
+            EXPECT_GT(e.execs, 0u);
+            EXPECT_LE(e.nextBranchExecs, e.execs);
+            EXPECT_FALSE(e.function.empty());
+            execs += e.execs;
+            misses += e.l1Misses;
+        }
+        EXPECT_EQ(execs, res.coverage.dynamicLoads);
+        EXPECT_EQ(misses, res.cache.loadL1Misses);
+    }
 }
 
 TEST(TransformPipeline, ReportsForAllSixApps)

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -12,7 +14,6 @@
 #include "profile/instruction_mix.h"
 #include "profile/load_branch.h"
 #include "profile/load_coverage.h"
-#include "profile/per_load.h"
 #include "util/rng.h"
 #include "vm/interpreter.h"
 
@@ -678,10 +679,42 @@ TEST(LoadBranch, SummaryBitIdenticalToRecordedGolden)
     }
 }
 
-TEST(PerLoad, FrequencyAndBranchAttribution)
+/**
+ * Wraps a hand-built program in an AppRun whose driver runs @a fn
+ * @a runs times, after @a setup has filled memory.
+ */
+apps::AppRun
+wrapRun(std::unique_ptr<ir::Program> prog, const ir::Function &fn,
+        std::function<void(vm::Interpreter &)> setup = nullptr,
+        int runs = 1)
 {
-    ir::Program prog;
-    FunctionBuilder b(prog, "f", "kernel.c");
+    apps::AppRun run;
+    run.name = "hand-built";
+    run.prog = std::move(prog);
+    run.driver = [&fn, setup, runs](vm::Interpreter &interp) {
+        if (setup)
+            setup(interp);
+        for (int k = 0; k < runs; k++)
+            interp.run(fn);
+    };
+    run.verify = [] { return true; };
+    return run;
+}
+
+/** The table row of the load that reads region @a name. */
+const core::LoadProfile *
+rowOf(const std::vector<core::LoadProfile> &loads, const std::string &name)
+{
+    for (const core::LoadProfile &e : loads)
+        if (e.region == name)
+            return &e;
+    return nullptr;
+}
+
+TEST(LoadTable, FrequencyAndBranchAttribution)
+{
+    auto prog = std::make_unique<ir::Program>();
+    FunctionBuilder b(*prog, "f", "kernel.c");
     ArrayRef arr = b.intArray("arr", 64);
     ArrayRef rare = b.intArray("rare", 64);
     auto i = b.var();
@@ -698,43 +731,37 @@ TEST(PerLoad, FrequencyAndBranchAttribution)
     b.st(o, 0, Value(acc) + r);
     ir::Function &fn = b.finish();
 
-    PerLoadProfiler prof(prog);
-    vm::Interpreter interp(prog);
-    vm::ArrayView<int32_t> view(interp.memory(),
-                                prog.region(arr.region));
-    util::Rng rng(4);
-    for (uint64_t k = 0; k < 64; k++)
-        view.set(k, rng.nextBool() ? 1 : -1);
-    interp.addSink(&prof);
-    interp.run(fn);
+    const ir::Region &arr_region = prog->region(arr.region);
+    apps::AppRun run =
+        wrapRun(std::move(prog), fn, [&](vm::Interpreter &interp) {
+            vm::ArrayView<int32_t> view(interp.memory(), arr_region);
+            util::Rng rng(4);
+            for (uint64_t k = 0; k < 64; k++)
+                view.set(k, rng.nextBool() ? 1 : -1);
+        });
+    const auto loads = core::Simulator::characterize(run).loads;
 
-    const auto top = prof.topLoads(5);
-    ASSERT_GE(top.size(), 2u);
+    ASSERT_GE(loads.size(), 2u);
     // The hot load dominates; its profile carries the source tag and
     // the hard following branch.
-    EXPECT_EQ(top[0].execs, 500u);
-    EXPECT_GT(top[0].frequency, 0.9);
-    EXPECT_EQ(top[0].line, 10);
-    EXPECT_EQ(top[0].function, "f");
-    EXPECT_EQ(top[0].file, "kernel.c");
-    EXPECT_EQ(top[0].region, "arr");
-    EXPECT_GT(top[0].nextBranchMissRate(), 0.05);
+    EXPECT_EQ(loads[0].execs, 500u);
+    EXPECT_GT(loads[0].frequency, 0.9);
+    EXPECT_EQ(loads[0].line, 10);
+    EXPECT_EQ(loads[0].function, "f");
+    EXPECT_EQ(loads[0].file, "kernel.c");
+    EXPECT_EQ(loads[0].region, "arr");
+    EXPECT_GT(loads[0].nextBranchMissRate(), 0.05);
     // The rare load executed once.
-    bool found_rare = false;
-    for (const auto &e : top) {
-        if (e.region == "rare") {
-            EXPECT_EQ(e.execs, 1u);
-            EXPECT_EQ(e.line, 20);
-            found_rare = true;
-        }
-    }
-    EXPECT_TRUE(found_rare);
+    const core::LoadProfile *r_row = rowOf(loads, "rare");
+    ASSERT_NE(r_row, nullptr);
+    EXPECT_EQ(r_row->execs, 1u);
+    EXPECT_EQ(r_row->line, 20);
 }
 
-TEST(PerLoad, L1MissRatePerLoad)
+TEST(LoadTable, L1MissRatePerLoad)
 {
-    ir::Program prog;
-    FunctionBuilder b(prog, "f");
+    auto prog = std::make_unique<ir::Program>();
+    FunctionBuilder b(*prog, "f");
     // Streaming load: touches a new block every 16 iterations.
     ArrayRef big = b.intArray("big", 1 << 16);
     auto i = b.var();
@@ -746,14 +773,41 @@ TEST(PerLoad, L1MissRatePerLoad)
     ArrayRef o = b.longArray("out", 1);
     b.st(o, 0, acc);
     ir::Function &fn = b.finish();
-    PerLoadProfiler prof(prog);
-    vm::Interpreter interp(prog);
-    interp.addSink(&prof);
-    interp.run(fn);
-    const auto top = prof.topLoads(1);
-    ASSERT_EQ(top.size(), 1u);
+    apps::AppRun run = wrapRun(std::move(prog), fn);
+    const auto loads = core::Simulator::characterize(run).loads;
+    ASSERT_EQ(loads.size(), 1u);
     // One compulsory miss per 64-byte block = 1/16 of accesses.
-    EXPECT_NEAR(top[0].l1MissRate(), 1.0 / 16.0, 0.01);
+    EXPECT_NEAR(loads[0].l1MissRate(), 1.0 / 16.0, 0.01);
+}
+
+TEST(LoadTable, LastSegmentLoadIsNotChargedToTheNextRun)
+{
+    // head -> branch -> tail -> halt, run twice: the tail load has no
+    // next branch in its own run, and the next run's first branch is
+    // not its.
+    auto prog = std::make_unique<ir::Program>();
+    FunctionBuilder b(*prog, "f");
+    ArrayRef head = b.intArray("head", 1);
+    ArrayRef tail = b.intArray("tail", 1);
+    ArrayRef o = b.longArray("out", 1);
+    auto acc = b.var();
+    b.assign(acc, int64_t(0));
+    const Value h = b.ld(head, int64_t(0));
+    b.ifThen(h > 0, [&] { b.assign(acc, int64_t(1)); });
+    b.st(o, 0, Value(acc) + b.ld(tail, int64_t(0)));
+    ir::Function &fn = b.finish();
+
+    apps::AppRun run = wrapRun(std::move(prog), fn, nullptr, 2);
+    const auto loads = core::Simulator::characterize(run).loads;
+    const core::LoadProfile *head_row = rowOf(loads, "head");
+    const core::LoadProfile *tail_row = rowOf(loads, "tail");
+    ASSERT_NE(head_row, nullptr);
+    ASSERT_NE(tail_row, nullptr);
+    EXPECT_EQ(head_row->execs, 2u);
+    EXPECT_EQ(head_row->nextBranchExecs, 2u);
+    EXPECT_EQ(tail_row->execs, 2u);
+    EXPECT_EQ(tail_row->nextBranchExecs, 0u);
+    EXPECT_EQ(tail_row->nextBranchMissRate(), 0.0);
 }
 
 } // namespace

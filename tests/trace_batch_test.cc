@@ -319,6 +319,9 @@ TEST(TraceBatch, CharacterizeSweepMatchesSerialCharacterize)
         EXPECT_EQ(swept[i].mix.loads, direct.mix.loads);
         EXPECT_EQ(swept[i].cache.loadL1Misses,
                   direct.cache.loadL1Misses);
+        // Each job gets the per-load table of its own sequential pass.
+        EXPECT_FALSE(swept[i].loads.empty());
+        EXPECT_EQ(swept[i].loads, direct.loads);
     }
 }
 

@@ -142,6 +142,9 @@ TEST(TraceReplay, CharacterizeFromReplayEqualsLiveExactly)
         EXPECT_EQ(live.report().dump(), replayed.report().dump());
         EXPECT_TRUE(replayed.verified);
         EXPECT_EQ(live.instructions, replayed.instructions);
+        // The per-load table stays out of report(); compare it whole.
+        EXPECT_FALSE(live.loads.empty());
+        EXPECT_EQ(live.loads, replayed.loads);
     }
 }
 
@@ -796,6 +799,7 @@ TEST(TraceReplay, CharacterizeSweepSharesOneLivePassAcrossJobs)
         for (const auto &r : swept) {
             EXPECT_TRUE(r.verified);
             EXPECT_EQ(live.report().dump(), r.report().dump());
+            EXPECT_EQ(live.loads, r.loads);
         }
         EXPECT_EQ(stats.records, 0u);
         EXPECT_EQ(stats.hits, 0u);
