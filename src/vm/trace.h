@@ -98,10 +98,12 @@ class TraceSink
      * Called by trace replay when the stream skips over a region lost
      * to corruption (salvaged traces only): instructions between the
      * previous event and the next one are missing, though the run did
-     * not end. Stateful timing sinks should drain in-flight work the
-     * same way they do at a run boundary; profilers that only
-     * accumulate per-event counts can ignore it. Never fires on live
-     * execution or on intact traces.
+     * not end. A sink whose state links one instruction to later ones
+     * treats it as a run boundary: the timing cores drain in-flight
+     * work, and LoadBranchProfiler ends its run, so no chain, tight
+     * candidate or next-branch charge spans the lost instructions.
+     * Profilers that only accumulate per-event counts can ignore it.
+     * Never fires on live execution or on intact traces.
      */
     virtual void onGap() {}
 };

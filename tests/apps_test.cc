@@ -1,3 +1,7 @@
+#include <cctype>
+#include <string>
+#include <tuple>
+
 #include <gtest/gtest.h>
 
 #include "apps/app.h"
@@ -33,9 +37,27 @@ TEST(Registry, AreasMatchPaper)
     EXPECT_TRUE(findApp("hmmsearch")->transformable);
 }
 
+/**
+ * Test-name suffix of an (app, seed) case: the app name, with every
+ * character gtest rejects replaced by '_', then the seed. The app is
+ * a std::string, not a const char *, so that the parameter gtest
+ * prints next to the name carries no pointer either.
+ */
+std::string
+appSeedName(
+    const ::testing::TestParamInfo<std::tuple<std::string, uint64_t>>
+        &info)
+{
+    std::string name = std::get<0>(info.param);
+    for (char &c : name)
+        if (!std::isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    return name + "_" + std::to_string(std::get<1>(info.param));
+}
+
 /** Every app x seed: baseline verifies against its golden model. */
 class BaselineGoldenTest
-    : public ::testing::TestWithParam<std::tuple<const char *, uint64_t>>
+    : public ::testing::TestWithParam<std::tuple<std::string, uint64_t>>
 {
 };
 
@@ -59,11 +81,12 @@ INSTANTIATE_TEST_SUITE_P(
                           "hmmcalibrate", "hmmpfam", "hmmsearch",
                           "predator", "promlk", "crafty-like",
                           "vortex-like", "gcc-like"),
-        ::testing::Values(1ull, 77ull)));
+        ::testing::Values(1ull, 77ull)),
+    appSeedName);
 
 /** Transformed variants stay equivalent to the golden model. */
 class TransformedGoldenTest
-    : public ::testing::TestWithParam<std::tuple<const char *, uint64_t>>
+    : public ::testing::TestWithParam<std::tuple<std::string, uint64_t>>
 {
 };
 
@@ -84,7 +107,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("clustalw", "dnapenny",
                                          "hmmcalibrate", "hmmpfam",
                                          "hmmsearch", "predator"),
-                       ::testing::Values(5ull, 123ull, 2026ull)));
+                       ::testing::Values(5ull, 123ull, 2026ull)),
+    appSeedName);
 
 TEST(P7Viterbi, ReferenceMatchesKernelForManyModels)
 {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -424,6 +425,21 @@ TEST(LoadBranch, TightConsumerAtWindowEdge)
     }
 }
 
+TEST(LoadBranch, TightCandidateCrossesBranch)
+{
+    // A candidate pushed right before a branch that does not read it
+    // stays live across the branch: its consumer two instructions
+    // after the load still counts.
+    HandStream s;
+    s.hardBranch();
+    s.load(1);
+    s.branch(HandStream::kFillerReg);
+    s.add(2, 1, 3);
+    LoadBranchProfiler prof;
+    s.feed(prof);
+    EXPECT_EQ(prof.summary().loadAfterHardBranchFraction, 1.0);
+}
+
 TEST(LoadBranch, DirectLoadToBranchDetected)
 {
     // Every iteration: load -> compare -> branch. 100% of loads are
@@ -594,6 +610,207 @@ TEST(LoadBranch, RunEndFlushesState)
         next.feed(p);
         EXPECT_EQ(p.summary().loadAfterHardBranchFraction,
                   end_run ? 0.0 : 1.0);
+    }
+}
+
+/**
+ * Forwards a stream to @a inner up to its first @a cut events, then
+ * acts at the cut: ends the inner sink's run (kRunEnd), reports a gap
+ * (kGap), or forwards nothing more (kStop).
+ */
+class CutSink : public vm::TraceSink
+{
+  public:
+    enum Mode { kRunEnd, kGap, kStop };
+
+    CutSink(vm::TraceSink &inner, uint64_t cut, Mode mode)
+        : inner_(inner), cut_(cut), mode_(mode)
+    {
+    }
+
+    void onInstr(const vm::DynInstr &di) override { onBatch(&di, 1); }
+
+    void
+    onBatch(const vm::DynInstr *batch, size_t n) override
+    {
+        const size_t head =
+            seen_ < cut_ ? static_cast<size_t>(std::min<uint64_t>(
+                               n, cut_ - seen_))
+                         : 0;
+        if (head > 0) {
+            inner_.onBatch(batch, head);
+            seen_ += head;
+            last_op_ = batch[head - 1].op;
+            if (seen_ == cut_ && mode_ == kRunEnd)
+                inner_.onRunEnd();
+            else if (seen_ == cut_ && mode_ == kGap)
+                inner_.onGap();
+        }
+        if (head < n && mode_ != kStop)
+            inner_.onBatch(batch + head, n - head);
+        seen_ += n - head;
+    }
+
+    void
+    onRunEnd() override
+    {
+        if (seen_ < cut_ || mode_ != kStop)
+            inner_.onRunEnd();
+    }
+
+    /** The opcode of the last event before the cut. */
+    ir::Opcode lastOpBeforeCut() const { return last_op_; }
+
+  private:
+    vm::TraceSink &inner_;
+    uint64_t cut_;
+    Mode mode_;
+    uint64_t seen_ = 0;
+    ir::Opcode last_op_ = ir::Opcode::Halt;
+};
+
+/** What a profiler reported after a cut stream. */
+struct CutResult
+{
+    LoadBranchSummary summary;
+    std::vector<LoadBranchProfiler::NextBranch> next;
+    ir::Opcode lastOp;
+};
+
+/** hmmsearch Small, seed 1, cut after @a cut events. */
+CutResult
+runCut(uint64_t cut, CutSink::Mode mode)
+{
+    apps::AppRun run = apps::findApp("hmmsearch")->make(
+        apps::Variant::Baseline, apps::Scale::Small, 1);
+    LoadBranchProfiler prof;
+    CutSink sink(prof, cut, mode);
+    vm::Interpreter interp(*run.prog);
+    interp.addSink(&sink);
+    run.driver(interp);
+    return { prof.summary(), prof.nextBranchBySid(),
+             sink.lastOpBeforeCut() };
+}
+
+/** FNV-1a over the (sid, execs, misses) of a table's nonzero rows. */
+uint64_t
+digestOf(const std::vector<LoadBranchProfiler::NextBranch> &next)
+{
+    uint64_t h = 1469598103934665603ull;
+    for (uint64_t sid = 0; sid < next.size(); sid++) {
+        if (next[sid].execs == 0)
+            continue;
+        for (const uint64_t v : { sid, next[sid].execs, next[sid].misses }) {
+            h ^= v;
+            h *= 1099511628211ull;
+        }
+    }
+    return h;
+}
+
+/** Two cut points in hmmsearch Small (seed 1), well after warm-up. */
+constexpr uint64_t kCutInsideSegment = 360372; ///< 5 of a 9-event segment
+constexpr uint64_t kCutAtBoundary = 360362;    ///< right after a branch
+
+TEST(LoadBranch, GapEndsTheProfilersRun)
+{
+    // A load->branch chain cut by a gap is not counted, and the load
+    // is not charged with a branch the trace lost sight of.
+    for (const bool gap : { false, true }) {
+        HandStream before;
+        before.load(1);
+        HandStream after;
+        after.branch(1);
+        LoadBranchProfiler prof;
+        before.feed(prof);
+        if (gap)
+            prof.onGap();
+        else
+            prof.onRunEnd();
+        after.feed(prof);
+        EXPECT_EQ(prof.summary().dynamicLoads, 1u);
+        EXPECT_EQ(prof.summary().loadToBranchFraction, 0.0)
+            << "gap=" << gap;
+        for (const auto &nb : prof.nextBranchBySid())
+            EXPECT_EQ(nb.execs, 0u) << "gap=" << gap;
+    }
+
+    // On a real stream, a gap is a run end at the same point.
+    for (const uint64_t cut : { kCutInsideSegment, kCutAtBoundary }) {
+        SCOPED_TRACE("cut " + std::to_string(cut));
+        const CutResult run_end = runCut(cut, CutSink::kRunEnd);
+        const CutResult gap = runCut(cut, CutSink::kGap);
+        EXPECT_EQ(gap.summary.dynamicLoads, run_end.summary.dynamicLoads);
+        EXPECT_EQ(gap.summary.loadToBranchFraction,
+                  run_end.summary.loadToBranchFraction);
+        EXPECT_EQ(gap.summary.ltbBranchMissRate,
+                  run_end.summary.ltbBranchMissRate);
+        EXPECT_EQ(gap.summary.loadAfterHardBranchFraction,
+                  run_end.summary.loadAfterHardBranchFraction);
+        ASSERT_EQ(gap.next.size(), run_end.next.size());
+        for (size_t sid = 0; sid < gap.next.size(); sid++) {
+            EXPECT_EQ(gap.next[sid].execs, run_end.next[sid].execs);
+            EXPECT_EQ(gap.next[sid].misses, run_end.next[sid].misses);
+        }
+    }
+}
+
+TEST(LoadBranch, StreamStoppedMidSegmentMatchesRecorded)
+{
+    // hmmsearch Small, seed 1, stopped after `cut` events: the
+    // summary and the next-branch table (sums and digestOf()) recorded
+    // with %.17g from the profiler before it memoized segments.
+    struct Recorded
+    {
+        uint64_t cut;
+        bool atBranch; ///< the last event delivered is a branch
+        uint64_t dynamicLoads;
+        double loadToBranch;
+        double ltbMissRate;
+        double afterHard;
+        uint64_t nextExecs;
+        uint64_t nextMisses;
+        uint64_t nextDigest;
+    };
+    const Recorded recorded[] = {
+        { kCutInsideSegment, false, 92907u, 0.88539076711119724,
+          0.091708801981219695, 0.26249905819798292, 92903u, 11182u,
+          5867097865874033675ull },
+        { kCutAtBoundary, true, 92904u, 0.88540859381727377,
+          0.091711167866264223, 0.26247524326186172, 92902u, 11182u,
+          4001621326787090120ull },
+    };
+    for (const Recorded &r : recorded) {
+        SCOPED_TRACE("cut " + std::to_string(r.cut));
+        apps::AppRun run = apps::findApp("hmmsearch")->make(
+            apps::Variant::Baseline, apps::Scale::Small, 1);
+        LoadBranchProfiler prof;
+        CutSink sink(prof, r.cut, CutSink::kStop);
+        vm::Interpreter interp(*run.prog);
+        interp.addSink(&sink);
+        run.driver(interp);
+        EXPECT_EQ(sink.lastOpBeforeCut() == ir::Opcode::Br, r.atBranch);
+
+        for (const bool ended : { false, true }) {
+            // Ending the run must not change what the stream counted.
+            if (ended)
+                prof.onRunEnd();
+            const LoadBranchSummary s = prof.summary();
+            EXPECT_EQ(s.dynamicLoads, r.dynamicLoads);
+            EXPECT_EQ(s.loadToBranchFraction, r.loadToBranch);
+            EXPECT_EQ(s.ltbBranchMissRate, r.ltbMissRate);
+            EXPECT_EQ(s.loadAfterHardBranchFraction, r.afterHard);
+            const auto &next = prof.nextBranchBySid();
+            uint64_t execs = 0;
+            uint64_t misses = 0;
+            for (const auto &nb : next) {
+                execs += nb.execs;
+                misses += nb.misses;
+            }
+            EXPECT_EQ(execs, r.nextExecs);
+            EXPECT_EQ(misses, r.nextMisses);
+            EXPECT_EQ(digestOf(next), r.nextDigest);
+        }
     }
 }
 

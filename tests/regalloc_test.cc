@@ -1,3 +1,7 @@
+#include <cctype>
+#include <string>
+#include <tuple>
+
 #include <gtest/gtest.h>
 
 #include "apps/app.h"
@@ -176,7 +180,7 @@ TEST(LinearScan, SpillRegionHasAliasIdentity)
 
 /** Property: every kernel computes identical results for any budget. */
 class AppAllocationTest
-    : public ::testing::TestWithParam<std::tuple<const char *, int>>
+    : public ::testing::TestWithParam<std::tuple<std::string, int>>
 {
 };
 
@@ -204,7 +208,17 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("hmmsearch", "predator",
                                          "dnapenny", "clustalw",
                                          "promlk", "blast"),
-                       ::testing::Values(8, 12, 32)));
+                       ::testing::Values(8, 12, 32)),
+    [](const ::testing::TestParamInfo<std::tuple<std::string, int>>
+           &info) {
+        // The app name, with characters gtest rejects as '_', then
+        // the register budget.
+        std::string name = std::get<0>(info.param);
+        for (char &c : name)
+            if (!std::isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        return name + "_" + std::to_string(std::get<1>(info.param));
+    });
 
 } // namespace
 } // namespace bioperf::regalloc

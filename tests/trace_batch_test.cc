@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 #include <string>
 #include <vector>
@@ -131,59 +132,6 @@ TEST(TraceBatch, AllAppsStreamIdenticalAcrossDeliveryModes)
     }
 }
 
-TEST(TraceBatch, ProfilerCountersIdenticalAcrossDeliveryModes)
-{
-    const apps::AppInfo *app = apps::findApp("hmmsearch");
-
-    struct Counters
-    {
-        uint64_t total, loads, stores, branches, covered, l1_miss,
-            l2_miss, dyn_loads, ltb_loads;
-    };
-    auto characterize = [&](size_t capacity) {
-        apps::AppRun run = app->make(apps::Variant::Baseline,
-                                     apps::Scale::Small, 42);
-        Interpreter interp(*run.prog, capacity);
-        profile::InstructionMixProfiler mix;
-        profile::LoadCoverageProfiler coverage;
-        profile::CacheProfiler cache;
-        profile::LoadBranchProfiler lb;
-        interp.addSink(&mix);
-        interp.addSink(&coverage);
-        interp.addSink(&cache);
-        interp.addSink(&lb);
-        run.driver(interp);
-        const profile::MixSummary m = mix.summary();
-        const profile::CacheSummary c = cache.summary();
-        const profile::LoadBranchSummary l = lb.summary();
-        return Counters{ m.total,
-                         m.loads,
-                         m.stores,
-                         m.condBranches,
-                         coverage.summary().staticLoads,
-                         c.loadL1Misses,
-                         c.loadL2Misses,
-                         l.dynamicLoads,
-                         static_cast<uint64_t>(
-                             1e9 * l.loadToBranchFraction) };
-    };
-
-    const Counters a = characterize(1);
-    for (const size_t capacity : kCapacities) {
-        SCOPED_TRACE("capacity " + std::to_string(capacity));
-        const Counters b = characterize(capacity);
-        EXPECT_EQ(a.total, b.total);
-        EXPECT_EQ(a.loads, b.loads);
-        EXPECT_EQ(a.stores, b.stores);
-        EXPECT_EQ(a.branches, b.branches);
-        EXPECT_EQ(a.covered, b.covered);
-        EXPECT_EQ(a.l1_miss, b.l1_miss);
-        EXPECT_EQ(a.l2_miss, b.l2_miss);
-        EXPECT_EQ(a.dyn_loads, b.dyn_loads);
-        EXPECT_EQ(a.ltb_loads, b.ltb_loads);
-    }
-}
-
 /**
  * Re-frames the stream it receives into batches of exactly @a size
  * events for @a inner (the last one before a run end may be shorter),
@@ -219,6 +167,85 @@ struct ReframeSink : TraceSink
     size_t size;
     std::vector<DynInstr> buf;
 };
+
+/** The bits of a double: equal bits, not merely equal values. */
+uint64_t
+bitsOf(double d)
+{
+    return std::bit_cast<uint64_t>(d);
+}
+
+TEST(TraceBatch, ProfilerCountersIdenticalAcrossDeliveryModes)
+{
+    const apps::AppInfo *app = apps::findApp("hmmsearch");
+
+    struct Counters
+    {
+        uint64_t total, loads, stores, branches, covered, l1_miss,
+            l2_miss;
+        profile::LoadBranchSummary lb;
+        std::vector<profile::LoadBranchProfiler::NextBranch> next;
+    };
+    // The load/branch profiler also sees the stream re-framed (shape
+    // > 0), so its segments straddle batch boundaries at every offset.
+    auto characterize = [&](size_t capacity, size_t shape) {
+        apps::AppRun run = app->make(apps::Variant::Baseline,
+                                     apps::Scale::Small, 42);
+        Interpreter interp(*run.prog, capacity);
+        profile::InstructionMixProfiler mix;
+        profile::LoadCoverageProfiler coverage;
+        profile::CacheProfiler cache;
+        profile::LoadBranchProfiler lb;
+        ReframeSink reframe(lb, shape);
+        interp.addSink(&mix);
+        interp.addSink(&coverage);
+        interp.addSink(&cache);
+        interp.addSink(shape == 0 ? static_cast<TraceSink *>(&lb)
+                                  : &reframe);
+        run.driver(interp);
+        const profile::MixSummary m = mix.summary();
+        const profile::CacheSummary c = cache.summary();
+        return Counters{ m.total,
+                         m.loads,
+                         m.stores,
+                         m.condBranches,
+                         coverage.summary().staticLoads,
+                         c.loadL1Misses,
+                         c.loadL2Misses,
+                         lb.summary(),
+                         lb.nextBranchBySid() };
+    };
+
+    const size_t shapes[] = { 0, 1, 7, 255, 256, 257, 512 };
+    const Counters a = characterize(1, 0);
+    EXPECT_GT(a.lb.dynamicLoads, 0u);
+    for (const size_t capacity : kCapacities) {
+        for (const size_t shape : shapes) {
+            SCOPED_TRACE("capacity " + std::to_string(capacity) +
+                         ", batches of " + std::to_string(shape));
+            const Counters b = characterize(capacity, shape);
+            EXPECT_EQ(a.total, b.total);
+            EXPECT_EQ(a.loads, b.loads);
+            EXPECT_EQ(a.stores, b.stores);
+            EXPECT_EQ(a.branches, b.branches);
+            EXPECT_EQ(a.covered, b.covered);
+            EXPECT_EQ(a.l1_miss, b.l1_miss);
+            EXPECT_EQ(a.l2_miss, b.l2_miss);
+            EXPECT_EQ(a.lb.dynamicLoads, b.lb.dynamicLoads);
+            EXPECT_EQ(bitsOf(a.lb.loadToBranchFraction),
+                      bitsOf(b.lb.loadToBranchFraction));
+            EXPECT_EQ(bitsOf(a.lb.ltbBranchMissRate),
+                      bitsOf(b.lb.ltbBranchMissRate));
+            EXPECT_EQ(bitsOf(a.lb.loadAfterHardBranchFraction),
+                      bitsOf(b.lb.loadAfterHardBranchFraction));
+            ASSERT_EQ(a.next.size(), b.next.size());
+            for (size_t sid = 0; sid < a.next.size(); sid++) {
+                EXPECT_EQ(a.next[sid].execs, b.next[sid].execs) << sid;
+                EXPECT_EQ(a.next[sid].misses, b.next[sid].misses) << sid;
+            }
+        }
+    }
+}
 
 TEST(TraceBatch, TimingCoresIdenticalAcrossDeliveryModes)
 {
