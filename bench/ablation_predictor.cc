@@ -8,10 +8,11 @@
  * the other axis of the paper's Section 2.2 mechanism.
  */
 #include <cstdio>
+#include <iterator>
+#include <vector>
 
 #include "apps/app.h"
 #include "core/simulator.h"
-#include "core/trace_cache.h"
 #include "cpu/platforms.h"
 #include "harness.h"
 #include "util/table.h"
@@ -34,17 +35,29 @@ main(int argc, char **argv)
     util::json::Value points = util::json::Value::object();
     uint64_t total_instrs = 0;
     // All six configurations time the same two workloads (baseline
-    // and transformed, same register file), so one persistent cache
-    // records each workload on the first iteration and the other five
-    // replay, bit-identically.
-    core::TraceCache trace_cache;
+    // and transformed, same register file), so one sweep runs two live
+    // passes, each with the six predictors' cores on it.
+    const char *const predictors[] = { "static", "bimodal", "gshare",
+                                       "local",  "hybrid",  "perfect" };
+    std::vector<core::SweepJob> jobs;
+    for (const char *pred : predictors)
+        for (const apps::Variant v :
+             { apps::Variant::Baseline, apps::Variant::Transformed }) {
+            core::SweepJob job;
+            job.app = &app;
+            job.platform = cpu::alpha21264();
+            job.platform.predictor = pred;
+            job.variant = v;
+            job.scale = apps::Scale::Small;
+            jobs.push_back(job);
+        }
     const double t0 = bench::now();
-    for (const char *pred : { "static", "bimodal", "gshare", "local",
-                              "hybrid", "perfect" }) {
-        cpu::PlatformConfig p = cpu::alpha21264();
-        p.predictor = pred;
-        const core::SpeedupResult r = core::Simulator::speedup(
-            app, p, apps::Scale::Small, 42, 1, &trace_cache);
+    const std::vector<core::TimingResult> timed =
+        core::Simulator::sweep(jobs, 1u);
+    for (size_t i = 0; i < std::size(predictors); i++) {
+        const char *pred = predictors[i];
+        const core::SpeedupResult r =
+            core::SpeedupResult::of(timed[2 * i], timed[2 * i + 1]);
         if (!r.verified()) {
             std::printf("VERIFICATION FAILED\n");
             return h.finish(false);
@@ -60,7 +73,6 @@ main(int argc, char **argv)
     }
     h.manifest().addStage("predictor_sweep", bench::now() - t0,
                           total_instrs);
-    trace_cache.stats().addStagesTo(h.manifest());
     std::printf("%s\n", t.str().c_str());
     std::printf("expected shape: the benefit shrinks as prediction "
                 "improves, and with a *perfect* predictor the "

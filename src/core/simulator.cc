@@ -1,7 +1,6 @@
 #include "core/simulator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <future>
 #include <unordered_map>
 
@@ -174,6 +173,19 @@ TimingResult::report() const
     return v;
 }
 
+SpeedupResult
+SpeedupResult::of(TimingResult baseline, TimingResult transformed)
+{
+    SpeedupResult res;
+    res.baseline = std::move(baseline);
+    res.transformed = std::move(transformed);
+    res.speedup = res.transformed.cycles == 0
+                      ? 0.0
+                      : static_cast<double>(res.baseline.cycles) /
+                            static_cast<double>(res.transformed.cycles);
+    return res;
+}
+
 util::json::Value
 SpeedupResult::report() const
 {
@@ -254,14 +266,6 @@ Simulator::applyRegisterPressure(apps::AppRun &run, uint32_t int_regs,
 
 namespace {
 
-double
-wallNow()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
 TraceKey
 makeKey(const SweepJob &job)
 {
@@ -312,16 +316,6 @@ analyse(const Source &src,
         group.size(), Simulator::characterize(src));
 }
 
-template <typename Result>
-util::Status
-firstError(const std::vector<Result> &results)
-{
-    for (const Result &r : results)
-        if (!r.status.ok())
-            return r.status;
-    return {};
-}
-
 /**
  * Fan @a jobs out in groups and collect results in job order. The app
  * registry is touched once up front so the workers never race on its
@@ -329,17 +323,13 @@ firstError(const std::vector<Result> &results)
  *
  * Grouping: all jobs of one key form one group, and each group is one
  * task, on the calling thread or on one pool worker. A group rides a
- * single pass with every member's sinks on it: one live
- * interpretation, or one replay of the caller's cached trace. Results
- * are bit-identical either way and for any thread count.
- *
- * Recording: only when the caller supplies SweepOptions::cache; a
- * cache-less sweep runs every group live. Since one key is one task,
- * a sweep never asks its cache for one key from two threads.
+ * single live interpretation with every member's sinks on it, so
+ * results are bit-identical for any thread count. A group whose task
+ * throws gets the failure as every member's status.
  */
 template <typename Job, typename Result>
 std::vector<Result>
-runAll(const std::vector<Job> &jobs, const SweepOptions &opts)
+runAll(const std::vector<Job> &jobs, unsigned threads)
 {
     std::vector<Result> results(jobs.size());
     std::vector<std::vector<size_t>> groups;
@@ -351,76 +341,20 @@ runAll(const std::vector<Job> &jobs, const SweepOptions &opts)
             groups.emplace_back();
         groups[it->second].push_back(i);
     }
-    TraceCache *cache = opts.cache;
 
-    auto members_of = [&](const std::vector<size_t> &group) {
-        std::vector<const Job *> members;
-        for (size_t i : group)
-            members.push_back(&jobs[i]);
-        return members;
-    };
-    auto live = [&](const std::vector<size_t> &group) {
-        apps::AppRun run = makeWorkload(makeKey(jobs[group.front()]));
-        std::vector<Result> rs = analyse(Source(run), members_of(group));
-        for (size_t m = 0; m < group.size(); m++)
-            results[group[m]] = std::move(rs[m]);
-    };
-
-    // Degradation ladder of a cached group, in preference order:
-    // replay the cached trace; if recording failed (after its retry),
-    // interpret live; if a replay decoded corrupt data, quarantine the
-    // entry, re-record and retry once, then interpret live. A job only
-    // carries a failed Status when every rung failed — and even then
-    // its slot is a well-formed Result, so the sweep always returns
-    // jobs.size() entries.
-    auto run_group_impl = [&](const std::vector<size_t> &group) {
-        if (BIOPERF_FAILPOINT("pool.task.throw"))
-            throw util::StatusError(util::Status::internal(
-                "fail point pool.task.throw fired"));
-        if (!cache)
-            return live(group);
-        const int n = static_cast<int>(group.size());
-        const TraceKey key = makeKey(jobs[group.front()]);
-        const std::vector<const Job *> members = members_of(group);
-        auto fall_back = [&](const util::Status &why) {
-            for (size_t i : group) {
-                cache->noteLiveFallback(key, why);
-                live({ i });
-            }
-        };
-        // One obtain() per member keeps record/hit accounting
-        // independent of the grouping.
-        util::StatusOr<TraceCache::Ptr> got = cache->obtain(key);
-        for (int m = 1; m < n && got.ok(); m++)
-            got = cache->obtain(key);
-        if (!got.ok())
-            return fall_back(got.status());
-        TraceCache::Ptr trace = got.value();
-        const double t0 = wallNow();
-        std::vector<Result> rs = analyse(Source(*trace), members);
-        if (util::Status err = firstError(rs); !err.ok()) {
-            cache->quarantine(key, err);
-            trace.reset();
-            got = cache->obtain(key);
-            if (got.ok()) {
-                trace = got.value();
-                rs = analyse(Source(*trace), members);
-                err = firstError(rs);
-            }
-            if (!got.ok() || !err.ok())
-                return fall_back(got.ok() ? err : got.status());
-        }
-        // One pass delivered the full stream to every member, so the
-        // effective replayed-instruction count is per consumer.
-        cache->noteReplay(wallNow() - t0,
-                          trace->instructions * static_cast<uint64_t>(n));
-        for (int m = 0; m < n; m++)
-            results[group[m]] = std::move(rs[m]);
-    };
     auto run_group = [&](const std::vector<size_t> &group) {
         util::Status failed;
         try {
-            run_group_impl(group);
+            if (BIOPERF_FAILPOINT("pool.task.throw"))
+                throw util::StatusError(util::Status::internal(
+                    "fail point pool.task.throw fired"));
+            std::vector<const Job *> members;
+            for (size_t i : group)
+                members.push_back(&jobs[i]);
+            apps::AppRun run = makeWorkload(makeKey(*members.front()));
+            std::vector<Result> rs = analyse(Source(run), members);
+            for (size_t m = 0; m < group.size(); m++)
+                results[group[m]] = std::move(rs[m]);
         } catch (const util::StatusError &e) {
             failed = e.status();
         } catch (const std::exception &e) {
@@ -434,9 +368,8 @@ runAll(const std::vector<Job> &jobs, const SweepOptions &opts)
             }
     };
 
-    const unsigned threads = opts.threads == 0
-                                 ? util::ThreadPool::defaultThreads()
-                                 : opts.threads;
+    if (threads == 0)
+        threads = util::ThreadPool::defaultThreads();
     if (threads <= 1 || groups.size() <= 1) {
         for (const std::vector<size_t> &group : groups)
             run_group(group);
@@ -452,8 +385,6 @@ runAll(const std::vector<Job> &jobs, const SweepOptions &opts)
         for (std::future<void> &f : done)
             f.get();
     }
-    if (opts.statsOut)
-        *opts.statsOut = cache ? cache->stats() : TraceCache::Stats{};
     return results;
 }
 
@@ -462,39 +393,29 @@ runAll(const std::vector<Job> &jobs, const SweepOptions &opts)
 std::vector<TimingResult>
 Simulator::sweep(const std::vector<SweepJob> &jobs, unsigned threads)
 {
-    SweepOptions opts;
-    opts.threads = threads;
-    return sweep(jobs, opts);
+    return runAll<SweepJob, TimingResult>(jobs, threads);
 }
 
 std::vector<TimingResult>
 Simulator::sweep(const std::vector<SweepJob> &jobs,
                  const SweepOptions &opts)
 {
-    return runAll<SweepJob, TimingResult>(jobs, opts);
+    if (opts.statsOut)
+        *opts.statsOut = TraceCache::Stats{};
+    return sweep(jobs, opts.threads);
 }
 
 std::vector<CharacterizationResult>
 Simulator::characterizeSweep(const std::vector<CharacterizeJob> &jobs,
                              unsigned threads)
 {
-    SweepOptions opts;
-    opts.threads = threads;
-    return characterizeSweep(jobs, opts);
-}
-
-std::vector<CharacterizationResult>
-Simulator::characterizeSweep(const std::vector<CharacterizeJob> &jobs,
-                             const SweepOptions &opts)
-{
-    return runAll<CharacterizeJob, CharacterizationResult>(jobs, opts);
+    return runAll<CharacterizeJob, CharacterizationResult>(jobs, threads);
 }
 
 SpeedupResult
 Simulator::speedup(const apps::AppInfo &app,
                    const cpu::PlatformConfig &platform,
-                   apps::Scale scale, uint64_t seed, unsigned threads,
-                   TraceCache *cache)
+                   apps::Scale scale, uint64_t seed, unsigned threads)
 {
     std::vector<SweepJob> jobs(2);
     jobs[0].app = &app;
@@ -504,22 +425,8 @@ Simulator::speedup(const apps::AppInfo &app,
     jobs[0].seed = seed;
     jobs[1] = jobs[0];
     jobs[1].variant = apps::Variant::Transformed;
-    SweepOptions opts;
-    opts.threads = threads;
-    // With a persistent cache both variants are recorded, so later
-    // calls (other platforms, other predictors) replay instead of
-    // re-interpreting and re-rewriting the same workload pair.
-    opts.cache = cache;
-    std::vector<TimingResult> timed = sweep(jobs, opts);
-
-    SpeedupResult res;
-    res.baseline = timed[0];
-    res.transformed = timed[1];
-    res.speedup = res.transformed.cycles == 0
-                      ? 0.0
-                      : static_cast<double>(res.baseline.cycles) /
-                            static_cast<double>(res.transformed.cycles);
-    return res;
+    std::vector<TimingResult> timed = sweep(jobs, threads);
+    return SpeedupResult::of(std::move(timed[0]), std::move(timed[1]));
 }
 
 } // namespace bioperf::core

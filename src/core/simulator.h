@@ -66,9 +66,9 @@ struct CharacterizationResult
     uint64_t instructions = 0;
     bool verified = false;
     /**
-     * OK for a complete characterization. A sweep entry that failed
-     * (fail point, corrupt replay with no live fallback possible,
-     * worker exception) carries the failure here with its counters
+     * OK for a complete characterization. A run that failed (fail
+     * point, corrupt replay, worker exception, interpreter invariant)
+     * carries the failure here with its counters
      * zero or partial; report() never includes it — failures are
      * surfaced through the run manifest instead.
      */
@@ -100,6 +100,10 @@ struct SpeedupResult
     TimingResult transformed;
     /** baseline.cycles / transformed.cycles; 0 when undefined. */
     double speedup = 0.0;
+
+    /** The comparison of @a baseline with @a transformed. */
+    static SpeedupResult of(TimingResult baseline,
+                            TimingResult transformed);
 
     bool verified() const
     {
@@ -135,14 +139,9 @@ struct CharacterizeJob
 };
 
 /**
- * How a sweep schedules its jobs and where it keeps its recordings.
- * The jobs of one workload always ride one pass, on the calling
- * thread or on one pool worker. A sweep records only into a cache the
- * caller supplies (later calls then replay from it); without one,
- * every workload runs live. Replay is bit-identical to live
- * interpretation (the trace stream drives the same sinks through the
- * same onBatch() path), so these options only change wall time and
- * memory, never results.
+ * How a sweep schedules its jobs. The jobs of one workload always
+ * ride one live pass, on the calling thread or on one pool worker, so
+ * the thread count changes wall time and memory, never results.
  */
 struct SweepOptions
 {
@@ -150,15 +149,9 @@ struct SweepOptions
     unsigned threads = 0;
 
     /**
-     * Persistent cache to record into / replay from; every job of the
-     * call then goes through it. When null, nothing is recorded.
-     */
-    TraceCache *cache = nullptr;
-
-    /**
-     * When non-null, receives the stats of @a cache after the call
-     * (all zero without one). Kept for the repository benchmark
-     * (perfbench/), which reads it.
+     * When non-null, zero-filled after the call: a sweep records and
+     * replays nothing. Kept for the repository benchmark (perfbench/),
+     * which reads it.
      */
     TraceCache::Stats *statsOut = nullptr;
 };
@@ -273,30 +266,24 @@ class Simulator
      * transformed time), with register pressure applied to both.
      * Implemented as a two-job sweep(); @a threads as there (1 = the
      * calling thread, the default; 0 = the default pool width).
-     * Results are bit-identical for any thread count.
-     *
-     * @param cache when non-null, baseline and transformed workloads
-     *        are recorded into it (once per register-file shape) and
-     *        replayed on later calls — platform sweeps over the same
-     *        app interpret each variant once instead of per platform.
+     * Results are bit-identical for any thread count. To compare
+     * several platforms of one app, sweep() all their jobs at once:
+     * the jobs that share a workload then share its live pass.
      */
     static SpeedupResult speedup(const apps::AppInfo &app,
                                  const cpu::PlatformConfig &platform,
                                  apps::Scale scale, uint64_t seed,
-                                 unsigned threads = 1,
-                                 TraceCache *cache = nullptr);
+                                 unsigned threads = 1);
 
     /**
      * Runs independent timing jobs concurrently on a util::ThreadPool
-     * and returns results in job order. Each job owns its entire
-     * simulation stack (program or shared immutable trace, caches,
-     * predictor, core), so results are bit-identical for any thread
-     * count and whether or not jobs replay a recorded trace.
+     * and returns results in job order. Each job owns its caches,
+     * predictor and core, so results are bit-identical for any thread
+     * count.
      *
      * Jobs sharing a workload — same (app, variant, scale, seed) and,
      * with registerPressure, the same architectural register file —
-     * form one task: one live pass (interpret and rewrite once) or,
-     * given SweepOptions::cache, one replay of its recording, with
+     * form one task: one live pass (interpret and rewrite once) with
      * every member's core on it (see time()). Tasks run on the
      * calling thread or on the pool's workers.
      *
@@ -312,9 +299,6 @@ class Simulator
     /** Parallel counterpart of characterize() over many jobs. */
     static std::vector<CharacterizationResult> characterizeSweep(
         const std::vector<CharacterizeJob> &jobs, unsigned threads = 0);
-    static std::vector<CharacterizationResult> characterizeSweep(
-        const std::vector<CharacterizeJob> &jobs,
-        const SweepOptions &opts);
 };
 
 } // namespace bioperf::core

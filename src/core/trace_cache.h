@@ -3,13 +3,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "apps/app.h"
-#include "util/metrics.h"
 #include "util/status.h"
 #include "vm/trace_codec.h"
 
@@ -37,7 +33,7 @@ struct TraceKey
     uint32_t fpRegs = 0;
 
     /**
-     * Canonical string form, used as the cache map key and in
+     * Canonical string form, used as the sweep's grouping key and in
      * manifests; app identity is by name (AppInfo objects may be
      * registry copies).
      */
@@ -76,106 +72,39 @@ struct CachedTrace
 };
 
 /**
- * Keyed store of recorded traces for record-once/replay-many runs.
- * Benches and callers of Simulator::speedup() or sweep() hold one to
- * reuse recordings across calls; a sweep without one never records.
- *
- * Thread-safe: a mutex guards the map and the stats. obtain() records
- * outside the lock, so two callers racing to one absent key both
- * record and share the first trace inserted. A sweep runs each key as
- * one task, so it never races itself this way.
- *
- * Failure semantics: a recording that fails is retried once; if the
- * retry also fails, the caller receives the Status and nothing is
- * cached, so a later obtain() re-attempts. quarantine() evicts an
- * entry whose payload failed decode so the next obtain() re-records
- * rather than looping on corrupt data.
+ * Recording of workloads into CachedTraces. Holds no traces itself:
+ * the caller keeps the Ptr for as long as it replays (the CLI's
+ * --trace-out, sampling, the repository benchmark). A sweep never
+ * records; the jobs of one workload share one live pass instead.
  */
 class TraceCache
 {
   public:
     using Ptr = std::shared_ptr<const CachedTrace>;
 
-    /** One degradation event, for run-manifest `failures` entries. */
-    struct Incident
-    {
-        std::string stage; ///< "trace_record", "trace_quarantine", ...
-        std::string key;   ///< TraceKey::str() of the workload
-        std::string error; ///< formatted Status
-    };
-
-    /** Aggregate record/replay cost, for RunManifest stages. */
+    /**
+     * Record/replay counters. SweepOptions::statsOut receives them;
+     * since a sweep never records, they are always zero there. Kept
+     * for the repository benchmark (perfbench/), which reads them.
+     */
     struct Stats
     {
         uint64_t records = 0;
         uint64_t hits = 0;
         double recordSeconds = 0.0;
-        uint64_t recordedInstructions = 0;
         double replaySeconds = 0.0;
-        uint64_t replayedInstructions = 0;
-        /** Recordings retried after a first failure. */
-        uint64_t recordRetries = 0;
-        /** Recordings that failed even after the retry. */
-        uint64_t recordFailures = 0;
-        /** Entries evicted because their payload failed decode. */
-        uint64_t quarantined = 0;
-        /** Sweep jobs that fell back to live execution. */
-        uint64_t liveFallbacks = 0;
-        std::vector<Incident> incidents;
-
-        /**
-         * Appends "trace_record" / "trace_replay" stages (wall time +
-         * instructions, hence effective MIPS) when non-empty, so
-         * BENCH artifacts separate capture cost from analysis cost.
-         */
-        void addStagesTo(util::RunManifest &manifest) const;
-
-        /** Appends one manifest failure entry per incident. */
-        void addFailuresTo(util::RunManifest &manifest) const;
     };
 
     /**
-     * Returns the trace for @a key, recording it on first use
-     * (build the app run, apply the register-pressure rewrite if the
-     * key asks for it, interpret the full workload once with a
-     * TraceRecorder attached, verify against the golden model). A
-     * failed recording is retried once; a persistent failure is
-     * returned and nothing is cached.
-     */
-    util::StatusOr<Ptr> obtain(const TraceKey &key);
-
-    /** The cached trace, or null when absent. */
-    Ptr lookup(const TraceKey &key) const;
-
-    /**
-     * Evicts @a key because its payload failed decode (@a why), so
-     * the next obtain() re-records instead of replaying corrupt data.
-     */
-    void quarantine(const TraceKey &key, const util::Status &why);
-
-    /** Records that a sweep job degraded to live execution. */
-    void noteLiveFallback(const TraceKey &key, const util::Status &why);
-
-    size_t size() const;
-    /** Encoded bytes across all resident traces. */
-    size_t totalBytes() const;
-
-    Stats stats() const;
-    /** Accounts one replay's cost (called by the replay paths). */
-    void noteReplay(double seconds, uint64_t instructions);
-
-    /**
-     * One-shot record with no caching or retry (CLI --trace-out,
-     * benches). Fails with kUnavailable under the cache.record.fail
-     * fail point and surfaces interpreter/regalloc invariant errors
-     * as statuses instead of terminating.
+     * Records @a key: builds the app run, applies the
+     * register-pressure rewrite if the key asks for it, interprets the
+     * full workload once with a TraceRecorder attached and verifies it
+     * against the golden model. No retry. Fails with kUnavailable
+     * under the cache.record.fail fail point and surfaces
+     * interpreter/regalloc invariant errors as statuses instead of
+     * terminating.
      */
     static util::StatusOr<Ptr> record(const TraceKey &key);
-
-  private:
-    mutable std::mutex mu_;
-    std::unordered_map<std::string, Ptr> entries_;
-    Stats stats_;
 };
 
 } // namespace bioperf::core

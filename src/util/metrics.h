@@ -36,8 +36,8 @@ struct RunManifest
 
     /**
      * One failure or degradation event observed during the run: a
-     * sweep entry that errored, a recording that fell back to live
-     * execution, a quarantined cache entry. A clean run has an empty
+     * sweep entry that errored, a recording that failed, a sampling
+     * shard that was skipped. A clean run has an empty
      * failures array; partial runs still emit their JSON with every
      * incident listed here.
      */

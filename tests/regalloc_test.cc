@@ -81,19 +81,23 @@ TEST(LinearScan, RewritesAllRegistersBelowLimit)
     ir::Program prog;
     uint32_t out_region = 0;
     ir::Function &fn = buildHighPressure(prog, &out_region);
-    allocate(prog, fn, 8, 8);
-    EXPECT_EQ(fn.numIntRegs, 8u);
+    constexpr uint32_t kIntRegs = 8;
+    constexpr uint32_t kFpRegs = 6;
+    allocate(prog, fn, kIntRegs, kFpRegs);
+    EXPECT_EQ(fn.numIntRegs, kIntRegs);
+    auto limit = [](ir::RegClass cls) {
+        return cls == ir::RegClass::Fp ? kFpRegs : kIntRegs;
+    };
     for (const auto &bb : fn.blocks) {
         for (const auto &in : bb.instrs) {
             std::vector<std::pair<ir::RegClass, uint32_t>> reads;
             ir::gatherReads(in, reads);
-            for (auto &[cls, reg] : reads) {
-                const uint32_t limit =
-                    cls == ir::RegClass::Fp ? 8u : 8u;
-                EXPECT_LT(reg, limit);
+            for (auto &[cls, reg] : reads)
+                EXPECT_LT(reg, limit(cls));
+            if (const ir::RegClass cls = ir::dstClass(in);
+                cls != ir::RegClass::None) {
+                EXPECT_LT(in.dst, limit(cls));
             }
-            if (ir::dstClass(in) != ir::RegClass::None)
-                EXPECT_LT(in.dst, 8u);
         }
     }
 }

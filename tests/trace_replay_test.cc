@@ -5,8 +5,7 @@
  * stream, replayed characterization/timing results must equal live
  * results exactly, .bptrace files must round-trip through disk (and
  * fail loudly on truncation / bad magic / version skew), and
- * TraceCache-backed sweeps must be bit-identical to live sweeps for
- * any worker count.
+ * sweeps must equal one live run per job for any worker count.
  */
 #include <gtest/gtest.h>
 
@@ -20,6 +19,7 @@
 #include "core/trace_file.h"
 #include "cpu/platforms.h"
 #include "ir/builder.h"
+#include "util/failpoint.h"
 #include "vm/interpreter.h"
 #include "vm/trace_codec.h"
 
@@ -99,7 +99,7 @@ TEST(TraceReplay, ReplayedStreamIdenticalToLiveForEveryApp)
             << trace.instructions() << " instrs";
 
         // Replay against a freshly rebuilt (deterministic) program,
-        // as the cache and the .bptrace loader do.
+        // as the .bptrace loader does.
         apps::AppRun rebuilt =
             app.make(apps::Variant::Baseline, apps::Scale::Small, 42);
         vm::TraceReplayer replayer(trace, *rebuilt.prog);
@@ -174,9 +174,9 @@ TEST(TraceReplay, TimeFromReplayEqualsLiveExactly)
 }
 
 // One pass with every platform's core attached must give the same
-// results as a separate pass per platform, from a trace (one decode;
-// the sequential sweep path relies on this) and from a live run (one
-// interpretation).
+// results as a separate pass per platform, from a trace (one decode)
+// and from a live run (one interpretation; every sweep relies on
+// this).
 TEST(TraceReplay, MultiPlatformTimeMatchesPerPlatformTime)
 {
     const apps::AppInfo &app = *apps::findApp("hmmsearch");
@@ -728,7 +728,8 @@ TEST(TraceReplay, SweepWithTraceCacheBitIdenticalForAnyThreadCount)
         SCOPED_TRACE(threads);
         SweepOptions opts;
         opts.threads = threads;
-        TraceCache::Stats stats;
+        // Non-zero going in, so the check sees the sweep's zero-fill.
+        TraceCache::Stats stats{ 1, 1, 1.0, 1.0 };
         opts.statsOut = &stats;
         const auto traced = Simulator::sweep(jobs, opts);
         ASSERT_EQ(traced.size(), reference.size());
@@ -740,37 +741,9 @@ TEST(TraceReplay, SweepWithTraceCacheBitIdenticalForAnyThreadCount)
         }
         EXPECT_EQ(stats.records, 0u);
         EXPECT_EQ(stats.hits, 0u);
-        EXPECT_EQ(stats.replayedInstructions, 0u);
+        EXPECT_EQ(stats.recordSeconds, 0.0);
+        EXPECT_EQ(stats.replaySeconds, 0.0);
     }
-}
-
-TEST(TraceReplay, CachedSweepOnThePoolRecordsEachKeyOnce)
-{
-    const std::vector<SweepJob> jobs = platformJobs();
-    const std::vector<TimingResult> reference = liveReference(jobs);
-
-    // Pool workers record each distinct workload once: the
-    // pressure-free one, alpha+ppc at 32/32, p4 at 8/8 and itanium at
-    // 128/128. The second call replays all four.
-    TraceCache cache;
-    SweepOptions opts;
-    opts.threads = 2;
-    opts.cache = &cache;
-    for (const int call : { 1, 2 }) {
-        SCOPED_TRACE(call);
-        const auto cached = Simulator::sweep(jobs, opts);
-        ASSERT_EQ(cached.size(), reference.size());
-        for (size_t i = 0; i < cached.size(); i++) {
-            SCOPED_TRACE(i);
-            EXPECT_EQ(reference[i].report().dump(),
-                      cached[i].report().dump());
-        }
-        const TraceCache::Stats stats = cache.stats();
-        EXPECT_EQ(stats.records, 4u);
-        // One obtain() per job: the first call's 8 jobs miss 4 times.
-        EXPECT_EQ(stats.hits, call == 1 ? 4u : 4u + jobs.size());
-    }
-    EXPECT_EQ(cache.size(), 4u);
 }
 
 TEST(TraceReplay, CharacterizeSweepSharesOneLivePassAcrossJobs)
@@ -787,52 +760,65 @@ TEST(TraceReplay, CharacterizeSweepSharesOneLivePassAcrossJobs)
 
     // The three jobs share one live pass, on the calling thread or on
     // one pool worker (2, not the pool default, which is inline on a
-    // one-CPU host), and nothing is recorded.
+    // one-CPU host), and nothing is recorded: the armed record fault
+    // is never reached.
+    struct Disarm
+    {
+        ~Disarm() { util::FailPoints::clearAll(); }
+    } disarm;
+    ASSERT_TRUE(
+        util::FailPoints::armFromSpec("cache.record.fail").ok());
     for (const unsigned threads : { 1u, 2u }) {
         SCOPED_TRACE(threads);
-        SweepOptions opts;
-        opts.threads = threads;
-        TraceCache::Stats stats;
-        opts.statsOut = &stats;
-        const auto swept = Simulator::characterizeSweep(jobs, opts);
+        const auto swept = Simulator::characterizeSweep(jobs, threads);
         ASSERT_EQ(swept.size(), jobs.size());
         for (const auto &r : swept) {
             EXPECT_TRUE(r.verified);
             EXPECT_EQ(live.report().dump(), r.report().dump());
             EXPECT_EQ(live.loads, r.loads);
         }
-        EXPECT_EQ(stats.records, 0u);
-        EXPECT_EQ(stats.hits, 0u);
-        EXPECT_EQ(stats.replayedInstructions, 0u);
+        EXPECT_EQ(util::FailPoints::hits("cache.record.fail"), 0u);
     }
 }
 
-TEST(TraceReplay, PersistentCacheReusesRecordingsAcrossSpeedupCalls)
+TEST(TraceReplay, PredictorSweepMatchesOneSpeedupPerPredictor)
 {
     const apps::AppInfo &app = *apps::findApp("hmmsearch");
-    const cpu::PlatformConfig alpha = cpu::alpha21264();
-    cpu::PlatformConfig weak = alpha;
-    weak.predictor = "bimodal";
 
-    const SpeedupResult live_a =
-        Simulator::speedup(app, alpha, apps::Scale::Small, 42);
-    const SpeedupResult live_b =
-        Simulator::speedup(app, weak, apps::Scale::Small, 42);
-
-    TraceCache cache;
-    const SpeedupResult traced_a = Simulator::speedup(
-        app, alpha, apps::Scale::Small, 42, 1, &cache);
-    const SpeedupResult traced_b = Simulator::speedup(
-        app, weak, apps::Scale::Small, 42, 1, &cache);
-
-    EXPECT_EQ(live_a.report().dump(), traced_a.report().dump());
-    EXPECT_EQ(live_b.report().dump(), traced_b.report().dump());
-    // Two recordings (baseline + transformed) on the first call; the
-    // second call replays both from the cache.
-    EXPECT_EQ(cache.stats().records, 2u);
-    EXPECT_EQ(cache.stats().hits, 2u);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_GT(cache.totalBytes(), 0u);
+    // The predictor ablation's shape: jobs that differ only in the
+    // predictor share the baseline and the transformed workload, so
+    // the sweep times them on two live passes.
+    std::vector<cpu::PlatformConfig> platforms;
+    std::vector<SweepJob> jobs;
+    for (const char *pred : { "bimodal", "hybrid", "perfect" }) {
+        cpu::PlatformConfig p = cpu::alpha21264();
+        p.predictor = pred;
+        platforms.push_back(p);
+        for (const apps::Variant v :
+             { apps::Variant::Baseline, apps::Variant::Transformed }) {
+            SweepJob job;
+            job.app = &app;
+            job.platform = p;
+            job.variant = v;
+            job.scale = apps::Scale::Small;
+            jobs.push_back(job);
+        }
+    }
+    const std::vector<TimingResult> swept = Simulator::sweep(jobs, 1u);
+    ASSERT_EQ(swept.size(), 2 * platforms.size());
+    for (size_t i = 0; i < platforms.size(); i++) {
+        SCOPED_TRACE(platforms[i].predictor);
+        const SpeedupResult one =
+            Simulator::speedup(app, platforms[i], apps::Scale::Small, 42);
+        EXPECT_TRUE(one.verified());
+        EXPECT_EQ(one.report().dump(),
+                  SpeedupResult::of(swept[2 * i], swept[2 * i + 1])
+                      .report()
+                      .dump());
+    }
+    // Each core on a shared pass kept its own predictor.
+    EXPECT_GT(swept[0].mispredicts, 0u);
+    EXPECT_EQ(swept[4].mispredicts, 0u);
 }
 
 TEST(TraceReplay, TraceKeyDistinguishesRegisterFiles)
