@@ -228,7 +228,7 @@ Simulator::time(const Source &src,
 
     std::vector<TimingResult> results(platforms.size());
     for (size_t i = 0; i < platforms.size(); i++) {
-        const cpu::TimingCore &core = *stacks[i]->core;
+        cpu::TimingCore &core = *stacks[i]->core;
         TimingResult &res = results[i];
         res.cycles = core.cycles();
         res.instructions = core.instructions();

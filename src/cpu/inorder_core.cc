@@ -7,12 +7,12 @@ namespace bioperf::cpu {
 InorderCore::InorderCore(const CoreConfig &config,
                          mem::CacheHierarchy *caches,
                          branch::BranchPredictor *predictor)
-    : TimingCore(config, caches, predictor)
+    : TimingCore(config, caches, predictor, true)
 {
 }
 
 void
-InorderCore::schedule(const vm::DynInstr *batch, size_t n)
+InorderCore::step(size_t from, size_t to)
 {
     // Width, penalty, the scoreboard base and the carried state live
     // in locals for the chunk, so scoreboard stores cannot force them
@@ -24,7 +24,7 @@ InorderCore::schedule(const vm::DynInstr *batch, size_t n)
     Hot h = hot_;
     uint64_t cycles = cycles_;
 
-    for (size_t i = 0; i < n; i++) {
+    for (size_t i = from; i < to; i++) {
         const DecodedInstr &d = r.decoded[i];
 
         // DecodeTable pre-sized the scoreboard and padded reads[] with
@@ -59,7 +59,7 @@ InorderCore::schedule(const vm::DynInstr *batch, size_t n)
                 h.issueCycle = redirect;
                 h.issuedThisCycle = 0;
             }
-        } else if ((d.isBranch && batch[i].taken) || d.isJump) {
+        } else if ((d.isBranch && r.taken[i]) || d.isJump) {
             // Issue groups do not continue past a taken branch.
             h.issueCycle++;
             h.issuedThisCycle = 0;
@@ -68,6 +68,45 @@ InorderCore::schedule(const vm::DynInstr *batch, size_t n)
 
     hot_ = h;
     cycles_ = cycles;
+}
+
+/*
+ * The canonical state at a boundary, as 16-bit words relative to
+ * F = issueCycle (span = cycles_ - F, |span| <= kMaxSpan):
+ *
+ *   [0]  span (two's complement)
+ *   [1]  issuedThisCycle
+ *   then pairs (slot, ready - F) of the scoreboard entries after F
+ *        (no instruction issues before F).
+ */
+bool
+InorderCore::canonicalize(std::vector<uint16_t> &w) const
+{
+    const uint64_t f = hot_.issueCycle;
+    if (ready_.size() > 0x10000 || hot_.issuedThisCycle > 0xffff)
+        return false;
+    w.clear();
+    w.push_back(static_cast<uint16_t>(cycles_ - f));
+    w.push_back(static_cast<uint16_t>(hot_.issuedThisCycle));
+    for (size_t slot = DecodedInstr::kWriteTrash + 1; slot < ready_.size();
+         slot++) {
+        if (ready_[slot] > f) {
+            w.push_back(static_cast<uint16_t>(slot));
+            w.push_back(static_cast<uint16_t>(ready_[slot] - f));
+        }
+    }
+    return true;
+}
+
+void
+InorderCore::materialize(const uint16_t *w, size_t len, uint64_t f)
+{
+    cycles_ = f + static_cast<int16_t>(w[0]);
+    hot_.issueCycle = f;
+    hot_.issuedThisCycle = w[1];
+    std::fill(ready_.begin(), ready_.end(), 0);
+    for (size_t k = 2; k < len; k += 2)
+        ready_[w[k]] = f + w[k + 1];
 }
 
 void

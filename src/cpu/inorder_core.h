@@ -27,7 +27,11 @@ class InorderCore final : public TimingCore
     void reset() override;
 
   private:
-    void schedule(const vm::DynInstr *batch, size_t n) override;
+    void step(size_t from, size_t to) override;
+    uint64_t frontier() const override { return hot_.issueCycle; }
+    bool canonicalize(std::vector<uint16_t> &words) const override;
+    void materialize(const uint16_t *words, size_t len,
+                     uint64_t f) override;
 
     /** Issue state carried from one instruction to the next. */
     struct Hot

@@ -1,6 +1,7 @@
 #include "cpu/ooo_core.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace bioperf::cpu {
 
@@ -12,24 +13,34 @@ constexpr size_t kSlotBuckets = 1 << 15; // power of two, cycle-tagged
 
 OooCore::OooCore(const CoreConfig &config, mem::CacheHierarchy *caches,
                  branch::BranchPredictor *predictor)
-    : TimingCore(config, caches, predictor),
+    : TimingCore(config, caches, predictor, false),
       rob_(std::max<uint32_t>(config.windowSize, 1), 0),
       issue_slots_(kSlotBuckets, 0)
 {
+    // A state packs widths and counts into 4-bit fields.
+    dead_ = config.fetchWidth > 15 || config.issueWidth > 15 ||
+            config.retireWidth > 15 || rob_.size() > 0xffff;
 }
 
 void
-OooCore::schedule(const vm::DynInstr *batch, size_t n)
+OooCore::setTraceLog(TraceLog log)
+{
+    syncStepped();
+    log_ = std::move(log);
+}
+
+void
+OooCore::step(size_t from, size_t to)
 {
     if (log_)
-        scheduleChunk<true>(batch, n);
+        stepRange<true>(from, to);
     else
-        scheduleChunk<false>(batch, n);
+        stepRange<false>(from, to);
 }
 
 template <bool kLogged>
 void
-OooCore::scheduleChunk(const vm::DynInstr *batch, size_t n)
+OooCore::stepRange(size_t from, size_t to)
 {
     // Widths, bases and the carried state live in locals for the
     // chunk: stores through the scoreboard and the rings could
@@ -50,7 +61,7 @@ OooCore::scheduleChunk(const vm::DynInstr *batch, size_t n)
     // The per-instruction decisions below (group full, window full,
     // retire slot) flip with the data; they are written as selects,
     // not branches, since the host mispredicts them.
-    for (size_t i = 0; i < n; i++) {
+    for (size_t i = from; i < to; i++) {
         const DecodedInstr &d = r.decoded[i];
 
         // --- dispatch: fetch bandwidth + window occupancy -----------------
@@ -129,12 +140,133 @@ OooCore::scheduleChunk(const vm::DynInstr *batch, size_t n)
             t.mispredicted = r.mispredicted[i];
             if (d.kind == DecodedInstr::kLoad)
                 t.memLatency = r.latency[i];
-            log_(batch[i], t);
+            log_(batch_[i], t);
         }
     }
 
     hot_ = h;
     cycles_ = cycles;
+}
+
+/*
+ * The canonical state at a boundary, as 16-bit words relative to
+ * F = fetchCycle (span = cycles_ - F, |span| <= kMaxSpan):
+ *
+ *   [0]  span (two's complement)
+ *   [1]  fetchSlotsUsed | retireUsed << 8
+ *   [2]  R, then R runs of equal entries of the ROB ring from robPos
+ *        (the entry the next dispatch reads): (cycle - F) << 4 |
+ *        (entries - 1), at most 16 entries a run. An entry that
+ *        retires before the dispatch reading it can happen cannot
+ *        stall it and reads as 0.
+ *   then N, and N pairs (slot, ready - F) of the scoreboard entries
+ *        after F + 1 (no operand can be ready before dispatch + 1);
+ *   then (cycle - F) << 4 | used of each issue-slot bucket with
+ *        issues in F + 1 .. cycles_. No request can name an earlier
+ *        cycle, and no instruction issues after cycles_.
+ *
+ * The ring's stale buckets (tags at or before F) never match a later
+ * request, so two boundaries with equal words behave alike for as
+ * long as their spans stay below the ring's 32K buckets.
+ */
+bool
+OooCore::canonicalize(std::vector<uint16_t> &words) const
+{
+    const uint64_t f = hot_.fetchCycle;
+    const uint64_t c = cycles_;
+    const size_t rob_size = rob_.size();
+    if (ready_.size() > 0x10000)
+        return false;
+    // Room for every section at its largest.
+    words.resize(4 + rob_size + 2 * ready_.size() + (c > f ? c - f : 0));
+    uint16_t *w = words.data();
+    *w++ = static_cast<uint16_t>(c - f);
+    *w++ = static_cast<uint16_t>(hot_.fetchSlotsUsed | hot_.retireUsed << 8);
+
+    // The n-th dispatch after F reads the ROB entry n places after
+    // robPos. At most fetchWidth dispatch in a cycle, so it happens no
+    // earlier than F + lead, and an entry retiring by then cannot
+    // stall it: it reads as absent (0).
+    const uint32_t fw = std::max<uint32_t>(config_.fetchWidth, 1);
+    uint32_t left = fw - std::min(hot_.fetchSlotsUsed, fw);
+    uint64_t lead = 0;
+    uint16_t *runs = w++;
+    const uint16_t *first = w;
+    size_t k = hot_.robPos;
+    for (size_t n = 0; n < rob_size; n++) {
+        if (left == 0) {
+            lead++;
+            left = fw;
+        }
+        left--;
+        const uint64_t retire = rob_[k];
+        k = k + 1 == rob_size ? 0 : k + 1;
+        const uint16_t rel = retire > f + lead
+                                 ? static_cast<uint16_t>((retire - f) << 4)
+                                 : 0;
+        if (w > first && (w[-1] & ~0xfu) == rel && (w[-1] & 0xf) < 0xf)
+            w[-1]++;
+        else
+            *w++ = rel;
+    }
+    *runs = static_cast<uint16_t>(w - first);
+
+    uint16_t *regs = w++;
+    const uint64_t *rv = ready_.data();
+    for (size_t slot = DecodedInstr::kWriteTrash + 1; slot < ready_.size();
+         slot++) {
+        if (rv[slot] > f + 1) {
+            *w++ = static_cast<uint16_t>(slot);
+            *w++ = static_cast<uint16_t>(rv[slot] - f);
+        }
+    }
+    *regs = static_cast<uint16_t>((w - regs - 1) / 2);
+
+    for (uint64_t cyc = f + 1; cyc <= c; cyc++) {
+        const uint64_t bucket = issue_slots_[cyc & (kSlotBuckets - 1)];
+        if ((bucket >> 8) == cyc && (bucket & 0xff) != 0)
+            *w++ = static_cast<uint16_t>((cyc - f) << 4 | (bucket & 0xff));
+    }
+    words.resize(static_cast<size_t>(w - words.data()));
+    return true;
+}
+
+void
+OooCore::materialize(const uint16_t *w, size_t len, uint64_t f)
+{
+    const uint16_t *end = w + len;
+    const uint64_t c = f + static_cast<int16_t>(w[0]);
+    cycles_ = c;
+    hot_.fetchCycle = f;
+    hot_.fetchSlotsUsed = w[1] & 0xff;
+    hot_.retireUsed = w[1] >> 8;
+    hot_.robPos = 0;
+    w += 2;
+
+    const uint16_t *runs = w + 1;
+    w = runs + *w;
+    size_t k = 0;
+    for (const uint16_t *p = runs; p < w; p++) {
+        const uint64_t retire = *p >> 4 ? f + (*p >> 4) : 0;
+        for (uint32_t e = 0; e <= (*p & 0xfu); e++)
+            rob_[k++] = retire;
+    }
+    assert(k == rob_.size());
+
+    std::fill(ready_.begin(), ready_.end(), 0);
+    const uint16_t *regs_end = w + 1 + 2 * size_t(*w);
+    for (w++; w < regs_end; w += 2)
+        ready_[w[0]] = f + w[1];
+
+    // The ring is stale, not wrong: replay only added issues after the
+    // ring was last stepped, so a stale bucket of F + 1 .. cycles_
+    // counts no more than the state does for its cycle (and the state
+    // lists every cycle whose count is not 0), and no bucket is tagged
+    // after cycles_.
+    for (; w < end; w++) {
+        const uint64_t cyc = f + (*w >> 4);
+        issue_slots_[cyc & (kSlotBuckets - 1)] = cyc << 8 | (*w & 0xf);
+    }
 }
 
 void

@@ -65,13 +65,19 @@ class OooCore final : public TimingCore
      * runs inside the scheduling loop: cycles() catches up only at
      * the end of each chunk, instructions() and
      * branchMispredictions() are already counted for the whole chunk.
+     * A logged core steps every instruction (no memo replay).
      */
-    void setTraceLog(TraceLog log) { log_ = std::move(log); }
+    void setTraceLog(TraceLog log);
 
   private:
-    void schedule(const vm::DynInstr *batch, size_t n) override;
+    void step(size_t from, size_t to) override;
     template <bool kLogged>
-    void scheduleChunk(const vm::DynInstr *batch, size_t n);
+    void stepRange(size_t from, size_t to);
+    uint64_t frontier() const override { return hot_.fetchCycle; }
+    bool canonicalize(std::vector<uint16_t> &words) const override;
+    void materialize(const uint16_t *words, size_t len,
+                     uint64_t f) override;
+    bool memoizable() const override { return !log_; }
 
     /**
      * Pipeline state carried from one instruction to the next; a

@@ -11,7 +11,9 @@ regName(RegClass c, uint32_t r)
 {
     if (r == kNoReg)
         return "r?";
-    return (c == RegClass::Fp ? "f" : "r") + std::to_string(r);
+    std::string name = c == RegClass::Fp ? "f" : "r";
+    name += std::to_string(r);
+    return name;
 }
 
 std::string

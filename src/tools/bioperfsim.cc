@@ -951,8 +951,10 @@ usage()
         printRow(c.operand ? c.name + std::string(" ") + c.operand : c.name,
                  c.help);
         std::string takes = "options:";
-        for (std::string_view option : c.options)
-            takes += " " + std::string(option);
+        for (std::string_view option : c.options) {
+            takes += ' ';
+            takes += option;
+        }
         if (!c.options.empty())
             printRow("", takes);
     }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "core/simulator.h"
 #include "cpu/inorder_core.h"
 #include "cpu/ooo_core.h"
@@ -571,6 +574,252 @@ TEST(Timing, ResultsBitIdenticalToRecordedGolden)
         EXPECT_EQ(results[i].cycles, g.cycles);
         EXPECT_EQ(results[i].mispredicts, g.mispredicts);
         EXPECT_EQ(results[i].instructions, g.instructions);
+    }
+}
+
+/** An app's recorded event stream and where each of its runs ended. */
+struct Stream
+{
+    apps::AppRun run; ///< owns the program the events point into
+    std::vector<vm::DynInstr> events;
+    std::vector<size_t> runEnds; ///< event counts at each onRunEnd()
+};
+
+struct StreamCollector : vm::TraceSink
+{
+    explicit StreamCollector(Stream &s) : s(s) {}
+    void onInstr(const vm::DynInstr &di) override { s.events.push_back(di); }
+    void onRunEnd() override { s.runEnds.push_back(s.events.size()); }
+    Stream &s;
+};
+
+Stream
+collect(const apps::AppInfo &app)
+{
+    Stream s;
+    s.run = app.make(apps::Variant::Baseline, apps::Scale::Small, 1);
+    StreamCollector sink(s);
+    vm::Interpreter interp(*s.run.prog);
+    interp.addSink(&sink);
+    s.run.driver(interp);
+    return s;
+}
+
+/** A core with its own hierarchy and predictor. */
+struct CoreStack
+{
+    CoreStack(const PlatformConfig &p, const CoreConfig &core)
+        : caches(p.makeHierarchy()), predictor(p.makePredictor())
+    {
+        if (core.outOfOrder)
+            this->core = std::make_unique<OooCore>(core, &caches,
+                                                   predictor.get());
+        else
+            this->core = std::make_unique<InorderCore>(core, &caches,
+                                                       predictor.get());
+    }
+
+    /** Back to a new shard's start, as the sampler resets a worker. */
+    void reset()
+    {
+        caches.reset();
+        predictor->reset();
+        core->reset();
+    }
+
+    mem::CacheHierarchy caches;
+    std::unique_ptr<branch::BranchPredictor> predictor;
+    std::unique_ptr<TimingCore> core;
+};
+
+/**
+ * The memo's oracle: the same core stepping every instruction. An
+ * out-of-order core steps while it has a trace log; an in-order one
+ * has none, so it is fed one event at a time and read after each,
+ * which steps every segment longer than one instruction.
+ */
+struct Oracle : CoreStack
+{
+    Oracle(const PlatformConfig &p, const CoreConfig &cfg) : CoreStack(p, cfg)
+    {
+        if (cfg.outOfOrder)
+            static_cast<OooCore &>(*core).setTraceLog(
+                [](const vm::DynInstr &, const PipelineTimes &) {});
+    }
+
+    void feed(const vm::DynInstr *batch, size_t n)
+    {
+        if (core->config().outOfOrder) {
+            core->onBatch(batch, n);
+            return;
+        }
+        for (size_t k = 0; k < n; k++) {
+            core->onInstr(batch[k]);
+            core->cycles();
+        }
+    }
+};
+
+/**
+ * Feeds events [@a from, @a to) of @a s to @a memo and @a oracle in
+ * batches of @a n (a batch never spans a run end, where both see
+ * onRunEnd()), and checks their counters after every batch.
+ */
+void
+feedBoth(const Stream &s, size_t from, size_t to, size_t n, TimingCore &memo,
+         Oracle &oracle)
+{
+    auto end = std::lower_bound(s.runEnds.begin(), s.runEnds.end(), from);
+    for (size_t i = from; i < to;) {
+        size_t stop = std::min(i + n, to);
+        if (end != s.runEnds.end() && *end < stop)
+            stop = *end;
+        memo.onBatch(&s.events[i], stop - i);
+        oracle.feed(&s.events[i], stop - i);
+        if (end != s.runEnds.end() && *end == stop) {
+            memo.onRunEnd();
+            oracle.core->onRunEnd();
+            ++end;
+        }
+        ASSERT_EQ(memo.cycles(), oracle.core->cycles()) << "event " << stop;
+        ASSERT_EQ(memo.instructions(), oracle.core->instructions());
+        ASSERT_EQ(memo.branchMispredictions(),
+                  oracle.core->branchMispredictions());
+        i = stop;
+    }
+}
+
+/** Batch sizes that straddle the cores' 256-event chunks. */
+constexpr size_t kFramings[] = { 1, 7, 255, 256, 257, 512 };
+
+TEST(TimingMemo, ReplayEqualsSteppingOnEveryAppAndPlatform)
+{
+    // Every app at Small on the four evaluation platforms and on odd
+    // cores, each (app, core) pair at one of the framings in turn.
+    std::vector<std::pair<PlatformConfig, CoreConfig>> cores;
+    for (const PlatformConfig &p : evaluationPlatforms())
+        cores.emplace_back(p, p.core);
+    const PlatformConfig alpha = alpha21264();
+    for (uint32_t window : { 1u, 3u }) {
+        CoreConfig c = alpha.core;
+        c.windowSize = window;
+        cores.emplace_back(alpha, c);
+    }
+    CoreConfig narrow = alpha.core;
+    narrow.issueWidth = 1;
+    cores.emplace_back(alpha, narrow);
+    CoreConfig retire2 = alpha.core;
+    retire2.retireWidth = 2;
+    cores.emplace_back(alpha, retire2);
+    const PlatformConfig itanium = itanium2();
+    CoreConfig single = itanium.core;
+    single.issueWidth = 1;
+    cores.emplace_back(itanium, single);
+
+    std::vector<apps::AppInfo> all = apps::bioperfApps();
+    for (const apps::AppInfo &a : apps::specLikeApps())
+        all.push_back(a);
+    for (const apps::AppInfo &a : apps::memoryBoundApps())
+        all.push_back(a);
+    uint64_t instructions = 0;
+    uint64_t replayed = 0;
+    size_t turn = 0;
+    for (const apps::AppInfo &app : all) {
+        const Stream s = collect(app);
+        for (const auto &[platform, cfg] : cores) {
+            const size_t n = kFramings[turn++ % std::size(kFramings)];
+            SCOPED_TRACE(app.name + " on " + cfg.name + ", window " +
+                         std::to_string(cfg.windowSize) + ", widths " +
+                         std::to_string(cfg.issueWidth) + "/" +
+                         std::to_string(cfg.retireWidth) + ", batches of " +
+                         std::to_string(n));
+            CoreStack memo(platform, cfg);
+            Oracle oracle(platform, cfg);
+            feedBoth(s, 0, s.events.size(), n, *memo.core, oracle);
+            if (n > 1) {
+                instructions += memo.core->instructions();
+                replayed += memo.core->replayedInstructions();
+            }
+        }
+    }
+    // The memo is on: most instructions were replayed, not stepped.
+    EXPECT_GT(replayed, instructions / 2);
+}
+
+TEST(TimingMemo, GapsResetsAndSkippedStretchesEqualStepping)
+{
+    // The sampler's pattern: shards separated by reset(), a salvage
+    // gap inside a shard, and stretches the core never sees (warmed
+    // functionally elsewhere), so its stream jumps mid-segment. Every
+    // other window is fed without reading the core, so a segment the
+    // memo holds open meets the jump.
+    const Stream s = collect(*apps::findApp("predator"));
+    const size_t total = s.events.size();
+    for (const PlatformConfig &p : evaluationPlatforms()) {
+        SCOPED_TRACE(p.name);
+        CoreStack memo(p, p.core);
+        Oracle oracle(p, p.core);
+        for (size_t shard = 0; shard < 3; shard++) {
+            memo.reset();
+            oracle.reset();
+            const size_t begin = total * shard / 3;
+            const size_t end = total * (shard + 1) / 3;
+            const size_t gap = (begin + end) / 2;
+            bool read = false;
+            for (size_t i = begin; i < end; i += 1000, read = !read) {
+                const size_t stop = std::min(i + 700, end);
+                if (i <= gap && gap < stop) {
+                    feedBoth(s, i, gap, 257, *memo.core, oracle);
+                    memo.core->onGap();
+                    oracle.core->onGap();
+                    feedBoth(s, gap, stop, 257, *memo.core, oracle);
+                } else if (read) {
+                    feedBoth(s, i, stop, 257, *memo.core, oracle);
+                } else {
+                    memo.core->onBatch(&s.events[i], stop - i);
+                    oracle.feed(&s.events[i], stop - i);
+                }
+                if (::testing::Test::HasFatalFailure())
+                    return;
+            }
+            EXPECT_EQ(memo.core->cycles(), oracle.core->cycles());
+        }
+        EXPECT_GT(memo.core->replayedInstructions(), 0u);
+    }
+}
+
+TEST(TimingMemo, MissChainBeyondTheSpanBoundEqualsStepping)
+{
+    // Dependent loads that all miss to a 300-cycle memory: a window's
+    // worth of them puts the last retire thousands of cycles past the
+    // fetch frontier, beyond what the memo interns.
+    ir::Program prog;
+    FunctionBuilder b(prog, "f");
+    ArrayRef arr = b.intArray("arr", 1 << 14);
+    auto i = b.var();
+    auto v = b.var();
+    b.assign(v, int64_t(0));
+    b.forLoop(i, b.constI(0), b.constI(3000), [&] {
+        b.assign(v, b.ld(arr, (Value(v) * 97 + Value(i)) & ((1 << 14) - 1)));
+    });
+    ir::Function &fn = b.finish();
+
+    PlatformConfig p = alpha21264();
+    p.l1.sizeBytes = 1024;
+    p.l2.sizeBytes = 2048;
+    p.latencies = mem::LatencyConfig{ 3, 5, 300 };
+    for (uint32_t window : { 16u, 80u }) {
+        p.core.windowSize = window;
+        CoreStack memo(p, p.core);
+        Oracle oracle(p, p.core);
+        vm::Interpreter interp(prog);
+        interp.addSink(memo.core.get());
+        interp.addSink(oracle.core.get());
+        interp.run(fn);
+        EXPECT_EQ(memo.core->cycles(), oracle.core->cycles());
+        EXPECT_EQ(memo.core->branchMispredictions(),
+                  oracle.core->branchMispredictions());
+        EXPECT_GT(memo.core->cycles(), 3000u * 300 / window);
     }
 }
 
