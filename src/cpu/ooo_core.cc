@@ -17,9 +17,6 @@ OooCore::OooCore(const CoreConfig &config, mem::CacheHierarchy *caches,
       rob_(std::max<uint32_t>(config.windowSize, 1), 0),
       issue_slots_(kSlotBuckets, 0)
 {
-    // A state packs widths and counts into 4-bit fields.
-    dead_ = config.fetchWidth > 15 || config.issueWidth > 15 ||
-            config.retireWidth > 15 || rob_.size() > 0xffff;
 }
 
 void

@@ -77,7 +77,14 @@ class OooCore final : public TimingCore
     bool canonicalize(std::vector<uint16_t> &words) const override;
     void materialize(const uint16_t *words, size_t len,
                      uint64_t f) override;
-    bool memoizable() const override { return !log_; }
+    bool
+    memoizable() const override
+    {
+        // A state packs widths and counts into 4-bit fields.
+        return !log_ && config_.fetchWidth <= 15 &&
+               config_.issueWidth <= 15 && config_.retireWidth <= 15 &&
+               rob_.size() <= 0xffff;
+    }
 
     /**
      * Pipeline state carried from one instruction to the next; a

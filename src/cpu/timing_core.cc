@@ -6,7 +6,7 @@
 
 namespace bioperf::cpu {
 
-using Memo = SegmentMemo;
+using Memo = vm::SegmentMemo;
 
 TimingCore::TimingCore(const CoreConfig &config,
                        mem::CacheHierarchy *caches,
@@ -106,7 +106,7 @@ TimingCore::schedule(size_t end)
     open_ = 0;
     size_t i = 0;
     while (i < end) {
-        if (dead_ || !memoizable()) {
+        if (!memo_.on() || !memoizable()) {
             step(i, end);
             return;
         }
@@ -158,20 +158,10 @@ TimingCore::replay(size_t i, size_t end)
             in[k] = r.latency[i + loads[k]];
         const size_t t = i + seg.len - 1;
         in[seg.numLoads] = terminalFlags(t);
-        // The edge that followed the last one replayed, else a lookup.
-        uint32_t e = last_ == Memo::kNone ? Memo::kNone
-                                           : memo_.edge(last_).succ;
-        if (e == Memo::kNone || memo_.edge(e).seg != seg_id ||
-            !memo_.sameInputs(e, seg_id, in)) {
-            const uint32_t hash =
-                Memo::edgeHash(cur_, seg_id, in, seg.numLoads + 1);
-            e = memo_.findEdge(cur_, seg_id, in, hash);
-            if (e == Memo::kNone) {
-                beginStep(seg_id, true);
-                return i;
-            }
-            if (last_ != Memo::kNone)
-                memo_.setSucc(last_, e);
+        const uint32_t e = memo_.replay(last_, cur_, seg_id, in);
+        if (e == Memo::kNone) {
+            beginStep(seg_id, true);
+            return i;
         }
         const Memo::Edge &edge = memo_.edge(e);
         assert(edge.state == cur_);
@@ -179,12 +169,10 @@ TimingCore::replay(size_t i, size_t end)
             frontier_ = frontier();
             stepped_ = false;
         }
-        frontier_ += edge.advance;
+        frontier_ += edge.client;
         cur_ = edge.next;
         last_ = e;
         cycles_ = frontier_ + static_cast<int64_t>(edge.nextSpan);
-        replayed_ += seg.len;
-        replayed_total_ += seg.len;
         i = t + 1;
     }
     return i;
@@ -255,27 +243,16 @@ void
 TimingCore::endSegment(size_t t)
 {
     stepping_ = false;
-    uint32_t seg = rec_seg_;
-    if (rec_segment_) {
-        seg = memo_.addSegment(rec_sids_, rec_loads_);
-        dead_ = dead_ || seg == Memo::kNone;
-    }
+    const uint32_t seg =
+        rec_segment_ ? memo_.addSegment(rec_sids_, rec_loads_) : rec_seg_;
     const uint32_t next = boundaryState();
     const uint64_t advance = frontier() - rec_frontier_;
-    if (rec_edge_ && seg != Memo::kNone && next != Memo::kNone &&
-        advance <= Memo::kMaxAdvance) {
+    if (rec_edge_ && seg != Memo::kNone && next != Memo::kNone) {
         rec_inputs_.push_back(terminalFlags(t));
         assert(rec_inputs_.size() == memo_.segment(seg).numLoads + 1);
-        const uint32_t hash =
-            Memo::edgeHash(rec_from_, seg, rec_inputs_.data(),
-                           static_cast<uint32_t>(rec_inputs_.size()));
-        dead_ = dead_ ||
-                !memo_.addEdge(rec_from_, seg, rec_inputs_.data(), hash,
-                               next, static_cast<uint32_t>(advance));
-        // A memo that keeps missing costs more than stepping.
-        const size_t edges = memo_.numEdges();
-        dead_ = dead_ ||
-                (edges >= kProbationEdges && replayed_total_ < edges);
+        assert(advance <= UINT32_MAX);
+        memo_.addEdge(rec_from_, seg, rec_inputs_.data(), next,
+                      static_cast<uint32_t>(advance));
     }
     cur_ = next;
 }
@@ -284,12 +261,10 @@ uint32_t
 TimingCore::boundaryState()
 {
     const int64_t span = static_cast<int64_t>(cycles_ - frontier());
-    if (dead_ || span > kMaxSpan || span < -kMaxSpan ||
+    if (!memo_.on() || span > kMaxSpan || span < -kMaxSpan ||
         !canonicalize(words_))
         return Memo::kNone;
-    const uint32_t id = memo_.intern(words_, static_cast<int16_t>(span));
-    dead_ = dead_ || id == Memo::kNone;
-    return id;
+    return memo_.intern(words_, static_cast<int16_t>(span));
 }
 
 void
@@ -355,7 +330,6 @@ TimingCore::reset()
     cycles_ = 0;
     instructions_ = 0;
     mispredicts_ = 0;
-    replayed_ = 0;
     open_ = 0;
     last_ = Memo::kNone;
     stepped_ = true;

@@ -9,8 +9,8 @@
 #include "cpu/core_config.h"
 #include "cpu/decoded_instr.h"
 #include "cpu/load_accel.h"
-#include "cpu/segment_memo.h"
 #include "mem/hierarchy.h"
+#include "vm/segment_memo.h"
 #include "vm/trace.h"
 
 namespace bioperf::cpu {
@@ -46,8 +46,8 @@ namespace bioperf::cpu {
  * without the memo. A segment cut by a chunk end is carried to the
  * next chunk, and one still open when cycles() is read, at a run end,
  * a gap or a reset is stepped then. A state whose cycles_ - F exceeds
- * kMaxSpan is never interned, and once a memo table is full, or the
- * memo fails its probation (kProbationEdges), every event is stepped.
+ * kMaxSpan is never interned, and once the memo is off (a full table
+ * or a failed probation, see vm::SegmentMemo) every event is stepped.
  */
 class TimingCore : public vm::TraceSink
 {
@@ -76,8 +76,8 @@ class TimingCore : public vm::TraceSink
 
     const CoreConfig &config() const { return config_; }
 
-    /** Instructions placed in time by memo replay, not stepped. */
-    uint64_t replayedInstructions() const { return replayed_; }
+    /** Instructions memo replay placed in time, since construction. */
+    uint64_t replayedInstructions() const { return memo_.replayed(); }
 
     /**
      * Installs a hardware load-latency-hiding unit (zero-cycle loads
@@ -121,20 +121,13 @@ class TimingCore : public vm::TraceSink
 
     static constexpr size_t kChunk = 256;
     /** Room in resolved_ for an open segment carried to the next chunk. */
-    static constexpr size_t kCarry = SegmentMemo::kMaxSegmentLen;
+    static constexpr size_t kCarry = vm::SegmentMemo::kMaxSegmentLen;
     /**
      * Largest |cycles_ - F| of an interned state. Keeps the issue
      * ring's live cycles far inside its 32K buckets and a state's
      * relative cycles in 12 bits.
      */
     static constexpr int64_t kMaxSpan = 1023;
-    /**
-     * Once the memo holds this many edges, it stays on only while it
-     * has replayed at least one instruction per edge: a memo that
-     * keeps missing (a program whose states never repeat) costs more
-     * than stepping.
-     */
-    static constexpr size_t kProbationEdges = 1024;
 
     /**
      * One chunk's outcomes, indexed like the chunk's events after the
@@ -174,7 +167,7 @@ class TimingCore : public vm::TraceSink
      */
     virtual void materialize(const uint16_t *words, size_t len,
                              uint64_t f) = 0;
-    /** False while every event must be stepped (a trace log). */
+    /** False while every event must be stepped (trace log, wide core). */
     virtual bool memoizable() const { return true; }
 
     /**
@@ -183,12 +176,6 @@ class TimingCore : public vm::TraceSink
      * segment started, so it is stepped to its end.
      */
     void syncStepped();
-
-    /**
-     * Memo off for good: a table filled, the memo failed its
-     * probation, or the config cannot be written as a state.
-     */
-    bool dead_ = false;
 
     CoreConfig config_;
     mem::CacheHierarchy *caches_;
@@ -205,9 +192,6 @@ class TimingCore : public vm::TraceSink
     uint64_t cycles_ = 0;
     uint64_t instructions_ = 0;
     uint64_t mispredicts_ = 0;
-    uint64_t replayed_ = 0;
-    /** replayed_ over the core's lifetime (reset() keeps it). */
-    uint64_t replayed_total_ = 0;
 
     /** Per-sid static facts, decoded once on first sight. */
     DecodeTable decode_;
@@ -253,7 +237,7 @@ class TimingCore : public vm::TraceSink
     /** The edge input word of the terminal at @a t. */
     uint32_t terminalFlags(size_t t) const;
 
-    SegmentMemo memo_;
+    vm::SegmentMemo memo_;
     const bool key_direction_;
     std::vector<uint16_t> words_; ///< canonicalize() scratch
     std::vector<uint32_t> inputs_; ///< edge-input scratch
@@ -264,9 +248,9 @@ class TimingCore : public vm::TraceSink
     /** Between a segment's first event and its terminal, stepping. */
     bool stepping_ = false;
     /** Interned state at the boundary (or kNone). */
-    uint32_t cur_ = SegmentMemo::kNone;
+    uint32_t cur_ = vm::SegmentMemo::kNone;
     /** The edge just replayed (kNone after stepping). */
-    uint32_t last_ = SegmentMemo::kNone;
+    uint32_t last_ = vm::SegmentMemo::kNone;
     /** F while the state is replayed (!stepped_). */
     uint64_t frontier_ = 0;
     /** Carried events: a known segment's prefix at resolved_[0, open_). */
@@ -275,8 +259,8 @@ class TimingCore : public vm::TraceSink
     // The segment being stepped, for the memo.
     bool rec_segment_ = false; ///< record its sids (it is new)
     bool rec_edge_ = false;    ///< record its edge from rec_from_
-    uint32_t rec_seg_ = SegmentMemo::kNone;
-    uint32_t rec_from_ = SegmentMemo::kNone;
+    uint32_t rec_seg_ = vm::SegmentMemo::kNone;
+    uint32_t rec_from_ = vm::SegmentMemo::kNone;
     uint64_t rec_frontier_ = 0;
     std::vector<uint32_t> rec_sids_;
     std::vector<uint8_t> rec_loads_;

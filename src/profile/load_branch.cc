@@ -2,23 +2,16 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 namespace bioperf::profile {
 
 LoadBranchProfiler::LoadBranchProfiler()
 {
     resetWindows();
-    // Reserved, not filled: pages the memo never uses stay untouched.
-    segments_.reserve(kMaxSegments);
-    seg_sids_.reserve(kMaxSegmentSids);
-    states_.reserve(kMaxStates);
-    state_words_.reserve(kMaxStateWords);
-    edges_.reserve(kMaxEdges);
-    state_index_.assign(2 * kMaxStates, kNone);
-    edge_index_.assign(2 * kMaxEdges, kNone);
     // State 0: a run start's (no taint, no windows open).
-    canonicalize(hot_, arrays(), words_);
-    cur_state_ = intern(words_);
+    canonicalize(hot_, arrays(), live_, words_);
+    cur_ = memo_.intern(words_, 0);
 }
 
 void
@@ -31,10 +24,8 @@ LoadBranchProfiler::resetWindows()
 void
 LoadBranchProfiler::decodeSid(const ir::Instr &in)
 {
-    if (in.sid >= sid_info_.size()) {
+    if (in.sid >= sid_info_.size())
         sid_info_.resize(in.sid + 1);
-        seg_at_sid_.resize(in.sid + 1, kNone);
-    }
     SidInfo &si = sid_info_[in.sid];
 
     switch (ir::classOf(in.op)) {
@@ -211,16 +202,10 @@ LoadBranchProfiler::applyRules(const SidInfo &si, uint64_t g, Hot &h,
 }
 
 inline bool
-LoadBranchProfiler::judge(const vm::DynInstr &br, bool chain, Hot &h,
-                          bool &correct)
+LoadBranchProfiler::judge(const vm::DynInstr &br, bool &correct)
 {
     const branch::HybridPredictor::Branch &b =
         pred_.update(br.sid, br.taken, correct);
-    if (chain) {
-        h.ltbBranchExec++;
-        if (!correct)
-            h.ltbBranchMiss++;
-    }
     // Is this branch statically hard to predict so far? The record the
     // update just touched holds its counts (the test is
     // BranchPredictor::missRate()'s).
@@ -230,9 +215,37 @@ LoadBranchProfiler::judge(const vm::DynInstr &br, bool chain, Hot &h,
                kHardThreshold;
 }
 
+namespace {
+
+/** A codec word as two memo words, low half first. */
+void
+put(std::vector<uint16_t> &words, uint32_t w)
+{
+    words.push_back(static_cast<uint16_t>(w));
+    words.push_back(static_cast<uint16_t>(w >> 16));
+}
+
+uint32_t
+get(const uint16_t *words)
+{
+    return words[0] | static_cast<uint32_t>(words[1]) << 16;
+}
+
+/** An edge's client word: what its segment counted. */
+uint32_t
+clientWord(uint64_t ltb_loads, uint64_t after_hard_loads, bool chain)
+{
+    assert(ltb_loads <= 0xff && after_hard_loads <= 0xff);
+    return static_cast<uint32_t>(ltb_loads | after_hard_loads << 8) |
+           static_cast<uint32_t>(chain) << 16;
+}
+
+} // namespace
+
 /*
- * A state is a run of 32-bit words, relative to the gseq of the
- * boundary it describes:
+ * A state is a run of 32-bit codec words, each stored as two 16-bit
+ * memo words (put()), relative to the gseq of the boundary it
+ * describes:
  *
  *   [0]  distance to the last hard branch (capped at kAfterWindow + 1)
  *        | distance to the last tight push (capped at
@@ -243,181 +256,165 @@ LoadBranchProfiler::judge(const vm::DynInstr &br, bool chain, Hot &h,
  *        age | fed << 7.
  *
  * Dead origins (too old to reach a branch) never change a result, so
- * they are left out; two boundaries with equal words behave alike.
+ * they are left out; two boundaries with equal words behave alike. A
+ * slot last written kChainWindow or more events ago holds only dead
+ * origins, so the slots worth visiting are the ones the segment's
+ * start state names plus the destinations the segment wrote.
  */
 void
 LoadBranchProfiler::canonicalize(const Hot &h, const Arrays &a,
-                                 std::vector<uint32_t> &words) const
+                                 std::vector<uint32_t> &slots,
+                                 std::vector<uint16_t> &words) const
 {
     const uint64_t g = h.gseq;
-    words.assign(1, 0);
-    uint32_t cands = 0;
-    for (uint32_t age = 0; age < kTightWindow; age++) {
-        const TightCandidate &c = a.tight[(g - age) % kTightSlots];
-        if (c.gseq != g - age || c.slot == kNoSlot)
-            continue;
-        assert(c.slot < (1u << 24));
-        words.push_back(age | c.slot << 8);
-        cands++;
-    }
-    const uint64_t hard =
-        std::min<uint64_t>(g - h.lastHardBranch, kAfterWindow + 1);
-    const uint64_t push =
-        std::min<uint64_t>(g - h.lastTightPush, kTightWindow + 1);
-    words[0] = static_cast<uint32_t>(hard | push << 4) | cands << 8;
-
-    for (uint32_t slot = 0; slot < taint_.size(); slot++) {
-        const TaintSet &t = a.taint[slot];
-        uint32_t m = 0;
-        uint32_t packed = 0;
-        for (uint32_t k = 0; k < t.count; k++) {
-            const uint64_t age = g - t.origins[k];
-            if (age >= kChainWindow)
+    auto encode = [&](std::vector<uint32_t> &visit,
+                      std::vector<uint16_t> &out) {
+        out.clear();
+        uint32_t cands = 0;
+        put(out, 0);
+        for (uint32_t age = 0; age < kTightWindow; age++) {
+            const TightCandidate &c = a.tight[(g - age) % kTightSlots];
+            if (c.gseq != g - age || c.slot == kNoSlot)
                 continue;
-            const uint32_t fed = a.fed[t.origins[k] % kFedSlots];
-            packed |= static_cast<uint32_t>(age | fed << 7) << (8 * m++);
+            assert(c.slot < (1u << 24));
+            put(out, age | c.slot << 8);
+            cands++;
         }
-        if (m > 0) {
-            assert(slot < (1u << 29));
-            words.push_back(slot << 3 | m);
-            words.push_back(packed);
+        const uint64_t hard =
+            std::min<uint64_t>(g - h.lastHardBranch, kAfterWindow + 1);
+        const uint64_t push =
+            std::min<uint64_t>(g - h.lastTightPush, kTightWindow + 1);
+        out[0] = static_cast<uint16_t>(hard | push << 4 | cands << 8);
+
+        size_t kept = 0;
+        for (const uint32_t slot : visit) {
+            const TaintSet &t = a.taint[slot];
+            uint32_t m = 0;
+            uint32_t packed = 0;
+            for (uint32_t k = 0; k < t.count; k++) {
+                const uint64_t age = g - t.origins[k];
+                if (age >= kChainWindow)
+                    continue;
+                const uint32_t fed = a.fed[t.origins[k] % kFedSlots];
+                packed |= static_cast<uint32_t>(age | fed << 7)
+                          << (8 * m++);
+            }
+            if (m > 0) {
+                assert(slot < (1u << 29));
+                put(out, slot << 3 | m);
+                put(out, packed);
+                visit[kept++] = slot;
+            }
         }
-    }
+        visit.resize(kept);
+    };
+    encode(slots, words);
+#ifndef NDEBUG
+    // The reference: a scan of the whole taint table.
+    std::vector<uint32_t> all(taint_.size());
+    std::iota(all.begin(), all.end(), 0u);
+    std::vector<uint16_t> full;
+    encode(all, full);
+    assert(full == words);
+#endif
 }
 
 void
-LoadBranchProfiler::materialize(uint32_t state, Hot &h,
-                                const Arrays &a) const
+LoadBranchProfiler::materialize(uint32_t state, Hot &h, const Arrays &a,
+                                std::vector<uint32_t> &slots) const
 {
     const uint64_t g = h.gseq;
-    const uint32_t *w = &state_words_[states_[state].words];
-    const uint32_t *end = w + states_[state].len;
-    const uint32_t head = *w++;
+    const vm::SegmentMemo::State &s = memo_.state(state);
+    const uint16_t *w = memo_.wordsOf(s);
+    const uint16_t *end = w + s.len;
+    const uint32_t head = get(w);
+    w += 2;
     h.lastHardBranch = g - (head & 0xf);
     h.lastTightPush = g - ((head >> 4) & 0xf);
     for (uint32_t k = 0; k < kTightSlots; k++)
         a.tight[k] = {};
-    for (uint32_t c = 0; c < head >> 8; c++, w++) {
-        const uint64_t cg = g - (*w & 0xff);
-        a.tight[cg % kTightSlots] = { cg, *w >> 8 };
+    for (uint32_t c = 0; c < head >> 8; c++, w += 2) {
+        const uint32_t cand = get(w);
+        const uint64_t cg = g - (cand & 0xff);
+        a.tight[cg % kTightSlots] = { cg, cand >> 8 };
     }
-    for (uint32_t slot = 0; slot < taint_.size(); slot++)
-        a.taint[slot].count = 0;
-    for (; w < end; w += 2) {
-        TaintSet &t = a.taint[w[0] >> 3];
-        t.count = w[0] & 7;
+    slots.clear();
+    for (; w < end; w += 4) {
+        const uint32_t key = get(w);
+        const uint32_t packed = get(w + 2);
+        slots.push_back(key >> 3);
+        TaintSet &t = a.taint[key >> 3];
+        t.count = key & 7;
         for (uint32_t k = 0; k < t.count; k++) {
-            const uint32_t byte = (w[1] >> (8 * k)) & 0xff;
+            const uint32_t byte = (packed >> (8 * k)) & 0xff;
             t.origins[k] = g - (byte & 0x7f);
             a.fed[t.origins[k] % kFedSlots] = byte >> 7;
         }
     }
 #ifndef NDEBUG
-    std::vector<uint32_t> back;
-    canonicalize(h, a, back);
-    assert(back.size() == states_[state].len &&
-           std::equal(back.begin(), back.end(),
-                      &state_words_[states_[state].words]));
+    std::vector<uint32_t> named = slots;
+    std::vector<uint16_t> back;
+    canonicalize(h, a, named, back);
+    assert(back.size() == s.len &&
+           std::equal(back.begin(), back.end(), memo_.wordsOf(s)));
 #endif
 }
 
-uint32_t
-LoadBranchProfiler::intern(const std::vector<uint32_t> &words)
+void
+LoadBranchProfiler::restore(Hot &h)
 {
-    uint32_t hash = 2166136261u;
-    for (const uint32_t w : words)
-        hash = (hash ^ w) * 16777619u;
-    const uint32_t mask = static_cast<uint32_t>(state_index_.size()) - 1;
-    uint32_t p = hash & mask;
-    for (;; p = (p + 1) & mask) {
-        const uint32_t id = state_index_[p];
-        if (id == kNone)
-            break;
-        const StateRef &s = states_[id];
-        if (s.hash == hash && s.len == words.size() &&
-            std::equal(words.begin(), words.end(),
-                       &state_words_[s.words]))
-            return id;
+    // Only the slots of the state the arrays last held can hold an
+    // origin that still looks live.
+    for (const uint32_t slot : live_)
+        taint_[slot].count = 0;
+    materialize(cur_, h, arrays(), live_);
+    stepped_ = true;
+}
+
+void
+LoadBranchProfiler::remember(const Hot &h, uint32_t seg,
+                             const uint32_t *sids, size_t n, bool hard,
+                             uint32_t client)
+{
+    const uint32_t from = cur_;
+    cur_ = kNone;
+    last_ = kNone;
+    if (!memo_.on())
+        return;
+    // live_ names the start state's slots, in order: insert the
+    // segment's destinations (a few) in order.
+    for (size_t k = 0; k < n; k++) {
+        const SidInfo &si = sid_info_[sids[k]];
+        if (si.kind == SidInfo::kBranch || si.kind == SidInfo::kNoDst ||
+            si.kind == SidInfo::kHalt)
+            continue;
+        size_t j = live_.size();
+        live_.push_back(si.dst);
+        for (; j > 0 && live_[j - 1] > si.dst; j--)
+            live_[j] = live_[j - 1];
+        live_[j] = si.dst;
     }
-    if (states_.size() == kMaxStates ||
-        state_words_.size() + words.size() > kMaxStateWords)
-        return kNone;
-    const uint32_t id = static_cast<uint32_t>(states_.size());
-    states_.push_back({ static_cast<uint32_t>(state_words_.size()),
-                        static_cast<uint32_t>(words.size()), hash });
-    state_words_.insert(state_words_.end(), words.begin(), words.end());
-    state_index_[p] = id;
-    return id;
-}
-
-namespace {
-
-uint32_t
-edgeHash(uint32_t state, uint32_t seg)
-{
-    uint32_t x = state * 0x9e3779b1u ^ seg * 0x85ebca77u;
-    return x ^ (x >> 15);
-}
-
-} // namespace
-
-uint32_t
-LoadBranchProfiler::findEdge(uint32_t state, uint32_t sid) const
-{
-    if (sid >= seg_at_sid_.size() || seg_at_sid_[sid] == kNone)
-        return kNone;
-    const uint32_t seg = seg_at_sid_[sid];
-    const uint32_t mask = static_cast<uint32_t>(edge_index_.size()) - 1;
-    for (uint32_t p = edgeHash(state, seg) & mask;; p = (p + 1) & mask) {
-        const uint32_t id = edge_index_[p];
-        if (id == kNone ||
-            (edges_[id].state == state && edges_[id].seg == seg))
-            return id;
-    }
-}
-
-uint32_t
-LoadBranchProfiler::recordSegment()
-{
-    if (segments_.size() == kMaxSegments ||
-        seg_sids_.size() + rec_.size() > kMaxSegmentSids)
-        return kNone;
-    const uint32_t id = static_cast<uint32_t>(segments_.size());
-    Segment seg;
-    seg.sids = static_cast<uint32_t>(seg_sids_.size());
-    seg.len = static_cast<uint32_t>(rec_.size());
-    segments_.push_back(seg);
-    seg_sids_.insert(seg_sids_.end(), rec_.begin(), rec_.end());
-    seg_at_sid_[rec_[0]] = id;
-    return id;
+    live_.erase(std::unique(live_.begin(), live_.end()), live_.end());
+    canonicalize(h, arrays(), live_, words_);
+    cur_ = memo_.intern(words_, 0);
+    const uint32_t input = hard;
+    if (seg != kNone && cur_ != kNone)
+        memo_.addEdge(from, seg, &input, cur_, client);
 }
 
 bool
 LoadBranchProfiler::atBoundary(uint32_t sid, Hot &h)
 {
     at_boundary_ = false;
-    if (!full_) {
-        uint32_t e = kNone;
-        if (from_edge_ != kNone) {
-            e = edges_[from_edge_].succ[from_outcome_];
-            if (e != kNone && edges_[e].firstSid != sid)
-                e = kNone;
-        }
-        if (e == kNone) {
-            e = findEdge(cur_state_, sid);
-            if (e != kNone && from_edge_ != kNone)
-                edges_[from_edge_].succ[from_outcome_] = e;
-        }
-        if (e != kNone) {
-            assert(edges_[e].state == cur_state_);
-            cur_edge_ = e;
-            left_ = edges_[e].len;
-            return true;
-        }
-        // A miss steps the segment from the state's own arrays.
-        materialize(cur_state_, h, arrays());
+    const uint32_t seg = memo_.segmentAt(sid);
+    if (memo_.on() && seg != kNone) {
+        seg_ = seg;
+        left_ = memo_.segment(seg).len;
+        return true;
     }
-    step_seg_ = sid < seg_at_sid_.size() ? seg_at_sid_[sid] : kNone;
+    if (!stepped_)
+        restore(h);
+    step_seg_ = seg;
     rec_.clear();
     step_start_ = h;
     return false;
@@ -437,26 +434,63 @@ LoadBranchProfiler::replay(const vm::DynInstr *batch, size_t i, size_t n,
         h.gseq += left_;
         left_ = 0;
         const vm::DynInstr &t = batch[i - 1];
-        const Edge &e = edges_[cur_edge_];
-        assert(t.sid == e.terminal);
-        h.totalLoads += e.loads;
-        h.ltbLoads += e.ltbLoads;
-        h.afterHardLoads += e.afterHardLoads;
+        assert(t.sid == memo_.sidsOf(memo_.segment(seg_))
+                            [memo_.segment(seg_).len - 1]);
+        SegmentCounts &counts = seg_counts_[seg_];
+        h.totalLoads += counts.loads;
+        bool correct = true;
         bool hard = false;
-        if (!e.halts) {
-            bool correct;
-            hard = judge(t, e.endsChain, h, correct);
-            Segment &seg = segments_[e.seg];
-            seg.execs++;
-            seg.misses += !correct;
+        if (t.op != ir::Opcode::Halt) {
+            hard = judge(t, correct);
+            counts.execs++;
+            counts.misses += !correct;
         }
-        cur_state_ = e.next[hard];
-        from_edge_ = cur_edge_;
-        from_outcome_ = outcomeOf(t.taken, hard);
+        const uint32_t input = hard;
+        const uint32_t e = memo_.replay(last_, cur_, seg_, &input);
+        uint32_t client;
+        if (e != kNone) {
+            stepped_ = false;
+            client = memo_.edge(e).client;
+            cur_ = memo_.edge(e).next;
+            last_ = e;
+        } else {
+            client = learn(hard, h);
+        }
+        h.ltbLoads += client & 0xff;
+        h.afterHardLoads += (client >> 8) & 0xff;
+        const bool chain = client >> 16;
+        h.ltbBranchExec += chain;
+        h.ltbBranchMiss += chain && !correct;
         at_boundary_ = true;
         if (i == n || !atBoundary(batch[i].sid, h))
             return i;
     }
+}
+
+uint32_t
+LoadBranchProfiler::learn(bool hard, Hot &h)
+{
+    const vm::SegmentMemo::Segment &seg = memo_.segment(seg_);
+    const uint32_t *sids = memo_.sidsOf(seg);
+    Hot s = h;
+    s.gseq -= seg.len;
+    if (!stepped_)
+        restore(s);
+    const Hot start = s;
+    const Arrays a = arrays();
+    bool chain = false;
+    for (uint32_t k = 0; k < seg.len; k++)
+        chain = applyRules(sid_info_[sids[k]], ++s.gseq, s, a);
+    assert(s.totalLoads - start.totalLoads == seg_counts_[seg_].loads);
+    if (hard)
+        s.lastHardBranch = s.gseq;
+    h.lastHardBranch = s.lastHardBranch;
+    h.lastTightPush = s.lastTightPush;
+    const uint32_t client =
+        clientWord(s.ltbLoads - start.ltbLoads,
+                   s.afterHardLoads - start.afterHardLoads, chain);
+    remember(s, seg_, sids, seg.len, hard, client);
+    return client;
 }
 
 size_t
@@ -496,15 +530,25 @@ LoadBranchProfiler::endSegment(const vm::DynInstr &t, bool chain, Hot &h)
     const bool is_branch = sid_info_[t.sid].kind == SidInfo::kBranch;
     bool correct = true;
     bool hard = false;
-    if (is_branch)
-        hard = judge(t, chain, h, correct);
-    if (step_seg_ == kNone)
-        step_seg_ = recordSegment();
+    if (is_branch) {
+        hard = judge(t, correct);
+        h.ltbBranchExec += chain;
+        h.ltbBranchMiss += chain && !correct;
+    }
+    if (step_seg_ == kNone) {
+        step_seg_ = memo_.addSegment(rec_, {});
+        if (step_seg_ != kNone) {
+            SegmentCounts counts;
+            for (const uint32_t sid : rec_)
+                counts.loads += sid_info_[sid].kind == SidInfo::kLoad;
+            seg_counts_.push_back(counts);
+        }
+    }
 
     // This branch is the next branch of every load in the segment.
     if (is_branch && step_seg_ != kNone) {
-        segments_[step_seg_].execs++;
-        segments_[step_seg_].misses += !correct;
+        seg_counts_[step_seg_].execs++;
+        seg_counts_[step_seg_].misses += !correct;
     } else if (is_branch) {
         for (const uint32_t sid : rec_) {
             if (sid_info_[sid].kind != SidInfo::kLoad)
@@ -514,58 +558,15 @@ LoadBranchProfiler::endSegment(const vm::DynInstr &t, bool chain, Hot &h)
         }
     }
 
-    if (!full_)
-        remember(t, chain, hard, h);
     if (hard)
         h.lastHardBranch = h.gseq;
+    // A segment is stepped while the memo is on only when it is new,
+    // so rec_ holds its sids.
+    remember(h, step_seg_, rec_.data(), rec_.size(), hard,
+             clientWord(h.ltbLoads - step_start_.ltbLoads,
+                        h.afterHardLoads - step_start_.afterHardLoads,
+                        chain));
     at_boundary_ = true;
-}
-
-void
-LoadBranchProfiler::remember(const vm::DynInstr &t, bool chain, bool hard,
-                             const Hot &h)
-{
-    // The state after the terminal, either way it was judged: only
-    // the hard-branch distance differs.
-    uint32_t easy_state = kNone;
-    uint32_t hard_state = kNone;
-    if (step_seg_ != kNone && edges_.size() < kMaxEdges) {
-        canonicalize(h, arrays(), words_);
-        easy_state = intern(words_);
-        words_[0] &= ~0xfu;
-        hard_state = intern(words_);
-    }
-    if (easy_state == kNone || hard_state == kNone) {
-        full_ = true;
-        from_edge_ = kNone;
-        return;
-    }
-
-    Edge e;
-    e.state = cur_state_;
-    e.seg = step_seg_;
-    e.firstSid = seg_sids_[segments_[step_seg_].sids];
-    e.terminal = t.sid;
-    e.len = segments_[step_seg_].len;
-    e.loads = static_cast<uint32_t>(h.totalLoads - step_start_.totalLoads);
-    e.ltbLoads = static_cast<uint32_t>(h.ltbLoads - step_start_.ltbLoads);
-    e.afterHardLoads = static_cast<uint32_t>(h.afterHardLoads -
-                                             step_start_.afterHardLoads);
-    e.halts = sid_info_[t.sid].kind == SidInfo::kHalt;
-    e.endsChain = chain;
-    e.next[0] = easy_state;
-    e.next[1] = hard_state;
-    const uint32_t id = static_cast<uint32_t>(edges_.size());
-    edges_.push_back(e);
-    const uint32_t mask = static_cast<uint32_t>(edge_index_.size()) - 1;
-    uint32_t p = edgeHash(e.state, e.seg) & mask;
-    while (edge_index_[p] != kNone)
-        p = (p + 1) & mask;
-    edge_index_[p] = id;
-
-    cur_state_ = e.next[hard];
-    from_edge_ = id;
-    from_outcome_ = outcomeOf(t.taken, hard);
 }
 
 void
@@ -592,16 +593,17 @@ LoadBranchProfiler::addOpenPrefix(Hot &out) const
 {
     if (left_ == 0)
         return;
-    const Edge &e = edges_[cur_edge_];
-    const uint32_t done = e.len - left_;
+    const vm::SegmentMemo::Segment &seg = memo_.segment(seg_);
+    const uint32_t done = seg.len - left_;
     Hot h = out;
     h.gseq -= done;
     std::vector<TaintSet> taint(taint_.size());
     uint8_t fed[kFedSlots];
     TightCandidate tight[kTightSlots];
     const Arrays a{ taint.data(), fed, tight };
-    materialize(cur_state_, h, a);
-    const uint32_t *sids = &seg_sids_[segments_[e.seg].sids];
+    std::vector<uint32_t> slots;
+    materialize(cur_, h, a, slots);
+    const uint32_t *sids = memo_.sidsOf(seg);
     for (uint32_t k = 0; k < done; k++)
         applyRules(sid_info_[sids[k]], ++h.gseq, h, a);
     assert(h.ltbLoads == out.ltbLoads);
@@ -618,10 +620,14 @@ LoadBranchProfiler::onRunEnd()
     addOpenPrefix(hot_);
     left_ = 0;
     at_boundary_ = true;
-    from_edge_ = kNone;
-    cur_state_ = 0;
+    last_ = kNone;
+    cur_ = 0;
+    stepped_ = true;
     for (TaintSet &t : taint_)
         t.count = 0;
+    live_.clear();
+    for (TightCandidate &c : tight_)
+        c = {};
     resetWindows();
 }
 
@@ -630,13 +636,14 @@ LoadBranchProfiler::nextBranchBySid() const
 {
     // Each recorded segment's branch outcomes go to all its loads.
     std::vector<NextBranch> next = next_branch_;
-    for (const Segment &seg : segments_) {
+    for (uint32_t id = 0; id < seg_counts_.size(); id++) {
+        const vm::SegmentMemo::Segment &seg = memo_.segment(id);
+        const uint32_t *sids = memo_.sidsOf(seg);
         for (uint32_t k = 0; k < seg.len; k++) {
-            const uint32_t sid = seg_sids_[seg.sids + k];
-            if (sid_info_[sid].kind != SidInfo::kLoad)
+            if (sid_info_[sids[k]].kind != SidInfo::kLoad)
                 continue;
-            next[sid].execs += seg.execs;
-            next[sid].misses += seg.misses;
+            next[sids[k]].execs += seg_counts_[id].execs;
+            next[sids[k]].misses += seg_counts_[id].misses;
         }
     }
     return next;

@@ -6,6 +6,7 @@
 
 #include "branch/predictors.h"
 #include "util/json.h"
+#include "vm/segment_memo.h"
 #include "vm/trace.h"
 
 namespace bioperf::profile {
@@ -52,12 +53,13 @@ struct LoadBranchSummary
  * profiler's state at its start: the live taint origins (as ages),
  * their fed flags, the distances to the last hard branch and tight
  * push, and the unconsumed tight candidates. The profiler memoizes
- * that transition per (state, segment) pair, FastSim-style: a
- * segment seen before from the same state costs one lookup plus its
- * terminal branch's predictor update; a new pair is stepped with the
- * per-instruction rules and recorded. The memo's tables are fixed at
- * construction; once one is full, every later event is stepped. This
- * relies on the stream following the program's control flow, as the
+ * that transition in a vm::SegmentMemo, FastSim-style, keyed by
+ * (state, segment, the terminal's hardness): a known segment is
+ * skipped by its recorded length, and at its terminal the predictor
+ * update and one lookup replay it; a new segment, or a known one from
+ * a new state, is stepped with the per-instruction rules and
+ * recorded. Once the memo is off, every event is stepped. This relies
+ * on the stream following the program's control flow, as the
  * Interpreter and the TraceReplayer do (Debug builds assert it).
  */
 class LoadBranchProfiler : public vm::TraceSink
@@ -73,20 +75,6 @@ class LoadBranchProfiler : public vm::TraceSink
     static constexpr double kHardThreshold = 0.05;
     /** Executions before a branch can count as hard. */
     static constexpr uint64_t kMinBranchExecs = 16;
-
-    /**
-     * Memo bounds: interned states, their words, and memo entries.
-     * The BioPerf apps need at most 407 states, 12.4K words, 713
-     * edges, 95 segments and 686 segment sids (hmmpfam, Small). Every
-     * table is reserved up front, and a reservation displaces other
-     * heap data: with 4x these bounds, memory-bound's peak RSS rose 2%.
-     */
-    static constexpr uint32_t kMaxStates = 1024;
-    static constexpr uint32_t kMaxStateWords = 16 * 1024;
-    static constexpr uint32_t kMaxEdges = 1024;
-    /** Recorded segments, and the sids they hold together. */
-    static constexpr uint32_t kMaxSegments = 512;
-    static constexpr uint32_t kMaxSegmentSids = 8 * 1024;
 
     LoadBranchProfiler();
 
@@ -110,6 +98,9 @@ class LoadBranchProfiler : public vm::TraceSink
     /** Next-branch counts of each static load, indexed by sid. */
     std::vector<NextBranch> nextBranchBySid() const;
 
+    /** Events replayed from the memo, not stepped. */
+    uint64_t replayedInstructions() const { return memo_.replayed(); }
+
   private:
     /**
      * Taint-table index of register @a reg: integer and FP registers
@@ -122,7 +113,7 @@ class LoadBranchProfiler : public vm::TraceSink
     }
     static constexpr uint32_t kNoSlot = UINT32_MAX;
     /** No state, edge or segment. */
-    static constexpr uint32_t kNone = UINT32_MAX;
+    static constexpr uint32_t kNone = vm::SegmentMemo::kNone;
 
     /**
      * Bounded set of loads (by gseq) this register's value
@@ -215,51 +206,13 @@ class LoadBranchProfiler : public vm::TraceSink
         TightCandidate *tight;
     };
 
-    /** A recorded segment and its executions (for nextBranchBySid()). */
-    struct Segment
+    /** A recorded segment's loads and its branch's executions. */
+    struct SegmentCounts
     {
-        uint32_t sids = 0; ///< offset of its sids in seg_sids_
-        uint32_t len = 0;
+        uint32_t loads = 0;
         uint64_t execs = 0;
         uint64_t misses = 0;
     };
-
-    /** An interned state: its words in state_words_. */
-    struct StateRef
-    {
-        uint32_t words = 0;
-        uint32_t len = 0;
-        uint32_t hash = 0;
-    };
-
-    /**
-     * One memo entry: what stepping segment `seg` from `state` did.
-     * Hardness and direction of the terminal branch come from the
-     * predictor on every execution; they pick the next state and the
-     * cached successor edge.
-     */
-    struct Edge
-    {
-        uint32_t state = kNone;
-        uint32_t seg = kNone;
-        uint32_t firstSid = 0;
-        uint32_t terminal = 0; ///< the terminal's sid
-        uint32_t len = 0;
-        uint32_t loads = 0;
-        uint32_t ltbLoads = 0;
-        uint32_t afterHardLoads = 0;
-        bool halts = false;     ///< ends at Halt, not a branch
-        bool endsChain = false; ///< the terminal ends a load chain
-        uint32_t next[2] = { kNone, kNone }; ///< by hardness
-        /** Successor edge seen last, by outcome (outcomeOf()). */
-        uint32_t succ[4] = { kNone, kNone, kNone, kNone };
-    };
-
-    static constexpr uint32_t
-    outcomeOf(bool taken, bool hard)
-    {
-        return (taken ? 2 : 0) + (hard ? 1 : 0);
-    }
 
     void decodeSid(const ir::Instr &in);
     /** Forgets hard branches and tight candidates (run start). */
@@ -274,35 +227,57 @@ class LoadBranchProfiler : public vm::TraceSink
     static bool applyRules(const SidInfo &si, uint64_t g, Hot &h,
                            const Arrays &a);
     /**
-     * Updates the predictor with branch @a br and the chain-branch
-     * counts; sets @a correct and returns whether @a br is hard.
+     * Updates the predictor with branch @a br; sets @a correct and
+     * returns whether @a br is hard.
      */
-    bool judge(const vm::DynInstr &br, bool chain, Hot &h, bool &correct);
+    bool judge(const vm::DynInstr &br, bool &correct);
 
-    /** Steps events from @a i until a hit; returns where it stopped. */
+    /**
+     * Steps events from @a i until a known segment starts; returns
+     * where it stopped.
+     */
     size_t step(const vm::DynInstr *batch, size_t i, size_t n, Hot &h);
-    /** Replays memo hits from @a i; returns where it stopped. */
+    /** Replays known segments from @a i; returns where it stopped. */
     size_t replay(const vm::DynInstr *batch, size_t i, size_t n, Hot &h);
     /**
-     * At a segment boundary, before an event with @a sid: sets up
-     * the replay of a memo entry (true), or starts stepping (false).
+     * At a segment boundary, before an event with @a sid: starts
+     * skipping a known segment (true), or stepping (false).
      */
     bool atBoundary(uint32_t sid, Hot &h);
     /** The stepped segment's terminal @a t has had its rules applied. */
     void endSegment(const vm::DynInstr &t, bool chain, Hot &h);
-    /** Adds the stepped segment's memo entry, or marks the memo full. */
-    void remember(const vm::DynInstr &t, bool chain, bool hard,
-                  const Hot &h);
-    uint32_t recordSegment();
-    uint32_t findEdge(uint32_t state, uint32_t sid) const;
+    /**
+     * A replayed segment missed at its terminal, judged @a hard:
+     * steps its recorded sids from cur_, records the edge, and
+     * returns its client word.
+     */
+    uint32_t learn(bool hard, Hot &h);
+    /**
+     * The @a n events @a sids of segment @a seg (kNone: not recorded)
+     * were stepped from cur_, whose slots live_ names, to h.gseq, and
+     * their terminal judged @a hard: makes cur_ the state there
+     * (kNone once the memo is off) and records the edge to it, whose
+     * client word is @a client.
+     */
+    void remember(const Hot &h, uint32_t seg, const uint32_t *sids,
+                  size_t n, bool hard, uint32_t client);
+    /** Makes the arrays hold cur_ again after replay left them stale. */
+    void restore(Hot &h);
 
-    /** The state at gseq h.gseq, as words (see canonicalize()). */
+    /**
+     * The state at gseq h.gseq, as words (see canonicalize()), where
+     * only the taint slots in @a slots (sorted, distinct) can hold
+     * live origins; keeps in @a slots those that do.
+     */
     void canonicalize(const Hot &h, const Arrays &a,
-                      std::vector<uint32_t> &words) const;
-    /** Writes @a state into @a a and @a h's windows, at h.gseq. */
-    void materialize(uint32_t state, Hot &h, const Arrays &a) const;
-    /** The id of state @a words, or kNone when the table is full. */
-    uint32_t intern(const std::vector<uint32_t> &words);
+                      std::vector<uint32_t> &slots,
+                      std::vector<uint16_t> &words) const;
+    /**
+     * Writes @a state into @a a and @a h's windows, at h.gseq, and
+     * the slots it names into @a slots. Clears no other taint slot.
+     */
+    void materialize(uint32_t state, Hot &h, const Arrays &a,
+                     std::vector<uint32_t> &slots) const;
     /**
      * Adds what the replayed, still open segment's executed prefix
      * counted to @a h (only totalLoads and afterHardLoads can move
@@ -320,27 +295,26 @@ class LoadBranchProfiler : public vm::TraceSink
     uint8_t fed_[kFedSlots] = {};
     TightCandidate tight_[kTightSlots];
 
-    // The memo: flat tables, reserved once.
-    std::vector<uint32_t> seg_at_sid_; ///< segment starting at a sid
-    std::vector<Segment> segments_;
-    std::vector<uint32_t> seg_sids_;
-    std::vector<StateRef> states_;
-    std::vector<uint32_t> state_words_;
-    std::vector<uint32_t> state_index_; ///< open addressing, state ids
-    std::vector<Edge> edges_;
-    std::vector<uint32_t> edge_index_; ///< open addressing, edge ids
-    std::vector<uint32_t> words_;      ///< canonicalize() scratch
-    bool full_ = false;                ///< a table filled: step all
+    vm::SegmentMemo memo_;
+    /** Indexed like the memo's segments. */
+    std::vector<SegmentCounts> seg_counts_;
+    std::vector<uint16_t> words_; ///< canonicalize() scratch
+    /**
+     * The taint slots the state the arrays last held names, in order:
+     * no other slot can hold an origin that is live, or that will look
+     * live once replay has moved gseq on.
+     */
+    std::vector<uint32_t> live_;
 
     // Where the stream is.
     bool at_boundary_ = true; ///< the next event starts a segment
     /** State at the current segment's start (or at the boundary). */
-    uint32_t cur_state_ = 0;
-    uint32_t cur_edge_ = kNone; ///< the edge being replayed
-    uint32_t left_ = 0;         ///< its events not yet seen; 0: stepping
-    /** The edge and outcome that led to the boundary (successor cache). */
-    uint32_t from_edge_ = kNone;
-    uint32_t from_outcome_ = 0;
+    uint32_t cur_ = 0;
+    /** The arrays hold cur_; false once replay left them stale. */
+    bool stepped_ = true;
+    uint32_t last_ = kNone; ///< the edge just replayed (successor cache)
+    uint32_t seg_ = kNone;  ///< the segment being skipped
+    uint32_t left_ = 0;     ///< its events not yet seen; 0: stepping
     /** The stepped segment: its recorded index, or kNone and its sids. */
     uint32_t step_seg_ = kNone;
     std::vector<uint32_t> rec_;

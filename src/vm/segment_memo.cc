@@ -1,10 +1,9 @@
-#include "cpu/segment_memo.h"
+#include "vm/segment_memo.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 
-namespace bioperf::cpu {
+namespace bioperf::vm {
 
 namespace {
 
@@ -53,9 +52,13 @@ uint32_t
 SegmentMemo::addSegment(const std::vector<uint32_t> &sids,
                         const std::vector<uint8_t> &loads)
 {
-    if (segments_.size() == kMaxSegments ||
-        seg_sids_.size() + sids.size() > kMaxSegmentSids)
+    if (sids.size() > kMaxSegmentLen)
         return kNone;
+    if (segments_.size() == kMaxSegments ||
+        seg_sids_.size() + sids.size() > kMaxSegmentSids) {
+        on_ = false;
+        return kNone;
+    }
     const uint32_t id = static_cast<uint32_t>(segments_.size());
     Segment s;
     s.sids = static_cast<uint32_t>(seg_sids_.size());
@@ -98,8 +101,10 @@ SegmentMemo::intern(const std::vector<uint16_t> &words, int16_t span)
     if (at % kBlockWords + len > kBlockWords || word_blocks_.empty())
         at = static_cast<uint32_t>(word_blocks_.size()) * kBlockWords;
     if (states_.size() == kMaxStates || len > kBlockWords ||
-        at + len > kMaxStateWords)
+        at + len > kMaxStateWords) {
+        on_ = false;
         return kNone;
+    }
     if (at / kBlockWords == word_blocks_.size())
         word_blocks_.push_back(std::make_unique<uint16_t[]>(kBlockWords));
     const uint32_t id = static_cast<uint32_t>(states_.size());
@@ -115,51 +120,76 @@ SegmentMemo::intern(const std::vector<uint16_t> &words, int16_t span)
 
 uint32_t
 SegmentMemo::edgeHash(uint32_t state, uint32_t seg,
-                      const uint32_t *inputs, uint32_t n)
+                      const uint32_t *inputs) const
 {
     uint32_t x = state * 0x9e3779b1u ^ seg * 0x85ebca77u;
-    for (uint32_t k = 0; k < n; k++)
+    for (uint32_t k = 0; k <= segments_[seg].numLoads; k++)
         x = (x ^ inputs[k]) * 0x01000193u;
     return x ^ (x >> 15);
 }
 
-uint32_t
-SegmentMemo::findEdge(uint32_t state, uint32_t seg, const uint32_t *inputs,
-                      uint32_t hash) const
+bool
+SegmentMemo::hasKey(uint32_t id, uint32_t state, uint32_t seg,
+                    const uint32_t *inputs) const
 {
-    const uint32_t p = probe(edge_index_, hash, [&](uint32_t id) {
-        const Edge &e = edges_[id];
-        return e.state == state && e.seg == seg &&
-               sameInputs(id, seg, inputs);
-    });
-    return edge_index_[p];
+    const Edge &e = edges_[id];
+    if (e.state != state || e.seg != seg)
+        return false;
+    const uint32_t *own = inputsOf(e);
+    for (uint32_t k = 0; k <= segments_[seg].numLoads; k++)
+        if (own[k] != inputs[k])
+            return false;
+    return true;
+}
+
+uint32_t
+SegmentMemo::replay(uint32_t last, uint32_t state, uint32_t seg,
+                    const uint32_t *inputs)
+{
+    // The edge that followed the last one replayed, else a lookup.
+    uint32_t e = last == kNone ? kNone : edges_[last].succ;
+    if (e == kNone || !hasKey(e, state, seg, inputs)) {
+        e = edge_index_[probe(edge_index_, edgeHash(state, seg, inputs),
+                              [&](uint32_t id) {
+                                  return hasKey(id, state, seg, inputs);
+                              })];
+        if (e == kNone)
+            return kNone;
+        if (last != kNone)
+            edges_[last].succ = e;
+    }
+    replayed_ += segments_[seg].len;
+    return e;
 }
 
 bool
 SegmentMemo::addEdge(uint32_t state, uint32_t seg, const uint32_t *inputs,
-                     uint32_t hash, uint32_t next, uint32_t advance)
+                     uint32_t next, uint32_t client)
 {
     const uint32_t n = segments_[seg].numLoads + 1;
     if (edges_.size() == kMaxEdges ||
-        edge_inputs_.size() + n > kMaxEdgeInputs)
+        (n > 1 && edge_inputs_.size() + n > kMaxEdgeInputs)) {
+        on_ = false;
         return false;
-    assert(advance <= kMaxAdvance);
-    const uint32_t p = probe(edge_index_, hash, [](uint32_t) {
-        return false;
-    });
+    }
+    const uint32_t p = probe(edge_index_, edgeHash(state, seg, inputs),
+                             [](uint32_t) { return false; });
     const uint32_t id = static_cast<uint32_t>(edges_.size());
-    edges_.push_back({ state, seg,
-                       static_cast<uint32_t>(edge_inputs_.size()), next,
-                       kNone, static_cast<uint16_t>(advance),
-                       states_[next].span });
-    edge_inputs_.insert(edge_inputs_.end(), inputs, inputs + n);
+    uint32_t at = inputs[0];
+    if (n > 1) {
+        at = static_cast<uint32_t>(edge_inputs_.size());
+        edge_inputs_.insert(edge_inputs_.end(), inputs, inputs + n);
+    }
+    edges_.push_back(
+        { state, seg, at, next, kNone, client, states_[next].span });
     edge_index_[p] = id;
     growIndex(edge_index_, edges_.size(), [&](uint32_t i) {
         const Edge &e = edges_[i];
-        return edgeHash(e.state, e.seg, &edge_inputs_[e.inputs],
-                        segments_[e.seg].numLoads + 1);
+        return edgeHash(e.state, e.seg, inputsOf(e));
     });
-    return true;
+    on_ = on_ && (edges_.size() < kProbationEdges ||
+                  replayed_ >= edges_.size());
+    return on_;
 }
 
-} // namespace bioperf::cpu
+} // namespace bioperf::vm

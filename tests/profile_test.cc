@@ -817,9 +817,12 @@ TEST(LoadBranch, StreamStoppedMidSegmentMatchesRecorded)
 TEST(LoadBranch, SummaryBitIdenticalToRecordedGolden)
 {
     // Every Table 4 number of every registered app at Small, seed 1,
-    // recorded with %.17g before the profiler's fixed-array rewrite:
-    // any change in what it counts fails here, not only a change
-    // large enough to cross a threshold.
+    // recorded with %.17g before the profiler's fixed-array rewrite,
+    // and the digestOf() of its next-branch table, recorded before the
+    // profiler moved onto vm::SegmentMemo: any change in what it
+    // counts fails here, not only a change large enough to cross a
+    // threshold. The two Large rows are programs whose memo switches
+    // off (gcc-like) or keeps missing (crafty-like).
     struct Golden
     {
         const char *app;
@@ -828,72 +831,137 @@ TEST(LoadBranch, SummaryBitIdenticalToRecordedGolden)
         double loadToBranch;
         double ltbMissRate;
         double afterHard;
+        uint64_t nextDigest;
+        apps::Scale scale = apps::Scale::Small;
     };
     constexpr apps::Variant kBase = apps::Variant::Baseline;
     constexpr apps::Variant kXform = apps::Variant::Transformed;
     const Golden golden[] = {
         { "blast", kBase, 4482u,
-          0.34136546184738958, 0.1288156288156288, 0.85095939312806779 },
+          0.34136546184738958, 0.1288156288156288, 0.85095939312806779,
+          8481554794175816584ull },
         { "blast", kXform, 4482u,
-          0.34136546184738958, 0.1288156288156288, 0.85095939312806779 },
+          0.34136546184738958, 0.1288156288156288, 0.85095939312806779,
+          8481554794175816584ull },
         { "clustalw", kBase, 61564u,
-          0.39776492755506465, 0.17869977131656323, 0.39727762978363979 },
-        { "clustalw", kXform, 49320u, 0, 0, 0 },
+          0.39776492755506465, 0.17869977131656323, 0.39727762978363979,
+          225107589625874545ull },
+        { "clustalw", kXform, 49320u, 0, 0, 0,
+          7956495347072473916ull },
         { "dnapenny", kBase, 8466u,
-          0.94117647058823528, 0.15261044176706828, 0 },
+          0.94117647058823528, 0.15261044176706828, 0,
+          5776369007520303289ull },
         { "dnapenny", kXform, 8466u,
-          0.94117647058823528, 0.14382530120481929, 0 },
+          0.94117647058823528, 0.14382530120481929, 0,
+          2222034230947751326ull },
         { "fasta", kBase, 2974u,
-          0.56254203093476796, 0.07830245068738792, 0.43712172158708812 },
+          0.56254203093476796, 0.07830245068738792, 0.43712172158708812,
+          7073940211039959957ull },
         { "fasta", kXform, 2974u,
-          0.56254203093476796, 0.07830245068738792, 0.43712172158708812 },
+          0.56254203093476796, 0.07830245068738792, 0.43712172158708812,
+          7073940211039959957ull },
         { "hmmcalibrate", kBase, 171324u,
-          0.88428941654409188, 0.096302521008403363, 0.24992412038009854 },
-        { "hmmcalibrate", kXform, 171324u, 0, 0, 0 },
+          0.88428941654409188, 0.096302521008403363, 0.24992412038009854,
+          3464689305124697238ull },
+        { "hmmcalibrate", kXform, 171324u, 0, 0, 0,
+          4080386629116564083ull },
         { "hmmpfam", kBase, 120587u,
-          0.86825279673596656, 0.12940222897669706, 0.33566636536276712 },
+          0.86825279673596656, 0.12940222897669706, 0.33566636536276712,
+          694709408012014557ull },
         { "hmmpfam", kXform, 120587u,
-          0.28941759891198887, 0.13617021276595745, 0.11875243600056391 },
+          0.28941759891198887, 0.13617021276595745, 0.11875243600056391,
+          3391048094470616866ull },
         { "hmmsearch", kBase, 185755u,
-          0.88500982476918522, 0.093119917387375753, 0.24580226642620656 },
-        { "hmmsearch", kXform, 185755u, 0, 0, 0 },
+          0.88500982476918522, 0.093119917387375753, 0.24580226642620656,
+          535965834804917702ull },
+        { "hmmsearch", kXform, 185755u, 0, 0, 0,
+          14655606658277223597ull },
         { "predator", kBase, 12276u,
-          0.85361681329423267, 0.11852275980532494, 0.84929944607363961 },
+          0.85361681329423267, 0.11852275980532494, 0.84929944607363961,
+          2255349155896586778ull },
         { "predator", kXform, 12537u,
-          0.78966259870782485, 0.095382439122966553, 0.73239211932679271 },
-        { "promlk", kBase, 15616u, 0, 0, 0.0057633196721311479 },
-        { "promlk", kXform, 15616u, 0, 0, 0.0057633196721311479 },
+          0.78966259870782485, 0.095382439122966553, 0.73239211932679271,
+          16473145466161223551ull },
+        { "promlk", kBase, 15616u, 0, 0, 0.0057633196721311479,
+          4681097409103004751ull },
+        { "promlk", kXform, 15616u, 0, 0, 0.0057633196721311479,
+          4681097409103004751ull },
         { "crafty-like", kBase, 27500u,
-          0.090909090909090912, 0.33932822004760643, 0.17392727272727274 },
+          0.090909090909090912, 0.33932822004760643, 0.17392727272727274,
+          1487053203286821984ull },
         { "crafty-like", kXform, 27500u,
-          0.090909090909090912, 0.33932822004760643, 0.17392727272727274 },
+          0.090909090909090912, 0.33932822004760643, 0.17392727272727274,
+          1487053203286821984ull },
         { "vortex-like", kBase, 27500u,
-          0.090909090909090912, 0.44570783786129675, 0.17414545454545455 },
+          0.090909090909090912, 0.44570783786129675, 0.17414545454545455,
+          2883719716090186411ull },
         { "vortex-like", kXform, 27500u,
-          0.090909090909090912, 0.44570783786129675, 0.17414545454545455 },
+          0.090909090909090912, 0.44570783786129675, 0.17414545454545455,
+          2883719716090186411ull },
         { "gcc-like", kBase, 27500u,
-          0.090909090909090912, 0.48847014283255896, 0.1744 },
+          0.090909090909090912, 0.48847014283255896, 0.1744,
+          325665570242010864ull },
         { "gcc-like", kXform, 27500u,
-          0.090909090909090912, 0.48847014283255896, 0.1744 },
+          0.090909090909090912, 0.48847014283255896, 0.1744,
+          325665570242010864ull },
         { "megamerger-like", kBase, 47981u,
-          0.99960400992059362, 0.43259246903798843, 0 },
+          0.99960400992059362, 0.43259246903798843, 0,
+          3101442413717833645ull },
         { "megamerger-like", kXform, 47981u,
-          0.99960400992059362, 0.43259246903798843, 0 },
+          0.99960400992059362, 0.43259246903798843, 0,
+          3101442413717833645ull },
+        { "gcc-like", kBase, 1210000u, 0.090909090909090912,
+          0.49152352532685034, 0.1803495867768595,
+          16906410226033859703ull, apps::Scale::Large },
+        { "crafty-like", kBase, 1210000u, 0.090909090909090912,
+          0.29192557008704911, 0.18035123966942149,
+          14020061598490355604ull, apps::Scale::Large },
     };
     for (const Golden &g : golden) {
         SCOPED_TRACE(std::string(g.app) + " " +
-                     apps::toString(g.variant));
+                     apps::toString(g.variant) + " " +
+                     apps::toString(g.scale));
         const apps::AppInfo *app = apps::findApp(g.app);
         ASSERT_NE(app, nullptr);
-        apps::AppRun run = app->make(g.variant, apps::Scale::Small, 1);
-        const LoadBranchSummary s =
-            core::Simulator::characterize(run).loadBranch;
+        apps::AppRun run = app->make(g.variant, g.scale, 1);
+        const core::CharacterizationResult res =
+            core::Simulator::characterize(run);
+        const LoadBranchSummary &s = res.loadBranch;
         EXPECT_EQ(s.dynamicLoads, g.dynamicLoads);
         // EXPECT_EQ compares doubles with ==, bit for bit.
         EXPECT_EQ(s.loadToBranchFraction, g.loadToBranch);
         EXPECT_EQ(s.ltbBranchMissRate, g.ltbMissRate);
         EXPECT_EQ(s.loadAfterHardBranchFraction, g.afterHard);
+        // The per-load table carries nextBranchBySid() of every
+        // executed load, and only a load has next-branch counts.
+        std::vector<LoadBranchProfiler::NextBranch> next;
+        for (const core::LoadProfile &e : res.loads) {
+            next.resize(std::max<size_t>(next.size(), e.sid + 1));
+            next[e.sid] = { e.nextBranchExecs, e.nextBranchMisses };
+        }
+        EXPECT_EQ(digestOf(next), g.nextDigest);
     }
+}
+
+TEST(LoadBranch, MemoReplaysBioPerfAndSwitchesOffOnGccLike)
+{
+    // Every BioPerf app at Small replays most of its events from the
+    // memo. gcc-like at Large (8K registers, states that never repeat)
+    // fails the memo's probation and steps nearly everything.
+    auto replayed_share = [](const char *name, apps::Scale scale) {
+        apps::AppRun run = apps::findApp(name)->make(
+            apps::Variant::Baseline, scale, 1);
+        LoadBranchProfiler prof;
+        vm::Interpreter interp(*run.prog);
+        interp.addSink(&prof);
+        run.driver(interp);
+        return static_cast<double>(prof.replayedInstructions()) /
+               static_cast<double>(interp.totalInstrs());
+    };
+    for (const apps::AppInfo &app : apps::bioperfApps())
+        EXPECT_GT(replayed_share(app.name.c_str(), apps::Scale::Small), 0.5)
+            << app.name;
+    EXPECT_LT(replayed_share("gcc-like", apps::Scale::Large), 0.01);
 }
 
 /**

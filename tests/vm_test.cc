@@ -6,6 +6,7 @@
 #include "ir/builder.h"
 #include "vm/interpreter.h"
 #include "vm/memory.h"
+#include "vm/segment_memo.h"
 #include "vm/trace.h"
 
 namespace bioperf::vm {
@@ -487,6 +488,116 @@ TEST(Interpreter, TotalInstrsAccumulates)
     const uint64_t n2 = interp.run(fn);
     EXPECT_EQ(n1, n2);
     EXPECT_EQ(interp.totalInstrs(), n1 + n2);
+}
+
+/** A state of two words that encode @a n. */
+std::vector<uint16_t>
+stateWords(uint32_t n)
+{
+    return { static_cast<uint16_t>(n), static_cast<uint16_t>(n >> 16) };
+}
+
+TEST(SegmentMemo, EqualWordsInternToOneIdAcrossIndexGrowth)
+{
+    // The state index starts at 1024 slots and doubles once half
+    // full: at 512 and again at 1024 states.
+    SegmentMemo memo;
+    std::vector<uint32_t> ids;
+    for (uint32_t n = 0; n < 2000; n++) {
+        ids.push_back(memo.intern(stateWords(n), 0));
+        EXPECT_EQ(ids.back(), n);
+    }
+    for (uint32_t n = 0; n < 2000; n++)
+        EXPECT_EQ(memo.intern(stateWords(n), 0), ids[n]) << n;
+    // Words of another length are another state.
+    EXPECT_EQ(memo.intern({ 7 }, 0), 2000u);
+    EXPECT_TRUE(memo.on());
+}
+
+TEST(SegmentMemo, EdgeFoundOnlyWithItsOwnInputs)
+{
+    SegmentMemo memo;
+    const uint32_t a = memo.intern(stateWords(1), 0);
+    const uint32_t b = memo.intern(stateWords(2), 0);
+    // One segment with a recorded load (two input words), one without.
+    const uint32_t with_load = memo.addSegment({ 10, 11, 12 }, { 1 });
+    const uint32_t no_load = memo.addSegment({ 20, 21 }, {});
+    ASSERT_EQ(memo.segmentAt(10), with_load);
+    ASSERT_EQ(memo.segmentAt(20), no_load);
+    EXPECT_EQ(memo.segmentAt(11), SegmentMemo::kNone);
+
+    const uint32_t in_a[] = { 3, 1 };
+    const uint32_t in_b[] = { 3, 0 };
+    const uint32_t one[] = { 1 };
+    ASSERT_TRUE(memo.addEdge(a, with_load, in_a, b, 42));
+    ASSERT_TRUE(memo.addEdge(a, no_load, one, a, 43));
+    const uint32_t e = memo.replay(SegmentMemo::kNone, a, with_load, in_a);
+    ASSERT_NE(e, SegmentMemo::kNone);
+    EXPECT_EQ(memo.edge(e).next, b);
+    EXPECT_EQ(memo.edge(e).client, 42u);
+    EXPECT_EQ(memo.replayed(), 3u);
+    const uint32_t none = SegmentMemo::kNone;
+    EXPECT_EQ(memo.replay(none, a, with_load, in_b), none);
+    EXPECT_EQ(memo.replay(none, b, with_load, in_a), none);
+    const uint32_t zero[] = { 0 };
+    EXPECT_EQ(memo.replay(none, a, no_load, zero), none);
+    // The successor cache of edge e holds the edge that followed it,
+    // and is checked like a lookup.
+    const uint32_t f = memo.replay(e, a, no_load, one);
+    ASSERT_NE(f, none);
+    EXPECT_EQ(memo.edge(e).succ, f);
+    EXPECT_EQ(memo.edge(f).client, 43u);
+    EXPECT_EQ(memo.replay(e, a, no_load, zero), none);
+    EXPECT_EQ(memo.replay(e, b, no_load, one), none);
+    EXPECT_EQ(memo.replayed(), 5u);
+}
+
+TEST(SegmentMemo, FullTableReturnsNone)
+{
+    SegmentMemo memo;
+    for (uint32_t n = 0; n < SegmentMemo::kMaxSegments; n++)
+        ASSERT_NE(memo.addSegment({ n }, {}), SegmentMemo::kNone);
+    // A too-long segment is refused but leaves the memo on.
+    std::vector<uint32_t> longest(SegmentMemo::kMaxSegmentLen + 1, 1u << 20);
+    EXPECT_EQ(memo.addSegment(longest, {}), SegmentMemo::kNone);
+    EXPECT_TRUE(memo.on());
+    EXPECT_EQ(memo.addSegment({ 1u << 20 }, {}), SegmentMemo::kNone);
+    EXPECT_FALSE(memo.on());
+
+    SegmentMemo states;
+    for (uint32_t n = 0; n < SegmentMemo::kMaxStates; n++)
+        ASSERT_NE(states.intern(stateWords(n), 0), SegmentMemo::kNone);
+    EXPECT_TRUE(states.on());
+    EXPECT_EQ(states.intern(stateWords(SegmentMemo::kMaxStates), 0),
+              SegmentMemo::kNone);
+    EXPECT_FALSE(states.on());
+    // Known states are still found.
+    EXPECT_EQ(states.intern(stateWords(5), 0), 5u);
+}
+
+TEST(SegmentMemo, SwitchesOffAtProbationOnlyWhenReplayingTooLittle)
+{
+    // Edges over one segment of 2 events: at kProbationEdges edges the
+    // memo stays on iff it has replayed at least one event per edge.
+    for (const uint32_t hits : { 0u, 511u, 512u }) {
+        SCOPED_TRACE(hits);
+        SegmentMemo memo;
+        const uint32_t seg = memo.addSegment({ 1, 2 }, {});
+        const uint32_t to = memo.intern(stateWords(0), 0);
+        const uint32_t in[] = { 0 };
+        for (uint32_t n = 1; n < SegmentMemo::kProbationEdges; n++) {
+            const uint32_t from = memo.intern(stateWords(n), 0);
+            ASSERT_TRUE(memo.addEdge(from, seg, in, to, 0));
+        }
+        // Below the probation, replaying nothing keeps it on.
+        EXPECT_TRUE(memo.on());
+        for (uint32_t k = 0; k < hits; k++)
+            ASSERT_NE(memo.replay(SegmentMemo::kNone, 1 + k % 7, seg, in),
+                      SegmentMemo::kNone);
+        const bool stays = 2 * hits >= SegmentMemo::kProbationEdges;
+        EXPECT_EQ(memo.addEdge(to, seg, in, to, 0), stays);
+        EXPECT_EQ(memo.on(), stays);
+    }
 }
 
 } // namespace
