@@ -33,6 +33,23 @@ struct Rec
     uint64_t seq;
 };
 
+/**
+ * Restarts the walkthrough's per-run position at each run end.
+ * Attached after the core, whose onRunEnd() has logged the run's last
+ * events by the time this one fires.
+ */
+class RunPosition : public vm::TraceSink
+{
+  public:
+    explicit RunPosition(uint64_t &pos) : pos_(pos) {}
+    void onInstr(const vm::DynInstr &) override {}
+    void onBatch(const vm::DynInstr *, size_t) override {}
+    void onRunEnd() override { pos_ = 0; }
+
+  private:
+    uint64_t &pos_;
+};
+
 util::json::Value
 walkthrough(apps::Variant variant, const char *title)
 {
@@ -57,22 +74,26 @@ walkthrough(apps::Variant variant, const char *title)
     std::deque<Rec> window;
     std::vector<Rec> frozen;
     int64_t countdown = -1;
+    uint64_t pos = 0; // the logged event's position in its run
     const ir::Program *prog = run.prog.get();
     core.setTraceLog([&](const vm::DynInstr &di,
                          const cpu::PipelineTimes &t) {
+        const uint64_t seq = pos++;
         if (!frozen.empty())
             return;
-        window.push_back({ ir::toString(*prog, *di.instr), t, di.seq });
+        window.push_back({ ir::toString(*prog, *di.instr), t, seq });
         if (window.size() > 26)
             window.pop_front();
-        if (countdown < 0 && di.seq > 2000 && t.mispredicted)
+        if (countdown < 0 && seq > 2000 && t.mispredicted)
             countdown = 12; // capture a dozen post-redirect instrs
         else if (countdown > 0 && --countdown == 0)
             frozen.assign(window.begin(), window.end());
     });
 
+    RunPosition run_position(pos);
     vm::Interpreter interp(*run.prog);
     interp.addSink(&core);
+    interp.addSink(&run_position);
     run.driver(interp);
 
     std::printf("--- %s ---\n", title);

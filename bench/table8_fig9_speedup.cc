@@ -60,7 +60,6 @@ main(int argc, char **argv)
                 job.variant = v;
                 job.scale = scale;
                 job.seed = 42;
-                job.registerPressure = true;
                 jobs.push_back(job);
             }
         }

@@ -178,12 +178,6 @@ class ChunkFeed
         return trace_ ? util::Status() : stream_.open(*in.path);
     }
 
-    uint64_t startSeq(size_t idx) const
-    {
-        return trace_ ? trace_->chunks()[idx].startSeq
-                      : stream_.chunkStartSeq(idx);
-    }
-
     /** Feeds chunks [begin, end) into @a rep; OK on success. */
     util::Status feed(size_t begin, size_t end, vm::TraceReplayer &rep)
     {
@@ -357,7 +351,7 @@ runExhaustive(const SampleInput &in, const cpu::PlatformConfig &platform)
         platform.makeCore(&caches, predictor.get());
     vm::TraceReplayer rep(*in.prog);
     rep.addSink(core.get());
-    rep.beginStream(0);
+    rep.beginStream();
     if (util::Status s = feed.feed(0, in.numChunks, rep); !s.ok()) {
         out.status = s.withContext("exhaustive replay");
         return out;
@@ -438,7 +432,7 @@ runSampled(const SampleInput &in, const cpu::PlatformConfig &platform,
             ws.core->reset();
             ws.router.beginShard(&results[s], plan.firstWarm,
                                  o.warmupLen, o.detailLen, warm_gap);
-            ws.replayer.beginStream(feed.startSeq(plan.w0));
+            ws.replayer.beginStream();
             if (util::Status st =
                     feed.feed(plan.w0, plan.w1, ws.replayer);
                 !st.ok()) {

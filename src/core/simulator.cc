@@ -274,11 +274,9 @@ makeKey(const SweepJob &job)
     key.variant = job.variant;
     key.scale = job.scale;
     key.seed = job.seed;
-    key.registerPressure = job.registerPressure;
-    if (job.registerPressure) {
-        key.intRegs = job.platform.core.numIntRegs;
-        key.fpRegs = job.platform.core.numFpRegs;
-    }
+    key.registerPressure = true;
+    key.intRegs = job.platform.core.numIntRegs;
+    key.fpRegs = job.platform.core.numFpRegs;
     return key;
 }
 

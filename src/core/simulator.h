@@ -115,8 +115,8 @@ struct SpeedupResult
 
 /**
  * One independent timing job of a sweep: build the application at
- * (variant, scale, seed), optionally rewrite it for the platform's
- * architectural register counts, and time it on the platform.
+ * (variant, scale, seed), rewrite it for the platform's architectural
+ * register counts, and time it on the platform.
  */
 struct SweepJob
 {
@@ -125,8 +125,6 @@ struct SweepJob
     apps::Variant variant = apps::Variant::Baseline;
     apps::Scale scale = apps::Scale::Small;
     uint64_t seed = 42;
-    /** Apply the register-pressure rewrite before timing. */
-    bool registerPressure = true;
 };
 
 /** One independent characterization job of a sweep. */
@@ -281,11 +279,11 @@ class Simulator
      * predictor and core, so results are bit-identical for any thread
      * count.
      *
-     * Jobs sharing a workload — same (app, variant, scale, seed) and,
-     * with registerPressure, the same architectural register file —
-     * form one task: one live pass (interpret and rewrite once) with
-     * every member's core on it (see time()). Tasks run on the
-     * calling thread or on the pool's workers.
+     * Jobs sharing a workload — same (app, variant, scale, seed) and
+     * the same architectural register file — form one task: one live
+     * pass (interpret and rewrite once) with every member's core on
+     * it (see time()). Tasks run on the calling thread or on the
+     * pool's workers.
      *
      * @param threads 0 = ThreadPool::defaultThreads() (honours the
      *        BIOPERF_THREADS environment variable); 1 = run inline on

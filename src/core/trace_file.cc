@@ -23,7 +23,7 @@ namespace bioperf::core {
 //   u32    keyframeInterval  (random-access cadence)
 //   u32    appNameLen, bytes
 //   u32    numChunks
-//   chunk: u32 numEvents, u32 bitmapOffset, u64 startSeq,
+//   chunk: u32 numEvents, u32 bitmapOffset,
 //          u8 flags (bit0 = gapBefore),
 //          u32 byteLen, u32 payloadCrc, bytes
 //   u64    instructions      (trailer: decoded-count cross-check)
@@ -43,11 +43,11 @@ namespace {
 
 constexpr char kTraceMagic[8] = { 'b', 'p', 't', 'r', 'a', 'c', 'e',
                                   '\0' };
-constexpr uint32_t kTraceFileVersion = 4;
+constexpr uint32_t kTraceFileVersion = 5;
 constexpr uint32_t kTraceEndMagic = 0x45545042; // "BPTE"
 constexpr uint8_t kChunkFlagGapBefore = 1u << 0;
 /** Bytes of framing in front of every chunk payload. */
-constexpr uint64_t kFrameBytes = 25;
+constexpr uint64_t kFrameBytes = 17;
 
 struct FileCloser
 {
@@ -187,8 +187,7 @@ readFrame(MetaReader &r, uint32_t i, uint32_t n, TraceChunkFrame &fr)
 {
     uint8_t flags = 0;
     if (!r.scalar(fr.numEvents) || !r.scalar(fr.bitmapOffset) ||
-        !r.scalar(fr.startSeq) || !r.scalar(flags) ||
-        !r.scalar(fr.byteLen) || !r.scalar(fr.crc))
+        !r.scalar(flags) || !r.scalar(fr.byteLen) || !r.scalar(fr.crc))
         return util::Status::corruptData(
             "truncated chunk header (chunk " + std::to_string(i) +
             " of " + std::to_string(n) + ")");
@@ -213,7 +212,6 @@ readChunk(FILE *f, const TraceChunkFrame &fr, size_t idx, bool keyframe,
 {
     chunk.numEvents = fr.numEvents;
     chunk.bitmapOffset = fr.bitmapOffset;
-    chunk.startSeq = fr.startSeq;
     chunk.keyframe = keyframe;
     chunk.gapBefore = fr.gapBefore;
     chunk.bytes.resize(fr.byteLen);
@@ -295,7 +293,6 @@ saveTraceFile(const std::string &path, const TraceKey &key,
             break;
         w.scalar(chunk.numEvents);
         w.scalar(chunk.bitmapOffset);
-        w.scalar(chunk.startSeq);
         w.scalar(static_cast<uint8_t>(
             chunk.gapBefore ? kChunkFlagGapBefore : 0));
         w.scalar(static_cast<uint32_t>(chunk.bytes.size()));
@@ -499,7 +496,7 @@ loadTraceFile(const std::string &path)
     // Single pass: each chunk is decode-validated as it streams off
     // disk, then moved into the in-memory trace.
     DecodeCheck check(*ct->prog);
-    check.replayer.beginStream(0);
+    check.replayer.beginStream();
     vm::EncodedTrace::Chunk chunk;
     util::Status stream_error;
     while (stream.next(chunk, stream_error)) {
@@ -610,7 +607,7 @@ salvageTraceFile(const std::string &path)
         // state only resets at group starts).
         if (!all_good)
             continue;
-        check.replayer.beginStream(raw[begin].data.startSeq);
+        check.replayer.beginStream();
         check.runs = 0;
         bool decode_ok = true;
         for (size_t i = begin; i < end && decode_ok; i++)

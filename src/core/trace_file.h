@@ -109,7 +109,6 @@ struct TraceChunkFrame
 {
     uint32_t numEvents = 0;
     uint32_t bitmapOffset = 0;
-    uint64_t startSeq = 0;
     bool gapBefore = false;
     uint32_t byteLen = 0;
     uint32_t crc = 0; ///< payload CRC32C
@@ -147,10 +146,6 @@ class TraceFileStream
     uint32_t keyframeInterval() const { return header_.keyframeInterval; }
 
     size_t numChunks() const { return index_.size(); }
-    uint64_t chunkStartSeq(size_t idx) const
-    {
-        return index_[idx].startSeq;
-    }
 
     /** Positions the reader at chunk @a idx (must be < numChunks()). */
     util::Status seekToChunk(size_t idx);

@@ -83,6 +83,17 @@ class DecodeTable
         return decode(in, ready);
     }
 
+    /**
+     * The entry of @a sid, already decoded by lookup(). Entries move
+     * only when lookup() decodes a new sid.
+     */
+    const DecodedInstr &at(uint32_t sid) const
+    {
+        assert(sid < entries_.size() &&
+               entries_[sid].kind != DecodedInstr::kUnknown);
+        return entries_[sid];
+    }
+
   private:
     uint32_t slotOf(ir::RegClass rc, uint32_t reg)
     {

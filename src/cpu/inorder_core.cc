@@ -25,7 +25,7 @@ InorderCore::step(size_t from, size_t to)
     uint64_t cycles = cycles_;
 
     for (size_t i = from; i < to; i++) {
-        const DecodedInstr &d = r.decoded[i];
+        const DecodedInstr &d = decode_.at(r.sid[i]);
 
         // DecodeTable pre-sized the scoreboard and padded reads[] with
         // the always-zero sentinel, so this is four unchecked loads and

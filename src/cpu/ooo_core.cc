@@ -59,7 +59,7 @@ OooCore::stepRange(size_t from, size_t to)
     // retire slot) flip with the data; they are written as selects,
     // not branches, since the host mispredicts them.
     for (size_t i = from; i < to; i++) {
-        const DecodedInstr &d = r.decoded[i];
+        const DecodedInstr &d = decode_.at(r.sid[i]);
 
         // --- dispatch: fetch bandwidth + window occupancy -----------------
         // A full fetch group moves to the next cycle; a full window

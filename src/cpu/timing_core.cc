@@ -90,7 +90,6 @@ TimingCore::resolveWith(Predictor &predictor, const vm::DynInstr *batch,
             mispredicts += mispredicted;
         }
 
-        r.decoded[base + i] = d;
         r.latency[base + i] = latency;
         r.sid[base + i] = di.sid;
         r.mispredicted[base + i] = mispredicted;
@@ -139,8 +138,6 @@ TimingCore::replay(size_t i, size_t end)
             // Cut by the chunk end: carry the prefix to the next chunk.
             const size_t n = end - i;
             if (i > 0) {
-                std::memmove(r.decoded, r.decoded + i,
-                             n * sizeof *r.decoded);
                 std::memmove(r.latency, r.latency + i,
                              n * sizeof *r.latency);
                 std::memmove(r.sid, r.sid + i, n * sizeof *r.sid);
@@ -199,7 +196,7 @@ TimingCore::stepOpen(size_t i, size_t end)
 {
     const Resolved &r = resolved_;
     size_t t = i;
-    while (t < end && !r.decoded[t].isBranch)
+    while (t < end && !decode_.at(r.sid[t]).isBranch)
         t++;
     const size_t stop = t < end ? t + 1 : end;
     if (rec_segment_ || rec_edge_) {
@@ -218,7 +215,7 @@ TimingCore::stepOpen(size_t i, size_t end)
                 rec_segment_ = rec_edge_ = false;
                 break;
             }
-            if (r.decoded[k].kind == DecodedInstr::kLoad) {
+            if (decode_.at(r.sid[k]).kind == DecodedInstr::kLoad) {
                 rec_loads_.push_back(
                     static_cast<uint8_t>(rec_sids_.size()));
                 rec_inputs_.push_back(r.latency[k]);

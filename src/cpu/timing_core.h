@@ -131,12 +131,12 @@ class TimingCore : public vm::TraceSink
 
     /**
      * One chunk's outcomes, indexed like the chunk's events after the
-     * carried ones. Entries are copies: decoding a new sid may
-     * reallocate the decode table.
+     * carried ones. An event's static facts are decode_.at(sid[i]):
+     * the table grows only in resolve(), so they hold still while the
+     * chunk is scheduled.
      */
     struct Resolved
     {
-        DecodedInstr decoded[kChunk + kCarry];
         /**
          * Execution latency: fixedLatency, the hierarchy's (and
          * accelerator's) latency for a load, 1 for a store or

@@ -197,7 +197,6 @@ Interpreter::run(const ir::Function &fn,
         const Decoded &d = code[idx];
         DynInstr &di = batch[bn];
         di = d.event;
-        di.seq = count;
 
         uint32_t next = d.next;
         bool halt = false;

@@ -52,15 +52,6 @@ class Interpreter
 {
   public:
     /**
-     * Default trace events buffered between sink flushes. Every
-     * attached sink streams the whole buffer per flush, so it is sized
-     * to keep the buffer (~20 KiB at 40 bytes/entry) plus the hot sink
-     * tables resident in a typical 32-48 KiB L1D across all passes;
-     * larger buffers push every sink pass out to L2.
-     */
-    static constexpr size_t kBatchCapacity = 512;
-
-    /**
      * Allocates memory sized for all of @a prog's regions. Events are
      * flushed to the sinks every @a batch_capacity instructions (at
      * least 1).

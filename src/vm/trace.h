@@ -23,8 +23,6 @@ namespace bioperf::vm {
 struct DynInstr
 {
     const ir::Instr *instr = nullptr;
-    /** Dynamic sequence number within the current run (from 0). */
-    uint64_t seq = 0;
     /** Effective address for loads/stores/prefetches; 0 otherwise. */
     uint64_t addr = 0;
     /**
@@ -51,9 +49,19 @@ struct DynInstr
     }
 };
 
-// sid and op sit in the padding after `taken`: batches stay 40 bytes
-// per event.
-static_assert(sizeof(DynInstr) == 40);
+// sid and op sit in the padding after `taken`: batches stay 32 bytes
+// per event. An event's position in its run is implied by the stream,
+// not stored.
+static_assert(sizeof(DynInstr) == 32);
+
+/**
+ * Trace events a producer (Interpreter, TraceReplayer) buffers between
+ * sink flushes. Every attached sink streams the whole buffer per
+ * flush, so it is sized to keep the buffer (16 KiB at 32 bytes per
+ * event) plus the hot sink tables resident in a typical 32-48 KiB L1D
+ * across all passes; larger buffers push every sink pass out to L2.
+ */
+constexpr size_t kBatchCapacity = 512;
 
 /**
  * Observer of the dynamic instruction stream. Multiple sinks can be

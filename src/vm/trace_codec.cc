@@ -301,14 +301,12 @@ TraceRecorder::onBatch(const DynInstr *batch, size_t n)
     uint32_t expect = expect_;
     uint32_t events = chunk_events_;
     uint32_t branches = chunk_branches_;
-    uint64_t seq = seq_;
     uint64_t instructions = instructions_;
     auto store = [&] {
         payload_pos_ = static_cast<size_t>(p - base);
         expect_ = expect;
         chunk_events_ = events;
         chunk_branches_ = branches;
-        seq_ = seq;
         instructions_ = instructions;
     };
 
@@ -356,7 +354,6 @@ TraceRecorder::onBatch(const DynInstr *batch, size_t n)
         }
         expect = se.next[taken];
         instructions++;
-        seq++;
         if (__builtin_expect(++events == kChunkEvents, 0)) {
             store();
             sealChunk();
@@ -381,7 +378,6 @@ TraceRecorder::onRunEnd()
         payload_[payload_pos_++] = 0;
     expect_ = implied_ = kCoded; // the next run's entry sid is coded
     runs_++;
-    seq_ = 0;
     if (++chunk_events_ == kChunkEvents)
         sealChunk();
 }
@@ -395,7 +391,6 @@ TraceRecorder::sealChunk()
     EncodedTrace::Chunk chunk;
     chunk.numEvents = chunk_events_;
     chunk.bitmapOffset = static_cast<uint32_t>(payload_pos_);
-    chunk.startSeq = chunk_start_seq_;
     chunk.keyframe = trace_.isKeyframe(trace_.chunks().size());
     chunk.bytes.reserve(payload_pos_ + bitmap_bytes);
     chunk.bytes.assign(payload_.begin(),
@@ -408,7 +403,6 @@ TraceRecorder::sealChunk()
     payload_pos_ = 0;
     chunk_events_ = 0;
     chunk_branches_ = 0;
-    chunk_start_seq_ = seq_;
     // Every chunk opens with a coded event, which must still be the
     // one the walk implies.
     if (expect_ != kCoded) {
@@ -495,9 +489,8 @@ TraceReplayer::flush(size_t n)
 }
 
 void
-TraceReplayer::beginStream(uint64_t start_seq)
+TraceReplayer::beginStream()
 {
-    seq_ = start_seq;
     delivered_ = 0;
     batch_n_ = 0;
     std::fill(last_addr_.begin(), last_addr_.end(), 0);
@@ -533,8 +526,7 @@ TraceReplayer::decodeChunk(const EncodedTrace::Chunk &chunk)
     if (chunk.bitmapOffset > chunk.bytes.size())
         corrupt("branch bitmap offset beyond the chunk");
     // A salvage gap: the chunks that originally preceded this one are
-    // gone, so drain the sinks' in-flight state (pipeline/scoreboard)
-    // and resume per-run seq numbering where the chunk expects it.
+    // gone, so drain the sinks' in-flight state (pipeline/scoreboard).
     if (__builtin_expect(chunk.gapBefore, 0)) {
         if (batch_n_ > 0) {
             flush(batch_n_);
@@ -542,7 +534,6 @@ TraceReplayer::decodeChunk(const EncodedTrace::Chunk &chunk)
         }
         for (TraceSink *s : sinks_)
             s->onGap();
-        seq_ = chunk.startSeq;
     }
     // Mirror the recorder's keyframe reset (idempotent when the
     // stream just began here — beginStream() resets the same state).
@@ -558,7 +549,6 @@ TraceReplayer::decodeChunk(const EncodedTrace::Chunk &chunk)
     uint64_t *last_bits = last_bits_.data();
     DynInstr *batch = batch_.data();
     uint64_t instructions = delivered_;
-    uint64_t seq = seq_;
     size_t bn = batch_n_;
 
     const uint8_t *p = chunk.bytes.data();
@@ -567,7 +557,7 @@ TraceReplayer::decodeChunk(const EncodedTrace::Chunk &chunk)
     const uint8_t *bitmap_end = chunk.bytes.data() + chunk.bytes.size();
     uint32_t branch_idx = 0;
     // Run boundary: flush, then onRunEnd, exactly as the interpreter
-    // orders them; seq restarts per run.
+    // orders them.
     auto run_end = [&] {
         if (bn > 0) {
             flush(bn);
@@ -575,7 +565,6 @@ TraceReplayer::decodeChunk(const EncodedTrace::Chunk &chunk)
         }
         for (TraceSink *s : sinks_)
             s->onRunEnd();
-        seq = 0;
     };
     // Every chunk opens with a coded event.
     const Step *at = &walk[0];
@@ -608,7 +597,6 @@ TraceReplayer::decodeChunk(const EncodedTrace::Chunk &chunk)
         const uint32_t sid = st.proto.sid;
         DynInstr &di = batch[bn];
         di = st.proto; // one copy: instr, op, sid set; dynamic fields 0
-        di.seq = seq++;
         at++; // block order: a non-terminator's successor
         switch (st.kind) {
           case kPlain:
@@ -652,7 +640,6 @@ TraceReplayer::decodeChunk(const EncodedTrace::Chunk &chunk)
         corrupt("chunk payload has trailing bytes");
 
     delivered_ = instructions;
-    seq_ = seq;
     batch_n_ = bn;
 }
 
@@ -666,7 +653,7 @@ TraceReplayer::replay()
     if (!init_status_.ok())
         return init_status_;
     const std::vector<EncodedTrace::Chunk> &chunks = trace_->chunks();
-    beginStream(chunks.empty() ? 0 : chunks.front().startSeq);
+    beginStream();
     try {
         for (const EncodedTrace::Chunk &chunk : chunks)
             decodeChunk(chunk);

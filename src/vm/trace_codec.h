@@ -36,8 +36,7 @@ namespace bioperf::vm {
  *    run-end marker: varint 0 for a run-end marker, sid + 1 for an
  *    instruction (the entry sid of a run, or where a chunk resumes
  *    mid-run). The run-end marker that follows a Halt inside a chunk
- *    costs nothing; replay reproduces onRunEnd() calls and per-run seq
- *    numbering from it;
+ *    costs nothing; replay reproduces onRunEnd() calls from it;
  *  - memory ops append zigzag-varint of the effective-address delta
  *    against the *same static instruction's* previous address, so
  *    constant-stride loads cost one or two bytes;
@@ -47,7 +46,7 @@ namespace bioperf::vm {
  *  - branch directions go into a per-chunk bitmap (one bit per Br,
  *    appended after the event payload); they also steer the walk.
  *
- * Everything else in DynInstr (sid, seq, zero addr/value for
+ * Everything else in DynInstr (sid, zero addr/value for
  * non-memory ops, taken=false for non-branches) is reconstructed, not
  * stored: 0.2-1.4 bytes/instr across the suite. The recorder checks
  * every live event against the walk and fails the recording
@@ -60,8 +59,8 @@ namespace bioperf::vm {
  * boundaries — except at **keyframes**: every Kth chunk opens with
  * the per-sid addresses/values reset to zero, making it (with its
  * opening code) a self-contained random-access entry point. Replay
- * may start at any keyframe (TraceReplayer::beginStream with that
- * chunk's startSeq), which is what lets the sampled-timing controller
+ * may start at any keyframe (TraceReplayer::beginStream, then that
+ * chunk), which is what lets the sampled-timing controller
  * shard one trace across threads; non-keyframe chunks remain pure
  * framing for the on-disk format and for bounded-memory encoding.
  */
@@ -104,12 +103,6 @@ class EncodedTrace
         /** Offset of the branch bitmap within @a bytes. */
         uint32_t bitmapOffset = 0;
         /**
-         * Per-run seq of the first event in this chunk; replay
-         * starting here (keyframes only) resumes seq numbering
-         * without decoding the prefix.
-         */
-        uint64_t startSeq = 0;
-        /**
          * The recorder reset its delta state before encoding this
          * chunk; the decoder mirrors the reset on entry. True for
          * every keyframeInterval()-th chunk.
@@ -118,8 +111,7 @@ class EncodedTrace
         /**
          * Set by trace salvage when the chunks preceding this one
          * were lost to corruption. The decoder notifies sinks via
-         * onGap() (pipeline/scoreboard drain) and resumes seq
-         * numbering from startSeq. Always a keyframe.
+         * onGap() (pipeline/scoreboard drain). Always a keyframe.
          */
         bool gapBefore = false;
     };
@@ -236,10 +228,6 @@ class TraceRecorder : public TraceSink
     uint32_t chunk_branches_ = 0;
     uint64_t instructions_ = 0;
     uint64_t runs_ = 0;
-    /** Per-run seq of the next event (mirrors replay numbering). */
-    uint64_t seq_ = 0;
-    /** seq_ captured when the current chunk opened. */
-    uint64_t chunk_start_seq_ = 0;
     /** Per-sid encode recipe: decode kind and successor sids. */
     struct SidEncode
     {
@@ -301,22 +289,18 @@ class TraceReplayer
     util::StatusOr<uint64_t> replay();
 
     /**
-     * Streaming protocol: beginStream() resets decode state (seq
-     * resumes from @a start_seq — pass the chunk's startSeq when
-     * entering at a keyframe, 0 from the top), streamChunk() decodes
-     * one chunk into the sinks (kCorruptData on malformed bytes;
+     * Streaming protocol: beginStream() resets decode state (to
+     * enter at the top or at a keyframe), streamChunk() decodes one
+     * chunk into the sinks (kCorruptData on malformed bytes;
      * decode state is then undefined until the next beginStream()),
      * endStream() flushes and returns instructions delivered since
      * beginStream().
      */
-    void beginStream(uint64_t start_seq = 0);
+    void beginStream();
     util::Status streamChunk(const EncodedTrace::Chunk &chunk);
     uint64_t endStream();
 
   private:
-    /** Batch buffer size; mirrors Interpreter::kBatchCapacity. */
-    static constexpr size_t kBatchCapacity = 512;
-
     void flush(size_t n);
     void decodeChunk(const EncodedTrace::Chunk &chunk);
 
@@ -349,7 +333,6 @@ class TraceReplayer
     /** Set by the two-argument ctor when trace and program disagree. */
     util::Status init_status_;
     /** Streaming decode state, reset by beginStream(). */
-    uint64_t seq_ = 0;
     uint64_t delivered_ = 0;
     size_t batch_n_ = 0;
 };

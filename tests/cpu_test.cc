@@ -559,7 +559,6 @@ TEST(Timing, ResultsBitIdenticalToRecordedGolden)
         job.variant = g.variant;
         job.scale = apps::Scale::Small;
         job.seed = 1;
-        job.registerPressure = true;
         jobs.push_back(job);
     }
     const std::vector<core::TimingResult> results =

@@ -123,7 +123,10 @@ TEST(SampledTiming, ShortTraceFallsBackToExhaustiveReplay)
     EXPECT_EQ(sampled.measuredCycles, full.cycles);
 }
 
-/** FNV-1a over DynInstr fields, skipping the first @a skip instrs. */
+/**
+ * FNV-1a over DynInstr fields and run-boundary positions, skipping
+ * the first @a skip instrs.
+ */
 struct SuffixHashSink : vm::TraceSink
 {
     uint64_t skip = 0;
@@ -145,14 +148,19 @@ struct SuffixHashSink : vm::TraceSink
             return;
         }
         mix(di.instr->sid);
-        mix(di.seq);
         mix(di.addr);
         mix(di.loadValueBits);
         mix(di.taken ? 1 : 0);
         instrs++;
     }
 
-    void onRunEnd() override {}
+    /** Run ends inside the hashed suffix, by instruction count. */
+    void
+    onRunEnd() override
+    {
+        if (instrs > 0)
+            mix(~instrs);
+    }
 };
 
 /** Counts instructions only. */
@@ -180,12 +188,11 @@ TEST(SampledTiming, KeyframeSuffixReplayIdenticalToSequential)
     ASSERT_GT(chunks.size(), 4u);
 
     // Streams chunks [begin, end) into @a sink the way a sampling
-    // shard enters its keyframe: seq resumes from the chunk's
-    // startSeq, with no prefix decoded.
+    // shard enters its keyframe, with no prefix decoded.
     auto stream = [&](size_t begin, size_t end, vm::TraceSink &sink) {
         vm::TraceReplayer rep(*run.prog);
         rep.addSink(&sink);
-        rep.beginStream(begin < end ? chunks[begin].startSeq : 0);
+        rep.beginStream();
         for (size_t i = begin; i < end; i++)
             EXPECT_TRUE(rep.streamChunk(chunks[i]).ok()) << i;
         return rep.endStream();

@@ -28,10 +28,10 @@ namespace bioperf::vm {
 namespace {
 
 /** Batch capacities the delivery tests compare; 1 is the reference. */
-constexpr size_t kCapacities[] = { 1, 7, Interpreter::kBatchCapacity };
+constexpr size_t kCapacities[] = { 1, 7, kBatchCapacity };
 
 /**
- * Hashes the observed stream (FNV-1a over sid, op, seq, addr,
+ * Hashes the observed stream (FNV-1a over sid, op, addr,
  * loadValueBits, taken) so whole-suite comparisons stay O(1) in
  * memory, counts events whose sid or op disagrees with their static
  * instruction, and records the instruction count at every onRunEnd()
@@ -58,7 +58,6 @@ struct StreamHashSink : TraceSink
         mix(di.sid);
         mix(static_cast<uint64_t>(di.op));
         mismatched += !di.matchesInstr();
-        mix(di.seq);
         mix(di.addr);
         mix(di.loadValueBits);
         mix(di.taken ? 1 : 0);

@@ -514,7 +514,6 @@ TEST(SweepFault, WorkerExceptionBecomesPerJobStatus)
     job.app = &app;
     job.platform = cpu::alpha21264();
     job.scale = apps::Scale::Small;
-    job.registerPressure = false;
 
     // Distinct seeds give each job its own workload, so both run live.
     SweepJob other = job;
@@ -544,7 +543,6 @@ TEST(SweepFault, AllWorkersThrowingStillReturnsInOrder)
     job.app = &app;
     job.platform = cpu::alpha21264();
     job.scale = apps::Scale::Small;
-    job.registerPressure = false;
 
     // Distinct seeds give each job its own workload, so all run live.
     std::vector<SweepJob> jobs(3, job);
@@ -569,24 +567,29 @@ TEST(SweepFault, RecordFailureFallsBackToLivePerJob)
 {
     FailPointGuard guard;
     const apps::AppInfo &app = *apps::findApp("promlk");
-    // Two workloads (seeds), each shared by two platforms: two groups,
-    // so threads = 2 runs them on the pool.
+    // Two workloads (seeds), each shared by two platforms with the
+    // same register file: two groups, so threads = 2 runs them on the
+    // pool.
     std::vector<SweepJob> jobs;
     for (const uint64_t seed : { 42u, 43u })
         for (const cpu::PlatformConfig &platform :
-             { cpu::alpha21264(), cpu::itanium2() }) {
+             { cpu::alpha21264(), cpu::powerpcG5() }) {
             SweepJob job;
             job.app = &app;
             job.platform = platform;
             job.scale = apps::Scale::Small;
             job.seed = seed;
-            job.registerPressure = false;
             jobs.push_back(job);
         }
-    // Each job live on its own.
+    // Each job live on its own, rewritten for its register file.
     std::vector<TimingResult> reference;
     for (const SweepJob &job : jobs) {
-        apps::AppRun run = app.make(job.variant, job.scale, job.seed);
+        TraceKey key = keyFor(app);
+        key.seed = job.seed;
+        key.registerPressure = true;
+        key.intRegs = job.platform.core.numIntRegs;
+        key.fpRegs = job.platform.core.numFpRegs;
+        apps::AppRun run = makeWorkload(key);
         reference.push_back(Simulator::time(run, job.platform));
     }
 

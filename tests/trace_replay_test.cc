@@ -51,7 +51,6 @@ struct StreamHashSink : vm::TraceSink
         mix(di.sid);
         mix(static_cast<uint64_t>(di.op));
         mismatched += !di.matchesInstr();
-        mix(di.seq);
         mix(di.addr);
         mix(di.loadValueBits);
         mix(di.taken ? 1 : 0);
@@ -225,8 +224,11 @@ TEST(TraceReplay, MultiPlatformTimeMatchesPerPlatformTime)
 struct ChunkHashSink : vm::TraceSink
 {
     std::vector<uint64_t> hashes;
+    /** Per chunk: its first event continues a run already under way. */
+    std::vector<bool> mid_run;
     StreamHashSink cur;
     uint32_t events = 0;
+    bool in_run = false;
 
     void count()
     {
@@ -241,11 +243,17 @@ struct ChunkHashSink : vm::TraceSink
     }
     void onInstr(const vm::DynInstr &di) override
     {
+        if (events == 0)
+            mid_run.push_back(in_run);
+        in_run = true;
         cur.onInstr(di);
         count();
     }
     void onRunEnd() override
     {
+        if (events == 0)
+            mid_run.push_back(false);
+        in_run = false;
         cur.mix(~0ull);
         count();
     }
@@ -358,11 +366,11 @@ TEST(TraceCodec, EveryChunkDecodesAloneAtKeyframeIntervalOne)
     size_t mid_run = 0;
     for (size_t i = 0; i < chunks.size(); i++) {
         SCOPED_TRACE(i);
-        mid_run += chunks[i].startSeq > 0;
+        mid_run += live.mid_run[i];
         vm::TraceReplayer replayer(*run.prog);
         ChunkHashSink replayed;
         replayer.addSink(&replayed);
-        replayer.beginStream(chunks[i].startSeq);
+        replayer.beginStream();
         const util::Status s = replayer.streamChunk(chunks[i]);
         ASSERT_TRUE(s.ok()) << s.str();
         replayer.endStream();
@@ -387,7 +395,7 @@ TEST(TraceCodec, MalformedChunksAreCorruptData)
     auto decode = [](const ir::Program &p,
                      const vm::EncodedTrace::Chunk &c) {
         vm::TraceReplayer replayer(p);
-        replayer.beginStream(c.startSeq);
+        replayer.beginStream();
         return replayer.streamChunk(c).code();
     };
     auto coded = [](std::vector<uint8_t> bytes, uint32_t events) {
@@ -635,9 +643,9 @@ TEST_F(BptraceFileTest, RejectsTruncationBadMagicAndVersionSkew)
               std::string::npos);
 
     // Version skew (version field follows the 8-byte magic); only
-    // the current version is read, so the retired v2 and v3 fail the
-    // same way as an unknown one.
-    for (const char version : { 99, 2, 3 }) {
+    // the current version is read, so the retired v2, v3 and v4 fail
+    // the same way as an unknown one.
+    for (const char version : { 99, 2, 3, 4 }) {
         SCOPED_TRACE(static_cast<int>(version));
         bad = good;
         bad[8] = version;
@@ -674,9 +682,9 @@ TEST_F(BptraceFileTest, RefusesATraceOfOtherControlFlow)
 }
 
 /**
- * One workload (no register pressure, so all four platforms share a
- * single trace) plus a register-pressure set that shares only between
- * the 32-register platforms: four distinct keys over eight jobs.
+ * One workload on the four platforms, each rewritten for its register
+ * file: the 32-register platforms share one workload, so three
+ * distinct keys over four jobs.
  */
 std::vector<SweepJob>
 platformJobs()
@@ -689,9 +697,6 @@ platformJobs()
         job.variant = apps::Variant::Baseline;
         job.scale = apps::Scale::Small;
         job.seed = 42;
-        job.registerPressure = false;
-        jobs.push_back(job);
-        job.registerPressure = true;
         jobs.push_back(job);
     }
     return jobs;
@@ -704,11 +709,9 @@ liveReference(const std::vector<SweepJob> &jobs)
     std::vector<TimingResult> reference;
     for (const SweepJob &job : jobs) {
         TraceKey key = keyFor(*job.app, job.variant, job.scale, job.seed);
-        key.registerPressure = job.registerPressure;
-        if (job.registerPressure) {
-            key.intRegs = job.platform.core.numIntRegs;
-            key.fpRegs = job.platform.core.numFpRegs;
-        }
+        key.registerPressure = true;
+        key.intRegs = job.platform.core.numIntRegs;
+        key.fpRegs = job.platform.core.numFpRegs;
         apps::AppRun run = makeWorkload(key);
         reference.push_back(Simulator::time(run, job.platform));
     }

@@ -187,7 +187,6 @@ class CollectingSink : public TraceSink
     struct Rec
     {
         Opcode op;
-        uint64_t seq;
         uint64_t addr;
         bool taken;
     };
@@ -197,7 +196,7 @@ class CollectingSink : public TraceSink
     void
     onInstr(const DynInstr &di) override
     {
-        recs.push_back({ di.instr->op, di.seq, di.addr, di.taken });
+        recs.push_back({ di.instr->op, di.addr, di.taken });
     }
     void onRunEnd() override { run_ends++; }
 };
@@ -218,10 +217,6 @@ TEST(Trace, StreamContents)
     const uint64_t n = interp.run(fn, { 5 });
     EXPECT_EQ(sink.recs.size(), n);
     EXPECT_EQ(sink.run_ends, 1);
-
-    // Sequence numbers are dense and ordered.
-    for (size_t i = 0; i < sink.recs.size(); i++)
-        EXPECT_EQ(sink.recs[i].seq, i);
 
     // The first store's address is arr base + 2*4.
     bool found_store = false, found_branch = false;
