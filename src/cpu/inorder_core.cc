@@ -12,14 +12,13 @@ InorderCore::InorderCore(const CoreConfig &config,
 }
 
 void
-InorderCore::step(size_t from, size_t to)
+InorderCore::step(const Resolved &r, size_t from, size_t to)
 {
     // Width, penalty, the scoreboard base and the carried state live
     // in locals for the chunk, so scoreboard stores cannot force them
     // to be reloaded around every instruction.
     const uint32_t issue_width = config_.issueWidth;
     const uint64_t penalty = config_.mispredictPenalty;
-    const Resolved &r = resolved_;
     uint64_t *const rv = ready_.data();
     Hot h = hot_;
     uint64_t cycles = cycles_;
@@ -107,13 +106,6 @@ InorderCore::materialize(const uint16_t *w, size_t len, uint64_t f)
     std::fill(ready_.begin(), ready_.end(), 0);
     for (size_t k = 2; k < len; k += 2)
         ready_[w[k]] = f + w[k + 1];
-}
-
-void
-InorderCore::reset()
-{
-    TimingCore::reset();
-    hot_ = Hot{};
 }
 
 } // namespace bioperf::cpu

@@ -24,14 +24,13 @@ class InorderCore final : public TimingCore
     InorderCore(const CoreConfig &config, mem::CacheHierarchy *caches,
                 branch::BranchPredictor *predictor);
 
-    void reset() override;
-
   private:
-    void step(size_t from, size_t to) override;
+    void step(const Resolved &r, size_t from, size_t to) override;
     uint64_t frontier() const override { return hot_.issueCycle; }
     bool canonicalize(std::vector<uint16_t> &words) const override;
     void materialize(const uint16_t *words, size_t len,
                      uint64_t f) override;
+    void clearPipeline() override { hot_ = Hot{}; }
 
     /** Issue state carried from one instruction to the next. */
     struct Hot

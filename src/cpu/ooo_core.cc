@@ -22,22 +22,22 @@ OooCore::OooCore(const CoreConfig &config, mem::CacheHierarchy *caches,
 void
 OooCore::setTraceLog(TraceLog log)
 {
-    syncStepped();
+    makeCurrent();
     log_ = std::move(log);
 }
 
 void
-OooCore::step(size_t from, size_t to)
+OooCore::step(const Resolved &r, size_t from, size_t to)
 {
     if (log_)
-        stepRange<true>(from, to);
+        stepRange<true>(r, from, to);
     else
-        stepRange<false>(from, to);
+        stepRange<false>(r, from, to);
 }
 
 template <bool kLogged>
 void
-OooCore::stepRange(size_t from, size_t to)
+OooCore::stepRange(const Resolved &r, size_t from, size_t to)
 {
     // Widths, bases and the carried state live in locals for the
     // chunk: stores through the scoreboard and the rings could
@@ -47,7 +47,6 @@ OooCore::stepRange(size_t from, size_t to)
     const uint32_t issue_width = config_.issueWidth;
     const uint32_t retire_width = config_.retireWidth;
     const uint64_t penalty = config_.mispredictPenalty;
-    const Resolved &r = resolved_;
     uint64_t *const rv = ready_.data();
     uint64_t *const rob = rob_.data();
     const size_t rob_size = rob_.size();
@@ -267,9 +266,8 @@ OooCore::materialize(const uint16_t *w, size_t len, uint64_t f)
 }
 
 void
-OooCore::reset()
+OooCore::clearPipeline()
 {
-    TimingCore::reset();
     hot_ = Hot{};
     std::fill(rob_.begin(), rob_.end(), 0);
     std::fill(issue_slots_.begin(), issue_slots_.end(), 0);

@@ -58,8 +58,6 @@ class OooCore final : public TimingCore
     OooCore(const CoreConfig &config, mem::CacheHierarchy *caches,
             branch::BranchPredictor *predictor);
 
-    void reset() override;
-
     /**
      * Installs a per-instruction observer (Figure 4 walkthrough). It
      * runs inside the scheduling loop: cycles() catches up only at
@@ -70,9 +68,9 @@ class OooCore final : public TimingCore
     void setTraceLog(TraceLog log);
 
   private:
-    void step(size_t from, size_t to) override;
+    void step(const Resolved &r, size_t from, size_t to) override;
     template <bool kLogged>
-    void stepRange(size_t from, size_t to);
+    void stepRange(const Resolved &r, size_t from, size_t to);
     uint64_t frontier() const override { return hot_.fetchCycle; }
     bool canonicalize(std::vector<uint16_t> &words) const override;
     void materialize(const uint16_t *words, size_t len,
@@ -85,6 +83,7 @@ class OooCore final : public TimingCore
                config_.issueWidth <= 15 && config_.retireWidth <= 15 &&
                rob_.size() <= 0xffff;
     }
+    void clearPipeline() override;
 
     /**
      * Pipeline state carried from one instruction to the next; a

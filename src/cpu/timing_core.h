@@ -1,6 +1,7 @@
 #ifndef BIOPERF_CPU_TIMING_CORE_H_
 #define BIOPERF_CPU_TIMING_CORE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -10,7 +11,7 @@
 #include "cpu/decoded_instr.h"
 #include "cpu/load_accel.h"
 #include "mem/hierarchy.h"
-#include "vm/segment_memo.h"
+#include "vm/segment_driver.h"
 #include "vm/trace.h"
 
 namespace bioperf::cpu {
@@ -29,27 +30,23 @@ namespace bioperf::cpu {
  * instruction stream, never on timing, and each core's hierarchy and
  * predictor see only that core's stream. So onBatch() takes the
  * stream in chunks of kChunk events: resolve() runs a chunk's decode,
- * memory accesses and predictions in program order, then schedule()
- * places the chunk in time from the outcomes, with no call out of the
- * loop.
+ * memory accesses and predictions in program order, then the chunk is
+ * placed in time from the outcomes, with no call out of the loop.
  *
- * schedule() replays what it can from the segment memo (FastSim,
- * Schnarr & Larus, ASPLOS 1998). At each segment boundary (after a
- * conditional branch) the core's carried pipeline state is written
- * relative to its frontier F (the fetch cycle, or the in-order issue
- * cycle) as a canonical state, which determines everything the core
- * does from there. A segment whose (state, sids, load latencies,
- * terminal flags) was stepped before is replayed by moving F and
- * cycles_ alone; the ROB, scoreboard and issue ring go stale until a
- * miss materialises the state again and steps with step(), the only
- * copy of the timing rules. So results are bit-identical with or
- * without the memo. A segment cut by a chunk end is carried to the
- * next chunk, and one still open when cycles() is read, at a run end,
- * a gap or a reset is stepped then. A state whose cycles_ - F exceeds
- * kMaxSpan is never interned, and once the memo is off (a full table
- * or a failed probation, see vm::SegmentMemo) every event is stepped.
+ * The core replays what it can through vm::SegmentDriver (FastSim,
+ * Schnarr & Larus, ASPLOS 1998). Its canonical state at a segment
+ * boundary is written relative to its frontier F (the fetch cycle, or
+ * the in-order issue cycle); a hit moves F and cycles_ alone, and the
+ * ROB, scoreboard and issue ring go stale until a miss materialises the
+ * state. Every segment is stepped with step(), the only copy of the
+ * timing rules, from a chunk's outcomes or from the memo's recording
+ * (non-load latencies follow from the sid, the loads' are edge inputs,
+ * and only the terminal branch can be mispredicted or taken), so
+ * results are bit-identical with or without the memo. A state whose
+ * cycles_ - F exceeds kMaxSpan is never interned.
  */
-class TimingCore : public vm::TraceSink
+class TimingCore : public vm::TraceSink,
+                   public vm::SegmentDriver<TimingCore>
 {
   public:
     /** One event is a batch of one. */
@@ -64,8 +61,7 @@ class TimingCore : public vm::TraceSink
     uint64_t
     cycles()
     {
-        if (open_ > 0)
-            settle();
+        catchUp();
         return cycles_;
     }
     uint64_t instructions() const { return instructions_; }
@@ -75,9 +71,6 @@ class TimingCore : public vm::TraceSink
     double seconds();
 
     const CoreConfig &config() const { return config_; }
-
-    /** Instructions memo replay placed in time, since construction. */
-    uint64_t replayedInstructions() const { return memo_.replayed(); }
 
     /**
      * Installs a hardware load-latency-hiding unit (zero-cycle loads
@@ -89,7 +82,7 @@ class TimingCore : public vm::TraceSink
      * A new run starts with freshly zeroed registers whose values are
      * immediately available, so the scoreboard drains.
      */
-    void onRunEnd() override;
+    void onRunEnd() override { endRun(); }
 
     /**
      * A salvage gap in the trace: the producers of what follows were
@@ -98,16 +91,16 @@ class TimingCore : public vm::TraceSink
      * only makes the salvaged estimate a touch conservative for a few
      * instructions after the gap.
      */
-    void onGap() override;
+    void onGap() override { endRun(); }
 
     /**
      * Returns the core to its post-construction state (counters and
      * pipeline occupancy zeroed) while keeping the decode table and
      * the memo — static facts and canonical states survive across
-     * shards. Borrowed cache/predictor state is NOT touched; reset
-     * those separately.
+     * shards. An open segment is dropped, not stepped. Borrowed
+     * cache/predictor state is NOT touched; reset those separately.
      */
-    virtual void reset();
+    void reset();
 
   protected:
     /**
@@ -120,8 +113,6 @@ class TimingCore : public vm::TraceSink
                branch::BranchPredictor *predictor, bool key_direction);
 
     static constexpr size_t kChunk = 256;
-    /** Room in resolved_ for an open segment carried to the next chunk. */
-    static constexpr size_t kCarry = vm::SegmentMemo::kMaxSegmentLen;
     /**
      * Largest |cycles_ - F| of an interned state. Keeps the issue
      * ring's live cycles far inside its 32K buckets and a state's
@@ -130,10 +121,10 @@ class TimingCore : public vm::TraceSink
     static constexpr int64_t kMaxSpan = 1023;
 
     /**
-     * One chunk's outcomes, indexed like the chunk's events after the
-     * carried ones. An event's static facts are decode_.at(sid[i]):
-     * the table grows only in resolve(), so they hold still while the
-     * chunk is scheduled.
+     * Events' outcomes: a chunk's, indexed like its events, or a
+     * segment's rebuilt from the memo. An event's static facts are
+     * decode_.at(sid[i]): the table grows only in resolve(), so they
+     * hold still while the chunk is scheduled.
      */
     struct Resolved
     {
@@ -142,17 +133,17 @@ class TimingCore : public vm::TraceSink
          * accelerator's) latency for a load, 1 for a store or
          * prefetch.
          */
-        uint32_t latency[kChunk + kCarry];
-        uint32_t sid[kChunk + kCarry];
-        bool mispredicted[kChunk + kCarry];
-        bool taken[kChunk + kCarry];
+        uint32_t latency[kChunk];
+        uint32_t sid[kChunk];
+        bool mispredicted[kChunk];
+        bool taken[kChunk];
     };
 
     /**
-     * Steps resolved_[from, to) with the core's timing rules,
-     * advancing cycles_ and the core's pipeline state.
+     * Steps @a r [from, to) with the core's timing rules, advancing
+     * cycles_ and the core's pipeline state.
      */
-    virtual void step(size_t from, size_t to) = 0;
+    virtual void step(const Resolved &r, size_t from, size_t to) = 0;
     /** The frontier F of the stepped state. */
     virtual uint64_t frontier() const = 0;
     /**
@@ -169,13 +160,8 @@ class TimingCore : public vm::TraceSink
                              uint64_t f) = 0;
     /** False while every event must be stepped (trace log, wide core). */
     virtual bool memoizable() const { return true; }
-
-    /**
-     * Brings the stepped state up to date (steps an open segment,
-     * materialises a replayed state) and forgets where the current
-     * segment started, so it is stepped to its end.
-     */
-    void syncStepped();
+    /** Zeroes the pipeline state step() carries (reset()). */
+    virtual void clearPipeline() = 0;
 
     CoreConfig config_;
     mem::CacheHierarchy *caches_;
@@ -201,70 +187,50 @@ class TimingCore : public vm::TraceSink
     const vm::DynInstr *batch_ = nullptr;
 
   private:
+    friend class vm::SegmentDriver<TimingCore>;
+
     /**
-     * Fills resolved_[open_, open_ + n) for @a n <= kChunk events, in
-     * program order: decode, cache access and accelerator, branch
-     * prediction. Counts instructions_ and mispredicts_; may grow
-     * ready_.
+     * Fills resolved_[0, n) for @a n <= kChunk events, in program
+     * order: decode, cache access and accelerator, branch prediction.
+     * Counts instructions_ and mispredicts_; may grow ready_.
      */
     void resolve(const vm::DynInstr *batch, size_t n);
     template <typename Predictor>
     void resolveWith(Predictor &predictor, const vm::DynInstr *batch,
                      size_t n);
 
-    /** Places resolved_[0, end) in time. */
-    void schedule(size_t end);
-    /**
-     * From a boundary at @a i: replays memo hits and steps misses;
-     * returns where it stopped (a segment to step, or the carry).
-     */
-    size_t replay(size_t i, size_t end);
-    /** Steps from @a i to the segment's terminal or @a end. */
-    size_t stepOpen(size_t i, size_t end);
-    /**
-     * Starts stepping the segment @a seg (kNone: a new one, whose sids
-     * are recorded); records its edge from cur_ when @a edge.
-     */
-    void beginStep(uint32_t seg, bool edge);
-    /** The stepped segment's terminal, at @a t, has been stepped. */
-    void endSegment(size_t t);
-    /** The interned stepped state at a boundary, or kNone. */
-    uint32_t boundaryState();
-    /** Makes the stepped state cur_'s, if it is replayed. */
-    void ensureStepped();
-    /** Steps the carried open segment (cycles() needs its cycles). */
-    void settle();
-    /** The edge input word of the terminal at @a t. */
-    uint32_t terminalFlags(size_t t) const;
+    // vm::SegmentDriver hooks. The edge inputs are each load's latency,
+    // then the terminal's flags: mispredicted, and taken when
+    // key_direction_; the client word is how far F moved.
+    uint32_t sidAt(size_t i) const { return resolved_.sid[i]; }
+    size_t gather(const vm::SegmentMemo::Segment &s, uint32_t pos, size_t i,
+                  size_t k, uint32_t *inputs) const;
+    uint32_t
+    terminal(size_t t, uint32_t, const Recording *) const
+    {
+        return resolved_.mispredicted[t] |
+               (key_direction_ && resolved_.taken[t]) << 1;
+    }
+    void applyEdge(const vm::SegmentMemo::Edge &e, uint32_t len, bool fresh);
+    size_t stepLive(size_t i, size_t n, Recording *rec, bool &ended);
+    void stepRecorded(const vm::SegmentMemo::Segment &s, uint32_t len,
+                      const uint32_t *inputs);
+    void segmentStart() { start_frontier_ = frontier(); }
+    uint32_t segmentEnd();
+    bool saveState(std::vector<uint16_t> &words, int16_t &span,
+                   const uint32_t *, size_t);
+    void
+    loadState(const uint16_t *words, size_t len)
+    {
+        materialize(words, len, frontier_);
+    }
+    void clearRun() { std::fill(ready_.begin(), ready_.end(), 0); }
 
-    vm::SegmentMemo memo_;
     const bool key_direction_;
-    std::vector<uint16_t> words_; ///< canonicalize() scratch
-    std::vector<uint32_t> inputs_; ///< edge-input scratch
-
-    // Where the stream is.
-    /** The ROB, scoreboard, ring and Hot hold the current state. */
-    bool stepped_ = true;
-    /** Between a segment's first event and its terminal, stepping. */
-    bool stepping_ = false;
-    /** Interned state at the boundary (or kNone). */
-    uint32_t cur_ = vm::SegmentMemo::kNone;
-    /** The edge just replayed (kNone after stepping). */
-    uint32_t last_ = vm::SegmentMemo::kNone;
-    /** F while the state is replayed (!stepped_). */
+    /** F while the stepped state is stale (replayed). */
     uint64_t frontier_ = 0;
-    /** Carried events: a known segment's prefix at resolved_[0, open_). */
-    size_t open_ = 0;
-
-    // The segment being stepped, for the memo.
-    bool rec_segment_ = false; ///< record its sids (it is new)
-    bool rec_edge_ = false;    ///< record its edge from rec_from_
-    uint32_t rec_seg_ = vm::SegmentMemo::kNone;
-    uint32_t rec_from_ = vm::SegmentMemo::kNone;
-    uint64_t rec_frontier_ = 0;
-    std::vector<uint32_t> rec_sids_;
-    std::vector<uint8_t> rec_loads_;
-    std::vector<uint32_t> rec_inputs_;
+    uint64_t start_frontier_ = 0; ///< F at the stepped segment's start
+    Resolved recorded_; ///< a segment rebuilt from the memo
 };
 
 } // namespace bioperf::cpu

@@ -9,9 +9,6 @@ namespace bioperf::profile {
 LoadBranchProfiler::LoadBranchProfiler()
 {
     resetWindows();
-    // State 0: a run start's (no taint, no windows open).
-    canonicalize(hot_, arrays(), live_, words_);
-    cur_ = memo_.intern(words_, 0);
 }
 
 void
@@ -90,20 +87,20 @@ LoadBranchProfiler::decodeSid(const ir::Instr &in)
 }
 
 inline bool
-LoadBranchProfiler::applyRules(const SidInfo &si, uint64_t g, Hot &h,
-                               const Arrays &a)
+LoadBranchProfiler::applyRules(const SidInfo &si, uint64_t g,
+                               TaintSet *taint)
 {
     // Is this instruction the first consumer of a tight-chain
     // candidate? Only loads of the last kTightWindow instructions
     // can be live, each in its own slot.
-    if (g - h.lastTightPush <= kTightWindow) {
+    if (g - hot_.lastTightPush <= kTightWindow) {
         for (uint32_t d = 1; d <= kTightWindow; d++) {
-            TightCandidate &cand = a.tight[(g - d) % kTightSlots];
+            TightCandidate &cand = tight_[(g - d) % kTightSlots];
             if (cand.gseq != g - d || cand.slot == kNoSlot)
                 continue;
             for (uint8_t j = 0; j < si.numReads; j++) {
                 if (si.reads[j] == cand.slot) {
-                    h.afterHardLoads++;
+                    hot_.afterHardLoads++;
                     cand.slot = kNoSlot;
                     break;
                 }
@@ -113,19 +110,19 @@ LoadBranchProfiler::applyRules(const SidInfo &si, uint64_t g, Hot &h,
 
     switch (si.kind) {
       case SidInfo::kLoad: {
-        h.totalLoads++;
-        a.fed[g % kFedSlots] = 0;
+        hot_.totalLoads++;
+        fed_[g % kFedSlots] = 0;
         // The loaded value is a fresh origin, replacing any taint the
         // destination register carried.
-        TaintSet &dst = a.taint[si.dst];
+        TaintSet &dst = taint[si.dst];
         dst.origins[0] = g;
         dst.count = 1;
 
         // Branch-to-load detection (Table 4b): right after a branch
         // that has proven hard to predict.
-        if (g - h.lastHardBranch <= kAfterWindow) {
-            a.tight[g % kTightSlots] = { g, si.dst };
-            h.lastTightPush = g;
+        if (g - hot_.lastHardBranch <= kAfterWindow) {
+            tight_[g % kTightSlots] = { g, si.dst };
+            hot_.lastTightPush = g;
         }
         return false;
       }
@@ -133,16 +130,16 @@ LoadBranchProfiler::applyRules(const SidInfo &si, uint64_t g, Hot &h,
       case SidInfo::kBranch: {
         // Load-to-branch detection: taint on the condition register.
         // A live origin's fed entry is still its own.
-        const TaintSet &cond = a.taint[si.srcs[0]];
+        const TaintSet &cond = taint[si.srcs[0]];
         bool terminated_chain = false;
         for (uint32_t t = 0; t < cond.count; t++) {
             const uint64_t o = cond.origins[t];
             if (g - o > kChainWindow)
                 continue;
             terminated_chain = true;
-            if (!a.fed[o % kFedSlots]) {
-                a.fed[o % kFedSlots] = 1;
-                h.ltbLoads++;
+            if (!fed_[o % kFedSlots]) {
+                fed_[o % kFedSlots] = 1;
+                hot_.ltbLoads++;
             }
         }
         return terminated_chain;
@@ -153,7 +150,7 @@ LoadBranchProfiler::applyRules(const SidInfo &si, uint64_t g, Hot &h,
         return false;
 
       case SidInfo::kMovImm:
-        a.taint[si.dst].count = 0;
+        taint[si.dst].count = 0;
         return false;
 
       case SidInfo::kAlu1: {
@@ -161,8 +158,8 @@ LoadBranchProfiler::applyRules(const SidInfo &si, uint64_t g, Hot &h,
         // live origins straight into the destination. When src == dst
         // the in-place compaction is safe: each write lands at or
         // before the position just read.
-        const TaintSet &src = a.taint[si.srcs[0]];
-        TaintSet &dst = a.taint[si.dst];
+        const TaintSet &src = taint[si.srcs[0]];
+        TaintSet &dst = taint[si.dst];
         uint32_t m = 0;
         for (uint32_t t = 0; t < src.count; t++)
             if (g - src.origins[t] <= kChainWindow)
@@ -178,7 +175,7 @@ LoadBranchProfiler::applyRules(const SidInfo &si, uint64_t g, Hot &h,
         uint64_t merged[TaintSet::kMaxOrigins];
         uint32_t m = 0;
         for (uint8_t s = 0; s < si.numSrcs; s++) {
-            const TaintSet &src = a.taint[si.srcs[s]];
+            const TaintSet &src = taint[si.srcs[s]];
             const uint32_t before = m;
             for (uint32_t t = 0; t < src.count; t++) {
                 const uint64_t o = src.origins[t];
@@ -191,7 +188,7 @@ LoadBranchProfiler::applyRules(const SidInfo &si, uint64_t g, Hot &h,
                     merged[m++] = o;
             }
         }
-        TaintSet &dst = a.taint[si.dst];
+        TaintSet &dst = taint[si.dst];
         dst.count = m;
         for (uint32_t k = 0; k < m; k++)
             dst.origins[k] = merged[k];
@@ -261,19 +258,33 @@ clientWord(uint64_t ltb_loads, uint64_t after_hard_loads, bool chain)
  * origins, so the slots worth visiting are the ones the segment's
  * start state names plus the destinations the segment wrote.
  */
-void
-LoadBranchProfiler::canonicalize(const Hot &h, const Arrays &a,
-                                 std::vector<uint32_t> &slots,
-                                 std::vector<uint16_t> &words) const
+bool
+LoadBranchProfiler::saveState(std::vector<uint16_t> &words, int16_t &span,
+                              const uint32_t *sids, size_t len)
 {
-    const uint64_t g = h.gseq;
+    // live_ names the start state's slots, in order: insert the
+    // segment's destinations (a few) in order.
+    for (size_t k = 0; k < len; k++) {
+        const SidInfo &si = sid_info_[sids[k]];
+        if (si.kind == SidInfo::kBranch || si.kind == SidInfo::kNoDst ||
+            si.kind == SidInfo::kHalt)
+            continue;
+        size_t j = live_.size();
+        live_.push_back(si.dst);
+        for (; j > 0 && live_[j - 1] > si.dst; j--)
+            live_[j] = live_[j - 1];
+        live_[j] = si.dst;
+    }
+    live_.erase(std::unique(live_.begin(), live_.end()), live_.end());
+
+    const uint64_t g = hot_.gseq;
     auto encode = [&](std::vector<uint32_t> &visit,
                       std::vector<uint16_t> &out) {
         out.clear();
         uint32_t cands = 0;
         put(out, 0);
         for (uint32_t age = 0; age < kTightWindow; age++) {
-            const TightCandidate &c = a.tight[(g - age) % kTightSlots];
+            const TightCandidate &c = tight_[(g - age) % kTightSlots];
             if (c.gseq != g - age || c.slot == kNoSlot)
                 continue;
             assert(c.slot < (1u << 24));
@@ -281,21 +292,21 @@ LoadBranchProfiler::canonicalize(const Hot &h, const Arrays &a,
             cands++;
         }
         const uint64_t hard =
-            std::min<uint64_t>(g - h.lastHardBranch, kAfterWindow + 1);
+            std::min<uint64_t>(g - hot_.lastHardBranch, kAfterWindow + 1);
         const uint64_t push =
-            std::min<uint64_t>(g - h.lastTightPush, kTightWindow + 1);
+            std::min<uint64_t>(g - hot_.lastTightPush, kTightWindow + 1);
         out[0] = static_cast<uint16_t>(hard | push << 4 | cands << 8);
 
         size_t kept = 0;
         for (const uint32_t slot : visit) {
-            const TaintSet &t = a.taint[slot];
+            const TaintSet &t = taint_[slot];
             uint32_t m = 0;
             uint32_t packed = 0;
             for (uint32_t k = 0; k < t.count; k++) {
                 const uint64_t age = g - t.origins[k];
                 if (age >= kChainWindow)
                     continue;
-                const uint32_t fed = a.fed[t.origins[k] % kFedSlots];
+                const uint32_t fed = fed_[t.origins[k] % kFedSlots];
                 packed |= static_cast<uint32_t>(age | fed << 7)
                           << (8 * m++);
             }
@@ -308,7 +319,7 @@ LoadBranchProfiler::canonicalize(const Hot &h, const Arrays &a,
         }
         visit.resize(kept);
     };
-    encode(slots, words);
+    encode(live_, words);
 #ifndef NDEBUG
     // The reference: a scan of the whole taint table.
     std::vector<uint32_t> all(taint_.size());
@@ -317,312 +328,159 @@ LoadBranchProfiler::canonicalize(const Hot &h, const Arrays &a,
     encode(all, full);
     assert(full == words);
 #endif
+    span = 0;
+    return true;
 }
 
 void
-LoadBranchProfiler::materialize(uint32_t state, Hot &h, const Arrays &a,
-                                std::vector<uint32_t> &slots) const
-{
-    const uint64_t g = h.gseq;
-    const vm::SegmentMemo::State &s = memo_.state(state);
-    const uint16_t *w = memo_.wordsOf(s);
-    const uint16_t *end = w + s.len;
-    const uint32_t head = get(w);
-    w += 2;
-    h.lastHardBranch = g - (head & 0xf);
-    h.lastTightPush = g - ((head >> 4) & 0xf);
-    for (uint32_t k = 0; k < kTightSlots; k++)
-        a.tight[k] = {};
-    for (uint32_t c = 0; c < head >> 8; c++, w += 2) {
-        const uint32_t cand = get(w);
-        const uint64_t cg = g - (cand & 0xff);
-        a.tight[cg % kTightSlots] = { cg, cand >> 8 };
-    }
-    slots.clear();
-    for (; w < end; w += 4) {
-        const uint32_t key = get(w);
-        const uint32_t packed = get(w + 2);
-        slots.push_back(key >> 3);
-        TaintSet &t = a.taint[key >> 3];
-        t.count = key & 7;
-        for (uint32_t k = 0; k < t.count; k++) {
-            const uint32_t byte = (packed >> (8 * k)) & 0xff;
-            t.origins[k] = g - (byte & 0x7f);
-            a.fed[t.origins[k] % kFedSlots] = byte >> 7;
-        }
-    }
-#ifndef NDEBUG
-    std::vector<uint32_t> named = slots;
-    std::vector<uint16_t> back;
-    canonicalize(h, a, named, back);
-    assert(back.size() == s.len &&
-           std::equal(back.begin(), back.end(), memo_.wordsOf(s)));
-#endif
-}
-
-void
-LoadBranchProfiler::restore(Hot &h)
+LoadBranchProfiler::loadState(const uint16_t *w, size_t len)
 {
     // Only the slots of the state the arrays last held can hold an
     // origin that still looks live.
     for (const uint32_t slot : live_)
         taint_[slot].count = 0;
-    materialize(cur_, h, arrays(), live_);
-    stepped_ = true;
+    const uint64_t g = hot_.gseq;
+    const uint16_t *end = w + len;
+    const uint32_t head = get(w);
+    w += 2;
+    hot_.lastHardBranch = g - (head & 0xf);
+    hot_.lastTightPush = g - ((head >> 4) & 0xf);
+    for (TightCandidate &c : tight_)
+        c = {};
+    for (uint32_t c = 0; c < head >> 8; c++, w += 2) {
+        const uint32_t cand = get(w);
+        const uint64_t cg = g - (cand & 0xff);
+        tight_[cg % kTightSlots] = { cg, cand >> 8 };
+    }
+    live_.clear();
+    for (; w < end; w += 4) {
+        const uint32_t key = get(w);
+        const uint32_t packed = get(w + 2);
+        live_.push_back(key >> 3);
+        TaintSet &t = taint_[key >> 3];
+        t.count = key & 7;
+        for (uint32_t k = 0; k < t.count; k++) {
+            const uint32_t byte = (packed >> (8 * k)) & 0xff;
+            t.origins[k] = g - (byte & 0x7f);
+            fed_[t.origins[k] % kFedSlots] = byte >> 7;
+        }
+    }
 }
 
 void
-LoadBranchProfiler::remember(const Hot &h, uint32_t seg,
-                             const uint32_t *sids, size_t n, bool hard,
-                             uint32_t client)
+LoadBranchProfiler::newSegment(uint32_t seg, const Recording &rec,
+                               bool branch)
 {
-    const uint32_t from = cur_;
-    cur_ = kNone;
-    last_ = kNone;
-    if (!memo_.on())
+    if (seg != kNone) {
+        assert(seg == seg_counts_.size());
+        SegmentCounts counts;
+        for (const uint32_t sid : rec.sids)
+            counts.loads += sid_info_[sid].kind == SidInfo::kLoad;
+        counts.execs = branch;
+        counts.misses = !correct_;
+        seg_counts_.push_back(counts);
         return;
-    // live_ names the start state's slots, in order: insert the
-    // segment's destinations (a few) in order.
-    for (size_t k = 0; k < n; k++) {
-        const SidInfo &si = sid_info_[sids[k]];
-        if (si.kind == SidInfo::kBranch || si.kind == SidInfo::kNoDst ||
-            si.kind == SidInfo::kHalt)
+    }
+    for (const uint32_t sid : rec.sids) {
+        if (sid_info_[sid].kind != SidInfo::kLoad)
             continue;
-        size_t j = live_.size();
-        live_.push_back(si.dst);
-        for (; j > 0 && live_[j - 1] > si.dst; j--)
-            live_[j] = live_[j - 1];
-        live_[j] = si.dst;
+        next_branch_[sid].execs += branch;
+        next_branch_[sid].misses += !correct_;
     }
-    live_.erase(std::unique(live_.begin(), live_.end()), live_.end());
-    canonicalize(h, arrays(), live_, words_);
-    cur_ = memo_.intern(words_, 0);
-    const uint32_t input = hard;
-    if (seg != kNone && cur_ != kNone)
-        memo_.addEdge(from, seg, &input, cur_, client);
 }
 
-bool
-LoadBranchProfiler::atBoundary(uint32_t sid, Hot &h)
+inline uint32_t
+LoadBranchProfiler::terminal(size_t t, uint32_t seg, const Recording *rec)
 {
-    at_boundary_ = false;
-    const uint32_t seg = memo_.segmentAt(sid);
-    if (memo_.on() && seg != kNone) {
-        seg_ = seg;
-        left_ = memo_.segment(seg).len;
-        return true;
+    const vm::DynInstr &br = batch_[t];
+    const bool branch = br.op != ir::Opcode::Halt;
+    correct_ = true;
+    hard_ = branch && judge(br, correct_);
+    // This branch is the next branch of every load in the segment.
+    if (rec) [[unlikely]] {
+        newSegment(seg, *rec, branch);
+    } else if (seg != kNone) {
+        seg_counts_[seg].execs += branch;
+        seg_counts_[seg].misses += !correct_;
     }
-    if (!stepped_)
-        restore(h);
-    step_seg_ = seg;
-    rec_.clear();
-    step_start_ = h;
-    return false;
+    return hard_;
 }
 
-size_t
-LoadBranchProfiler::replay(const vm::DynInstr *batch, size_t i, size_t n,
-                           Hot &h)
+inline void
+LoadBranchProfiler::applyEdge(const vm::SegmentMemo::Edge &e, uint32_t len,
+                              bool)
 {
-    for (;;) {
-        if (left_ > n - i) {
-            left_ -= static_cast<uint32_t>(n - i);
-            h.gseq += n - i;
-            return n;
-        }
-        i += left_;
-        h.gseq += left_;
-        left_ = 0;
-        const vm::DynInstr &t = batch[i - 1];
-        assert(t.sid == memo_.sidsOf(memo_.segment(seg_))
-                            [memo_.segment(seg_).len - 1]);
-        SegmentCounts &counts = seg_counts_[seg_];
-        h.totalLoads += counts.loads;
-        bool correct = true;
-        bool hard = false;
-        if (t.op != ir::Opcode::Halt) {
-            hard = judge(t, correct);
-            counts.execs++;
-            counts.misses += !correct;
-        }
-        const uint32_t input = hard;
-        const uint32_t e = memo_.replay(last_, cur_, seg_, &input);
-        uint32_t client;
-        if (e != kNone) {
-            stepped_ = false;
-            client = memo_.edge(e).client;
-            cur_ = memo_.edge(e).next;
-            last_ = e;
-        } else {
-            client = learn(hard, h);
-        }
-        h.ltbLoads += client & 0xff;
-        h.afterHardLoads += (client >> 8) & 0xff;
-        const bool chain = client >> 16;
-        h.ltbBranchExec += chain;
-        h.ltbBranchMiss += chain && !correct;
-        at_boundary_ = true;
-        if (i == n || !atBoundary(batch[i].sid, h))
-            return i;
-    }
+    hot_.gseq += len;
+    hot_.totalLoads += seg_counts_[e.seg].loads;
+    hot_.ltbLoads += e.client & 0xff;
+    hot_.afterHardLoads += (e.client >> 8) & 0xff;
+    const bool chain = e.client >> 16;
+    hot_.ltbBranchExec += chain;
+    hot_.ltbBranchMiss += chain && !correct_;
 }
 
 uint32_t
-LoadBranchProfiler::learn(bool hard, Hot &h)
+LoadBranchProfiler::segmentEnd()
 {
-    const vm::SegmentMemo::Segment &seg = memo_.segment(seg_);
-    const uint32_t *sids = memo_.sidsOf(seg);
-    Hot s = h;
-    s.gseq -= seg.len;
-    if (!stepped_)
-        restore(s);
-    const Hot start = s;
-    const Arrays a = arrays();
-    bool chain = false;
-    for (uint32_t k = 0; k < seg.len; k++)
-        chain = applyRules(sid_info_[sids[k]], ++s.gseq, s, a);
-    assert(s.totalLoads - start.totalLoads == seg_counts_[seg_].loads);
-    if (hard)
-        s.lastHardBranch = s.gseq;
-    h.lastHardBranch = s.lastHardBranch;
-    h.lastTightPush = s.lastTightPush;
-    const uint32_t client =
-        clientWord(s.ltbLoads - start.ltbLoads,
-                   s.afterHardLoads - start.afterHardLoads, chain);
-    remember(s, seg_, sids, seg.len, hard, client);
-    return client;
+    hot_.ltbBranchExec += chain_;
+    hot_.ltbBranchMiss += chain_ && !correct_;
+    if (hard_)
+        hot_.lastHardBranch = hot_.gseq;
+    return clientWord(hot_.ltbLoads - start_ltb_,
+                      hot_.afterHardLoads - start_after_hard_, chain_);
+}
+
+void
+LoadBranchProfiler::stepRecorded(const vm::SegmentMemo::Segment &s,
+                                 uint32_t len, const uint32_t *)
+{
+    const uint32_t *sids = memo().sidsOf(s);
+    TaintSet *taint = taint_.data();
+    for (uint32_t k = 0; k < len; k++)
+        chain_ = applyRules(sid_info_[sids[k]], ++hot_.gseq, taint);
 }
 
 size_t
-LoadBranchProfiler::step(const vm::DynInstr *batch, size_t i, size_t n,
-                         Hot &h)
+LoadBranchProfiler::stepLive(size_t i, size_t n, Recording *rec,
+                             bool &ended)
 {
-    Arrays a = arrays();
+    TaintSet *taint = taint_.data();
     const SidInfo *info = sid_info_.data();
     size_t num_info = sid_info_.size();
-    bool recording = step_seg_ == kNone;
     while (i < n) {
-        const vm::DynInstr &di = batch[i++];
+        const vm::DynInstr &di = batch_[i++];
         assert(di.matchesInstr());
         if (di.sid >= num_info || !info[di.sid].decoded) [[unlikely]] {
             decodeSid(*di.instr);
-            a = arrays();
+            taint = taint_.data();
             info = sid_info_.data();
             num_info = sid_info_.size();
         }
         const SidInfo &si = info[di.sid];
-        if (recording)
-            rec_.push_back(di.sid);
-        const bool chain = applyRules(si, ++h.gseq, h, a);
+        if (rec)
+            rec->sids.push_back(di.sid);
+        const bool chain = applyRules(si, ++hot_.gseq, taint);
         if (si.kind == SidInfo::kBranch || si.kind == SidInfo::kHalt) {
-            endSegment(di, chain, h);
-            if (i < n && atBoundary(batch[i].sid, h))
-                return i;
-            recording = step_seg_ == kNone;
+            chain_ = chain;
+            ended = true;
+            break;
         }
     }
-    return n;
-}
-
-void
-LoadBranchProfiler::endSegment(const vm::DynInstr &t, bool chain, Hot &h)
-{
-    const bool is_branch = sid_info_[t.sid].kind == SidInfo::kBranch;
-    bool correct = true;
-    bool hard = false;
-    if (is_branch) {
-        hard = judge(t, correct);
-        h.ltbBranchExec += chain;
-        h.ltbBranchMiss += chain && !correct;
-    }
-    if (step_seg_ == kNone) {
-        step_seg_ = memo_.addSegment(rec_, {});
-        if (step_seg_ != kNone) {
-            SegmentCounts counts;
-            for (const uint32_t sid : rec_)
-                counts.loads += sid_info_[sid].kind == SidInfo::kLoad;
-            seg_counts_.push_back(counts);
-        }
-    }
-
-    // This branch is the next branch of every load in the segment.
-    if (is_branch && step_seg_ != kNone) {
-        seg_counts_[step_seg_].execs++;
-        seg_counts_[step_seg_].misses += !correct;
-    } else if (is_branch) {
-        for (const uint32_t sid : rec_) {
-            if (sid_info_[sid].kind != SidInfo::kLoad)
-                continue;
-            next_branch_[sid].execs++;
-            next_branch_[sid].misses += !correct;
-        }
-    }
-
-    if (hard)
-        h.lastHardBranch = h.gseq;
-    // A segment is stepped while the memo is on only when it is new,
-    // so rec_ holds its sids.
-    remember(h, step_seg_, rec_.data(), rec_.size(), hard,
-             clientWord(h.ltbLoads - step_start_.ltbLoads,
-                        h.afterHardLoads - step_start_.afterHardLoads,
-                        chain));
-    at_boundary_ = true;
-}
-
-void
-LoadBranchProfiler::onInstr(const vm::DynInstr &di)
-{
-    onBatch(&di, 1);
+    return i;
 }
 
 void
 LoadBranchProfiler::onBatch(const vm::DynInstr *batch, size_t n)
 {
-    Hot h = hot_;
-    size_t i = 0;
-    while (i < n) {
-        if (at_boundary_)
-            atBoundary(batch[i].sid, h);
-        i = left_ > 0 ? replay(batch, i, n, h) : step(batch, i, n, h);
-    }
-    hot_ = h;
+    batch_ = batch;
+    feed(n);
 }
 
 void
-LoadBranchProfiler::addOpenPrefix(Hot &out) const
-{
-    if (left_ == 0)
-        return;
-    const vm::SegmentMemo::Segment &seg = memo_.segment(seg_);
-    const uint32_t done = seg.len - left_;
-    Hot h = out;
-    h.gseq -= done;
-    std::vector<TaintSet> taint(taint_.size());
-    uint8_t fed[kFedSlots];
-    TightCandidate tight[kTightSlots];
-    const Arrays a{ taint.data(), fed, tight };
-    std::vector<uint32_t> slots;
-    materialize(cur_, h, a, slots);
-    const uint32_t *sids = memo_.sidsOf(seg);
-    for (uint32_t k = 0; k < done; k++)
-        applyRules(sid_info_[sids[k]], ++h.gseq, h, a);
-    assert(h.ltbLoads == out.ltbLoads);
-    out.totalLoads = h.totalLoads;
-    out.afterHardLoads = h.afterHardLoads;
-}
-
-void
-LoadBranchProfiler::onRunEnd()
+LoadBranchProfiler::clearRun()
 {
     // Register state does not survive a run; neither do chains, nor
-    // loads awaiting their next branch. A replayed segment cut short
-    // still counts what its executed prefix did.
-    addOpenPrefix(hot_);
-    left_ = 0;
-    at_boundary_ = true;
-    last_ = kNone;
-    cur_ = 0;
-    stepped_ = true;
+    // loads awaiting their next branch.
     for (TaintSet &t : taint_)
         t.count = 0;
     live_.clear();
@@ -637,8 +495,8 @@ LoadBranchProfiler::nextBranchBySid() const
     // Each recorded segment's branch outcomes go to all its loads.
     std::vector<NextBranch> next = next_branch_;
     for (uint32_t id = 0; id < seg_counts_.size(); id++) {
-        const vm::SegmentMemo::Segment &seg = memo_.segment(id);
-        const uint32_t *sids = memo_.sidsOf(seg);
+        const vm::SegmentMemo::Segment &seg = memo().segment(id);
+        const uint32_t *sids = memo().sidsOf(seg);
         for (uint32_t k = 0; k < seg.len; k++) {
             if (sid_info_[sids[k]].kind != SidInfo::kLoad)
                 continue;
@@ -660,10 +518,10 @@ frac(uint64_t a, uint64_t b)
 } // namespace
 
 LoadBranchSummary
-LoadBranchProfiler::summary() const
+LoadBranchProfiler::summary()
 {
-    Hot h = hot_;
-    addOpenPrefix(h);
+    catchUp();
+    const Hot &h = hot_;
     LoadBranchSummary s;
     s.dynamicLoads = h.totalLoads;
     s.loadToBranchFraction = frac(h.ltbLoads, h.totalLoads);

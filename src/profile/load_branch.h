@@ -6,7 +6,7 @@
 
 #include "branch/predictors.h"
 #include "util/json.h"
-#include "vm/segment_memo.h"
+#include "vm/segment_driver.h"
 #include "vm/trace.h"
 
 namespace bioperf::profile {
@@ -52,17 +52,17 @@ struct LoadBranchSummary
  * rules above do inside it is a function of that sid and of the
  * profiler's state at its start: the live taint origins (as ages),
  * their fed flags, the distances to the last hard branch and tight
- * push, and the unconsumed tight candidates. The profiler memoizes
- * that transition in a vm::SegmentMemo, FastSim-style, keyed by
- * (state, segment, the terminal's hardness): a known segment is
- * skipped by its recorded length, and at its terminal the predictor
- * update and one lookup replay it; a new segment, or a known one from
- * a new state, is stepped with the per-instruction rules and
- * recorded. Once the memo is off, every event is stepped. This relies
- * on the stream following the program's control flow, as the
- * Interpreter and the TraceReplayer do (Debug builds assert it).
+ * push, and the unconsumed tight candidates. vm::SegmentDriver
+ * memoizes that transition, FastSim-style, keyed by (state, segment,
+ * the terminal's hardness): a known segment is skipped by its recorded
+ * length, without reading its events, and at its terminal the
+ * predictor update and one lookup replay it; a miss steps its
+ * recorded sids (the rules read only SidInfo). This relies on the
+ * stream following the program's control flow, as the Interpreter and
+ * the TraceReplayer do (Debug builds assert it).
  */
-class LoadBranchProfiler : public vm::TraceSink
+class LoadBranchProfiler : public vm::TraceSink,
+                           public vm::SegmentDriver<LoadBranchProfiler>
 {
   public:
     /** Load -> branch max distance, in instructions. */
@@ -78,13 +78,14 @@ class LoadBranchProfiler : public vm::TraceSink
 
     LoadBranchProfiler();
 
-    void onInstr(const vm::DynInstr &di) override;
+    void onInstr(const vm::DynInstr &di) override { onBatch(&di, 1); }
     void onBatch(const vm::DynInstr *batch, size_t n) override;
-    void onRunEnd() override;
+    void onRunEnd() override { endRun(); }
     /** A gap ends the profiler's run: no chain or charge spans it. */
-    void onGap() override { onRunEnd(); }
+    void onGap() override { endRun(); }
 
-    LoadBranchSummary summary() const;
+    /** Not const: it first steps a segment the memo holds open. */
+    LoadBranchSummary summary();
 
     const branch::BranchPredictor &predictor() const { return pred_; }
 
@@ -98,10 +99,9 @@ class LoadBranchProfiler : public vm::TraceSink
     /** Next-branch counts of each static load, indexed by sid. */
     std::vector<NextBranch> nextBranchBySid() const;
 
-    /** Events replayed from the memo, not stepped. */
-    uint64_t replayedInstructions() const { return memo_.replayed(); }
-
   private:
+    friend class vm::SegmentDriver<LoadBranchProfiler>;
+
     /**
      * Taint-table index of register @a reg: integer and FP registers
      * interleave in one table, so the hot path never selects a class.
@@ -112,8 +112,6 @@ class LoadBranchProfiler : public vm::TraceSink
         return reg * 2 + (fp ? 1 : 0);
     }
     static constexpr uint32_t kNoSlot = UINT32_MAX;
-    /** No state, edge or segment. */
-    static constexpr uint32_t kNone = vm::SegmentMemo::kNone;
 
     /**
      * Bounded set of loads (by gseq) this register's value
@@ -162,12 +160,7 @@ class LoadBranchProfiler : public vm::TraceSink
         uint32_t slot = kNoSlot; ///< kNoSlot once consumed
     };
 
-    /**
-     * The scalars every instruction reads or writes. onBatch() copies
-     * them into a local for the batch and writes them back at its end:
-     * as members they would be reloaded after every origin or fed_
-     * store, which the compiler must assume may alias them.
-     */
+    /** The scalars every instruction reads or writes. */
     struct Hot
     {
         uint64_t gseq = 0;
@@ -194,18 +187,6 @@ class LoadBranchProfiler : public vm::TraceSink
     static_assert(kFedSlots > kChainWindow);
     static_assert(kTightSlots > kTightWindow);
 
-    /**
-     * The arrays the per-instruction rules read and write: the
-     * profiler's own, or a scratch copy (summary() of an open
-     * segment).
-     */
-    struct Arrays
-    {
-        TaintSet *taint;
-        uint8_t *fed;
-        TightCandidate *tight;
-    };
-
     /** A recorded segment's loads and its branch's executions. */
     struct SegmentCounts
     {
@@ -217,73 +198,60 @@ class LoadBranchProfiler : public vm::TraceSink
     void decodeSid(const ir::Instr &in);
     /** Forgets hard branches and tight candidates (run start). */
     void resetWindows();
-    Arrays arrays() { return { taint_.data(), fed_, tight_ }; }
 
     /**
      * The per-instruction rules, all but the predictor's: applies the
-     * event with static facts @a si at gseq @a g. Returns true when it
-     * is a branch that ends a load->branch chain.
+     * event with static facts @a si at gseq @a g, whose taint table is
+     * @a taint. Returns true when it is a branch that ends a
+     * load->branch chain.
      */
-    static bool applyRules(const SidInfo &si, uint64_t g, Hot &h,
-                           const Arrays &a);
+    bool applyRules(const SidInfo &si, uint64_t g, TaintSet *taint);
     /**
      * Updates the predictor with branch @a br; sets @a correct and
      * returns whether @a br is hard.
      */
     bool judge(const vm::DynInstr &br, bool &correct);
 
+    // vm::SegmentDriver hooks. A state is the codec words of
+    // saveState() at the boundary's gseq (span 0); the edge input is
+    // the terminal's hardness; the client word is what the segment
+    // counted (clientWord()). The skip path reads only a segment's
+    // terminal and the next segment's first event.
+    uint32_t sidAt(size_t i) const { return batch_[i].sid; }
+    size_t
+    gather(const vm::SegmentMemo::Segment &, uint32_t, size_t, size_t k,
+           uint32_t *) const
+    {
+        return k;
+    }
+    uint32_t terminal(size_t t, uint32_t seg, const Recording *rec);
     /**
-     * Steps events from @a i until a known segment starts; returns
-     * where it stopped.
+     * Counts the segment @a rec recorded just now as @a seg, or charges
+     * its loads when the memo could not record it (kNone); its
+     * terminal was a @a branch, already judged.
      */
-    size_t step(const vm::DynInstr *batch, size_t i, size_t n, Hot &h);
-    /** Replays known segments from @a i; returns where it stopped. */
-    size_t replay(const vm::DynInstr *batch, size_t i, size_t n, Hot &h);
+    void newSegment(uint32_t seg, const Recording &rec, bool branch);
+    void applyEdge(const vm::SegmentMemo::Edge &e, uint32_t len, bool);
+    size_t stepLive(size_t i, size_t n, Recording *rec, bool &ended);
+    void stepRecorded(const vm::SegmentMemo::Segment &s, uint32_t len,
+                      const uint32_t *);
+    void
+    segmentStart()
+    {
+        start_ltb_ = hot_.ltbLoads;
+        start_after_hard_ = hot_.afterHardLoads;
+    }
+    uint32_t segmentEnd();
     /**
-     * At a segment boundary, before an event with @a sid: starts
-     * skipping a known segment (true), or stepping (false).
+     * Writes the state at hot_.gseq (see the codec in the .cc); only
+     * the slots in live_ and the destinations of @a sids can hold live
+     * origins, and live_ keeps those that do.
      */
-    bool atBoundary(uint32_t sid, Hot &h);
-    /** The stepped segment's terminal @a t has had its rules applied. */
-    void endSegment(const vm::DynInstr &t, bool chain, Hot &h);
-    /**
-     * A replayed segment missed at its terminal, judged @a hard:
-     * steps its recorded sids from cur_, records the edge, and
-     * returns its client word.
-     */
-    uint32_t learn(bool hard, Hot &h);
-    /**
-     * The @a n events @a sids of segment @a seg (kNone: not recorded)
-     * were stepped from cur_, whose slots live_ names, to h.gseq, and
-     * their terminal judged @a hard: makes cur_ the state there
-     * (kNone once the memo is off) and records the edge to it, whose
-     * client word is @a client.
-     */
-    void remember(const Hot &h, uint32_t seg, const uint32_t *sids,
-                  size_t n, bool hard, uint32_t client);
-    /** Makes the arrays hold cur_ again after replay left them stale. */
-    void restore(Hot &h);
-
-    /**
-     * The state at gseq h.gseq, as words (see canonicalize()), where
-     * only the taint slots in @a slots (sorted, distinct) can hold
-     * live origins; keeps in @a slots those that do.
-     */
-    void canonicalize(const Hot &h, const Arrays &a,
-                      std::vector<uint32_t> &slots,
-                      std::vector<uint16_t> &words) const;
-    /**
-     * Writes @a state into @a a and @a h's windows, at h.gseq, and
-     * the slots it names into @a slots. Clears no other taint slot.
-     */
-    void materialize(uint32_t state, Hot &h, const Arrays &a,
-                     std::vector<uint32_t> &slots) const;
-    /**
-     * Adds what the replayed, still open segment's executed prefix
-     * counted to @a h (only totalLoads and afterHardLoads can move
-     * before a terminal).
-     */
-    void addOpenPrefix(Hot &h) const;
+    bool saveState(std::vector<uint16_t> &words, int16_t &span,
+                   const uint32_t *sids, size_t len);
+    /** Writes @a words into the arrays and windows, at hot_.gseq. */
+    void loadState(const uint16_t *words, size_t len);
+    void clearRun();
 
     branch::HybridPredictor pred_;
     Hot hot_;
@@ -295,10 +263,8 @@ class LoadBranchProfiler : public vm::TraceSink
     uint8_t fed_[kFedSlots] = {};
     TightCandidate tight_[kTightSlots];
 
-    vm::SegmentMemo memo_;
     /** Indexed like the memo's segments. */
     std::vector<SegmentCounts> seg_counts_;
-    std::vector<uint16_t> words_; ///< canonicalize() scratch
     /**
      * The taint slots the state the arrays last held names, in order:
      * no other slot can hold an origin that is live, or that will look
@@ -306,19 +272,14 @@ class LoadBranchProfiler : public vm::TraceSink
      */
     std::vector<uint32_t> live_;
 
-    // Where the stream is.
-    bool at_boundary_ = true; ///< the next event starts a segment
-    /** State at the current segment's start (or at the boundary). */
-    uint32_t cur_ = 0;
-    /** The arrays hold cur_; false once replay left them stale. */
-    bool stepped_ = true;
-    uint32_t last_ = kNone; ///< the edge just replayed (successor cache)
-    uint32_t seg_ = kNone;  ///< the segment being skipped
-    uint32_t left_ = 0;     ///< its events not yet seen; 0: stepping
-    /** The stepped segment: its recorded index, or kNone and its sids. */
-    uint32_t step_seg_ = kNone;
-    std::vector<uint32_t> rec_;
-    Hot step_start_; ///< counters at its start
+    /** The batch being fed. */
+    const vm::DynInstr *batch_ = nullptr;
+    // The segment's terminal, and its counters at the segment's start.
+    bool chain_ = false;   ///< it ends a load->branch chain
+    bool hard_ = false;    ///< it is hard to predict
+    bool correct_ = true;  ///< it was predicted
+    uint64_t start_ltb_ = 0;
+    uint64_t start_after_hard_ = 0;
 };
 
 } // namespace bioperf::profile

@@ -12,8 +12,8 @@ namespace bioperf::vm {
  * The tables of a trace sink's segment memo (FastSim, Schnarr & Larus,
  * ASPLOS 1998): what stepping one branch-to-branch segment did to the
  * sink's state, keyed by that state and the segment's dynamic inputs.
- * The timing cores (cpu::TimingCore) and LoadBranchProfiler each own
- * one.
+ * Its one user is vm::SegmentDriver, the state machine the timing
+ * cores (cpu::TimingCore) and LoadBranchProfiler run on; each owns one.
  *
  * A segment is the events from the one after a conditional branch (or
  * a run start, a gap or a reset) through the next conditional branch
@@ -110,11 +110,12 @@ class SegmentMemo
     const Segment &segment(uint32_t id) const { return segments_[id]; }
     const uint32_t *sidsOf(const Segment &s) const
     {
-        return &seg_sids_[s.sids];
+        return seg_sids_.data() + s.sids;
     }
     const uint8_t *loadsOf(const Segment &s) const
     {
-        return &seg_loads_[s.loads];
+        // A segment without loads may sit at the end of the pool.
+        return seg_loads_.data() + s.loads;
     }
     /**
      * Records the segment @a sids (whose input loads sit at offsets

@@ -964,6 +964,113 @@ TEST(LoadBranch, MemoReplaysBioPerfAndSwitchesOffOnGccLike)
     EXPECT_LT(replayed_share("gcc-like", apps::Scale::Large), 0.01);
 }
 
+/** Hands the stream on in batches of @a n events; a run end flushes. */
+class ReframeSink : public vm::TraceSink
+{
+  public:
+    ReframeSink(vm::TraceSink &inner, size_t n) : inner_(inner), n_(n) {}
+
+    void
+    onInstr(const vm::DynInstr &di) override
+    {
+        buf_.push_back(di);
+        if (buf_.size() == n_)
+            flush();
+    }
+
+    void
+    onRunEnd() override
+    {
+        flush();
+        inner_.onRunEnd();
+    }
+
+  private:
+    void
+    flush()
+    {
+        if (!buf_.empty())
+            inner_.onBatch(buf_.data(), buf_.size());
+        buf_.clear();
+    }
+
+    vm::TraceSink &inner_;
+    const size_t n_;
+    std::vector<vm::DynInstr> buf_;
+};
+
+/**
+ * The memo's oracle: a profiler fed one event at a time and read after
+ * each, which steps every segment longer than one event.
+ */
+struct SteppingOracle : vm::TraceSink
+{
+    void
+    onInstr(const vm::DynInstr &di) override
+    {
+        prof.onInstr(di);
+        prof.summary();
+    }
+    void onRunEnd() override { prof.onRunEnd(); }
+
+    LoadBranchProfiler prof;
+};
+
+void
+expectSameCounts(LoadBranchProfiler &memo, LoadBranchProfiler &oracle)
+{
+    const LoadBranchSummary a = memo.summary();
+    const LoadBranchSummary b = oracle.summary();
+    EXPECT_EQ(a.dynamicLoads, b.dynamicLoads);
+    // EXPECT_EQ compares doubles with ==, bit for bit.
+    EXPECT_EQ(a.loadToBranchFraction, b.loadToBranchFraction);
+    EXPECT_EQ(a.ltbBranchMissRate, b.ltbBranchMissRate);
+    EXPECT_EQ(a.loadAfterHardBranchFraction, b.loadAfterHardBranchFraction);
+    const auto next_a = memo.nextBranchBySid();
+    const auto next_b = oracle.nextBranchBySid();
+    ASSERT_EQ(next_a.size(), next_b.size());
+    for (size_t sid = 0; sid < next_a.size(); sid++) {
+        EXPECT_EQ(next_a[sid].execs, next_b[sid].execs) << "sid " << sid;
+        EXPECT_EQ(next_a[sid].misses, next_b[sid].misses) << "sid " << sid;
+    }
+}
+
+TEST(LoadBranchMemo, ReplayEqualsSteppingOnEveryApp)
+{
+    constexpr size_t kFramings[] = { 1, 7, 255, 256, 257, 512 };
+    std::vector<apps::AppInfo> all = apps::bioperfApps();
+    const size_t num_bioperf = all.size();
+    for (const apps::AppInfo &a : apps::specLikeApps())
+        all.push_back(a);
+    for (const apps::AppInfo &a : apps::memoryBoundApps())
+        all.push_back(a);
+    for (size_t k = 0; k < all.size(); k++) {
+        const apps::AppInfo &app = all[k];
+        SCOPED_TRACE(app.name);
+        apps::AppRun run =
+            app.make(apps::Variant::Baseline, apps::Scale::Small, 1);
+        vm::Interpreter interp(*run.prog);
+        SteppingOracle oracle;
+        interp.addSink(&oracle);
+        std::vector<std::unique_ptr<LoadBranchProfiler>> memos;
+        std::vector<std::unique_ptr<ReframeSink>> framers;
+        for (const size_t n : kFramings) {
+            memos.push_back(std::make_unique<LoadBranchProfiler>());
+            framers.push_back(std::make_unique<ReframeSink>(*memos.back(), n));
+            interp.addSink(framers.back().get());
+        }
+        run.driver(interp);
+        for (size_t f = 0; f < memos.size(); f++) {
+            SCOPED_TRACE("batches of " + std::to_string(kFramings[f]));
+            expectSameCounts(*memos[f], oracle.prof);
+            if (k < num_bioperf) {
+                EXPECT_GT(memos[f]->replayedInstructions(),
+                          interp.totalInstrs() / 2);
+            }
+        }
+    }
+}
+
 /**
  * Wraps a hand-built program in an AppRun whose driver runs @a fn
  * @a runs times, after @a setup has filled memory.

@@ -2,10 +2,13 @@
 
 #include <cstring>
 #include <tuple>
+#include <vector>
 
 #include "ir/builder.h"
+#include "util/rng.h"
 #include "vm/interpreter.h"
 #include "vm/memory.h"
+#include "vm/segment_driver.h"
 #include "vm/segment_memo.h"
 #include "vm/trace.h"
 
@@ -593,6 +596,264 @@ TEST(SegmentMemo, SwitchesOffAtProbationOnlyWhenReplayingTooLittle)
         EXPECT_EQ(memo.addEdge(to, seg, in, to, 0), stays);
         EXPECT_EQ(memo.on(), stays);
     }
+}
+
+/**
+ * An event of ToyClient's stream: a sid at or above kTerminal ends a
+ * segment, an odd sid below it is a load; the value of either is the
+ * event's input, and any other event's value is its sid.
+ */
+struct ToyEvent
+{
+    uint32_t sid = 0;
+    uint32_t value = 0;
+};
+
+constexpr uint32_t kTerminal = 1u << 20;
+
+bool
+isLoad(uint32_t sid)
+{
+    return sid < kTerminal && (sid & 1);
+}
+
+/** The toy rule, the only copy: a state acc (mod 7) and a counter. */
+void
+toyStep(uint32_t &acc, uint64_t &total, uint32_t value)
+{
+    acc = (3 * acc + value) % 7;
+    total += acc + 1;
+}
+
+/**
+ * The smallest SegmentDriver client: its state is acc, its counter
+ * total (what a read returns); an edge's client word is how far total
+ * moved. It counts the driver's calls, so a test can tell a hit from a
+ * miss and a whole step from a prefix's.
+ */
+class ToyClient : public SegmentDriver<ToyClient>
+{
+  public:
+    void
+    onEvents(const ToyEvent *events, size_t n)
+    {
+        events_ = events;
+        feed(n);
+    }
+    uint64_t
+    total()
+    {
+        catchUp();
+        return total_;
+    }
+    void onRunEnd() { endRun(); }
+    bool memoOn() const { return memo().on(); }
+
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t prefixes = 0;
+
+  private:
+    friend class SegmentDriver<ToyClient>;
+
+    uint32_t sidAt(size_t i) const { return events_[i].sid; }
+    size_t
+    gather(const SegmentMemo::Segment &s, uint32_t pos, size_t i, size_t k,
+           uint32_t *inputs) const
+    {
+        const uint32_t *sids = memo().sidsOf(s) + pos;
+        size_t m = 0;
+        while (m < k && events_[i + m].sid == sids[m])
+            m++;
+        const uint8_t *loads = memo().loadsOf(s);
+        for (uint32_t j = 0; j < s.numLoads; j++) {
+            if (loads[j] >= pos && loads[j] < pos + m)
+                inputs[j] = events_[i + loads[j] - pos].value;
+        }
+        return m;
+    }
+    uint32_t
+    terminal(size_t t, uint32_t, const Recording *) const
+    {
+        return events_[t].value;
+    }
+    void
+    applyEdge(const SegmentMemo::Edge &e, uint32_t, bool)
+    {
+        total_ += e.client;
+        hits++;
+    }
+    size_t
+    stepLive(size_t i, size_t n, Recording *rec, bool &ended)
+    {
+        while (i < n) {
+            const ToyEvent &e = events_[i++];
+            const bool input = isLoad(e.sid) || e.sid >= kTerminal;
+            if (rec && isLoad(e.sid)) {
+                rec->loads.push_back(static_cast<uint8_t>(rec->sids.size()));
+                rec->inputs.push_back(e.value);
+            }
+            if (rec)
+                rec->sids.push_back(e.sid);
+            toyStep(acc_, total_, input ? e.value : e.sid);
+            if (e.sid >= kTerminal) {
+                ended = true;
+                break;
+            }
+        }
+        return i;
+    }
+    void
+    stepRecorded(const SegmentMemo::Segment &s, uint32_t len,
+                 const uint32_t *inputs)
+    {
+        const uint32_t *sids = memo().sidsOf(s);
+        uint32_t load = 0;
+        for (uint32_t k = 0; k < len; k++) {
+            const uint32_t value = isLoad(sids[k])         ? inputs[load++]
+                                   : sids[k] >= kTerminal ? inputs[s.numLoads]
+                                                          : sids[k];
+            toyStep(acc_, total_, value);
+        }
+        (len == s.len ? misses : prefixes)++;
+    }
+    void segmentStart() { start_ = total_; }
+    uint32_t segmentEnd() { return static_cast<uint32_t>(total_ - start_); }
+    bool
+    saveState(std::vector<uint16_t> &words, int16_t &span, const uint32_t *,
+              size_t)
+    {
+        words.assign(1, static_cast<uint16_t>(acc_));
+        span = 0;
+        return true;
+    }
+    void loadState(const uint16_t *words, size_t) { acc_ = words[0]; }
+    void clearRun() { acc_ = 0; }
+
+    const ToyEvent *events_ = nullptr;
+    uint32_t acc_ = 0;
+    uint64_t total_ = 0;
+    uint64_t start_ = 0;
+};
+
+/** A stream of @a segments segments, each one of @a shapes. */
+std::vector<ToyEvent>
+toyStream(const std::vector<std::vector<uint32_t>> &shapes, size_t segments,
+          uint64_t seed)
+{
+    util::Rng rng(seed);
+    std::vector<ToyEvent> events;
+    for (size_t k = 0; k < segments; k++) {
+        for (const uint32_t sid : shapes[rng.nextBelow(shapes.size())]) {
+            const bool input = isLoad(sid) || sid >= kTerminal;
+            events.push_back({ sid, input ? uint32_t(rng.nextBelow(3)) : sid });
+        }
+    }
+    return events;
+}
+
+/**
+ * Feeds @a events to @a toy in batches of @a n, with a run end after
+ * event @a run_end, and checks total() against stepping after every
+ * batch when @a read (else at the end only).
+ */
+void
+feedAndCheck(ToyClient &toy, const std::vector<ToyEvent> &events, size_t n,
+             bool read, size_t run_end = SIZE_MAX)
+{
+    uint32_t acc = 0;
+    uint64_t total = 0;
+    for (size_t i = 0; i < events.size();) {
+        size_t stop = std::min(i + n, events.size());
+        if (i < run_end && run_end < stop)
+            stop = run_end;
+        toy.onEvents(&events[i], stop - i);
+        for (; i < stop; i++) {
+            const ToyEvent &e = events[i];
+            const bool input = isLoad(e.sid) || e.sid >= kTerminal;
+            toyStep(acc, total, input ? e.value : e.sid);
+        }
+        if (i == run_end) {
+            toy.onRunEnd();
+            acc = 0;
+        }
+        if (read) {
+            ASSERT_EQ(toy.total(), total) << "event " << i;
+        }
+    }
+    EXPECT_EQ(toy.total(), total);
+}
+
+/** Four segments: loads at odd sids, a terminal last. */
+const std::vector<std::vector<uint32_t>> kShapes = {
+    { 10, 11, 12, kTerminal },
+    { 20, 22, 23, 24, 25, kTerminal + 1 },
+    { 30, kTerminal + 2 },
+    { kTerminal + 3 },
+};
+
+TEST(SegmentDriver, HitsAndMissesEqualStepping)
+{
+    const std::vector<ToyEvent> events = toyStream(kShapes, 3000, 1);
+    for (const size_t n : { size_t(1), size_t(3), size_t(64), events.size() }) {
+        SCOPED_TRACE(n);
+        ToyClient toy;
+        feedAndCheck(toy, events, n, false, events.size() / 2);
+        EXPECT_GT(toy.hits, 1000u);
+        EXPECT_GT(toy.misses, 0u);
+        EXPECT_GT(toy.replayedInstructions(), events.size() / 2);
+    }
+}
+
+TEST(SegmentDriver, ReadMidSegmentEqualsStepping)
+{
+    // A read inside a skipped segment steps its executed prefix from
+    // the recording, and the rest of it live.
+    const std::vector<ToyEvent> events = toyStream(kShapes, 3000, 2);
+    ToyClient toy;
+    feedAndCheck(toy, events, 2, true, 1001);
+    EXPECT_GT(toy.prefixes, 0u);
+    EXPECT_GT(toy.hits, 0u);
+}
+
+TEST(SegmentDriver, StreamLeavingItsRecordingEqualsStepping)
+{
+    // Shapes that share their first sids with the recorded ones and
+    // then part from them, as a stream that jumps mid-segment does.
+    std::vector<std::vector<uint32_t>> shapes = kShapes;
+    shapes.push_back({ 10, 11, 14, kTerminal + 4 });
+    shapes.push_back({ 20, 22, 23, 27, kTerminal + 1 });
+    shapes.push_back({ 30, 31, kTerminal + 2 });
+    const std::vector<ToyEvent> events = toyStream(shapes, 3000, 3);
+    for (const bool read : { false, true }) {
+        SCOPED_TRACE(read);
+        ToyClient toy;
+        feedAndCheck(toy, events, 5, read);
+        EXPECT_GT(toy.prefixes, 0u);
+        EXPECT_GT(toy.hits, 0u);
+    }
+}
+
+TEST(SegmentDriver, FullTableSwitchesTheMemoOffAndSteps)
+{
+    // More first sids than the segment table holds: once it is full
+    // the memo is off, and what follows is stepped, not replayed.
+    std::vector<ToyEvent> events = toyStream(kShapes, 500, 4);
+    for (uint32_t k = 0; k <= SegmentMemo::kMaxSegments; k++) {
+        events.push_back({ 100 + 2 * k, 100 + 2 * k });
+        events.push_back({ kTerminal, 1 });
+    }
+    const size_t filled = events.size();
+    for (const ToyEvent &e : toyStream(kShapes, 1000, 5))
+        events.push_back(e);
+    ToyClient toy;
+    feedAndCheck(toy, { events.begin(), events.begin() + filled }, 7, false);
+    EXPECT_FALSE(toy.memoOn());
+    EXPECT_GT(toy.hits, 0u);
+    const uint64_t replayed = toy.replayedInstructions();
+    ToyClient fresh;
+    feedAndCheck(fresh, events, 7, false);
+    EXPECT_EQ(fresh.replayedInstructions(), replayed);
 }
 
 } // namespace
