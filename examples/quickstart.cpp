@@ -13,7 +13,7 @@
 #include "ir/builder.h"
 #include "ir/printer.h"
 #include "mem/hierarchy.h"
-#include "profile/instruction_mix.h"
+#include "profile/execution_counts.h"
 #include "profile/load_branch.h"
 #include "util/rng.h"
 #include "vm/interpreter.h"
@@ -54,14 +54,14 @@ main()
     for (uint64_t k = 0; k < 4096; k++)
         view.set(k, static_cast<int32_t>(rng.nextRange(-50, 50)));
 
-    profile::InstructionMixProfiler mix;
+    profile::ExecutionCounts counts;
     profile::LoadBranchProfiler chains;
     mem::CacheHierarchy caches = mem::CacheHierarchy::referenceConfig();
     auto predictor = branch::makePredictor("hybrid");
     cpu::CoreConfig core_cfg; // a generic 4-wide out-of-order core
     cpu::OooCore core(core_cfg, &caches, predictor.get());
 
-    interp.addSink(&mix);
+    interp.addSink(&counts);
     interp.addSink(&chains);
     interp.addSink(&core);
     interp.run(fn, { 4096 });
@@ -73,7 +73,7 @@ main()
                 static_cast<long long>(out_view.get(0)));
 
     // Each profiler reports through its value-type summary.
-    const profile::MixSummary m = mix.summary();
+    const profile::MixSummary m = counts.mix();
     const profile::LoadBranchSummary lb = chains.summary();
     std::printf("--- what the analysis stack saw ---\n");
     std::printf("instructions: %llu (%.1f%% loads, %.1f%% branches)\n",

@@ -6,6 +6,7 @@
 
 #include "regalloc/linear_scan.h"
 #include "util/failpoint.h"
+#include "util/stats.h"
 #include "util/thread_pool.h"
 #include "vm/interpreter.h"
 #include "vm/trace_codec.h"
@@ -42,26 +43,22 @@ Source::drive(const std::vector<vm::TraceSink *> &sinks) const
     return out;
 }
 
+using util::frac;
+
 namespace {
 
-double
-frac(uint64_t a, uint64_t b)
-{
-    return b == 0 ? 0.0 : static_cast<double>(a) / static_cast<double>(b);
-}
-
 /**
- * The per-load table: execution counts from @a coverage, L1 misses
+ * The per-load table: execution counts from @a counts, L1 misses
  * from @a cache, next-branch outcomes from @a loadBranch, and source
  * tags from one walk over @a prog.
  */
 std::vector<LoadProfile>
 loadTable(const ir::Program &prog,
-          const profile::LoadCoverageProfiler &coverage,
+          const profile::ExecutionCounts &counts,
           const profile::CacheProfiler &cache,
           const profile::LoadBranchProfiler &loadBranch)
 {
-    const std::vector<uint64_t> &execs = coverage.execsBySid();
+    const std::vector<uint64_t> execs = counts.loadExecsBySid();
     const std::vector<uint64_t> &misses = cache.l1MissesBySid();
     const auto &next = loadBranch.nextBranchBySid();
     std::vector<uint32_t> sids;
@@ -128,22 +125,20 @@ LoadProfile::nextBranchMissRate() const
 CharacterizationResult
 Simulator::characterize(const Source &src)
 {
-    profile::InstructionMixProfiler mix;
-    profile::LoadCoverageProfiler coverage;
+    profile::ExecutionCounts counts;
     profile::CacheProfiler cache;
     profile::LoadBranchProfiler loadBranch;
-    const Source::Outcome out =
-        src.drive({ &mix, &coverage, &cache, &loadBranch });
+    const Source::Outcome out = src.drive({ &counts, &cache, &loadBranch });
 
     CharacterizationResult res;
     res.status = out.status;
     res.instructions = out.instructions;
     res.verified = out.verified;
-    res.mix = mix.summary();
-    res.coverage = coverage.summary();
+    res.mix = counts.mix();
+    res.coverage = counts.coverage();
     res.cache = cache.summary();
     res.loadBranch = loadBranch.summary();
-    res.loads = loadTable(src.program(), coverage, cache, loadBranch);
+    res.loads = loadTable(src.program(), counts, cache, loadBranch);
     return res;
 }
 

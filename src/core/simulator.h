@@ -9,9 +9,8 @@
 #include "core/trace_cache.h"
 #include "cpu/platforms.h"
 #include "profile/cache_profiler.h"
-#include "profile/instruction_mix.h"
+#include "profile/execution_counts.h"
 #include "profile/load_branch.h"
-#include "profile/load_coverage.h"
 #include "util/metrics.h"
 #include "vm/trace.h"
 
@@ -209,7 +208,8 @@ class Simulator
   public:
     /**
      * Characterizes @a src under the Table 3 reference cache model:
-     * the four profilers ride one pass over the stream, and the
+     * one execution count (mix and coverage), the cache profiler and
+     * the load/branch profiler ride one pass over the stream, and the
      * per-load table is assembled from their counters.
      */
     static CharacterizationResult characterize(const Source &src);

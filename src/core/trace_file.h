@@ -20,11 +20,11 @@ namespace bioperf::core {
  * registry and validates by its control-flow digest. Layout: versioned
  * header, identity block, per-chunk framing with a CRC32C per chunk
  * payload, trailer with a whole-file metadata digest (see
- * trace_file.cc for the field list). Only format version 4 is read.
+ * trace_file.cc for the field list). Only format version 5 is read.
  */
 
 /**
- * Writes @a trace as a v4 .bptrace. kIoError on open/write failure
+ * Writes @a trace as a v5 .bptrace. kIoError on open/write failure
  * (including a short write forced by the trace.write.short fail
  * point); the file contents are unspecified after a failure.
  */

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "util/stats.h"
+
 namespace bioperf::profile {
 
 CacheProfiler::CacheProfiler()
@@ -39,16 +41,6 @@ CacheProfiler::onBatch(const vm::DynInstr *batch, size_t n)
         CacheProfiler::onInstr(batch[i]); // devirtualized tight loop
 }
 
-namespace {
-
-double
-frac(uint64_t a, uint64_t b)
-{
-    return b == 0 ? 0.0 : static_cast<double>(a) / static_cast<double>(b);
-}
-
-} // namespace
-
 CacheSummary
 CacheProfiler::summary() const
 {
@@ -57,9 +49,9 @@ CacheProfiler::summary() const
     s.loads = loads_;
     s.loadL1Misses = load_l1_misses_;
     s.loadL2Misses = load_l2_misses_;
-    s.l1LocalMissRate = frac(load_l1_misses_, loads_);
-    s.l2LocalMissRate = frac(load_l2_misses_, load_l1_misses_);
-    s.overallMissRate = frac(load_l2_misses_, loads_);
+    s.l1LocalMissRate = util::frac(load_l1_misses_, loads_);
+    s.l2LocalMissRate = util::frac(load_l2_misses_, load_l1_misses_);
+    s.overallMissRate = util::frac(load_l2_misses_, loads_);
     s.amat = lat.l1HitLatency +
              s.l1LocalMissRate *
                  (lat.l2Penalty + s.l2LocalMissRate * lat.memPenalty);

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <numeric>
 
+#include "util/stats.h"
+
 namespace bioperf::profile {
 
 LoadBranchProfiler::LoadBranchProfiler()
@@ -507,16 +509,6 @@ LoadBranchProfiler::nextBranchBySid() const
     return next;
 }
 
-namespace {
-
-double
-frac(uint64_t a, uint64_t b)
-{
-    return b == 0 ? 0.0 : static_cast<double>(a) / static_cast<double>(b);
-}
-
-} // namespace
-
 LoadBranchSummary
 LoadBranchProfiler::summary()
 {
@@ -524,9 +516,9 @@ LoadBranchProfiler::summary()
     const Hot &h = hot_;
     LoadBranchSummary s;
     s.dynamicLoads = h.totalLoads;
-    s.loadToBranchFraction = frac(h.ltbLoads, h.totalLoads);
-    s.ltbBranchMissRate = frac(h.ltbBranchMiss, h.ltbBranchExec);
-    s.loadAfterHardBranchFraction = frac(h.afterHardLoads, h.totalLoads);
+    s.loadToBranchFraction = util::frac(h.ltbLoads, h.totalLoads);
+    s.ltbBranchMissRate = util::frac(h.ltbBranchMiss, h.ltbBranchExec);
+    s.loadAfterHardBranchFraction = util::frac(h.afterHardLoads, h.totalLoads);
     return s;
 }
 

@@ -101,4 +101,10 @@ percent(uint64_t a, uint64_t b)
     return 100.0 * static_cast<double>(a) / static_cast<double>(b);
 }
 
+double
+frac(uint64_t a, uint64_t b)
+{
+    return b == 0 ? 0.0 : static_cast<double>(a) / static_cast<double>(b);
+}
+
 } // namespace bioperf::util

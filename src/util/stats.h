@@ -59,6 +59,9 @@ double harmonicMean(const std::vector<double> &xs);
 /** Ratio a/b expressed as a percentage; 0 when b == 0. */
 double percent(uint64_t a, uint64_t b);
 
+/** Ratio a/b as a fraction; 0 when b == 0. */
+double frac(uint64_t a, uint64_t b);
+
 } // namespace bioperf::util
 
 #endif // BIOPERF_UTIL_STATS_H_

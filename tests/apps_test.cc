@@ -7,8 +7,7 @@
 #include "apps/app.h"
 #include "apps/hmmer/p7viterbi.h"
 #include "ir/verify.h"
-#include "profile/instruction_mix.h"
-#include "profile/load_coverage.h"
+#include "profile/execution_counts.h"
 #include "vm/interpreter.h"
 #include "workload/hmm_gen.h"
 #include "workload/sequences.h"
@@ -193,12 +192,12 @@ TEST(Mix, PromlkIsFloatingPointDominated)
 {
     AppRun run =
         findApp("promlk")->make(Variant::Baseline, Scale::Small, 3);
-    profile::InstructionMixProfiler mix;
+    profile::ExecutionCounts counts;
     vm::Interpreter interp(*run.prog);
-    interp.addSink(&mix);
+    interp.addSink(&counts);
     run.driver(interp);
-    EXPECT_GT(mix.summary().fpFraction, 0.4); // paper: 65.3%
-    EXPECT_GT(mix.summary().fpLoadFraction, 0.15); // paper: 30.9%
+    EXPECT_GT(counts.mix().fpFraction, 0.4); // paper: 65.3%
+    EXPECT_GT(counts.mix().fpLoadFraction, 0.15); // paper: 30.9%
 }
 
 TEST(Mix, IntegerAppsHaveNegligibleFp)
@@ -207,12 +206,12 @@ TEST(Mix, IntegerAppsHaveNegligibleFp)
                               "hmmsearch", "fasta" }) {
         AppRun run =
             findApp(name)->make(Variant::Baseline, Scale::Small, 3);
-        profile::InstructionMixProfiler mix;
+        profile::ExecutionCounts counts;
         vm::Interpreter interp(*run.prog);
-        interp.addSink(&mix);
+        interp.addSink(&counts);
         run.driver(interp);
         // paper: <= 0.63%
-        EXPECT_LT(mix.summary().fpFraction, 0.02) << name;
+        EXPECT_LT(counts.mix().fpFraction, 0.02) << name;
     }
 }
 
@@ -222,11 +221,11 @@ TEST(Mix, FpOrderingMatchesTable1)
     auto fp_of = [](const char *name) {
         AppRun run =
             findApp(name)->make(Variant::Baseline, Scale::Small, 3);
-        profile::InstructionMixProfiler mix;
+        profile::ExecutionCounts counts;
         vm::Interpreter interp(*run.prog);
-        interp.addSink(&mix);
+        interp.addSink(&counts);
         run.driver(interp);
-        return mix.summary().fpFraction;
+        return counts.mix().fpFraction;
     };
     const double promlk = fp_of("promlk");
     const double predator = fp_of("predator");
@@ -269,11 +268,11 @@ TEST(SpecLike, FlatterLoadProfileThanBioperf)
     auto coverage80 = [](const char *name) {
         AppRun run =
             findApp(name)->make(Variant::Baseline, Scale::Small, 21);
-        profile::LoadCoverageProfiler cov;
+        profile::ExecutionCounts counts;
         vm::Interpreter interp(*run.prog);
-        interp.addSink(&cov);
+        interp.addSink(&counts);
         run.driver(interp);
-        return cov.summary().coverageAt80;
+        return counts.coverage().coverageAt80;
     };
     EXPECT_GT(coverage80("hmmsearch"), 0.9);
     EXPECT_LT(coverage80("gcc-like"), 0.7);

@@ -12,6 +12,7 @@
 #include "core/simulator.h"
 #include "ir/builder.h"
 #include "profile/cache_profiler.h"
+#include "profile/execution_counts.h"
 #include "profile/instruction_mix.h"
 #include "profile/load_branch.h"
 #include "profile/load_coverage.h"
@@ -39,12 +40,12 @@ TEST(InstructionMix, CountsByClass)
     b.ifThen(v > 0, [&] { b.assign(r, int64_t(1)); }); // 1 branch
     ir::Function &fn = b.finish();
 
-    InstructionMixProfiler mix;
+    ExecutionCounts counts;
     vm::Interpreter interp(prog);
-    interp.addSink(&mix);
+    interp.addSink(&counts);
     const uint64_t n = interp.run(fn);
 
-    const MixSummary s = mix.summary();
+    const MixSummary s = counts.mix();
     EXPECT_EQ(s.total, n);
     EXPECT_EQ(s.loads, 2u);
     EXPECT_EQ(s.fpLoads, 1u);
@@ -74,12 +75,12 @@ TEST(LoadCoverage, KnownDistribution)
     b.st(o, 0, acc);
     ir::Function &fn = b.finish();
 
-    LoadCoverageProfiler cov;
+    ExecutionCounts counts;
     vm::Interpreter interp(prog);
-    interp.addSink(&cov);
+    interp.addSink(&counts);
     interp.run(fn);
 
-    const CoverageSummary s = cov.summary();
+    const CoverageSummary s = counts.coverage();
     EXPECT_EQ(s.dynamicLoads, 100u);
     EXPECT_EQ(s.staticLoads, 2u);
     // Coverage at N past the last static load is the curve's end.
@@ -111,11 +112,11 @@ TEST(LoadCoverage, CdfIsMonotone)
         });
     }
     ir::Function &fn = b.finish();
-    LoadCoverageProfiler cov;
+    ExecutionCounts counts;
     vm::Interpreter interp(prog);
-    interp.addSink(&cov);
+    interp.addSink(&counts);
     interp.run(fn);
-    const auto cdf = cov.summary().cdf;
+    const auto cdf = counts.coverage().cdf;
     for (size_t i = 1; i < cdf.size(); i++)
         EXPECT_GE(cdf[i], cdf[i - 1]);
     EXPECT_NEAR(cdf.back(), 1.0, 1e-12);
@@ -127,7 +128,7 @@ TEST(LoadCoverage, CdfClippedAtKCdfPointsKeepsTopNCoverage)
     // i + 1 times, so the hottest n cover the n largest of 1..kStatic.
     constexpr uint32_t kStatic = CoverageSummary::kCdfPoints + 50;
     std::vector<ir::Instr> loads(kStatic);
-    LoadCoverageProfiler cov;
+    ExecutionCounts counts;
     for (uint32_t sid = 0; sid < kStatic; sid++) {
         loads[sid].op = ir::Opcode::Load;
         loads[sid].sid = sid;
@@ -136,10 +137,10 @@ TEST(LoadCoverage, CdfClippedAtKCdfPointsKeepsTopNCoverage)
         di.op = ir::Opcode::Load;
         di.sid = sid;
         for (uint32_t k = 0; k <= sid; k++)
-            cov.onInstr(di);
+            counts.onInstr(di);
     }
 
-    const CoverageSummary s = cov.summary();
+    const CoverageSummary s = counts.coverage();
     const uint64_t total = uint64_t(kStatic) * (kStatic + 1) / 2;
     EXPECT_EQ(s.dynamicLoads, total);
     EXPECT_EQ(s.staticLoads, kStatic);
@@ -163,6 +164,157 @@ TEST(LoadCoverage, CdfClippedAtKCdfPointsKeepsTopNCoverage)
     EXPECT_DOUBLE_EQ(s.coverageAt80, s.cdf[79]);
     // The clipped curve stops short of full coverage.
     EXPECT_LT(s.cdf.back(), 1.0);
+}
+
+/** The event of hand-made static instruction @a in. */
+vm::DynInstr
+eventOf(const ir::Instr &in)
+{
+    vm::DynInstr di;
+    di.instr = &in;
+    di.op = in.op;
+    di.sid = in.sid;
+    return di;
+}
+
+TEST(ExecutionCounts, CountsEachSidAndRecordsItsOpcode)
+{
+    using ir::Opcode;
+    std::vector<ir::Instr> instrs(14);
+    const std::pair<uint32_t, Opcode> defs[] = {
+        { 0, Opcode::Add },   { 2, Opcode::FAdd },  { 3, Opcode::Store },
+        { 4, Opcode::Load },  { 5, Opcode::FStore }, { 7, Opcode::FLoad },
+        { 9, Opcode::Load },  { 12, Opcode::Br },   { 13, Opcode::Prefetch },
+    };
+    for (const auto &[sid, op] : defs) {
+        instrs[sid].sid = sid;
+        instrs[sid].op = op;
+    }
+    // Sids first appear out of order (9 before 3 before 0) in a batch;
+    // 12 and 13 grow the table late, and 5, 4 and 2 fill holes in it.
+    std::vector<vm::DynInstr> batch;
+    for (uint32_t sid : { 9, 3, 0, 7, 9, 0, 9 })
+        batch.push_back(eventOf(instrs[sid]));
+    ExecutionCounts counts;
+    counts.onBatch(batch.data(), batch.size());
+    for (uint32_t sid : { 12, 5, 4, 13, 2, 12, 4 })
+        counts.onInstr(eventOf(instrs[sid]));
+
+    const std::vector<uint64_t> want = { 2, 0, 1, 1, 2, 1, 0,
+                                         1, 0, 3, 0, 0, 2, 1 };
+    EXPECT_EQ(counts.bySid(), want);
+    for (const auto &[sid, op] : defs)
+        EXPECT_EQ(counts.opBySid()[sid], op) << sid;
+    const std::vector<uint64_t> loads = { 0, 0, 0, 0, 2, 0, 0,
+                                          1, 0, 3, 0, 0, 0, 0 };
+    EXPECT_EQ(counts.loadExecsBySid(), loads);
+
+    const MixSummary m = counts.mix();
+    EXPECT_EQ(m.total, 14u);
+    EXPECT_EQ(m.loads, 6u);
+    EXPECT_EQ(m.fpLoads, 1u);
+    EXPECT_EQ(m.stores, 2u);
+    EXPECT_EQ(m.condBranches, 2u);
+    EXPECT_EQ(m.other, 4u); // two Add, one FAdd, one Prefetch
+    EXPECT_EQ(m.fpInstrs, 3u); // FAdd, FLoad, FStore
+    EXPECT_EQ(m.loadFraction, 6.0 / 14.0);
+    EXPECT_EQ(m.storeFraction, 2.0 / 14.0);
+    EXPECT_EQ(m.branchFraction, 2.0 / 14.0);
+    EXPECT_EQ(m.otherFraction, 4.0 / 14.0);
+    EXPECT_EQ(m.fpFraction, 3.0 / 14.0);
+    EXPECT_EQ(m.fpLoadFraction, 1.0 / 14.0);
+
+    // Static loads executed 3, 2 and 1 times.
+    const CoverageSummary c = counts.coverage();
+    EXPECT_EQ(c.dynamicLoads, 6u);
+    EXPECT_EQ(c.staticLoads, 3u);
+    EXPECT_EQ(c.loadsFor90, 2u); // 5 of 6 reaches floor(0.9 * 6)
+    EXPECT_EQ(c.cdf, (std::vector<double>{ 3.0 / 6.0, 5.0 / 6.0, 1.0 }));
+    EXPECT_EQ(c.coverageAt80, 1.0);
+}
+
+TEST(ExecutionCounts, CoverageClippedWithLoadsSeenOutOfOrder)
+{
+    // kLoads static loads on the odd sids, the hottest on the lowest:
+    // load k (0-based) has sid 2k + 1 and runs kLoads - k times. The
+    // even sids are Adds, each hotter than any load. The highest sid
+    // comes first, then the loads downwards, then the Adds.
+    constexpr uint32_t kLoads = CoverageSummary::kCdfPoints + 30;
+    constexpr uint64_t kAddExecs = 500;
+    std::vector<ir::Instr> instrs(2 * kLoads);
+    for (uint32_t sid = 0; sid < instrs.size(); sid++) {
+        instrs[sid].sid = sid;
+        instrs[sid].op = sid % 2 ? ir::Opcode::Load : ir::Opcode::Add;
+    }
+    ExecutionCounts counts;
+    std::vector<vm::DynInstr> batch;
+    for (uint32_t k = kLoads; k-- > 0;)
+        for (uint32_t n = 0; n < kLoads - k; n++)
+            batch.push_back(eventOf(instrs[2 * k + 1]));
+    for (uint32_t sid = 0; sid < instrs.size(); sid += 2)
+        for (uint64_t n = 0; n < kAddExecs; n++)
+            batch.push_back(eventOf(instrs[sid]));
+    counts.onBatch(batch.data(), batch.size());
+
+    const uint64_t total = uint64_t(kLoads) * (kLoads + 1) / 2;
+    ASSERT_EQ(counts.bySid().size(), instrs.size());
+    for (uint32_t sid = 0; sid < instrs.size(); sid++) {
+        const uint64_t want = sid % 2 ? kLoads - sid / 2 : kAddExecs;
+        EXPECT_EQ(counts.bySid()[sid], want) << sid;
+        EXPECT_EQ(counts.loadExecsBySid()[sid], sid % 2 ? want : 0) << sid;
+    }
+    const MixSummary m = counts.mix();
+    EXPECT_EQ(m.loads, total);
+    EXPECT_EQ(m.other, kLoads * kAddExecs);
+    EXPECT_EQ(m.total, total + kLoads * kAddExecs);
+
+    const CoverageSummary s = counts.coverage();
+    EXPECT_EQ(s.dynamicLoads, total);
+    EXPECT_EQ(s.staticLoads, kLoads);
+    ASSERT_EQ(s.cdf.size(), CoverageSummary::kCdfPoints);
+    const auto target90 =
+        static_cast<uint64_t>(0.9 * static_cast<double>(total));
+    uint64_t cum = 0;
+    size_t for90 = 0;
+    for (uint32_t n = 1; n <= kLoads; n++) {
+        cum += kLoads + 1 - n;
+        if (for90 == 0 && cum >= target90)
+            for90 = n;
+        if (n <= CoverageSummary::kCdfPoints) {
+            EXPECT_EQ(s.cdf[n - 1], static_cast<double>(cum) /
+                                        static_cast<double>(total))
+                << n;
+        }
+    }
+    EXPECT_EQ(s.loadsFor90, for90);
+    EXPECT_EQ(s.coverageAt80, s.cdf[79]);
+}
+
+TEST(ExecutionCounts, CharacterizeMatchesTheBenchmarkViews)
+{
+    // perfbench's traced fingerprint comes from the two views, each
+    // its own sink; characterize() reads one count.
+    for (const char *name : { "hmmsearch", "promlk", "gcc-like" }) {
+        SCOPED_TRACE(name);
+        const apps::AppInfo *app = apps::findApp(name);
+        apps::AppRun run =
+            app->make(apps::Variant::Baseline, apps::Scale::Small, 5);
+        const core::CharacterizationResult res =
+            core::Simulator::characterize(core::Source(run));
+        ASSERT_TRUE(res.status.ok());
+
+        apps::AppRun again =
+            app->make(apps::Variant::Baseline, apps::Scale::Small, 5);
+        InstructionMixProfiler mix;
+        LoadCoverageProfiler coverage;
+        vm::Interpreter interp(*again.prog);
+        interp.addSink(&mix);
+        interp.addSink(&coverage);
+        again.driver(interp);
+        EXPECT_EQ(res.mix.report().dump(), mix.summary().report().dump());
+        EXPECT_EQ(res.coverage.report().dump(),
+                  coverage.summary().report().dump());
+    }
 }
 
 TEST(CacheProfiler, PerLoadAccounting)

@@ -11,7 +11,7 @@
 #include "mem/hierarchy.h"
 #include "profile/load_branch.h"
 #include "profile/cache_profiler.h"
-#include "profile/load_coverage.h"
+#include "profile/execution_counts.h"
 #include "util/rng.h"
 #include "vm/interpreter.h"
 
@@ -307,11 +307,11 @@ TEST(AppEdge, SpecLikeSkewOrderingIsStable)
         auto cov = [&](const char *name) {
             apps::AppRun run = apps::findApp(name)->make(
                 apps::Variant::Baseline, apps::Scale::Small, seed);
-            profile::LoadCoverageProfiler c;
+            profile::ExecutionCounts c;
             vm::Interpreter interp(*run.prog);
             interp.addSink(&c);
             run.driver(interp);
-            return c.summary().coverageAt80;
+            return c.coverage().coverageAt80;
         };
         const double crafty = cov("crafty-like");
         const double vortex = cov("vortex-like");

@@ -19,9 +19,8 @@
 #include "cpu/ooo_core.h"
 #include "cpu/platforms.h"
 #include "profile/cache_profiler.h"
-#include "profile/instruction_mix.h"
+#include "profile/execution_counts.h"
 #include "profile/load_branch.h"
-#include "profile/load_coverage.h"
 #include "vm/interpreter.h"
 
 namespace bioperf::vm {
@@ -180,35 +179,33 @@ TEST(TraceBatch, ProfilerCountersIdenticalAcrossDeliveryModes)
 
     struct Counters
     {
-        uint64_t total, loads, stores, branches, covered, l1_miss,
-            l2_miss;
+        std::vector<uint64_t> count;
+        std::vector<ir::Opcode> op;
+        uint64_t l1_miss, l2_miss;
         profile::LoadBranchSummary lb;
         std::vector<profile::LoadBranchProfiler::NextBranch> next;
     };
-    // The load/branch profiler also sees the stream re-framed (shape
-    // > 0), so its segments straddle batch boundaries at every offset.
+    // The count and the load/branch profiler also see the stream
+    // re-framed (shape > 0): the count grows mid-batch at every offset,
+    // and the profiler's segments straddle batch boundaries.
     auto characterize = [&](size_t capacity, size_t shape) {
         apps::AppRun run = app->make(apps::Variant::Baseline,
                                      apps::Scale::Small, 42);
         Interpreter interp(*run.prog, capacity);
-        profile::InstructionMixProfiler mix;
-        profile::LoadCoverageProfiler coverage;
+        profile::ExecutionCounts counts;
         profile::CacheProfiler cache;
         profile::LoadBranchProfiler lb;
+        ReframeSink reframe_counts(counts, shape);
         ReframeSink reframe(lb, shape);
-        interp.addSink(&mix);
-        interp.addSink(&coverage);
+        interp.addSink(shape == 0 ? static_cast<TraceSink *>(&counts)
+                                  : &reframe_counts);
         interp.addSink(&cache);
         interp.addSink(shape == 0 ? static_cast<TraceSink *>(&lb)
                                   : &reframe);
         run.driver(interp);
-        const profile::MixSummary m = mix.summary();
         const profile::CacheSummary c = cache.summary();
-        return Counters{ m.total,
-                         m.loads,
-                         m.stores,
-                         m.condBranches,
-                         coverage.summary().staticLoads,
+        return Counters{ counts.bySid(),
+                         counts.opBySid(),
                          c.loadL1Misses,
                          c.loadL2Misses,
                          lb.summary(),
@@ -218,16 +215,14 @@ TEST(TraceBatch, ProfilerCountersIdenticalAcrossDeliveryModes)
     const size_t shapes[] = { 0, 1, 7, 255, 256, 257, 512 };
     const Counters a = characterize(1, 0);
     EXPECT_GT(a.lb.dynamicLoads, 0u);
+    EXPECT_GT(a.count.size(), 0u);
     for (const size_t capacity : kCapacities) {
         for (const size_t shape : shapes) {
             SCOPED_TRACE("capacity " + std::to_string(capacity) +
                          ", batches of " + std::to_string(shape));
             const Counters b = characterize(capacity, shape);
-            EXPECT_EQ(a.total, b.total);
-            EXPECT_EQ(a.loads, b.loads);
-            EXPECT_EQ(a.stores, b.stores);
-            EXPECT_EQ(a.branches, b.branches);
-            EXPECT_EQ(a.covered, b.covered);
+            EXPECT_EQ(a.count, b.count);
+            EXPECT_EQ(a.op, b.op);
             EXPECT_EQ(a.l1_miss, b.l1_miss);
             EXPECT_EQ(a.l2_miss, b.l2_miss);
             EXPECT_EQ(a.lb.dynamicLoads, b.lb.dynamicLoads);
