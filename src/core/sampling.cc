@@ -39,7 +39,8 @@ struct ShardResult
  * (the random phase offset), then the stream cycles through detailed
  * warm-up, detailed measurement and a functional-warm gap. Batches
  * are split at phase boundaries, so phase lengths are exact
- * regardless of batch framing.
+ * regardless of batch framing. The core never sees a gap's events, so
+ * the end of a non-empty gap is a jump it is told of (onJump()).
  */
 class SampleRouter : public vm::TraceSink
 {
@@ -59,6 +60,7 @@ class SampleRouter : public vm::TraceSink
         warm_gap_ = warm_gap;
         phase_ = Phase::Gap;
         remaining_ = first_warm;
+        jump_ = first_warm > 0;
     }
 
     void onInstr(const vm::DynInstr &di) override { onBatch(&di, 1); }
@@ -107,6 +109,8 @@ class SampleRouter : public vm::TraceSink
     {
         switch (phase_) {
           case Phase::Gap:
+            if (jump_)
+                core_->onJump();
             phase_ = Phase::Warmup;
             remaining_ = warmup_len_;
             break;
@@ -131,6 +135,7 @@ class SampleRouter : public vm::TraceSink
             }
             phase_ = Phase::Gap;
             remaining_ = warm_gap_;
+            jump_ = warm_gap_ > 0;
             break;
           }
         }
@@ -144,6 +149,7 @@ class SampleRouter : public vm::TraceSink
     uint64_t warm_gap_ = 0;
     uint64_t remaining_ = 0;
     Phase phase_ = Phase::Gap;
+    bool jump_ = false; ///< the Gap phase is not empty
     uint64_t cycles0_ = 0;
     uint64_t instr0_ = 0;
     uint64_t miss0_ = 0;

@@ -96,21 +96,15 @@ TimingCore::resolveWith(Predictor &predictor, const vm::DynInstr *batch,
     instructions_ += n;
 }
 
-size_t
+void
 TimingCore::gather(const Memo::Segment &s, uint32_t pos, size_t i, size_t k,
                    uint32_t *inputs) const
 {
-    const uint32_t *sids = memo().sidsOf(s) + pos;
-    const Resolved &r = resolved_;
-    size_t m = 0;
-    while (m < k && r.sid[i + m] == sids[m])
-        m++;
     const uint8_t *loads = memo().loadsOf(s);
     for (uint32_t j = 0; j < s.numLoads; j++) {
-        if (loads[j] >= pos && loads[j] < pos + m)
-            inputs[j] = r.latency[i + loads[j] - pos];
+        if (loads[j] >= pos && loads[j] < pos + k)
+            inputs[j] = resolved_.latency[i + loads[j] - pos];
     }
-    return m;
 }
 
 void

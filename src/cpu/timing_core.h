@@ -43,7 +43,9 @@ namespace bioperf::cpu {
  * (non-load latencies follow from the sid, the loads' are edge inputs,
  * and only the terminal branch can be mispredicted or taken), so
  * results are bit-identical with or without the memo. A state whose
- * cycles_ - F exceeds kMaxSpan is never interned.
+ * cycles_ - F exceeds kMaxSpan is never interned. Between run ends,
+ * gaps and jumps (onJump()) the stream must follow the program's
+ * control flow: a skipped segment's sids are not compared with it.
  */
 class TimingCore : public vm::TraceSink,
                    public vm::SegmentDriver<TimingCore>
@@ -92,6 +94,13 @@ class TimingCore : public vm::TraceSink,
      * instructions after the gap.
      */
     void onGap() override { endRun(); }
+
+    /**
+     * The stream jumps (a sampler's warmed gap was not fed here): an
+     * open segment is stepped up to here, and nothing is recorded until
+     * the next terminal. Unlike onGap(), the scoreboard is kept.
+     */
+    void onJump() { makeCurrent(); }
 
     /**
      * Returns the core to its post-construction state (counters and
@@ -203,8 +212,8 @@ class TimingCore : public vm::TraceSink,
     // then the terminal's flags: mispredicted, and taken when
     // key_direction_; the client word is how far F moved.
     uint32_t sidAt(size_t i) const { return resolved_.sid[i]; }
-    size_t gather(const vm::SegmentMemo::Segment &s, uint32_t pos, size_t i,
-                  size_t k, uint32_t *inputs) const;
+    void gather(const vm::SegmentMemo::Segment &s, uint32_t pos, size_t i,
+                size_t k, uint32_t *inputs) const;
     uint32_t
     terminal(size_t t, uint32_t, const Recording *) const
     {

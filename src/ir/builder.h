@@ -264,7 +264,6 @@ class FunctionBuilder
     /** Starts a new basic block and makes it current. */
     uint32_t newBlock(const std::string &name = "");
     void setBlock(uint32_t id);
-    uint32_t currentBlock() const { return cur_; }
     BasicBlock &block(uint32_t id) { return fn_.blocks[id]; }
 
   private:

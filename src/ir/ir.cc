@@ -116,15 +116,6 @@ Program::addFunction(const std::string &name)
     return *functions_.back();
 }
 
-Function *
-Program::findFunction(const std::string &name)
-{
-    for (auto &f : functions_)
-        if (f->name == name)
-            return f.get();
-    return nullptr;
-}
-
 void
 Program::renumber()
 {

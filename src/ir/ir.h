@@ -361,7 +361,6 @@ class Program
     Function &addFunction(const std::string &name);
     Function &function(size_t i) { return *functions_[i]; }
     const Function &function(size_t i) const { return *functions_[i]; }
-    Function *findFunction(const std::string &name);
     size_t numFunctions() const { return functions_.size(); }
 
     /** Allocates the next program-unique static instruction id. */

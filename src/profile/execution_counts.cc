@@ -20,15 +20,23 @@ ExecutionCounts::onInstr(const vm::DynInstr &di)
 void
 ExecutionCounts::onBatch(const vm::DynInstr *batch, size_t n)
 {
+    // Data and size in locals, refreshed on growth: the opcode byte
+    // store may alias the vectors and would force their reload.
+    uint64_t *count = count_.data();
+    ir::Opcode *op = op_.data();
+    size_t size = count_.size();
     for (size_t i = 0; i < n; i++) {
         const vm::DynInstr &di = batch[i];
         assert(di.matchesInstr());
-        if (di.sid >= count_.size()) {
-            count_.resize(di.sid + 1, 0);
-            op_.resize(di.sid + 1);
+        if (di.sid >= size) {
+            size = di.sid + 1;
+            count_.resize(size, 0);
+            op_.resize(size);
+            count = count_.data();
+            op = op_.data();
         }
-        count_[di.sid]++;
-        op_[di.sid] = di.op;
+        count[di.sid]++;
+        op[di.sid] = di.op;
     }
 }
 

@@ -218,11 +218,10 @@ class LoadBranchProfiler : public vm::TraceSink,
     // counted (clientWord()). The skip path reads only a segment's
     // terminal and the next segment's first event.
     uint32_t sidAt(size_t i) const { return batch_[i].sid; }
-    size_t
-    gather(const vm::SegmentMemo::Segment &, uint32_t, size_t, size_t k,
+    void
+    gather(const vm::SegmentMemo::Segment &, uint32_t, size_t, size_t,
            uint32_t *) const
     {
-        return k;
     }
     uint32_t terminal(size_t t, uint32_t seg, const Recording *rec);
     /**

@@ -40,11 +40,6 @@ class ThreadPool
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    unsigned numThreads() const
-    {
-        return static_cast<unsigned>(workers_.size());
-    }
-
     /**
      * Hardware concurrency, overridable with the BIOPERF_THREADS
      * environment variable (useful for CI and for the single-thread /

@@ -28,10 +28,13 @@ namespace bioperf::vm {
  *    the state is materialised, the segment stepped from its recorded
  *    sids and the gathered inputs, the next state interned and the edge
  *    added. No step of a skipped segment reads the live events.
- *  - A skipped segment still open at a read (catchUp()), at a run end,
- *    or where the stream leaves its recorded sids has its executed
- *    prefix stepped from the recording; the rest is stepped live and
- *    adds no edge.
+ *  - A skipped segment still open at a read (catchUp()), at a run end
+ *    or at a jump (makeCurrent()) has its executed prefix stepped from
+ *    the recording; the rest is stepped live and adds no edge. A jump
+ *    also ends the recording of a new segment, which is not stored.
+ *  - Between run ends, gaps and jumps the stream follows the program's
+ *    control flow, so a segment's first sid fixes the rest of it: a
+ *    skipped event's sid is read only by a Debug check.
  *  - At a run start (endRun(), or restart() after the client reset
  *    itself) the state is interned, so a run's first segment can be
  *    replayed. A new client has no interned state.
@@ -39,9 +42,8 @@ namespace bioperf::vm {
  * The hooks (events are indices into the current view):
  *  - `sidAt(i)`: event i's sid.
  *  - `gather(s, pos, i, k, inputs)`: events [i, i + k) are segment s's
- *    [pos, pos + k); returns how many follow its recorded sids and
- *    writes the input of each recorded load among them to
- *    inputs[its load index].
+ *    [pos, pos + k); writes the input of each recorded load among them
+ *    to inputs[its load index].
  *  - `terminal(t, seg, rec)`: event t ends segment seg (kNone: not
  *    recorded); rec is set when the segment is new. Returns the
  *    terminal's input word.
@@ -93,17 +95,26 @@ class SegmentDriver
         }
     }
 
-    /** Steps the executed prefix of a skipped segment (a read). */
+    /**
+     * Steps the executed prefix of a skipped segment from its recording
+     * (a read); the rest of it steps live.
+     */
     void
     catchUp()
     {
-        if (mode_ == kSkip)
-            stepPrefix();
+        if (mode_ != kSkip)
+            return;
+        materializeCur();
+        client().segmentStart();
+        client().stepRecorded(memo_.segment(seg_), pos_, inputs_);
+        mode_ = kStep;
+        recording_ = false;
     }
 
     /**
      * Makes the stepped state current; the rest of the segment adds no
-     * edge (the client is about to change how it steps).
+     * edge. Called before the client changes how it steps, and where
+     * the stream jumps (events in between were not fed).
      */
     void
     makeCurrent()
@@ -177,21 +188,18 @@ class SegmentDriver
         for (;;) {
             const SegmentMemo::Segment &s = memo_.segment(seg_);
             const size_t k = std::min<size_t>(s.len - pos, n - i);
-            const size_t m = client().gather(s, pos, i, k, inputs_);
-            pos += static_cast<uint32_t>(m);
-            i += m;
-            if (m < k || pos < s.len) {
+#ifndef NDEBUG
+            for (size_t j = 0; j < k; j++)
+                assert(client().sidAt(i + j) == memo_.sidsOf(s)[pos + j]);
+#endif
+            client().gather(s, pos, i, k, inputs_);
+            pos += static_cast<uint32_t>(k);
+            i += k;
+            if (pos < s.len) {
                 pos_ = pos;
-                if (m < k) {
-                    // The stream left the recording (a sampler's
-                    // skipped stretch).
-                    stepPrefix();
-                    seg_ = kNone;
-                }
                 return i;
             }
 
-            assert(client().sidAt(i - 1) == memo_.sidsOf(s)[s.len - 1]);
             inputs_[s.numLoads] = client().terminal(i - 1, seg_, nullptr);
             const uint32_t e = memo_.replay(last_, cur_, seg_, inputs_);
             if (e == kNone) {
@@ -242,17 +250,6 @@ class SegmentDriver
             close(seg_, memo_.sidsOf(s), s.len, nullptr);
         }
         return stop;
-    }
-
-    /** Steps the skipped segment's pos_ events; the rest steps live. */
-    void
-    stepPrefix()
-    {
-        materializeCur();
-        client().segmentStart();
-        client().stepRecorded(memo_.segment(seg_), pos_, inputs_);
-        mode_ = kStep;
-        recording_ = false;
     }
 
     /**

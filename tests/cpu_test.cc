@@ -749,9 +749,10 @@ TEST(TimingMemo, GapsResetsAndSkippedStretchesEqualStepping)
 {
     // The sampler's pattern: shards separated by reset(), a salvage
     // gap inside a shard, and stretches the core never sees (warmed
-    // functionally elsewhere), so its stream jumps mid-segment. Every
-    // other window is fed without reading the core, so a segment the
-    // memo holds open meets the jump.
+    // functionally elsewhere), so its stream jumps mid-segment; each
+    // jump is announced, as the router does. Every other window is fed
+    // without reading the core, so a segment the memo holds open meets
+    // the jump.
     const Stream s = collect(*apps::findApp("predator"));
     const size_t total = s.events.size();
     for (const PlatformConfig &p : evaluationPlatforms()) {
@@ -767,6 +768,8 @@ TEST(TimingMemo, GapsResetsAndSkippedStretchesEqualStepping)
             bool read = false;
             for (size_t i = begin; i < end; i += 1000, read = !read) {
                 const size_t stop = std::min(i + 700, end);
+                if (i > begin)
+                    memo.core->onJump();
                 if (i <= gap && gap < stop) {
                     feedBoth(s, i, gap, 257, *memo.core, oracle);
                     memo.core->onGap();

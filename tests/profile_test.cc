@@ -19,12 +19,15 @@
 #include "util/rng.h"
 #include "vm/interpreter.h"
 
+#include "stream_sinks.h"
+
 namespace bioperf::profile {
 namespace {
 
 using ir::ArrayRef;
 using ir::FunctionBuilder;
 using ir::Value;
+using test::ReframeSink;
 
 TEST(InstructionMix, CountsByClass)
 {
@@ -1115,41 +1118,6 @@ TEST(LoadBranch, MemoReplaysBioPerfAndSwitchesOffOnGccLike)
             << app.name;
     EXPECT_LT(replayed_share("gcc-like", apps::Scale::Large), 0.01);
 }
-
-/** Hands the stream on in batches of @a n events; a run end flushes. */
-class ReframeSink : public vm::TraceSink
-{
-  public:
-    ReframeSink(vm::TraceSink &inner, size_t n) : inner_(inner), n_(n) {}
-
-    void
-    onInstr(const vm::DynInstr &di) override
-    {
-        buf_.push_back(di);
-        if (buf_.size() == n_)
-            flush();
-    }
-
-    void
-    onRunEnd() override
-    {
-        flush();
-        inner_.onRunEnd();
-    }
-
-  private:
-    void
-    flush()
-    {
-        if (!buf_.empty())
-            inner_.onBatch(buf_.data(), buf_.size());
-        buf_.clear();
-    }
-
-    vm::TraceSink &inner_;
-    const size_t n_;
-    std::vector<vm::DynInstr> buf_;
-};
 
 /**
  * The memo's oracle: a profiler fed one event at a time and read after

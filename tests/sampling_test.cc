@@ -29,17 +29,6 @@
 namespace bioperf::core {
 namespace {
 
-TraceKey
-keyFor(const apps::AppInfo &app)
-{
-    TraceKey key;
-    key.app = &app;
-    key.variant = apps::Variant::Baseline;
-    key.scale = apps::Scale::Small;
-    key.seed = 42;
-    return key;
-}
-
 /**
  * Sampling knobs scaled for Small traces (a few hundred thousand
  * instructions): short warm, fine interval cadence. These are the same
@@ -66,7 +55,7 @@ TEST(SampledTiming, TracksFullReplayCpiOnSmallWorkloads)
         SCOPED_TRACE(name);
         const apps::AppInfo &app = *apps::findApp(name);
         const TraceCache::Ptr trace =
-            TraceCache::record(keyFor(app)).value();
+            TraceCache::record({ .app = &app }).value();
 
         const cpu::PlatformConfig platform = cpu::alpha21264();
         const TimingResult full = Simulator::time(*trace, platform);
@@ -102,7 +91,7 @@ TEST(SampledTiming, ShortTraceFallsBackToExhaustiveReplay)
 {
     const apps::AppInfo &app = *apps::findApp("promlk");
     const TraceCache::Ptr trace =
-        TraceCache::record(keyFor(app)).value();
+        TraceCache::record({ .app = &app }).value();
 
     const cpu::PlatformConfig platform = cpu::alpha21264();
     // Library defaults want 1M warm instructions; promlk Small has
@@ -272,7 +261,7 @@ TEST(SampledTiming, SeedChangesPlacementNotValidity)
 {
     const apps::AppInfo &app = *apps::findApp("hmmsearch");
     const TraceCache::Ptr trace =
-        TraceCache::record(keyFor(app)).value();
+        TraceCache::record({ .app = &app }).value();
     const cpu::PlatformConfig platform = cpu::alpha21264();
     const TimingResult full = Simulator::time(*trace, platform);
     const double full_cpi =
@@ -294,7 +283,7 @@ TEST(SampledTiming, SeedChangesPlacementNotValidity)
 TEST(SampledTiming, FileSamplingEqualsInMemorySampling)
 {
     const apps::AppInfo &app = *apps::findApp("hmmcalibrate");
-    const TraceKey key = keyFor(app);
+    const TraceKey key{ .app = &app };
     const TraceCache::Ptr trace = TraceCache::record(key).value();
     const cpu::PlatformConfig platform = cpu::alpha21264();
 

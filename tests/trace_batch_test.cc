@@ -23,48 +23,16 @@
 #include "profile/load_branch.h"
 #include "vm/interpreter.h"
 
+#include "stream_sinks.h"
+
 namespace bioperf::vm {
 namespace {
 
+using test::ReframeSink;
+using test::StreamHashSink;
+
 /** Batch capacities the delivery tests compare; 1 is the reference. */
 constexpr size_t kCapacities[] = { 1, 7, kBatchCapacity };
-
-/**
- * Hashes the observed stream (FNV-1a over sid, op, addr,
- * loadValueBits, taken) so whole-suite comparisons stay O(1) in
- * memory, counts events whose sid or op disagrees with their static
- * instruction, and records the instruction count at every onRunEnd()
- * to check that batches are flushed before run boundaries.
- */
-struct StreamHashSink : TraceSink
-{
-    uint64_t hash = 1469598103934665603ull;
-    uint64_t instrs = 0;
-    uint64_t mismatched = 0;
-    std::vector<uint64_t> run_end_counts;
-
-    void mix(uint64_t v)
-    {
-        for (int i = 0; i < 8; i++) {
-            hash ^= (v >> (8 * i)) & 0xff;
-            hash *= 1099511628211ull;
-        }
-    }
-
-    void onInstr(const DynInstr &di) override
-    {
-        mix(di.instr->sid);
-        mix(di.sid);
-        mix(static_cast<uint64_t>(di.op));
-        mismatched += !di.matchesInstr();
-        mix(di.addr);
-        mix(di.loadValueBits);
-        mix(di.taken ? 1 : 0);
-        instrs++;
-    }
-
-    void onRunEnd() override { run_end_counts.push_back(instrs); }
-};
 
 /** Same hash, but consumed through a native onBatch() override. */
 struct BatchHashSink : StreamHashSink
@@ -129,42 +97,6 @@ TEST(TraceBatch, AllAppsStreamIdenticalAcrossDeliveryModes)
         }
     }
 }
-
-/**
- * Re-frames the stream it receives into batches of exactly @a size
- * events for @a inner (the last one before a run end may be shorter),
- * so a consumer sees batch boundaries the interpreter never makes.
- */
-struct ReframeSink : TraceSink
-{
-    ReframeSink(TraceSink &inner, size_t size) : inner(inner), size(size)
-    {
-    }
-
-    void onInstr(const DynInstr &di) override
-    {
-        buf.push_back(di);
-        if (buf.size() == size)
-            flush();
-    }
-
-    void onRunEnd() override
-    {
-        flush();
-        inner.onRunEnd();
-    }
-
-    void flush()
-    {
-        if (!buf.empty())
-            inner.onBatch(buf.data(), buf.size());
-        buf.clear();
-    }
-
-    TraceSink &inner;
-    size_t size;
-    std::vector<DynInstr> buf;
-};
 
 /** The bits of a double: equal bits, not merely equal values. */
 uint64_t

@@ -35,17 +35,6 @@ struct FailPointGuard
     ~FailPointGuard() { util::FailPoints::clearAll(); }
 };
 
-TraceKey
-keyFor(const apps::AppInfo &app)
-{
-    TraceKey key;
-    key.app = &app;
-    key.variant = apps::Variant::Baseline;
-    key.scale = apps::Scale::Small;
-    key.seed = 42;
-    return key;
-}
-
 std::string
 tempTrace(const std::string &name)
 {
@@ -184,7 +173,7 @@ TEST(FailPoints, SeededProbabilityIsReproducible)
 TEST(TraceFault, TruncationDetectedAtEveryDepth)
 {
     const apps::AppInfo &app = *apps::findApp("promlk");
-    const TraceKey key = keyFor(app);
+    const TraceKey key{ .app = &app };
     const TraceCache::Ptr trace = TraceCache::record(key).value();
     const std::string path = tempTrace("trunc_src");
     ASSERT_TRUE(saveTraceFile(path, key, *trace).ok());
@@ -210,7 +199,7 @@ TEST(TraceFault, TruncationDetectedAtEveryDepth)
 TEST(TraceFault, AnySingleByteFlipIsDetected)
 {
     const apps::AppInfo &app = *apps::findApp("promlk");
-    const TraceKey key = keyFor(app);
+    const TraceKey key{ .app = &app };
     const TraceCache::Ptr trace = TraceCache::record(key).value();
     const std::string path = tempTrace("flip_src");
     ASSERT_TRUE(saveTraceFile(path, key, *trace).ok());
@@ -238,7 +227,7 @@ TEST(TraceFault, ShortWriteFailPointLeavesDetectablyBrokenFile)
 {
     FailPointGuard guard;
     const apps::AppInfo &app = *apps::findApp("promlk");
-    const TraceKey key = keyFor(app);
+    const TraceKey key{ .app = &app };
     const TraceCache::Ptr trace = TraceCache::record(key).value();
     const std::string path = tempTrace("short_write");
 
@@ -266,7 +255,7 @@ TEST(TraceFault, CorruptChunkFailPointIsCaughtOnRead)
 {
     FailPointGuard guard;
     const apps::AppInfo &app = *apps::findApp("promlk");
-    const TraceKey key = keyFor(app);
+    const TraceKey key{ .app = &app };
     const TraceCache::Ptr trace = TraceCache::record(key).value();
     const std::string path = tempTrace("codec_corrupt");
 
@@ -287,7 +276,7 @@ TEST(TraceFault, CorruptChunkFailPointIsCaughtOnRead)
 TEST(TraceFault, CorruptChunkCountIsRejectedBeforeSizingAnything)
 {
     const apps::AppInfo &app = *apps::findApp("promlk");
-    const TraceKey key = keyFor(app);
+    const TraceKey key{ .app = &app };
     const TraceCache::Ptr trace = TraceCache::record(key).value();
     const std::string path = tempTrace("chunk_count");
     ASSERT_TRUE(saveTraceFile(path, key, *trace).ok());
@@ -316,7 +305,7 @@ TEST(TraceFault, SalvageRecoversIntactKeyframeRegions)
     CachedTrace cached = recordTightKeyframes(app);
     const size_t num_chunks = cached.trace.chunks().size();
     ASSERT_GT(num_chunks, 6u);
-    const TraceKey key = keyFor(app);
+    const TraceKey key{ .app = &app };
 
     const std::string path = tempTrace("salvage");
     ASSERT_TRUE(saveTraceFile(path, key, cached).ok());
@@ -356,7 +345,7 @@ TEST(TraceFault, GapMarkedTraceRoundTripsThroughAFile)
 {
     const apps::AppInfo &app = *apps::findApp("hmmsearch");
     CachedTrace cached = recordTightKeyframes(app);
-    const TraceKey key = keyFor(app);
+    const TraceKey key{ .app = &app };
     const std::string path = tempTrace("gap_src");
     ASSERT_TRUE(saveTraceFile(path, key, cached).ok());
     flipByteAt(path, fileSize(path) / 2);
@@ -405,7 +394,7 @@ TEST(TraceFault, SampledTimingOnSalvagedTraceTracksCleanCpi)
 {
     const apps::AppInfo &app = *apps::findApp("hmmsearch");
     CachedTrace cached = recordTightKeyframes(app);
-    const TraceKey key = keyFor(app);
+    const TraceKey key{ .app = &app };
     const std::string path = tempTrace("salvage_sample");
     ASSERT_TRUE(saveTraceFile(path, key, cached).ok());
     flipByteAt(path, fileSize(path) / 2);
@@ -457,7 +446,7 @@ TEST(TraceFault, SampledTimingOnSalvagedTraceTracksCleanCpi)
 TEST(TraceFault, SalvageRefusesWhenHeaderOrEverythingIsGone)
 {
     const apps::AppInfo &app = *apps::findApp("promlk");
-    const TraceKey key = keyFor(app);
+    const TraceKey key{ .app = &app };
     const TraceCache::Ptr trace = TraceCache::record(key).value();
     const std::string path = tempTrace("salvage_refuse");
     ASSERT_TRUE(saveTraceFile(path, key, *trace).ok());
@@ -492,14 +481,14 @@ TEST(CacheFault, PersistentRecordFailureSurfacesAndDropsEntry)
     ASSERT_TRUE(
         util::FailPoints::armFromSpec("cache.record.fail").ok());
     util::StatusOr<TraceCache::Ptr> got =
-        TraceCache::record(keyFor(app));
+        TraceCache::record({ .app = &app });
     ASSERT_FALSE(got.ok());
     EXPECT_EQ(got.status().code(), util::StatusCode::kUnavailable);
 
     // Nothing is kept, so once the fault clears the key records.
     util::FailPoints::clearAll();
     util::StatusOr<TraceCache::Ptr> retry =
-        TraceCache::record(keyFor(app));
+        TraceCache::record({ .app = &app });
     ASSERT_TRUE(retry.ok()) << retry.status().str();
     EXPECT_TRUE(retry.value()->verified);
 }
@@ -584,11 +573,11 @@ TEST(SweepFault, RecordFailureFallsBackToLivePerJob)
     // Each job live on its own, rewritten for its register file.
     std::vector<TimingResult> reference;
     for (const SweepJob &job : jobs) {
-        TraceKey key = keyFor(app);
-        key.seed = job.seed;
-        key.registerPressure = true;
-        key.intRegs = job.platform.core.numIntRegs;
-        key.fpRegs = job.platform.core.numFpRegs;
+        const TraceKey key{ .app = &app,
+                            .seed = job.seed,
+                            .registerPressure = true,
+                            .intRegs = job.platform.core.numIntRegs,
+                            .fpRegs = job.platform.core.numFpRegs };
         apps::AppRun run = makeWorkload(key);
         reference.push_back(Simulator::time(run, job.platform));
     }

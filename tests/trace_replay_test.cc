@@ -23,54 +23,12 @@
 #include "vm/interpreter.h"
 #include "vm/trace_codec.h"
 
+#include "stream_sinks.h"
+
 namespace bioperf::core {
 namespace {
 
-/**
- * FNV-1a over every DynInstr field plus run-boundary positions, and a
- * count of events whose sid or op disagrees with their instruction.
- */
-struct StreamHashSink : vm::TraceSink
-{
-    uint64_t hash = 1469598103934665603ull;
-    uint64_t instrs = 0;
-    uint64_t mismatched = 0;
-    std::vector<uint64_t> run_end_counts;
-
-    void mix(uint64_t v)
-    {
-        for (int i = 0; i < 8; i++) {
-            hash ^= (v >> (8 * i)) & 0xff;
-            hash *= 1099511628211ull;
-        }
-    }
-
-    void onInstr(const vm::DynInstr &di) override
-    {
-        mix(di.instr->sid);
-        mix(di.sid);
-        mix(static_cast<uint64_t>(di.op));
-        mismatched += !di.matchesInstr();
-        mix(di.addr);
-        mix(di.loadValueBits);
-        mix(di.taken ? 1 : 0);
-        instrs++;
-    }
-
-    void onRunEnd() override { run_end_counts.push_back(instrs); }
-};
-
-TraceKey
-keyFor(const apps::AppInfo &app, apps::Variant v, apps::Scale s,
-       uint64_t seed)
-{
-    TraceKey key;
-    key.app = &app;
-    key.variant = v;
-    key.scale = s;
-    key.seed = seed;
-    return key;
-}
+using test::StreamHashSink;
 
 TEST(TraceReplay, ReplayedStreamIdenticalToLiveForEveryApp)
 {
@@ -130,8 +88,7 @@ TEST(TraceReplay, CharacterizeFromReplayEqualsLiveExactly)
 
         const TraceCache::Ptr trace =
             TraceCache::record(
-                keyFor(app, apps::Variant::Baseline, apps::Scale::Small,
-                       42))
+                TraceKey{ .app = &app })
                 .value();
         const CharacterizationResult replayed =
             Simulator::characterize(*trace);
@@ -159,11 +116,10 @@ TEST(TraceReplay, TimeFromReplayEqualsLiveExactly)
         Simulator::applyRegisterPressure(run, platform);
         const TimingResult live = Simulator::time(run, platform);
 
-        TraceKey key = keyFor(app, apps::Variant::Baseline,
-                              apps::Scale::Small, 42);
-        key.registerPressure = true;
-        key.intRegs = platform.core.numIntRegs;
-        key.fpRegs = platform.core.numFpRegs;
+        const TraceKey key{ .app = &app,
+                            .registerPressure = true,
+                            .intRegs = platform.core.numIntRegs,
+                            .fpRegs = platform.core.numFpRegs };
         const TraceCache::Ptr trace = TraceCache::record(key).value();
         const TimingResult replayed = Simulator::time(*trace, platform);
 
@@ -180,8 +136,7 @@ TEST(TraceReplay, MultiPlatformTimeMatchesPerPlatformTime)
 {
     const apps::AppInfo &app = *apps::findApp("hmmsearch");
     const TraceCache::Ptr trace =
-        TraceCache::record(keyFor(app, apps::Variant::Baseline,
-                                  apps::Scale::Small, 42))
+        TraceCache::record(TraceKey{ .app = &app })
             .value();
 
     const std::vector<cpu::PlatformConfig> platforms = {
@@ -590,8 +545,7 @@ class BptraceFileTest : public ::testing::Test
 TEST_F(BptraceFileTest, RoundTripsThroughDisk)
 {
     const apps::AppInfo &app = *apps::findApp("clustalw");
-    const TraceKey key = keyFor(app, apps::Variant::Baseline,
-                                apps::Scale::Small, 7);
+    const TraceKey key{ .app = &app, .seed = 7 };
     const TraceCache::Ptr recorded = TraceCache::record(key).value();
     ASSERT_TRUE(recorded->verified);
     ASSERT_TRUE(saveTraceFile(path_, key, *recorded).ok());
@@ -617,8 +571,7 @@ TEST_F(BptraceFileTest, RoundTripsThroughDisk)
 TEST_F(BptraceFileTest, RejectsTruncationBadMagicAndVersionSkew)
 {
     const apps::AppInfo &app = *apps::findApp("fasta");
-    const TraceKey key = keyFor(app, apps::Variant::Baseline,
-                                apps::Scale::Small, 42);
+    const TraceKey key{ .app = &app };
     const TraceCache::Ptr recorded = TraceCache::record(key).value();
     ASSERT_TRUE(saveTraceFile(path_, key, *recorded).ok());
     const std::string good = slurp(path_);
@@ -662,8 +615,7 @@ TEST_F(BptraceFileTest, RejectsTruncationBadMagicAndVersionSkew)
 TEST_F(BptraceFileTest, RefusesATraceOfOtherControlFlow)
 {
     const apps::AppInfo &app = *apps::findApp("fasta");
-    const TraceKey key = keyFor(app, apps::Variant::Baseline,
-                                apps::Scale::Small, 42);
+    const TraceKey key{ .app = &app };
     const TraceCache::Ptr recorded = TraceCache::record(key).value();
     // A file whose recording program differs from the one its recipe
     // rebuilds (as after a change to the app's kernel).
@@ -708,10 +660,13 @@ liveReference(const std::vector<SweepJob> &jobs)
 {
     std::vector<TimingResult> reference;
     for (const SweepJob &job : jobs) {
-        TraceKey key = keyFor(*job.app, job.variant, job.scale, job.seed);
-        key.registerPressure = true;
-        key.intRegs = job.platform.core.numIntRegs;
-        key.fpRegs = job.platform.core.numFpRegs;
+        const TraceKey key{ .app = job.app,
+                            .variant = job.variant,
+                            .scale = job.scale,
+                            .seed = job.seed,
+                            .registerPressure = true,
+                            .intRegs = job.platform.core.numIntRegs,
+                            .fpRegs = job.platform.core.numFpRegs };
         apps::AppRun run = makeWorkload(key);
         reference.push_back(Simulator::time(run, job.platform));
     }
@@ -827,8 +782,7 @@ TEST(TraceReplay, PredictorSweepMatchesOneSpeedupPerPredictor)
 TEST(TraceReplay, TraceKeyDistinguishesRegisterFiles)
 {
     const apps::AppInfo &app = *apps::findApp("hmmsearch");
-    TraceKey a = keyFor(app, apps::Variant::Baseline,
-                        apps::Scale::Small, 42);
+    TraceKey a{ .app = &app };
     TraceKey b = a;
     EXPECT_EQ(a.str(), b.str());
     b.registerPressure = true;

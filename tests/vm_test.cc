@@ -647,7 +647,15 @@ class ToyClient : public SegmentDriver<ToyClient>
         return total_;
     }
     void onRunEnd() { endRun(); }
+    void onJump() { makeCurrent(); }
     bool memoOn() const { return memo().on(); }
+    /** The recorded segment starting at @a sid: its length, or 0. */
+    uint32_t
+    recordedLength(uint32_t sid) const
+    {
+        const uint32_t seg = memo().segmentAt(sid);
+        return seg == kNone ? 0 : memo().segment(seg).len;
+    }
 
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -657,20 +665,15 @@ class ToyClient : public SegmentDriver<ToyClient>
     friend class SegmentDriver<ToyClient>;
 
     uint32_t sidAt(size_t i) const { return events_[i].sid; }
-    size_t
+    void
     gather(const SegmentMemo::Segment &s, uint32_t pos, size_t i, size_t k,
            uint32_t *inputs) const
     {
-        const uint32_t *sids = memo().sidsOf(s) + pos;
-        size_t m = 0;
-        while (m < k && events_[i + m].sid == sids[m])
-            m++;
         const uint8_t *loads = memo().loadsOf(s);
         for (uint32_t j = 0; j < s.numLoads; j++) {
-            if (loads[j] >= pos && loads[j] < pos + m)
+            if (loads[j] >= pos && loads[j] < pos + k)
                 inputs[j] = events_[i + loads[j] - pos].value;
         }
-        return m;
     }
     uint32_t
     terminal(size_t t, uint32_t, const Recording *) const
@@ -754,19 +757,28 @@ toyStream(const std::vector<std::vector<uint32_t>> &shapes, size_t segments,
 
 /**
  * Feeds @a events to @a toy in batches of @a n, with a run end after
- * event @a run_end, and checks total() against stepping after every
- * batch when @a read (else at the end only).
+ * event @a run_end and a jump announced before each event in @a jumps
+ * (ascending), and checks total() against stepping after every batch
+ * when @a read (else at the end only).
  */
 void
 feedAndCheck(ToyClient &toy, const std::vector<ToyEvent> &events, size_t n,
-             bool read, size_t run_end = SIZE_MAX)
+             bool read, size_t run_end = SIZE_MAX,
+             const std::vector<size_t> &jumps = {})
 {
     uint32_t acc = 0;
     uint64_t total = 0;
+    auto jump = jumps.begin();
     for (size_t i = 0; i < events.size();) {
+        if (jump != jumps.end() && *jump == i) {
+            toy.onJump();
+            ++jump;
+        }
         size_t stop = std::min(i + n, events.size());
         if (i < run_end && run_end < stop)
             stop = run_end;
+        if (jump != jumps.end() && *jump < stop)
+            stop = *jump;
         toy.onEvents(&events[i], stop - i);
         for (; i < stop; i++) {
             const ToyEvent &e = events[i];
@@ -816,22 +828,41 @@ TEST(SegmentDriver, ReadMidSegmentEqualsStepping)
     EXPECT_GT(toy.hits, 0u);
 }
 
-TEST(SegmentDriver, StreamLeavingItsRecordingEqualsStepping)
+TEST(SegmentDriver, AnnouncedJumpsEqualStepping)
 {
-    // Shapes that share their first sids with the recorded ones and
-    // then part from them, as a stream that jumps mid-segment does.
-    std::vector<std::vector<uint32_t>> shapes = kShapes;
-    shapes.push_back({ 10, 11, 14, kTerminal + 4 });
-    shapes.push_back({ 20, 22, 23, 27, kTerminal + 1 });
-    shapes.push_back({ 30, 31, kTerminal + 2 });
-    const std::vector<ToyEvent> events = toyStream(shapes, 3000, 3);
+    // A sampler's stream: windows of the program's stream, with
+    // stretches the client never sees between them, so it jumps
+    // mid-segment; each jump is announced.
+    const std::vector<ToyEvent> program = toyStream(kShapes, 3000, 3);
+    std::vector<ToyEvent> events;
+    std::vector<size_t> jumps;
+    for (size_t i = 0; i < program.size(); i += 97) {
+        jumps.push_back(events.size());
+        events.insert(events.end(), program.begin() + i,
+                      program.begin() + std::min(i + 61, program.size()));
+    }
     for (const bool read : { false, true }) {
         SCOPED_TRACE(read);
         ToyClient toy;
-        feedAndCheck(toy, events, 5, read);
+        feedAndCheck(toy, events, 5, read, SIZE_MAX, jumps);
         EXPECT_GT(toy.prefixes, 0u);
         EXPECT_GT(toy.hits, 0u);
     }
+
+    // A jump while a new segment is recorded: the segment is not
+    // stored across it, so later visits to its first sid record the
+    // program's segment once and then replay it whole.
+    std::vector<ToyEvent> cut = { { 10, 10 }, { 11, 1 }, { 12, 12 },
+                                  { 24, 24 }, { 25, 2 }, { kTerminal + 1, 0 } };
+    const ToyEvent visit[] = { { 10, 10 }, { 11, 1 }, { 12, 12 },
+                               { kTerminal, 1 } };
+    for (size_t k = 0; k < 40; k++)
+        cut.insert(cut.end(), std::begin(visit), std::end(visit));
+    ToyClient toy;
+    feedAndCheck(toy, cut, 2, false, SIZE_MAX, { 3 });
+    EXPECT_EQ(toy.recordedLength(10), 4u);
+    EXPECT_EQ(toy.prefixes, 0u);
+    EXPECT_GT(toy.hits, 30u);
 }
 
 TEST(SegmentDriver, FullTableSwitchesTheMemoOffAndSteps)
