@@ -42,7 +42,6 @@ class RunPosition : public vm::TraceSink
 {
   public:
     explicit RunPosition(uint64_t &pos) : pos_(pos) {}
-    void onInstr(const vm::DynInstr &) override {}
     void onBatch(const vm::DynInstr *, size_t) override {}
     void onRunEnd() override { pos_ = 0; }
 

@@ -63,8 +63,6 @@ class SampleRouter : public vm::TraceSink
         jump_ = first_warm > 0;
     }
 
-    void onInstr(const vm::DynInstr &di) override { onBatch(&di, 1); }
-
     void onBatch(const vm::DynInstr *batch, size_t n) override
     {
         while (n > 0) {
@@ -533,12 +531,6 @@ WarmupSink::WarmupSink(const ir::Program &prog,
         else if (in->op == ir::Opcode::Br)
             kind_of_sid_[in->sid] = kWarmBranch;
     }
-}
-
-void
-WarmupSink::onInstr(const vm::DynInstr &di)
-{
-    onBatch(&di, 1);
 }
 
 void

@@ -155,7 +155,6 @@ class WarmupSink : public vm::TraceSink
     WarmupSink(const ir::Program &prog, mem::CacheHierarchy *caches,
                branch::BranchPredictor *predictor);
 
-    void onInstr(const vm::DynInstr &di) override;
     void onBatch(const vm::DynInstr *batch, size_t n) override;
     void onRunEnd() override {}
 

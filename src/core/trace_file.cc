@@ -111,7 +111,10 @@ struct MetaReader
 
 /**
  * Reads the identity block — magic, version, recipe, counts, chunk
- * count — from the start of @a r's file. The chunk count is checked
+ * count — from the start of @a r's file. Variant, scale and both flags
+ * must be values a recorder writes (salvage never checks the metadata
+ * digest, so nothing else would catch them), and a register-pressure
+ * key needs both register counts. The chunk count is checked
  * against the bytes left before anything is sized by it: every chunk
  * frame takes at least kFrameBytes. @a h.key is complete once its app
  * resolves, even when a later check fails.
@@ -145,6 +148,14 @@ readHeader(MetaReader &r, TraceFileHeader &h)
         !r.scalar(name_len))
         return util::Status::corruptData(
             "truncated file (incomplete identity block)");
+    if (variant > static_cast<uint8_t>(apps::Variant::Transformed) ||
+        scale > static_cast<uint8_t>(apps::Scale::Large) ||
+        reg_pressure > 1 || verified > 1)
+        return util::Status::corruptData(
+            "workload identity byte out of range (corrupt header)");
+    if (reg_pressure && (key.intRegs == 0 || key.fpRegs == 0))
+        return util::Status::corruptData(
+            "register pressure without a register file (corrupt header)");
     if (h.keyframeInterval == 0)
         return util::Status::corruptData(
             "zero keyframe interval (corrupt header)");
@@ -239,7 +250,6 @@ struct DecodeCheck : vm::TraceSink
     {
         replayer.addSink(this);
     }
-    void onInstr(const vm::DynInstr &) override {}
     void onBatch(const vm::DynInstr *, size_t) override {}
     void onRunEnd() override { runs++; }
 };

@@ -51,8 +51,6 @@ class TimingCore : public vm::TraceSink,
                    public vm::SegmentDriver<TimingCore>
 {
   public:
-    /** One event is a batch of one. */
-    void onInstr(const vm::DynInstr &di) final { onBatch(&di, 1); }
     void onBatch(const vm::DynInstr *batch, size_t n) final;
 
     /**

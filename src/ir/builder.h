@@ -258,8 +258,6 @@ class FunctionBuilder
     Value emitFCmp(Opcode op, const FValue &a, const FValue &b);
     uint32_t newIntReg() { return fn_.numIntRegs++; }
     uint32_t newFpReg() { return fn_.numFpRegs++; }
-    Value valueFor(uint32_t reg) { return Value(this, reg); }
-    FValue fvalueFor(uint32_t reg) { return FValue(this, reg); }
 
     /** Starts a new basic block and makes it current. */
     uint32_t newBlock(const std::string &name = "");

@@ -12,33 +12,29 @@ CacheProfiler::CacheProfiler()
 }
 
 void
-CacheProfiler::onInstr(const vm::DynInstr &di)
-{
-    assert(di.matchesInstr());
-    const ir::Opcode op = di.op;
-    if (ir::isLoad(op)) {
-        loads_++;
-        const auto acc = caches_.access(di.addr, false);
-        if (acc.level != mem::Level::L1) {
-            load_l1_misses_++;
-            if (di.sid >= l1_misses_by_sid_.size())
-                l1_misses_by_sid_.resize(di.sid + 1, 0);
-            l1_misses_by_sid_[di.sid]++;
-            if (acc.level == mem::Level::Memory)
-                load_l2_misses_++;
-        }
-    } else if (ir::isStore(op)) {
-        caches_.access(di.addr, true);
-    } else if (op == ir::Opcode::Prefetch) {
-        caches_.access(di.addr, false);
-    }
-}
-
-void
 CacheProfiler::onBatch(const vm::DynInstr *batch, size_t n)
 {
-    for (size_t i = 0; i < n; i++)
-        CacheProfiler::onInstr(batch[i]); // devirtualized tight loop
+    for (size_t i = 0; i < n; i++) {
+        const vm::DynInstr &di = batch[i];
+        assert(di.matchesInstr());
+        const ir::Opcode op = di.op;
+        if (ir::isLoad(op)) {
+            loads_++;
+            const auto acc = caches_.access(di.addr, false);
+            if (acc.level != mem::Level::L1) {
+                load_l1_misses_++;
+                if (di.sid >= l1_misses_by_sid_.size())
+                    l1_misses_by_sid_.resize(di.sid + 1, 0);
+                l1_misses_by_sid_[di.sid]++;
+                if (acc.level == mem::Level::Memory)
+                    load_l2_misses_++;
+            }
+        } else if (ir::isStore(op)) {
+            caches_.access(di.addr, true);
+        } else if (op == ir::Opcode::Prefetch) {
+            caches_.access(di.addr, false);
+        }
+    }
 }
 
 CacheSummary

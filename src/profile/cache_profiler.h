@@ -43,7 +43,6 @@ class CacheProfiler : public vm::TraceSink
     /** Drives the Table 3 reference hierarchy. */
     CacheProfiler();
 
-    void onInstr(const vm::DynInstr &di) override;
     void onBatch(const vm::DynInstr *batch, size_t n) override;
 
     CacheSummary summary() const;

@@ -12,12 +12,6 @@ using ir::InstrClass;
 using util::frac;
 
 void
-ExecutionCounts::onInstr(const vm::DynInstr &di)
-{
-    ExecutionCounts::onBatch(&di, 1);
-}
-
-void
 ExecutionCounts::onBatch(const vm::DynInstr *batch, size_t n)
 {
     // Data and size in locals, refreshed on growth: the opcode byte

@@ -63,7 +63,6 @@ struct CoverageSummary
 class ExecutionCounts : public vm::TraceSink
 {
   public:
-    void onInstr(const vm::DynInstr &di) override;
     void onBatch(const vm::DynInstr *batch, size_t n) override;
 
     /** Executions of each sid (ends at the highest executed sid). */

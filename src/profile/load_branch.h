@@ -78,7 +78,6 @@ class LoadBranchProfiler : public vm::TraceSink,
 
     LoadBranchProfiler();
 
-    void onInstr(const vm::DynInstr &di) override { onBatch(&di, 1); }
     void onBatch(const vm::DynInstr *batch, size_t n) override;
     void onRunEnd() override { endRun(); }
     /** A gap ends the profiler's run: no chain or charge spans it. */

@@ -12,9 +12,8 @@ namespace bioperf::vm {
 
 using ir::Opcode;
 
-Interpreter::Interpreter(const ir::Program &prog, size_t batch_capacity)
-    : prog_(prog), mem_(prog.memoryBytes()),
-      batch_(batch_capacity > 0 ? batch_capacity : 1)
+Interpreter::Interpreter(const ir::Program &prog)
+    : prog_(prog), mem_(prog.memoryBytes()), batch_(kBatchCapacity)
 {
 }
 
@@ -183,7 +182,6 @@ Interpreter::run(const ir::Function &fn,
     double *const F = fregs_.data();
     uint8_t *const mem = mem_.data();
     DynInstr *const batch = batch_.data();
-    const size_t capacity = batch_.size();
     auto host = [&](uint64_t addr, [[maybe_unused]] uint8_t size) {
         assert(mem_.contains(addr, size));
         return mem + (addr - ir::Program::kBaseAddress);
@@ -388,7 +386,7 @@ Interpreter::run(const ir::Function &fn,
         }
 
         count++;
-        if (++bn == capacity) {
+        if (++bn == kBatchCapacity) {
             flush(bn);
             bn = 0;
         }

@@ -41,31 +41,23 @@ namespace bioperf::vm {
  *    constructed).
  *
  *  - *Batched tracing*: retired instructions accumulate in a buffer
- *    of batchCapacity() events that is flushed to every sink with one
- *    TraceSink::onBatch() call, collapsing per-instruction virtual
- *    dispatch into one indirect call per batch per sink. The buffer
- *    is always flushed before run() returns (and thus before
- *    onRunEnd()), so the stream a sink observes does not depend on
- *    the capacity; capacity 1 is per-instruction delivery.
+ *    of kBatchCapacity events, as in the TraceReplayer, that is
+ *    flushed to every sink with one TraceSink::onBatch() call: one
+ *    indirect call per batch per sink, not per instruction. The
+ *    buffer is always flushed before run() returns (and thus before
+ *    onRunEnd()), so a run's last batch may be shorter.
  */
 class Interpreter
 {
   public:
-    /**
-     * Allocates memory sized for all of @a prog's regions. Events are
-     * flushed to the sinks every @a batch_capacity instructions (at
-     * least 1).
-     */
-    explicit Interpreter(const ir::Program &prog,
-                         size_t batch_capacity = kBatchCapacity);
+    /** Allocates memory sized for all of @a prog's regions. */
+    explicit Interpreter(const ir::Program &prog);
 
     Memory &memory() { return mem_; }
     const ir::Program &program() const { return prog_; }
 
     void addSink(TraceSink *sink) { sinks_.push_back(sink); }
     void clearSinks() { sinks_.clear(); }
-
-    size_t batchCapacity() const { return batch_.size(); }
 
     /**
      * Runs @a fn from its entry block until Halt.

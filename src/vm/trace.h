@@ -65,33 +65,34 @@ constexpr size_t kBatchCapacity = 512;
 
 /**
  * Observer of the dynamic instruction stream. Multiple sinks can be
- * attached to one Interpreter; each sees every instruction in program
+ * attached to one producer; each sees every instruction in program
  * order (the profilers, cache models and timing cores all implement
  * this interface).
  *
  * Producers (the interpreter, the trace replayer) buffer retired
- * instructions and hand each sink a whole batch at once via
- * onBatch(), which costs one virtual call per batch instead of one
- * per instruction. Sinks that only implement onInstr() keep working
- * unchanged through the default onBatch() adapter; the hot sinks
- * override onBatch() with a tight native loop.
+ * instructions and hand each sink up to kBatchCapacity of them at once
+ * via onBatch(), one virtual call per batch. A sink overrides at least
+ * one of the two delivery calls: onBatch() with a native loop (every
+ * library sink), or onInstr() for a sink written per event, which
+ * receives batches through the default onBatch() loop. onInstr()'s
+ * default is a batch of one, so either kind takes single events too.
  *
  * Batch entries arrive in program order and are only valid for the
- * duration of the onBatch() call (the interpreter reuses the buffer).
- * A batch never spans an Interpreter::run() boundary: all buffered
- * instructions are flushed before onRunEnd() fires.
+ * duration of the onBatch() call (the producer reuses the buffer).
+ * A batch never spans a run boundary: all buffered instructions are
+ * flushed before onRunEnd() fires.
  */
 class TraceSink
 {
   public:
     virtual ~TraceSink() = default;
 
-    virtual void onInstr(const DynInstr &di) = 0;
+    /** Delivers one trace event: a batch of one by default. */
+    virtual void onInstr(const DynInstr &di) { onBatch(&di, 1); }
 
     /**
-     * Delivers @a n consecutive trace events in program order.
-     * Default implementation forwards to onInstr() one by one, so the
-     * batched and per-instruction paths observe identical streams.
+     * Delivers @a n consecutive trace events in program order. The
+     * default forwards them to onInstr() one by one.
      */
     virtual void onBatch(const DynInstr *batch, size_t n)
     {

@@ -283,12 +283,6 @@ TraceRecorder::codeEvent(uint8_t *p, uint32_t sid, uint32_t expect)
 }
 
 void
-TraceRecorder::onInstr(const DynInstr &di)
-{
-    onBatch(&di, 1);
-}
-
-void
 TraceRecorder::onBatch(const DynInstr *batch, size_t n)
 {
     // Hot loop: state in locals, written back before a chunk seals

@@ -191,7 +191,6 @@ class TraceRecorder : public TraceSink
                            uint32_t keyframe_interval =
                                kDefaultKeyframeInterval);
 
-    void onInstr(const DynInstr &di) override;
     void onBatch(const DynInstr *batch, size_t n) override;
     void onRunEnd() override;
 

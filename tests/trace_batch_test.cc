@@ -1,10 +1,10 @@
 /**
  * @file
- * Golden-equivalence tests for the batched trace pipeline: every batch
- * capacity, per-instruction delivery (capacity 1) included, must
- * expose bit-identical DynInstr streams to every sink, and
- * Simulator::sweep() must return bit-identical timing results for any
- * worker count.
+ * Golden-equivalence tests for the batched trace pipeline: the
+ * interpreter's stream re-framed into batches of any size, batches of
+ * one included, must expose bit-identical DynInstr streams to every
+ * sink, and Simulator::sweep() must return bit-identical timing
+ * results for any worker count.
  */
 #include <gtest/gtest.h>
 
@@ -31,8 +31,20 @@ namespace {
 using test::ReframeSink;
 using test::StreamHashSink;
 
-/** Batch capacities the delivery tests compare; 1 is the reference. */
-constexpr size_t kCapacities[] = { 1, 7, kBatchCapacity };
+/**
+ * Delivery shapes the tests compare: 0 is the interpreter's own
+ * batches of kBatchCapacity; the rest re-frame them (ReframeSink), so
+ * batches start and end across the cores' 256-event chunks. Batches
+ * of 1 are the reference.
+ */
+constexpr size_t kShapes[] = { 0, 1, 7, 255, 256, 257, kBatchCapacity };
+
+/** @a sink itself at shape 0, else @a reframe, which wraps it. */
+TraceSink *
+framed(TraceSink &sink, ReframeSink &reframe, size_t shape)
+{
+    return shape == 0 ? &sink : &reframe;
+}
 
 /** Same hash, but consumed through a native onBatch() override. */
 struct BatchHashSink : StreamHashSink
@@ -55,30 +67,32 @@ TEST(TraceBatch, AllAppsStreamIdenticalAcrossDeliveryModes)
     for (const auto &app : apps::bioperfApps()) {
         SCOPED_TRACE(app.name);
 
-        // Per-instruction delivery (capacity 1): the reference.
+        // Batches of one: the reference.
         apps::AppRun ref_run =
             app.make(apps::Variant::Baseline, apps::Scale::Small, 42);
-        Interpreter ref_interp(*ref_run.prog, 1);
+        Interpreter ref_interp(*ref_run.prog);
         StreamHashSink ref;
-        ref_interp.addSink(&ref);
+        ReframeSink ref_reframe(ref, 1);
+        ref_interp.addSink(&ref_reframe);
         ref_run.driver(ref_interp);
         EXPECT_GT(ref.instrs, 0u);
         EXPECT_EQ(ref.mismatched, 0u);
 
-        for (const size_t capacity : kCapacities) {
-            SCOPED_TRACE("capacity " + std::to_string(capacity));
+        for (const size_t shape : kShapes) {
+            SCOPED_TRACE("batches of " + std::to_string(shape));
             // Delivery into a sink that only implements onInstr()
-            // (default onBatch adapter) and into one that consumes
+            // (default onBatch loop) and into one that consumes
             // batches natively; both attach to one interpreter so
             // they see the same run.
             apps::AppRun run =
                 app.make(apps::Variant::Baseline, apps::Scale::Small, 42);
-            Interpreter interp(*run.prog, capacity);
-            ASSERT_EQ(interp.batchCapacity(), capacity);
+            Interpreter interp(*run.prog);
             StreamHashSink adapted;
             BatchHashSink native;
-            interp.addSink(&adapted);
-            interp.addSink(&native);
+            ReframeSink reframe_adapted(adapted, shape);
+            ReframeSink reframe_native(native, shape);
+            interp.addSink(framed(adapted, reframe_adapted, shape));
+            interp.addSink(framed(native, reframe_native, shape));
             run.driver(interp);
 
             EXPECT_EQ(ref.instrs, adapted.instrs);
@@ -88,12 +102,13 @@ TEST(TraceBatch, AllAppsStreamIdenticalAcrossDeliveryModes)
             EXPECT_EQ(native.mismatched, 0u);
 
             // Flush-before-onRunEnd: each run boundary must observe
-            // the same cumulative count at every capacity.
+            // the same cumulative count at every shape.
             EXPECT_EQ(ref.run_end_counts, adapted.run_end_counts);
             EXPECT_EQ(ref.run_end_counts, native.run_end_counts);
 
             EXPECT_GT(native.batches, 0u);
-            EXPECT_LE(native.largest_batch, capacity);
+            EXPECT_LE(native.largest_batch,
+                      shape == 0 ? kBatchCapacity : shape);
         }
     }
 }
@@ -117,23 +132,21 @@ TEST(TraceBatch, ProfilerCountersIdenticalAcrossDeliveryModes)
         profile::LoadBranchSummary lb;
         std::vector<profile::LoadBranchProfiler::NextBranch> next;
     };
-    // The count and the load/branch profiler also see the stream
-    // re-framed (shape > 0): the count grows mid-batch at every offset,
-    // and the profiler's segments straddle batch boundaries.
-    auto characterize = [&](size_t capacity, size_t shape) {
+    // Re-framed, the count grows mid-batch at every offset, and the
+    // load/branch profiler's segments straddle batch boundaries.
+    auto characterize = [&](size_t shape) {
         apps::AppRun run = app->make(apps::Variant::Baseline,
                                      apps::Scale::Small, 42);
-        Interpreter interp(*run.prog, capacity);
+        Interpreter interp(*run.prog);
         profile::ExecutionCounts counts;
         profile::CacheProfiler cache;
         profile::LoadBranchProfiler lb;
         ReframeSink reframe_counts(counts, shape);
-        ReframeSink reframe(lb, shape);
-        interp.addSink(shape == 0 ? static_cast<TraceSink *>(&counts)
-                                  : &reframe_counts);
-        interp.addSink(&cache);
-        interp.addSink(shape == 0 ? static_cast<TraceSink *>(&lb)
-                                  : &reframe);
+        ReframeSink reframe_cache(cache, shape);
+        ReframeSink reframe_lb(lb, shape);
+        interp.addSink(framed(counts, reframe_counts, shape));
+        interp.addSink(framed(cache, reframe_cache, shape));
+        interp.addSink(framed(lb, reframe_lb, shape));
         run.driver(interp);
         const profile::CacheSummary c = cache.summary();
         return Counters{ counts.bySid(),
@@ -144,51 +157,43 @@ TEST(TraceBatch, ProfilerCountersIdenticalAcrossDeliveryModes)
                          lb.nextBranchBySid() };
     };
 
-    const size_t shapes[] = { 0, 1, 7, 255, 256, 257, 512 };
-    const Counters a = characterize(1, 0);
+    const Counters a = characterize(1);
     EXPECT_GT(a.lb.dynamicLoads, 0u);
     EXPECT_GT(a.count.size(), 0u);
-    for (const size_t capacity : kCapacities) {
-        for (const size_t shape : shapes) {
-            SCOPED_TRACE("capacity " + std::to_string(capacity) +
-                         ", batches of " + std::to_string(shape));
-            const Counters b = characterize(capacity, shape);
-            EXPECT_EQ(a.count, b.count);
-            EXPECT_EQ(a.op, b.op);
-            EXPECT_EQ(a.l1_miss, b.l1_miss);
-            EXPECT_EQ(a.l2_miss, b.l2_miss);
-            EXPECT_EQ(a.lb.dynamicLoads, b.lb.dynamicLoads);
-            EXPECT_EQ(bitsOf(a.lb.loadToBranchFraction),
-                      bitsOf(b.lb.loadToBranchFraction));
-            EXPECT_EQ(bitsOf(a.lb.ltbBranchMissRate),
-                      bitsOf(b.lb.ltbBranchMissRate));
-            EXPECT_EQ(bitsOf(a.lb.loadAfterHardBranchFraction),
-                      bitsOf(b.lb.loadAfterHardBranchFraction));
-            ASSERT_EQ(a.next.size(), b.next.size());
-            for (size_t sid = 0; sid < a.next.size(); sid++) {
-                EXPECT_EQ(a.next[sid].execs, b.next[sid].execs) << sid;
-                EXPECT_EQ(a.next[sid].misses, b.next[sid].misses) << sid;
-            }
+    for (const size_t shape : kShapes) {
+        SCOPED_TRACE("batches of " + std::to_string(shape));
+        const Counters b = characterize(shape);
+        EXPECT_EQ(a.count, b.count);
+        EXPECT_EQ(a.op, b.op);
+        EXPECT_EQ(a.l1_miss, b.l1_miss);
+        EXPECT_EQ(a.l2_miss, b.l2_miss);
+        EXPECT_EQ(a.lb.dynamicLoads, b.lb.dynamicLoads);
+        EXPECT_EQ(bitsOf(a.lb.loadToBranchFraction),
+                  bitsOf(b.lb.loadToBranchFraction));
+        EXPECT_EQ(bitsOf(a.lb.ltbBranchMissRate),
+                  bitsOf(b.lb.ltbBranchMissRate));
+        EXPECT_EQ(bitsOf(a.lb.loadAfterHardBranchFraction),
+                  bitsOf(b.lb.loadAfterHardBranchFraction));
+        ASSERT_EQ(a.next.size(), b.next.size());
+        for (size_t sid = 0; sid < a.next.size(); sid++) {
+            EXPECT_EQ(a.next[sid].execs, b.next[sid].execs) << sid;
+            EXPECT_EQ(a.next[sid].misses, b.next[sid].misses) << sid;
         }
     }
 }
 
 TEST(TraceBatch, TimingCoresIdenticalAcrossDeliveryModes)
 {
-    // Delivery shapes: 0 is the interpreter's own batching; the rest
-    // re-frame it so the cores' 256-event chunks start and end
-    // mid-batch.
-    const size_t shapes[] = { 0, 1, 7, 255, 256, 257, 512 };
     const apps::AppInfo *app = apps::findApp("predator");
     for (const auto &platform :
          { cpu::alpha21264(), cpu::itanium2() }) {
         SCOPED_TRACE(platform.name);
-        auto time = [&](size_t capacity, size_t shape) {
+        auto time = [&](size_t shape) {
             apps::AppRun run = app->make(apps::Variant::Baseline,
                                          apps::Scale::Small, 42);
             mem::CacheHierarchy caches = platform.makeHierarchy();
             auto predictor = platform.makePredictor();
-            Interpreter interp(*run.prog, capacity);
+            Interpreter interp(*run.prog);
             std::unique_ptr<cpu::TimingCore> core;
             if (platform.core.outOfOrder)
                 core = std::make_unique<cpu::OooCore>(
@@ -197,22 +202,18 @@ TEST(TraceBatch, TimingCoresIdenticalAcrossDeliveryModes)
                 core = std::make_unique<cpu::InorderCore>(
                     platform.core, &caches, predictor.get());
             ReframeSink reframe(*core, shape);
-            interp.addSink(shape == 0 ? static_cast<TraceSink *>(core.get())
-                                      : &reframe);
+            interp.addSink(framed(*core, reframe, shape));
             run.driver(interp);
             return std::pair<uint64_t, uint64_t>(
                 core->cycles(), core->branchMispredictions());
         };
-        const auto a = time(1, 0);
+        const auto a = time(1);
         EXPECT_GT(a.first, 0u);
-        for (const size_t capacity : kCapacities) {
-            for (const size_t shape : shapes) {
-                SCOPED_TRACE("capacity " + std::to_string(capacity) +
-                             ", batches of " + std::to_string(shape));
-                const auto b = time(capacity, shape);
-                EXPECT_EQ(a.first, b.first);
-                EXPECT_EQ(a.second, b.second);
-            }
+        for (const size_t shape : kShapes) {
+            SCOPED_TRACE("batches of " + std::to_string(shape));
+            const auto b = time(shape);
+            EXPECT_EQ(a.first, b.first);
+            EXPECT_EQ(a.second, b.second);
         }
     }
 }

@@ -452,13 +452,18 @@ TEST(TraceFault, SalvageRefusesWhenHeaderOrEverythingIsGone)
     ASSERT_TRUE(saveTraceFile(path, key, *trace).ok());
 
     // Magic damage: the recipe is unreadable, nothing to replay
-    // against.
+    // against. Variant (12) and scale (13) damage: the flip lands out
+    // of range, and salvage never checks the metadata digest, so the
+    // header itself must refuse the byte.
     const std::string hurt = tempTrace("salvage_refuse_hurt");
-    copyFile(path, hurt);
-    flipByteAt(hurt, 2);
-    const TraceSalvageResult no_header = salvageTraceFile(hurt);
-    EXPECT_FALSE(no_header.status.ok());
-    EXPECT_EQ(no_header.trace, nullptr);
+    for (const long off : { 2L, 12L, 13L }) {
+        SCOPED_TRACE(off);
+        copyFile(path, hurt);
+        flipByteAt(hurt, off);
+        const TraceSalvageResult no_header = salvageTraceFile(hurt);
+        EXPECT_EQ(no_header.status.code(), util::StatusCode::kCorruptData);
+        EXPECT_EQ(no_header.trace, nullptr);
+    }
 
     // promlk Small is shorter than one default keyframe group, so a
     // payload flip leaves no intact group at all: salvage must say so
