@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <future>
+#include <optional>
 #include <unordered_map>
 
 #include "regalloc/linear_scan.h"
@@ -310,11 +311,65 @@ analyse(const Source &src,
 }
 
 /**
+ * Whether @a a and @a b run the same instructions on the same memory:
+ * equal regions and functions but for the functions' register-file
+ * sizes, which only size the interpreter's frames.
+ */
+bool
+sameCode(const ir::Program &a, const ir::Program &b)
+{
+    if (a.numRegions() != b.numRegions() ||
+        a.numFunctions() != b.numFunctions())
+        return false;
+    for (size_t r = 0; r < a.numRegions(); r++)
+        if (a.region(static_cast<int32_t>(r)) !=
+            b.region(static_cast<int32_t>(r)))
+            return false;
+    for (size_t f = 0; f < a.numFunctions(); f++) {
+        const ir::Function &x = a.function(f);
+        const ir::Function &y = b.function(f);
+        if (x.name != y.name || x.sourceFile != y.sourceFile ||
+            x.params != y.params || x.blocks != y.blocks)
+            return false;
+    }
+    return true;
+}
+
+/** Jobs that ride one live pass. */
+struct Group
+{
+    std::vector<size_t> jobs;
+    /** The workload, when built ahead to compare its program. */
+    std::optional<apps::AppRun> run;
+    /** Why building it ahead failed. */
+    util::Status failed;
+};
+
+/** Runs @a fn; what it throws, as a status. */
+template <typename Fn>
+util::Status
+statusOf(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const util::StatusError &e) {
+        return e.status();
+    } catch (const std::exception &e) {
+        return util::Status::internal(std::string("sweep worker: ") +
+                                      e.what());
+    }
+    return util::Status();
+}
+
+/**
  * Fan @a jobs out in groups and collect results in job order. The app
  * registry is touched once up front so the workers never race on its
  * lazy initialization.
  *
- * Grouping: all jobs of one key form one group, and each group is one
+ * Grouping: the jobs of one key form a group. The groups of one
+ * workload that differ only in their register file are built ahead,
+ * and those whose rewrites give the same program merge into the first,
+ * so each distinct program is interpreted once. Each group is one
  * task, on the calling thread or on one pool worker. A group rides a
  * single live interpretation with every member's sinks on it, so
  * results are bit-identical for any thread count. A group whose task
@@ -325,59 +380,101 @@ std::vector<Result>
 runAll(const std::vector<Job> &jobs, unsigned threads)
 {
     std::vector<Result> results(jobs.size());
-    std::vector<std::vector<size_t>> groups;
+    std::vector<Group> groups;
     std::unordered_map<std::string, size_t> group_of;
+    // Group ids by workload: the key without its register file.
+    std::vector<std::vector<size_t>> workloads;
+    std::unordered_map<std::string, size_t> workload_of;
     for (size_t i = 0; i < jobs.size(); i++) {
-        auto [it, fresh] =
-            group_of.emplace(makeKey(jobs[i]).str(), groups.size());
-        if (fresh)
+        TraceKey key = makeKey(jobs[i]);
+        auto [it, fresh] = group_of.emplace(key.str(), groups.size());
+        if (fresh) {
+            key.registerPressure = false;
+            auto [w, new_workload] =
+                workload_of.emplace(key.str(), workloads.size());
+            if (new_workload)
+                workloads.emplace_back();
+            workloads[w->second].push_back(groups.size());
             groups.emplace_back();
-        groups[it->second].push_back(i);
-    }
-
-    auto run_group = [&](const std::vector<size_t> &group) {
-        util::Status failed;
-        try {
-            if (BIOPERF_FAILPOINT("pool.task.throw"))
-                throw util::StatusError(util::Status::internal(
-                    "fail point pool.task.throw fired"));
-            std::vector<const Job *> members;
-            for (size_t i : group)
-                members.push_back(&jobs[i]);
-            apps::AppRun run = makeWorkload(makeKey(*members.front()));
-            std::vector<Result> rs = analyse(Source(run), members);
-            for (size_t m = 0; m < group.size(); m++)
-                results[group[m]] = std::move(rs[m]);
-        } catch (const util::StatusError &e) {
-            failed = e.status();
-        } catch (const std::exception &e) {
-            failed = util::Status::internal(
-                std::string("sweep worker: ") + e.what());
         }
-        if (!failed.ok())
-            for (size_t i : group) {
-                results[i] = Result{};
-                results[i].status = failed;
-            }
-    };
+        groups[it->second].jobs.push_back(i);
+    }
 
     if (threads == 0)
         threads = util::ThreadPool::defaultThreads();
-    if (threads <= 1 || groups.size() <= 1) {
-        for (const std::vector<size_t> &group : groups)
-            run_group(group);
-    } else {
+    std::optional<util::ThreadPool> pool;
+    if (threads > 1 && groups.size() > 1) {
         apps::bioperfApps();
-        util::ThreadPool pool(static_cast<unsigned>(
+        pool.emplace(static_cast<unsigned>(
             std::min<size_t>(threads, groups.size())));
+    }
+    // Runs fn(g) for every g in @a ids, on the pool if there is one.
+    auto each = [&pool](const std::vector<size_t> &ids, auto fn) {
+        if (!pool || ids.size() <= 1) {
+            for (size_t g : ids)
+                fn(g);
+            return;
+        }
         std::vector<std::future<void>> done;
-        done.reserve(groups.size());
-        for (const std::vector<size_t> &group : groups)
-            done.push_back(
-                pool.submit([&run_group, &group] { run_group(group); }));
+        done.reserve(ids.size());
+        for (size_t g : ids)
+            done.push_back(pool->submit([&fn, g] { fn(g); }));
         for (std::future<void> &f : done)
             f.get();
-    }
+    };
+
+    std::vector<size_t> ahead;
+    for (const std::vector<size_t> &w : workloads)
+        if (w.size() > 1)
+            ahead.insert(ahead.end(), w.begin(), w.end());
+    each(ahead, [&](size_t g) {
+        Group &group = groups[g];
+        group.failed = statusOf([&] {
+            group.run = makeWorkload(makeKey(jobs[group.jobs[0]]));
+        });
+    });
+    for (const std::vector<size_t> &w : workloads)
+        for (size_t a = 1; a < w.size(); a++) {
+            Group &group = groups[w[a]];
+            for (size_t b = 0; b < a && group.run; b++) {
+                Group &into = groups[w[b]];
+                if (!into.run || !sameCode(*into.run->prog, *group.run->prog))
+                    continue;
+                into.jobs.insert(into.jobs.end(), group.jobs.begin(),
+                                 group.jobs.end());
+                group.jobs.clear();
+                group.run.reset();
+            }
+        }
+    std::vector<size_t> tasks;
+    for (size_t g = 0; g < groups.size(); g++)
+        if (!groups[g].jobs.empty())
+            tasks.push_back(g);
+
+    each(tasks, [&](size_t g) {
+        Group &group = groups[g];
+        const util::Status failed = statusOf([&] {
+            if (BIOPERF_FAILPOINT("pool.task.throw"))
+                throw util::StatusError(util::Status::internal(
+                    "fail point pool.task.throw fired"));
+            if (!group.failed.ok())
+                throw util::StatusError(group.failed);
+            std::vector<const Job *> members;
+            for (size_t i : group.jobs)
+                members.push_back(&jobs[i]);
+            if (!group.run)
+                group.run = makeWorkload(makeKey(*members.front()));
+            std::vector<Result> rs = analyse(Source(*group.run), members);
+            for (size_t m = 0; m < group.jobs.size(); m++)
+                results[group.jobs[m]] = std::move(rs[m]);
+        });
+        group.run.reset();
+        if (!failed.ok())
+            for (size_t i : group.jobs) {
+                results[i] = Result{};
+                results[i].status = failed;
+            }
+    });
     return results;
 }
 

@@ -279,11 +279,13 @@ class Simulator
      * predictor and core, so results are bit-identical for any thread
      * count.
      *
-     * Jobs sharing a workload — same (app, variant, scale, seed) and
-     * the same architectural register file — form one task: one live
-     * pass (interpret and rewrite once) with every member's core on
-     * it (see time()). Tasks run on the calling thread or on the
-     * pool's workers.
+     * Jobs that run one program form one task: one live pass
+     * (interpret once) with every member's core on it (see time()).
+     * Jobs of one (app, variant, scale, seed) share it when their
+     * register-pressure rewrites give the same program, compared
+     * instruction by instruction (the rewrite runs once per register
+     * file); a register file alone decides nothing. Tasks run on the
+     * calling thread or on the pool's workers.
      *
      * @param threads 0 = ThreadPool::defaultThreads() (honours the
      *        BIOPERF_THREADS environment variable); 1 = run inline on

@@ -33,9 +33,10 @@ struct TraceKey
     uint32_t fpRegs = 0;
 
     /**
-     * Canonical string form, used as the sweep's grouping key and in
-     * manifests; app identity is by name (AppInfo objects may be
-     * registry copies).
+     * Canonical string form, used in manifests and as the sweep's
+     * first grouping (the sweep then merges keys that differ only in
+     * the register file when their rewritten programs are equal); app
+     * identity is by name (AppInfo objects may be registry copies).
      */
     std::string str() const;
 };

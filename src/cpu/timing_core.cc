@@ -20,9 +20,9 @@ TimingCore::TimingCore(const CoreConfig &config,
 void
 TimingCore::onBatch(const vm::DynInstr *batch, size_t n)
 {
+    instructions_ += n;
     while (n > 0) {
         const size_t m = n < kChunk ? n : kChunk;
-        resolve(batch, m);
         batch_ = batch;
         feed(m);
         batch += m;
@@ -30,26 +30,26 @@ TimingCore::onBatch(const vm::DynInstr *batch, size_t n)
     }
 }
 
-void
-TimingCore::resolve(const vm::DynInstr *batch, size_t n)
+size_t
+TimingCore::resolve(size_t from, size_t to, bool to_terminal)
 {
     // Every evaluation platform predicts with the hybrid: called
     // directly, its update inlines into the loop.
     if (hybrid_)
-        resolveWith(*hybrid_, batch, n);
-    else
-        resolveWith(*predictor_, batch, n);
+        return resolveWith(*hybrid_, from, to, to_terminal);
+    return resolveWith(*predictor_, from, to, to_terminal);
 }
 
 template <typename Predictor>
-void
-TimingCore::resolveWith(Predictor &predictor, const vm::DynInstr *batch,
-                        size_t n)
+size_t
+TimingCore::resolveWith(Predictor &predictor, size_t from, size_t to,
+                        bool to_terminal)
 {
     Resolved &r = resolved_;
     uint64_t mispredicts = 0;
-    for (size_t i = 0; i < n; i++) {
-        const vm::DynInstr &di = batch[i];
+    size_t i = from;
+    while (i < to) {
+        const vm::DynInstr &di = batch_[i];
         assert(di.matchesInstr());
         const DecodedInstr &d = decode_.lookup(di.sid, *di.instr, ready_);
 
@@ -91,20 +91,98 @@ TimingCore::resolveWith(Predictor &predictor, const vm::DynInstr *batch,
         r.sid[i] = di.sid;
         r.mispredicted[i] = mispredicted;
         r.taken[i] = di.taken;
+        i++;
+        if (d.isBranch && to_terminal)
+            break;
     }
     mispredicts_ += mispredicts;
-    instructions_ += n;
+    return i;
 }
 
-void
-TimingCore::gather(const Memo::Segment &s, uint32_t pos, size_t i, size_t k,
-                   uint32_t *inputs) const
+#ifndef NDEBUG
+namespace {
+
+/** The DecodedInstr kind of a memory operation @a op. */
+DecodedInstr::Kind
+memKind(ir::Opcode op)
 {
-    const uint8_t *loads = memo().loadsOf(s);
-    for (uint32_t j = 0; j < s.numLoads; j++) {
-        if (loads[j] >= pos && loads[j] < pos + k)
-            inputs[j] = resolved_.latency[i + loads[j] - pos];
+    switch (ir::classOf(op)) {
+      case ir::InstrClass::Load:
+      case ir::InstrClass::FpLoad:
+        return DecodedInstr::kLoad;
+      case ir::InstrClass::Store:
+      case ir::InstrClass::FpStore:
+        return DecodedInstr::kStore;
+      case ir::InstrClass::Prefetch:
+        return DecodedInstr::kPrefetch;
+      default:
+        return DecodedInstr::kUnknown;
     }
+}
+
+} // namespace
+#endif
+
+void
+TimingCore::gather(uint32_t seg, uint32_t pos, size_t i, size_t k,
+                   uint32_t *inputs)
+{
+#ifndef NDEBUG
+    for (size_t j = i; j < i + k; j++)
+        assert(batch_[j].matchesInstr());
+#endif
+    const MemOp *op = mem_ops_.data() + mem_begin_[seg];
+    const MemOp *const end = mem_ops_.data() + mem_begin_[seg + 1];
+    for (; op != end && op->offset < pos + k; op++) {
+        if (op->offset < pos)
+            continue;
+        const vm::DynInstr &di = batch_[i + op->offset - pos];
+        assert(memKind(di.op) == op->kind);
+        if (op->kind == DecodedInstr::kLoad) {
+            uint32_t latency = caches_->access(di.addr, false).latency;
+            if (accel_) {
+                latency = accel_->adjustLatency(di.sid, di.addr,
+                                                di.loadValueBits, latency);
+            }
+            inputs[op->load] = latency;
+        } else {
+            // A store or a prefetch: see resolveWith().
+            caches_->access(di.addr, op->kind == DecodedInstr::kStore);
+        }
+    }
+}
+
+uint32_t
+TimingCore::terminal(size_t t, uint32_t seg, const Recording *rec)
+{
+    if (rec && seg != kNone) {
+        // A new segment: keep its memory operations for gather().
+        assert(seg + 1 == mem_begin_.size());
+        uint8_t load = 0;
+        for (size_t k = 0; k < rec->sids.size(); k++) {
+            const DecodedInstr::Kind kind = decode_.at(rec->sids[k]).kind;
+            if (kind == DecodedInstr::kFixed)
+                continue;
+            mem_ops_.push_back({ static_cast<uint8_t>(k), kind,
+                                 kind == DecodedInstr::kLoad ? load++
+                                                             : uint8_t{ 0 } });
+        }
+        mem_begin_.push_back(static_cast<uint32_t>(mem_ops_.size()));
+    }
+    const vm::DynInstr &br = batch_[t];
+    bool mispredicted;
+    if (stepped_terminal_) {
+        mispredicted = resolved_.mispredicted[t];
+        stepped_terminal_ = false;
+    } else {
+        // A skipped segment's branch: its first and only prediction.
+        assert(br.matchesInstr() && decode_.at(br.sid).isBranch);
+        mispredicted = hybrid_ ? !hybrid_->predictAndTrain(br.sid, br.taken)
+                               : !predictor_->predictAndTrain(br.sid,
+                                                              br.taken);
+        mispredicts_ += mispredicted;
+    }
+    return mispredicted | (key_direction_ && br.taken) << 1;
 }
 
 void
@@ -121,20 +199,17 @@ TimingCore::stepLive(size_t i, size_t n, Recording *rec, bool &ended)
 {
     const Resolved &r = resolved_;
     if (!memo().on() || !memoizable()) {
+        resolve(i, n, false);
         step(r, i, n);
         return n;
     }
-    size_t t = i;
-    while (t < n && !decode_.at(r.sid[t]).isBranch)
-        t++;
-    ended = t < n;
-    const size_t stop = ended ? t + 1 : n;
+    const size_t stop = resolve(i, n, true);
+    ended = decode_.at(r.sid[stop - 1]).isBranch;
+    stepped_terminal_ = ended;
     for (size_t k = i; rec && k < stop; k++) {
         if (rec->sids.size() < Memo::kMaxSegmentLen &&
-            decode_.at(r.sid[k]).kind == DecodedInstr::kLoad) {
-            rec->loads.push_back(static_cast<uint8_t>(rec->sids.size()));
+            decode_.at(r.sid[k]).kind == DecodedInstr::kLoad)
             rec->inputs.push_back(r.latency[k]);
-        }
         rec->sids.push_back(r.sid[k]);
     }
     step(r, i, stop);

@@ -28,10 +28,15 @@ namespace bioperf::cpu {
  *
  * Cache, accelerator and predictor outcomes depend only on the
  * instruction stream, never on timing, and each core's hierarchy and
- * predictor see only that core's stream. So onBatch() takes the
- * stream in chunks of kChunk events: resolve() runs a chunk's decode,
- * memory accesses and predictions in program order, then the chunk is
- * placed in time from the outcomes, with no call out of the loop.
+ * predictor see only that core's stream. Every memory operation and
+ * branch is resolved once, in program order, whether its segment is
+ * stepped or skipped: a stepped range is resolved (decode, memory
+ * accesses, predictions) just before step() places it in time, and a
+ * skipped segment resolves only what its edge reads. Its memory
+ * operations make their accesses in gather(), from the (offset, kind)
+ * table the core keeps per recorded segment, and terminal() predicts
+ * its branch. So the hierarchy, accelerator and predictor see the same
+ * calls in the same order with or without the memo.
  *
  * The core replays what it can through vm::SegmentDriver (FastSim,
  * Schnarr & Larus, ASPLOS 1998). Its canonical state at a segment
@@ -39,7 +44,7 @@ namespace bioperf::cpu {
  * the in-order issue cycle); a hit moves F and cycles_ alone, and the
  * ROB, scoreboard and issue ring go stale until a miss materialises the
  * state. Every segment is stepped with step(), the only copy of the
- * timing rules, from a chunk's outcomes or from the memo's recording
+ * timing rules, from its resolved events or from the memo's recording
  * (non-load latencies follow from the sid, the loads' are edge inputs,
  * and only the terminal branch can be mispredicted or taken), so
  * results are bit-identical with or without the memo. A state whose
@@ -128,10 +133,10 @@ class TimingCore : public vm::TraceSink,
     static constexpr int64_t kMaxSpan = 1023;
 
     /**
-     * Events' outcomes: a chunk's, indexed like its events, or a
-     * segment's rebuilt from the memo. An event's static facts are
-     * decode_.at(sid[i]): the table grows only in resolve(), so they
-     * hold still while the chunk is scheduled.
+     * Events' outcomes: a stepped range's, indexed like the chunk's
+     * events, or a segment's rebuilt from the memo. An event's static
+     * facts are decode_.at(sid[i]): the table grows only in resolve(),
+     * so they hold still while a range is stepped.
      */
     struct Resolved
     {
@@ -190,34 +195,38 @@ class TimingCore : public vm::TraceSink,
     DecodeTable decode_;
 
     Resolved resolved_;
-    /** The events of this chunk, for a trace log (memo off). */
+    /** The chunk being fed. */
     const vm::DynInstr *batch_ = nullptr;
 
   private:
     friend class vm::SegmentDriver<TimingCore>;
 
     /**
-     * Fills resolved_[0, n) for @a n <= kChunk events, in program
-     * order: decode, cache access and accelerator, branch prediction.
-     * Counts instructions_ and mispredicts_; may grow ready_.
+     * Fills resolved_[from, to) in program order (decode, cache access
+     * and accelerator, branch prediction), stopping after the first
+     * branch when @a to_terminal. Returns where it stopped. Counts
+     * mispredicts_; may grow ready_.
      */
-    void resolve(const vm::DynInstr *batch, size_t n);
+    size_t resolve(size_t from, size_t to, bool to_terminal);
     template <typename Predictor>
-    void resolveWith(Predictor &predictor, const vm::DynInstr *batch,
-                     size_t n);
+    size_t resolveWith(Predictor &predictor, size_t from, size_t to,
+                       bool to_terminal);
+
+    /** A memory operation of a recorded segment. */
+    struct MemOp
+    {
+        uint8_t offset;      ///< in the segment
+        DecodedInstr::Kind kind;
+        uint8_t load;        ///< a load's index among the edge inputs
+    };
 
     // vm::SegmentDriver hooks. The edge inputs are each load's latency,
     // then the terminal's flags: mispredicted, and taken when
     // key_direction_; the client word is how far F moved.
-    uint32_t sidAt(size_t i) const { return resolved_.sid[i]; }
-    void gather(const vm::SegmentMemo::Segment &s, uint32_t pos, size_t i,
-                size_t k, uint32_t *inputs) const;
-    uint32_t
-    terminal(size_t t, uint32_t, const Recording *) const
-    {
-        return resolved_.mispredicted[t] |
-               (key_direction_ && resolved_.taken[t]) << 1;
-    }
+    uint32_t sidAt(size_t i) const { return batch_[i].sid; }
+    void gather(uint32_t seg, uint32_t pos, size_t i, size_t k,
+                uint32_t *inputs);
+    uint32_t terminal(size_t t, uint32_t seg, const Recording *rec);
     void applyEdge(const vm::SegmentMemo::Edge &e, uint32_t len, bool fresh);
     size_t stepLive(size_t i, size_t n, Recording *rec, bool &ended);
     void stepRecorded(const vm::SegmentMemo::Segment &s, uint32_t len,
@@ -238,6 +247,14 @@ class TimingCore : public vm::TraceSink,
     uint64_t frontier_ = 0;
     uint64_t start_frontier_ = 0; ///< F at the stepped segment's start
     Resolved recorded_; ///< a segment rebuilt from the memo
+    /** stepLive() resolved the terminal terminal() is called for. */
+    bool stepped_terminal_ = false;
+    /**
+     * The memory operations of recorded segment s are
+     * mem_ops_[mem_begin_[s], mem_begin_[s + 1]).
+     */
+    std::vector<uint32_t> mem_begin_{ 0 };
+    std::vector<MemOp> mem_ops_;
 };
 
 } // namespace bioperf::cpu

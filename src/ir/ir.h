@@ -103,6 +103,8 @@ struct MemRef
     uint8_t scale = 1;
     uint8_t size = 8;
     int64_t offset = 0;
+
+    bool operator==(const MemRef &) const = default;
 };
 
 /** One IR instruction. */
@@ -122,6 +124,8 @@ struct Instr
     uint32_t notTaken = kNoBlock;
     /** Source tag for profile mapping (Table 5); -1 = untagged. */
     int32_t line = -1;
+
+    bool operator==(const Instr &) const = default;
 };
 
 /**
@@ -295,6 +299,8 @@ struct Region
     uint64_t base = 0;       ///< byte address in the flat memory
     uint64_t sizeBytes = 0;
     uint32_t elemSize = 8;
+
+    bool operator==(const Region &) const = default;
 };
 
 /** A basic block: straight-line instructions ending in a terminator. */
@@ -310,6 +316,8 @@ struct BasicBlock
     {
         return !instrs.empty() && isTerminator(instrs.back().op);
     }
+
+    bool operator==(const BasicBlock &) const = default;
 };
 
 /** A function: a CFG of basic blocks; execution starts at block 0. */

@@ -218,8 +218,7 @@ class LoadBranchProfiler : public vm::TraceSink,
     // terminal and the next segment's first event.
     uint32_t sidAt(size_t i) const { return batch_[i].sid; }
     void
-    gather(const vm::SegmentMemo::Segment &, uint32_t, size_t, size_t,
-           uint32_t *) const
+    gather(uint32_t, uint32_t, size_t, size_t, uint32_t *) const
     {
     }
     uint32_t terminal(size_t t, uint32_t seg, const Recording *rec);

@@ -22,12 +22,13 @@ namespace bioperf::vm {
  *  - At a boundary, a known segment is skipped when the state there is
  *    interned and the memo is on; any other is stepped live, and
  *    recorded if it is new.
- *  - While a segment is skipped, gather() collects its inputs as its
- *    events pass, across views. At its terminal one SegmentMemo::replay()
- *    either hits (applyEdge(); the stepped state goes stale) or misses:
- *    the state is materialised, the segment stepped from its recorded
- *    sids and the gathered inputs, the next state interned and the edge
- *    added. No step of a skipped segment reads the live events.
+ *  - While a segment is skipped, gather() resolves its events as they
+ *    pass, across views, and collects its inputs. At its terminal one
+ *    SegmentMemo::replay() either hits (applyEdge(); the stepped state
+ *    goes stale) or misses: the state is materialised, the segment
+ *    stepped from its recorded sids and the gathered inputs, the next
+ *    state interned and the edge added. No step of a skipped segment
+ *    reads the live events.
  *  - A skipped segment still open at a read (catchUp()), at a run end
  *    or at a jump (makeCurrent()) has its executed prefix stepped from
  *    the recording; the rest is stepped live and adds no edge. A jump
@@ -41,18 +42,22 @@ namespace bioperf::vm {
  *
  * The hooks (events are indices into the current view):
  *  - `sidAt(i)`: event i's sid.
- *  - `gather(s, pos, i, k, inputs)`: events [i, i + k) are segment s's
- *    [pos, pos + k); writes the input of each recorded load among them
- *    to inputs[its load index].
+ *  - `gather(seg, pos, i, k, inputs)`: events [i, i + k) are segment
+ *    seg's [pos, pos + k), skipped. Resolves what they feed the client
+ *    (the cores: their memory operations' accesses, from a table the
+ *    core keeps per recorded segment) and writes the input of each
+ *    recorded load among them to inputs[its load index].
  *  - `terminal(t, seg, rec)`: event t ends segment seg (kNone: not
  *    recorded); rec is set when the segment is new. Returns the
- *    terminal's input word.
+ *    terminal's input word. Called once per terminal, stepped or
+ *    skipped: a skipped terminal is resolved here (the cores predict
+ *    it), a stepped one was resolved by stepLive().
  *  - `applyEdge(e, len, fresh)`: replays edge e over len events; fresh
  *    when the stepped state was current until now.
- *  - `stepLive(i, n, rec, ended)`: steps events from i through the
- *    first terminal (ended) or to n, recording them into rec if set;
- *    returns where it stopped. With the memo off it may ignore
- *    terminals.
+ *  - `stepLive(i, n, rec, ended)`: resolves and steps events from i
+ *    through the first terminal (ended) or to n, recording them into
+ *    rec if set; returns where it stopped. With the memo off it may
+ *    ignore terminals.
  *  - `stepRecorded(s, len, inputs)`: steps segment s's first len
  *    recorded events (the terminal's input is read only for all).
  *  - `segmentStart()`, `segmentEnd()`: bracket a stepped segment;
@@ -78,8 +83,8 @@ class SegmentDriver
     struct Recording
     {
         std::vector<uint32_t> sids;
-        std::vector<uint8_t> loads;   ///< offsets of its input loads
-        std::vector<uint32_t> inputs; ///< their inputs, then the terminal's
+        /** Its input loads' inputs, then the terminal's. */
+        std::vector<uint32_t> inputs;
     };
 
     const SegmentMemo &memo() const { return memo_; }
@@ -171,7 +176,6 @@ class SegmentDriver
         recording_ = seg_ == kNone;
         if (recording_) {
             record_.sids.clear();
-            record_.loads.clear();
             record_.inputs.clear();
         }
         client().segmentStart();
@@ -192,7 +196,7 @@ class SegmentDriver
             for (size_t j = 0; j < k; j++)
                 assert(client().sidAt(i + j) == memo_.sidsOf(s)[pos + j]);
 #endif
-            client().gather(s, pos, i, k, inputs_);
+            client().gather(seg_, pos, i, k, inputs_);
             pos += static_cast<uint32_t>(k);
             i += k;
             if (pos < s.len) {
@@ -236,7 +240,8 @@ class SegmentDriver
         if (!ended)
             return stop;
         if (rec) {
-            const uint32_t seg = memo_.addSegment(rec->sids, rec->loads);
+            const uint32_t seg = memo_.addSegment(
+                rec->sids, static_cast<uint32_t>(rec->inputs.size()));
             rec->inputs.push_back(client().terminal(stop - 1, seg, rec));
             close(seg, rec->sids.data(), rec->sids.size(),
                   rec->inputs.data());

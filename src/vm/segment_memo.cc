@@ -50,7 +50,7 @@ SegmentMemo::SegmentMemo()
 
 uint32_t
 SegmentMemo::addSegment(const std::vector<uint32_t> &sids,
-                        const std::vector<uint8_t> &loads)
+                        uint32_t num_loads)
 {
     if (sids.size() > kMaxSegmentLen)
         return kNone;
@@ -62,12 +62,10 @@ SegmentMemo::addSegment(const std::vector<uint32_t> &sids,
     const uint32_t id = static_cast<uint32_t>(segments_.size());
     Segment s;
     s.sids = static_cast<uint32_t>(seg_sids_.size());
-    s.loads = static_cast<uint32_t>(seg_loads_.size());
     s.len = static_cast<uint32_t>(sids.size());
-    s.numLoads = static_cast<uint32_t>(loads.size());
+    s.numLoads = num_loads;
     segments_.push_back(s);
     seg_sids_.insert(seg_sids_.end(), sids.begin(), sids.end());
-    seg_loads_.insert(seg_loads_.end(), loads.begin(), loads.end());
     if (sids[0] >= seg_at_sid_.size())
         seg_at_sid_.resize(sids[0] + 1, kNone);
     seg_at_sid_[sids[0]] = id;

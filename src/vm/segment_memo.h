@@ -19,8 +19,9 @@ namespace bioperf::vm {
  * a run start, a gap or a reset) through the next conditional branch
  * (for the profiler, or Halt).
  * The memo records each segment once, by its first sid, with its sids
- * and the offsets of its loads whose results are inputs (the cores'
- * load latencies; the profiler records none). A state is a client's
+ * and the number of its loads whose results are inputs (the cores'
+ * load latencies; the profiler records none); where those loads sit is
+ * the client's to know. A state is a client's
  * canonical state at a segment boundary, as 16-bit words (the client's
  * codec defines them); states are interned, so an id names one. An
  * edge maps (state, segment, inputs) to the next state and a client
@@ -59,11 +60,10 @@ class SegmentMemo
      */
     static constexpr uint32_t kProbationEdges = 1024;
 
-    /** A recorded segment: offsets into the sid and load pools. */
+    /** A recorded segment: its offset in the sid pool. */
     struct Segment
     {
         uint32_t sids = 0;
-        uint32_t loads = 0;
         uint32_t len = 0;
         uint32_t numLoads = 0;
     };
@@ -112,19 +112,14 @@ class SegmentMemo
     {
         return seg_sids_.data() + s.sids;
     }
-    const uint8_t *loadsOf(const Segment &s) const
-    {
-        // A segment without loads may sit at the end of the pool.
-        return seg_loads_.data() + s.loads;
-    }
     /**
-     * Records the segment @a sids (whose input loads sit at offsets
-     * @a loads); returns its id, or kNone when it is longer than
+     * Records the segment @a sids, with @a num_loads input loads;
+     * returns its id, or kNone when it is longer than
      * kMaxSegmentLen or a table is full (which switches the memo off).
      * Segments are still recorded while the memo is off.
      */
     uint32_t addSegment(const std::vector<uint32_t> &sids,
-                        const std::vector<uint8_t> &loads);
+                        uint32_t num_loads);
 
     /**
      * The id of state @a words (at most 64K of them), or kNone when
@@ -179,7 +174,6 @@ class SegmentMemo
     std::vector<uint32_t> seg_at_sid_;
     std::vector<Segment> segments_;
     std::vector<uint32_t> seg_sids_;
-    std::vector<uint8_t> seg_loads_;
     std::vector<State> states_;
     std::vector<std::unique_ptr<uint16_t[]>> word_blocks_;
     uint32_t words_used_ = 0; ///< pool offset of the next state

@@ -5,6 +5,7 @@
 
 #include "core/simulator.h"
 #include "cpu/inorder_core.h"
+#include "cpu/load_accel.h"
 #include "cpu/ooo_core.h"
 #include "cpu/platforms.h"
 #include "util/rng.h"
@@ -787,6 +788,49 @@ TEST(TimingMemo, GapsResetsAndSkippedStretchesEqualStepping)
             EXPECT_EQ(memo.core->cycles(), oracle.core->cycles());
         }
         EXPECT_GT(memo.core->replayedInstructions(), 0u);
+    }
+}
+
+TEST(TimingMemo, ReplayWithLoadAcceleratorsEqualsStepping)
+{
+    // A skipped segment's loads reach the accelerator in gather(), a
+    // stepped one's in resolve(). The last-value predictor holds state
+    // per load, so a call out of order would show in its counts.
+    for (const char *name : { "predator", "hmmsearch" }) {
+        const Stream s = collect(*apps::findApp(name));
+        for (const PlatformConfig &p : evaluationPlatforms())
+            for (const bool last_value : { false, true })
+                for (const size_t n : { 1u, 255u, 257u }) {
+                    SCOPED_TRACE(std::string(name) + " on " + p.name +
+                                 (last_value ? ", last-value"
+                                             : ", zero-cycle") +
+                                 ", batches of " + std::to_string(n));
+                    CoreStack memo(p, p.core);
+                    Oracle oracle(p, p.core);
+                    std::unique_ptr<LoadAccelerator> a, b;
+                    if (last_value) {
+                        a = std::make_unique<LastValuePredictor>();
+                        b = std::make_unique<LastValuePredictor>();
+                    } else {
+                        a = std::make_unique<ZeroCycleLoadUnit>();
+                        b = std::make_unique<ZeroCycleLoadUnit>();
+                    }
+                    memo.core->setLoadAccelerator(a.get());
+                    oracle.core->setLoadAccelerator(b.get());
+                    for (size_t i = 0; i < s.events.size(); i += n) {
+                        feedBoth(s, i, std::min(i + n, s.events.size()), n,
+                                 *memo.core, oracle);
+                        if (HasFatalFailure())
+                            return;
+                        ASSERT_EQ(a->hits(), b->hits()) << "event " << i;
+                        ASSERT_EQ(a->misses(), b->misses()) << "event " << i;
+                    }
+                    EXPECT_GT(a->hits() + a->misses(), 0u);
+                    // A read after every event steps each segment.
+                    if (n > 1) {
+                        EXPECT_GT(memo.core->replayedInstructions(), 0u);
+                    }
+                }
     }
 }
 

@@ -704,6 +704,56 @@ TEST(TraceReplay, SweepWithTraceCacheBitIdenticalForAnyThreadCount)
     }
 }
 
+TEST(TraceReplay, SweepGroupsJobsWhoseRewritesGiveOneProgram)
+{
+    // predator's rewrites for 32 (Alpha, G5) and 128 (Itanium)
+    // registers are the same program; for 8 (P4) they differ.
+    std::vector<SweepJob> jobs;
+    for (const apps::Variant v :
+         { apps::Variant::Baseline, apps::Variant::Transformed })
+        for (SweepJob job : platformJobs()) {
+            job.app = apps::findApp("predator");
+            job.variant = v;
+            jobs.push_back(job);
+        }
+    const std::vector<TimingResult> reference = liveReference(jobs);
+
+    struct Disarm
+    {
+        ~Disarm() { util::FailPoints::clearAll(); }
+    } disarm;
+    // The point is hit once per task: one Alpha+G5+Itanium group and
+    // one P4 group per variant. None fires at hit 1000.
+    ASSERT_TRUE(
+        util::FailPoints::armFromSpec("pool.task.throw=hit:1000").ok());
+    const std::vector<TimingResult> swept = Simulator::sweep(jobs, 2u);
+    EXPECT_EQ(util::FailPoints::hits("pool.task.throw"), 4u);
+    ASSERT_EQ(swept.size(), reference.size());
+    for (size_t i = 0; i < swept.size(); i++) {
+        SCOPED_TRACE(i);
+        EXPECT_TRUE(swept[i].verified);
+        EXPECT_EQ(reference[i].report().dump(), swept[i].report().dump());
+    }
+
+    // The first task fails: the baseline Alpha, G5 and Itanium jobs
+    // share it, the baseline P4 job and every transformed job do not.
+    util::FailPoints::clearAll();
+    ASSERT_TRUE(util::FailPoints::armFromSpec("pool.task.throw=hit:1").ok());
+    const std::vector<TimingResult> failed = Simulator::sweep(jobs, 1u);
+    ASSERT_EQ(failed.size(), jobs.size());
+    for (size_t i = 0; i < failed.size(); i++) {
+        SCOPED_TRACE(jobs[i].platform.name + " " +
+                     apps::toString(jobs[i].variant));
+        const bool shares_first =
+            i < 4 && jobs[i].platform.core.numIntRegs != 8;
+        EXPECT_EQ(failed[i].status.ok(), !shares_first);
+        if (!shares_first) {
+            EXPECT_EQ(reference[i].report().dump(),
+                      failed[i].report().dump());
+        }
+    }
+}
+
 TEST(TraceReplay, CharacterizeSweepSharesOneLivePassAcrossJobs)
 {
     std::vector<CharacterizeJob> jobs(3);

@@ -518,8 +518,8 @@ TEST(SegmentMemo, EdgeFoundOnlyWithItsOwnInputs)
     const uint32_t a = memo.intern(stateWords(1), 0);
     const uint32_t b = memo.intern(stateWords(2), 0);
     // One segment with a recorded load (two input words), one without.
-    const uint32_t with_load = memo.addSegment({ 10, 11, 12 }, { 1 });
-    const uint32_t no_load = memo.addSegment({ 20, 21 }, {});
+    const uint32_t with_load = memo.addSegment({ 10, 11, 12 }, 1);
+    const uint32_t no_load = memo.addSegment({ 20, 21 }, 0);
     ASSERT_EQ(memo.segmentAt(10), with_load);
     ASSERT_EQ(memo.segmentAt(20), no_load);
     EXPECT_EQ(memo.segmentAt(11), SegmentMemo::kNone);
@@ -554,12 +554,12 @@ TEST(SegmentMemo, FullTableReturnsNone)
 {
     SegmentMemo memo;
     for (uint32_t n = 0; n < SegmentMemo::kMaxSegments; n++)
-        ASSERT_NE(memo.addSegment({ n }, {}), SegmentMemo::kNone);
+        ASSERT_NE(memo.addSegment({ n }, 0), SegmentMemo::kNone);
     // A too-long segment is refused but leaves the memo on.
     std::vector<uint32_t> longest(SegmentMemo::kMaxSegmentLen + 1, 1u << 20);
-    EXPECT_EQ(memo.addSegment(longest, {}), SegmentMemo::kNone);
+    EXPECT_EQ(memo.addSegment(longest, 0), SegmentMemo::kNone);
     EXPECT_TRUE(memo.on());
-    EXPECT_EQ(memo.addSegment({ 1u << 20 }, {}), SegmentMemo::kNone);
+    EXPECT_EQ(memo.addSegment({ 1u << 20 }, 0), SegmentMemo::kNone);
     EXPECT_FALSE(memo.on());
 
     SegmentMemo states;
@@ -580,7 +580,7 @@ TEST(SegmentMemo, SwitchesOffAtProbationOnlyWhenReplayingTooLittle)
     for (const uint32_t hits : { 0u, 511u, 512u }) {
         SCOPED_TRACE(hits);
         SegmentMemo memo;
-        const uint32_t seg = memo.addSegment({ 1, 2 }, {});
+        const uint32_t seg = memo.addSegment({ 1, 2 }, 0);
         const uint32_t to = memo.intern(stateWords(0), 0);
         const uint32_t in[] = { 0 };
         for (uint32_t n = 1; n < SegmentMemo::kProbationEdges; n++) {
@@ -666,13 +666,17 @@ class ToyClient : public SegmentDriver<ToyClient>
 
     uint32_t sidAt(size_t i) const { return events_[i].sid; }
     void
-    gather(const SegmentMemo::Segment &s, uint32_t pos, size_t i, size_t k,
+    gather(uint32_t seg, uint32_t pos, size_t i, size_t k,
            uint32_t *inputs) const
     {
-        const uint8_t *loads = memo().loadsOf(s);
-        for (uint32_t j = 0; j < s.numLoads; j++) {
-            if (loads[j] >= pos && loads[j] < pos + k)
-                inputs[j] = events_[i + loads[j] - pos].value;
+        const uint32_t *sids = memo().sidsOf(memo().segment(seg));
+        uint32_t load = 0;
+        for (uint32_t j = 0; j < pos + k; j++) {
+            if (!isLoad(sids[j]))
+                continue;
+            if (j >= pos)
+                inputs[load] = events_[i + j - pos].value;
+            load++;
         }
     }
     uint32_t
@@ -692,10 +696,8 @@ class ToyClient : public SegmentDriver<ToyClient>
         while (i < n) {
             const ToyEvent &e = events_[i++];
             const bool input = isLoad(e.sid) || e.sid >= kTerminal;
-            if (rec && isLoad(e.sid)) {
-                rec->loads.push_back(static_cast<uint8_t>(rec->sids.size()));
+            if (rec && isLoad(e.sid))
                 rec->inputs.push_back(e.value);
-            }
             if (rec)
                 rec->sids.push_back(e.sid);
             toyStep(acc_, total_, input ? e.value : e.sid);
