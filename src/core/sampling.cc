@@ -14,14 +14,6 @@ namespace bioperf::core {
 
 namespace {
 
-/** Warm actions, precomputed per sid like the codec's decode kinds. */
-enum WarmKind : uint8_t {
-    kWarmNone = 0,
-    kWarmRead = 1,   ///< loads and prefetches: read access
-    kWarmWrite = 2,  ///< stores: write access
-    kWarmBranch = 3, ///< conditional branches: train the predictor
-};
-
 /** Per-shard observations, merged in shard order on the main thread. */
 struct ShardResult
 {
@@ -518,44 +510,28 @@ runSampled(const SampleInput &in, const cpu::PlatformConfig &platform,
 WarmupSink::WarmupSink(const ir::Program &prog,
                        mem::CacheHierarchy *caches,
                        branch::BranchPredictor *predictor)
-    : caches_(caches), predictor_(predictor)
+    : outcomes_(caches, predictor)
 {
-    kind_of_sid_.assign(prog.sidLimit(), kWarmNone);
+    of_sid_.assign(prog.sidLimit(), { cpu::DecodedInstr::kFixed, false });
     for (const ir::Instr *in : vm::buildSidTable(prog)) {
-        if (!in)
-            continue;
-        if (ir::isLoad(in->op) || in->op == ir::Opcode::Prefetch)
-            kind_of_sid_[in->sid] = kWarmRead;
-        else if (ir::isStore(in->op))
-            kind_of_sid_[in->sid] = kWarmWrite;
-        else if (in->op == ir::Opcode::Br)
-            kind_of_sid_[in->sid] = kWarmBranch;
+        if (in)
+            of_sid_[in->sid] = { cpu::memoryKind(in->op),
+                                 in->op == ir::Opcode::Br };
     }
 }
 
 void
 WarmupSink::onBatch(const vm::DynInstr *batch, size_t n)
 {
-    // Same update semantics as the detailed cores' memory and branch
-    // paths, minus every cycle computation — keeping warm state
-    // unbiased relative to what a detailed interval would have built.
-    const uint8_t *kinds = kind_of_sid_.data();
+    const Warm *of_sid = of_sid_.data();
     for (size_t i = 0; i < n; i++) {
         const vm::DynInstr &di = batch[i];
         assert(di.matchesInstr());
-        switch (kinds[di.sid]) {
-          case kWarmNone:
-            break;
-          case kWarmRead:
-            caches_->access(di.addr, false);
-            break;
-          case kWarmWrite:
-            caches_->access(di.addr, true);
-            break;
-          case kWarmBranch:
-            predictor_->predictAndTrain(di.sid, di.taken);
-            break;
-        }
+        const Warm w = of_sid[di.sid];
+        if (w.kind != cpu::DecodedInstr::kFixed)
+            outcomes_.access(w.kind, di);
+        else if (w.isBranch)
+            outcomes_.mispredicted(di);
     }
 }
 

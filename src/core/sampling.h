@@ -8,6 +8,7 @@
 
 #include "branch/predictors.h"
 #include "core/trace_file.h"
+#include "cpu/outcome_stage.h"
 #include "cpu/platforms.h"
 #include "mem/hierarchy.h"
 #include "util/metrics.h"
@@ -143,11 +144,11 @@ struct SampledTimingResult
 };
 
 /**
- * TraceSink that performs functional warming: loads, stores and
- * prefetches update the cache hierarchy exactly as the detailed cores
- * do, and conditional branches train the predictor — but no cycle
- * accounting happens, which makes warming several times cheaper than
- * detailed modeling. Everything else is ignored.
+ * Functional warming: a cpu::OutcomeStage with no core attached. Every
+ * memory operation makes the cache access and every conditional branch
+ * the prediction a detailed core would make, through the same stage,
+ * but no cycle is counted, which makes warming several times cheaper
+ * than detailed modeling. No load accelerator is attached.
  */
 class WarmupSink : public vm::TraceSink
 {
@@ -156,13 +157,16 @@ class WarmupSink : public vm::TraceSink
                branch::BranchPredictor *predictor);
 
     void onBatch(const vm::DynInstr *batch, size_t n) override;
-    void onRunEnd() override {}
 
   private:
-    /** sid -> warm action (see sampling.cc). */
-    std::vector<uint8_t> kind_of_sid_;
-    mem::CacheHierarchy *caches_;
-    branch::BranchPredictor *predictor_;
+    /** What warming does for one sid. */
+    struct Warm
+    {
+        cpu::DecodedInstr::Kind kind; ///< memoryKind() of its opcode
+        bool isBranch;                ///< a conditional branch
+    };
+    std::vector<Warm> of_sid_;
+    cpu::OutcomeStage outcomes_;
 };
 
 /**

@@ -49,12 +49,35 @@ struct DecodedInstr
     Kind kind = kUnknown;
     bool isBranch = false;
     bool isJump = false;
+    /** A non-load's latency: 1 for a store or prefetch. */
     uint32_t fixedLatency = 1;
     uint32_t dst = kWriteTrash;
     /** Scoreboard slots of every source (address registers included). */
     uint32_t reads[4] = {kReadSentinel, kReadSentinel, kReadSentinel,
                          kReadSentinel};
 };
+
+/**
+ * The kind of a memory operation @a op (a load, store or prefetch);
+ * kFixed for every other opcode. DecodeTable, functional warming and
+ * the cores' Debug checks all classify memory operations with it.
+ */
+inline DecodedInstr::Kind
+memoryKind(ir::Opcode op)
+{
+    switch (ir::classOf(op)) {
+      case ir::InstrClass::Load:
+      case ir::InstrClass::FpLoad:
+        return DecodedInstr::kLoad;
+      case ir::InstrClass::Store:
+      case ir::InstrClass::FpStore:
+        return DecodedInstr::kStore;
+      case ir::InstrClass::Prefetch:
+        return DecodedInstr::kPrefetch;
+      default:
+        return DecodedInstr::kFixed;
+    }
+}
 
 /**
  * Lazily built sid-indexed table of DecodedInstr. One table serves one
@@ -118,9 +141,9 @@ class DecodeTable
         for (size_t i = 0; i < reads.size(); i++)
             d.reads[i] = slotOf(reads[i].first, reads[i].second);
 
+        d.kind = memoryKind(in.op);
         switch (ir::classOf(in.op)) {
           case ir::InstrClass::IntAlu:
-            d.kind = DecodedInstr::kFixed;
             if (in.op == ir::Opcode::Mul)
                 d.fixedLatency = config_.intMulLatency;
             else if (in.op == ir::Opcode::Div ||
@@ -130,24 +153,10 @@ class DecodeTable
                 d.fixedLatency = config_.intAluLatency;
             break;
           case ir::InstrClass::FpAlu:
-            d.kind = DecodedInstr::kFixed;
             d.fixedLatency = in.op == ir::Opcode::FDiv
                 ? config_.fpDivLatency : config_.fpAluLatency;
             break;
-          case ir::InstrClass::Load:
-          case ir::InstrClass::FpLoad:
-            d.kind = DecodedInstr::kLoad;
-            break;
-          case ir::InstrClass::Store:
-          case ir::InstrClass::FpStore:
-            d.kind = DecodedInstr::kStore;
-            break;
-          case ir::InstrClass::Prefetch:
-            d.kind = DecodedInstr::kPrefetch;
-            break;
           default:
-            d.kind = DecodedInstr::kFixed;
-            d.fixedLatency = 1;
             break;
         }
 

@@ -11,9 +11,8 @@ TimingCore::TimingCore(const CoreConfig &config,
                        mem::CacheHierarchy *caches,
                        branch::BranchPredictor *predictor,
                        bool key_direction)
-    : config_(config), caches_(caches), predictor_(predictor),
-      hybrid_(dynamic_cast<branch::HybridPredictor *>(predictor)),
-      decode_(config), key_direction_(key_direction)
+    : config_(config), outcomes_(caches, predictor), decode_(config),
+      key_direction_(key_direction)
 {
 }
 
@@ -33,18 +32,6 @@ TimingCore::onBatch(const vm::DynInstr *batch, size_t n)
 size_t
 TimingCore::resolve(size_t from, size_t to, bool to_terminal)
 {
-    // Every evaluation platform predicts with the hybrid: called
-    // directly, its update inlines into the loop.
-    if (hybrid_)
-        return resolveWith(*hybrid_, from, to, to_terminal);
-    return resolveWith(*predictor_, from, to, to_terminal);
-}
-
-template <typename Predictor>
-size_t
-TimingCore::resolveWith(Predictor &predictor, size_t from, size_t to,
-                        bool to_terminal)
-{
     Resolved &r = resolved_;
     uint64_t mispredicts = 0;
     size_t i = from;
@@ -53,37 +40,13 @@ TimingCore::resolveWith(Predictor &predictor, size_t from, size_t to,
         assert(di.matchesInstr());
         const DecodedInstr &d = decode_.lookup(di.sid, *di.instr, ready_);
 
-        // The common fixed-latency case takes one predictable branch;
-        // only memory operations enter the switch.
-        uint32_t latency = d.fixedLatency;
-        if (d.kind != DecodedInstr::kFixed) {
-            switch (d.kind) {
-              case DecodedInstr::kLoad:
-                latency = caches_->access(di.addr, false).latency;
-                if (accel_) {
-                    latency = accel_->adjustLatency(
-                        di.sid, di.addr, di.loadValueBits, latency);
-                }
-                break;
-              case DecodedInstr::kStore:
-                // Stores commit through a write buffer: they update
-                // the cache but complete in one cycle from the
-                // pipeline's perspective.
-                caches_->access(di.addr, true);
-                latency = 1;
-                break;
-              default:
-                // Prefetch: fire-and-forget — warms the hierarchy,
-                // never stalls.
-                caches_->access(di.addr, false);
-                latency = 1;
-                break;
-            }
-        }
-
+        // The common fixed-latency case takes one predictable branch.
+        const uint32_t latency = d.kind == DecodedInstr::kFixed
+                                     ? d.fixedLatency
+                                     : outcomes_.access(d.kind, di);
         bool mispredicted = false;
         if (d.isBranch) {
-            mispredicted = !predictor.predictAndTrain(di.sid, di.taken);
+            mispredicted = outcomes_.mispredicted(di);
             mispredicts += mispredicted;
         }
 
@@ -99,30 +62,6 @@ TimingCore::resolveWith(Predictor &predictor, size_t from, size_t to,
     return i;
 }
 
-#ifndef NDEBUG
-namespace {
-
-/** The DecodedInstr kind of a memory operation @a op. */
-DecodedInstr::Kind
-memKind(ir::Opcode op)
-{
-    switch (ir::classOf(op)) {
-      case ir::InstrClass::Load:
-      case ir::InstrClass::FpLoad:
-        return DecodedInstr::kLoad;
-      case ir::InstrClass::Store:
-      case ir::InstrClass::FpStore:
-        return DecodedInstr::kStore;
-      case ir::InstrClass::Prefetch:
-        return DecodedInstr::kPrefetch;
-      default:
-        return DecodedInstr::kUnknown;
-    }
-}
-
-} // namespace
-#endif
-
 void
 TimingCore::gather(uint32_t seg, uint32_t pos, size_t i, size_t k,
                    uint32_t *inputs)
@@ -137,18 +76,10 @@ TimingCore::gather(uint32_t seg, uint32_t pos, size_t i, size_t k,
         if (op->offset < pos)
             continue;
         const vm::DynInstr &di = batch_[i + op->offset - pos];
-        assert(memKind(di.op) == op->kind);
-        if (op->kind == DecodedInstr::kLoad) {
-            uint32_t latency = caches_->access(di.addr, false).latency;
-            if (accel_) {
-                latency = accel_->adjustLatency(di.sid, di.addr,
-                                                di.loadValueBits, latency);
-            }
+        assert(memoryKind(di.op) == op->kind);
+        const uint32_t latency = outcomes_.access(op->kind, di);
+        if (op->kind == DecodedInstr::kLoad)
             inputs[op->load] = latency;
-        } else {
-            // A store or a prefetch: see resolveWith().
-            caches_->access(di.addr, op->kind == DecodedInstr::kStore);
-        }
     }
 }
 
@@ -177,9 +108,7 @@ TimingCore::terminal(size_t t, uint32_t seg, const Recording *rec)
     } else {
         // A skipped segment's branch: its first and only prediction.
         assert(br.matchesInstr() && decode_.at(br.sid).isBranch);
-        mispredicted = hybrid_ ? !hybrid_->predictAndTrain(br.sid, br.taken)
-                               : !predictor_->predictAndTrain(br.sid,
-                                                              br.taken);
+        mispredicted = outcomes_.mispredicted(br);
         mispredicts_ += mispredicted;
     }
     return mispredicted | (key_direction_ && br.taken) << 1;
@@ -226,9 +155,8 @@ TimingCore::stepRecorded(const Memo::Segment &s, uint32_t len,
     for (uint32_t k = 0; k < len; k++) {
         const DecodedInstr &d = decode_.at(sids[k]);
         r.sid[k] = sids[k];
-        r.latency[k] = d.kind == DecodedInstr::kLoad    ? inputs[load++]
-                       : d.kind == DecodedInstr::kFixed ? d.fixedLatency
-                                                        : 1;
+        r.latency[k] =
+            d.kind == DecodedInstr::kLoad ? inputs[load++] : d.fixedLatency;
         r.mispredicted[k] = false;
         r.taken[k] = false;
     }

@@ -10,6 +10,7 @@
 #include "cpu/core_config.h"
 #include "cpu/decoded_instr.h"
 #include "cpu/load_accel.h"
+#include "cpu/outcome_stage.h"
 #include "mem/hierarchy.h"
 #include "vm/segment_driver.h"
 #include "vm/trace.h"
@@ -17,26 +18,25 @@
 namespace bioperf::cpu {
 
 /**
- * What the trace-driven timing cores share: the borrowed hierarchy and
- * predictor, the per-sid decode table and register scoreboard, the
- * counters a timing result reads, the resolution of every memory and
- * branch outcome, and the segment memo. OooCore and InorderCore differ
- * only in how step() places instructions in time and in how their
- * pipeline state is written as a canonical state, so every consumer
- * (timing runs, sampling, benches) drives and reads either through
- * this type instead of switching on the core kind.
+ * What the trace-driven timing cores share: the outcome stage over the
+ * borrowed hierarchy and predictor, the per-sid decode table and
+ * register scoreboard, the counters a timing result reads, and the
+ * segment memo. OooCore and InorderCore differ only in how step()
+ * places instructions in time and in how their pipeline state is
+ * written as a canonical state, so every consumer (timing runs,
+ * sampling, benches) drives and reads either through this type instead
+ * of switching on the core kind.
  *
  * Cache, accelerator and predictor outcomes depend only on the
  * instruction stream, never on timing, and each core's hierarchy and
  * predictor see only that core's stream. Every memory operation and
- * branch is resolved once, in program order, whether its segment is
- * stepped or skipped: a stepped range is resolved (decode, memory
- * accesses, predictions) just before step() places it in time, and a
- * skipped segment resolves only what its edge reads. Its memory
- * operations make their accesses in gather(), from the (offset, kind)
- * table the core keeps per recorded segment, and terminal() predicts
- * its branch. So the hierarchy, accelerator and predictor see the same
- * calls in the same order with or without the memo.
+ * branch is resolved once, in program order, through the OutcomeStage
+ * functional warming also uses: a stepped range in resolve(), just
+ * before step() places it in time; a skipped segment's memory
+ * operations in gather(), from the (offset, kind) table the core keeps
+ * per recorded segment, and its branch in terminal(). So the
+ * hierarchy, accelerator and predictor see the same calls in the same
+ * order with or without the memo, or under warming.
  *
  * The core replays what it can through vm::SegmentDriver (FastSim,
  * Schnarr & Larus, ASPLOS 1998). Its canonical state at a segment
@@ -81,7 +81,11 @@ class TimingCore : public vm::TraceSink,
      * Installs a hardware load-latency-hiding unit (zero-cycle loads
      * or value prediction; borrowed). Pass nullptr to remove.
      */
-    void setLoadAccelerator(LoadAccelerator *accel) { accel_ = accel; }
+    void
+    setLoadAccelerator(LoadAccelerator *accel)
+    {
+        outcomes_.setLoadAccelerator(accel);
+    }
 
     /**
      * A new run starts with freshly zeroed registers whose values are
@@ -140,11 +144,7 @@ class TimingCore : public vm::TraceSink,
      */
     struct Resolved
     {
-        /**
-         * Execution latency: fixedLatency, the hierarchy's (and
-         * accelerator's) latency for a load, 1 for a store or
-         * prefetch.
-         */
+        /** Latency: a memory operation's from the stage, else fixed. */
         uint32_t latency[kChunk];
         uint32_t sid[kChunk];
         bool mispredicted[kChunk];
@@ -176,11 +176,8 @@ class TimingCore : public vm::TraceSink,
     virtual void clearPipeline() = 0;
 
     CoreConfig config_;
-    mem::CacheHierarchy *caches_;
-    branch::BranchPredictor *predictor_;
-    /** predictor_ when it is a HybridPredictor (a direct call). */
-    branch::HybridPredictor *hybrid_;
-    LoadAccelerator *accel_ = nullptr;
+    /** Every cache, accelerator and predictor call goes through it. */
+    OutcomeStage outcomes_;
 
     // Scoreboard: completion cycle of each register's latest writer,
     // indexed by DecodeTable's dense slots (slot 0 reads as always
@@ -208,9 +205,6 @@ class TimingCore : public vm::TraceSink,
      * mispredicts_; may grow ready_.
      */
     size_t resolve(size_t from, size_t to, bool to_terminal);
-    template <typename Predictor>
-    size_t resolveWith(Predictor &predictor, size_t from, size_t to,
-                       bool to_terminal);
 
     /** A memory operation of a recorded segment. */
     struct MemOp

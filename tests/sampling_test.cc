@@ -6,9 +6,10 @@
  * (suffix replay from any keyframe is bit-identical to skipping the
  * prefix of a sequential replay), sharded parallel sampling must merge
  * to the bit-identical result of the sequential run for any thread
- * count, file-based sampling must equal in-memory sampling, and traces
+ * count, file-based sampling must equal in-memory sampling, traces
  * too short for one interval must fall back to exhaustive detailed
- * replay with exact CPI.
+ * replay with exact CPI, and functional warming must apply exactly the
+ * cache and predictor updates of a detailed core.
  */
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include "core/trace_cache.h"
 #include "core/trace_file.h"
 #include "cpu/platforms.h"
+#include "stream_sinks.h"
 #include "vm/interpreter.h"
 #include "vm/trace_codec.h"
 
@@ -302,6 +304,86 @@ TEST(SampledTiming, FileSamplingEqualsInMemorySampling)
     EXPECT_EQ(mem.report().dump(), file.result.report().dump());
 
     std::remove(path.c_str());
+}
+
+
+/**
+ * Replays @a trace into a WarmupSink and into @a platform's core (memo
+ * on), each over its own hierarchy and predictor, and expects equal
+ * cache and predictor state. The core is fed @a batch events a batch,
+ * so stepped, skipped and open segments all resolve.
+ */
+void
+expectWarmingMatchesCore(const CachedTrace &trace,
+                         const cpu::PlatformConfig &platform, size_t batch)
+{
+    mem::CacheHierarchy warm_caches = platform.makeHierarchy();
+    const auto warm_predictor = platform.makePredictor();
+    WarmupSink warm(*trace.prog, &warm_caches, warm_predictor.get());
+    vm::TraceReplayer warm_replay(trace.trace, *trace.prog);
+    warm_replay.addSink(&warm);
+    ASSERT_TRUE(warm_replay.replay().ok());
+
+    mem::CacheHierarchy core_caches = platform.makeHierarchy();
+    const auto core_predictor = platform.makePredictor();
+    const auto core =
+        platform.makeCore(&core_caches, core_predictor.get());
+    test::ReframeSink reframe(*core, batch);
+    vm::TraceReplayer core_replay(trace.trace, *trace.prog);
+    core_replay.addSink(&reframe);
+    ASSERT_TRUE(core_replay.replay().ok());
+    core->cycles(); // steps a segment the memo holds open
+
+    for (const auto level : { &mem::CacheHierarchy::l1,
+                              &mem::CacheHierarchy::l2 }) {
+        const mem::Cache &w = (warm_caches.*level)();
+        const mem::Cache &c = (core_caches.*level)();
+        EXPECT_EQ(w.accesses(), c.accesses());
+        EXPECT_EQ(w.hits(), c.hits());
+        EXPECT_EQ(w.writebacks(), c.writebacks());
+    }
+    EXPECT_EQ(warm_caches.memoryAccesses(), core_caches.memoryAccesses());
+    EXPECT_GT(warm_caches.l1().accesses(), 0u);
+
+    EXPECT_EQ(warm_predictor->totalExecutions(),
+              core_predictor->totalExecutions());
+    EXPECT_EQ(warm_predictor->totalMispredictions(),
+              core_predictor->totalMispredictions());
+    EXPECT_GT(warm_predictor->totalExecutions(), 0u);
+    for (uint32_t sid = 0; sid < trace.prog->sidLimit(); sid++) {
+        EXPECT_EQ(warm_predictor->executions(sid),
+                  core_predictor->executions(sid)) << "sid " << sid;
+        EXPECT_EQ(warm_predictor->mispredictions(sid),
+                  core_predictor->mispredictions(sid)) << "sid " << sid;
+    }
+}
+
+TEST(FunctionalWarming, AppliesExactlyTheCoresOutcomes)
+{
+    for (const char *name : { "hmmsearch", "predator" }) {
+        const apps::AppInfo &app = *apps::findApp(name);
+        for (const cpu::PlatformConfig &platform :
+             cpu::evaluationPlatforms()) {
+            const TraceCache::Ptr trace =
+                TraceCache::record({ .app = &app,
+                                     .registerPressure = true,
+                                     .intRegs = platform.core.numIntRegs,
+                                     .fpRegs = platform.core.numFpRegs })
+                    .value();
+            for (size_t batch : { 1u, 257u, 512u }) {
+                SCOPED_TRACE(std::string(name) + " on " + platform.name +
+                             ", batches of " + std::to_string(batch));
+                expectWarmingMatchesCore(*trace, platform, batch);
+            }
+        }
+        // The one call that is not devirtualised.
+        cpu::PlatformConfig gshare = cpu::alpha21264();
+        gshare.predictor = "gshare";
+        const TraceCache::Ptr trace =
+            TraceCache::record({ .app = &app }).value();
+        SCOPED_TRACE(std::string(name) + " with gshare");
+        expectWarmingMatchesCore(*trace, gshare, 257);
+    }
 }
 
 } // namespace
