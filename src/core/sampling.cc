@@ -33,6 +33,11 @@ struct ShardResult
  * are split at phase boundaries, so phase lengths are exact
  * regardless of batch framing. The core never sees a gap's events, so
  * the end of a non-empty gap is a jump it is told of (onJump()).
+ *
+ * In a gap the router announces the rest of it (warmAhead()), so the
+ * trace replayer decodes it straight into WarmBatches for the warming
+ * (onWarm()). A gap that begins inside an event batch still reaches
+ * the warming as events until the replayer's next flush.
  */
 class SampleRouter : public vm::TraceSink
 {
@@ -74,6 +79,20 @@ class SampleRouter : public vm::TraceSink
             if (remaining_ == 0)
                 advance();
         }
+    }
+
+    uint64_t warmAhead() const override
+    {
+        return phase_ == Phase::Gap ? remaining_ : 0;
+    }
+
+    void onWarm(const vm::WarmBatch &batch) override
+    {
+        assert(phase_ == Phase::Gap && batch.instructions <= remaining_);
+        warm_->onWarm(batch);
+        remaining_ -= batch.instructions;
+        if (remaining_ == 0)
+            advance();
     }
 
     void onRunEnd() override
@@ -518,6 +537,16 @@ WarmupSink::WarmupSink(const ir::Program &prog,
             of_sid_[in->sid] = { cpu::memoryKind(in->op),
                                  in->op == ir::Opcode::Br };
     }
+}
+
+void
+WarmupSink::onWarm(const vm::WarmBatch &batch)
+{
+    for (size_t i = 0; i < batch.numAccesses; i++)
+        outcomes_.touch(batch.accesses[i].addr, batch.accesses[i].write);
+    for (size_t i = 0; i < batch.numBranches; i++)
+        outcomes_.mispredicted(batch.branches[i].sid,
+                               batch.branches[i].taken);
 }
 
 void

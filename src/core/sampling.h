@@ -149,6 +149,11 @@ struct SampledTimingResult
  * the prediction a detailed core would make, through the same stage,
  * but no cycle is counted, which makes warming several times cheaper
  * than detailed modeling. No load accelerator is attached.
+ *
+ * Warming takes events (onBatch()) or, for a stretch the trace
+ * replayer decoded straight into one, a vm::WarmBatch (onWarm()); both
+ * make the same calls in the same order per model. The sink announces
+ * no stretch itself: the sampler's router does (warmAhead()).
  */
 class WarmupSink : public vm::TraceSink
 {
@@ -157,6 +162,7 @@ class WarmupSink : public vm::TraceSink
                branch::BranchPredictor *predictor);
 
     void onBatch(const vm::DynInstr *batch, size_t n) override;
+    void onWarm(const vm::WarmBatch &batch) override;
 
   private:
     /** What warming does for one sid. */

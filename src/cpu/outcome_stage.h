@@ -48,7 +48,7 @@ class OutcomeStage
     access(DecodedInstr::Kind kind, const vm::DynInstr &di)
     {
         if (kind != DecodedInstr::kLoad) {
-            caches_->access(di.addr, kind == DecodedInstr::kStore);
+            touch(di.addr, kind == DecodedInstr::kStore);
             return 1;
         }
         const uint32_t latency = caches_->access(di.addr, false).latency;
@@ -64,8 +64,27 @@ class OutcomeStage
     bool
     mispredicted(const vm::DynInstr &di)
     {
-        return hybrid_ ? !hybrid_->predictAndTrain(di.sid, di.taken)
-                       : !predictor_->predictAndTrain(di.sid, di.taken);
+        return mispredicted(di.sid, di.taken);
+    }
+
+    /**
+     * Makes an access whose latency nobody reads: a store or a
+     * prefetch, or any access under warming, which attaches no
+     * accelerator (a load then reads the hierarchy exactly as
+     * access() does).
+     */
+    void
+    touch(uint64_t addr, bool is_write)
+    {
+        caches_->access(addr, is_write);
+    }
+
+    /** mispredicted() of branch @a sid going @a taken. */
+    bool
+    mispredicted(uint32_t sid, bool taken)
+    {
+        return hybrid_ ? !hybrid_->predictAndTrain(sid, taken)
+                       : !predictor_->predictAndTrain(sid, taken);
     }
 
   private:

@@ -1,5 +1,6 @@
 #include "mem/cache.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace bioperf::mem {
@@ -29,7 +30,11 @@ Cache::Cache(const CacheConfig &config)
     assert(isPowerOfTwo(config_.blockSize));
     assert(config_.assoc >= 1);
     assert(config_.sizeBytes % (config_.blockSize * config_.assoc) == 0);
-    lines_.assign(config_.numSets() * config_.assoc, Line{});
+    // A way word shifts its tag left by two: a set's span of at least
+    // four bytes leaves those bits free.
+    assert(config_.blockSize * config_.numSets() >= 4);
+    ways_.assign(config_.numSets() * config_.assoc, 0);
+    write_dirty_ = config_.writeBack ? kDirty : 0;
     block_shift_ = log2OfPowerOfTwo(config_.blockSize);
     num_sets_ = config_.numSets();
     sets_pow2_ = isPowerOfTwo(num_sets_);
@@ -40,83 +45,35 @@ Cache::Cache(const CacheConfig &config)
 }
 
 Cache::Result
-Cache::access(uint64_t addr, bool is_write)
+Cache::accessMiss(uint64_t addr, bool is_write)
 {
     Result res;
-    clock_++;
-    const size_t set = setIndex(addr);
-    const uint64_t tag = tagOf(addr);
-    Line *ways = &lines_[set * config_.assoc];
-
-    // Hit path.
-    for (uint32_t w = 0; w < config_.assoc; w++) {
-        if (ways[w].valid && ways[w].tag == tag) {
-            ways[w].lastUse = clock_;
-            if (is_write) {
-                if (config_.writeBack)
-                    ways[w].dirty = true;
-                // Write-through caches forward the write downstream,
-                // which the hierarchy accounts for separately.
-            }
-            hits_++;
-            res.hit = true;
-            return res;
-        }
-    }
-
     misses_++;
     if (is_write && !config_.writeAllocate)
         return res; // write miss bypasses the cache entirely
 
-    // Choose victim: an invalid way, else the LRU way.
-    uint32_t victim = 0;
-    uint64_t best = UINT64_MAX;
-    for (uint32_t w = 0; w < config_.assoc; w++) {
-        if (!ways[w].valid) {
-            victim = w;
-            best = 0;
-            break;
-        }
-        if (ways[w].lastUse < best) {
-            best = ways[w].lastUse;
-            victim = w;
-        }
-    }
-
-    if (ways[victim].valid && ways[victim].dirty) {
+    // The last way is invalid or the least recently used.
+    const size_t set = setIndex(addr);
+    uint64_t *ways = ways_.data() + set * config_.assoc;
+    const uint64_t victim = ways[config_.assoc - 1];
+    if ((victim & (kValid | kDirty)) == (kValid | kDirty)) {
         writebacks_++;
         res.writeback = true;
         // Reconstruct the victim's block address from tag and set.
         res.writebackAddr =
-            (ways[victim].tag * config_.numSets() + set) *
-            config_.blockSize;
+            ((victim >> 2) * num_sets_ + set) * config_.blockSize;
     }
-
-    ways[victim].valid = true;
-    ways[victim].dirty = is_write && config_.writeBack;
-    ways[victim].tag = tag;
-    ways[victim].lastUse = clock_;
+    for (uint32_t v = config_.assoc - 1; v > 0; v--)
+        ways[v] = ways[v - 1];
+    ways[0] = tagOf(addr) << 2 | kValid | (is_write ? write_dirty_ : 0);
     return res;
-}
-
-bool
-Cache::probe(uint64_t addr) const
-{
-    const size_t set = setIndex(addr);
-    const uint64_t tag = tagOf(addr);
-    const Line *ways = &lines_[set * config_.assoc];
-    for (uint32_t w = 0; w < config_.assoc; w++)
-        if (ways[w].valid && ways[w].tag == tag)
-            return true;
-    return false;
 }
 
 void
 Cache::reset()
 {
-    for (auto &l : lines_)
-        l = Line{};
-    clock_ = hits_ = misses_ = writebacks_ = 0;
+    std::fill(ways_.begin(), ways_.end(), 0);
+    hits_ = misses_ = writebacks_ = 0;
 }
 
 double

@@ -24,6 +24,13 @@ struct CacheConfig
  * A set-associative cache with true-LRU replacement, write-back and
  * write-allocate policies (the Table 3 configuration of the paper's
  * ATOM cache model).
+ *
+ * Each way is one 64-bit word, `tag << 2 | dirty << 1 | valid`, and a
+ * set keeps its ways most-recently-used first: a hit moves its way to
+ * the front and a fill evicts the last way. That order is the LRU
+ * order itself, so no timestamp is kept. Invalid ways only ever sit
+ * behind every valid one, so "evict the last way" is "fill an invalid
+ * way, else evict the least recently used".
  */
 class Cache
 {
@@ -40,28 +47,33 @@ class Cache
 
     explicit Cache(const CacheConfig &config);
 
-    Result access(uint64_t addr, bool is_write);
+    Result
+    access(uint64_t addr, bool is_write)
+    {
+        if (accessFastHit(addr, is_write))
+            return Result{ .hit = true };
+        return accessMiss(addr, is_write);
+    }
 
     /**
      * Inline hit-only fast path: behaves exactly like access() when
-     * the block is resident (same clock, LRU and hit accounting) and
-     * returns true; on a miss it changes nothing and returns false,
-     * and the caller must complete the access via access(). Lets
+     * the block is resident (same LRU and hit accounting) and returns
+     * true; on a miss it changes nothing and returns false, and the
+     * caller must complete the access via accessMiss(). Lets
      * per-instruction callers keep the ~99% hit case out of line-call
      * territory.
      */
     bool
     accessFastHit(uint64_t addr, bool is_write)
     {
-        const size_t set = setIndex(addr);
-        const uint64_t tag = tagOf(addr);
-        Line *ways = lines_.data() + set * config_.assoc;
+        uint64_t *ways = ways_.data() + setIndex(addr) * config_.assoc;
+        const uint64_t key = tagOf(addr) << 2 | kValid;
         for (uint32_t w = 0; w < config_.assoc; w++) {
-            if (ways[w].valid && ways[w].tag == tag) {
-                clock_++;
-                ways[w].lastUse = clock_;
-                if (is_write && config_.writeBack)
-                    ways[w].dirty = true;
+            const uint64_t word = ways[w];
+            if ((word & ~kDirty) == key) {
+                for (uint32_t v = w; v > 0; v--)
+                    ways[v] = ways[v - 1];
+                ways[0] = word | (is_write ? write_dirty_ : 0);
                 hits_++;
                 return true;
             }
@@ -69,8 +81,12 @@ class Cache
         return false;
     }
 
-    /** True if the block containing @a addr is currently resident. */
-    bool probe(uint64_t addr) const;
+    /**
+     * Completes an access whose accessFastHit() returned false: counts
+     * the miss and, unless a write bypasses a no-write-allocate cache,
+     * fills the block at the front of its set.
+     */
+    Result accessMiss(uint64_t addr, bool is_write);
 
     /** Invalidates all blocks and clears statistics. */
     void reset();
@@ -83,13 +99,8 @@ class Cache
     double missRate() const;
 
   private:
-    struct Line
-    {
-        uint64_t tag = 0;
-        uint64_t lastUse = 0;
-        bool valid = false;
-        bool dirty = false;
-    };
+    static constexpr uint64_t kValid = 1;
+    static constexpr uint64_t kDirty = 2;
 
     // Block size is always a power of two and set counts nearly
     // always are, so the per-access index/tag math runs as shifts and
@@ -107,13 +118,15 @@ class Cache
     }
 
     CacheConfig config_;
-    std::vector<Line> lines_; ///< numSets x assoc, row-major
+    /** numSets x assoc way words, row-major, each set MRU first. */
+    std::vector<uint64_t> ways_;
+    /** kDirty when a write dirties its block (write-back), else 0. */
+    uint64_t write_dirty_ = 0;
     uint32_t block_shift_ = 6;
     uint32_t set_shift_ = 0;
     uint64_t set_mask_ = 0;
     uint64_t num_sets_ = 1;
     bool sets_pow2_ = false;
-    uint64_t clock_ = 0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
     uint64_t writebacks_ = 0;

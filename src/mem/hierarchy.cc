@@ -32,13 +32,9 @@ CacheHierarchy::accessMiss(uint64_t addr, bool is_write)
     Access out;
     out.latency = lat_.l1HitLatency;
 
-    const Cache::Result r1 = l1_.access(addr, is_write);
+    const Cache::Result r1 = l1_.accessMiss(addr, is_write);
     if (r1.writeback)
         l2_.access(r1.writebackAddr, true);
-    if (r1.hit) {
-        out.level = Level::L1;
-        return out;
-    }
 
     out.latency += lat_.l2Penalty;
     const Cache::Result r2 = l2_.access(addr, is_write);

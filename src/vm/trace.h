@@ -64,6 +64,35 @@ static_assert(sizeof(DynInstr) == 32);
 constexpr size_t kBatchCapacity = 512;
 
 /**
+ * A stretch of the stream reduced to what functional warming reads:
+ * the address and direction of each memory operation (loads and
+ * prefetches read, stores write), and the sid and direction of each
+ * conditional branch. Each list is in program order; how the two
+ * interleave is not kept, since caches and predictors are independent
+ * models. Valid only for the duration of the onWarm() call.
+ */
+struct WarmBatch
+{
+    struct Access
+    {
+        uint64_t addr;
+        bool write;
+    };
+    struct Branch
+    {
+        uint32_t sid;
+        bool taken;
+    };
+
+    const Access *accesses = nullptr;
+    size_t numAccesses = 0;
+    const Branch *branches = nullptr;
+    size_t numBranches = 0;
+    /** Instructions the stretch spans, of every kind. */
+    uint64_t instructions = 0;
+};
+
+/**
  * Observer of the dynamic instruction stream. Multiple sinks can be
  * attached to one producer; each sees every instruction in program
  * order (the profilers, cache models and timing cores all implement
@@ -115,6 +144,24 @@ class TraceSink
      * Never fires on live execution or on intact traces.
      */
     virtual void onGap() {}
+
+    /**
+     * How many of the coming instructions the sink only warms on: it
+     * reads nothing of them but what a WarmBatch holds. The trace
+     * replayer asks whenever it has no events buffered; when every
+     * attached sink answers non-zero, it decodes the smallest answer
+     * (or less, if the trace ends first) straight into WarmBatches,
+     * never building their events. The interpreter never asks.
+     */
+    virtual uint64_t warmAhead() const { return 0; }
+
+    /**
+     * Delivers the next @a batch.instructions instructions, inside a
+     * stretch warmAhead() announced, as a WarmBatch. Run ends and gaps
+     * within the stretch still arrive through onRunEnd() and onGap(),
+     * after the WarmBatch of the instructions before them.
+     */
+    virtual void onWarm(const WarmBatch &) {}
 };
 
 } // namespace bioperf::vm

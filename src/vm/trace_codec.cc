@@ -424,7 +424,8 @@ TraceRecorder::finish()
 
 TraceReplayer::TraceReplayer(const ir::Program &prog)
     : trace_(nullptr), batch_(kBatchCapacity),
-      last_addr_(prog.sidLimit(), 0), last_bits_(prog.sidLimit(), 0)
+      last_addr_(prog.sidLimit(), 0), last_bits_(prog.sidLimit(), 0),
+      warm_accesses_(kBatchCapacity), warm_branches_(kBatchCapacity)
 {
     const std::vector<SidFlow> flow = buildFlow(prog);
     step_of_sid_.assign(flow.size(), 0);
@@ -441,6 +442,7 @@ TraceReplayer::TraceReplayer(const ir::Program &prog)
                 st.proto.op = in.op;
                 st.proto.sid = in.sid;
                 st.kind = static_cast<uint8_t>(kindOf(in.op));
+                st.write = ir::isStore(in.op);
             }
             // A block that falls off its end walks off the program
             // (buildFlow() gives it no successor either).
@@ -476,10 +478,53 @@ TraceReplayer::TraceReplayer(const EncodedTrace &trace,
 }
 
 void
-TraceReplayer::flush(size_t n)
+TraceReplayer::flush()
 {
+    if (batch_n_ == 0)
+        return;
     for (TraceSink *s : sinks_)
-        s->onBatch(batch_.data(), n);
+        s->onBatch(batch_.data(), batch_n_);
+    delivered_ += batch_n_;
+    batch_n_ = 0;
+}
+
+void
+TraceReplayer::flushWarm()
+{
+    if (warm_n_ == 0)
+        return;
+    const WarmBatch batch{ .accesses = warm_accesses_.data(),
+                           .numAccesses = warm_accesses_n_,
+                           .branches = warm_branches_.data(),
+                           .numBranches = warm_branches_n_,
+                           .instructions = warm_n_ };
+    for (TraceSink *s : sinks_)
+        s->onWarm(batch);
+    delivered_ += warm_n_;
+    warm_left_ -= warm_n_;
+    warm_n_ = warm_accesses_n_ = warm_branches_n_ = 0;
+}
+
+void
+TraceReplayer::runEnd()
+{
+    // Run boundary: flush, then onRunEnd, exactly as the interpreter
+    // orders them.
+    flush();
+    flushWarm();
+    for (TraceSink *s : sinks_)
+        s->onRunEnd();
+}
+
+uint64_t
+TraceReplayer::warmAhead() const
+{
+    if (sinks_.empty())
+        return 0;
+    uint64_t n = UINT64_MAX;
+    for (const TraceSink *s : sinks_)
+        n = std::min(n, s->warmAhead());
+    return n;
 }
 
 void
@@ -487,6 +532,8 @@ TraceReplayer::beginStream()
 {
     delivered_ = 0;
     batch_n_ = 0;
+    warm_n_ = warm_accesses_n_ = warm_branches_n_ = 0;
+    warm_left_ = 0;
     std::fill(last_addr_.begin(), last_addr_.end(), 0);
     std::fill(last_bits_.begin(), last_bits_.end(), 0);
 }
@@ -494,10 +541,9 @@ TraceReplayer::beginStream()
 uint64_t
 TraceReplayer::endStream()
 {
-    if (batch_n_ > 0) {
-        flush(batch_n_);
-        batch_n_ = 0;
-    }
+    flush();
+    flushWarm();
+    warm_left_ = 0;
     return delivered_;
 }
 
@@ -514,6 +560,207 @@ TraceReplayer::streamChunk(const EncodedTrace::Chunk &chunk)
     }
 }
 
+/** Where decoding stands inside one chunk. */
+struct TraceReplayer::Cursor
+{
+    const uint8_t *p;         ///< next payload byte
+    const uint8_t *end;       ///< end of the event payload
+    const uint8_t *bitmap;    ///< the branch bitmap
+    const uint8_t *bitmapEnd;
+    const Step *at;           ///< the walk's next record
+    uint32_t events;          ///< events left, run ends included
+    uint32_t branches;        ///< branch bits consumed
+};
+
+/**
+ * Emits instructions as DynInstrs into the replayer's batch, up to a
+ * full batch. Emitters are values the walk keeps in registers; store()
+ * writes one's position back to the replayer.
+ */
+class TraceReplayer::EventEmit
+{
+  public:
+    explicit EventEmit(TraceReplayer &r)
+        : r_(&r), next_(r.batch_.data() + r.batch_n_),
+          end_(r.batch_.data() + kBatchCapacity)
+    {
+    }
+    void store() const { r_->batch_n_ = next_ - r_->batch_.data(); }
+
+    void runEnd()
+    {
+        store();
+        r_->runEnd();
+        next_ = r_->batch_.data();
+    }
+    void plain(const Step &st) { *next_ = st.proto; }
+    void access(const Step &st, uint64_t addr, uint64_t bits)
+    {
+        *next_ = st.proto;
+        next_->addr = addr;
+        next_->loadValueBits = bits;
+    }
+    void branch(const Step &st, bool taken)
+    {
+        *next_ = st.proto;
+        next_->taken = taken;
+    }
+    /** Counts the instruction just emitted; false when the batch is full. */
+    bool counted() { return ++next_ != end_; }
+
+  private:
+    TraceReplayer *r_;
+    DynInstr *next_;
+    DynInstr *end_;
+};
+
+/**
+ * Emits instructions into the pending WarmBatch, up to a full batch
+ * or the end of the announced stretch.
+ */
+class TraceReplayer::WarmEmit
+{
+  public:
+    explicit WarmEmit(TraceReplayer &r) : r_(&r) { load(); }
+    void store() const
+    {
+        r_->warm_accesses_n_ = access_ - r_->warm_accesses_.data();
+        r_->warm_branches_n_ = branch_ - r_->warm_branches_.data();
+        r_->warm_n_ = limit_ - room_;
+    }
+
+    void runEnd()
+    {
+        store();
+        r_->runEnd();
+        load();
+    }
+    void plain(const Step &) {}
+    void access(const Step &st, uint64_t addr, uint64_t)
+    {
+        *access_++ = { addr, st.write };
+    }
+    void branch(const Step &st, bool taken)
+    {
+        *branch_++ = { st.proto.sid, taken };
+    }
+    /** Counts the instruction just emitted; false when the batch is full. */
+    bool counted() { return --room_ != 0; }
+
+  private:
+    void load()
+    {
+        access_ = r_->warm_accesses_.data() + r_->warm_accesses_n_;
+        branch_ = r_->warm_branches_.data() + r_->warm_branches_n_;
+        limit_ = std::min<uint64_t>(kBatchCapacity, r_->warm_left_);
+        room_ = limit_ - r_->warm_n_;
+    }
+
+    TraceReplayer *r_;
+    WarmBatch::Access *access_;
+    WarmBatch::Branch *branch_;
+    uint64_t room_;  ///< instructions the batch still takes
+    uint64_t limit_; ///< instructions the batch takes in all
+};
+
+/**
+ * The codec's walk, shared by both decodes: consumes events of the
+ * current chunk until the chunk ends or @a emit stops after an
+ * instruction. Per event it reads the opening code or follows the
+ * successor record, decodes the address and value deltas against the
+ * per-sid state and reads the branch bit, then hands the facts to
+ * @a emit (runEnd() at a run-end marker; plain(), access() or branch()
+ * per instruction, then counted()). @return the emitter where it
+ * stopped.
+ */
+template <class Emit>
+inline Emit
+TraceReplayer::walk(Cursor &cursor, Emit emit)
+{
+    // Hot loop: the cursor, the emitter and the tables live in
+    // locals; the cursor is written back when the walk stops.
+    Cursor c = cursor;
+    const Step *walk = walk_.data();
+    uint64_t *last_addr = last_addr_.data();
+    uint64_t *last_bits = last_bits_.data();
+    while (c.events > 0) {
+        // Every event counts, run-end markers included.
+        c.events--;
+        // Keep the streamed payload from evicting the sinks' working
+        // sets: it is read once, so fetch ahead with non-temporal
+        // locality.
+        __builtin_prefetch(c.p + 512, 0, 0);
+        if (__builtin_expect(c.at->kind >= kOpening, 0)) {
+            if (c.at->kind == kRunEnd) {
+                emit.runEnd();
+                c.at = &walk[0];
+                continue;
+            }
+            if (c.at->kind == kOffProgram)
+                corrupt("control flow walks off the program");
+            const uint64_t code = readVarint(c.p, c.end);
+            if (code == 0) {
+                emit.runEnd();
+                continue;
+            }
+            // A sid inside the limit can still be unused by the
+            // program (its record is the opening one); delivering a
+            // null instr pointer would crash the sinks.
+            if (code > step_of_sid_.size() || step_of_sid_[code - 1] == 0)
+                corrupt("coded sid out of range");
+            c.at = &walk[step_of_sid_[code - 1]];
+        }
+        const Step &st = *c.at;
+        const uint32_t sid = st.proto.sid;
+        c.at++; // block order: a non-terminator's successor
+        switch (st.kind) {
+          case kPlain:
+            emit.plain(st);
+            break;
+          case kMem:
+            emit.access(st,
+                        last_addr[sid] += static_cast<uint64_t>(
+                            zigzagDecode(readVarint(c.p, c.end))),
+                        0);
+            break;
+          case kIntLoad: {
+            const uint64_t addr = last_addr[sid] += static_cast<uint64_t>(
+                zigzagDecode(readVarint(c.p, c.end)));
+            emit.access(st, addr,
+                        last_bits[sid] += static_cast<uint64_t>(
+                            zigzagDecode(readVarint(c.p, c.end))));
+            break;
+          }
+          case kFpLoad: {
+            const uint64_t addr = last_addr[sid] += static_cast<uint64_t>(
+                zigzagDecode(readVarint(c.p, c.end)));
+            emit.access(st, addr,
+                        last_bits[sid] ^= readVarint(c.p, c.end));
+            break;
+          }
+          case kBranch: {
+            const uint32_t bit = c.branches++;
+            if (c.bitmap + (bit >> 3) >= c.bitmapEnd)
+                corrupt("branch bitmap overrun");
+            const bool taken = (c.bitmap[bit >> 3] >> (bit & 7)) & 1;
+            emit.branch(st, taken);
+            c.at = &walk[st.next[taken]];
+            break;
+          }
+          case kJump:
+            emit.plain(st);
+            c.at = &walk[st.next[0]];
+            break;
+          default: // kinds past kJump are not instructions: see above
+            __builtin_unreachable();
+        }
+        if (!emit.counted())
+            break;
+    }
+    cursor = c;
+    return emit;
+}
+
 void
 TraceReplayer::decodeChunk(const EncodedTrace::Chunk &chunk)
 {
@@ -522,10 +769,8 @@ TraceReplayer::decodeChunk(const EncodedTrace::Chunk &chunk)
     // A salvage gap: the chunks that originally preceded this one are
     // gone, so drain the sinks' in-flight state (pipeline/scoreboard).
     if (__builtin_expect(chunk.gapBefore, 0)) {
-        if (batch_n_ > 0) {
-            flush(batch_n_);
-            batch_n_ = 0;
-        }
+        flush();
+        flushWarm();
         for (TraceSink *s : sinks_)
             s->onGap();
     }
@@ -535,106 +780,32 @@ TraceReplayer::decodeChunk(const EncodedTrace::Chunk &chunk)
         std::fill(last_addr_.begin(), last_addr_.end(), 0);
         std::fill(last_bits_.begin(), last_bits_.end(), 0);
     }
-    // Hot loop: hoist member state into locals for the duration of
-    // the chunk, write back at the end.
-    const uint64_t sid_limit = step_of_sid_.size();
-    const Step *walk = walk_.data();
-    uint64_t *last_addr = last_addr_.data();
-    uint64_t *last_bits = last_bits_.data();
-    DynInstr *batch = batch_.data();
-    uint64_t instructions = delivered_;
-    size_t bn = batch_n_;
-
-    const uint8_t *p = chunk.bytes.data();
-    const uint8_t *end = p + chunk.bitmapOffset;
-    const uint8_t *bitmap = end;
-    const uint8_t *bitmap_end = chunk.bytes.data() + chunk.bytes.size();
-    uint32_t branch_idx = 0;
-    // Run boundary: flush, then onRunEnd, exactly as the interpreter
-    // orders them.
-    auto run_end = [&] {
-        if (bn > 0) {
-            flush(bn);
-            bn = 0;
-        }
-        for (TraceSink *s : sinks_)
-            s->onRunEnd();
-    };
+    const uint8_t *bytes = chunk.bytes.data();
     // Every chunk opens with a coded event.
-    const Step *at = &walk[0];
-    for (uint32_t e = 0; e < chunk.numEvents; e++) {
-        // Keep the streamed payload from evicting the sinks'
-        // working sets: it is read once, so fetch ahead with
-        // non-temporal locality.
-        __builtin_prefetch(p + 512, 0, 0);
-        if (__builtin_expect(at->kind >= kOpening, 0)) {
-            if (at->kind == kRunEnd) {
-                run_end();
-                at = &walk[0];
-                continue;
-            }
-            if (at->kind == kOffProgram)
-                corrupt("control flow walks off the program");
-            const uint64_t code = readVarint(p, end);
-            if (code == 0) {
-                run_end();
-                continue;
-            }
-            // A sid inside the limit can still be unused by the
-            // program (its record is the opening one); delivering a
-            // null instr pointer would crash the sinks.
-            if (code > sid_limit || step_of_sid_[code - 1] == 0)
-                corrupt("coded sid out of range");
-            at = &walk[step_of_sid_[code - 1]];
-        }
-        const Step &st = *at;
-        const uint32_t sid = st.proto.sid;
-        DynInstr &di = batch[bn];
-        di = st.proto; // one copy: instr, op, sid set; dynamic fields 0
-        at++; // block order: a non-terminator's successor
-        switch (st.kind) {
-          case kPlain:
-            break;
-          case kMem:
-            di.addr = last_addr[sid] += static_cast<uint64_t>(
-                zigzagDecode(readVarint(p, end)));
-            break;
-          case kIntLoad:
-            di.addr = last_addr[sid] += static_cast<uint64_t>(
-                zigzagDecode(readVarint(p, end)));
-            di.loadValueBits = last_bits[sid] +=
-                static_cast<uint64_t>(
-                    zigzagDecode(readVarint(p, end)));
-            break;
-          case kFpLoad:
-            di.addr = last_addr[sid] += static_cast<uint64_t>(
-                zigzagDecode(readVarint(p, end)));
-            di.loadValueBits = last_bits[sid] ^= readVarint(p, end);
-            break;
-          case kBranch: {
-            const uint32_t bit = branch_idx++;
-            if (bitmap + (bit >> 3) >= bitmap_end)
-                corrupt("branch bitmap overrun");
-            const bool taken = (bitmap[bit >> 3] >> (bit & 7)) & 1;
-            di.taken = taken;
-            at = &walk[st.next[taken]];
-            break;
-          }
-          case kJump:
-            at = &walk[st.next[0]];
-            break;
-        }
-        instructions++;
-        if (++bn == kBatchCapacity) {
-            flush(bn);
-            bn = 0;
+    Cursor cursor{ .p = bytes,
+                   .end = bytes + chunk.bitmapOffset,
+                   .bitmap = bytes + chunk.bitmapOffset,
+                   .bitmapEnd = bytes + chunk.bytes.size(),
+                   .at = &walk_[0],
+                   .events = chunk.numEvents,
+                   .branches = 0 };
+    while (cursor.events > 0) {
+        // With no event buffered, the sinks' phase is current: ask
+        // whether a warm stretch comes next.
+        if (batch_n_ == 0 && warm_left_ == 0)
+            warm_left_ = warmAhead();
+        if (warm_left_ > 0) {
+            walk(cursor, WarmEmit(*this)).store();
+            if (warm_n_ == kBatchCapacity || warm_n_ == warm_left_)
+                flushWarm();
+        } else {
+            walk(cursor, EventEmit(*this)).store();
+            if (batch_n_ == kBatchCapacity)
+                flush();
         }
     }
-    if (p != end)
+    if (cursor.p != cursor.end)
         corrupt("chunk payload has trailing bytes");
-
-    delivered_ = instructions;
-    batch_n_ = bn;
 }
 
 util::StatusOr<uint64_t>

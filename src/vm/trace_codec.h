@@ -255,6 +255,11 @@ class TraceRecorder : public TraceSink
  * standard onBatch()/onRunEnd() protocol, event-for-event identical
  * to the live interpreter stream that was recorded.
  *
+ * A stretch that every sink announces through TraceSink::warmAhead()
+ * is decoded straight into WarmBatches instead: the same walk, varint
+ * reads, per-sid delta state and corruption checks, but no DynInstr
+ * is built. The sampler's functional-warm gaps arrive this way.
+ *
  * The replayer holds per-replay decode state only; many replayers may
  * consume one shared immutable EncodedTrace concurrently (each
  * ThreadPool sweep worker constructs its own). @a prog must have the
@@ -300,8 +305,21 @@ class TraceReplayer
     uint64_t endStream();
 
   private:
-    void flush(size_t n);
+    struct Cursor;
+    class EventEmit;
+    class WarmEmit;
+
+    /** Delivers the buffered events. */
+    void flush();
+    /** Delivers the pending WarmBatch. */
+    void flushWarm();
+    /** Flushes both, then tells the sinks the run ended. */
+    void runEnd();
+    /** The smallest warm stretch the sinks announce (0: none). */
+    uint64_t warmAhead() const;
     void decodeChunk(const EncodedTrace::Chunk &chunk);
+    template <class Emit>
+    Emit walk(Cursor &cursor, Emit emit);
 
     const EncodedTrace *trace_;
     std::vector<TraceSink *> sinks_;
@@ -322,6 +340,7 @@ class TraceReplayer
         DynInstr proto{};
         uint32_t next[2] = {}; ///< record when not taken / taken
         uint8_t kind = 0;      ///< decode kind (see trace_codec.cc)
+        bool write = false;    ///< a store: its access writes
     };
     std::vector<Step> walk_;
     /** sid -> its record in walk_ (0, an opening code, if unused). */
@@ -334,6 +353,14 @@ class TraceReplayer
     /** Streaming decode state, reset by beginStream(). */
     uint64_t delivered_ = 0;
     size_t batch_n_ = 0;
+    /** The pending WarmBatch: its lists and the instructions it spans. */
+    std::vector<WarmBatch::Access> warm_accesses_;
+    std::vector<WarmBatch::Branch> warm_branches_;
+    size_t warm_accesses_n_ = 0;
+    size_t warm_branches_n_ = 0;
+    uint64_t warm_n_ = 0;
+    /** Instructions of the announced warm stretch not yet delivered. */
+    uint64_t warm_left_ = 0;
 };
 
 /**

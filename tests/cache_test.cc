@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "mem/cache.h"
 #include "mem/hierarchy.h"
+#include "reference_cache.h"
 #include "util/rng.h"
 
 namespace bioperf::mem {
@@ -15,6 +18,15 @@ smallCache(uint64_t size, uint32_t assoc, uint32_t block = 64)
     c.assoc = assoc;
     c.blockSize = block;
     return c;
+}
+
+/** Reads @a addr and tells, from the hit count, whether it was resident. */
+bool
+hits(Cache &c, uint64_t addr)
+{
+    const uint64_t before = c.hits();
+    c.access(addr, false);
+    return c.hits() > before;
 }
 
 TEST(Cache, ColdMissThenHit)
@@ -55,9 +67,10 @@ TEST(Cache, LruReplacement)
     c.access(1024, false);
     c.access(0, false);
     c.access(2048, false);
-    EXPECT_TRUE(c.probe(0));
-    EXPECT_FALSE(c.probe(1024));
-    EXPECT_TRUE(c.probe(2048));
+    // Residents first: a miss would fill and evict.
+    EXPECT_TRUE(hits(c, 0));
+    EXPECT_TRUE(hits(c, 2048));
+    EXPECT_FALSE(hits(c, 1024));
 }
 
 TEST(Cache, WriteBackDirtyEviction)
@@ -100,7 +113,10 @@ TEST(Cache, ResetClearsStateAndStats)
     c.access(0, true);
     c.reset();
     EXPECT_EQ(c.accesses(), 0u);
-    EXPECT_FALSE(c.probe(0));
+    EXPECT_EQ(c.writebacks(), 0u);
+    EXPECT_FALSE(hits(c, 0));
+    // The dirty block went with the reset: evicting 0 writes nothing.
+    EXPECT_FALSE(c.access(256, false).writeback);
 }
 
 TEST(Cache, StatsInvariant)
@@ -123,6 +139,55 @@ TEST(Cache, FullyResidentWorkingSetOnlyCompulsoryMisses)
             c.access(a, false);
     EXPECT_EQ(c.misses(), 256u);
     EXPECT_EQ(c.hits(), 4u * 256u - 256u);
+}
+
+TEST(Cache, EveryAccessEqualsTheTimestampLruReference)
+{
+    // Sizes give 1-, 2-, 4- and 8-way caches with 16 or 12 sets (a
+    // non-power-of-two count takes the division path), over every
+    // write policy. Addresses span three times the capacity, so every
+    // set sees conflicts, hits after reuse and dirty evictions.
+    for (uint32_t assoc : { 1u, 2u, 4u, 8u }) {
+        for (uint64_t sets : { 16u, 12u }) {
+            for (bool write_back : { true, false }) {
+                for (bool write_allocate : { true, false }) {
+                    CacheConfig cfg = smallCache(sets * assoc * 64, assoc);
+                    cfg.writeBack = write_back;
+                    cfg.writeAllocate = write_allocate;
+                    SCOPED_TRACE(std::to_string(assoc) + " ways, " +
+                                 std::to_string(sets) + " sets, " +
+                                 (write_back ? "write-back" : "write-through") +
+                                 (write_allocate ? ", write-allocate"
+                                                 : ", no-write-allocate"));
+                    Cache c(cfg);
+                    test::ReferenceCache ref(cfg);
+                    util::Rng rng(assoc * 131 + sets);
+                    uint64_t hits = 0, misses = 0, writebacks = 0;
+                    for (int i = 0; i < 20000; i++) {
+                        const uint64_t addr = rng.nextBelow(3 * cfg.sizeBytes);
+                        const bool write = rng.nextBool(0.3);
+                        const Cache::Result got = c.access(addr, write);
+                        const Cache::Result want = ref.access(addr, write);
+                        ASSERT_EQ(got.hit, want.hit) << "access " << i;
+                        ASSERT_EQ(got.writeback, want.writeback)
+                            << "access " << i;
+                        ASSERT_EQ(got.writebackAddr, want.writebackAddr)
+                            << "access " << i;
+                        (want.hit ? hits : misses)++;
+                        writebacks += want.writeback;
+                    }
+                    EXPECT_EQ(c.hits(), hits);
+                    EXPECT_EQ(c.misses(), misses);
+                    EXPECT_EQ(c.writebacks(), writebacks);
+                    EXPECT_GT(hits, 0u);
+                    EXPECT_GT(misses, 0u);
+                    if (write_back) {
+                        EXPECT_GT(writebacks, 0u);
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(Cache, ConfigGeometry)

@@ -13,8 +13,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -384,6 +386,326 @@ TEST(FunctionalWarming, AppliesExactlyTheCoresOutcomes)
         SCOPED_TRACE(std::string(name) + " with gshare");
         expectWarmingMatchesCore(*trace, gshare, 257);
     }
+}
+
+/**
+ * Splits the stream into stretches, from @a lengths, that alternate
+ * between warming (a WarmupSink) and hashing (a StreamHashSink);
+ * past the last length everything is hashed. With @a direct the sink
+ * announces each warm stretch, as the sampler's router does, so the
+ * replayer decodes it into WarmBatches; without, every warm
+ * instruction reaches the WarmupSink as an event.
+ */
+class StretchSink : public vm::TraceSink
+{
+  public:
+    StretchSink(WarmupSink *warm, std::vector<uint64_t> lengths,
+                bool direct)
+        : warm_(warm), lengths_(std::move(lengths)), direct_(direct)
+    {
+        left_ = lengths_.empty() ? 0 : lengths_[0];
+        skipEmpty();
+    }
+
+    test::StreamHashSink hashed;
+    /** Stream positions of every run end and gap. */
+    std::vector<uint64_t> boundaries;
+    uint64_t warmBatches = 0;
+
+    uint64_t warmAhead() const override
+    {
+        return direct_ && warming() ? left_ : 0;
+    }
+
+    void onWarm(const vm::WarmBatch &batch) override
+    {
+        ASSERT_TRUE(warming());
+        ASSERT_LE(batch.instructions, left_);
+        warmBatches++;
+        warm_->onWarm(batch);
+        advance(batch.instructions);
+    }
+
+    void onBatch(const vm::DynInstr *batch, size_t n) override
+    {
+        while (n > 0) {
+            const size_t m = inSchedule() && left_ < n
+                                 ? static_cast<size_t>(left_)
+                                 : n;
+            if (warming())
+                warm_->onBatch(batch, m);
+            else
+                hashed.onBatch(batch, m);
+            advance(m);
+            batch += m;
+            n -= m;
+        }
+    }
+
+    void onRunEnd() override { boundaries.push_back(position_); }
+    void onGap() override { boundaries.push_back(~position_); }
+
+  private:
+    bool inSchedule() const { return phase_ < lengths_.size(); }
+    bool warming() const { return inSchedule() && phase_ % 2 == 0; }
+
+    void advance(uint64_t m)
+    {
+        position_ += m;
+        if (inSchedule()) {
+            left_ -= m;
+            skipEmpty();
+        }
+    }
+    void skipEmpty()
+    {
+        while (inSchedule() && left_ == 0)
+            left_ = ++phase_ < lengths_.size() ? lengths_[phase_] : 0;
+    }
+
+    WarmupSink *warm_;
+    std::vector<uint64_t> lengths_;
+    bool direct_;
+    size_t phase_ = 0;
+    uint64_t left_ = 0;
+    uint64_t position_ = 0;
+};
+
+/** Warm-then-hash stretches of (@a warm, @a hashed) over @a total. */
+std::vector<uint64_t>
+stretches(uint64_t warm, uint64_t hashed, uint64_t total)
+{
+    std::vector<uint64_t> lengths;
+    for (uint64_t at = 0; at < total; at += warm + hashed) {
+        lengths.push_back(warm);
+        lengths.push_back(hashed);
+    }
+    return lengths;
+}
+
+/**
+ * Replays @a trace through two StretchSinks over @a lengths, one
+ * announcing its warm stretches and one not, and expects equal cache
+ * and predictor state, equal hashed events and equal run ends and
+ * gaps. @return the instructions hashed.
+ */
+uint64_t
+expectDirectWarmingMatchesEvents(const CachedTrace &trace,
+                                 const cpu::PlatformConfig &platform,
+                                 const std::vector<uint64_t> &lengths)
+{
+    struct Side
+    {
+        mem::CacheHierarchy caches;
+        std::unique_ptr<branch::BranchPredictor> predictor;
+        WarmupSink warm;
+        StretchSink sink;
+        uint64_t delivered = 0;
+
+        Side(const CachedTrace &trace, const cpu::PlatformConfig &platform,
+             const std::vector<uint64_t> &lengths, bool direct)
+            : caches(platform.makeHierarchy()),
+              predictor(platform.makePredictor()),
+              warm(*trace.prog, &caches, predictor.get()),
+              sink(&warm, lengths, direct)
+        {
+            vm::TraceReplayer replayer(trace.trace, *trace.prog);
+            replayer.addSink(&sink);
+            const util::StatusOr<uint64_t> got = replayer.replay();
+            EXPECT_TRUE(got.ok()) << got.status().str();
+            delivered = got.ok() ? got.value() : 0;
+        }
+    };
+    const Side direct(trace, platform, lengths, true);
+    const Side events(trace, platform, lengths, false);
+
+    EXPECT_GT(direct.sink.warmBatches, 0u);
+    EXPECT_EQ(events.sink.warmBatches, 0u);
+    EXPECT_EQ(direct.delivered, trace.trace.instructions());
+    EXPECT_EQ(events.delivered, trace.trace.instructions());
+    for (const auto level : { &mem::CacheHierarchy::l1,
+                              &mem::CacheHierarchy::l2 }) {
+        const mem::Cache &d = (direct.caches.*level)();
+        const mem::Cache &e = (events.caches.*level)();
+        EXPECT_EQ(d.accesses(), e.accesses());
+        EXPECT_EQ(d.hits(), e.hits());
+        EXPECT_EQ(d.writebacks(), e.writebacks());
+    }
+    EXPECT_EQ(direct.caches.memoryAccesses(),
+              events.caches.memoryAccesses());
+    EXPECT_GT(direct.caches.l1().accesses(), 0u);
+    EXPECT_EQ(direct.predictor->totalExecutions(),
+              events.predictor->totalExecutions());
+    EXPECT_EQ(direct.predictor->totalMispredictions(),
+              events.predictor->totalMispredictions());
+    EXPECT_GT(direct.predictor->totalExecutions(), 0u);
+    uint32_t differing_sids = 0;
+    for (uint32_t sid = 0; sid < trace.prog->sidLimit(); sid++)
+        differing_sids += direct.predictor->executions(sid) !=
+                              events.predictor->executions(sid) ||
+                          direct.predictor->mispredictions(sid) !=
+                              events.predictor->mispredictions(sid);
+    EXPECT_EQ(differing_sids, 0u);
+    // The events after each warm stretch decode as an all-DynInstr
+    // replay does: the per-sid address and value state was kept.
+    EXPECT_EQ(direct.sink.hashed.hash, events.sink.hashed.hash);
+    EXPECT_EQ(direct.sink.hashed.instrs, events.sink.hashed.instrs);
+    EXPECT_EQ(direct.sink.hashed.mismatched, 0u);
+    EXPECT_EQ(direct.sink.boundaries, events.sink.boundaries);
+    return events.sink.hashed.instrs;
+}
+
+/**
+ * Records @a app Small with @a platform's register file and a 2-chunk
+ * keyframe cadence, so warm stretches cross keyframes as well as
+ * chunk boundaries.
+ */
+CachedTrace
+recordTightKeyframes(const apps::AppInfo &app,
+                     const cpu::PlatformConfig &platform)
+{
+    apps::AppRun run = makeWorkload({ .app = &app,
+                                      .registerPressure = true,
+                                      .intRegs = platform.core.numIntRegs,
+                                      .fpRegs = platform.core.numFpRegs });
+    vm::Interpreter interp(*run.prog);
+    vm::TraceRecorder recorder(*run.prog, /*keyframe_interval=*/2);
+    interp.addSink(&recorder);
+    run.driver(interp);
+    CachedTrace cached;
+    cached.instructions = interp.totalInstrs();
+    cached.trace = recorder.finish();
+    cached.prog = std::move(run.prog);
+    return cached;
+}
+
+/** Warm stretches of several lengths, the long ones across chunks. */
+const std::pair<uint64_t, uint64_t> kStretches[] = {
+    { 1, 1 }, { 700, 3 }, { 4'097, 1'000 }, { 70'000, 333 },
+    { 200'000, 7 },
+};
+
+TEST(FunctionalWarming, DirectWarmDecodeEqualsWarmupSink)
+{
+    for (const char *name : { "hmmsearch", "predator" }) {
+        const apps::AppInfo &app = *apps::findApp(name);
+        for (const cpu::PlatformConfig &platform :
+             cpu::evaluationPlatforms()) {
+            const CachedTrace trace = recordTightKeyframes(app, platform);
+            // hmmsearch spans several keyframe groups; predator, two
+            // chunks of one.
+            ASSERT_GT(trace.trace.chunks().size(), 1u);
+            uint64_t hashed_instrs = 0;
+            for (const auto &[warm, hashed] : kStretches) {
+                SCOPED_TRACE(std::string(name) + " on " + platform.name +
+                             ", warm " + std::to_string(warm) +
+                             " then " + std::to_string(hashed));
+                hashed_instrs += expectDirectWarmingMatchesEvents(
+                    trace, platform,
+                    stretches(warm, hashed, trace.instructions));
+            }
+            EXPECT_GT(hashed_instrs, 0u);
+        }
+    }
+}
+
+TEST(FunctionalWarming, DirectWarmDecodeEqualsWarmupSinkAcrossAGap)
+{
+    const apps::AppInfo &app = *apps::findApp("hmmsearch");
+    const cpu::PlatformConfig platform = cpu::alpha21264();
+    const CachedTrace cached = recordTightKeyframes(app, platform);
+    const std::string path =
+        ::testing::TempDir() + "bioperf_direct_warm_gap.bptrace";
+    ASSERT_TRUE(saveTraceFile(path,
+                              { .app = &app,
+                                .registerPressure = true,
+                                .intRegs = platform.core.numIntRegs,
+                                .fpRegs = platform.core.numFpRegs },
+                              cached)
+                    .ok());
+    // Damage one byte mid-file: salvage drops its keyframe group and
+    // marks a gap.
+    {
+        std::FILE *f = std::fopen(path.c_str(), "r+b");
+        ASSERT_NE(f, nullptr);
+        std::fseek(f, 0, SEEK_END);
+        const long middle = std::ftell(f) / 2;
+        std::fseek(f, middle, SEEK_SET);
+        const int c = std::fgetc(f);
+        std::fseek(f, middle, SEEK_SET);
+        std::fputc(c ^ 0x40, f);
+        std::fclose(f);
+    }
+    const TraceSalvageResult sr = salvageTraceFile(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(sr.status.ok()) << sr.status.str();
+    ASSERT_GT(sr.gaps, 0u);
+    uint64_t hashed_instrs = 0;
+    for (const auto &[warm, hashed] : kStretches) {
+        SCOPED_TRACE("warm " + std::to_string(warm) + " then " +
+                     std::to_string(hashed));
+        hashed_instrs += expectDirectWarmingMatchesEvents(
+            *sr.trace, platform,
+            stretches(warm, hashed, sr.trace->instructions));
+    }
+    EXPECT_GT(hashed_instrs, 0u);
+}
+
+/**
+ * Streams @a chunk after a fresh beginStream() into a sink that
+ * announces a warm stretch (or none) longer than the chunk.
+ */
+util::Status
+streamCorrupt(const CachedTrace &trace, const vm::EncodedTrace::Chunk &chunk,
+              bool direct)
+{
+    mem::CacheHierarchy caches = cpu::alpha21264().makeHierarchy();
+    const auto predictor = cpu::alpha21264().makePredictor();
+    WarmupSink warm(*trace.prog, &caches, predictor.get());
+    StretchSink sink(&warm, { UINT64_MAX }, direct);
+    vm::TraceReplayer replayer(*trace.prog);
+    replayer.addSink(&sink);
+    replayer.beginStream();
+    const util::Status s = replayer.streamChunk(chunk);
+    replayer.endStream();
+    return s;
+}
+
+TEST(FunctionalWarming, DirectWarmDecodeRejectsCorruptChunksAlike)
+{
+    const CachedTrace trace = recordTightKeyframes(
+        *apps::findApp("hmmsearch"), cpu::alpha21264());
+    const vm::EncodedTrace::Chunk &intact = trace.trace.chunks()[0];
+    ASSERT_GT(intact.bitmapOffset, 64u);
+    std::vector<vm::EncodedTrace::Chunk> corrupt;
+    // Cut payload, cut bitmap, an overlong varint, a wild bitmap offset.
+    corrupt.push_back(intact);
+    corrupt.back().bytes.erase(corrupt.back().bytes.begin() +
+                               intact.bitmapOffset / 2);
+    corrupt.push_back(intact);
+    corrupt.back().bytes.resize(intact.bitmapOffset + 1);
+    corrupt.push_back(intact);
+    std::fill_n(corrupt.back().bytes.begin() + intact.bitmapOffset / 3, 11,
+                0xff);
+    corrupt.push_back(intact);
+    corrupt.back().bitmapOffset =
+        static_cast<uint32_t>(intact.bytes.size() + 1);
+    // Flips, which may or may not make the chunk undecodable.
+    for (uint32_t at = 1; at < intact.bitmapOffset; at += 97) {
+        corrupt.push_back(intact);
+        corrupt.back().bytes[at] ^= 0x41;
+    }
+    for (size_t i = 0; i < corrupt.size(); i++) {
+        SCOPED_TRACE("corruption " + std::to_string(i));
+        const util::Status direct = streamCorrupt(trace, corrupt[i], true);
+        const util::Status events = streamCorrupt(trace, corrupt[i], false);
+        EXPECT_EQ(direct.str(), events.str());
+        if (i < 4) {
+            EXPECT_EQ(direct.code(), util::StatusCode::kCorruptData)
+                << direct.str();
+        }
+    }
+    EXPECT_TRUE(streamCorrupt(trace, intact, true).ok());
 }
 
 } // namespace
