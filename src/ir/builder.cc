@@ -8,39 +8,41 @@ namespace bioperf::ir {
 // Value operators
 // --------------------------------------------------------------------------
 
-#define BIOPERF_VALUE_BIN(OP, OPC)                                        \
+#define BIOPERF_VALUE_REG(OP, OPC)                                        \
     Value Value::operator OP(const Value &o) const                        \
-    { return b_->emitBin(Opcode::OPC, *this, o); }                        \
+    { return b_->emitBin(Opcode::OPC, *this, o); }
+#define BIOPERF_VALUE_IMM(OP, OPC)                                        \
     Value Value::operator OP(int64_t imm) const                           \
     { return b_->emitBinImm(Opcode::OPC, *this, imm); }
+#define BIOPERF_VALUE_BIN(OP, OPC)                                        \
+    BIOPERF_VALUE_REG(OP, OPC)                                            \
+    BIOPERF_VALUE_IMM(OP, OPC)
 
 BIOPERF_VALUE_BIN(+, Add)
 BIOPERF_VALUE_BIN(-, Sub)
 BIOPERF_VALUE_BIN(*, Mul)
 BIOPERF_VALUE_BIN(&, And)
-BIOPERF_VALUE_BIN(|, Or)
-BIOPERF_VALUE_BIN(^, Xor)
-BIOPERF_VALUE_BIN(<<, Shl)
-BIOPERF_VALUE_BIN(>>, Shr)
 BIOPERF_VALUE_BIN(==, CmpEq)
-BIOPERF_VALUE_BIN(!=, CmpNe)
 BIOPERF_VALUE_BIN(<, CmpLt)
 BIOPERF_VALUE_BIN(<=, CmpLe)
 BIOPERF_VALUE_BIN(>, CmpGt)
 BIOPERF_VALUE_BIN(>=, CmpGe)
+BIOPERF_VALUE_REG(/, Div)
+BIOPERF_VALUE_REG(%, Rem)
+BIOPERF_VALUE_REG(|, Or)
+BIOPERF_VALUE_IMM(^, Xor)
+BIOPERF_VALUE_IMM(<<, Shl)
+BIOPERF_VALUE_IMM(>>, Shr)
+BIOPERF_VALUE_IMM(!=, CmpNe)
 #undef BIOPERF_VALUE_BIN
-
-Value Value::operator/(const Value &o) const
-{ return b_->emitBin(Opcode::Div, *this, o); }
-Value Value::operator%(const Value &o) const
-{ return b_->emitBin(Opcode::Rem, *this, o); }
+#undef BIOPERF_VALUE_IMM
+#undef BIOPERF_VALUE_REG
 
 #define BIOPERF_FVALUE_BIN(OP, OPC)                                       \
     FValue FValue::operator OP(const FValue &o) const                     \
     { return b_->emitFBin(Opcode::OPC, *this, o); }
 
 BIOPERF_FVALUE_BIN(+, FAdd)
-BIOPERF_FVALUE_BIN(-, FSub)
 BIOPERF_FVALUE_BIN(*, FMul)
 BIOPERF_FVALUE_BIN(/, FDiv)
 #undef BIOPERF_FVALUE_BIN
@@ -50,11 +52,7 @@ BIOPERF_FVALUE_BIN(/, FDiv)
     { return b_->emitFCmp(Opcode::OPC, *this, o); }
 
 BIOPERF_FVALUE_CMP(==, FCmpEq)
-BIOPERF_FVALUE_CMP(!=, FCmpNe)
 BIOPERF_FVALUE_CMP(<, FCmpLt)
-BIOPERF_FVALUE_CMP(<=, FCmpLe)
-BIOPERF_FVALUE_CMP(>, FCmpGt)
-BIOPERF_FVALUE_CMP(>=, FCmpGe)
 #undef BIOPERF_FVALUE_CMP
 
 FunctionBuilder::Var::operator Value() const
@@ -389,21 +387,6 @@ FunctionBuilder::st(const ArrayRef &a, const Value &idx,
     emit(in);
 }
 
-void
-FunctionBuilder::fst(const ArrayRef &a, const Value &idx,
-                     int64_t idx_offset, const FValue &v)
-{
-    Instr in;
-    in.op = Opcode::FStore;
-    in.src[0] = v.reg();
-    in.mem.region = a.region;
-    in.mem.index = idx.reg();
-    in.mem.scale = 8;
-    in.mem.size = 8;
-    in.mem.offset = static_cast<int64_t>(a.base) + idx_offset * 8;
-    emit(in);
-}
-
 Value
 FunctionBuilder::ldAt(const Value &ptr, int64_t offset, uint8_t size,
                       int32_t region)
@@ -459,12 +442,6 @@ FunctionBuilder::fselect(const Value &cond, const FValue &a, const FValue &b)
     return FValue(this, in.dst);
 }
 
-Value
-FunctionBuilder::smax(const Value &a, const Value &b)
-{
-    return select(a > b, a, b);
-}
-
 FValue
 FunctionBuilder::fcvt(const Value &v)
 {
@@ -481,17 +458,6 @@ FunctionBuilder::icvt(const FValue &v)
 {
     Instr in;
     in.op = Opcode::CvtFI;
-    in.dst = newIntReg();
-    in.src[0] = v.reg();
-    emit(in);
-    return Value(this, in.dst);
-}
-
-Value
-FunctionBuilder::mov(const Value &v)
-{
-    Instr in;
-    in.op = Opcode::Mov;
     in.dst = newIntReg();
     in.src[0] = v.reg();
     emit(in);

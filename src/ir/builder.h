@@ -34,11 +34,7 @@ class Value
     Value operator%(const Value &o) const;
     Value operator&(const Value &o) const;
     Value operator|(const Value &o) const;
-    Value operator^(const Value &o) const;
-    Value operator<<(const Value &o) const;
-    Value operator>>(const Value &o) const;
     Value operator==(const Value &o) const;
-    Value operator!=(const Value &o) const;
     Value operator<(const Value &o) const;
     Value operator<=(const Value &o) const;
     Value operator>(const Value &o) const;
@@ -48,7 +44,6 @@ class Value
     Value operator-(int64_t imm) const;
     Value operator*(int64_t imm) const;
     Value operator&(int64_t imm) const;
-    Value operator|(int64_t imm) const;
     Value operator^(int64_t imm) const;
     Value operator<<(int64_t imm) const;
     Value operator>>(int64_t imm) const;
@@ -77,15 +72,10 @@ class FValue
     bool valid() const { return b_ != nullptr; }
 
     FValue operator+(const FValue &o) const;
-    FValue operator-(const FValue &o) const;
     FValue operator*(const FValue &o) const;
     FValue operator/(const FValue &o) const;
     Value operator==(const FValue &o) const;
-    Value operator!=(const FValue &o) const;
     Value operator<(const FValue &o) const;
-    Value operator<=(const FValue &o) const;
-    Value operator>(const FValue &o) const;
-    Value operator>=(const FValue &o) const;
 
   private:
     friend class FunctionBuilder;
@@ -198,8 +188,6 @@ class FunctionBuilder
     /** Floating-point store a[idx] = v. */
     void fst(const ArrayRef &a, const Value &idx, const FValue &v);
     void fst(const ArrayRef &a, int64_t idx, const FValue &v);
-    void fst(const ArrayRef &a, const Value &idx, int64_t idx_offset,
-             const FValue &v);
 
     /**
      * Pointer-style load: value at byte address (ptr + offset). Used
@@ -216,11 +204,8 @@ class FunctionBuilder
     /** Conditional move: cond ? a : b. */
     Value select(const Value &cond, const Value &a, const Value &b);
     FValue fselect(const Value &cond, const FValue &a, const FValue &b);
-    /** max(a, b) via compare + select. */
-    Value smax(const Value &a, const Value &b);
     FValue fcvt(const Value &v);  ///< int -> double
     Value icvt(const FValue &v);  ///< double -> int (truncating)
-    Value mov(const Value &v);    ///< explicit register copy
 
     // --- control flow ----------------------------------------------------
 

@@ -96,18 +96,6 @@ Program::addRegion(const std::string &name, uint32_t elem_size,
     return static_cast<int32_t>(regions_.size() - 1);
 }
 
-int32_t
-Program::regionContaining(uint64_t addr) const
-{
-    for (size_t i = 0; i < regions_.size(); i++) {
-        if (addr >= regions_[i].base &&
-            addr < regions_[i].base + regions_[i].sizeBytes) {
-            return static_cast<int32_t>(i);
-        }
-    }
-    return -1;
-}
-
 Function &
 Program::addFunction(const std::string &name)
 {

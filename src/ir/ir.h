@@ -360,9 +360,6 @@ class Program
     Region &region(int32_t id) { return regions_[id]; }
     size_t numRegions() const { return regions_.size(); }
 
-    /** Region id whose [base, base+size) contains @a addr, or -1. */
-    int32_t regionContaining(uint64_t addr) const;
-
     /** Bytes of flat memory needed to hold all regions. */
     uint64_t memoryBytes() const { return next_addr_; }
 

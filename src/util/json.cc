@@ -1,12 +1,11 @@
 #include "util/json.h"
 
 #include <cassert>
-#include <cctype>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
+#include <string_view>
 
 namespace bioperf::util::json {
 
@@ -22,21 +21,6 @@ Value::asDouble() const
         return double_;
     default:
         return 0.0;
-    }
-}
-
-int64_t
-Value::asInt() const
-{
-    switch (type_) {
-    case Type::Int:
-        return int_;
-    case Type::Uint:
-        return static_cast<int64_t>(uint_);
-    case Type::Double:
-        return static_cast<int64_t>(double_);
-    default:
-        return 0;
     }
 }
 
@@ -103,41 +87,9 @@ Value::find(const std::string &key) const
     return nullptr;
 }
 
-bool
-Value::operator==(const Value &other) const
-{
-    if (isNumber() && other.isNumber()) {
-        // Integers of either signedness compare by value; anything
-        // involving a double compares as double.
-        if (type_ == Type::Double || other.type_ == Type::Double)
-            return asDouble() == other.asDouble();
-        if (type_ == Type::Int && other.type_ == Type::Int)
-            return int_ == other.int_;
-        if (type_ == Type::Uint && other.type_ == Type::Uint)
-            return uint_ == other.uint_;
-        const Value &s = type_ == Type::Int ? *this : other;
-        const Value &u = type_ == Type::Int ? other : *this;
-        return s.int_ >= 0 &&
-               static_cast<uint64_t>(s.int_) == u.uint_;
-    }
-    if (type_ != other.type_)
-        return false;
-    switch (type_) {
-    case Type::Null:
-        return true;
-    case Type::Bool:
-        return bool_ == other.bool_;
-    case Type::String:
-        return string_ == other.string_;
-    case Type::Array:
-        return array_ == other.array_;
-    case Type::Object:
-        return object_ == other.object_;
-    default:
-        return false; // unreachable; numbers handled above
-    }
-}
+namespace {
 
+/** JSON string escaping of @a s (quotes, backslash, control chars). */
 std::string
 escape(std::string_view s)
 {
@@ -178,8 +130,6 @@ escape(std::string_view s)
     }
     return out;
 }
-
-namespace {
 
 bool
 isPlainInteger(std::string_view s)
@@ -226,8 +176,8 @@ Value::dumpTo(std::string &out, int indent, int depth) const
             out += "null";
         } else {
             out += buf;
-            // Integral doubles still parse back as Double thanks to
-            // the explicit ".0" marker.
+            // The explicit ".0" marker keeps an integral double a
+            // float for a reader that types numbers by their text.
             if (isPlainInteger(buf))
                 out += ".0";
         }
@@ -282,303 +232,6 @@ Value::dump(int indent) const
     if (indent > 0)
         out += '\n';
     return out;
-}
-
-namespace {
-
-/** Minimal recursive-descent parser; enough for the report schema. */
-class Parser
-{
-  public:
-    Parser(std::string_view text, std::string *err)
-        : text_(text), err_(err)
-    {
-    }
-
-    bool
-    run(Value *out)
-    {
-        skipWs();
-        if (!parseValue(out))
-            return false;
-        skipWs();
-        if (pos_ != text_.size())
-            return fail("trailing characters");
-        return true;
-    }
-
-  private:
-    bool
-    fail(const char *msg)
-    {
-        if (err_)
-            *err_ = std::string(msg) + " at offset " +
-                    std::to_string(pos_);
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r'))
-            pos_++;
-    }
-
-    bool
-    literal(std::string_view lit)
-    {
-        if (text_.substr(pos_, lit.size()) != lit)
-            return false;
-        pos_ += lit.size();
-        return true;
-    }
-
-    bool
-    parseValue(Value *out)
-    {
-        if (pos_ >= text_.size())
-            return fail("unexpected end of input");
-        const char c = text_[pos_];
-        switch (c) {
-        case '{':
-            return parseObject(out);
-        case '[':
-            return parseArray(out);
-        case '"': {
-            std::string s;
-            if (!parseString(&s))
-                return false;
-            *out = Value(std::move(s));
-            return true;
-        }
-        case 't':
-            if (!literal("true"))
-                return fail("bad literal");
-            *out = Value(true);
-            return true;
-        case 'f':
-            if (!literal("false"))
-                return fail("bad literal");
-            *out = Value(false);
-            return true;
-        case 'n':
-            if (!literal("null"))
-                return fail("bad literal");
-            *out = Value{};
-            return true;
-        default:
-            return parseNumber(out);
-        }
-    }
-
-    bool
-    parseObject(Value *out)
-    {
-        pos_++; // '{'
-        *out = Value::object();
-        skipWs();
-        if (pos_ < text_.size() && text_[pos_] == '}') {
-            pos_++;
-            return true;
-        }
-        for (;;) {
-            skipWs();
-            std::string key;
-            if (pos_ >= text_.size() || text_[pos_] != '"' ||
-                !parseString(&key))
-                return fail("expected object key");
-            skipWs();
-            if (pos_ >= text_.size() || text_[pos_] != ':')
-                return fail("expected ':'");
-            pos_++;
-            skipWs();
-            if (!parseValue(&(*out)[key]))
-                return false;
-            skipWs();
-            if (pos_ >= text_.size())
-                return fail("unterminated object");
-            if (text_[pos_] == ',') {
-                pos_++;
-                continue;
-            }
-            if (text_[pos_] == '}') {
-                pos_++;
-                return true;
-            }
-            return fail("expected ',' or '}'");
-        }
-    }
-
-    bool
-    parseArray(Value *out)
-    {
-        pos_++; // '['
-        *out = Value::array();
-        skipWs();
-        if (pos_ < text_.size() && text_[pos_] == ']') {
-            pos_++;
-            return true;
-        }
-        for (;;) {
-            skipWs();
-            Value elem;
-            if (!parseValue(&elem))
-                return false;
-            out->push(std::move(elem));
-            skipWs();
-            if (pos_ >= text_.size())
-                return fail("unterminated array");
-            if (text_[pos_] == ',') {
-                pos_++;
-                continue;
-            }
-            if (text_[pos_] == ']') {
-                pos_++;
-                return true;
-            }
-            return fail("expected ',' or ']'");
-        }
-    }
-
-    bool
-    parseString(std::string *out)
-    {
-        pos_++; // '"'
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (c == '"') {
-                pos_++;
-                return true;
-            }
-            if (c == '\\') {
-                pos_++;
-                if (pos_ >= text_.size())
-                    break;
-                const char e = text_[pos_++];
-                switch (e) {
-                case '"':
-                    *out += '"';
-                    break;
-                case '\\':
-                    *out += '\\';
-                    break;
-                case '/':
-                    *out += '/';
-                    break;
-                case 'b':
-                    *out += '\b';
-                    break;
-                case 'f':
-                    *out += '\f';
-                    break;
-                case 'n':
-                    *out += '\n';
-                    break;
-                case 'r':
-                    *out += '\r';
-                    break;
-                case 't':
-                    *out += '\t';
-                    break;
-                case 'u': {
-                    if (pos_ + 4 > text_.size())
-                        return fail("bad \\u escape");
-                    unsigned cp = 0;
-                    for (int i = 0; i < 4; i++) {
-                        const char h = text_[pos_++];
-                        cp <<= 4;
-                        if (h >= '0' && h <= '9')
-                            cp |= static_cast<unsigned>(h - '0');
-                        else if (h >= 'a' && h <= 'f')
-                            cp |= static_cast<unsigned>(h - 'a' + 10);
-                        else if (h >= 'A' && h <= 'F')
-                            cp |= static_cast<unsigned>(h - 'A' + 10);
-                        else
-                            return fail("bad \\u escape");
-                    }
-                    // UTF-8 encode (the writer only emits \u00xx,
-                    // but accept the full BMP on input).
-                    if (cp < 0x80) {
-                        *out += static_cast<char>(cp);
-                    } else if (cp < 0x800) {
-                        *out += static_cast<char>(0xC0 | (cp >> 6));
-                        *out +=
-                            static_cast<char>(0x80 | (cp & 0x3F));
-                    } else {
-                        *out += static_cast<char>(0xE0 | (cp >> 12));
-                        *out += static_cast<char>(
-                            0x80 | ((cp >> 6) & 0x3F));
-                        *out +=
-                            static_cast<char>(0x80 | (cp & 0x3F));
-                    }
-                    break;
-                }
-                default:
-                    return fail("bad escape");
-                }
-                continue;
-            }
-            *out += c;
-            pos_++;
-        }
-        return fail("unterminated string");
-    }
-
-    bool
-    parseNumber(Value *out)
-    {
-        const size_t start = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-')
-            pos_++;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-'))
-            pos_++;
-        if (pos_ == start)
-            return fail("expected value");
-        const std::string tok(text_.substr(start, pos_ - start));
-        if (tok.find_first_of(".eE") == std::string::npos) {
-            // Integer: signed first, then unsigned for the top half
-            // of the uint64 range.
-            errno = 0;
-            char *end = nullptr;
-            const long long sv = std::strtoll(tok.c_str(), &end, 10);
-            if (errno == 0 && end && *end == '\0') {
-                *out = Value(static_cast<int64_t>(sv));
-                return true;
-            }
-            errno = 0;
-            const unsigned long long uv =
-                std::strtoull(tok.c_str(), &end, 10);
-            if (errno == 0 && end && *end == '\0' && tok[0] != '-') {
-                *out = Value(static_cast<uint64_t>(uv));
-                return true;
-            }
-        }
-        errno = 0;
-        char *end = nullptr;
-        const double dv = std::strtod(tok.c_str(), &end);
-        if (end == nullptr || *end != '\0')
-            return fail("malformed number");
-        *out = Value(dv);
-        return true;
-    }
-
-    std::string_view text_;
-    std::string *err_;
-    size_t pos_ = 0;
-};
-
-} // namespace
-
-bool
-parse(std::string_view text, Value *out, std::string *err)
-{
-    return Parser(text, err).run(out);
 }
 
 bool

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -16,25 +15,16 @@ namespace bioperf::util::json {
  * Objects preserve insertion order, so emitted reports read in the
  * order components registered their metrics and diffs between runs of
  * the same bench stay line-stable. Numbers keep their source type
- * (signed, unsigned, double) so counters survive a dump/parse round
- * trip exactly; doubles are printed with max_digits10 precision for
- * the same reason.
+ * (signed, unsigned, double) and print exactly: a full-width uint64
+ * counter as an integer, a double with max_digits10 precision and, if
+ * integral, a trailing ".0", so a reader that types numbers by their
+ * text (Python's json module) gets the same value and kind back.
+ * Non-finite doubles, which JSON cannot express, print as null. The
+ * repository only writes this tree; Python reads the reports.
  */
 class Value
 {
   public:
-    enum class Type : uint8_t
-    {
-        Null,
-        Bool,
-        Int,
-        Uint,
-        Double,
-        String,
-        Array,
-        Object
-    };
-
     Value() = default;
     Value(bool b) : type_(Type::Bool), bool_(b) {}
     Value(int v) : type_(Type::Int), int_(v) {}
@@ -62,19 +52,12 @@ class Value
         return v;
     }
 
-    Type type() const { return type_; }
-    bool isNumber() const
-    {
-        return type_ == Type::Int || type_ == Type::Uint ||
-               type_ == Type::Double;
-    }
     bool isArray() const { return type_ == Type::Array; }
     bool isObject() const { return type_ == Type::Object; }
 
     bool asBool() const { return bool_; }
     /** Numeric value as double, whatever the stored width. */
     double asDouble() const;
-    int64_t asInt() const;
     uint64_t asUint() const;
     const std::string &asString() const { return string_; }
 
@@ -84,7 +67,6 @@ class Value
     /** Appends to an array (a Null value silently becomes one). */
     Value &push(Value v);
     const Value &at(size_t i) const { return array_[i]; }
-    Value &at(size_t i) { return array_[i]; }
 
     /**
      * Object member access; inserts a Null member if the key is new
@@ -99,10 +81,6 @@ class Value
     {
         return find(key) != nullptr;
     }
-    const std::vector<std::pair<std::string, Value>> &members() const
-    {
-        return object_;
-    }
 
     /**
      * Serializes the tree. @a indent > 0 pretty-prints with that many
@@ -110,10 +88,19 @@ class Value
      */
     std::string dump(int indent = 2) const;
 
-    /** Deep structural equality (numbers compare by exact value). */
-    bool operator==(const Value &other) const;
-
   private:
+    enum class Type : uint8_t
+    {
+        Null,
+        Bool,
+        Int,
+        Uint,
+        Double,
+        String,
+        Array,
+        Object
+    };
+
     void dumpTo(std::string &out, int indent, int depth) const;
 
     Type type_ = Type::Null;
@@ -125,19 +112,6 @@ class Value
     std::vector<Value> array_;
     std::vector<std::pair<std::string, Value>> object_;
 };
-
-/** JSON string escaping of @a s (quotes, backslash, control chars). */
-std::string escape(std::string_view s);
-
-/**
- * Parses one JSON document. On failure returns false and, when @a err
- * is non-null, stores a message with the byte offset. Numbers parse to
- * Int when they fit a signed 64-bit integer (no '.', 'e', or leading
- * '-' overflow), to Uint for larger integers, else to Double — the
- * inverse of how dump() prints, so round trips preserve types.
- */
-bool parse(std::string_view text, Value *out,
-           std::string *err = nullptr);
 
 /**
  * Writes @a value, dumped with @a indent, to @a path: the one writer

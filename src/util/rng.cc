@@ -1,7 +1,5 @@
 #include "util/rng.h"
 
-#include <cmath>
-
 namespace bioperf::util {
 
 namespace {
@@ -68,24 +66,6 @@ double
 Rng::nextDouble()
 {
     return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double
-Rng::nextGaussian()
-{
-    if (haveGaussian_) {
-        haveGaussian_ = false;
-        return pendingGaussian_;
-    }
-    double u1 = 0.0;
-    while (u1 == 0.0)
-        u1 = nextDouble();
-    const double u2 = nextDouble();
-    const double r = std::sqrt(-2.0 * std::log(u1));
-    const double theta = 2.0 * M_PI * u2;
-    pendingGaussian_ = r * std::sin(theta);
-    haveGaussian_ = true;
-    return r * std::cos(theta);
 }
 
 bool

@@ -30,16 +30,11 @@ class Rng
     /** Uniform double in [0, 1). */
     double nextDouble();
 
-    /** Gaussian sample via Box-Muller (mean 0, stddev 1). */
-    double nextGaussian();
-
     /** Bernoulli trial with probability p of returning true. */
     bool nextBool(double p = 0.5);
 
   private:
     uint64_t state_[4];
-    bool haveGaussian_ = false;
-    double pendingGaussian_ = 0.0;
 };
 
 } // namespace bioperf::util

@@ -68,19 +68,6 @@ arithmeticMean(const std::vector<double> &xs)
 }
 
 double
-geometricMean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double log_sum = 0.0;
-    for (double x : xs) {
-        assert(x > 0.0);
-        log_sum += std::log(x);
-    }
-    return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
-double
 harmonicMean(const std::vector<double> &xs)
 {
     if (xs.empty())
@@ -91,14 +78,6 @@ harmonicMean(const std::vector<double> &xs)
         inv_sum += 1.0 / x;
     }
     return static_cast<double>(xs.size()) / inv_sum;
-}
-
-double
-percent(uint64_t a, uint64_t b)
-{
-    if (b == 0)
-        return 0.0;
-    return 100.0 * static_cast<double>(a) / static_cast<double>(b);
 }
 
 double

@@ -47,17 +47,11 @@ class RunningStats
 /** Arithmetic mean of a vector; 0 for empty input. */
 double arithmeticMean(const std::vector<double> &xs);
 
-/** Geometric mean; all inputs must be > 0. */
-double geometricMean(const std::vector<double> &xs);
-
 /**
  * Harmonic mean; all inputs must be > 0. The paper reports harmonic
  * mean speedups (Figure 9), so this is the headline aggregator.
  */
 double harmonicMean(const std::vector<double> &xs);
-
-/** Ratio a/b expressed as a percentage; 0 when b == 0. */
-double percent(uint64_t a, uint64_t b);
 
 /** Ratio a/b as a fraction; 0 when b == 0. */
 double frac(uint64_t a, uint64_t b);

@@ -43,12 +43,6 @@ TextTable::cell(int64_t v)
 }
 
 TextTable &
-TextTable::cell(int v)
-{
-    return cell(std::to_string(v));
-}
-
-TextTable &
 TextTable::cell(double v, int decimals)
 {
     char buf[64];

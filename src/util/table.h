@@ -26,7 +26,6 @@ class TextTable
     TextTable &cell(const char *s);
     TextTable &cell(uint64_t v);
     TextTable &cell(int64_t v);
-    TextTable &cell(int v);
     /** Fixed-point double with the given number of decimals. */
     TextTable &cell(double v, int decimals = 2);
     /** Percentage with '%' suffix. */

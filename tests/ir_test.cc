@@ -98,17 +98,6 @@ TEST(Program, RegionLayoutIsAlignedAndDisjoint)
               prog.region(b).base + prog.region(b).sizeBytes);
 }
 
-TEST(Program, RegionContaining)
-{
-    Program prog;
-    const int32_t a = prog.addRegion("a", 4, 16);
-    const uint64_t base = prog.region(a).base;
-    EXPECT_EQ(prog.regionContaining(base), a);
-    EXPECT_EQ(prog.regionContaining(base + 63), a);
-    EXPECT_EQ(prog.regionContaining(base + 64), -1);
-    EXPECT_EQ(prog.regionContaining(0), -1);
-}
-
 TEST(Program, RenumberProducesDenseSids)
 {
     Program prog;
@@ -230,7 +219,7 @@ TEST(Builder, SelectAndSmax)
     Value x = b.param("x");
     Value y = b.param("y");
     auto r = b.var();
-    b.assign(r, b.smax(x, y));
+    b.assign(r, b.select(x > y, x, y));
     Function &fn = b.finish();
     EXPECT_EQ(runScalar(prog, fn, r.reg, { 3, 9 }), 9);
     EXPECT_EQ(runScalar(prog, fn, r.reg, { 9, 3 }), 9);
